@@ -36,7 +36,6 @@ fn main() {
             health_check: true,
             checkpointing: true,
             kills: Kills::AtIterations(vec![(2, kill_iter)]),
-            fd_threads: 1,
         };
         let r = run_scenario(&w, &sc);
         assert!(r.consistent, "run with interval {interval} must stay consistent");

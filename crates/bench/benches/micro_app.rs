@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the application substrates: graphene row
-//! generation, local SpMV kernels, spMVM pre-processing, the QL
+//! generation, the local SpMV kernel, spMVM pre-processing, the QL
 //! tridiagonal eigenvalue solve (the paper's `CalcMinimumEigenVal`
 //! ingredient), and the checkpoint paths (local write, neighbor
 //! replication, restore).
@@ -51,17 +51,6 @@ fn bench_spmv(c: &mut Criterion) {
                 criterion::black_box(y[0])
             });
         });
-        // GHOST's SELL-C-σ format, bitwise-identical results.
-        let dms = dm.clone().with_sell(8, 64);
-        let mut y2 = vec![0.0; dms.local_len()];
-        g.bench_with_input(BenchmarkId::new("sell_8_64", rows), &rows, |b, _| {
-            b.iter(|| {
-                dms.spmv(&x, &halo, &mut y2);
-                criterion::black_box(y2[0])
-            });
-        });
-        dm.spmv(&x, &halo, &mut y);
-        assert_eq!(y, y2, "formats must agree bitwise");
     }
     g.finish();
 }

@@ -42,21 +42,18 @@ fn matrix_scenarios(w: &Workload) -> Vec<Scenario> {
             health_check: true,
             checkpointing: true,
             kills: Kills::None,
-            fd_threads: 1,
         },
         Scenario {
             name: "1 fail",
             health_check: true,
             checkpointing: true,
             kills: Kills::AtIterations(vec![(1, kill_after(1))]),
-            fd_threads: 1,
         },
         Scenario {
             name: "2 fail",
             health_check: true,
             checkpointing: true,
             kills: Kills::AtIterations(vec![(1, kill_after(1)), (2, kill_after(2))]),
-            fd_threads: 1,
         },
     ]
 }

@@ -15,7 +15,7 @@
 //!
 //! This harness extends the sweep past the paper's 256-node cluster to
 //! 4096 ranks (the sharded transport's design point) and adds a third
-//! measured column: the epoch-batched scan (`glo_health_chk_batched`,
+//! measured column: the production epoch-batched scan (`glo_health_chk_graced`,
 //! one fan-out posting per scan instead of one blocking round trip per
 //! node). The sequential scan stays the paper-faithful Listing 1 loop and
 //! must stay ~linear; the batched scan overlaps all pings in flight and

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use ft_cluster::{FaultSchedule, Rank};
-use ft_core::detector::{glo_health_chk, glo_health_chk_batched};
+use ft_core::detector::glo_health_chk_graced;
 use ft_core::{EventKind, FtConfig, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld, Timeout};
 
@@ -29,8 +29,10 @@ pub fn measure_scan(nodes: u32, runs: usize, seed: u64) -> Vec<Duration> {
 }
 
 /// [`measure_scan`] with a choice of scan strategy: `batched = true` uses
-/// the epoch-batched fan-out scan (`glo_health_chk_batched`, one
-/// transport pass per scan), `false` the sequential Listing 1 loop.
+/// the production epoch-batched fan-out scan (`glo_health_chk_graced`,
+/// one transport pass per scan), `false` the paper's sequential Listing 1
+/// loop (`glo_health_chk`: one blocking ping per target), kept here as
+/// the exhibit it is.
 pub fn measure_scan_with(nodes: u32, runs: usize, seed: u64, batched: bool) -> Vec<Duration> {
     let world = GaspiWorld::new(GaspiConfig::new(nodes + 1).with_seed(seed));
     let fd = world.proc_handle(nodes);
@@ -38,10 +40,11 @@ pub fn measure_scan_with(nodes: u32, runs: usize, seed: u64, batched: bool) -> V
     (0..runs)
         .map(|_| {
             let t0 = Instant::now();
-            let failed = if batched {
-                glo_health_chk_batched(&fd, &targets, Timeout::Ms(2000))
+            let timeout = Timeout::Ms(2000);
+            let failed: Vec<Rank> = if batched {
+                glo_health_chk_graced(&fd, &targets, timeout, Duration::ZERO)
             } else {
-                glo_health_chk(&fd, &targets, Timeout::Ms(2000), 1)
+                targets.iter().copied().filter(|&r| fd.proc_ping(r, timeout).is_err()).collect()
             };
             assert!(failed.is_empty(), "scan over healthy ranks found {failed:?}");
             t0.elapsed()

@@ -9,12 +9,15 @@
 //!   detection) reconstructed from the job event log.
 //! * [`fdscale`] — the Table I measurements: FD ping-scan time and
 //!   failure detection + acknowledgment time versus node count.
+//! * [`baselines`] — the two detector designs the paper rejected
+//!   (§IV-A-b), for the detector ablation.
 //! * [`stats`] — small mean/σ helpers.
 //! * [`table`] — fixed-width table printing for harness output.
 //!
 //! The binaries under `benches/` drive these and print paper-style
 //! tables; see `EXPERIMENTS.md` at the workspace root for the mapping.
 
+pub mod baselines;
 pub mod fdscale;
 pub mod miniapp;
 pub mod report;

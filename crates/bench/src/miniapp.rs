@@ -7,8 +7,8 @@
 
 use std::time::Duration;
 
+use crate::baselines::{AllToAllDetector, InlineDetector, NeighborRingDetector};
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CkptStats, Dec, Enc};
-use ft_core::baselines::{AllToAllDetector, InlineDetector, NeighborRingDetector};
 use ft_core::{FtApp, FtCtx, FtResult, RecoveryPlan};
 use ft_gaspi::{ReduceOp, Timeout};
 

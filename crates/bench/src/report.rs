@@ -1,23 +1,9 @@
 //! Where harnesses leave their machine-readable telemetry reports.
 
-use std::path::PathBuf;
-
-/// The workspace-level `target/telemetry/` directory, independent of the
-/// process working directory (`cargo bench` runs bench binaries with the
-/// *package* directory as CWD, which would otherwise scatter reports
-/// into `crates/bench/target/`).
-pub fn telemetry_dir() -> PathBuf {
-    let target = std::env::var_os("CARGO_TARGET_DIR").map_or_else(
-        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
-        PathBuf::from,
-    );
-    target.join("telemetry")
-}
-
-/// Write one JSON telemetry document into [`telemetry_dir`], reporting
+/// Write one JSON telemetry document into [`ft_telemetry::telemetry_dir`], reporting
 /// the outcome on stdout/stderr (non-fatal on error).
 pub fn write_report(file_name: &str, doc: &ft_telemetry::Json) {
-    let out = telemetry_dir();
+    let out = ft_telemetry::telemetry_dir();
     let path = match std::fs::create_dir_all(&out).and_then(|()| out.canonicalize()) {
         Ok(canon) => canon.join(file_name),
         Err(_) => out.join(file_name),
@@ -25,17 +11,5 @@ pub fn write_report(file_name: &str, doc: &ft_telemetry::Json) {
     match std::fs::write(&path, doc.render()) {
         Ok(()) => println!("telemetry report written to {}", path.display()),
         Err(e) => eprintln!("could not write telemetry report to {}: {e}", path.display()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn telemetry_dir_is_absolute_workspace_target() {
-        let d = telemetry_dir();
-        assert!(d.is_absolute() || std::env::var_os("CARGO_TARGET_DIR").is_some());
-        assert!(d.ends_with("target/telemetry"));
     }
 }

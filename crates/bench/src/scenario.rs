@@ -36,8 +36,6 @@ pub struct Scenario {
     pub checkpointing: bool,
     /// Failure injection.
     pub kills: Kills,
-    /// FD ping threads (8 for the simultaneous case, as in the paper).
-    pub fd_threads: usize,
 }
 
 /// Shared workload parameters for all scenarios of one figure.
@@ -120,35 +118,30 @@ pub fn fig4_scenarios(w: &Workload) -> Vec<Scenario> {
             health_check: false,
             checkpointing: false,
             kills: Kills::None,
-            fd_threads: 1,
         },
         Scenario {
             name: "w/o HC, with CP",
             health_check: false,
             checkpointing: true,
             kills: Kills::None,
-            fd_threads: 1,
         },
         Scenario {
             name: "with HC, with CP",
             health_check: true,
             checkpointing: true,
             kills: Kills::None,
-            fd_threads: 1,
         },
         Scenario {
             name: "1 fail recovery",
             health_check: true,
             checkpointing: true,
             kills: Kills::AtIterations(vec![(2, kill_after(3))]),
-            fd_threads: 1,
         },
         Scenario {
             name: "2 fail recovery",
             health_check: true,
             checkpointing: true,
             kills: Kills::AtIterations(vec![(2, kill_after(2)), (5 % workers, kill_after(4))]),
-            fd_threads: 1,
         },
         Scenario {
             name: "3 fail recovery",
@@ -159,7 +152,6 @@ pub fn fig4_scenarios(w: &Workload) -> Vec<Scenario> {
                 (5 % workers, kill_after(3)),
                 (7 % workers, kill_after(5)),
             ]),
-            fd_threads: 1,
         },
         Scenario {
             name: "3 sim. fail recovery",
@@ -170,7 +162,6 @@ pub fn fig4_scenarios(w: &Workload) -> Vec<Scenario> {
                 vec![1, workers / 2, workers - 2],
                 Duration::from_millis(120),
             ),
-            fd_threads: 8,
         },
     ]
 }
@@ -188,7 +179,6 @@ pub fn run_scenario(w: &Workload, sc: &Scenario) -> ScenarioResult {
             } else {
                 Duration::from_secs(3600)
             },
-            threads: sc.fd_threads,
             ..Default::default()
         })
         .abandon(Duration::from_secs(60))
@@ -279,13 +269,7 @@ mod tests {
         };
         let base = run_scenario(
             &w,
-            &Scenario {
-                name: "base",
-                health_check: true,
-                checkpointing: true,
-                kills: Kills::None,
-                fd_threads: 1,
-            },
+            &Scenario { name: "base", health_check: true, checkpointing: true, kills: Kills::None },
         );
         assert!(base.consistent, "baseline must complete consistently");
         assert_eq!(base.recoveries, 0);
@@ -298,7 +282,6 @@ mod tests {
                 health_check: true,
                 checkpointing: true,
                 kills: Kills::AtIterations(vec![(1, 45)]),
-                fd_threads: 1,
             },
         );
         assert!(one.consistent, "1-failure run must complete consistently");

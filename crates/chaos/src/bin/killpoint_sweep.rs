@@ -7,7 +7,6 @@
 //! * `FT_SWEEP_BUDGET_SECS` — wall-clock budget for single-kill replays
 //!   (default 300; enumeration and the pair sweep always run).
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -15,14 +14,6 @@ use ft_chaos::{exhaustive_sweep, pair_sweep, RunClass, SweepConfig};
 
 /// Minimum distinct `(site, rank)` kill points the CI world must cover.
 const MIN_KILL_POINTS: usize = 30;
-
-fn telemetry_dir() -> PathBuf {
-    let target = std::env::var_os("CARGO_TARGET_DIR").map_or_else(
-        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
-        PathBuf::from,
-    );
-    target.join("telemetry")
-}
 
 fn main() -> ExitCode {
     let budget = std::env::var("FT_SWEEP_BUDGET_SECS")
@@ -69,7 +60,7 @@ fn main() -> ExitCode {
         eprintln!("VIOLATION: {v}");
     }
 
-    let out = telemetry_dir();
+    let out = ft_telemetry::telemetry_dir();
     let path = out.join("killpoint-sweep.json");
     match std::fs::create_dir_all(&out)
         .and_then(|()| std::fs::write(&path, report.to_json().render()))

@@ -39,7 +39,6 @@
 //! (default 500); `FT_PROC_SWEEP_VERBOSE` — dump child event lines in
 //! fdkill mode.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -66,14 +65,6 @@ fn wallclock_cfg(spares: u32) -> SweepConfig {
 /// hysteresis that a partition healed within ~200 ms never surfaces.
 fn heal_cfg() -> SweepConfig {
     SweepConfig { suspect_grace: Duration::from_millis(200), ..wallclock_cfg(2) }
-}
-
-fn telemetry_dir() -> PathBuf {
-    let target = std::env::var_os("CARGO_TARGET_DIR").map_or_else(
-        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
-        PathBuf::from,
-    );
-    target.join("telemetry")
 }
 
 fn main() -> ExitCode {
@@ -237,7 +228,7 @@ fn smoke(cfg: &SweepConfig) -> ExitCode {
         ("partitions", Json::Arr(partition_rows)),
         ("elapsed_s", Json::Num(t0.elapsed().as_secs_f64())),
     ]);
-    let out = telemetry_dir();
+    let out = ft_telemetry::telemetry_dir();
     let path = out.join("process-sweep.json");
     match std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&path, doc.render())) {
         Ok(()) => println!("report written to {}", path.display()),

@@ -22,7 +22,7 @@
 //!   a monotone counter — chunk garbage collection is an explicit
 //!   release list computed against the retained manifests.
 
-use crate::codec::{fnv1a64, CodecError, Dec, Enc};
+use ft_cluster::codec::{fnv1a64, CodecError, Dec, Enc};
 
 /// Default chunk size, and the alignment solvers use for chunk-stable
 /// checkpoint layouts (see `LanczosState::encode` in `ft-solver`).

@@ -33,7 +33,6 @@
 //! timeout / checksum mismatch) for the recovery vote path.
 
 pub mod chunk;
-pub mod codec;
 pub mod neighbor;
 pub mod pfs;
 pub mod service;
@@ -43,7 +42,7 @@ pub mod writer;
 pub use chunk::{
     chunk_hashes, chunk_range, chunk_tag, Manifest, CHUNK_TAG_BIT, DEFAULT_CHUNK_SIZE,
 };
-pub use codec::{fnv1a64, CodecError, Dec, Enc};
+pub use ft_cluster::codec::{fnv1a64, CodecError, Dec, Enc};
 pub use neighbor::NeighborMap;
 pub use pfs::{Pfs, PfsConfig};
 pub use stats::CkptStats;

@@ -35,11 +35,11 @@ use ft_cluster::{BlobKey, NodeId, NodeStorage, Outcome, Rank, Topology, Transpor
 use ft_gaspi::GaspiProc;
 
 use crate::chunk::{chunk_hashes, chunk_range, chunk_tag, Manifest, DEFAULT_CHUNK_SIZE};
-use crate::codec::fnv1a64;
 use crate::neighbor::NeighborMap;
 use crate::pfs::Pfs;
 use crate::service;
 use crate::stats::CkptStats;
+use ft_cluster::codec::fnv1a64;
 
 /// Where a restored checkpoint came from (the paper's OHF3 has different
 /// cost depending on this).

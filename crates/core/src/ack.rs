@@ -27,8 +27,13 @@ pub const FIRST_APP_SEG: SegId = 1;
 /// Notification slot carrying the latest recovery epoch.
 pub const EPOCH_NOTIF: u32 = 0;
 /// Notification slot the workers set on the FD's control segment when the
-/// application has finished.
+/// application has finished ([`signal_done`], value 1) or a rank ended in
+/// error and the job must stop ([`signal_abort`], value [`DONE_ABORTED`]).
+/// On a *worker's* control segment the same slot is the FD's echo of a
+/// normal end ([`broadcast_finished`]).
 pub const DONE_NOTIF: u32 = 1;
+/// [`DONE_NOTIF`] value of [`signal_abort`].
+pub const DONE_ABORTED: u32 = 2;
 /// Notification slot carrying the orderly-shutdown signal to idles.
 pub const SHUTDOWN_NOTIF: u32 = 2;
 /// First slot of the worker→FD suspect-report channel: slot
@@ -86,10 +91,36 @@ pub fn broadcast_plan(
     }
 }
 
-/// FD side: signal orderly shutdown to `targets` (idle processes mostly).
+/// FD side: tell `targets` to stop. Every `HealthWatch::check` on a
+/// target fails with `Signal(Shutdown)` from then on, so on a normal job
+/// end this goes only to ranks that carry no application rank (idle pool,
+/// shadow FD); workers get [`broadcast_finished`].
 pub fn broadcast_shutdown(
     proc: &GaspiProc,
     targets: &[Rank],
+    queue: u16,
+    timeout: Timeout,
+) -> GaspiResult<()> {
+    notify_each(proc, targets, SHUTDOWN_NOTIF, queue, timeout)
+}
+
+/// FD side: echo a normal job end to the workers. No health check reads
+/// it — a worker still inside its last collective finishes it and leaves
+/// after `max_iters` on its own — but a rank *process* lingers for it, so
+/// it exits only once the FD has stopped scanning.
+pub fn broadcast_finished(
+    proc: &GaspiProc,
+    targets: &[Rank],
+    queue: u16,
+    timeout: Timeout,
+) -> GaspiResult<()> {
+    notify_each(proc, targets, DONE_NOTIF, queue, timeout)
+}
+
+fn notify_each(
+    proc: &GaspiProc,
+    targets: &[Rank],
+    slot: u32,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
@@ -97,7 +128,7 @@ pub fn broadcast_shutdown(
         if t == proc.rank() {
             continue;
         }
-        proc.notify(t, CTRL_SEG, SHUTDOWN_NOTIF, 1, queue)?;
+        proc.notify(t, CTRL_SEG, slot, 1, queue)?;
     }
     match proc.wait(queue, timeout) {
         Ok(()) | Err(ft_gaspi::GaspiError::QueueFailure { .. }) => Ok(()),
@@ -146,14 +177,35 @@ pub fn drain_suspects(proc: &GaspiProc, total: u32) -> GaspiResult<Vec<Rank>> {
     Ok(reported)
 }
 
-/// Worker side: tell the FD the application has finished.
+/// Worker side: tell the FD the application has finished. The FD stops
+/// the ranks that carry no application rank; workers leave on their own.
 pub fn signal_done(
     proc: &GaspiProc,
     fd_rank: Rank,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    proc.notify(fd_rank, CTRL_SEG, DONE_NOTIF, 1, queue)?;
+    signal_fd(proc, fd_rank, 1, queue, timeout)
+}
+
+/// Worker side: this rank ended in error — have the FD stop every rank.
+pub fn signal_abort(
+    proc: &GaspiProc,
+    fd_rank: Rank,
+    queue: u16,
+    timeout: Timeout,
+) -> GaspiResult<()> {
+    signal_fd(proc, fd_rank, DONE_ABORTED, queue, timeout)
+}
+
+fn signal_fd(
+    proc: &GaspiProc,
+    fd_rank: Rank,
+    value: u32,
+    queue: u16,
+    timeout: Timeout,
+) -> GaspiResult<()> {
+    proc.notify(fd_rank, CTRL_SEG, DONE_NOTIF, value, queue)?;
     match proc.wait(queue, timeout) {
         // The FD being gone already is not a failure of *this* rank.
         Ok(()) | Err(ft_gaspi::GaspiError::QueueFailure { .. }) => Ok(()),

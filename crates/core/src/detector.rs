@@ -8,9 +8,11 @@
 //! and acknowledges the failure to all healthy processes by one-sided
 //! writes into their control segments.
 //!
-//! A *threaded* FD (`threads > 1`) pings many processes concurrently —
-//! the configuration behind the paper's "3 simultaneous failures detected
-//! at the cost of a single failure" result.
+//! There is one scan path, [`glo_health_chk_graced`]: all pings of a scan
+//! go out as one batch, so simultaneous failures are detected at the cost
+//! of a single one (the result the paper gets from a threaded FD). The
+//! paper's sequential per-ping loop lives on only as the Table I exhibit
+//! in `ft-bench`.
 
 use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -32,21 +34,11 @@ pub struct DetectorConfig {
     pub scan_interval: Duration,
     /// Per-ping timeout.
     pub ping_timeout: Timeout,
-    /// Ping threads (1 = the sequential scan of Listing 1; the paper uses
-    /// 8 for the simultaneous-failure experiment).
-    pub threads: usize,
     /// Queue used for acknowledgment writes.
     pub ack_queue: u16,
     /// Timeout for flushing acknowledgment writes.
     pub ack_timeout: Timeout,
-    /// Post each scan as one epoch-batched fan-out
-    /// ([`glo_health_chk_batched`]) instead of a ping per target. On the
-    /// in-memory backend a batch traverses the transport's shard locks
-    /// once per scan, which is what keeps scan time linear in targets out
-    /// to 4096 ranks. `false` restores Listing 1's per-ping loop
-    /// ([`glo_health_chk`]); both report the same failed set.
-    pub batch: bool,
-    /// Hysteresis before a batched scan's suspects are re-ping-verified.
+    /// Hysteresis before a scan's suspects are re-ping-verified.
     /// A link fault that breaks and heals within this window never
     /// surfaces as a detection — the verifying re-ping crosses the healed
     /// link — so transient partitions shorter than the grace cause no
@@ -66,10 +58,8 @@ impl Default for DetectorConfig {
         Self {
             scan_interval: Duration::from_millis(30),
             ping_timeout: Timeout::Ms(200),
-            threads: 1,
             ack_queue: 0,
             ack_timeout: Timeout::Ms(2000),
-            batch: true,
             suspect_grace: Duration::ZERO,
             designated_shadows: false,
         }
@@ -122,44 +112,13 @@ impl DetectorOutcome {
     }
 }
 
-/// The paper's `glo_health_chk`: ping every rank in `targets` and return
-/// those whose ping errored, in ascending rank order. With `threads > 1`
-/// the targets are partitioned across scoped ping threads.
-pub fn glo_health_chk(
-    proc: &GaspiProc,
-    targets: &[Rank],
-    ping_timeout: Timeout,
-    threads: usize,
-) -> Vec<Rank> {
-    let mut failed: Vec<Rank> = if threads <= 1 || targets.len() <= 1 {
-        targets.iter().copied().filter(|&r| proc.proc_ping(r, ping_timeout).is_err()).collect()
-    } else {
-        let chunk = targets.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .chunks(chunk)
-                .map(|part| {
-                    let p = proc.clone();
-                    s.spawn(move || {
-                        part.iter()
-                            .copied()
-                            .filter(|&r| p.proc_ping(r, ping_timeout).is_err())
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("ping thread")).collect()
-        })
-    };
-    failed.sort_unstable();
-    failed
-}
-
-/// The epoch-batched form of [`glo_health_chk`]: all targets are pinged
-/// through one `Transport::call_fanout` batch (one shard-lock pass, one
-/// shared payload) and a single poll collects every answer. Returns the
-/// same failed set as the sequential scan — a rank is failed if its ping
-/// broke or went unanswered — in ascending rank order.
+/// One scan — the epoch-batched form of the paper's `glo_health_chk`
+/// (Listing 1): all targets are pinged through one
+/// `Transport::call_fanout` batch (one shard-lock pass, one shared
+/// payload — what keeps scan time linear in targets out to 4096 ranks)
+/// and a single poll collects every answer. Returns the same failed set
+/// as the sequential per-ping loop — a rank is failed if its ping broke
+/// or went unanswered — in ascending rank order.
 ///
 /// The batch shares one `ping_timeout` window across *all* targets,
 /// which under CPU load can time out healthy stragglers the sequential
@@ -171,16 +130,8 @@ pub fn glo_health_chk(
 /// reported; genuinely dead ranks confirm in ≈`break_detect` time, so
 /// the flat detection-latency shape is untouched, and an all-healthy
 /// scan stays a single batch.
-pub fn glo_health_chk_batched(
-    proc: &GaspiProc,
-    targets: &[Rank],
-    ping_timeout: Timeout,
-) -> Vec<Rank> {
-    glo_health_chk_graced(proc, targets, ping_timeout, Duration::ZERO)
-}
-
-/// [`glo_health_chk_batched`] with a hysteresis window: suspects from the
-/// batch sit out `grace` before the verifying re-ping, so a link fault
+///
+/// Suspects sit out `grace` before the verifying re-ping, so a link fault
 /// that heals within the window (see [`DetectorConfig::suspect_grace`])
 /// never surfaces as a detection. An all-healthy batch pays nothing.
 pub fn glo_health_chk_graced(
@@ -302,12 +253,29 @@ pub fn run_detector_from(
         fd_rank_override,
     } = state;
 
-    let done = |p: &GaspiProc| -> FtResult<bool> { Ok(p.notify_peek(CTRL_SEG, DONE_NOTIF)? != 0) };
+    let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
 
     loop {
-        if done(proc)? {
+        let done_value = done()?;
+        if done_value != 0 {
+            // On a normal end app rank 0 may have left the last collective
+            // while a leaf is still polling in its down-phase; a shutdown
+            // there would abort a rank one notification away from
+            // finishing. Workers leave on their own after `max_iters`, so
+            // only the ranks nothing else releases are told to stop. An
+            // abort stops everyone.
             let alive = alive_targets(layout, &failed_cum, me);
-            ack::broadcast_shutdown(proc, &alive, cfg.ack_queue, cfg.ack_timeout)?;
+            let map = RecoveryPlan {
+                failed: failed_cum,
+                rescues: rescues_cum,
+                ..RecoveryPlan::initial()
+            }
+            .rank_map(layout);
+            let (workers, stop): (Vec<Rank>, Vec<Rank>) = alive
+                .into_iter()
+                .partition(|&r| done_value != ack::DONE_ABORTED && map.app_of(r).is_some());
+            ack::broadcast_shutdown(proc, &stop, cfg.ack_queue, cfg.ack_timeout)?;
+            ack::broadcast_finished(proc, &workers, cfg.ack_queue, cfg.ack_timeout)?;
             return Ok(out);
         }
 
@@ -316,11 +284,7 @@ pub fn run_detector_from(
         let targets: Vec<Rank> =
             (0..layout.total()).filter(|&r| r != me && !avoid.contains(&r)).collect();
         let t0 = Instant::now();
-        let mut newly = if cfg.batch {
-            glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace)
-        } else {
-            glo_health_chk(proc, &targets, cfg.ping_timeout, cfg.threads)
-        };
+        let mut newly = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
         // Merge worker-reported suspects (the link-fault path): a severed
         // worker↔worker link breaks the workers' one-sided ops while the
         // FD's own pings — crossing intact FD links — keep succeeding, so
@@ -431,7 +395,7 @@ pub fn run_detector_from(
         // honored promptly (and a killed FD unwinds quickly).
         let deadline = Instant::now() + cfg.scan_interval;
         while Instant::now() < deadline {
-            if done(proc)? {
+            if done()? != 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -447,30 +411,7 @@ fn alive_targets(layout: &WorldLayout, failed: &[Rank], me: Rank) -> Vec<Rank> {
 mod tests {
     use super::*;
     use ft_gaspi::{GaspiConfig, GaspiWorld};
-
-    #[test]
-    fn health_chk_finds_the_dead() {
-        let world = GaspiWorld::new(GaspiConfig::deterministic(6));
-        world.fault().kill_rank(2);
-        world.fault().kill_rank(4);
-        let p = world.proc_handle(5);
-        let failed = glo_health_chk(&p, &[0, 1, 2, 3, 4], Timeout::Ms(500), 1);
-        assert_eq!(failed, vec![2, 4]);
-    }
-
-    #[test]
-    fn threaded_health_chk_matches_sequential() {
-        let world = GaspiWorld::new(GaspiConfig::deterministic(10));
-        world.fault().kill_rank(1);
-        world.fault().kill_rank(7);
-        world.fault().kill_rank(8);
-        let p = world.proc_handle(9);
-        let targets: Vec<Rank> = (0..9).collect();
-        let seq = glo_health_chk(&p, &targets, Timeout::Ms(500), 1);
-        let par = glo_health_chk(&p, &targets, Timeout::Ms(500), 4);
-        assert_eq!(seq, par);
-        assert_eq!(seq, vec![1, 7, 8]);
-    }
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn batched_health_chk_matches_sequential() {
@@ -480,15 +421,18 @@ mod tests {
         world.fault().kill_rank(8);
         let p = world.proc_handle(9);
         let targets: Vec<Rank> = (0..9).collect();
-        let seq = glo_health_chk(&p, &targets, Timeout::Ms(500), 1);
-        let bat = glo_health_chk_batched(&p, &targets, Timeout::Ms(500));
+        // Listing 1: one blocking ping per target.
+        let seq: Vec<Rank> = targets
+            .iter()
+            .copied()
+            .filter(|&r| p.proc_ping(r, Timeout::Ms(500)).is_err())
+            .collect();
+        let before = world.transport().metrics().batch_posts.load(Ordering::Relaxed);
+        let bat = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
         assert_eq!(seq, bat);
         assert_eq!(bat, vec![1, 7, 8]);
         // One transport batch per scan, not one post per target.
-        assert_eq!(
-            world.transport().metrics().batch_posts.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(world.transport().metrics().batch_posts.load(Ordering::Relaxed), before + 1);
     }
 
     #[test]
@@ -496,7 +440,7 @@ mod tests {
         let world = GaspiWorld::new(GaspiConfig::deterministic(8));
         let p = world.proc_handle(7);
         let targets: Vec<Rank> = (0..7).collect();
-        assert!(glo_health_chk_batched(&p, &targets, Timeout::Ms(500)).is_empty());
+        assert!(glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO).is_empty());
     }
 
     #[test]
@@ -515,7 +459,7 @@ mod tests {
         assert!(failed.is_empty(), "link healed within the grace must not be a detection");
         // The same fault without the grace is reported immediately.
         world.fault().break_link(3, 1);
-        assert_eq!(glo_health_chk_batched(&p, &[0, 1, 2], Timeout::Ms(20)), vec![1]);
+        assert_eq!(glo_health_chk_graced(&p, &[0, 1, 2], Timeout::Ms(20), Duration::ZERO), vec![1]);
     }
 
     #[test]

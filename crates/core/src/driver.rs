@@ -62,7 +62,7 @@ pub struct FtConfig {
 
 impl FtConfig {
     /// Reasonable simulation defaults for a given layout.
-    pub fn new(layout: WorldLayout) -> Self {
+    fn new(layout: WorldLayout) -> Self {
         Self {
             layout,
             detector: DetectorConfig::default(),
@@ -825,12 +825,13 @@ fn run_shadow<A: FtApp>(
 }
 
 /// Best-effort "stop the job" signal sent by a rank that ends in error:
-/// without it the FD (and through it the idle pool) would keep running
-/// forever, since an errored-but-alive rank still answers pings.
+/// without it the FD (and through it the idle pool and the workers still
+/// computing) would keep running forever, since an errored-but-alive rank
+/// still answers pings.
 fn abort_job(ctx: &FtCtx) {
     let plan = ctx.plan();
     if plan.fd_alive {
-        let _ = ack::signal_done(
+        let _ = ack::signal_abort(
             &ctx.proc,
             plan.current_fd(&ctx.layout),
             ctx.cfg.detector.ack_queue,
@@ -1007,11 +1008,8 @@ fn worker_run<A: FtApp>(
             Err(e) => return Err(e),
         }
     }
-    // Finalize BEFORE telling the FD: finalize may run group collectives
-    // (summary reductions), and the FD answers a done signal by
-    // broadcasting shutdown to every rank — a worker that sees that
-    // shutdown before joining the final collective would abort the whole
-    // group on the last step.
+    // Finalize BEFORE telling the FD: once it stops scanning, a failure
+    // inside finalize's group collectives would go undetected.
     let summary = app.finalize(ctx)?;
     // Tell the FD the application is done (app rank 0 speaks for the
     // group, if a detector is still standing — the *current* one, which

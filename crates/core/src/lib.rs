@@ -10,10 +10,9 @@
 //! | Paper | Module |
 //! |---|---|
 //! | idle/worker process categories, spare pool (§IV intro) | [`layout`] |
-//! | fault detector process, `glo_health_chk` (Listing 1), threaded FD | [`detector`] |
+//! | fault detector process, the epoch-batched form of `glo_health_chk` (Listing 1) | [`detector`] |
 //! | failure acknowledgment via one-sided writes into global memory | [`ack`] |
 //! | workers checking for the ack signal before each communication | [`health`] |
-//! | rejected alternatives: all-to-all and neighbor-level pinging (§IV-A-b) | [`baselines`] |
 //! | rescue adoption + worker-group reconstruction (Listing 2) | [`plan`], [`recovery`] |
 //! | application flow with spare processes (Fig. 3) | [`driver`] |
 //! | overhead decomposition OHF1/OHF2/OHF3 (§IV-E) | [`events`] |
@@ -25,7 +24,6 @@
 //! simulated cluster with injected failures.
 
 pub mod ack;
-pub mod baselines;
 pub mod ckpt;
 pub mod detector;
 pub mod driver;

@@ -187,19 +187,21 @@ where
     let outcome = run_ft_rank(&world, env.rank, cfg, env.schedule, events.clone(), make_app);
     drop(link_timer); // cancel link ops the job outlived
 
-    // Linger until the detector's shutdown broadcast (bounded): a process
-    // that exits resets its sockets, and under real fail-stop a completed
+    // Linger (bounded) until the detector's end-of-job word — shutdown for
+    // spares and aborted jobs, the done echo for workers: a process that
+    // exits resets its sockets, and under real fail-stop a completed
     // rank is indistinguishable from a dead one — leaving early makes the
     // still-scanning FD "detect" finished workers and spin up a pointless
     // recovery at the end of every clean run.
     if env.rank != fd_rank {
         let proc = world.proc_handle(env.rank);
+        let told = |slot| !matches!(proc.notify_peek(crate::ack::CTRL_SEG, slot), Ok(0));
         let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline {
-            match proc.notify_peek(crate::ack::CTRL_SEG, crate::ack::SHUTDOWN_NOTIF) {
-                Ok(0) => std::thread::sleep(Duration::from_millis(2)),
-                _ => break,
-            }
+        while Instant::now() < deadline
+            && !told(crate::ack::SHUTDOWN_NOTIF)
+            && !told(crate::ack::DONE_NOTIF)
+        {
+            std::thread::sleep(Duration::from_millis(2));
         }
     }
 

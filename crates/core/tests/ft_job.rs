@@ -187,6 +187,42 @@ fn failure_free_run() {
     assert!(!det.capacity_exhausted);
 }
 
+/// Regression: app rank 0 leaves the last collective first and tells the
+/// FD the job is done; the FD's answer used to be a shutdown broadcast to
+/// *every* rank, which a leaf still polling in that collective's down-phase
+/// (6 ms links, 1 ms attempts) read as `Signal(Shutdown)` and aborted on.
+/// A normal end must leave the workers alone.
+#[test]
+fn job_end_shutdown_does_not_abort_a_worker_in_its_last_collective() {
+    let layout = WorldLayout::new(8, 2);
+    let model = ft_cluster::LatencyModel {
+        base: Duration::from_millis(6),
+        ..ft_cluster::LatencyModel::deterministic_fast()
+    };
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()).with_model(model));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(0)
+        .max_iters(5)
+        .policy(ft_core::health::CommPolicy {
+            attempt: ft_gaspi::Timeout::Ms(1),
+            ..Default::default()
+        })
+        .detector(ft_core::DetectorConfig {
+            scan_interval: Duration::from_millis(1),
+            ping_timeout: ft_gaspi::Timeout::Ms(2000),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| ToyApp::new(ctx, &pfs));
+    assert_workers_correct(&report, 8, 5);
+    assert!(report.first_error().is_none(), "{:?}", report.first_error());
+    // The idle spare, which no iteration count ever releases, was still
+    // told to stop.
+    assert!(report.completed().iter().any(|r| r.role == Role::Idle));
+}
+
 #[test]
 fn single_failure_recovers_and_matches_failure_free() {
     let schedule = FaultSchedule::none().kill_rank_at_iteration(2, 37);
@@ -256,7 +292,7 @@ fn rescue_failure_is_rescued_again() {
 #[test]
 fn simultaneous_failures_single_detection_round() {
     // The paper's "3 sim. fail recovery": a node hosting three processes
-    // dies, and the threaded FD detects all three in a single round.
+    // dies, and the FD's batched scan detects all three in a single round.
     let layout = WorldLayout::new(4, 4);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()).with_ranks_per_node(3));
     // Node 0 hosts ranks {0,1,2}; kill it mid-run.
@@ -265,7 +301,6 @@ fn simultaneous_failures_single_detection_round() {
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(20)
         .max_iters(400)
-        .detector(ft_core::DetectorConfig { threads: 8, ..Default::default() })
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();

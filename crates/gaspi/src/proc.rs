@@ -552,7 +552,7 @@ impl GaspiProc {
     /// batch*, not each ping — under load a healthy straggler can miss
     /// the shared window, so callers that must not over-suspect should
     /// re-verify the returned set per rank (see
-    /// `ft_core::detector::glo_health_chk_batched`). Ranks whose ping
+    /// `ft_core::detector::glo_health_chk_graced`). Ranks whose ping
     /// came back broken are marked CORRUPT (matching
     /// [`GaspiProc::proc_ping`], which does not mark on a mere timeout);
     /// duplicate destinations are pinged once. Metrics count one ping

@@ -56,15 +56,6 @@ pub struct FtLanczosConfig {
     pub pfs: Option<Arc<Pfs>>,
     /// Timeout for checkpoint fetches during restore.
     pub fetch_timeout: Duration,
-    /// Use SELL-C-σ kernels (GHOST's format) for the local spMVM parts:
-    /// `Some((C, σ))`. Results are bitwise identical to the CSR kernels
-    /// under the scalar kernel policy (the SIMD CSR kernel reorders
-    /// row reductions; see `ft_sparse::simd`).
-    pub sell: Option<(usize, usize)>,
-    /// Kernel dispatch policy: `None` follows the build's default
-    /// ([`ft_sparse::KernelPolicy::auto`]); tests pin `Scalar` to assert
-    /// bitwise cross-format properties regardless of cargo features.
-    pub kernel: Option<ft_sparse::KernelPolicy>,
 }
 
 impl FtLanczosConfig {
@@ -77,8 +68,6 @@ impl FtLanczosConfig {
             conv_tol: 1e-10,
             pfs: None,
             fetch_timeout: Duration::from_secs(5),
-            sell: None,
-            kernel: None,
         }
     }
 }
@@ -147,13 +136,7 @@ impl FtLanczos {
     fn install_plan(&mut self, ctx: &FtCtx, plan: CommPlan) -> FtResult<()> {
         let part = self.partition(ctx);
         let me = ctx.app_rank();
-        let mut dm = DistMatrix::assemble(self.cfg.gen.as_ref(), part, me, plan);
-        if let Some((c, sigma)) = self.cfg.sell {
-            dm = dm.with_sell(c, sigma);
-        }
-        if let Some(kernel) = self.cfg.kernel {
-            dm = dm.with_kernel(kernel);
-        }
+        let dm = DistMatrix::assemble(self.cfg.gen.as_ref(), part, me, plan);
         let comm = SpmvComm::new(&ctx.proc, &dm.plan, SEG_HALO, SEG_STAGE, HALO_QUEUE)?;
         self.dm = Some(dm);
         self.comm = Some(comm);

@@ -143,60 +143,3 @@ fn convergence_check_stops_early_and_agrees() {
     assert!(s.iter().all(|x| x.iters == s[0].iters));
     assert!(s[0].iters < 64, "convergence should stop early, got {}", s[0].iters);
 }
-
-#[test]
-fn sell_kernels_are_bitwise_identical_to_csr() {
-    // Same run with CSR kernels vs SELL-C-σ kernels (GHOST's format):
-    // α/β must agree bit for bit, even across a failure recovery.
-    //
-    // The cross-format bitwise promise holds for the *scalar* kernel
-    // policy, so it is pinned here explicitly — the build may default to
-    // SIMD (`--features simd`), whose CSR kernel legitimately reorders
-    // row reductions. The default-policy (possibly SIMD) kernels get
-    // their own recovery-determinism assertion below. Note the runtime
-    // `KernelPolicy::auto()` check: this crate's own `simd` feature flag
-    // is not set when the workspace root enables `ft-sparse/simd`, so a
-    // `cfg!(feature = ...)` gate here would silently test the wrong arm.
-    let gen = Graphene::new(8, 6).with_nnn(-0.1);
-    let iters = 40;
-    let run_with = |sell: Option<(usize, usize)>,
-                    kernel: Option<ft_sparse::KernelPolicy>,
-                    schedule: FaultSchedule| {
-        let layout = WorldLayout::new(3, 2);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let cfg = FtConfig::builder(layout)
-            .checkpoint_every(10)
-            .max_iters(iters)
-            .abandon(std::time::Duration::from_secs(30))
-            .build()
-            .unwrap();
-        let app_cfg = Arc::new(FtLanczosConfig {
-            pfs: Some(Pfs::new(PfsConfig::instant())),
-            sell,
-            kernel,
-            ..FtLanczosConfig::fixed_iters(Arc::new(gen.clone()))
-        });
-        let report =
-            run_ft_job(&world, cfg, schedule, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)));
-        summaries(&report, 3)
-    };
-    let scalar = Some(ft_sparse::KernelPolicy::Scalar);
-    let csr = run_with(None, scalar, FaultSchedule::none());
-    let sell = run_with(Some((8, 32)), scalar, FaultSchedule::none());
-    assert_eq!(csr[0].alphas, sell[0].alphas);
-    assert_eq!(csr[0].betas, sell[0].betas);
-    // And with a failure in the SELL run: still identical.
-    let sell_faulty =
-        run_with(Some((8, 32)), scalar, FaultSchedule::none().kill_rank_at_iteration(1, 23));
-    assert_eq!(csr[0].alphas, sell_faulty[0].alphas);
-    // The build's default kernels (SIMD when `--features simd`): the
-    // recovered run must still reproduce the failure-free run bit for
-    // bit, and SELL-SIMD stays bitwise equal to scalar (across-row
-    // vectorization preserves per-row addition order).
-    let auto = run_with(Some((8, 32)), None, FaultSchedule::none());
-    let auto_faulty =
-        run_with(Some((8, 32)), None, FaultSchedule::none().kill_rank_at_iteration(1, 23));
-    assert_eq!(auto[0].alphas, auto_faulty[0].alphas);
-    assert_eq!(auto[0].betas, auto_faulty[0].betas);
-    assert_eq!(auto[0].alphas, sell[0].alphas, "SELL SIMD must stay bitwise-scalar");
-}

@@ -1,31 +1,10 @@
-//! Compressed sparse row storage and the local SpMV kernels.
+//! Compressed sparse row storage and the one local SpMV kernel.
 //!
-//! Kernel variants and their correctness contracts (the conformance
-//! suite in `tests/conformance.rs` enforces them):
-//!
-//! | variant                               | contract vs [`Csr::spmv`] |
-//! |---------------------------------------|---------------------------|
-//! | [`Csr::spmv_threaded`]                | bitwise identical         |
-//! | [`Csr::spmv_blocked`] (cache-blocked) | bitwise identical         |
-//! | [`Csr::spmv_simd`]                    | ULP-bounded ([`crate::simd::simd_ulp_bound`]) |
-//! | [`Csr::spmv_simd_threaded`]           | bitwise identical to [`Csr::spmv_simd`] |
-//!
-//! The SIMD variant splits each row's reduction over [`crate::simd::LANES`]
-//! accumulators (reduced in a fixed tree), which reorders the additions —
-//! the one reordering in the whole family, and the reason its contract is
-//! an ULP bound rather than bit equality. Everything else preserves the
-//! sequential per-row addition order exactly.
-
-use crate::simd::{F64x4, LANES};
-
-/// Column width of one cache block of `x` in the blocked kernels:
-/// 2048 f64s = 16 KiB, comfortably inside L1d alongside the row tile's
-/// accumulators and cursors.
-pub const DEFAULT_COL_BLOCK: usize = 2048;
-
-/// Rows per tile of the blocked kernels (bounds the accumulator/cursor
-/// scratch: 512 rows × 16 B = 8 KiB).
-const ROW_TILE: usize = 512;
+//! [`Csr::spmv`] / [`Csr::spmv_add`] walk the rows in order and add each
+//! row's terms in ascending column order into a private accumulator, so a
+//! product is bitwise reproducible run to run. There is no threaded,
+//! blocked, vectorized or SELL-C-σ variant: none beat this loop on any
+//! shape the benchmark runs (ARCHITECTURE.md §9 has the table).
 
 /// CSR matrix over a local index space. Column indices address either the
 /// local vector chunk or the halo buffer, depending on which of the two
@@ -104,209 +83,23 @@ impl Csr {
 
     /// `y += A·x` over this matrix's column space.
     pub fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(y.len(), self.nrows());
-        self.spmv_add_block(x, y, 0..self.nrows());
-    }
-
-    /// `y = A·x`.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        self.spmv_add(x, y);
-    }
-
-    /// The row-block worker both spMVM entry points and the threaded
-    /// paths funnel into: `y_block[i - rows.start] += (A·x)[i]` for `i`
-    /// in `rows`.
-    fn spmv_add_block(&self, x: &[f64], y_block: &mut [f64], rows: std::ops::Range<usize>) {
         debug_assert!(x.len() >= self.ncols);
-        debug_assert_eq!(y_block.len(), rows.len());
-        let start = rows.start;
-        for i in rows {
+        debug_assert_eq!(y.len(), self.nrows());
+        for (i, yi) in y[..self.nrows()].iter_mut().enumerate() {
             let lo = self.row_ptr[i];
             let hi = self.row_ptr[i + 1];
             let mut acc = 0.0;
             for k in lo..hi {
                 acc += self.vals[k] * x[self.cols[k] as usize];
             }
-            y_block[i - start] += acc;
+            *yi += acc;
         }
     }
 
-    /// The SIMD row worker: each row's reduction runs over [`LANES`]
-    /// independent accumulators (entry `k` of the row lands in lane
-    /// `k mod LANES` via full quads + a scalar remainder), reduced by the
-    /// fixed tree `(l0 + l1) + (l2 + l3)`. Deterministic — the lane
-    /// assignment depends only on the matrix — but *reordered* relative
-    /// to the sequential sum, hence the ULP-bound contract.
-    fn spmv_add_simd_block(&self, x: &[f64], y_block: &mut [f64], rows: std::ops::Range<usize>) {
-        debug_assert!(x.len() >= self.ncols);
-        debug_assert_eq!(y_block.len(), rows.len());
-        let start = rows.start;
-        for i in rows {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = F64x4::zero();
-            let mut k = lo;
-            while k + LANES <= hi {
-                let v = F64x4::from_array([
-                    self.vals[k],
-                    self.vals[k + 1],
-                    self.vals[k + 2],
-                    self.vals[k + 3],
-                ]);
-                let xs = F64x4::from_array([
-                    x[self.cols[k] as usize],
-                    x[self.cols[k + 1] as usize],
-                    x[self.cols[k + 2] as usize],
-                    x[self.cols[k + 3] as usize],
-                ]);
-                acc.mul_acc(v, xs);
-                k += LANES;
-            }
-            let mut lanes = acc.to_array();
-            for (lane, kk) in (k..hi).enumerate() {
-                lanes[lane] += self.vals[kk] * x[self.cols[kk] as usize];
-            }
-            y_block[i - start] += F64x4::from_array(lanes).reduce_tree();
-        }
-    }
-
-    /// `y += A·x` with the lane-split SIMD kernel. ULP-bounded against
-    /// [`Csr::spmv_add`] (see [`crate::simd::simd_ulp_bound`]); bitwise
-    /// reproducible run to run and across SIMD backends.
-    pub fn spmv_add_simd(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(y.len(), self.nrows());
-        self.spmv_add_simd_block(x, y, 0..self.nrows());
-    }
-
-    /// `y = A·x`, SIMD; same contract as [`Csr::spmv_add_simd`].
-    pub fn spmv_simd(&self, x: &[f64], y: &mut [f64]) {
+    /// `y = A·x`.
+    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         y.fill(0.0);
-        self.spmv_add_simd(x, y);
-    }
-
-    /// `y += A·x` with column-blocked traversal: the columns are walked
-    /// in blocks of `col_block` so the active window of `x` stays in
-    /// cache, with rows tiled so the per-row carry accumulators stay in
-    /// L1 too. Each row's terms are still accumulated in ascending column
-    /// order into a private accumulator added to `y` once — bitwise
-    /// identical to [`Csr::spmv_add`].
-    pub fn spmv_add_blocked_with(&self, x: &[f64], y: &mut [f64], col_block: usize) {
-        assert!(col_block >= 1, "column block must be positive");
-        debug_assert!(x.len() >= self.ncols);
-        debug_assert_eq!(y.len(), self.nrows());
-        let nrows = self.nrows();
-        let scratch = ROW_TILE.min(nrows);
-        let mut acc = vec![0.0f64; scratch];
-        let mut cur = vec![0usize; scratch];
-        let mut tile_start = 0usize;
-        while tile_start < nrows {
-            let tile_end = (tile_start + ROW_TILE).min(nrows);
-            let tl = tile_end - tile_start;
-            acc[..tl].fill(0.0);
-            for (t, slot) in cur[..tl].iter_mut().enumerate() {
-                *slot = self.row_ptr[tile_start + t];
-            }
-            let mut col_start = 0usize;
-            while col_start < self.ncols {
-                let col_end = (col_start + col_block).min(self.ncols);
-                for t in 0..tl {
-                    let hi = self.row_ptr[tile_start + t + 1];
-                    let mut k = cur[t];
-                    while k < hi && (self.cols[k] as usize) < col_end {
-                        acc[t] += self.vals[k] * x[self.cols[k] as usize];
-                        k += 1;
-                    }
-                    cur[t] = k;
-                }
-                col_start = col_end;
-            }
-            for (t, &a) in acc[..tl].iter().enumerate() {
-                y[tile_start + t] += a;
-            }
-            tile_start = tile_end;
-        }
-    }
-
-    /// `y += A·x`, cache-blocked with [`DEFAULT_COL_BLOCK`]; bitwise
-    /// identical to [`Csr::spmv_add`].
-    pub fn spmv_add_blocked(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_add_blocked_with(x, y, DEFAULT_COL_BLOCK);
-    }
-
-    /// `y = A·x`, cache-blocked; bitwise identical to [`Csr::spmv`].
-    pub fn spmv_blocked(&self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        self.spmv_add_blocked(x, y);
-    }
-
-    /// `y += A·x` with up to `threads` scoped worker threads. Row blocks
-    /// are nnz-balanced (each thread gets a contiguous run of rows with
-    /// roughly equal stored entries); every row's accumulation runs in the
-    /// same order on exactly one thread, so the result is bitwise
-    /// identical to [`Csr::spmv_add`].
-    pub fn spmv_add_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        self.spmv_add_threaded_impl(x, y, threads, false);
-    }
-
-    /// `y = A·x`, threaded; bitwise identical to [`Csr::spmv`].
-    pub fn spmv_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        y.fill(0.0);
-        self.spmv_add_threaded(x, y, threads);
-    }
-
-    /// `y += A·x`, threaded over the SIMD row kernel. The row cuts and
-    /// per-row lane arithmetic are independent, so this is bitwise
-    /// identical to [`Csr::spmv_add_simd`] (and thus ULP-bounded against
-    /// the sequential kernel with the same stated bound).
-    pub fn spmv_add_simd_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        self.spmv_add_threaded_impl(x, y, threads, true);
-    }
-
-    /// `y = A·x`, threaded SIMD; bitwise identical to [`Csr::spmv_simd`].
-    pub fn spmv_simd_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        y.fill(0.0);
-        self.spmv_add_simd_threaded(x, y, threads);
-    }
-
-    /// The row-blocked threading scaffold shared by the scalar and SIMD
-    /// entry points; `simd` picks the per-block row kernel.
-    fn spmv_add_threaded_impl(&self, x: &[f64], y: &mut [f64], threads: usize, simd: bool) {
-        debug_assert_eq!(y.len(), self.nrows());
-        let nrows = self.nrows();
-        let threads = threads.clamp(1, nrows.max(1));
-        let run = |y_block: &mut [f64], rows: std::ops::Range<usize>| {
-            if simd {
-                self.spmv_add_simd_block(x, y_block, rows);
-            } else {
-                self.spmv_add_block(x, y_block, rows);
-            }
-        };
-        if threads <= 1 || nrows == 0 {
-            return run(y, 0..nrows);
-        }
-        std::thread::scope(|s| {
-            let mut rest: &mut [f64] = y;
-            let mut row_start = 0usize;
-            for t in 0..threads {
-                let row_end = if t + 1 == threads {
-                    nrows
-                } else {
-                    // Cut where the nnz prefix crosses the next equal
-                    // share, but always advance by at least one row.
-                    let target = self.nnz() * (t + 1) / threads;
-                    self.row_ptr.partition_point(|&p| p < target).clamp(row_start + 1, nrows)
-                };
-                let (block, tail) = rest.split_at_mut(row_end - row_start);
-                rest = tail;
-                let rows = row_start..row_end;
-                s.spawn(move || run(block, rows));
-                row_start = row_end;
-                if row_start == nrows {
-                    break;
-                }
-            }
-        });
+        self.spmv_add(x, y);
     }
 }
 
@@ -354,126 +147,5 @@ mod tests {
     fn validate_catches_bad_column() {
         let m = Csr::from_rows(&[vec![(5, 1.0)]], 3);
         m.validate();
-    }
-
-    #[test]
-    fn threaded_matches_sequential_bitwise() {
-        // Skewed nnz distribution to exercise the balanced row cuts.
-        let rows: Vec<Vec<(u32, f64)>> = (0..37)
-            .map(|i| {
-                (0..(i % 9))
-                    .map(|j| (((i * 7 + j * 3) % 20) as u32, 0.1 * (i + j) as f64))
-                    .collect::<Vec<_>>()
-            })
-            .map(|mut r: Vec<(u32, f64)>| {
-                r.sort_by_key(|&(c, _)| c);
-                r.dedup_by_key(|e| e.0);
-                r
-            })
-            .collect();
-        let m = Csr::from_rows(&rows, 20);
-        m.validate();
-        let x: Vec<f64> = (0..20).map(|i| (f64::from(i) * 0.71).cos()).collect();
-        let mut want = vec![1.0; m.nrows()];
-        m.spmv_add(&x, &mut want);
-        for threads in [1, 2, 3, 8, 64] {
-            let mut y = vec![1.0; m.nrows()];
-            m.spmv_add_threaded(&x, &mut y, threads);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-        // Zero-row matrix: nothing to do on any thread count.
-        let empty = Csr::empty(0, 4);
-        let mut y: Vec<f64> = Vec::new();
-        empty.spmv_threaded(&[0.0; 4], &mut y, 4);
-        assert!(y.is_empty());
-    }
-
-    /// A ragged deterministic matrix + vector for the variant tests.
-    fn ragged(nrows: usize, ncols: usize) -> (Csr, Vec<f64>) {
-        let rows: Vec<Vec<(u32, f64)>> = (0..nrows)
-            .map(|i| {
-                let mut r: Vec<(u32, f64)> = (0..(i % 11))
-                    .map(|j| (((i * 5 + j * 7) % ncols) as u32, 0.3 * (i + 2 * j) as f64 - 1.0))
-                    .collect();
-                r.sort_by_key(|&(c, _)| c);
-                r.dedup_by_key(|e| e.0);
-                r
-            })
-            .collect();
-        let m = Csr::from_rows(&rows, ncols);
-        m.validate();
-        let x: Vec<f64> = (0..ncols).map(|i| (f64::from(i as u32) * 0.31).sin()).collect();
-        (m, x)
-    }
-
-    #[test]
-    fn blocked_matches_sequential_bitwise() {
-        let (m, x) = ragged(53, 17);
-        let mut want = vec![0.5; m.nrows()];
-        m.spmv_add(&x, &mut want);
-        // Tiny column blocks force many partial passes per row.
-        for cb in [1, 2, 3, 7, 17, 4096] {
-            let mut y = vec![0.5; m.nrows()];
-            m.spmv_add_blocked_with(&x, &mut y, cb);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "col_block={cb}"
-            );
-        }
-        let mut y = vec![9.0; m.nrows()];
-        m.spmv_blocked(&x, &mut y);
-        let mut want = vec![0.0; m.nrows()];
-        m.spmv(&x, &mut want);
-        assert_eq!(want, y);
-    }
-
-    #[test]
-    fn simd_is_ulp_bounded_and_deterministic() {
-        use crate::simd::{row_cond, simd_ulp_bound, ulp_diff, ulp_eq};
-        let (m, x) = ragged(61, 23);
-        let mut seq = vec![0.0; m.nrows()];
-        m.spmv(&x, &mut seq);
-        let mut simd = vec![0.0; m.nrows()];
-        m.spmv_simd(&x, &mut simd);
-        for i in 0..m.nrows() {
-            let abs: f64 = m.row(i).map(|(c, v)| (v * x[c as usize]).abs()).sum();
-            let nnz = m.row_ptr[i + 1] - m.row_ptr[i];
-            let bound = simd_ulp_bound(nnz, row_cond(abs, seq[i]));
-            assert!(
-                ulp_eq(seq[i], simd[i], bound),
-                "row {i}: {} vs {} ({} ulps, bound {bound})",
-                seq[i],
-                simd[i],
-                ulp_diff(seq[i], simd[i])
-            );
-        }
-        // The lane split is deterministic: re-running and threading over
-        // it reproduce the exact bits.
-        for threads in [1, 2, 7] {
-            let mut again = vec![0.0; m.nrows()];
-            m.spmv_simd_threaded(&x, &mut again, threads);
-            assert_eq!(
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn simd_handles_empty_and_short_rows() {
-        // Rows shorter than a quad exercise the pure-remainder path.
-        let m = Csr::from_rows(&[vec![], vec![(0, 2.0)], vec![(1, 3.0), (2, 4.0)]], 3);
-        let x = [1.0, -1.0, 2.0];
-        let mut y = vec![7.0; 3];
-        m.spmv_simd(&x, &mut y);
-        assert_eq!(y, vec![0.0, 2.0, 5.0]);
-        m.spmv_add_simd(&x, &mut y);
-        assert_eq!(y, vec![0.0, 4.0, 10.0]);
     }
 }

@@ -11,81 +11,19 @@ use crate::csr::Csr;
 use crate::partition::RowPartition;
 use crate::plan::CommPlan;
 
-/// Which spMVM kernel family a [`DistMatrix`] dispatches to.
-///
-/// The kernels themselves are always compiled (the conformance suite
-/// exercises every variant on every toolchain); the `simd` cargo feature
-/// only changes what [`KernelPolicy::auto`] picks, i.e. what solvers get
-/// by default. See `crate::simd` for the correctness contract: SELL SIMD
-/// is bitwise identical to scalar, CSR SIMD is ULP-bounded.
+/// The spMVM kernel a [`DistMatrix`] runs. There is one — the sequential
+/// CSR loop of [`Csr::spmv`] — and this enum exists only so result headers
+/// can keep printing which (`"kernel_policy": "Scalar"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Sequential / threaded scalar kernels — bitwise-reproducible
-    /// baseline.
+    /// Sequential scalar CSR, bitwise reproducible.
     Scalar,
-    /// Vectorized kernels ([`Csr::spmv_simd`], `SellCSigma::spmv_simd`):
-    /// bitwise for SELL, ULP-bounded for CSR.
-    Simd,
 }
 
 impl KernelPolicy {
-    /// The build's default: [`KernelPolicy::Simd`] iff the crate was
-    /// compiled with `--features simd`, else [`KernelPolicy::Scalar`].
-    ///
-    /// This is a *runtime* value on purpose: downstream crates must not
-    /// gate tests on their own `cfg(feature = "simd")` (feature
-    /// unification means the flag may be set on `ft-sparse` without
-    /// being set on them) — they should branch on `KernelPolicy::auto()`
-    /// instead.
+    /// The kernel every [`DistMatrix`] uses.
     pub fn auto() -> Self {
-        if cfg!(feature = "simd") {
-            KernelPolicy::Simd
-        } else {
-            KernelPolicy::Scalar
-        }
-    }
-}
-
-/// Counters for raw spMVM kernel work: how many products ran, how long
-/// they took, and how many flops they performed (2·nnz per product).
-/// Filled by harnesses that time their kernel sections — like
-/// [`crate::HaloStats`], this is per-rank data merged through application
-/// summaries rather than sampled from the world.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Full `y = A·x` products executed.
-    pub spmvs: u64,
-    /// Wall time spent inside kernel code, nanoseconds.
-    pub kernel_ns: u64,
-    /// Floating-point operations performed (see
-    /// [`DistMatrix::flops_per_spmv`]).
-    pub flops: u64,
-}
-
-impl KernelStats {
-    /// Accumulate another rank's (or another variant's) counters.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.spmvs += other.spmvs;
-        self.kernel_ns += other.kernel_ns;
-        self.flops += other.flops;
-    }
-
-    /// Counter deltas `self - earlier` (saturating).
-    pub fn since(&self, earlier: &KernelStats) -> KernelStats {
-        KernelStats {
-            spmvs: self.spmvs.saturating_sub(earlier.spmvs),
-            kernel_ns: self.kernel_ns.saturating_sub(earlier.kernel_ns),
-            flops: self.flops.saturating_sub(earlier.flops),
-        }
-    }
-
-    /// Sustained GFLOP/s over the recorded kernel time (flops per
-    /// nanosecond); 0.0 when nothing was recorded.
-    pub fn gflops(&self) -> f64 {
-        if self.kernel_ns == 0 {
-            return 0.0;
-        }
-        self.flops as f64 / self.kernel_ns as f64
+        KernelPolicy::Scalar
     }
 }
 
@@ -106,13 +44,6 @@ pub struct DistMatrix {
     pub a_rem: Csr,
     /// The communication plan (receive side describes the halo layout).
     pub plan: CommPlan,
-    /// Optional SELL-C-σ views of both parts (GHOST's kernel format);
-    /// when present, [`DistMatrix::spmv`] uses them.
-    pub sell: Option<(crate::sell::SellCSigma, crate::sell::SellCSigma)>,
-    /// Kernel family the spmv entry points dispatch to; defaults to
-    /// [`KernelPolicy::auto`] so solvers pick up the build's kernels
-    /// unchanged.
-    pub kernel: KernelPolicy,
 }
 
 impl DistMatrix {
@@ -182,25 +113,7 @@ impl DistMatrix {
         // zero-column remote part (a fake 1-column space used to trip the
         // kernels' `x.len() >= ncols` assertion on an empty halo buffer).
         let a_rem = Csr::from_rows(&rows_rem, plan.halo_len);
-        Self { part, me, a_loc, a_rem, plan, sell: None, kernel: KernelPolicy::auto() }
-    }
-
-    /// Switch the local kernels to SELL-C-σ (bitwise-identical results;
-    /// per-row addition order is preserved by construction).
-    pub fn with_sell(mut self, c: usize, sigma: usize) -> Self {
-        self.sell = Some((
-            crate::sell::SellCSigma::from_csr(&self.a_loc, c, sigma),
-            crate::sell::SellCSigma::from_csr(&self.a_rem, c, sigma),
-        ));
-        self
-    }
-
-    /// Override the kernel dispatch policy (tests pin
-    /// [`KernelPolicy::Scalar`] to assert bitwise properties regardless
-    /// of build features).
-    pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
-        self.kernel = kernel;
-        self
+        Self { part, me, a_loc, a_rem, plan }
     }
 
     /// Rows owned locally.
@@ -210,8 +123,7 @@ impl DistMatrix {
 
     /// Flops one full `y = A·x` of this chunk performs (2·nnz: one
     /// multiply and one add per stored entry) — the numerator of the
-    /// bench harness's GFLOP/s column and of the telemetry kernel
-    /// counters.
+    /// benchmark's GFLOP/s row.
     pub fn flops_per_spmv(&self) -> u64 {
         2 * (self.a_loc.nnz() as u64 + self.a_rem.nnz() as u64)
     }
@@ -231,12 +143,7 @@ impl DistMatrix {
     /// The local half of the product: `y = a_loc·x_local`. Needs no halo
     /// data, so it runs while the halo exchange is in flight.
     pub fn spmv_local(&self, x_local: &[f64], y: &mut [f64]) {
-        match (&self.sell, self.kernel) {
-            (Some((sl, _)), KernelPolicy::Scalar) => sl.spmv(x_local, y),
-            (Some((sl, _)), KernelPolicy::Simd) => sl.spmv_simd(x_local, y),
-            (None, KernelPolicy::Scalar) => self.a_loc.spmv(x_local, y),
-            (None, KernelPolicy::Simd) => self.a_loc.spmv_simd(x_local, y),
-        }
+        self.a_loc.spmv(x_local, y);
     }
 
     /// The remote half: `y += a_rem·halo`, run after the halo arrived.
@@ -244,42 +151,7 @@ impl DistMatrix {
         if self.a_rem.nnz() == 0 {
             return;
         }
-        match (&self.sell, self.kernel) {
-            (Some((_, sr)), KernelPolicy::Scalar) => sr.spmv_add(halo, y),
-            (Some((_, sr)), KernelPolicy::Simd) => sr.spmv_add_simd(halo, y),
-            (None, KernelPolicy::Scalar) => self.a_rem.spmv_add(halo, y),
-            (None, KernelPolicy::Simd) => self.a_rem.spmv_add_simd(halo, y),
-        }
-    }
-
-    /// `y = A·x` with row-blocked scoped threads for both halves;
-    /// bitwise identical to [`DistMatrix::spmv`].
-    pub fn spmv_threaded(&self, x_local: &[f64], halo: &[f64], y: &mut [f64], threads: usize) {
-        self.spmv_local_threaded(x_local, y, threads);
-        self.spmv_remote_add_threaded(halo, y, threads);
-    }
-
-    /// Threaded variant of [`DistMatrix::spmv_local`].
-    pub fn spmv_local_threaded(&self, x_local: &[f64], y: &mut [f64], threads: usize) {
-        match (&self.sell, self.kernel) {
-            (Some((sl, _)), KernelPolicy::Scalar) => sl.spmv_threaded(x_local, y, threads),
-            (Some((sl, _)), KernelPolicy::Simd) => sl.spmv_simd_threaded(x_local, y, threads),
-            (None, KernelPolicy::Scalar) => self.a_loc.spmv_threaded(x_local, y, threads),
-            (None, KernelPolicy::Simd) => self.a_loc.spmv_simd_threaded(x_local, y, threads),
-        }
-    }
-
-    /// Threaded variant of [`DistMatrix::spmv_remote_add`].
-    pub fn spmv_remote_add_threaded(&self, halo: &[f64], y: &mut [f64], threads: usize) {
-        if self.a_rem.nnz() == 0 {
-            return;
-        }
-        match (&self.sell, self.kernel) {
-            (Some((_, sr)), KernelPolicy::Scalar) => sr.spmv_add_threaded(halo, y, threads),
-            (Some((_, sr)), KernelPolicy::Simd) => sr.spmv_add_simd_threaded(halo, y, threads),
-            (None, KernelPolicy::Scalar) => self.a_rem.spmv_add_threaded(halo, y, threads),
-            (None, KernelPolicy::Simd) => self.a_rem.spmv_add_simd_threaded(halo, y, threads),
-        }
+        self.a_rem.spmv_add(halo, y);
     }
 }
 

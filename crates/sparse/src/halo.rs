@@ -15,8 +15,7 @@
 //! ```
 //!
 //! and the exchange only stalls for however much of the flight time the
-//! local product did not cover. [`SpmvComm::exchange`] (post immediately
-//! followed by wait) remains for callers with no compute to overlap.
+//! local product did not cover.
 //!
 //! Synchronization note: a sender may only overwrite a receiver's halo
 //! block for iteration `k+1` after the receiver has consumed iteration
@@ -269,21 +268,6 @@ impl SpmvComm {
         self.wait_stall_ns.fetch_add(entered.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.exchanges.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Synchronous exchange: [`SpmvComm::post`] immediately followed by
-    /// [`SpmvComm::wait`], for callers with no compute to overlap (and
-    /// for the pre-split-phase harnesses).
-    pub fn exchange(
-        &self,
-        ctx: &FtCtx,
-        plan: &CommPlan,
-        x_local: &[f64],
-        tag: u32,
-        halo_out: &mut Vec<f64>,
-    ) -> FtResult<()> {
-        let pending = self.post(ctx, plan, x_local, tag)?;
-        self.wait(ctx, plan, pending, halo_out)
     }
 
     /// Clear all halo notifications — part of post-recovery rewiring, so

@@ -1,35 +1,11 @@
-//! Kernel-conformance property suite: every spMVM variant against the
-//! sequential CSR reference, over proptest-generated matrices (varying
-//! size, bandwidth-free random structure, empty rows, empty matrices,
-//! and σ/C combinations).
-//!
-//! The contract under test (stated in `ft_sparse::simd` and the §9
-//! kernel-variant table of ARCHITECTURE.md):
-//!
-//! | variant                          | promise vs sequential CSR      |
-//! |----------------------------------|--------------------------------|
-//! | `Csr::spmv_threaded` @ {1,2,7}   | bitwise                        |
-//! | `Csr::spmv_blocked` (any block)  | bitwise                        |
-//! | `SellCSigma::spmv` (any C, σ)    | bitwise                        |
-//! | `SellCSigma::spmv_threaded`      | bitwise                        |
-//! | `SellCSigma::spmv_simd`          | bitwise                        |
-//! | `SellCSigma::spmv_simd_threaded` | bitwise                        |
-//! | `Csr::spmv_simd`                 | ≤ `simd_ulp_bound(nnz, cond)`  |
-//! | `Csr::spmv_simd_threaded`        | bitwise vs `Csr::spmv_simd`    |
-//!
-//! plus: for every variant, `spmv_add` on a zeroed `y` equals `spmv`
-//! (compared with `ulp_diff == 0`, which collapses the one representable
-//! difference the composition is allowed: the sign of a zero row sum,
-//! `0.0 + -0.0 == +0.0`).
+//! Kernel-conformance suite for the one spMVM kernel: [`Csr::spmv`]
+//! against a dense reference over proptest-generated matrices (varying
+//! size, random structure, empty rows, empty matrices), `spmv` against
+//! `spmv_add` on a zeroed `y`, and the degenerate shapes as named tests.
 
 use proptest::prelude::*;
 
-use ft_sparse::{row_cond, simd_ulp_bound, ulp_diff, ulp_eq, Csr, SellCSigma};
-
-/// The threaded variants' thread counts: degenerate (1), even split (2),
-/// and a count that exceeds the row-block/window count of most generated
-/// matrices (7).
-const THREADS: [usize; 3] = [1, 2, 7];
+use ft_sparse::{CommPlan, Csr, DistMatrix, RowPartition};
 
 fn bits(y: &[f64]) -> Vec<u64> {
     y.iter().map(|v| v.to_bits()).collect()
@@ -52,95 +28,38 @@ fn build(raw_rows: &[Vec<(u32, f64)>], ncols: usize) -> Csr {
     a
 }
 
-/// Per-row ULP budget of the lane-split SIMD kernel, computed from the
-/// stored entries themselves.
-fn row_bound(a: &Csr, x: &[f64], i: usize, y_ref: f64) -> u64 {
-    let mut nnz = 0usize;
-    let mut abs_sum = 0.0f64;
-    for (c, v) in a.row(i) {
-        nnz += 1;
-        abs_sum += (v * x[c as usize]).abs();
-    }
-    simd_ulp_bound(nnz, row_cond(abs_sum, y_ref))
-}
-
 proptest! {
-    /// The full variant matrix on one generated matrix per case.
+    /// `spmv` equals the dense row-by-column product, bitwise: the dense
+    /// loop adds the same terms in the same ascending-column order, and
+    /// the extra `0.0 * x[c]` terms of unstored entries are exact
+    /// identities for finite `x`.
     #[test]
-    fn variant_matrix_conforms(
+    fn spmv_matches_dense_reference(
         nrows in 0usize..48,
         ncols in 1usize..48,
         raw_rows in proptest::collection::vec(
             proptest::collection::vec((0u32..1024, -2.0f64..2.0), 0..14), 0..48),
         xs in proptest::collection::vec(-2.0f64..2.0, 48),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
-        col_block in 1usize..64,
     ) {
         let raw_rows = &raw_rows[..nrows.min(raw_rows.len())];
         let a = build(raw_rows, ncols);
         let x = &xs[..ncols];
         let n = a.nrows();
-        // Sequential CSR: the reference bits.
-        let mut y_ref = vec![0.0; n];
-        a.spmv(x, &mut y_ref);
-        let want = bits(&y_ref);
-
-        // --- Bitwise family -------------------------------------------
-        let mut y = vec![0.0; n];
-        for t in THREADS {
-            y.fill(f64::NAN); // stale y must not leak into non-accumulating variants
-            a.spmv_threaded(x, &mut y, t);
-            prop_assert_eq!(&bits(&y), &want, "CSR threaded@{}", t);
-        }
-        y.fill(f64::NAN);
-        a.spmv_blocked(x, &mut y);
-        prop_assert_eq!(&bits(&y), &want, "CSR blocked (default block)");
-        let mut y_b = vec![0.0; n];
-        a.spmv_add_blocked_with(x, &mut y_b, col_block);
-        prop_assert_eq!(&bits(&y_b), &want, "CSR blocked @ col_block={}", col_block);
-
-        let s = SellCSigma::from_csr(&a, c, c * sigma_mult);
-        s.validate();
-        y.fill(f64::NAN);
-        s.spmv(x, &mut y);
-        prop_assert_eq!(&bits(&y), &want, "SELL seq");
-        for t in THREADS {
-            y.fill(f64::NAN);
-            s.spmv_threaded(x, &mut y, t);
-            prop_assert_eq!(&bits(&y), &want, "SELL threaded@{}", t);
-        }
-        y.fill(f64::NAN);
-        s.spmv_simd(x, &mut y);
-        prop_assert_eq!(&bits(&y), &want, "SELL simd (across-row lanes are order-preserving)");
-        for t in THREADS {
-            y.fill(f64::NAN);
-            s.spmv_simd_threaded(x, &mut y, t);
-            prop_assert_eq!(&bits(&y), &want, "SELL simd+threaded@{}", t);
-        }
-
-        // --- ULP-bounded family ---------------------------------------
-        let mut y_simd = vec![f64::NAN; n];
-        a.spmv_simd(x, &mut y_simd);
+        let mut dense = vec![0.0f64; n * ncols];
         for i in 0..n {
-            let bound = row_bound(&a, x, i, y_ref[i]);
-            prop_assert!(
-                ulp_eq(y_ref[i], y_simd[i], bound),
-                "CSR simd row {}: {} vs {} differs by {} ulps (bound {})",
-                i, y_ref[i], y_simd[i], ulp_diff(y_ref[i], y_simd[i]), bound
-            );
+            for (c, v) in a.row(i) {
+                dense[i * ncols + c as usize] = v;
+            }
         }
-        // ... and the threaded SIMD variant is bitwise against spmv_simd.
-        let want_simd = bits(&y_simd);
-        for t in THREADS {
-            y.fill(f64::NAN);
-            a.spmv_simd_threaded(x, &mut y, t);
-            prop_assert_eq!(&bits(&y), &want_simd, "CSR simd+threaded@{}", t);
-        }
+        let y_ref: Vec<f64> = (0..n)
+            .map(|i| (0..ncols).fold(0.0, |acc, c| acc + dense[i * ncols + c] * x[c]))
+            .collect();
+        let mut y = vec![f64::NAN; n]; // stale y must not leak into the product
+        a.spmv(x, &mut y);
+        prop_assert_eq!(bits(&y), bits(&y_ref));
     }
 
-    /// `spmv` versus `spmv_add` on a zeroed `y`, for every variant: the
-    /// accumulating entry point on a fresh vector is the same product.
+    /// The accumulating entry point on a fresh vector is the same product.
     #[test]
     fn spmv_add_on_zeroed_y_matches_spmv(
         nrows in 0usize..40,
@@ -148,53 +67,15 @@ proptest! {
         raw_rows in proptest::collection::vec(
             proptest::collection::vec((0u32..1024, -2.0f64..2.0), 0..10), 0..40),
         xs in proptest::collection::vec(-2.0f64..2.0, 40),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
-        threads in 1usize..8,
     ) {
         let raw_rows = &raw_rows[..nrows.min(raw_rows.len())];
         let a = build(raw_rows, ncols);
         let x = &xs[..ncols];
-        let n = a.nrows();
-        let s = SellCSigma::from_csr(&a, c, c * sigma_mult);
-        type Pair = (
-            &'static str,
-            fn(&Csr, &SellCSigma, &[f64], &mut [f64], usize),
-            fn(&Csr, &SellCSigma, &[f64], &mut [f64], usize),
-        );
-        let pairs: [Pair; 6] = [
-            ("CSR seq", |a, _, x, y, _| a.spmv(x, y), |a, _, x, y, _| a.spmv_add(x, y)),
-            (
-                "CSR threaded",
-                |a, _, x, y, t| a.spmv_threaded(x, y, t),
-                |a, _, x, y, t| a.spmv_add_threaded(x, y, t),
-            ),
-            (
-                "CSR blocked",
-                |a, _, x, y, _| a.spmv_blocked(x, y),
-                |a, _, x, y, _| a.spmv_add_blocked(x, y),
-            ),
-            ("CSR simd", |a, _, x, y, _| a.spmv_simd(x, y), |a, _, x, y, _| a.spmv_add_simd(x, y)),
-            ("SELL seq", |_, s, x, y, _| s.spmv(x, y), |_, s, x, y, _| s.spmv_add(x, y)),
-            (
-                "SELL simd+threaded",
-                |_, s, x, y, t| s.spmv_simd_threaded(x, y, t),
-                |_, s, x, y, t| s.spmv_add_simd_threaded(x, y, t),
-            ),
-        ];
-        for (name, f, f_add) in pairs {
-            let mut y = vec![f64::NAN; n];
-            f(&a, &s, x, &mut y, threads);
-            let mut y_add = vec![0.0; n];
-            f_add(&a, &s, x, &mut y_add, threads);
-            for i in 0..n {
-                prop_assert!(
-                    ulp_diff(y[i], y_add[i]) == 0,
-                    "{} row {}: spmv {} vs spmv_add-on-zero {}",
-                    name, i, y[i], y_add[i]
-                );
-            }
-        }
+        let mut y = vec![f64::NAN; a.nrows()];
+        a.spmv(x, &mut y);
+        let mut y_add = vec![0.0; a.nrows()];
+        a.spmv_add(x, &mut y_add);
+        prop_assert_eq!(bits(&y), bits(&y_add));
     }
 }
 
@@ -203,44 +84,24 @@ proptest! {
 mod degenerate {
     use super::*;
 
-    fn all_variants(a: &Csr, x: &[f64]) -> Vec<(&'static str, Vec<f64>)> {
-        let s = SellCSigma::from_csr(a, 4, 8);
-        s.validate();
-        let n = a.nrows();
-        let mut out = Vec::new();
-        let mut run = |name: &'static str, f: &dyn Fn(&mut [f64])| {
-            let mut y = vec![f64::NAN; n];
-            f(&mut y);
-            out.push((name, y));
-        };
-        run("csr_seq", &|y| a.spmv(x, y));
-        run("csr_threaded7", &|y| a.spmv_threaded(x, y, 7));
-        run("csr_blocked", &|y| a.spmv_blocked(x, y));
-        run("csr_simd", &|y| a.spmv_simd(x, y));
-        run("csr_simd_threaded7", &|y| a.spmv_simd_threaded(x, y, 7));
-        run("sell_seq", &|y| s.spmv(x, y));
-        run("sell_simd", &|y| s.spmv_simd(x, y));
-        run("sell_simd_threaded7", &|y| s.spmv_simd_threaded(x, y, 7));
-        out
+    fn spmv(a: &Csr, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![f64::NAN; a.nrows()];
+        a.spmv(x, &mut y);
+        y
     }
 
     #[test]
     fn empty_matrix_zero_rows() {
-        let a = Csr::empty(0, 5);
-        for (name, y) in all_variants(&a, &[1.0; 5]) {
-            assert!(y.is_empty(), "{name}");
-        }
+        assert!(spmv(&Csr::empty(0, 5), &[1.0; 5]).is_empty());
     }
 
     #[test]
     fn empty_column_space_all_rows_empty() {
         // ncols == 1 with no stored entries is the smallest legal column
-        // space (kernels assert `x.len() >= ncols`); every variant must
-        // write exact zeros to every row and never read `x`.
+        // space (the kernel asserts `x.len() >= ncols`); it must write
+        // exact zeros to every row and never read `x`.
         let a = Csr::from_rows(&[vec![], vec![], vec![]], 1);
-        for (name, y) in all_variants(&a, &[f64::NAN]) {
-            assert_eq!(y, vec![0.0; 3], "{name} must not read x for empty rows");
-        }
+        assert_eq!(spmv(&a, &[f64::NAN]), vec![0.0; 3], "must not read x for empty rows");
     }
 
     #[test]
@@ -248,9 +109,20 @@ mod degenerate {
         let a = Csr::from_rows(&[vec![(0, 2.0), (2, -3.0), (3, 0.5)]], 4);
         let x = [1.0, 99.0, 2.0, 4.0];
         let expect = (2.0 * 1.0 + -3.0 * 2.0) + 0.5 * 4.0;
-        for (name, y) in all_variants(&a, &x) {
-            assert_eq!(y.len(), 1);
-            assert!(ft_sparse::ulp_eq(y[0], expect, 12), "{name}: {} vs {expect}", y[0]);
-        }
+        assert_eq!(spmv(&a, &x), vec![expect]);
+    }
+
+    #[test]
+    fn halo_free_rank_multiplies_with_an_empty_halo() {
+        use ft_matgen::spectra::ToeplitzTridiag;
+        let gen = ToeplitzTridiag::new(6, 2.0, -1.0);
+        let part = RowPartition::new(6, 1);
+        let needed = DistMatrix::needed_columns(&gen, &part, 0);
+        let plan = CommPlan::receives_from_needs(0, 1, &needed);
+        let dm = DistMatrix::assemble(&gen, part, 0, plan);
+        assert_eq!((dm.plan.halo_len, dm.a_rem.ncols), (0, 0));
+        let mut y = vec![f64::NAN; 6];
+        dm.spmv(&[1.0; 6], &[], &mut y);
+        assert_eq!(y, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 }

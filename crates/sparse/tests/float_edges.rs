@@ -1,40 +1,16 @@
 //! Adversarial float-edge properties: NaN, ±Inf, and subnormal values in
 //! `x`, in the halo, and in the matrix itself must stay **contained** —
 //! they may poison exactly the rows whose stored entries reference them,
-//! and nothing else. In particular they must never leak through SELL-C-σ
-//! padding slots (which store column 0, so a NaN in `x[0]` is the canary)
-//! or across row-block/tile boundaries of the threaded and blocked
-//! variants.
-//!
-//! The containment guarantee is unconditional — unlike the SIMD ULP
-//! bound, it does not assume finite partial sums (see `ft_sparse::simd`).
+//! and nothing else.
 
 use proptest::prelude::*;
 
-use ft_sparse::{CommPlan, Csr, DistMatrix, KernelPolicy, RowPartition, SellCSigma};
+use ft_sparse::{CommPlan, Csr, DistMatrix, RowPartition};
 
-/// Every kernel variant, run uniformly: (name, result) pairs.
-fn all_variants(a: &Csr, x: &[f64], c: usize, sigma: usize) -> Vec<(&'static str, Vec<f64>)> {
-    let s = SellCSigma::from_csr(a, c, sigma);
-    let n = a.nrows();
-    let mut out = Vec::new();
-    let mut run = |name: &'static str, f: &dyn Fn(&mut [f64])| {
-        let mut y = vec![0.0; n];
-        f(&mut y);
-        out.push((name, y));
-    };
-    run("csr_seq", &|y| a.spmv(x, y));
-    run("csr_threaded2", &|y| a.spmv_threaded(x, y, 2));
-    run("csr_threaded7", &|y| a.spmv_threaded(x, y, 7));
-    run("csr_blocked", &|y| a.spmv_blocked(x, y));
-    run("csr_blocked3", &|y| a.spmv_add_blocked_with(x, y, 3));
-    run("csr_simd", &|y| a.spmv_simd(x, y));
-    run("csr_simd_threaded2", &|y| a.spmv_simd_threaded(x, y, 2));
-    run("sell_seq", &|y| s.spmv(x, y));
-    run("sell_threaded2", &|y| s.spmv_threaded(x, y, 2));
-    run("sell_simd", &|y| s.spmv_simd(x, y));
-    run("sell_simd_threaded2", &|y| s.spmv_simd_threaded(x, y, 2));
-    out
+fn spmv(a: &Csr, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; a.nrows()];
+    a.spmv(x, &mut y);
+    y
 }
 
 /// The poison palette: index into this with a proptest-chosen selector.
@@ -56,9 +32,7 @@ fn build(raw_rows: &[Vec<(u32, f64)>], ncols: usize) -> Csr {
 
 proptest! {
     /// Poison arbitrary columns of `x`: rows that do not reference a
-    /// poisoned column must be bitwise unaffected, under every variant.
-    /// (Subnormal "poison" additionally checks that no variant flushes
-    /// them to zero differently than the sequential kernel.)
+    /// poisoned column must be bitwise unaffected.
     #[test]
     fn poisoned_x_columns_stay_contained(
         nrows in 1usize..32,
@@ -67,8 +41,6 @@ proptest! {
             proptest::collection::vec((0u32..1024, -2.0f64..2.0), 0..10), 1..32),
         xs in proptest::collection::vec(-2.0f64..2.0, 32),
         poison_sel in proptest::collection::vec((0usize..32, 0usize..POISONS.len()), 1..5),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
     ) {
         let raw_rows = &raw_rows[..nrows.min(raw_rows.len())];
         let a = build(raw_rows, ncols);
@@ -80,20 +52,17 @@ proptest! {
             x[col] = POISONS[kind];
             poisoned[col] = true;
         }
-        let sigma = c * sigma_mult;
-        let clean = all_variants(&a, x_clean, c, sigma);
-        let dirty = all_variants(&a, &x, c, sigma);
-        for ((name, yc), (_, yd)) in clean.iter().zip(&dirty) {
-            for i in 0..a.nrows() {
-                if a.row(i).any(|(col, _)| poisoned[col as usize]) {
-                    continue; // this row may legitimately see the poison
-                }
-                prop_assert_eq!(
-                    yc[i].to_bits(), yd[i].to_bits(),
-                    "{} row {}: {} leaked into a row that references no poisoned column \
-                     (clean {})", name, i, yd[i], yc[i]
-                );
+        let yc = spmv(&a, x_clean);
+        let yd = spmv(&a, &x);
+        for i in 0..a.nrows() {
+            if a.row(i).any(|(col, _)| poisoned[col as usize]) {
+                continue; // this row may legitimately see the poison
             }
+            prop_assert_eq!(
+                yc[i].to_bits(), yd[i].to_bits(),
+                "row {}: {} leaked into a row that references no poisoned column (clean {})",
+                i, yd[i], yc[i]
+            );
         }
     }
 
@@ -106,8 +75,6 @@ proptest! {
             proptest::collection::vec((0u32..1024, -2.0f64..2.0), 0..10), 1..32),
         xs in proptest::collection::vec(-2.0f64..2.0, 32),
         poison_sel in proptest::collection::vec((0usize..32, 0usize..POISONS.len()), 1..4),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
     ) {
         let raw_rows = &raw_rows[..nrows.min(raw_rows.len())];
         let a = build(raw_rows, ncols);
@@ -124,45 +91,15 @@ proptest! {
             }
         }
         let b = Csr::from_rows(&rows, ncols);
-        let sigma = c * sigma_mult;
-        let clean = all_variants(&a, x, c, sigma);
-        let dirty = all_variants(&b, x, c, sigma);
-        for ((name, yc), (_, yd)) in clean.iter().zip(&dirty) {
-            for i in 0..a.nrows() {
-                if hit[i] {
-                    continue;
-                }
-                prop_assert_eq!(
-                    yc[i].to_bits(), yd[i].to_bits(),
-                    "{} row {}: poisoned matrix value leaked across rows", name, i
-                );
+        let yc = spmv(&a, x);
+        let yd = spmv(&b, x);
+        for i in 0..a.nrows() {
+            if hit[i] {
+                continue;
             }
-        }
-    }
-}
-
-/// SELL padding slots store column 0, so a NaN in `x[0]` leaks into every
-/// padded lane of every variant that fails to honor `lane_len` — while a
-/// matrix that never references column 0 must come out NaN-free.
-#[test]
-fn nan_in_x0_never_leaks_through_sell_padding() {
-    // Ragged rows (lengths 3/1/0/2/1) force padding in every chunk shape;
-    // all columns are >= 1.
-    let rows: Vec<Vec<(u32, f64)>> = vec![
-        vec![(1, 1.0), (3, -2.0), (6, 0.5)],
-        vec![(4, 2.0)],
-        vec![],
-        vec![(2, -1.0), (5, 1.5)],
-        vec![(7, 3.0)],
-    ];
-    let a = Csr::from_rows(&rows, 8);
-    let mut x = vec![1.0; 8];
-    x[0] = f64::NAN;
-    for (c, sigma) in [(1, 1), (2, 2), (4, 4), (4, 8), (8, 8)] {
-        for (name, y) in all_variants(&a, &x, c, sigma) {
-            assert!(
-                y.iter().all(|v| v.is_finite()),
-                "{name} (C={c}, σ={sigma}): padding read x[0] = NaN: {y:?}"
+            prop_assert_eq!(
+                yc[i].to_bits(), yd[i].to_bits(),
+                "row {}: poisoned matrix value leaked across rows", i
             );
         }
     }
@@ -179,16 +116,15 @@ fn stored_zero_times_inf_poisons_only_its_row() {
     ];
     let a = Csr::from_rows(&rows, 3);
     let x = [1.0, f64::INFINITY, 1.0];
-    for (name, y) in all_variants(&a, &x, 2, 4) {
-        assert_eq!(y[0].to_bits(), 1.0f64.to_bits(), "{name}");
-        assert!(y[1].is_nan(), "{name}: 0·∞ must be NaN");
-        assert_eq!(y[2].to_bits(), 2.0f64.to_bits(), "{name}");
-    }
+    let y = spmv(&a, &x);
+    assert_eq!(y[0].to_bits(), 1.0f64.to_bits());
+    assert!(y[1].is_nan(), "0·∞ must be NaN");
+    assert_eq!(y[2].to_bits(), 2.0f64.to_bits());
 }
 
 /// Halo poisoning through the distributed layer: NaN in every halo slot
 /// must reach exactly the rows with remote entries (the partition-border
-/// rows of a tridiagonal matrix), under both kernel policies.
+/// rows of a tridiagonal matrix).
 #[test]
 fn poisoned_halo_reaches_only_border_rows() {
     use ft_matgen::spectra::ToeplitzTridiag;
@@ -199,26 +135,24 @@ fn poisoned_halo_reaches_only_border_rows() {
     let me = 1u32; // middle chunk: remote rows are its first and last
     let needed = DistMatrix::needed_columns(&gen, &part, me);
     let plan = CommPlan::receives_from_needs(me, 3, &needed);
-    for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
-        let dm = DistMatrix::assemble(&gen, part, me, plan.clone()).with_kernel(policy);
-        let x_local = vec![1.0; dm.local_len()];
-        let clean_halo = vec![1.0; dm.plan.halo_len];
-        let nan_halo = vec![f64::NAN; dm.plan.halo_len];
-        let mut y_clean = vec![0.0; dm.local_len()];
-        let mut y_dirty = vec![0.0; dm.local_len()];
-        dm.spmv(&x_local, &clean_halo, &mut y_clean);
-        dm.spmv(&x_local, &nan_halo, &mut y_dirty);
-        let last = dm.local_len() - 1;
-        for i in 0..dm.local_len() {
-            if i == 0 || i == last {
-                assert!(y_dirty[i].is_nan(), "border row {i} must see the halo ({policy:?})");
-            } else {
-                assert_eq!(
-                    y_clean[i].to_bits(),
-                    y_dirty[i].to_bits(),
-                    "interior row {i} must not touch the halo ({policy:?})"
-                );
-            }
+    let dm = DistMatrix::assemble(&gen, part, me, plan);
+    let x_local = vec![1.0; dm.local_len()];
+    let clean_halo = vec![1.0; dm.plan.halo_len];
+    let nan_halo = vec![f64::NAN; dm.plan.halo_len];
+    let mut y_clean = vec![0.0; dm.local_len()];
+    let mut y_dirty = vec![0.0; dm.local_len()];
+    dm.spmv(&x_local, &clean_halo, &mut y_clean);
+    dm.spmv(&x_local, &nan_halo, &mut y_dirty);
+    let last = dm.local_len() - 1;
+    for i in 0..dm.local_len() {
+        if i == 0 || i == last {
+            assert!(y_dirty[i].is_nan(), "border row {i} must see the halo");
+        } else {
+            assert_eq!(
+                y_clean[i].to_bits(),
+                y_dirty[i].to_bits(),
+                "interior row {i} must not touch the halo"
+            );
         }
     }
 }

@@ -4,10 +4,7 @@ use proptest::prelude::*;
 
 use ft_matgen::random::RandomSym;
 use ft_matgen::RowGen;
-use ft_sparse::{
-    row_cond, simd_ulp_bound, ulp_diff, ulp_eq, CommPlan, Csr, DistMatrix, KernelPolicy,
-    RowPartition, SellCSigma,
-};
+use ft_sparse::{CommPlan, DistMatrix, RowPartition};
 
 proptest! {
     /// Ranges tile, owner agrees, sizes differ by at most one.
@@ -134,66 +131,20 @@ proptest! {
 }
 
 proptest! {
-    /// SELL-C-σ SpMV agrees exactly with CSR SpMV for any (C, σ) and any
-    /// random matrix (same additions in the same per-row order, so the
-    /// agreement is bitwise).
+    /// The split-phase composition (`spmv_local` + `spmv_remote_add`, as
+    /// the overlapped solver loops run it) produces bitwise the same
+    /// result as the synchronous [`DistMatrix::spmv`], across chunk
+    /// sizes, empty-halo ranks (parts == 1), and zero-nnz rows; and that
+    /// shared result matches the dense reference to tolerance (the halo
+    /// summation order legitimately differs from the global order, so
+    /// "bitwise" is across the two paths, not against the reference).
     #[test]
-    fn sell_matches_csr(
-        n in 1u64..120,
-        bw in 0u64..10,
-        density in 0.0f64..1.0,
-        seed in any::<u64>(),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
-    ) {
-        let gen = RandomSym::new(n, bw, density, seed);
-        let rows: Vec<Vec<(u32, f64)>> = (0..n)
-            .map(|i| gen.row_vec(i).into_iter().map(|e| (e.col as u32, e.val)).collect())
-            .collect();
-        let a = Csr::from_rows(&rows, n as usize);
-        let s = SellCSigma::from_csr(&a, c, c * sigma_mult);
-        s.validate();
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 1.3).sin()).collect();
-        let mut y_csr = vec![0.0; a.nrows()];
-        let mut y_sell = vec![0.0; a.nrows()];
-        a.spmv(&x, &mut y_csr);
-        s.spmv(&x, &mut y_sell);
-        for (u, v) in y_csr.iter().zip(&y_sell) {
-            prop_assert_eq!(u.to_bits(), v.to_bits(), "bitwise agreement");
-        }
-        prop_assert!(s.padding_factor(a.nnz()) >= 1.0 || a.nnz() == 0);
-    }
-}
-
-fn bits(y: &[f64]) -> Vec<u64> {
-    y.iter().map(|v| v.to_bits()).collect()
-}
-
-proptest! {
-    /// Every spMVM path — synchronous CSR, split-phase composition
-    /// (local + remote_add, as the overlapped solver loops run it),
-    /// threaded, and the three SELL-C-σ counterparts — produces bitwise
-    /// the same `DistMatrix` result, across chunk sizes, σ windows,
-    /// thread counts, empty-halo ranks (parts == 1), and zero-nnz rows;
-    /// and that shared result matches the dense reference to tolerance
-    /// (the halo summation order legitimately differs from the global
-    /// order, so "bitwise" is across paths, not against the reference).
-    ///
-    /// The kernel policy is pinned to [`KernelPolicy::Scalar`]: the
-    /// bitwise promise is a property of the scalar/threaded/blocked
-    /// family regardless of build features; the SIMD dispatch has its
-    /// own ULP-bounded property below and the full variant matrix in
-    /// `tests/conformance.rs`.
-    #[test]
-    fn all_spmv_paths_agree_bitwise(
+    fn split_phase_spmv_is_bitwise_the_synchronous_product(
         n in 1u64..100,
         parts in 1u32..5,
         bw in 0u64..8,
         density in 0.0f64..1.0,
         seed in any::<u64>(),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
-        threads in 1usize..5,
     ) {
         prop_assume!(n >= u64::from(parts));
         let gen = RandomSym::new(n, bw, density, seed);
@@ -208,69 +159,6 @@ proptest! {
         for me in 0..parts {
             let needed = DistMatrix::needed_columns(&gen, &part, me);
             let plan = CommPlan::receives_from_needs(me, parts, &needed);
-            let dm = DistMatrix::assemble(&gen, part, me, plan).with_kernel(KernelPolicy::Scalar);
-            let r = part.range(me);
-            let x_local: Vec<f64> = r.clone().map(|i| x[i as usize]).collect();
-            let mut halo = vec![0.0; dm.plan.halo_len];
-            for recv in &dm.plan.recvs {
-                for (k, &col) in recv.cols.iter().enumerate() {
-                    halo[recv.halo_offset + k] = x[col as usize];
-                }
-            }
-            let nloc = dm.local_len();
-            // Path 1: synchronous one-shot (the reference bits).
-            let mut y_sync = vec![0.0; nloc];
-            dm.spmv(&x_local, &halo, &mut y_sync);
-            for (k, row) in r.enumerate() {
-                prop_assert!((y_sync[k] - y_ref[row as usize]).abs() < 1e-10);
-            }
-            let want = bits(&y_sync);
-            // Path 2: split-phase composition (the overlapped loop).
-            let mut y_split = vec![0.0; nloc];
-            dm.spmv_local(&x_local, &mut y_split);
-            dm.spmv_remote_add(&halo, &mut y_split);
-            prop_assert_eq!(&bits(&y_split), &want, "split-phase CSR");
-            // Path 3: threaded.
-            let mut y_thr = vec![0.0; nloc];
-            dm.spmv_threaded(&x_local, &halo, &mut y_thr, threads);
-            prop_assert_eq!(&bits(&y_thr), &want, "threaded CSR");
-            // Paths 4-6: the same three through SELL-C-σ kernels.
-            let dms = dm.with_sell(c, c * sigma_mult);
-            let mut y_sell = vec![0.0; nloc];
-            dms.spmv(&x_local, &halo, &mut y_sell);
-            prop_assert_eq!(&bits(&y_sell), &want, "SELL sync");
-            let mut y_sell_split = vec![0.0; nloc];
-            dms.spmv_local(&x_local, &mut y_sell_split);
-            dms.spmv_remote_add(&halo, &mut y_sell_split);
-            prop_assert_eq!(&bits(&y_sell_split), &want, "SELL split-phase");
-            let mut y_sell_thr = vec![0.0; nloc];
-            dms.spmv_threaded(&x_local, &halo, &mut y_sell_thr, threads);
-            prop_assert_eq!(&bits(&y_sell_thr), &want, "SELL threaded");
-        }
-    }
-
-    /// The SIMD kernel policy agrees with the scalar one to within the
-    /// stated per-row ULP bound through the `DistMatrix` dispatch (CSR
-    /// kernels; the reduction is genuinely reordered), and **bitwise**
-    /// through the SELL-C-σ kernels (across-row vectorization preserves
-    /// every row's addition order).
-    #[test]
-    fn simd_policy_is_ulp_bounded_against_scalar(
-        n in 1u64..100,
-        parts in 1u32..5,
-        bw in 0u64..8,
-        density in 0.0f64..1.0,
-        seed in any::<u64>(),
-        c in 1usize..9,
-        sigma_mult in 1usize..5,
-    ) {
-        prop_assume!(n >= u64::from(parts));
-        let gen = RandomSym::new(n, bw, density, seed);
-        let part = RowPartition::new(n, parts);
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
-        for me in 0..parts {
-            let needed = DistMatrix::needed_columns(&gen, &part, me);
-            let plan = CommPlan::receives_from_needs(me, parts, &needed);
             let dm = DistMatrix::assemble(&gen, part, me, plan);
             let r = part.range(me);
             let x_local: Vec<f64> = r.clone().map(|i| x[i as usize]).collect();
@@ -281,31 +169,16 @@ proptest! {
                 }
             }
             let nloc = dm.local_len();
-            let dm_scalar = dm.clone().with_kernel(KernelPolicy::Scalar);
-            let dm_simd = dm.with_kernel(KernelPolicy::Simd);
-            let mut y_scalar = vec![0.0; nloc];
-            let mut y_simd = vec![0.0; nloc];
-            dm_scalar.spmv(&x_local, &halo, &mut y_scalar);
-            dm_simd.spmv(&x_local, &halo, &mut y_simd);
-            for (k, row) in r.clone().enumerate() {
-                let terms = gen.row_vec(row);
-                let abs_sum: f64 =
-                    terms.iter().map(|e| (e.val * x[e.col as usize]).abs()).sum();
-                let bound = simd_ulp_bound(terms.len(), row_cond(abs_sum, y_scalar[k]));
-                prop_assert!(
-                    ulp_eq(y_scalar[k], y_simd[k], bound),
-                    "row {}: scalar {} vs simd {} differs by {} ulps (bound {})",
-                    row, y_scalar[k], y_simd[k], ulp_diff(y_scalar[k], y_simd[k]), bound
-                );
+            let mut y_sync = vec![0.0; nloc];
+            dm.spmv(&x_local, &halo, &mut y_sync);
+            for (k, row) in r.enumerate() {
+                prop_assert!((y_sync[k] - y_ref[row as usize]).abs() < 1e-10);
             }
-            // Through SELL the two policies are bitwise identical.
-            let dms_scalar = dm_scalar.with_sell(c, c * sigma_mult);
-            let dms_simd = dms_scalar.clone().with_kernel(KernelPolicy::Simd);
-            let mut y_sell_scalar = vec![0.0; nloc];
-            let mut y_sell_simd = vec![0.0; nloc];
-            dms_scalar.spmv(&x_local, &halo, &mut y_sell_scalar);
-            dms_simd.spmv(&x_local, &halo, &mut y_sell_simd);
-            prop_assert_eq!(bits(&y_sell_scalar), bits(&y_sell_simd), "SELL simd is bitwise");
+            let mut y_split = vec![0.0; nloc];
+            dm.spmv_local(&x_local, &mut y_split);
+            dm.spmv_remote_add(&halo, &mut y_split);
+            let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&y_split), bits(&y_sync));
         }
     }
 }

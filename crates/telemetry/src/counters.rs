@@ -12,7 +12,7 @@
 use ft_checkpoint::CkptStats;
 use ft_cluster::MetricsSnapshot;
 use ft_gaspi::{GaspiSnapshot, GaspiWorld};
-use ft_sparse::{HaloStats, KernelStats};
+use ft_sparse::HaloStats;
 
 use crate::json::Json;
 
@@ -34,10 +34,6 @@ pub struct TelemetrySnapshot {
     /// tier, [`ft_sparse::SpmvComm`] is a per-rank object whose stats
     /// arrive merged through application summaries.
     pub spmv_overlap: HaloStats,
-    /// Raw spMVM kernel counters (products, kernel time, flops). Zero
-    /// unless filled in with [`TelemetrySnapshot::with_spmv_kernel`]:
-    /// harnesses time their own kernel sections.
-    pub spmv_kernel: KernelStats,
 }
 
 impl TelemetrySnapshot {
@@ -48,7 +44,6 @@ impl TelemetrySnapshot {
             gaspi: world.gaspi_metrics().snapshot(),
             ckpt: CkptStats::default(),
             spmv_overlap: HaloStats::default(),
-            spmv_kernel: KernelStats::default(),
         }
     }
 
@@ -64,12 +59,6 @@ impl TelemetrySnapshot {
         self
     }
 
-    /// Attach the raw spMVM kernel counters (merged across ranks).
-    pub fn with_spmv_kernel(mut self, kernel: KernelStats) -> Self {
-        self.spmv_kernel = kernel;
-        self
-    }
-
     /// Family-wise counter deltas `self - earlier` (saturating).
     pub fn since(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -77,7 +66,6 @@ impl TelemetrySnapshot {
             gaspi: self.gaspi.since(&earlier.gaspi),
             ckpt: self.ckpt.since(&earlier.ckpt),
             spmv_overlap: self.spmv_overlap.since(&earlier.spmv_overlap),
-            spmv_kernel: self.spmv_kernel.since(&earlier.spmv_kernel),
         }
     }
 
@@ -87,7 +75,6 @@ impl TelemetrySnapshot {
         let g = &self.gaspi;
         let c = &self.ckpt;
         let s = &self.spmv_overlap;
-        let k = &self.spmv_kernel;
         Json::obj([
             (
                 "transport",
@@ -147,15 +134,6 @@ impl TelemetrySnapshot {
                     ("overlap_efficiency", Json::Num(s.overlap_efficiency())),
                 ]),
             ),
-            (
-                "spmv_kernel",
-                Json::obj([
-                    ("spmvs", Json::num_u64(k.spmvs)),
-                    ("kernel_ns", Json::num_u64(k.kernel_ns)),
-                    ("flops", Json::num_u64(k.flops)),
-                    ("gflops", Json::Num(k.gflops())),
-                ]),
-            ),
         ])
     }
 }
@@ -171,14 +149,12 @@ mod tests {
             gaspi: GaspiSnapshot { notifications_posted: 4, ..Default::default() },
             ckpt: CkptStats { local_writes: 3, ..Default::default() },
             spmv_overlap: HaloStats { exchanges: 9, overlap_ns: 500, ..Default::default() },
-            spmv_kernel: KernelStats { spmvs: 20, kernel_ns: 900, flops: 4000 },
         };
         let b = TelemetrySnapshot {
             transport: MetricsSnapshot { msg_posted: 7, ..Default::default() },
             gaspi: GaspiSnapshot { notifications_posted: 1, ..Default::default() },
             ckpt: CkptStats { local_writes: 1, ..Default::default() },
             spmv_overlap: HaloStats { exchanges: 4, overlap_ns: 100, ..Default::default() },
-            spmv_kernel: KernelStats { spmvs: 5, kernel_ns: 400, flops: 1000 },
         };
         let d = a.since(&b);
         assert_eq!(d.transport.msg_posted, 3);
@@ -186,27 +162,14 @@ mod tests {
         assert_eq!(d.ckpt.local_writes, 2);
         assert_eq!(d.spmv_overlap.exchanges, 5);
         assert_eq!(d.spmv_overlap.overlap_ns, 400);
-        assert_eq!(d.spmv_kernel.spmvs, 15);
-        assert_eq!(d.spmv_kernel.kernel_ns, 500);
-        assert_eq!(d.spmv_kernel.flops, 3000);
-        assert_eq!(d.spmv_kernel.gflops(), 6.0);
     }
 
     #[test]
-    fn json_has_all_five_families() {
+    fn json_has_all_four_families() {
         let j = TelemetrySnapshot::default().to_json();
-        for family in ["transport", "gaspi", "checkpoint", "spmv_overlap", "spmv_kernel"] {
+        for family in ["transport", "gaspi", "checkpoint", "spmv_overlap"] {
             assert!(j.get(family).is_some(), "missing {family}");
         }
-        for key in ["spmvs", "kernel_ns", "flops"] {
-            assert_eq!(
-                j.get("spmv_kernel").and_then(|k| k.get(key)).and_then(Json::as_u64),
-                Some(0),
-                "missing spmv_kernel.{key}"
-            );
-        }
-        let g = j.get("spmv_kernel").and_then(|k| k.get("gflops"));
-        assert!(matches!(g, Some(Json::Num(v)) if *v == 0.0));
         assert_eq!(
             j.get("gaspi").and_then(|g| g.get("group_commits")).and_then(Json::as_u64),
             Some(0)

@@ -60,3 +60,27 @@ pub mod report;
 pub use counters::TelemetrySnapshot;
 pub use json::Json;
 pub use report::{EpochTimeline, OverheadReport, ScanStats};
+
+/// Where harnesses leave their machine-readable reports: the
+/// workspace-level `target/telemetry/` directory (`CARGO_TARGET_DIR` when
+/// set), independent of the process working directory — `cargo bench`
+/// runs bench binaries with the *package* directory as CWD, which would
+/// otherwise scatter reports into `crates/bench/target/`.
+pub fn telemetry_dir() -> std::path::PathBuf {
+    use std::path::PathBuf;
+    let target = std::env::var_os("CARGO_TARGET_DIR").map_or_else(
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+        PathBuf::from,
+    );
+    target.join("telemetry")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn telemetry_dir_is_absolute_workspace_target() {
+        let d = super::telemetry_dir();
+        assert!(d.is_absolute() || std::env::var_os("CARGO_TARGET_DIR").is_some());
+        assert!(d.ends_with("target/telemetry"));
+    }
+}

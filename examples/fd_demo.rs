@@ -10,10 +10,39 @@
 
 use std::time::{Duration, Instant};
 
+use ft_bench::baselines::{AllToAllDetector, InlineDetector, NeighborRingDetector};
 use gaspi_ft::cluster::Rank;
-use gaspi_ft::core::baselines::{AllToAllDetector, InlineDetector, NeighborRingDetector};
-use gaspi_ft::core::detector::glo_health_chk;
-use gaspi_ft::gaspi::{GaspiConfig, GaspiWorld, Timeout};
+use gaspi_ft::gaspi::{GaspiConfig, GaspiProc, GaspiWorld, Timeout};
+
+/// The paper's `glo_health_chk` (Listing 1): ping every rank in `targets`
+/// and return those whose ping errored, in ascending rank order. With
+/// `threads > 1` the targets are partitioned across scoped ping threads —
+/// the paper's threaded FD. (The production detector posts the whole scan
+/// as one batch instead: `core::detector::glo_health_chk_graced`.)
+fn glo_health_chk(
+    proc: &GaspiProc,
+    targets: &[Rank],
+    ping_timeout: Timeout,
+    threads: usize,
+) -> Vec<Rank> {
+    let scan = |p: &GaspiProc, part: &[Rank]| -> Vec<Rank> {
+        part.iter().copied().filter(|&r| p.proc_ping(r, ping_timeout).is_err()).collect()
+    };
+    if threads <= 1 || targets.len() <= 1 {
+        return scan(proc, targets);
+    }
+    let chunk = targets.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = targets
+            .chunks(chunk)
+            .map(|part| {
+                let p = proc.clone();
+                s.spawn(move || scan(&p, part))
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("ping thread")).collect()
+    })
+}
 
 fn main() {
     let n: u32 = 16;

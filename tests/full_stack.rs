@@ -42,7 +42,6 @@ fn lanczos_survives_node_failure_with_colocated_ranks() {
     let cfg = FtConfig::builder(layout)
         .max_iters(400)
         .checkpoint_every(50)
-        .detector(ft_core::DetectorConfig { threads: 4, ..Default::default() })
         .abandon(Duration::from_secs(30))
         .build()
         .unwrap();

@@ -22,7 +22,6 @@ fn fig4_scenario_produces_schema_complete_json_report() {
         health_check: true,
         checkpointing: true,
         kills: Kills::AtIterations(vec![(1, 45)]),
-        fd_threads: 1,
     };
     let result = run_scenario(&w, &sc);
     assert!(result.consistent, "the scenario must complete consistently");
