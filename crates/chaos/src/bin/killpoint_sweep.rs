@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         eprintln!("VIOLATION: {v}");
     }
 
-    let out = ft_telemetry::telemetry_dir();
+    let out = ft_chaos::telemetry_dir();
     let path = out.join("killpoint-sweep.json");
     match std::fs::create_dir_all(&out)
         .and_then(|()| std::fs::write(&path, report.to_json().render()))

@@ -44,11 +44,10 @@ use std::time::{Duration, Instant};
 
 use ft_chaos::{
     classify_process, maybe_run_child, process_partition_sweep, process_smoke_sweep, run_process,
-    run_with_schedule, RunClass, SweepConfig,
+    run_with_schedule, Json, RunClass, SweepConfig,
 };
 use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::ProcOutcome;
-use ft_telemetry::Json;
 
 /// Schema identifier of the process-sweep report document.
 const SCHEMA: &str = "gaspi-ft/process-sweep/v1";
@@ -228,7 +227,7 @@ fn smoke(cfg: &SweepConfig) -> ExitCode {
         ("partitions", Json::Arr(partition_rows)),
         ("elapsed_s", Json::Num(t0.elapsed().as_secs_f64())),
     ]);
-    let out = ft_telemetry::telemetry_dir();
+    let out = ft_chaos::telemetry_dir();
     let path = out.join("process-sweep.json");
     match std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&path, doc.render())) {
         Ok(()) => println!("report written to {}", path.display()),

@@ -1,5 +1,5 @@
-//! A minimal, dependency-free JSON value: enough to emit the telemetry
-//! report and to parse it back in schema tests. Object member order is
+//! A minimal, dependency-free JSON value: enough to emit the sweep
+//! reports and to parse them back in schema tests. Object member order is
 //! preserved (members are a `Vec`, not a map), so reports render
 //! deterministically.
 

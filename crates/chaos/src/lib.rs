@@ -29,11 +29,13 @@
 #![warn(missing_docs)]
 
 pub mod app;
+pub mod json;
 pub mod process;
 pub mod report;
 pub mod sweep;
 
 pub use app::SweepApp;
+pub use json::Json;
 pub use process::{
     classify_process, maybe_run_child, process_partition_sweep, process_smoke_sweep, run_process,
     select_triples, sweep_gaspi_config, ExcludeReason, PartitionOutcome, SmokeOutcome, SmokeSweep,
@@ -44,3 +46,26 @@ pub use sweep::{
     exhaustive_sweep, pair_scenarios, pair_sweep, replay_triple, run_with, run_with_schedule,
     triple_is_early, verdict_of, JobRun, PairScenario, RunClass, SweepConfig, Verdict,
 };
+
+/// Where the sweep binaries leave their machine-readable reports: the
+/// workspace-level `target/telemetry/` directory (`CARGO_TARGET_DIR` when
+/// set), independent of the process working directory, so CI finds the
+/// artifacts at one path however the binary was launched.
+pub fn telemetry_dir() -> std::path::PathBuf {
+    use std::path::PathBuf;
+    let target = std::env::var_os("CARGO_TARGET_DIR").map_or_else(
+        || PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")),
+        PathBuf::from,
+    );
+    target.join("telemetry")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn telemetry_dir_is_absolute_workspace_target() {
+        let d = super::telemetry_dir();
+        assert!(d.is_absolute() || std::env::var_os("CARGO_TARGET_DIR").is_some());
+        assert!(d.ends_with("target/telemetry"));
+    }
+}

@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use ft_cluster::{InjectOp, Injection, Rank};
-use ft_telemetry::Json;
 
+use crate::json::Json;
 use crate::sweep::{RunClass, SweepConfig};
 
 /// Schema identifier of the report document.

@@ -11,10 +11,9 @@
 use std::time::Duration;
 
 use ft_chaos::{
-    exhaustive_sweep, pair_sweep, replay_triple, run_with, triple_is_early, verdict_of, RunClass,
-    SweepConfig, Verdict, SCHEMA,
+    exhaustive_sweep, pair_sweep, replay_triple, run_with, triple_is_early, verdict_of, Json,
+    RunClass, SweepConfig, Verdict, SCHEMA,
 };
-use ft_telemetry::Json;
 
 #[test]
 fn exhaustive_sweep_covers_the_world_and_holds_the_contract() {

@@ -7,8 +7,7 @@
 //! ring from the same list (the map is a pure function of the failed set).
 //!
 //! The replication traffic this ring routes is counted by the writer's
-//! [`crate::CkptStats`] (`neighbor_copies` / `copy_failures`), which the
-//! telemetry layer folds into the per-run report.
+//! [`crate::CkptStats`] (`neighbor_copies` / `copy_failures`).
 
 use std::collections::HashSet;
 

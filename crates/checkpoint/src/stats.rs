@@ -4,8 +4,8 @@
 //! chunks, neighbor copies, PFS spills, restores by provenance); a
 //! [`CkptStats`] is the point-in-time readout. The struct is plain `Copy`
 //! data so application summaries can carry it out of a rank thread and a
-//! harness can [`CkptStats::merge`] the per-rank values into a job-wide
-//! total — the checkpoint rows of the telemetry report.
+//! caller can [`CkptStats::merge`] the per-rank values into a job-wide
+//! total.
 //!
 //! Byte accounting of the incremental pipeline: `bytes_local` stays the
 //! *logical* full-image size of every commit (what the legacy pipeline
@@ -95,8 +95,7 @@ impl CkptStats {
     }
 
     /// Counter deltas `self - earlier` (saturating), mirroring
-    /// `MetricsSnapshot::since` in the cluster crate so telemetry can
-    /// diff all counter families uniformly.
+    /// `MetricsSnapshot::since` in the cluster crate.
     pub fn since(&self, earlier: &CkptStats) -> CkptStats {
         CkptStats {
             local_writes: self.local_writes.saturating_sub(earlier.local_writes),

@@ -396,13 +396,10 @@ impl Inner {
     }
 }
 
-/// Default shard count for [`SimTransport::start`]: `FT_NET_SHARDS` if
-/// set, else the machine's available parallelism, clamped to `1..=8`
-/// (past ~8 shards the fault-plane reads dominate, not the wheel locks).
+/// Default shard count for [`SimTransport::start`]: the machine's
+/// available parallelism, clamped to `1..=8` (past ~8 shards the
+/// fault-plane reads dominate, not the wheel locks).
 pub fn default_shards() -> usize {
-    if let Some(n) = std::env::var("FT_NET_SHARDS").ok().and_then(|s| s.parse::<usize>().ok()) {
-        return n.clamp(1, 64);
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 8)
 }
 

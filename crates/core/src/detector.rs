@@ -11,8 +11,7 @@
 //! There is one scan path, [`glo_health_chk_graced`]: all pings of a scan
 //! go out as one batch, so simultaneous failures are detected at the cost
 //! of a single one (the result the paper gets from a threaded FD). The
-//! paper's sequential per-ping loop lives on only as the Table I exhibit
-//! in `ft-bench`.
+//! paper's sequential per-ping loop lives on only in `examples/fd_demo.rs`.
 
 use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -81,10 +80,8 @@ pub struct FdRecovery {
 
 /// What the detector did over its lifetime.
 ///
-/// The same scan and recovery instants are also recorded into the job's
-/// [`EventLog`] (as `FdScan` / `FdDetect` / `FdAck` events), which is
-/// what `ft-telemetry`'s reporter reconstructs Table I's scan statistics
-/// and the OHF1 detection times from.
+/// The recovery instants are also recorded into the job's [`EventLog`]
+/// (as `FdDetect` / `FdAck` events).
 #[derive(Debug, Clone, Default)]
 pub struct DetectorOutcome {
     /// Total scans performed.
@@ -298,14 +295,6 @@ pub fn run_detector_from(
         newly.sort_unstable();
         let dur = t0.elapsed();
         out.scans += 1;
-        events.record(
-            me,
-            EventKind::FdScan {
-                dur,
-                targets: targets.len() as u32,
-                found_failures: !newly.is_empty(),
-            },
-        );
         if newly.is_empty() {
             out.scan_times.push(dur);
         } else {

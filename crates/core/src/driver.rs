@@ -465,9 +465,8 @@ pub struct RankReport<S> {
 
 /// Whole-job result.
 ///
-/// The `events` log is the raw material for the paper's evaluation: feed
-/// it to `ft-telemetry`'s `OverheadReport` to decompose the run into
-/// computation, redo-work, re-initialization and fault-detection time.
+/// The `events` log timestamps every recovery stage (kill, detection,
+/// acknowledgment, restore, redo) of the run.
 pub struct JobReport<S> {
     /// Per-rank outcomes (killed ranks appear as
     /// [`RankOutcome::Killed`]).

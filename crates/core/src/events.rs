@@ -30,15 +30,6 @@ pub enum EventKind {
         /// Iteration at which the kill fired.
         iter: u64,
     },
-    /// The FD completed one ping scan over `targets` ranks.
-    FdScan {
-        /// Scan duration.
-        dur: Duration,
-        /// Ranks pinged.
-        targets: u32,
-        /// Whether new failures were found in this scan.
-        found_failures: bool,
-    },
     /// The FD observed new failures (start of OHF1 accounting).
     FdDetect {
         /// New epoch.
@@ -148,10 +139,6 @@ pub struct Event {
 ///     .expect("recorded above");
 /// assert_eq!(done.rank, 0);
 /// ```
-///
-/// The benchmark harnesses no longer walk this log by hand; the
-/// `ft-telemetry` crate's `OverheadReport` consumes a snapshot and
-/// produces the paper's overhead decomposition from it.
 #[derive(Clone)]
 pub struct EventLog {
     t0: Instant,

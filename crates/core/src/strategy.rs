@@ -5,8 +5,8 @@
 //! to the newest version everyone can fetch, then redo the lost work.
 //! That model used to be hardwired into the driver; this module turns the
 //! recovery seam into a first-class API so three models can be compared
-//! head-to-head under the same detector, group-reconstruction and
-//! telemetry machinery:
+//! head-to-head under the same detector and group-reconstruction
+//! machinery:
 //!
 //! | Strategy | steady-state cost | failure cost |
 //! |---|---|---|

@@ -163,11 +163,8 @@ impl GaspiProc {
     pub fn barrier(&self, group: crate::Group, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.barrier");
-        let (members, seq, resumed) =
+        let (members, seq) =
             self.shared().groups.collective_ticket(group.0, crate::group::CollKind::Barrier)?;
-        if resumed {
-            self.world().metrics.count_resume(crate::group::CollKind::Barrier);
-        }
         self.shared().coll.purge_group_below(group.0, seq);
         let n = members.len();
         let i = members
@@ -264,10 +261,7 @@ impl GaspiProc {
         if input.len() > ALLREDUCE_MAX_ELEMS {
             return Err(GaspiError::InvalidArg("allreduce buffer exceeds 255 elements"));
         }
-        let (members, seq, resumed) = self.shared().groups.collective_ticket(group.0, kind)?;
-        if resumed {
-            self.world().metrics.count_resume(kind);
-        }
+        let (members, seq) = self.shared().groups.collective_ticket(group.0, kind)?;
         self.shared().coll.purge_group_below(group.0, seq);
         let n = members.len();
         let i = members

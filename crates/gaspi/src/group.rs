@@ -106,30 +106,25 @@ impl GroupRegistry {
     }
 
     /// Members of a *committed* group plus the sequence number for the
-    /// next collective of `kind`, and whether this call *resumes* an
-    /// interrupted collective. If a collective of the same kind was
+    /// next collective of `kind`. If a collective of the same kind was
     /// interrupted by a timeout, its sequence number is *reused* so the
     /// call resumes instead of desynchronizing the group; a different
     /// pending kind is an API misuse and errors.
-    pub fn collective_ticket(
-        &self,
-        id: u64,
-        kind: CollKind,
-    ) -> GaspiResult<(Vec<Rank>, u64, bool)> {
+    pub fn collective_ticket(&self, id: u64, kind: CollKind) -> GaspiResult<(Vec<Rank>, u64)> {
         let mut m = self.map.lock();
         let st = m.get_mut(&id).ok_or(GaspiError::Group { what: "group id not found" })?;
         if !st.committed {
             return Err(GaspiError::Group { what: "group not committed" });
         }
         match st.pending {
-            Some((k, seq)) if k == kind => Ok((st.members.clone(), seq, true)),
+            Some((k, seq)) if k == kind => Ok((st.members.clone(), seq)),
             Some(_) => {
                 Err(GaspiError::Group { what: "a different collective is pending on this group" })
             }
             None => {
                 st.coll_seq += 1;
                 st.pending = Some((kind, st.coll_seq));
-                Ok((st.members.clone(), st.coll_seq, false))
+                Ok((st.members.clone(), st.coll_seq))
             }
         }
     }
@@ -261,7 +256,6 @@ impl GaspiProc {
         }
         self.injection_site("gaspi.group.commit.done");
         self.shared().groups.mark_committed(group.0)?;
-        self.world().metrics.count_group_commit();
         Ok(())
     }
 }

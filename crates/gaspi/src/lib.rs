@@ -38,7 +38,6 @@
 pub mod bytes;
 pub mod config;
 pub mod error;
-pub mod metrics;
 pub mod proc;
 pub mod runtime;
 pub mod segment;
@@ -54,7 +53,6 @@ pub use config::GaspiConfig;
 pub use endpoint::CKPT_QUEUE_BASE;
 pub use error::{GaspiError, GaspiResult, ProcState, Timeout};
 pub use group::{Group, EXPLICIT_ID_BASE};
-pub use metrics::{GaspiMetrics, GaspiSnapshot};
 pub use proc::GaspiProc;
 pub use runtime::{CkptHandler, GaspiWorld, JobHandle, RankOutcome};
 pub use segment::{NotificationId, SegId};

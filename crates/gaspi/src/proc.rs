@@ -282,7 +282,6 @@ impl GaspiProc {
         if value == 0 {
             return Err(GaspiError::InvalidArg("notification value must be non-zero"));
         }
-        self.world.metrics.count_notification();
         self.post_put(dst, rseg, 0, Vec::new(), Some((nid, value)), queue);
         Ok(())
     }
@@ -312,7 +311,6 @@ impl GaspiProc {
             return Err(GaspiError::InvalidArg("notification value must be non-zero"));
         }
         let data = self.shared().segments.require(lseg)?.read_at(loff, len)?;
-        self.world.metrics.count_notification();
         self.post_put(dst, rseg, roff, data, Some((nid, value)), queue);
         Ok(())
     }
@@ -415,9 +413,7 @@ impl GaspiProc {
         let q = &self.shared().queues[queue as usize];
         let target = q.posted();
         if !q.drained_to(target) {
-            let t0 = Instant::now();
             self.poll(timeout, || q.drained_to(target).then_some(Ok(())))?;
-            self.world.metrics.count_queue_flush(t0.elapsed());
         }
         let failures = q.take_failures();
         if failures.is_empty() {

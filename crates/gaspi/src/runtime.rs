@@ -17,7 +17,6 @@ use crate::config::GaspiConfig;
 use crate::endpoint::GaspiEndpoint;
 use crate::error::{GaspiError, GaspiResult};
 use crate::group::GroupRegistry;
-use crate::metrics::GaspiMetrics;
 use crate::proc::GaspiProc;
 use crate::queue::Queue;
 use crate::segment::SegmentTable;
@@ -67,7 +66,6 @@ pub(crate) struct WorldInner {
     pub transport: Arc<dyn Transport>,
     pub ranks: Vec<Arc<RankShared>>,
     pub storage: Arc<NodeStorage>,
-    pub metrics: Arc<GaspiMetrics>,
     /// Slot for the checkpoint library's service handler (see
     /// [`CkptHandler`]). One per world: the handler receives the target
     /// rank and dispatches on it.
@@ -137,7 +135,6 @@ impl GaspiWorld {
             transport: Arc::clone(&transport),
             ranks,
             storage,
-            metrics: Arc::new(GaspiMetrics::default()),
             ckpt_handler: Mutex::new(None),
         });
         // Wire the receiving side of the seam: one endpoint per locally
@@ -189,13 +186,6 @@ impl GaspiWorld {
     /// copies).
     pub fn transport(&self) -> Arc<dyn Transport> {
         Arc::clone(&self.inner.transport)
-    }
-
-    /// GASPI-layer operation counters, shared by all ranks of this world
-    /// (see [`GaspiMetrics`]). Transport-level counters live on
-    /// [`GaspiWorld::transport`]'s `metrics()`.
-    pub fn gaspi_metrics(&self) -> Arc<GaspiMetrics> {
-        Arc::clone(&self.inner.metrics)
     }
 
     /// The rank→node placement.

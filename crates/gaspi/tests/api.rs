@@ -119,9 +119,17 @@ fn barrier_times_out_when_member_dead() {
     let outs = world
         .launch(|p| {
             let g = setup_world(&p, 8)?;
+            // The victim dies only once both peers have left `setup_world`:
+            // dying while one is still inside its closing barrier would
+            // strand that peer until the helper's 60 s timeout.
             if p.rank() == 2 {
+                for _ in 0..2 {
+                    let nid = p.notify_waitsome(SEG, 0, 2, Timeout::Ms(60_000))?;
+                    p.notify_reset(SEG, nid)?;
+                }
                 p.exit_failure();
             }
+            p.notify(2, SEG, p.rank(), 1, Q)?;
             // Give the victim a moment to die, then barrier: must not hang.
             std::thread::sleep(Duration::from_millis(20));
             match p.barrier(g, Timeout::Ms(300)) {

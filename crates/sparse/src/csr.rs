@@ -4,7 +4,7 @@
 //! row's terms in ascending column order into a private accumulator, so a
 //! product is bitwise reproducible run to run. There is no threaded,
 //! blocked, vectorized or SELL-C-σ variant: none beat this loop on any
-//! shape the benchmark runs (ARCHITECTURE.md §9 has the table).
+//! shape the benchmark runs (ARCHITECTURE.md §8 has the table).
 
 /// CSR matrix over a local index space. Column indices address either the
 /// local vector chunk or the halo buffer, depending on which of the two

@@ -44,8 +44,7 @@ use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId};
 use crate::plan::CommPlan;
 
 /// Point-in-time halo-exchange counters for one rank, carried out of the
-/// rank thread by application summaries and merged into the job-wide
-/// telemetry report (the `spmv_overlap` family).
+/// rank thread by application summaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HaloStats {
     /// Completed halo exchanges (one per spMVM iteration).

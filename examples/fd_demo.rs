@@ -1,16 +1,14 @@
 //! Fault-detection mechanics, in isolation.
 //!
-//! Shows the three detector designs the paper discusses (§IV-A):
-//! the dedicated FD process with one-sided pings (chosen), the
-//! ping-based all-to-all, and the neighbor-level ring (both rejected),
-//! plus the false-positive case where a *network* failure makes a healthy
+//! Shows the detector design the paper chose (§IV-A) — a dedicated FD
+//! process scanning with one-sided pings, sequentially and threaded — and
+//! the false-positive case where a *network* failure makes a healthy
 //! process look dead.
 //!
 //! Run: `cargo run --example fd_demo`
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ft_bench::baselines::{AllToAllDetector, InlineDetector, NeighborRingDetector};
 use gaspi_ft::cluster::Rank;
 use gaspi_ft::gaspi::{GaspiConfig, GaspiProc, GaspiWorld, Timeout};
 
@@ -92,23 +90,4 @@ fn main() {
     println!(
         "proc_kill(5) from a worker enforced death — the false positive cannot corrupt the program"
     );
-
-    // ---- the rejected alternatives ------------------------------------
-    let peers: Vec<Rank> = (1..n - 1).collect();
-    let mut a2a = AllToAllDetector::new(peers.clone(), Duration::ZERO, Timeout::Ms(300));
-    let mut found = a2a.tick(&w0);
-    found.sort_unstable();
-    println!(
-        "\nall-to-all from a *worker*: {found:?} in {:?} — this time is stolen from computation",
-        a2a.time_spent()
-    );
-    let mut ring = NeighborRingDetector::new(0, peers, Duration::ZERO, Timeout::Ms(300));
-    let mut found = ring.tick(&w0);
-    found.sort_unstable();
-    println!(
-        "neighbor-ring from rank 0: {found:?} (escalations: {}) in {:?}",
-        ring.escalations,
-        ring.time_spent()
-    );
-    println!("\nthe dedicated FD costs the workers nothing — that is the paper's design point");
 }
