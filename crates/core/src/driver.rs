@@ -340,6 +340,12 @@ impl FtCtx {
         self.watch.allreduce_u64_ft(self.group(), input, op)
     }
 
+    /// Fault-tolerant personalised all-to-all on the current worker group
+    /// (`out` indexed by group member, see [`GaspiProc::alltoall`]).
+    pub fn alltoall_ft(&self, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
+        self.watch.alltoall_ft(self.group(), out)
+    }
+
     /// Fault-tolerant queue wait.
     pub fn wait_ft(&self, queue: u16) -> FtResult<()> {
         self.watch.wait_ft(queue)
@@ -1012,15 +1018,22 @@ fn worker_run<A: FtApp>(
     let summary = app.finalize(ctx)?;
     // Tell the FD the application is done (app rank 0 speaks for the
     // group, if a detector is still standing — the *current* one, which
-    // may be the shadow after a takeover).
+    // may be the shadow after a takeover). A standing shadow is told as
+    // well: if the primary dies before this rank has seen the takeover
+    // plan, the signal above went to a dead rank, and the shadow finds the
+    // word on its own control segment the moment it takes over.
     let plan = ctx.plan();
     if ctx.app_rank() == 0 && plan.fd_alive {
-        let _ = ack::signal_done(
-            &ctx.proc,
-            plan.current_fd(&ctx.layout),
-            ctx.cfg.detector.ack_queue,
-            ctx.cfg.detector.ack_timeout,
-        );
+        let fd = plan.current_fd(&ctx.layout);
+        let shadow = ctx.cfg.shadow_rank().filter(|s| *s != fd && !plan.failed.contains(s));
+        for target in std::iter::once(fd).chain(shadow) {
+            let _ = ack::signal_done(
+                &ctx.proc,
+                target,
+                ctx.cfg.detector.ack_queue,
+                ctx.cfg.detector.ack_timeout,
+            );
+        }
     }
     Ok(summary)
 }

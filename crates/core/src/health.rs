@@ -239,6 +239,11 @@ impl HealthWatch {
     ) -> FtResult<Vec<u64>> {
         self.retry(|| self.proc.allreduce_u64(group, input, op, self.policy.attempt))
     }
+
+    /// Fault-tolerant personalised all-to-all on `group`.
+    pub fn alltoall_ft(&self, group: Group, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
+        self.retry(|| self.proc.alltoall(group, out, self.policy.attempt))
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ pub mod plan;
 pub mod process;
 pub mod recovery;
 pub mod strategy;
+pub mod stripe;
 
 pub use detector::DetectorConfig;
 pub use driver::{

@@ -11,15 +11,16 @@
 //! | Strategy | steady-state cost | failure cost |
 //! |---|---|---|
 //! | [`CheckpointRestart`] | one commit per interval | rollback + redo of the lost interval |
-//! | [`Abft`] | one XOR-parity allreduce per step | one parity allreduce; **no rollback, no redo** |
+//! | [`Abft`] | one striped exchange per step; parity stripe `B/(n−1)` per rank | a vote and two exchange hops; **no rollback, no redo** |
 //! | [`Replicated`] | one replica push per step | fetch one blob from the mirror stream; no redo |
 //!
 //! [`Abft`] follows the algorithm-based fault-tolerance line of Bosilca
-//! et al. (arXiv:0806.3121): each completed iteration the group XORs the
-//! bit patterns of everyone's encoded state into a parity block that every
-//! member keeps. After a single failure the survivors XOR their saved
-//! blocks with the parity — the result *is* the failed rank's state,
-//! bit-exact, because XOR is order-independent (no reduction-order
+//! et al. (arXiv:0806.3121): each completed iteration every rank deals one
+//! stripe of its encoded state to every peer and XORs the stripes it is
+//! dealt into the one parity stripe it owns ([`crate::stripe`]). After a
+//! single failure each survivor XORs its parity stripe with the other
+//! survivors' stripes — the result *is* a stripe of the failed rank's
+//! state, bit-exact, because XOR is order-independent (no reduction-order
 //! rounding). [`Replicated`] approximates replication-based FT (FTHP-MPI,
 //! arXiv:2504.09989): state is pushed to a hot-standby mirror stream every
 //! step and a *designated shadow* spare adopts a failed rank without a
@@ -37,12 +38,13 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
-use ft_gaspi::{ReduceOp, ALLREDUCE_MAX_ELEMS};
+use ft_gaspi::ReduceOp;
 
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
 use crate::events::EventKind;
 use crate::plan::RecoveryPlan;
+use crate::stripe;
 
 /// What a strategy decided after a recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,28 +184,33 @@ impl<A: FtApp> RecoveryStrategy<A> for CheckpointRestart {
 }
 
 // ---------------------------------------------------------------------
-// ABFT: XOR-parity checksum encoding
+// ABFT: striped XOR-parity checksum encoding
 // ---------------------------------------------------------------------
 
-/// One encoded generation: this rank's padded state block and the group
-/// parity, both `len` `u64` words.
+/// One encoded generation: this rank's exported state and the parity
+/// stripe it owns over its peers' states (see [`crate::stripe`]).
 #[derive(Debug)]
 struct Generation {
     iter: u64,
-    block: Vec<u64>,
-    parity: Vec<u64>,
+    block: Vec<u8>,
+    parity: Vec<u8>,
 }
 
-/// Checksum-encoded recovery: every step the group XOR-reduces the bit
-/// patterns of everyone's encoded state into a parity block; a single
-/// lost rank's state is reconstructed from the survivors' blocks and the
-/// parity — bit-exact, with no rollback and no redo.
+/// Checksum-encoded recovery: every step each rank deals one stripe of
+/// its exported state to every peer and XORs the stripes it is dealt into
+/// the parity stripe it owns — one all-to-all, `B / (n − 1)` bytes of
+/// parity per rank for a `B`-byte state. A single lost rank's state is
+/// reconstructed from the survivors' blocks and parity stripes — bit-exact,
+/// with no rollback and no redo — and the rescue leaves `restore` holding
+/// both the block and the parity stripe of the rank it replaces, so the
+/// code is whole again before the next step.
 ///
-/// Two generations are kept: the parity allreduce inside `prepare` is a
-/// synchronization point, so survivors can only ever straddle *adjacent*
-/// generations and the group minimum is always in everyone's window.
-/// More than one simultaneous failure exceeds the single-erasure code and
-/// degrades to a collective fresh start (still correct, just slower).
+/// Two generations are kept: a rank leaves the exchange inside `prepare`
+/// only after every peer has entered it, so survivors can only ever
+/// straddle *adjacent* generations and the group minimum is always in
+/// everyone's window. More than one simultaneous failure exceeds the
+/// single-erasure code and degrades to a collective fresh start (still
+/// correct, just slower).
 #[derive(Debug, Default)]
 pub struct Abft {
     history: VecDeque<Generation>,
@@ -214,46 +221,35 @@ impl Abft {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn generation(&self, iter: u64) -> Option<&Generation> {
-        self.history.iter().find(|g| g.iter == iter)
-    }
 }
 
-/// Pack a state blob into XOR-able `u64` words: `[byte_len ∥ bytes ∥
-/// zero-pad]`. The length header makes the padded block self-describing,
-/// so reconstruction can recover the exact blob even after padding to the
-/// group-wide maximum.
-fn pack_block(blob: &[u8]) -> Vec<u64> {
-    let mut words = Vec::with_capacity(1 + blob.len().div_ceil(8));
-    words.push(blob.len() as u64);
-    for chunk in blob.chunks(8) {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(b));
+/// A reconstruction input that does not decode (a bug or a corrupt frame,
+/// never a legal failure schedule).
+const UNDECODABLE: FtError = FtError::Unsupported("abft reconstruction");
+
+/// One all-to-all over the worker group addressed by *application* rank:
+/// `out[a]` goes to whoever carries app rank `a`, slot `a` of the result
+/// is what that rank sent here. The stripe geometry is keyed this way
+/// because a rescue's GASPI rank sorts elsewhere in the group than the
+/// rank it replaces.
+fn exchange(ctx: &FtCtx, out: Vec<Vec<u8>>) -> FtResult<Vec<Vec<u8>>> {
+    let members = ctx.proc.group_members(ctx.group())?;
+    // member_of[a]: where app rank `a`'s carrier sits in the group.
+    let member_of = (0..ctx.num_app_ranks())
+        .map(|app| members.binary_search(&ctx.gaspi_of(app)))
+        .collect::<Result<Vec<usize>, _>>()
+        .map_err(|_| FtError::Unsupported("abft worker group"))?;
+    let mut by_member = vec![Vec::new(); members.len()];
+    for (msg, &m) in out.into_iter().zip(&member_of) {
+        by_member[m] = msg;
     }
-    words
+    let mut got = ctx.alltoall_ft(&by_member)?;
+    Ok(member_of.iter().map(|&m| std::mem::take(&mut got[m])).collect())
 }
 
-/// Inverse of [`pack_block`]; `None` when the length header is torn.
-fn unpack_block(words: &[u64]) -> Option<Vec<u8>> {
-    let len = *words.first()? as usize;
-    if len > (words.len() - 1) * 8 {
-        return None;
-    }
-    let mut blob: Vec<u8> = words[1..].iter().flat_map(|w| w.to_le_bytes()).collect();
-    blob.truncate(len);
-    Some(blob)
-}
-
-/// Group XOR-allreduce of an arbitrary-length word block (chunked under
-/// the GASPI 255-element collective cap).
-fn xor_allreduce(ctx: &FtCtx, words: &[u64]) -> FtResult<Vec<u64>> {
-    let mut out = Vec::with_capacity(words.len());
-    for chunk in words.chunks(ALLREDUCE_MAX_ELEMS) {
-        out.extend(ctx.allreduce_u64_ft(chunk, ReduceOp::BitXor)?);
-    }
-    Ok(out)
+/// Every slot of `msgs` but the ones in `skip`.
+fn except<'a>(msgs: &'a [Vec<u8>], skip: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+    msgs.iter().enumerate().filter(|(i, _)| !skip.contains(i)).map(|(_, m)| m.as_slice())
 }
 
 impl<A: FtApp> RecoveryStrategy<A> for Abft {
@@ -262,13 +258,10 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
     }
 
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
-        let blob = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
-        let mut block = pack_block(&blob);
-        // State sizes may differ across ranks; agree on a common padded
-        // width so the parity covers every block end to end.
-        let width = ctx.allreduce_u64_ft(&[block.len() as u64], ReduceOp::Max)?[0] as usize;
-        block.resize(width, 0);
-        let parity = xor_allreduce(ctx, &block)?;
+        let block = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
+        let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
+        let dealt = exchange(ctx, stripe::encode(me, n, iter, &block))?;
+        let parity = stripe::parity(iter, except(&dealt, &[me])).ok_or(UNDECODABLE)?;
         ctx.proc.injection_site("strategy.abft.encode");
         self.history.push_back(Generation { iter, block, parity });
         while self.history.len() > 2 {
@@ -282,82 +275,74 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
     }
 
     fn restore(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<RestoreDecision> {
+        let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
         let adopted = ctx.restore_source() != ctx.proc.rank();
-        // One Min-agreement round carrying two values:
-        //   [0] the generation vote — survivors offer their newest
-        //       encoded generation (+1 so 0 means "nothing"), adopted
-        //       rescues abstain with MAX;
-        //   [1] the designated-parity bid — the lowest surviving app
-        //       rank will fold the parity into its contribution.
-        let newest = self.history.back().map(|g| g.iter);
-        let vote = if adopted { u64::MAX } else { newest.map_or(0, |i| i + 1) };
-        let bid = if adopted || newest.is_none() { u64::MAX } else { u64::from(ctx.app_rank()) };
-        let agreed = ctx.allreduce_u64_ft(&[vote, bid], ReduceOp::Min)?;
-        let (vote, designated) = (agreed[0], agreed[1]);
-        if vote == 0 || vote == u64::MAX || designated == u64::MAX {
+        // The vote, one hop: survivors offer their newest encoded
+        // generation (+1 so 0 means "nothing"), adopted rescues abstain
+        // with MAX — which also tells everyone who needs reconstruction.
+        let vote = match (adopted, self.history.back()) {
+            (true, _) => u64::MAX,
+            (false, Some(g)) => g.iter + 1,
+            (false, None) => 0,
+        };
+        let votes = exchange(ctx, vec![vote.to_le_bytes().to_vec(); n])?
+            .iter()
+            .enumerate()
+            .map(|(a, v)| {
+                if a == me {
+                    return Ok(vote);
+                }
+                v.as_slice().try_into().map(u64::from_le_bytes).map_err(|_| UNDECODABLE)
+            })
+            .collect::<FtResult<Vec<u64>>>()?;
+        let erased: Vec<usize> = (0..n).filter(|&a| votes[a] == u64::MAX).collect();
+        let agreed = votes.iter().copied().filter(|&v| v != u64::MAX).min().unwrap_or(0);
+        // More than one erasure exceeds the parity code; a survivor with
+        // nothing encoded (or no survivor at all) leaves nothing to decode
+        // from. Everyone sees the same votes, so everyone decides alike.
+        if erased.len() > 1 || agreed == 0 {
             self.history.clear();
             app.reset_state(ctx)?;
             return Ok(RestoreDecision::Fresh);
         }
-        let gen = vote - 1;
-        // Second round, now that the generation is fixed: how many ranks
-        // need reconstruction (Sum of adopted flags), and the padded width
-        // of the agreed generation (Max; the rescue abstains with 0 —
-        // every survivor stored the same width, agreed collectively at
-        // that generation's own `prepare`). More than one erasure exceeds
-        // the parity code; zero (an unreplaced failure) means the
-        // survivors just re-align to the agreed generation.
-        let my_width =
-            if adopted { 0 } else { self.generation(gen).map_or(0, |g| g.block.len() as u64) };
-        let missing = ctx.allreduce_u64_ft(&[u64::from(adopted)], ReduceOp::Sum)?[0];
-        let width = ctx.allreduce_u64_ft(&[my_width], ReduceOp::Max)?[0] as usize;
-        if missing > 1 || width == 0 {
-            self.history.clear();
-            app.reset_state(ctx)?;
-            return Ok(RestoreDecision::Fresh);
-        }
+        let gen = agreed - 1;
         // The generation-spread argument (see the type docs): every
         // survivor that voted holds the agreed generation.
-        let own: Option<&Generation> = if adopted {
-            None
-        } else {
-            Some(self.generation(gen).ok_or(FtError::Unsupported("abft generation"))?)
-        };
-        if missing == 1 {
-            // XOR of all survivor blocks and the parity = the lost block;
-            // the rescue contributes zeros and reads its state out of the
-            // reduction result. The designated survivor folds the parity
-            // into its *contribution only* — what it loads afterwards is
-            // its own unmodified block, like every other survivor.
-            let contribution: Vec<u64> = match own {
-                None => vec![0; width],
-                Some(g) if u64::from(ctx.app_rank()) == designated => {
-                    let mut c = g.block.clone();
-                    for (b, p) in c.iter_mut().zip(&g.parity) {
-                        *b ^= *p;
-                    }
-                    c
-                }
-                Some(g) => g.block.clone(),
-            };
-            let reconstructed = xor_allreduce(ctx, &contribution)?;
-            let words = match own {
-                None => &reconstructed,
-                Some(g) => &g.block,
-            };
-            let blob = unpack_block(words).ok_or(FtError::Unsupported("abft reconstruction"))?;
-            app.load_state(ctx, &blob)?;
-        } else {
+        let own = self.history.iter().find(|g| g.iter == gen);
+        match (erased.first(), own) {
+            // The rescue posts empties: the first hop hands it the parity
+            // stripe its slot owns, the second the pieces of its block.
+            (Some(&lost), _) if lost == me => {
+                let dealt = exchange(ctx, vec![Vec::new(); n])?;
+                let parity = stripe::parity(gen, except(&dealt, &[me])).ok_or(UNDECODABLE)?;
+                let pieces = exchange(ctx, vec![Vec::new(); n])?;
+                let block = stripe::assemble(me, n, gen, &pieces).ok_or(UNDECODABLE)?;
+                app.load_state(ctx, &block)?;
+                self.history = VecDeque::from([Generation { iter: gen, block, parity }]);
+            }
             // No erasure to decode (the failure was replaced without
-            // adoption, e.g. an FD-only failure): survivors just re-align
-            // to the agreed generation.
-            let g = own.ok_or(FtError::Unsupported("abft generation"))?;
-            let blob = unpack_block(&g.block).ok_or(FtError::Unsupported("abft reconstruction"))?;
-            app.load_state(ctx, &blob)?;
+            // adoption, e.g. a rescue that had already restored):
+            // survivors just re-align to the agreed generation.
+            (None, Some(g)) => {
+                app.load_state(ctx, &g.block)?;
+            }
+            // Survivor, two hops. First everyone deals its stripes of the
+            // agreed generation again: an owner XORs its parity with what
+            // the other survivors dealt it, which leaves the lost rank's
+            // stripe. Then it forwards that one stripe to the rescue.
+            (Some(&lost), Some(g)) => {
+                let dealt = exchange(ctx, stripe::encode(me, n, gen, &g.block))?;
+                let piece = stripe::lost_piece(&g.parity, gen, except(&dealt, &[me, lost]))
+                    .ok_or(UNDECODABLE)?;
+                let mut forward = vec![Vec::new(); n];
+                forward[lost] = piece;
+                exchange(ctx, forward)?;
+                app.load_state(ctx, &g.block)?;
+            }
+            (_, None) => return Err(FtError::Unsupported("abft generation")),
         }
         // Drop generations newer than the agreed one: they are stale
-        // relative to the rolled-to state. The rescue starts empty and
-        // re-syncs at the next prepare.
+        // relative to the rolled-to state.
         self.history.retain(|g| g.iter <= gen);
         Ok(RestoreDecision::Resume { iter: gen })
     }
@@ -477,45 +462,6 @@ impl<A: FtApp> RecoveryStrategy<A> for Replicated {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_packing_round_trips() {
-        for len in [0usize, 1, 7, 8, 9, 64, 65] {
-            let blob: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
-            let mut packed = pack_block(&blob);
-            packed.resize(packed.len() + 5, 0); // group padding
-            assert_eq!(unpack_block(&packed).unwrap(), blob, "len {len}");
-        }
-    }
-
-    #[test]
-    fn torn_length_header_is_rejected() {
-        assert!(unpack_block(&[]).is_none());
-        assert!(unpack_block(&[9, 0]).is_none()); // claims 9 bytes, holds 8
-    }
-
-    #[test]
-    fn xor_parity_reconstructs_the_missing_block() {
-        let blocks: Vec<Vec<u64>> =
-            (0..4u64).map(|r| pack_block(&vec![r as u8 + 1; 24 + r as usize])).collect();
-        let width = blocks.iter().map(Vec::len).max().unwrap();
-        let mut parity = vec![0u64; width];
-        for b in &blocks {
-            for (p, w) in parity.iter_mut().zip(b.iter().chain(std::iter::repeat(&0))) {
-                *p ^= *w;
-            }
-        }
-        // Reconstruct block 2 from the other three + parity.
-        let mut rec = parity.clone();
-        for (r, b) in blocks.iter().enumerate() {
-            if r != 2 {
-                for (x, w) in rec.iter_mut().zip(b.iter().chain(std::iter::repeat(&0))) {
-                    *x ^= *w;
-                }
-            }
-        }
-        assert_eq!(unpack_block(&rec).unwrap(), vec![3u8; 26]);
-    }
 
     #[test]
     fn strategy_kind_names() {

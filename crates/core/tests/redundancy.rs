@@ -5,7 +5,9 @@
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc, Pfs, PfsConfig};
-use ft_cluster::{FaultAction, FaultSchedule};
+use std::sync::{mpsc, Arc};
+
+use ft_cluster::{FaultAction, FaultPlane, FaultSchedule};
 use ft_core::{
     run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, WorldLayout,
 };
@@ -18,6 +20,11 @@ const FETCH: Duration = Duration::from_secs(5);
 /// blob (nothing to reload here).
 struct Acc {
     acc: f64,
+    /// When set, app rank 0 kills the primary FD from `finalize`: after
+    /// the last iteration's collectives, before the driver's done signal.
+    /// (A step-indexed `Injection` can only kill the rank that crosses the
+    /// site, so the app's own hook stands in for one in that window.)
+    primary_dies_at_finalize: Option<Arc<FaultPlane>>,
     ck: Checkpointer,
 }
 
@@ -25,6 +32,7 @@ impl Acc {
     fn new(ctx: &FtCtx) -> Self {
         Self {
             acc: 0.0,
+            primary_dies_at_finalize: None,
             ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
         }
     }
@@ -76,7 +84,11 @@ impl FtApp for Acc {
         Ok(())
     }
 
-    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<f64> {
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<f64> {
+        if let Some(fault) = self.primary_dies_at_finalize.as_ref().filter(|_| ctx.app_rank() == 0)
+        {
+            fault.kill_rank(ctx.layout.fd_rank());
+        }
         Ok(self.acc)
     }
 }
@@ -196,6 +208,46 @@ fn without_redundancy_fd_death_is_fatal_but_bounded() {
         .filter(|r| r.role == Role::Worker && r.error.is_some())
         .count();
     assert!(errs >= 2, "surviving workers must abandon with errors, got {errs}");
+}
+
+#[test]
+fn primary_death_at_job_end_does_not_strand_the_shadow() {
+    // The primary dies after every collective of the job but before app
+    // rank 0 signals completion, so the done signal goes to a dead rank.
+    // The shadow takes over with nobody left to tell it the job is over —
+    // unless app rank 0 told it too. Before that fix the shadow scanned
+    // forever and the job never returned.
+    let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(40)
+        .redundant_fd(true)
+        .abandon(Duration::from_secs(20))
+        .build()
+        .unwrap();
+    let abandon = cfg.policy.abandon;
+    let fault = world.fault();
+    let (tx, rx) = mpsc::channel();
+    let job = std::thread::spawn(move || {
+        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| Acc {
+            primary_dies_at_finalize: Some(Arc::clone(&fault)),
+            ..Acc::new(ctx)
+        });
+        let _ = tx.send(report);
+    });
+    let report = rx
+        .recv_timeout(abandon)
+        .expect("job hung: the shadow took over and never learnt the application was done");
+    job.join().unwrap();
+    assert_eq!(report.killed(), vec![5]);
+    assert_correct(&report, 3, 40);
+    let ev = report.events.snapshot();
+    assert!(
+        ev.iter().any(|e| matches!(e.kind, EventKind::FdTakeover { dead_fd: 5 } if e.rank == 4)),
+        "the shadow must have taken over"
+    );
+    assert!(report.first_error().is_none(), "{:?}", report.first_error());
 }
 
 #[test]

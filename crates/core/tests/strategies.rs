@@ -30,6 +30,15 @@ struct Acc {
     /// instead of its own block — breaks the exactness check instead of
     /// hiding behind group-symmetric state.
     local: f64,
+    /// Rank-local bytes that grow by `3·app + 1` per iteration: block
+    /// lengths differ across ranks, change every generation and are rarely
+    /// a multiple of the stripe count, so a restore path that pads,
+    /// truncates or mis-slices a block breaks the exactness check.
+    trail: Vec<u8>,
+    /// GASPI rank that exits at the end of its first step after a restore
+    /// (see `abft_second_failure_right_after_a_recovery_is_reconstructed`).
+    dies_after_restore: Option<u32>,
+    restored: bool,
     ck: Checkpointer,
 }
 
@@ -38,8 +47,15 @@ impl Acc {
         Self {
             acc: 0.0,
             local: 0.0,
+            trail: Vec::new(),
+            dies_after_restore: None,
+            restored: false,
             ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
         }
+    }
+
+    fn trail_step(app: u32, iter: u64) -> impl Iterator<Item = u8> {
+        std::iter::repeat_n(iter as u8 + 1, 3 * app as usize + 1)
     }
 
     fn expected(workers: u32, iters: u64) -> f64 {
@@ -69,7 +85,11 @@ impl FtApp for Acc {
         // a failure leaves it half-applied, and only a full state reload
         // can make the redo exact.
         self.local += x;
+        self.trail.extend(Self::trail_step(ctx.app_rank(), iter));
         self.acc += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
+        if self.restored && self.dies_after_restore == Some(ctx.proc.rank()) {
+            ctx.proc.exit_failure();
+        }
         Ok(false)
     }
 
@@ -79,7 +99,7 @@ impl FtApp for Acc {
 
     fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
         let mut e = Enc::new();
-        e.u64(iter).f64(self.acc).f64(self.local);
+        e.u64(iter).f64(self.acc).f64(self.local).bytes(&self.trail);
         Ok(Some(e.finish()))
     }
 
@@ -88,12 +108,15 @@ impl FtApp for Acc {
         let iter = d.u64()?;
         self.acc = d.f64()?;
         self.local = d.f64()?;
+        self.trail = d.bytes()?;
+        self.restored = true;
         Ok(iter)
     }
 
     fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
         self.acc = 0.0;
         self.local = 0.0;
+        self.trail.clear();
         Ok(())
     }
 
@@ -102,7 +125,11 @@ impl FtApp for Acc {
         Ok(())
     }
 
-    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<(f64, f64)> {
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<(f64, f64)> {
+        // A wrong trail panics this rank, which then reports no summary.
+        let app = ctx.app_rank();
+        let want: Vec<u8> = (0..ctx.cfg.max_iters).flat_map(|i| Self::trail_step(app, i)).collect();
+        assert_eq!(self.trail, want, "app rank {app}: trail bytes");
         Ok((self.acc, self.local))
     }
 }
@@ -112,7 +139,17 @@ const SPARES: u32 = 3; // 2 idle rescues + the FD
 const ITERS: u64 = 12;
 
 fn job(strategy: StrategyKind, schedule: FaultSchedule) -> JobReport<(f64, f64)> {
-    let layout = WorldLayout::new(WORKERS, SPARES);
+    job_on(WORKERS, SPARES, strategy, schedule, None)
+}
+
+fn job_on(
+    workers: u32,
+    spares: u32,
+    strategy: StrategyKind,
+    schedule: FaultSchedule,
+    dies_after_restore: Option<u32>,
+) -> JobReport<(f64, f64)> {
+    let layout = WorldLayout::new(workers, spares);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(4)
@@ -121,16 +158,32 @@ fn job(strategy: StrategyKind, schedule: FaultSchedule) -> JobReport<(f64, f64)>
         .strategy(strategy)
         .build()
         .unwrap();
-    run_ft_job(&world, cfg, schedule, Acc::new)
+    run_ft_job(&world, cfg, schedule, move |ctx| Acc { dies_after_restore, ..Acc::new(ctx) })
 }
 
 fn assert_exact(report: &JobReport<(f64, f64)>, label: &str) {
+    assert_exact_on(WORKERS, report, label);
+}
+
+fn assert_exact_on(workers: u32, report: &JobReport<(f64, f64)>, label: &str) {
     let summaries = report.worker_summaries();
-    assert_eq!(summaries.len(), WORKERS as usize, "[{label}] all app ranks must finish");
+    assert_eq!(summaries.len(), workers as usize, "[{label}] all app ranks must finish");
     for (app, (acc, local)) in summaries {
-        assert_eq!(*acc, Acc::expected(WORKERS, ITERS), "[{label}] app rank {app}");
+        assert_eq!(*acc, Acc::expected(workers, ITERS), "[{label}] app rank {app}");
         assert_eq!(*local, Acc::expected_local(app, ITERS), "[{label}] app rank {app} local");
     }
+}
+
+fn restored_iters(report: &JobReport<(f64, f64)>) -> Vec<u64> {
+    report
+        .events
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Restored { iter, .. } => Some(iter),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The shared schedule: rank 1 exits at iteration 6 — two iterations
@@ -176,6 +229,65 @@ fn abft_reconstructs_at_the_frontier_with_zero_redo() {
         restores.iter().all(|&i| i == 6),
         "every member must resume at the frontier, got {restores:?}"
     );
+}
+
+#[test]
+fn abft_reconstructs_every_victim_position_with_zero_redo() {
+    // The stripe geometry is keyed by app rank and every rank owns a
+    // different parity stripe, so each position is its own case: app rank
+    // 0 (which also speaks for the group at job end) and the highest one
+    // included. The rescue's GASPI rank sorts after every survivor's.
+    for victim in 0..WORKERS {
+        let label = format!("abft victim {victim}");
+        let report =
+            job(StrategyKind::Abft, FaultSchedule::none().kill_rank_at_iteration(victim, 6));
+        assert_eq!(report.killed(), vec![victim], "[{label}] the kill must fire");
+        assert_exact(&report, &label);
+        assert!(
+            !report
+                .events
+                .snapshot()
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::RedoComplete { .. })),
+            "[{label}] reconstruction must not redo work"
+        );
+        let restores = restored_iters(&report);
+        assert_eq!(restores.len(), WORKERS as usize, "[{label}] every member restores once");
+        assert!(restores.iter().all(|&i| i == 6), "[{label}] resumed at {restores:?}");
+    }
+}
+
+#[test]
+fn abft_second_failure_right_after_a_recovery_is_reconstructed() {
+    // GASPI rank 1 dies at iteration 6 and is reconstructed; GASPI rank 2
+    // then exits at the end of its first step after that restore — the
+    // first rescue has computed with the group again (so its restore is
+    // complete) but nobody has encoded a new generation yet. The code must
+    // be whole at that point: the first rescue holds its block *and* its
+    // parity stripe of generation 6, so the second loss decodes too.
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 6);
+    let report = job_on(WORKERS, SPARES, StrategyKind::Abft, schedule, Some(2));
+    let mut killed = report.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, 2]);
+    assert_exact(&report, "abft-second");
+    let restores = restored_iters(&report);
+    assert_eq!(restores.len(), 2 * WORKERS as usize, "two recoveries, every member: {restores:?}");
+    assert!(
+        restores.iter().all(|&i| i == 6),
+        "both losses must be reconstructed at generation 6, none fresh: {restores:?}"
+    );
+}
+
+#[test]
+fn abft_with_a_single_worker_has_no_peer_to_decode_from() {
+    // n = 1: nothing is encoded, so the lone worker's loss is a fresh
+    // start — decided by the rescue alone, and still exact.
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(0, 6);
+    let report = job_on(1, 2, StrategyKind::Abft, schedule, None);
+    assert_eq!(report.killed(), vec![0]);
+    assert_exact_on(1, &report, "abft-single");
+    assert_eq!(restored_iters(&report), vec![0]);
 }
 
 #[test]

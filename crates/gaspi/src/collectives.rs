@@ -1,8 +1,10 @@
-//! Collective operations: barrier and allreduce over committed groups.
+//! Collective operations: barrier, allreduce and all-to-all over committed
+//! groups.
 //!
-//! Both run as binomial/dissemination token exchanges through the
-//! transport, so their cost scales as `O(log n)` network steps and they
-//! fail exactly like the paper describes: if a member died, tokens stop
+//! Barrier and allreduce run as binomial/dissemination token exchanges
+//! through the transport, so their cost scales as `O(log n)` network steps;
+//! the personalised all-to-all posts `n − 1` tokens and is done after one.
+//! All of them fail exactly like the paper describes: if a member died, tokens stop
 //! arriving and the collective returns `GASPI_TIMEOUT` (or an error when
 //! the transport has already reported the connection broken) — which is
 //! the state the workers sit in until the fault detector's
@@ -13,6 +15,8 @@
 //! bit for bit — asserted by the integration tests.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -31,6 +35,8 @@ const BARRIER_PHASE: u32 = 0x1000_0000;
 const REDUCE_PHASE: u32 = 0x2000_0000;
 /// Phase base for broadcast rounds.
 const BCAST_PHASE: u32 = 0x3000_0000;
+/// Phase tag for all-to-all tokens.
+const ALLTOALL_PHASE: u32 = 0x4000_0000;
 
 /// GASPI caps allreduce buffers at 255 elements.
 pub const ALLREDUCE_MAX_ELEMS: usize = 255;
@@ -87,10 +93,14 @@ impl CollBoard {
     }
 }
 
-/// Set-once error slot shared with delivery actions.
+/// What the delivery actions of one collective call report back: a
+/// set-once error slot and a count of tokens that reached their target.
 #[derive(Default, Clone)]
 pub(crate) struct ErrFlag {
-    inner: std::sync::Arc<Mutex<Option<GaspiError>>>,
+    inner: Arc<Mutex<Option<GaspiError>>>,
+    /// Bumped (`Release`) by the delivery action once the target's board
+    /// holds the token; read (`Acquire`) by the posting rank.
+    delivered: Arc<AtomicUsize>,
 }
 
 impl ErrFlag {
@@ -103,6 +113,10 @@ impl ErrFlag {
 
     pub fn get(&self) -> Option<GaspiError> {
         self.inner.lock().clone()
+    }
+
+    fn delivered(&self) -> usize {
+        self.delivered.load(Ordering::Acquire)
     }
 }
 
@@ -127,7 +141,9 @@ impl GaspiProc {
             msg,
             Box::new(move |out, _reply| {
                 match out {
-                    Outcome::Delivered => {}
+                    Outcome::Delivered => {
+                        err.delivered.fetch_add(1, Ordering::Release);
+                    }
                     Outcome::Broken => err.set(GaspiError::RemoteBroken { rank: dst }),
                     Outcome::Cancelled => err.set(GaspiError::Shutdown),
                 }
@@ -136,22 +152,102 @@ impl GaspiProc {
         );
     }
 
+    /// Poll `ready` until it yields, one of this call's own sends reports
+    /// an error, or the deadline passes.
+    fn poll_coll<T>(
+        &self,
+        err: &ErrFlag,
+        deadline: Option<std::time::Instant>,
+        ready: impl Fn() -> Option<T>,
+    ) -> GaspiResult<T> {
+        let out = self.poll_deadline(deadline, || err.get().map(Err).or_else(|| ready().map(Ok)));
+        if let Err(GaspiError::RemoteBroken { rank }) = &out {
+            self.mark_corrupt(*rank);
+        }
+        out
+    }
+
     fn peek_token(
         &self,
         key: CollKey,
         err: &ErrFlag,
         deadline: Option<std::time::Instant>,
     ) -> GaspiResult<Vec<u8>> {
-        let out = self.poll_deadline(deadline, || {
-            if let Some(e) = err.get() {
-                return Some(Err(e));
+        self.poll_coll(err, deadline, || self.shared().coll.peek(&key))
+    }
+
+    /// The one-hop full exchange behind [`GaspiProc::group_commit`] and
+    /// [`GaspiProc::alltoall`]: post `token(i)` to every other
+    /// `members[i]` under `key`, collect the token each of them posted
+    /// under the same `(group, seq, phase)`, and leave only once the own
+    /// tokens have been delivered too — a message in flight dies with its
+    /// sender, so a member that returned (and may fail the next moment)
+    /// has provably handed every peer its token. Slot `i` of the result is
+    /// what `members[i]` sent; the caller's own slot is empty. Tokens are
+    /// only peeked and re-posting one overwrites it with the same bytes, so
+    /// a call cut short by a timeout is completed by repeating it.
+    pub(crate) fn exchange_all(
+        &self,
+        key: CollKey,
+        members: &[Rank],
+        token: impl Fn(usize) -> Vec<u8>,
+        deadline: Option<std::time::Instant>,
+    ) -> GaspiResult<Vec<Vec<u8>>> {
+        let err = ErrFlag::default();
+        let mut posted = 0;
+        for (i, &m) in members.iter().enumerate() {
+            if m != self.rank() {
+                self.send_coll_token(m, key, token(i), &err);
+                posted += 1;
             }
-            self.shared().coll.peek(&key).map(Ok)
-        });
-        if let Err(GaspiError::RemoteBroken { rank }) = &out {
-            self.mark_corrupt(*rank);
         }
-        out
+        let got = members
+            .iter()
+            .map(|&m| {
+                if m == self.rank() {
+                    return Ok(Vec::new());
+                }
+                self.peek_token(CollKey { from: m, ..key }, &err, deadline)
+            })
+            .collect::<GaspiResult<Vec<_>>>()?;
+        self.poll_coll(&err, deadline, || (err.delivered() == posted).then_some(()))?;
+        Ok(got)
+    }
+
+    /// Personalised all-to-all: `out[i]` is delivered to member `i` of
+    /// `group` (members in ascending rank order, as
+    /// [`GaspiProc::group_members`] lists them; the caller's own slot is
+    /// ignored) and slot `i` of the result is what member `i` sent here.
+    /// Payloads may differ in length and may be empty. Every member posts
+    /// its `n − 1` tokens up front and then collects `n − 1`, so the
+    /// exchange costs one network hop. A member returns only after every
+    /// other member has entered the call *and* holds this member's payload.
+    ///
+    /// Not a GASPI procedure — the specification's collectives stop at the
+    /// 255-element allreduce — but it follows their contract: it returns
+    /// `GASPI_TIMEOUT` while a member is missing and is resumed, under the
+    /// same sequence number, by calling it again with the same `out`.
+    pub fn alltoall(
+        &self,
+        group: crate::Group,
+        out: &[Vec<u8>],
+        timeout: Timeout,
+    ) -> GaspiResult<Vec<Vec<u8>>> {
+        self.check_self();
+        self.injection_site("gaspi.alltoall");
+        let (members, seq) =
+            self.shared().groups.collective_ticket(group.0, crate::group::CollKind::Alltoall)?;
+        self.shared().coll.purge_group_below(group.0, seq);
+        if !members.contains(&self.rank()) {
+            return Err(GaspiError::Group { what: "alltoall on group not containing self" });
+        }
+        if out.len() != members.len() {
+            return Err(GaspiError::InvalidArg("alltoall needs one payload per group member"));
+        }
+        let key = CollKey { group: group.0, seq, phase: ALLTOALL_PHASE, from: self.rank() };
+        let got = self.exchange_all(key, &members, |i| out[i].clone(), timeout.deadline())?;
+        self.shared().groups.finish_collective(group.0, seq);
+        Ok(got)
     }
 
     /// Synchronize all members of `group` (`gaspi_barrier`). Dissemination

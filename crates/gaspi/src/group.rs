@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ft_cluster::Rank;
 
-use crate::collectives::{CollKey, ErrFlag, COMMIT_PHASE};
+use crate::collectives::{CollKey, COMMIT_PHASE};
 use crate::error::{GaspiError, GaspiResult, Timeout};
 use crate::proc::GaspiProc;
 
@@ -47,6 +47,7 @@ pub(crate) enum CollKind {
     Barrier,
     AllreduceF64,
     AllreduceU64,
+    Alltoall,
 }
 
 /// Per-process group table.
@@ -229,33 +230,55 @@ impl GaspiProc {
             return Err(GaspiError::Group { what: "commit on group not containing self" });
         }
         let fp = members_fingerprint(&members);
-        let err = ErrFlag::default();
-        for &m in &members {
+        let tokens = self.exchange_all(
+            CollKey { group: group.0, seq: 0, phase: COMMIT_PHASE, from: self.rank() },
+            &members,
+            |_| fp.to_le_bytes().to_vec(),
+            timeout.deadline(),
+        )?;
+        for (&m, token) in members.iter().zip(&tokens) {
             if m == self.rank() {
                 continue;
             }
-            let key = CollKey { group: group.0, seq: 0, phase: COMMIT_PHASE, from: self.rank() };
-            self.send_coll_token(m, key, fp.to_le_bytes().to_vec(), &err);
-        }
-        let deadline = timeout.deadline();
-        for &m in &members {
-            if m == self.rank() {
-                continue;
-            }
-            let key = CollKey { group: group.0, seq: 0, phase: COMMIT_PHASE, from: m };
-            let data = self.poll_deadline(deadline, || {
-                if let Some(e) = err.get() {
-                    return Some(Err(e));
-                }
-                self.shared().coll.peek(&key).map(Ok)
-            })?;
-            let their_fp = u64::from_le_bytes(data[..8].try_into().unwrap());
-            if their_fp != fp {
+            // The token is bytes a peer sent: decode it, never index it.
+            let their_fp: [u8; 8] = token
+                .as_slice()
+                .try_into()
+                .map_err(|_| GaspiError::Group { what: "malformed commit token" })?;
+            if u64::from_le_bytes(their_fp) != fp {
                 return Err(GaspiError::Group { what: "member set mismatch at commit" });
             }
         }
         self.injection_site("gaspi.group.commit.done");
         self.shared().groups.mark_committed(group.0)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GaspiConfig, GaspiWorld};
+
+    #[test]
+    fn short_commit_token_is_an_error_not_a_panic() {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+        let p = world.proc_handle(0);
+        let g = p.group_create_with_id(EXPLICIT_ID_BASE).unwrap();
+        p.group_add(g, 0).unwrap();
+        p.group_add(g, 1).unwrap();
+        // What a corrupt frame from rank 1 would leave on the board.
+        let key = CollKey { group: g.0, seq: 0, phase: COMMIT_PHASE, from: 1 };
+        p.shared().coll.insert(key, vec![1, 2, 3]);
+        assert_eq!(
+            p.group_commit(g, Timeout::Ms(1000)),
+            Err(GaspiError::Group { what: "malformed commit token" })
+        );
+        // A well-formed token of the wrong member set is still told apart.
+        p.shared().coll.insert(key, 7u64.to_le_bytes().to_vec());
+        assert_eq!(
+            p.group_commit(g, Timeout::Ms(1000)),
+            Err(GaspiError::Group { what: "member set mismatch at commit" })
+        );
     }
 }

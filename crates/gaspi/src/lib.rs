@@ -15,7 +15,9 @@
 //! * **Groups and collectives** — [`GaspiProc::group_create`] /
 //!   `group_add` / `group_commit` / `group_delete`, [`GaspiProc::barrier`],
 //!   [`GaspiProc::allreduce_f64`] — the pieces Listing 2 of the paper uses
-//!   to rebuild the worker group after a failure.
+//!   to rebuild the worker group after a failure — plus
+//!   [`GaspiProc::alltoall`], a one-hop personalised exchange under the
+//!   same timeout/resume contract (not in the specification).
 //! * **Global atomics** ([`GaspiProc::atomic_fetch_add`],
 //!   [`GaspiProc::atomic_compare_swap`]) and **passive communication**
 //!   ([`GaspiProc::passive_send`] / [`GaspiProc::passive_receive`]).
@@ -69,6 +71,6 @@ pub enum ReduceOp {
     Max,
     /// Element-wise bitwise XOR. For `f64` buffers the XOR is applied
     /// to the IEEE-754 bit patterns, making the reduction exact and
-    /// order-independent — the property ABFT parity encoding needs.
+    /// order-independent — the property a parity code needs.
     BitXor,
 }

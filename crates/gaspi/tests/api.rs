@@ -408,3 +408,206 @@ fn threaded_pings_share_one_handle() {
         .join();
     assert!(join_ok(outs).into_iter().all(|ok| ok));
 }
+
+// ---------------------------------------------------------------------
+// alltoall: the personalised one-hop exchange
+// ---------------------------------------------------------------------
+
+/// What `src` sends `dst`: uneven lengths, some of them empty, every byte
+/// naming its sender and receiver.
+fn a2a_payload(src: u32, dst: u32) -> Vec<u8> {
+    let len = (src as usize * 7 + dst as usize * 3) % 5 * 300;
+    (0..len).map(|k| (src as usize * 31 + dst as usize * 17 + k) as u8).collect()
+}
+
+fn a2a_out(p: &GaspiProc) -> Vec<Vec<u8>> {
+    (0..p.num_ranks()).map(|dst| a2a_payload(p.rank(), dst)).collect()
+}
+
+/// Slot `src` must hold exactly what `src` addressed to this rank.
+fn a2a_check(p: &GaspiProc, got: &[Vec<u8>]) {
+    assert_eq!(got.len(), p.num_ranks() as usize);
+    for src in (0..p.num_ranks()).filter(|&s| s != p.rank()) {
+        assert_eq!(got[src as usize], a2a_payload(src, p.rank()), "{src} -> {}", p.rank());
+    }
+    assert!(got[p.rank() as usize].is_empty(), "own slot stays empty");
+}
+
+#[test]
+fn alltoall_delivers_uneven_and_empty_payloads_from_the_right_member() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(5));
+    let outs = world
+        .launch(|p| {
+            let g = setup_world(&p, 8)?;
+            assert!(a2a_out(&p).iter().any(Vec::is_empty), "the pattern must include empties");
+            let got = p.alltoall(g, &a2a_out(&p), Timeout::Ms(5000))?;
+            a2a_check(&p, &got);
+            // One payload per member, no more, no fewer.
+            let short = vec![Vec::new(); 4];
+            assert!(matches!(
+                p.alltoall(g, &short, Timeout::Ms(5000)),
+                Err(GaspiError::InvalidArg(_))
+            ));
+            Ok(())
+        })
+        .join();
+    join_ok(outs);
+}
+
+#[test]
+fn alltoall_timeout_then_resume_loses_and_duplicates_nothing() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let outs = world
+        .launch(|p| {
+            let g = setup_world(&p, 8)?;
+            let out = a2a_out(&p);
+            let mut timeouts = 0u32;
+            if p.rank() == 3 {
+                // Latecomer: everyone else times out first.
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            let got = loop {
+                match p.alltoall(g, &out, Timeout::Ms(5)) {
+                    Ok(got) => break got,
+                    Err(GaspiError::Timeout) => timeouts += 1,
+                    Err(e) => return Err(e),
+                }
+            };
+            a2a_check(&p, &got);
+            // The resumed call reused its sequence number: the *next*
+            // exchange pairs up with everyone's next, not with leftovers
+            // of the first (its payloads are the first's, reversed).
+            let again: Vec<Vec<u8>> =
+                out.iter().map(|m| m.iter().rev().copied().collect()).collect();
+            let got2 = p.alltoall(g, &again, Timeout::Ms(5000))?;
+            for src in (0..p.num_ranks()).filter(|&s| s != p.rank()) {
+                let mut want = a2a_payload(src, p.rank());
+                want.reverse();
+                assert_eq!(got2[src as usize], want);
+            }
+            Ok(timeouts)
+        })
+        .join();
+    let timeouts = join_ok(outs);
+    assert!(timeouts[..3].iter().all(|&t| t >= 1), "early ranks must time out: {timeouts:?}");
+}
+
+#[test]
+fn alltoall_times_out_when_member_dead() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(3));
+    let outs = world
+        .launch(|p| {
+            let g = setup_world(&p, 8)?;
+            // Same choreography as `barrier_times_out_when_member_dead`.
+            if p.rank() == 2 {
+                for _ in 0..2 {
+                    let nid = p.notify_waitsome(SEG, 0, 2, Timeout::Ms(60_000))?;
+                    p.notify_reset(SEG, nid)?;
+                }
+                p.exit_failure();
+            }
+            p.notify(2, SEG, p.rank(), 1, Q)?;
+            std::thread::sleep(Duration::from_millis(20));
+            match p.alltoall(g, &a2a_out(&p), Timeout::Ms(300)) {
+                Err(GaspiError::Timeout) | Err(GaspiError::RemoteBroken { rank: 2 }) => Ok(true),
+                other => panic!("expected Timeout/RemoteBroken, got {other:?}"),
+            }
+        })
+        .join();
+    assert!(outs[2].was_killed(), "{outs:?}");
+    assert!(matches!(outs[0], RankOutcome::Completed(true)), "{outs:?}");
+    assert!(matches!(outs[1], RankOutcome::Completed(true)), "{outs:?}");
+}
+
+#[test]
+fn alltoall_on_a_one_member_group_returns_immediately() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+    let p = world.proc_handle(0);
+    let g = p.group_create_with_id(1 << 32).unwrap();
+    p.group_add(g, 0).unwrap();
+    p.group_commit(g, Timeout::Ms(1000)).unwrap();
+    let got = p.alltoall(g, &[b"ignored".to_vec()], Timeout::Test).unwrap();
+    assert_eq!(got, vec![Vec::<u8>::new()]);
+}
+
+#[test]
+fn alltoall_interleaves_with_barrier_and_allreduce() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let outs = world
+        .launch(|p| {
+            let g = setup_world(&p, 8)?;
+            let t = Timeout::Ms(5000);
+            for round in 0..6u64 {
+                let out: Vec<Vec<u8>> = (0..p.num_ranks())
+                    .map(|dst| vec![round as u8, p.rank() as u8, dst as u8])
+                    .collect();
+                let got = p.alltoall(g, &out, t)?;
+                for src in (0..p.num_ranks()).filter(|&s| s != p.rank()) {
+                    assert_eq!(got[src as usize], [round as u8, src as u8, p.rank() as u8]);
+                }
+                if round % 2 == 0 {
+                    p.barrier(g, t)?;
+                }
+                let sum = p.allreduce_f64(
+                    g,
+                    &[(round * 10 + u64::from(p.rank())) as f64],
+                    ReduceOp::Sum,
+                    t,
+                )?;
+                assert_eq!(sum, [(round * 40 + 6) as f64]);
+            }
+            Ok(())
+        })
+        .join();
+    join_ok(outs);
+}
+
+#[test]
+fn alltoall_crosses_two_loopback_tcp_transports() {
+    use ft_cluster::{FaultPlane, LatencyModel, TcpTransport, Topology, Transport};
+    use std::sync::Arc;
+
+    // One world per rank, each over its own socket transport — the process
+    // backend's shape, hosted on two threads — so group commit and the
+    // exchange go through `OP_COLL` frames on a real wire.
+    let listen = |me| {
+        let fault = FaultPlane::new(Topology::one_per_node(2));
+        let model = LatencyModel::deterministic_fast();
+        (Arc::new(TcpTransport::listen(me, 2, Arc::clone(&fault), model).unwrap()), fault)
+    };
+    let ends = [listen(0), listen(1)];
+    let ports = [ends[0].0.port(), ends[1].0.port()];
+    let worlds: Vec<(GaspiWorld, Arc<TcpTransport>)> = ends
+        .into_iter()
+        .zip(0..)
+        .map(|((tcp, fault), me)| {
+            let transport: Arc<dyn Transport> = Arc::clone(&tcp) as Arc<dyn Transport>;
+            let world =
+                GaspiWorld::with_transport(GaspiConfig::deterministic(2), fault, transport, me);
+            tcp.set_peers(&ports);
+            (world, tcp)
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for (me, (world, _)) in worlds.iter().enumerate() {
+            s.spawn(move || {
+                let out = world.run_local(me as u32, |p| {
+                    let g = p.group_create_with_id(1 << 32)?;
+                    p.group_add(g, 0)?;
+                    p.group_add(g, 1)?;
+                    p.group_commit(g, Timeout::Ms(10_000))?;
+                    let got = p.alltoall(g, &a2a_out(&p), Timeout::Ms(10_000))?;
+                    a2a_check(&p, &got);
+                    // An empty payload is a frame too.
+                    let got = p.alltoall(g, &[Vec::new(), Vec::new()], Timeout::Ms(10_000))?;
+                    assert_eq!(got, vec![Vec::<u8>::new(); 2]);
+                    Ok(())
+                });
+                assert!(matches!(out, RankOutcome::Completed(())), "rank {me}: {out:?}");
+            });
+        }
+    });
+    for (_, tcp) in &worlds {
+        tcp.shutdown();
+    }
+}
