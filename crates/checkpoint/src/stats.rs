@@ -93,33 +93,6 @@ impl CkptStats {
         }
         (self.chunk_bytes + self.manifest_bytes) as f64 / self.bytes_local as f64
     }
-
-    /// Counter deltas `self - earlier` (saturating), mirroring
-    /// `MetricsSnapshot::since` in the cluster crate.
-    pub fn since(&self, earlier: &CkptStats) -> CkptStats {
-        CkptStats {
-            local_writes: self.local_writes.saturating_sub(earlier.local_writes),
-            bytes_local: self.bytes_local.saturating_sub(earlier.bytes_local),
-            full_commits: self.full_commits.saturating_sub(earlier.full_commits),
-            incremental_commits: self
-                .incremental_commits
-                .saturating_sub(earlier.incremental_commits),
-            chunks_written: self.chunks_written.saturating_sub(earlier.chunks_written),
-            chunk_bytes: self.chunk_bytes.saturating_sub(earlier.chunk_bytes),
-            dedup_bytes: self.dedup_bytes.saturating_sub(earlier.dedup_bytes),
-            manifest_bytes: self.manifest_bytes.saturating_sub(earlier.manifest_bytes),
-            neighbor_copies: self.neighbor_copies.saturating_sub(earlier.neighbor_copies),
-            copy_failures: self.copy_failures.saturating_sub(earlier.copy_failures),
-            copy_bytes: self.copy_bytes.saturating_sub(earlier.copy_bytes),
-            pfs_spills: self.pfs_spills.saturating_sub(earlier.pfs_spills),
-            restores_local: self.restores_local.saturating_sub(earlier.restores_local),
-            restores_neighbor: self.restores_neighbor.saturating_sub(earlier.restores_neighbor),
-            restores_pfs: self.restores_pfs.saturating_sub(earlier.restores_pfs),
-            restore_bytes: self.restore_bytes.saturating_sub(earlier.restore_bytes),
-            restore_gaps: self.restore_gaps.saturating_sub(earlier.restore_gaps),
-            checksum_failures: self.checksum_failures.saturating_sub(earlier.checksum_failures),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,16 +130,6 @@ mod tests {
         assert_eq!(a.restore_gaps, 1);
         assert_eq!(a.checksum_failures, 1);
         assert_eq!(a.full_commits + a.incremental_commits, 2);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let a = CkptStats { local_writes: 5, pfs_spills: 1, chunk_bytes: 9, ..Default::default() };
-        let b = CkptStats { local_writes: 3, pfs_spills: 2, chunk_bytes: 4, ..Default::default() };
-        let d = a.since(&b);
-        assert_eq!(d.local_writes, 2);
-        assert_eq!(d.pfs_spills, 0);
-        assert_eq!(d.chunk_bytes, 5);
     }
 
     #[test]

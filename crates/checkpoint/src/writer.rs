@@ -178,8 +178,6 @@ pub struct CheckpointerConfig {
     /// Also spill every k-th version to the PFS as a reconstituted full
     /// image (None = never).
     pub pfs_every: Option<u64>,
-    /// Replicate to the neighbor node (disable only for ablations).
-    pub neighbor_copy: bool,
     /// Chunk size of the incremental pipeline (bytes).
     pub chunk_size: usize,
     /// Write a full (non-incremental) checkpoint whenever
@@ -196,7 +194,6 @@ impl CheckpointerConfig {
             tag,
             keep_versions: 2,
             pfs_every: None,
-            neighbor_copy: true,
             chunk_size: DEFAULT_CHUNK_SIZE,
             full_every: 8,
         }
@@ -244,12 +241,6 @@ impl CheckpointerConfigBuilder {
     /// Spill every k-th version to the PFS.
     pub fn pfs_every(mut self, k: u64) -> Self {
         self.cfg.pfs_every = Some(k);
-        self
-    }
-
-    /// Disable the asynchronous neighbor copy (ablations).
-    pub fn no_neighbor_copy(mut self) -> Self {
-        self.cfg.neighbor_copy = false;
         self
     }
 
@@ -1103,10 +1094,6 @@ fn copy_one(s: &CopyShared, version: u64, dirty: &[u64], release: &[u64]) {
                 s.spills.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-    if !s.cfg.neighbor_copy {
-        finish(true);
-        return;
     }
     // The replica holder resolves its own node from the addressed rank,
     // so only the representative rank matters here.

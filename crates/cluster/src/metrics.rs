@@ -27,7 +27,7 @@ pub struct Metrics {
     pub batch_posts: AtomicU64,
 }
 
-/// A point-in-time copy of [`Metrics`], convenient for deltas in benches.
+/// A point-in-time copy of [`Metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// See [`Metrics::msg_posted`].
@@ -73,60 +73,19 @@ impl Metrics {
     }
 }
 
-impl MetricsSnapshot {
-    /// Counter deltas `self - earlier` (saturating).
-    ///
-    /// The usual pattern brackets a measured region with two snapshots:
-    ///
-    /// ```
-    /// use std::sync::atomic::Ordering;
-    /// use ft_cluster::Metrics;
-    ///
-    /// let m = Metrics::default();
-    /// let before = m.snapshot();
-    /// m.msg_posted.fetch_add(2, Ordering::Relaxed);
-    /// m.bytes_posted.fetch_add(64, Ordering::Relaxed);
-    /// let delta = m.snapshot().since(&before);
-    /// assert_eq!(delta.msg_posted, 2);
-    /// assert_eq!(delta.bytes_posted, 64);
-    /// ```
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            msg_posted: self.msg_posted.saturating_sub(earlier.msg_posted),
-            bytes_posted: self.bytes_posted.saturating_sub(earlier.bytes_posted),
-            msg_delivered: self.msg_delivered.saturating_sub(earlier.msg_delivered),
-            msg_broken: self.msg_broken.saturating_sub(earlier.msg_broken),
-            msg_dropped_dead_src: self
-                .msg_dropped_dead_src
-                .saturating_sub(earlier.msg_dropped_dead_src),
-            pings: self.pings.saturating_sub(earlier.pings),
-            ping_errors: self.ping_errors.saturating_sub(earlier.ping_errors),
-            batch_posts: self.batch_posts.saturating_sub(earlier.batch_posts),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_delta() {
+    fn snapshots_are_point_in_time() {
         let m = Metrics::default();
         m.msg_posted.fetch_add(5, Ordering::Relaxed);
         m.bytes_posted.fetch_add(100, Ordering::Relaxed);
         let a = m.snapshot();
         m.msg_posted.fetch_add(2, Ordering::Relaxed);
         let b = m.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.msg_posted, 2);
-        assert_eq!(d.bytes_posted, 0);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let a = MetricsSnapshot { msg_posted: 3, ..Default::default() };
-        let b = MetricsSnapshot::default();
-        assert_eq!(b.since(&a).msg_posted, 0);
+        assert_eq!((a.msg_posted, b.msg_posted), (5, 7));
+        assert_eq!(a.bytes_posted, b.bytes_posted);
     }
 }

@@ -61,17 +61,19 @@ pub fn restore_source(plan: &RecoveryPlan, me: Rank) -> Rank {
 ///    applications are reduction-order deterministic, the redone prefix
 ///    rewrites bit-identical checkpoints).
 ///
-/// `source` is this rank's [`FtCtx::restore_source`]. Returns `Ok(None)`
-/// for the collective restart-from-scratch decision. When this rank
-/// restored a predecessor's checkpoint, it re-homes it under its own rank
+/// Every strategy that keeps its state in a checkpoint stream restores
+/// through here (the application's stream under checkpoint/restart, the
+/// mirror under replication). Returns `Ok(None)` for the collective
+/// restart-from-scratch decision. A rank that restored its predecessor's
+/// checkpoint ([`FtCtx::restore_source`]) re-homes it under its own rank
 /// before returning.
 pub fn consistent_restore(
     ctx: &FtCtx,
     ck: &Checkpointer,
-    source: Rank,
     fetch_timeout: Duration,
 ) -> FtResult<Option<Restored>> {
     let me = ctx.proc.rank();
+    let source = ctx.restore_source();
     let probed = ck.latest_restorable(source, fetch_timeout);
     if let Some(reason) = probed.miss_reason() {
         // Not-found is the normal fresh-start vote; a timeout or a

@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ft_checkpoint::{Checkpointer, CopyPolicy};
+use ft_checkpoint::Checkpointer;
 use ft_cluster::{FaultSchedule, Rank};
 use ft_gaspi::{
     GaspiProc, GaspiResult, GaspiWorld, Group, NotificationId, RankOutcome, ReduceOp, SegId,
@@ -252,11 +252,8 @@ impl FtCtx {
     }
 
     fn install(&self, group: Group, plan: RecoveryPlan) {
-        self.sync_fd_rank(&plan);
-        let mut st = self.state.borrow_mut();
-        st.map = plan.rank_map(&self.layout);
-        st.group = Some(group);
-        st.plan = plan;
+        self.install_plan_only(plan);
+        self.state.borrow_mut().group = Some(group);
     }
 
     /// Adopt a plan that does not affect the worker group (FD takeover,
@@ -310,8 +307,9 @@ impl FtCtx {
     /// The rank whose checkpoints this process must restore: its failed
     /// predecessor while it is a freshly activated rescue (before its
     /// first restore re-homes the state), itself otherwise. Applications
-    /// pass this to [`ft_checkpoint::Checkpointer`] lookups and to
-    /// [`crate::ckpt::consistent_restore`].
+    /// pass this to [`ft_checkpoint::Checkpointer`] lookups in
+    /// `join_as_rescue`; [`crate::ckpt::consistent_restore`] reads it for
+    /// the strategies.
     pub fn restore_source(&self) -> Rank {
         self.state.borrow().adopted_from.unwrap_or(self.proc.rank())
     }
@@ -381,24 +379,24 @@ pub trait FtApp {
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch
-    /// timeout for restores — the handle the default `checkpoint` /
-    /// `restore` path runs on. Return `None` (the default) only if the
-    /// app overrides both of those methods itself.
+    /// timeout for restores — what
+    /// [`CheckpointRestart`](crate::strategy::CheckpointRestart) commits
+    /// `export_state` into and votes over after a failure. `None` (the
+    /// default) suits only a job that never runs under that strategy.
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
         None
     }
 
     /// Encode the full solver state after `iter` completed iterations as
-    /// one self-describing blob (same codec the app's checkpoints use).
-    /// Powers the default `checkpoint` and the ABFT/replication
-    /// strategies; `None` (the default) opts out of both.
+    /// one self-describing blob. Every strategy's `prepare` starts here;
+    /// `None` (the default) opts out of all three.
     fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
         let _ = (ctx, iter);
         Ok(None)
     }
 
-    /// Install a blob previously produced by `export_state` (or fetched
-    /// from the `state_stream`); return the iteration it represents.
+    /// Install a blob previously produced by `export_state`; return the
+    /// iteration it represents.
     fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
         let _ = (ctx, data);
         Err(FtError::Unsupported("load_state"))
@@ -409,26 +407,6 @@ pub trait FtApp {
     fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
         let _ = ctx;
         Err(FtError::Unsupported("reset_state"))
-    }
-
-    /// Write checkpoint for the state after `iter` iterations. The
-    /// default commits `export_state` into the `state_stream` at version
-    /// `iter / checkpoint_every`; override for custom commit policies
-    /// (PFS drains, incremental encodings).
-    fn checkpoint(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<()> {
-        let blob = self.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
-        let (ck, _) = self.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-        ck.commit(iter / ctx.cfg.checkpoint_every.max(1), blob, CopyPolicy::Replicate);
-        Ok(())
-    }
-
-    /// Restore from the newest *consistent* checkpoint; return the
-    /// iteration to resume from. The default runs the group vote +
-    /// fetch-confirm protocol over the `state_stream` and installs the
-    /// result through `load_state` / `reset_state` — the loop every app
-    /// used to hand-roll.
-    fn restore(&mut self, ctx: &FtCtx) -> FtResult<u64> {
-        crate::strategy::checkpoint_restore(self, ctx)
     }
 
     /// React to a completed recovery: refresh communication partners and
@@ -539,23 +517,6 @@ where
     A: FtApp,
     F: Fn(&FtCtx) -> A + Send + Sync + 'static,
 {
-    run_ft_job_with(world, cfg, schedule, EventLog::new(), make_app)
-}
-
-/// [`run_ft_job`] with a caller-supplied event log, so a harness can watch
-/// the job live (e.g. wait for every worker's `SetupDone` before injecting
-/// a failure, as the Table I benchmark does).
-pub fn run_ft_job_with<A, F>(
-    world: &GaspiWorld,
-    cfg: FtConfig,
-    schedule: FaultSchedule,
-    events: EventLog,
-    make_app: F,
-) -> JobReport<A::Summary>
-where
-    A: FtApp,
-    F: Fn(&FtCtx) -> A + Send + Sync + 'static,
-{
     assert_eq!(
         world.config().num_ranks,
         cfg.layout.total(),
@@ -564,6 +525,7 @@ where
     // World-global checkpoint service: idle spares never construct a
     // `Checkpointer`, yet their node's replica store must answer fetches.
     ft_checkpoint::service::install(&world.proc_handle(0));
+    let events = EventLog::new();
     let events2 = events.clone();
     let timer = schedule.start_timer(world.fault());
     let make_app = Arc::new(make_app);
@@ -620,6 +582,20 @@ fn run_rank<A: FtApp>(
     let report = |role, app_rank, summary, error, detector| {
         Ok(RankReport { rank, role, app_rank, summary, error, detector })
     };
+    // Activation of a spare (idle, shadow or promoted detector) as a
+    // rescue under `plan`: from here on it is a worker.
+    let rescue = |plan: RecoveryPlan, detector| {
+        ctx.watch.acknowledge(plan.epoch);
+        match worker_run(&ctx, make_app, schedule, Some(plan)) {
+            Ok(summary) => {
+                report(Role::Rescue, Some(ctx.app_rank()), Some(summary), None, detector)
+            }
+            Err(e) => {
+                abort_job(&ctx);
+                report(Role::Rescue, None, None, Some(e), detector)
+            }
+        }
+    };
 
     if rank == layout.fd_rank() {
         // ---- Primary detector path ------------------------------------
@@ -632,64 +608,31 @@ fn run_rank<A: FtApp>(
             &ctx.events,
             state,
         ) {
-            Ok(out) => {
-                if let Some(plan) = out.promoted_plan.clone() {
-                    // The FD joins the workers (restriction 2).
-                    ctx.watch.acknowledge(plan.epoch);
-                    return match become_rescue(&ctx, schedule, make_app, plan) {
-                        Ok((app_rank, summary)) => {
-                            report(Role::Rescue, Some(app_rank), Some(summary), None, Some(out))
-                        }
-                        Err(e) => report(Role::Rescue, None, None, Some(e), Some(out)),
-                    };
-                }
-                report(Role::Detector, None, None, None, Some(out))
-            }
+            // The FD joins the workers (restriction 2).
+            Ok(out) => match out.promoted_plan.clone() {
+                Some(plan) => rescue(plan, Some(out)),
+                None => report(Role::Detector, None, None, None, Some(out)),
+            },
             Err(e) => report(Role::Detector, None, None, Some(e), None),
         }
     } else if ctx.cfg.shadow_rank() == Some(rank) {
         // ---- Shadow detector path --------------------------------------
-        match run_shadow(&ctx, schedule, make_app) {
+        match run_shadow(&ctx) {
             ShadowEnd::Quiet => report(Role::Detector, None, None, None, None),
-            ShadowEnd::TookOver(out) => {
-                if let Some(plan) = out.promoted_plan.clone() {
-                    ctx.watch.acknowledge(plan.epoch);
-                    return match become_rescue(&ctx, schedule, make_app, plan) {
-                        Ok((app_rank, summary)) => {
-                            report(Role::Rescue, Some(app_rank), Some(summary), None, Some(out))
-                        }
-                        Err(e) => {
-                            abort_job(&ctx);
-                            report(Role::Rescue, None, None, Some(e), Some(out))
-                        }
-                    };
-                }
-                report(Role::Detector, None, None, None, Some(out))
-            }
+            ShadowEnd::TookOver(out) => match out.promoted_plan.clone() {
+                Some(plan) => rescue(plan, Some(out)),
+                None => report(Role::Detector, None, None, None, Some(out)),
+            },
             ShadowEnd::Failed(e) => report(Role::Detector, None, None, Some(e), None),
         }
     } else if rank < layout.num_workers {
         // ---- Worker path ----------------------------------------------
         ctx.set_app_rank(rank);
         let plan0 = RecoveryPlan::initial();
-        let group = match execute_recovery(
-            &ctx.watch,
-            &layout,
-            &plan0,
-            None,
-            ctx.cfg.recovery_step,
-            &ctx.events,
-        ) {
-            Ok(g) => g,
-            Err(e) => {
-                abort_job(&ctx);
-                return report(Role::Worker, Some(rank), None, Some(e), None);
-            }
-        };
-        ctx.install(group, plan0);
-        let mut app = make_app(&ctx);
-        let mut strat = ctx.cfg.strategy.build::<A>(&ctx);
-        match worker_run(&ctx, &mut app, strat.as_mut(), schedule, 0, true) {
+        match recover_once(&ctx, &plan0)
+            .map(|group| ctx.install(group, plan0))
+            .and_then(|()| worker_run(&ctx, make_app, schedule, None))
+        {
             Ok(summary) => report(Role::Worker, Some(ctx.app_rank()), Some(summary), None, None),
             Err(e) => {
                 abort_job(&ctx);
@@ -713,15 +656,7 @@ fn run_rank<A: FtApp>(
                 }
                 Err(FtError::Signal(FtSignal::Recover(plan))) => {
                     if plan.adopted_app_rank(&layout, rank).is_some() {
-                        return match become_rescue(&ctx, schedule, make_app, plan) {
-                            Ok((app_rank, summary)) => {
-                                report(Role::Rescue, Some(app_rank), Some(summary), None, None)
-                            }
-                            Err(e) => {
-                                abort_job(&ctx);
-                                report(Role::Rescue, None, None, Some(e), None)
-                            }
-                        };
+                        return rescue(plan, None);
                     }
                     // Not my epoch: keep idling with updated bookkeeping.
                     last_plan = plan;
@@ -741,13 +676,16 @@ fn run_rank<A: FtApp>(
                             ctx.proc.proc_ping(s, ctx.cfg.detector.ping_timeout).is_ok()
                         });
                     if !shadow_alive {
-                        return report(
-                            Role::Idle,
-                            None,
-                            None,
-                            Some(FtError::Gaspi(ft_gaspi::GaspiError::RemoteBroken { rank: fd })),
-                            None,
-                        );
+                        // A detector that left because the job ended fails
+                        // the ping too, but its shutdown reached this
+                        // control segment before it went.
+                        let error = match ctx.watch.check() {
+                            Err(FtError::Signal(FtSignal::Shutdown)) => None,
+                            _ => Some(FtError::Gaspi(ft_gaspi::GaspiError::RemoteBroken {
+                                rank: fd,
+                            })),
+                        };
+                        return report(Role::Idle, None, None, error, None);
                     }
                 }
             }
@@ -767,12 +705,7 @@ enum ShadowEnd {
 
 /// The shadow detector: tracks plans, pings the primary FD, and takes
 /// over detection when the primary dies (paper §VIII future work).
-fn run_shadow<A: FtApp>(
-    ctx: &FtCtx,
-    schedule: &FaultSchedule,
-    make_app: &impl Fn(&FtCtx) -> A,
-) -> ShadowEnd {
-    let _ = (schedule, make_app);
+fn run_shadow(ctx: &FtCtx) -> ShadowEnd {
     let layout = ctx.layout;
     let me = ctx.proc.rank();
     let mut last_plan = RecoveryPlan::initial();
@@ -845,130 +778,104 @@ fn abort_job(ctx: &FtCtx) {
     }
 }
 
-/// Activation of a rescue (idle or promoted FD): rebuild the group, attach
-/// to the application via the one-time checkpoints, restore, and compute.
-fn become_rescue<A: FtApp>(
+fn recover_once(ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<Group> {
+    // The group being replaced: none on a rescue's first attempt.
+    let prev = ctx.state.borrow().group;
+    execute_recovery(&ctx.watch, &ctx.layout, plan, prev, ctx.cfg.recovery_step, &ctx.events)
+}
+
+/// The one recovery sequence (Fig. 3): rebuild the group `plan` describes,
+/// rewire the application, let the strategy restore, acknowledge —
+/// restarted with the newer plan whenever a further failure interrupts
+/// any stage, until a plan sticks. An empty `app` marks a spare being
+/// activated: it adopts its application rank per plan and attaches through
+/// `make_app` + `join_as_rescue` once the group stands.
+///
+/// Returns the iteration to resume from, or `None` for a benign plan (a
+/// detector takeover or a failed idle) that leaves the worker group
+/// untouched — no rollback then.
+fn recover<A: FtApp>(
     ctx: &FtCtx,
-    schedule: &FaultSchedule,
+    app: &mut Option<A>,
     make_app: &impl Fn(&FtCtx) -> A,
+    strat: &mut dyn RecoveryStrategy<A>,
     mut plan: RecoveryPlan,
-) -> Result<(u32, A::Summary), FtError> {
-    let layout = ctx.layout;
+) -> FtResult<Option<u64>> {
     let rank = ctx.proc.rank();
-    let mut app: Option<A> = None;
-    let mut strat = ctx.cfg.strategy.build::<A>(ctx);
-    let start_iter = loop {
-        let app_rank = plan.adopted_app_rank(&layout, rank).ok_or(FtError::CapacityExhausted)?;
-        ctx.set_app_rank(app_rank);
-        ctx.set_adopted_from(Some(crate::ckpt::restore_source(&plan, rank)));
-        ctx.events.record(rank, EventKind::Activated { app_rank });
-        match recover_once(ctx, &plan, None) {
-            Ok(group) => {
-                ctx.install(group, plan.clone());
-                let a = app.get_or_insert_with(|| make_app(ctx));
-                a.join_as_rescue(ctx)?;
-                a.rewire(ctx, &plan)?;
-                let restored = strat.on_failure(ctx, &plan).and_then(|()| strat.restore(ctx, a));
-                match restored {
-                    Ok(decision) => {
-                        let iter = decision.resume_iter();
-                        ctx.events.record(rank, EventKind::Restored { epoch: plan.epoch, iter });
-                        ctx.watch.acknowledge(plan.epoch);
-                        // State is re-homed: from now on this rank
-                        // restores as itself.
-                        ctx.set_adopted_from(None);
-                        break iter;
-                    }
-                    Err(FtError::Signal(FtSignal::Recover(newer))) => plan = newer,
-                    Err(e) => return Err(e),
-                }
+    let activating = app.is_none();
+    loop {
+        if activating {
+            let app_rank =
+                plan.adopted_app_rank(&ctx.layout, rank).ok_or(FtError::CapacityExhausted)?;
+            ctx.set_app_rank(app_rank);
+            ctx.set_adopted_from(Some(crate::ckpt::restore_source(&plan, rank)));
+            ctx.events.record(rank, EventKind::Activated { app_rank });
+        } else if plan.worker_set(&ctx.layout) == ctx.plan().worker_set(&ctx.layout) {
+            // Benign: adopt the bookkeeping, keep computing.
+            ctx.install_plan_only(plan.clone());
+            ctx.watch.acknowledge(plan.epoch);
+            return Ok(None);
+        } else {
+            ctx.events.record(rank, EventKind::FailureSignal { epoch: plan.epoch });
+        }
+        let restored = recover_once(ctx, &plan).and_then(|group| {
+            ctx.install(group, plan.clone());
+            let app = app.get_or_insert_with(|| make_app(ctx));
+            if activating {
+                app.join_as_rescue(ctx)?;
+            }
+            app.rewire(ctx, &plan)?;
+            strat.restore(ctx, app)
+        });
+        match restored {
+            Ok(decision) => {
+                let iter = decision.resume_iter();
+                ctx.events.record(rank, EventKind::Restored { epoch: plan.epoch, iter });
+                ctx.watch.acknowledge(plan.epoch);
+                // A rescue's state is re-homed: from now on it restores
+                // as itself.
+                ctx.set_adopted_from(None);
+                return Ok(Some(iter));
             }
             Err(FtError::Signal(FtSignal::Recover(newer))) => plan = newer,
             Err(e) => return Err(e),
         }
-    };
-    let mut app = app.expect("rescue app constructed");
-    let summary = worker_run(ctx, &mut app, strat.as_mut(), schedule, start_iter, false)?;
-    Ok((ctx.app_rank(), summary))
+    }
 }
 
-fn recover_once(ctx: &FtCtx, plan: &RecoveryPlan, prev: Option<Group>) -> FtResult<Group> {
-    execute_recovery(&ctx.watch, &ctx.layout, plan, prev, ctx.cfg.recovery_step, &ctx.events)
-}
-
-/// The worker compute loop with failure handling and redo accounting.
+/// The worker compute loop with failure handling and redo accounting. A
+/// worker of the initial group starts with `setup` at iteration 0; a spare
+/// activated under `activation` starts with the recovery that attaches it.
 fn worker_run<A: FtApp>(
     ctx: &FtCtx,
-    app: &mut A,
-    strat: &mut dyn RecoveryStrategy<A>,
+    make_app: &impl Fn(&FtCtx) -> A,
     schedule: &FaultSchedule,
-    start_iter: u64,
-    fresh: bool,
-) -> Result<A::Summary, FtError> {
+    activation: Option<RecoveryPlan>,
+) -> FtResult<A::Summary> {
     let rank = ctx.proc.rank();
-    if fresh {
-        app.setup(ctx)?;
-        ctx.events.record(rank, EventKind::SetupDone);
-    }
-    let mut iter = start_iter;
-    let mut max_iter = start_iter;
-    let mut redo: Option<(u64, u64)> = None; // (epoch, target iteration)
-
-    // Handle a recovery signal: loop until a plan sticks. Returns
-    // `Some(resume_iteration)` after a real recovery, `None` for a benign
-    // plan (e.g. a shadow-detector takeover or a failed idle) that leaves
-    // the worker group untouched — no rollback needed then.
-    let handle = |app: &mut A,
-                  strat: &mut dyn RecoveryStrategy<A>,
-                  mut plan: RecoveryPlan|
-     -> Result<Option<u64>, FtError> {
-        loop {
-            if plan.worker_set(&ctx.layout) == ctx.plan().worker_set(&ctx.layout) {
-                // The worker group is unaffected (FD change or idle
-                // death): adopt the bookkeeping, keep computing.
-                ctx.install_plan_only(plan.clone());
-                ctx.watch.acknowledge(plan.epoch);
-                return Ok(None);
-            }
-            ctx.events.record(rank, EventKind::FailureSignal { epoch: plan.epoch });
-            match recover_once(ctx, &plan, Some(ctx.group())) {
-                Ok(group) => {
-                    ctx.install(group, plan.clone());
-                    app.rewire(ctx, &plan)?;
-                    let restored =
-                        strat.on_failure(ctx, &plan).and_then(|()| strat.restore(ctx, app));
-                    match restored {
-                        Ok(decision) => {
-                            let resume = decision.resume_iter();
-                            ctx.events.record(
-                                rank,
-                                EventKind::Restored { epoch: plan.epoch, iter: resume },
-                            );
-                            ctx.watch.acknowledge(plan.epoch);
-                            return Ok(Some(resume));
-                        }
-                        Err(FtError::Signal(FtSignal::Recover(newer))) => plan = newer,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(FtError::Signal(FtSignal::Recover(newer))) => plan = newer,
-                Err(e) => return Err(e),
-            }
+    let mut strat = ctx.cfg.strategy.build::<A>(ctx);
+    let mut slot = None;
+    let mut iter = match activation {
+        Some(plan) => recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?
+            .expect("an activation rebuilds the group"),
+        None => {
+            slot.insert(make_app(ctx)).setup(ctx)?;
+            ctx.events.record(rank, EventKind::SetupDone);
+            0
         }
     };
+    let mut max_iter = iter;
+    let mut redo: Option<(u64, u64)> = None; // (epoch, target iteration)
 
     loop {
+        let app = slot.as_mut().expect("attached above");
         if schedule.kill_at_iteration(rank, iter) {
             ctx.events.record(rank, EventKind::KillFired { iter });
             ctx.proc.exit_failure();
         }
         // The paper's pre-communication health check, once per iteration
         // at minimum (the *_ft wrappers also check inside each call).
-        let step_result = match ctx.watch.check() {
-            Ok(()) => app.step(ctx, iter),
-            Err(e) => Err(e),
-        };
-        match step_result {
+        let stepped = match ctx.watch.check().and_then(|()| app.step(ctx, iter)) {
             Ok(done) => {
                 iter += 1;
                 if let Some((epoch, target)) = redo {
@@ -985,26 +892,18 @@ fn worker_run<A: FtApp>(
                 // The strategy's steady-state work: interval checkpoints
                 // for C/R, parity encoding for ABFT, replica pushes for
                 // replication.
-                match strat.prepare(ctx, app, iter) {
-                    Ok(()) => {}
-                    Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                        if let Some(resume) = handle(app, strat, plan)? {
-                            iter = resume;
-                            // A resume at the failure frontier (ABFT
-                            // reconstruction, replication takeover) loses
-                            // no work: record a redo interval only when
-                            // there is one.
-                            if resume < max_iter {
-                                redo = Some((ctx.plan().epoch, max_iter));
-                            }
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
+                strat.prepare(ctx, app, iter)
             }
+            Err(e) => Err(e),
+        };
+        match stepped {
+            Ok(()) => {}
             Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                if let Some(resume) = handle(app, strat, plan)? {
+                if let Some(resume) = recover(ctx, &mut slot, make_app, strat.as_mut(), plan)? {
                     iter = resume;
+                    // A resume at the failure frontier (ABFT
+                    // reconstruction, replication takeover) loses no
+                    // work: record a redo interval only when there is one.
                     if resume < max_iter {
                         redo = Some((ctx.plan().epoch, max_iter));
                     }
@@ -1013,6 +912,7 @@ fn worker_run<A: FtApp>(
             Err(e) => return Err(e),
         }
     }
+    let app = slot.as_mut().expect("attached above");
     // Finalize BEFORE telling the FD: once it stops scanning, a failure
     // inside finalize's group collectives would go undetected.
     let summary = app.finalize(ctx)?;

@@ -18,10 +18,11 @@
 //! | overhead decomposition OHF1/OHF2/OHF3 (§IV-E) | [`events`] |
 //!
 //! The entry point for applications is the [`driver::FtApp`] trait plus
-//! [`driver::run_ft_job`]: provide `setup` / `step` / `checkpoint` /
-//! `restore` / `rewire`, and the driver runs the full Fig. 3 flow — worker
-//! group, dedicated FD, idle rescues, non-shrinking recovery — over a
-//! simulated cluster with injected failures.
+//! [`driver::run_ft_job`]: provide `setup` / `step` / `rewire` and the
+//! state hooks (`export_state` / `load_state` / `reset_state`), and the
+//! driver runs the full Fig. 3 flow — worker group, dedicated FD, idle
+//! rescues, non-shrinking recovery under the configured
+//! [`strategy`] — over a simulated cluster with injected failures.
 
 pub mod ack;
 pub mod ckpt;
@@ -39,8 +40,8 @@ pub mod stripe;
 
 pub use detector::DetectorConfig;
 pub use driver::{
-    run_ft_job, run_ft_job_with, run_ft_rank, FtApp, FtConfig, FtConfigBuilder, FtConfigError,
-    FtCtx, JobReport, RankReport, Role,
+    run_ft_job, run_ft_rank, FtApp, FtConfig, FtConfigBuilder, FtConfigError, FtCtx, JobReport,
+    RankReport, Role,
 };
 pub use error::{FtError, FtResult, FtSignal};
 pub use events::{Event, EventKind, EventLog};

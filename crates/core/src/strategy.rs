@@ -1,12 +1,10 @@
-//! Pluggable recovery strategies (ROADMAP item 4).
+//! Pluggable recovery strategies.
 //!
 //! The paper's recovery model is checkpoint/restart: commit a consistent
 //! checkpoint every N iterations, and after a failure vote the group back
 //! to the newest version everyone can fetch, then redo the lost work.
-//! That model used to be hardwired into the driver; this module turns the
-//! recovery seam into a first-class API so three models can be compared
-//! head-to-head under the same detector and group-reconstruction
-//! machinery:
+//! This module makes that model one of three behind the same detector and
+//! group-reconstruction machinery:
 //!
 //! | Strategy | steady-state cost | failure cost |
 //! |---|---|---|
@@ -23,27 +21,26 @@
 //! state, bit-exact, because XOR is order-independent (no reduction-order
 //! rounding). [`Replicated`] approximates replication-based FT (FTHP-MPI,
 //! arXiv:2504.09989): state is pushed to a hot-standby mirror stream every
-//! step and a *designated shadow* spare adopts a failed rank without a
-//! group-wide restore vote over checkpoint versions.
+//! step and a *designated shadow* spare adopts a failed rank at the
+//! frontier generation instead of an interval checkpoint.
 //!
-//! The driver calls the strategy at three points: [`RecoveryStrategy::
-//! prepare`] after every completed iteration, [`RecoveryStrategy::
-//! on_failure`] once a recovery plan is adopted, and [`RecoveryStrategy::
-//! restore`] after the group is rebuilt and the app rewired. Applications
-//! plug in through four small [`FtApp`] hooks
-//! (`state_stream` / `export_state` / `load_state` / `reset_state`)
-//! instead of hand-rolling the restore loop.
+//! The driver calls the strategy at two points: [`RecoveryStrategy::
+//! prepare`] after every completed iteration, and [`RecoveryStrategy::
+//! restore`] after a recovery plan is installed, the group rebuilt and the
+//! app rewired. The strategy owns cadence, sink and resume rule; the
+//! application only exports and installs state, through the [`FtApp`]
+//! hooks `export_state` / `load_state` / `reset_state` (plus
+//! `state_stream`, the sink [`CheckpointRestart`] commits into).
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
-use ft_gaspi::ReduceOp;
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Restored};
 
+use crate::ckpt::consistent_restore;
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
 use crate::events::EventKind;
-use crate::plan::RecoveryPlan;
 use crate::stripe;
 
 /// What a strategy decided after a recovery.
@@ -75,23 +72,17 @@ impl RestoreDecision {
 /// run the *same* strategy (the `prepare`/`restore` protocols are
 /// collective).
 pub trait RecoveryStrategy<A: FtApp> {
-    /// Strategy name as it appears in reports.
-    fn name(&self) -> &'static str;
-
     /// Called after every completed iteration (`iter` iterations done),
     /// *before* the failure-free path continues. This is where a strategy
     /// pays its steady-state cost: interval checkpoints, parity encoding,
     /// replica pushes.
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()>;
 
-    /// Called once a recovery plan is adopted, before `restore`: refresh
-    /// strategy-owned resources (mirror streams, neighbor lists) for the
-    /// new rank map.
-    fn on_failure(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()>;
-
-    /// Called after the worker group is rebuilt and the app rewired:
-    /// bring every member (survivors and freshly adopted rescues) to one
-    /// consistent state and decide where computation resumes.
+    /// Called once the recovery plan is installed ([`FtCtx::plan`]), the
+    /// worker group rebuilt and the app rewired: bring every member
+    /// (survivors and freshly adopted rescues) to one consistent state —
+    /// exactly one `load_state` or `reset_state` on each — and decide
+    /// where computation resumes.
     fn restore(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<RestoreDecision>;
 }
 
@@ -129,22 +120,18 @@ impl StrategyKind {
     }
 }
 
-/// The driver-level restore helper every app used to hand-roll: agree on
-/// the newest group-consistent checkpoint through the app's
-/// [`state_stream`](crate::driver::FtApp::state_stream), install it via
-/// [`load_state`](crate::driver::FtApp::load_state), or
-/// [`reset_state`](crate::driver::FtApp::reset_state) on the collective
-/// fresh-start vote. Returns the iteration to resume from.
-pub fn checkpoint_restore<A: FtApp + ?Sized>(app: &mut A, ctx: &FtCtx) -> FtResult<u64> {
-    let restored = {
-        let (ck, timeout) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-        crate::ckpt::consistent_restore(ctx, ck, ctx.restore_source(), timeout)?
-    };
+/// Install what [`consistent_restore`] agreed on: the restored blob, or
+/// the initial state on the collective fresh-start decision.
+fn install<A: FtApp>(
+    ctx: &FtCtx,
+    app: &mut A,
+    restored: Option<Restored>,
+) -> FtResult<RestoreDecision> {
     match restored {
-        Some(r) => app.load_state(ctx, &r.data),
+        Some(r) => Ok(RestoreDecision::Resume { iter: app.load_state(ctx, &r.data)? }),
         None => {
             app.reset_state(ctx)?;
-            Ok(0)
+            Ok(RestoreDecision::Fresh)
         }
     }
 }
@@ -160,26 +147,27 @@ pub fn checkpoint_restore<A: FtApp + ?Sized>(app: &mut A, ctx: &FtCtx) -> FtResu
 pub struct CheckpointRestart;
 
 impl<A: FtApp> RecoveryStrategy<A> for CheckpointRestart {
-    fn name(&self) -> &'static str {
-        "checkpoint-restart"
-    }
-
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
-        if ctx.cfg.checkpoint_every > 0 && iter.is_multiple_of(ctx.cfg.checkpoint_every) {
-            app.checkpoint(ctx, iter)?;
+        let every = ctx.cfg.checkpoint_every;
+        if every > 0 && iter.is_multiple_of(every) {
+            let blob = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
+            let (ck, _) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
+            // The *checkpoint counter* is the version: the stream prunes
+            // and deduplicates over consecutive versions.
+            let version = iter / every;
+            ck.commit(version, blob, CopyPolicy::Replicate);
             ctx.proc.injection_site("driver.checkpoint.commit");
-            let version = iter / ctx.cfg.checkpoint_every;
             ctx.events.record(ctx.proc.rank(), EventKind::Checkpoint { version, iter });
         }
         Ok(())
     }
 
-    fn on_failure(&mut self, _ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
-        Ok(())
-    }
-
     fn restore(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<RestoreDecision> {
-        Ok(RestoreDecision::Resume { iter: app.restore(ctx)? })
+        let restored = {
+            let (ck, timeout) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
+            consistent_restore(ctx, ck, timeout)?
+        };
+        install(ctx, app, restored)
     }
 }
 
@@ -253,10 +241,6 @@ fn except<'a>(msgs: &'a [Vec<u8>], skip: &'a [usize]) -> impl Iterator<Item = &'
 }
 
 impl<A: FtApp> RecoveryStrategy<A> for Abft {
-    fn name(&self) -> &'static str {
-        "abft"
-    }
-
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
         let block = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
         let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
@@ -267,10 +251,6 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
         while self.history.len() > 2 {
             self.history.pop_front();
         }
-        Ok(())
-    }
-
-    fn on_failure(&mut self, _ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
         Ok(())
     }
 
@@ -357,105 +337,56 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
 /// chunk-store wire format).
 pub const REPLICA_TAG: u32 = 0x7F00_0000;
 
-/// How many recent generations each rank keeps locally (survivors restore
-/// from memory, without touching the mirror stream).
-const REPLICA_HISTORY: usize = 4;
+/// Generations the mirror keeps per tier. The replica push is not a
+/// collective, so survivors can straddle more than two generations; the
+/// group minimum must still be in everyone's local window.
+const REPLICA_HISTORY: u64 = 4;
 
 /// Replication-based recovery: every step each rank pushes its encoded
-/// state into a dedicated mirror checkpoint stream (its hot standby) and
-/// keeps a short in-memory history. After a failure the designated shadow
-/// spare adopts the lost rank, fetches the newest agreed generation from
-/// the mirror, and the survivors re-align from local memory — no interval
-/// rollback, no group-wide checkpoint vote on the app's own stream.
+/// state into a dedicated mirror checkpoint stream (its hot standby),
+/// synchronously. After a failure the designated shadow spare adopts the
+/// lost rank and the group runs the same vote-and-confirm restore as
+/// checkpoint/restart, over the mirror: the rescue fetches from the failed
+/// rank's standby, the survivors re-align from their local tier — at the
+/// frontier generation, so no interval is redone.
 pub struct Replicated {
     mirror: Checkpointer,
     fetch_timeout: Duration,
-    history: VecDeque<(u64, Vec<u8>)>,
 }
 
 impl Replicated {
     /// Build the per-rank mirror stream.
     pub fn new(ctx: &FtCtx) -> Self {
-        let cfg = CheckpointerConfig::for_tag(REPLICA_TAG);
+        let cfg = CheckpointerConfig {
+            keep_versions: REPLICA_HISTORY,
+            ..CheckpointerConfig::for_tag(REPLICA_TAG)
+        };
         Self {
             mirror: Checkpointer::new(&ctx.proc, cfg, None),
             fetch_timeout: Duration::from_secs(5),
-            history: VecDeque::new(),
         }
     }
 }
 
 impl<A: FtApp> RecoveryStrategy<A> for Replicated {
-    fn name(&self) -> &'static str {
-        "replicated"
-    }
-
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
         let blob = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
         ctx.proc.injection_site("strategy.replica.push");
-        self.mirror.commit(iter, blob.clone(), CopyPolicy::Replicate);
+        self.mirror.commit(iter, blob, CopyPolicy::Replicate);
         // Synchronous push: the standby must hold this generation before
         // the next step can fail, or takeover would silently regress.
         self.mirror.drain(self.fetch_timeout);
-        self.history.push_back((iter, blob));
-        while self.history.len() > REPLICA_HISTORY {
-            self.history.pop_front();
-        }
-        Ok(())
-    }
-
-    fn on_failure(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.mirror.refresh_failed(&plan.failed);
         Ok(())
     }
 
     fn restore(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<RestoreDecision> {
-        let me = ctx.proc.rank();
-        let source = ctx.restore_source();
-        let adopted = source != me;
-        // Vote: survivors offer their newest local generation, the rescue
-        // offers what the failed rank's mirror still answers for.
-        let newest = if adopted {
-            self.mirror.latest_restorable(source, self.fetch_timeout).hit()
-        } else {
-            self.history.back().map(|(i, _)| *i)
-        };
-        let vote = newest.map_or(0, |i| i + 1);
-        let agreed = ctx.allreduce_u64_ft(&[vote], ReduceOp::Min)?[0];
-        if agreed == 0 {
-            self.history.clear();
-            app.reset_state(ctx)?;
-            return Ok(RestoreDecision::Fresh);
-        }
-        let gen = agreed - 1;
-        // Confirm: unlike `prepare` in the ABFT strategy, the replica
-        // push is not a collective, so survivors can be more than one
-        // generation apart — confirm everyone can actually produce the
-        // agreed generation before installing anything.
-        let fetched = if adopted {
-            self.mirror.restore_exact(source, gen, self.fetch_timeout).hit().map(|r| r.data)
-        } else {
-            self.history.iter().find(|(i, _)| *i == gen).map(|(_, b)| b.clone())
-        };
-        let ok = u64::from(fetched.is_some());
-        if ctx.allreduce_u64_ft(&[ok], ReduceOp::Min)?[0] == 0 {
-            self.history.clear();
-            app.reset_state(ctx)?;
-            return Ok(RestoreDecision::Fresh);
-        }
-        let blob = fetched.expect("confirmed fetch");
-        if adopted {
-            // Re-home the adopted generation under this rank so the next
-            // failure resolves against the new standby directly.
-            self.mirror.commit(gen, blob.clone(), CopyPolicy::Replicate);
-            self.mirror.drain(self.fetch_timeout);
-        }
-        app.load_state(ctx, &blob)?;
-        self.history.retain(|(i, _)| *i <= gen);
-        if adopted {
-            self.history.push_back((gen, blob));
-        }
-        Ok(RestoreDecision::Resume { iter: gen })
+        self.mirror.refresh_failed(&ctx.plan().failed);
+        let restored = consistent_restore(ctx, &self.mirror, self.fetch_timeout)?;
+        // A rescue just re-homed the adopted generation: like every push,
+        // it must reach the new standby before the next step can fail.
+        // (Nothing is pending on a survivor.)
+        self.mirror.drain(self.fetch_timeout);
+        install(ctx, app, restored)
     }
 }
 

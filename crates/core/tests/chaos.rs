@@ -9,80 +9,14 @@
 //!   spare pool / detector redundancy could absorb, and surviving ranks
 //!   report errors instead of wrong numbers.
 
+mod common;
+
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc};
+use common::{expected_acc, Acc};
 use ft_cluster::{FaultAction, FaultSchedule};
-use ft_core::{run_ft_job, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, WorldLayout};
-use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
-
-const STATE_TAG: u32 = 1;
-const FETCH: Duration = Duration::from_secs(5);
-
-struct Acc {
-    acc: f64,
-    ck: Checkpointer,
-}
-
-impl Acc {
-    fn new(ctx: &FtCtx) -> Self {
-        Self {
-            acc: 0.0,
-            ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
-        }
-    }
-}
-
-impl FtApp for Acc {
-    type Summary = f64;
-
-    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        ctx.barrier_ft()?;
-        Ok(())
-    }
-
-    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        Ok(())
-    }
-
-    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
-        self.acc += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
-        Ok(false)
-    }
-
-    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.ck, FETCH))
-    }
-
-    fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        Ok(Some(e.finish()))
-    }
-
-    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64().unwrap();
-        self.acc = d.f64().unwrap();
-        Ok(iter)
-    }
-
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        self.acc = 0.0;
-        Ok(())
-    }
-
-    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.ck.refresh_failed(&plan.failed);
-        let _ = ctx;
-        Ok(())
-    }
-
-    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<f64> {
-        Ok(self.acc)
-    }
-}
+use ft_core::{run_ft_job, FtConfig, WorldLayout};
+use ft_gaspi::{GaspiConfig, GaspiWorld};
 
 fn splitmix(z: &mut u64) -> u64 {
     *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -124,13 +58,11 @@ fn storm(seed: u64) {
     let report = run_ft_job(&world, cfg, schedule, Acc::new);
 
     let summaries = report.worker_summaries();
-    let iters = 600u64;
-    let expected =
-        f64::from(workers) * f64::from(workers + 1) / 2.0 * (iters * (iters + 1) / 2) as f64;
+    let expected = expected_acc(workers, 600);
     if summaries.len() == workers as usize {
-        for (app, acc) in &summaries {
+        for (app, (acc, _)) in &summaries {
             assert_eq!(
-                **acc, expected,
+                *acc, expected,
                 "seed {seed}: app rank {app} produced a WRONG result (victims {victims:?})"
             );
         }
@@ -144,9 +76,9 @@ fn storm(seed: u64) {
         );
         // And no stray *wrong* summaries either: whoever finished must
         // still be correct.
-        for (app, acc) in &summaries {
+        for (app, (acc, _)) in &summaries {
             assert_eq!(
-                **acc, expected,
+                *acc, expected,
                 "seed {seed}: partial completion with corrupt result at app rank {app}"
             );
         }
@@ -218,13 +150,11 @@ fn chaos_storm_512_ranks() {
     let report = run_ft_job(&world, cfg, schedule, Acc::new);
 
     let summaries = report.worker_summaries();
-    let iters = 10u64;
-    let expected =
-        f64::from(workers) * f64::from(workers + 1) / 2.0 * (iters * (iters + 1) / 2) as f64;
+    let expected = expected_acc(workers, 10);
     if summaries.len() == workers as usize {
-        for (app, acc) in &summaries {
+        for (app, (acc, _)) in &summaries {
             assert_eq!(
-                **acc, expected,
+                *acc, expected,
                 "512-rank storm: app rank {app} produced a WRONG result (victims {victims:?})"
             );
         }
@@ -235,9 +165,9 @@ fn chaos_storm_512_ranks() {
             errored + killed > 0,
             "512-rank storm: incomplete without any recorded failure (victims {victims:?})"
         );
-        for (app, acc) in &summaries {
+        for (app, (acc, _)) in &summaries {
             assert_eq!(
-                **acc, expected,
+                *acc, expected,
                 "512-rank storm: partial completion with corrupt result at app rank {app}"
             );
         }

@@ -10,82 +10,21 @@
 //! dying at the local-write site, and the checkpoint library thread
 //! being poisoned at the neighbor-copy site.
 
+mod common;
+
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc};
+use common::{expected_acc, Acc, STATE_TAG};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig};
 use ft_cluster::{FaultSchedule, Injection};
-use ft_core::{run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, WorldLayout};
-use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
+use ft_core::{run_ft_job, EventKind, FtConfig, FtCtx, WorldLayout};
+use ft_gaspi::{GaspiConfig, GaspiWorld};
 
-const STATE_TAG: u32 = 1;
-const FETCH: Duration = Duration::from_secs(5);
-
-struct Acc {
-    acc: f64,
-    ck: Checkpointer,
-}
-
-impl Acc {
-    fn new(ctx: &FtCtx) -> Self {
-        Self {
-            acc: 0.0,
-            ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
-        }
-    }
-}
-
-impl FtApp for Acc {
-    type Summary = f64;
-
-    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        ctx.barrier_ft()?;
-        Ok(())
-    }
-
-    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        Ok(())
-    }
-
-    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
-        self.acc += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
-        Ok(false)
-    }
-
-    fn checkpoint(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<()> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        self.ck.commit(iter / ctx.cfg.checkpoint_every, e.finish(), CopyPolicy::Replicate);
-        // Synchronous replication: when the group later votes, survivor
-        // versions are deterministic, which is what this pin relies on.
-        assert!(self.ck.drain(FETCH));
-        Ok(())
-    }
-
-    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.ck, FETCH))
-    }
-
-    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64().unwrap();
-        self.acc = d.f64().unwrap();
-        Ok(iter)
-    }
-
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        self.acc = 0.0;
-        Ok(())
-    }
-
-    fn rewire(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.ck.refresh_failed(&plan.failed);
-        Ok(())
-    }
-
-    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<f64> {
-        Ok(self.acc)
-    }
+/// Synchronous replication (the app waits out each commit's copy before
+/// the next step): when the group later votes, survivor versions are
+/// deterministic, which is what these pins rely on.
+fn draining_acc(ctx: &FtCtx) -> Acc {
+    Acc::draining(Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None))
 }
 
 fn run_divergent(inj: Injection) -> (Vec<u64>, bool) {
@@ -100,14 +39,12 @@ fn run_divergent(inj: Injection) -> (Vec<u64>, bool) {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    let report = run_ft_job(&world, cfg, schedule, Acc::new);
+    let report = run_ft_job(&world, cfg, schedule, draining_acc);
 
     let summaries = report.worker_summaries();
     assert_eq!(summaries.len(), workers as usize, "all app ranks must finish: {summaries:?}");
-    let expected =
-        f64::from(workers) * f64::from(workers + 1) / 2.0 * (iters * (iters + 1) / 2) as f64;
-    for (app, acc) in &summaries {
-        assert_eq!(**acc, expected, "app rank {app} accumulated a wrong total");
+    for (app, (acc, _)) in &summaries {
+        assert_eq!(*acc, expected_acc(workers, iters), "app rank {app} accumulated a wrong total");
     }
     let killed = !report.killed().is_empty();
     let restored: Vec<u64> = report
@@ -142,7 +79,7 @@ fn mid_commit_kill_votes_down_to_common_version() {
 /// replica holder. The adopter again reaches only version 1 and the
 /// vote must roll the whole group back to iteration 4.
 #[test]
-fn kill_during_neighbor_copy_votes_down_to_common_version() {
+fn kill_during_replication_votes_down_to_common_version() {
     let (restored, killed) = run_divergent(Injection::kill("ckpt.neighbor.copy", 1, 2));
     assert!(killed, "the injected kill must fire");
     assert!(!restored.is_empty(), "recovery must restore from a checkpoint");

@@ -223,6 +223,23 @@ fn job_end_shutdown_does_not_abort_a_worker_in_its_last_collective() {
     assert!(report.completed().iter().any(|r| r.role == Role::Idle));
 }
 
+/// Regression: an idle spare pings the detector every few scan intervals,
+/// and a detector that has left *because the job ended* fails that ping —
+/// the spare used to report `RemoteBroken { rank: fd }` on a clean job
+/// although the shutdown was already in its control segment. (Only a rank
+/// *process* stops answering when it exits, so the window itself opens on
+/// the process backend; this pins the contract on both.)
+#[test]
+fn idle_spares_end_a_clean_job_without_error() {
+    let report = job(2, 4, 50, 10, FaultSchedule::none());
+    assert_workers_correct(&report, 2, 50);
+    let completed = report.completed();
+    assert_eq!(completed.iter().filter(|r| r.role == Role::Idle).count(), 3);
+    for r in completed {
+        assert!(r.error.is_none(), "rank {} ({:?}) ended with {:?}", r.rank, r.role, r.error);
+    }
+}
+
 #[test]
 fn single_failure_recovers_and_matches_failure_free() {
     let schedule = FaultSchedule::none().kill_rank_at_iteration(2, 37);

@@ -3,93 +3,19 @@
 //! must restore from the PFS copy and still finish with the exact
 //! result.
 //!
-//! The kill is step-indexed (node kill at the 3rd crossing of
-//! `driver.checkpoint.commit`), so the drained version-3 checkpoint is
-//! provably on all three tiers when the nodes die.
+//! The kill is step-indexed (node kill at the 13th crossing of the
+//! app's [`DRAINED_SITE`]: the top of step 12, after the drain), so the
+//! version-3 checkpoint is provably on all three tiers when the nodes die.
 
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc, Pfs, PfsConfig};
+use common::{expected_acc, Acc, DRAINED_SITE, STATE_TAG};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, Pfs, PfsConfig};
 use ft_cluster::{FaultSchedule, Injection};
-use ft_core::{run_ft_job, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, WorldLayout};
-use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
-
-const STATE_TAG: u32 = 1;
-const FETCH: Duration = Duration::from_secs(5);
-
-struct PfsApp {
-    acc: f64,
-    ck: Checkpointer,
-}
-
-impl PfsApp {
-    fn new(ctx: &FtCtx, pfs: &Arc<Pfs>) -> Self {
-        Self {
-            acc: 0.0,
-            ck: Checkpointer::new(
-                &ctx.proc,
-                CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(STATE_TAG) },
-                Some(Arc::clone(pfs)),
-            ),
-        }
-    }
-}
-
-impl FtApp for PfsApp {
-    /// `(accumulator, restores served from PFS)`.
-    type Summary = (f64, u64);
-
-    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        ctx.barrier_ft()?;
-        Ok(())
-    }
-
-    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        Ok(())
-    }
-
-    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
-        self.acc += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
-        Ok(false)
-    }
-
-    fn checkpoint(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<()> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        self.ck.commit(iter / ctx.cfg.checkpoint_every, e.finish(), CopyPolicy::Replicate);
-        // Make every tier durable before the commit site: the injected
-        // node kill below must find the PFS copy already written.
-        assert!(self.ck.drain(FETCH), "replication must land");
-        Ok(())
-    }
-
-    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.ck, FETCH))
-    }
-
-    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64().unwrap();
-        self.acc = d.f64().unwrap();
-        Ok(iter)
-    }
-
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        self.acc = 0.0;
-        Ok(())
-    }
-
-    fn rewire(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.ck.refresh_failed(&plan.failed);
-        Ok(())
-    }
-
-    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<(f64, u64)> {
-        Ok((self.acc, self.ck.stats().restores_pfs))
-    }
-}
+use ft_core::{run_ft_job, FtConfig, WorldLayout};
+use ft_gaspi::{GaspiConfig, GaspiWorld};
 
 #[test]
 fn two_node_loss_restores_from_pfs_tier() {
@@ -101,8 +27,8 @@ fn two_node_loss_restores_from_pfs_tier() {
     let layout = WorldLayout::new(workers, 3);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let schedule = FaultSchedule::none()
-        .inject(Injection::kill_node("driver.checkpoint.commit", 1, 3))
-        .inject(Injection::kill_node("driver.checkpoint.commit", 2, 3));
+        .inject(Injection::kill_node(DRAINED_SITE, 1, 13))
+        .inject(Injection::kill_node(DRAINED_SITE, 2, 13));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(4)
         .max_iters(iters)
@@ -110,7 +36,13 @@ fn two_node_loss_restores_from_pfs_tier() {
         .build()
         .unwrap();
     let pfs = Pfs::new(PfsConfig::instant());
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| PfsApp::new(ctx, &pfs));
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
+        // Every version spills to the PFS, and every tier is durable
+        // before the step the injected node kills fire in.
+        let cfg =
+            CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(STATE_TAG) };
+        Acc::draining(Checkpointer::new(&ctx.proc, cfg, Some(pfs.clone())))
+    });
 
     let mut killed = report.killed();
     killed.sort_unstable();
@@ -118,10 +50,8 @@ fn two_node_loss_restores_from_pfs_tier() {
 
     let summaries = report.worker_summaries();
     assert_eq!(summaries.len(), workers as usize, "all app ranks must finish: {summaries:?}");
-    let expected =
-        f64::from(workers) * f64::from(workers + 1) / 2.0 * (iters * (iters + 1) / 2) as f64;
     for (app, (acc, _)) in &summaries {
-        assert_eq!(*acc, expected, "app rank {app} accumulated a wrong total");
+        assert_eq!(*acc, expected_acc(workers, iters), "app rank {app} accumulated a wrong total");
     }
     // Rank 1's adopter had no local copy and no neighbor replica left:
     // at least one restore must have been served from the PFS tier.

@@ -1,108 +1,20 @@
 //! Tests of the shadow fault detector (the paper's §VIII future work:
 //! "the redundancy approach can be implemented to make the FD process
-//! fault tolerant"), reusing the deterministic toy app from `ft_job.rs`.
+//! fault tolerant"), on the shared deterministic accumulator.
 
+mod common;
+
+use std::sync::mpsc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc, Pfs, PfsConfig};
-use std::sync::{mpsc, Arc};
+use common::{expected_acc, Acc};
+use ft_cluster::{FaultAction, FaultSchedule};
+use ft_core::{run_ft_job, EventKind, FtConfig, Role, WorldLayout};
+use ft_gaspi::{GaspiConfig, GaspiWorld};
 
-use ft_cluster::{FaultAction, FaultPlane, FaultSchedule};
-use ft_core::{
-    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, WorldLayout,
-};
-use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
+type Report = ft_core::JobReport<(f64, u64)>;
 
-const STATE_TAG: u32 = 1;
-const FETCH: Duration = Duration::from_secs(5);
-
-/// Same deterministic accumulator app as in `ft_job.rs`, minus the plan
-/// blob (nothing to reload here).
-struct Acc {
-    acc: f64,
-    /// When set, app rank 0 kills the primary FD from `finalize`: after
-    /// the last iteration's collectives, before the driver's done signal.
-    /// (A step-indexed `Injection` can only kill the rank that crosses the
-    /// site, so the app's own hook stands in for one in that window.)
-    primary_dies_at_finalize: Option<Arc<FaultPlane>>,
-    ck: Checkpointer,
-}
-
-impl Acc {
-    fn new(ctx: &FtCtx) -> Self {
-        Self {
-            acc: 0.0,
-            primary_dies_at_finalize: None,
-            ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
-        }
-    }
-}
-
-impl FtApp for Acc {
-    type Summary = f64;
-
-    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        ctx.barrier_ft()?;
-        Ok(())
-    }
-
-    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        Ok(())
-    }
-
-    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
-        self.acc += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
-        Ok(false)
-    }
-
-    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.ck, FETCH))
-    }
-
-    fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        Ok(Some(e.finish()))
-    }
-
-    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64().unwrap();
-        self.acc = d.f64().unwrap();
-        Ok(iter)
-    }
-
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
-        self.acc = 0.0;
-        Ok(())
-    }
-
-    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.ck.refresh_failed(&plan.failed);
-        let _ = ctx;
-        Ok(())
-    }
-
-    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<f64> {
-        if let Some(fault) = self.primary_dies_at_finalize.as_ref().filter(|_| ctx.app_rank() == 0)
-        {
-            fault.kill_rank(ctx.layout.fd_rank());
-        }
-        Ok(self.acc)
-    }
-}
-
-fn expected_acc(workers: u32, iters: u64) -> f64 {
-    f64::from(workers) * f64::from(workers + 1) / 2.0 * (iters * (iters + 1) / 2) as f64
-}
-
-fn redundant_job(
-    workers: u32,
-    spares: u32,
-    iters: u64,
-    schedule: FaultSchedule,
-) -> ft_core::JobReport<f64> {
+fn redundant_job(workers: u32, spares: u32, iters: u64, schedule: FaultSchedule) -> Report {
     let layout = WorldLayout::new(workers, spares);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
@@ -112,14 +24,13 @@ fn redundant_job(
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    let _unused_pfs = Pfs::new(PfsConfig::instant());
     run_ft_job(&world, cfg, schedule, Acc::new)
 }
 
-fn assert_correct(report: &ft_core::JobReport<f64>, workers: u32, iters: u64) {
+fn assert_correct(report: &Report, workers: u32, iters: u64) {
     let s = report.worker_summaries();
     assert_eq!(s.len(), workers as usize, "all app ranks must finish");
-    for (app, acc) in s {
+    for (app, (acc, _)) in s {
         assert_eq!(*acc, expected_acc(workers, iters), "app rank {app}");
     }
 }
@@ -230,9 +141,10 @@ fn primary_death_at_job_end_does_not_strand_the_shadow() {
     let fault = world.fault();
     let (tx, rx) = mpsc::channel();
     let job = std::thread::spawn(move || {
-        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| Acc {
-            primary_dies_at_finalize: Some(Arc::clone(&fault)),
-            ..Acc::new(ctx)
+        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
+            let mut app = Acc::new(ctx);
+            app.primary_dies_at_finalize = Some(fault.clone());
+            app
         });
         let _ = tx.send(report);
     });

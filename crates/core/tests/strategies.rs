@@ -7,6 +7,7 @@
 //! exactly, so an ABFT reconstruction that loses even one bit of the
 //! failed rank's state fails the `==`.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc};
@@ -39,8 +40,22 @@ struct Acc {
     /// (see `abft_second_failure_right_after_a_recovery_is_reconstructed`).
     dies_after_restore: Option<u32>,
     restored: bool,
+    /// Job-wide `(gaspi rank, call)` log of the state-surface calls, in
+    /// per-rank order (see `every_strategy_installs_state_once_per_recovery`).
+    calls: Option<CallLog>,
     ck: Checkpointer,
 }
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Step,
+    Export(u64),
+    Rewire,
+    /// `load_state` or `reset_state`.
+    Install,
+}
+
+type CallLog = Arc<Mutex<Vec<(u32, Call)>>>;
 
 impl Acc {
     fn new(ctx: &FtCtx) -> Self {
@@ -50,12 +65,19 @@ impl Acc {
             trail: Vec::new(),
             dies_after_restore: None,
             restored: false,
+            calls: None,
             ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
         }
     }
 
     fn trail_step(app: u32, iter: u64) -> impl Iterator<Item = u8> {
         std::iter::repeat_n(iter as u8 + 1, 3 * app as usize + 1)
+    }
+
+    fn note(&self, ctx: &FtCtx, call: Call) {
+        if let Some(log) = &self.calls {
+            log.lock().unwrap().push((ctx.proc.rank(), call));
+        }
     }
 
     fn expected(workers: u32, iters: u64) -> f64 {
@@ -80,6 +102,10 @@ impl FtApp for Acc {
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        self.note(ctx, Call::Step);
+        // A kill must find the last checkpoint's neighbour copy landed, or
+        // where C/R rolls back to would depend on the library thread.
+        assert!(self.ck.drain(FETCH), "replication must land");
         let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
         // Mutate the local half *before* the collective: a step aborted by
         // a failure leaves it half-applied, and only a full state reload
@@ -97,13 +123,15 @@ impl FtApp for Acc {
         Some((&self.ck, FETCH))
     }
 
-    fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+    fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+        self.note(ctx, Call::Export(iter));
         let mut e = Enc::new();
         e.u64(iter).f64(self.acc).f64(self.local).bytes(&self.trail);
         Ok(Some(e.finish()))
     }
 
-    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+    fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+        self.note(ctx, Call::Install);
         let mut d = Dec::new(data);
         let iter = d.u64()?;
         self.acc = d.f64()?;
@@ -113,14 +141,16 @@ impl FtApp for Acc {
         Ok(iter)
     }
 
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.note(ctx, Call::Install);
         self.acc = 0.0;
         self.local = 0.0;
         self.trail.clear();
         Ok(())
     }
 
-    fn rewire(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.note(ctx, Call::Rewire);
         self.ck.refresh_failed(&plan.failed);
         Ok(())
     }
@@ -139,7 +169,7 @@ const SPARES: u32 = 3; // 2 idle rescues + the FD
 const ITERS: u64 = 12;
 
 fn job(strategy: StrategyKind, schedule: FaultSchedule) -> JobReport<(f64, f64)> {
-    job_on(WORKERS, SPARES, strategy, schedule, None)
+    job_on(WORKERS, SPARES, strategy, schedule, None, None)
 }
 
 fn job_on(
@@ -148,6 +178,7 @@ fn job_on(
     strategy: StrategyKind,
     schedule: FaultSchedule,
     dies_after_restore: Option<u32>,
+    calls: Option<CallLog>,
 ) -> JobReport<(f64, f64)> {
     let layout = WorldLayout::new(workers, spares);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
@@ -158,7 +189,11 @@ fn job_on(
         .strategy(strategy)
         .build()
         .unwrap();
-    run_ft_job(&world, cfg, schedule, move |ctx| Acc { dies_after_restore, ..Acc::new(ctx) })
+    run_ft_job(&world, cfg, schedule, move |ctx| Acc {
+        dies_after_restore,
+        calls: calls.clone(),
+        ..Acc::new(ctx)
+    })
 }
 
 fn assert_exact(report: &JobReport<(f64, f64)>, label: &str) {
@@ -266,7 +301,7 @@ fn abft_second_failure_right_after_a_recovery_is_reconstructed() {
     // be whole at that point: the first rescue holds its block *and* its
     // parity stripe of generation 6, so the second loss decodes too.
     let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 6);
-    let report = job_on(WORKERS, SPARES, StrategyKind::Abft, schedule, Some(2));
+    let report = job_on(WORKERS, SPARES, StrategyKind::Abft, schedule, Some(2), None);
     let mut killed = report.killed();
     killed.sort_unstable();
     assert_eq!(killed, vec![1, 2]);
@@ -284,7 +319,7 @@ fn abft_with_a_single_worker_has_no_peer_to_decode_from() {
     // n = 1: nothing is encoded, so the lone worker's loss is a fresh
     // start — decided by the rescue alone, and still exact.
     let schedule = FaultSchedule::none().kill_rank_at_iteration(0, 6);
-    let report = job_on(1, 2, StrategyKind::Abft, schedule, None);
+    let report = job_on(1, 2, StrategyKind::Abft, schedule, None, None);
     assert_eq!(report.killed(), vec![0]);
     assert_exact_on(1, &report, "abft-single");
     assert_eq!(restored_iters(&report), vec![0]);
@@ -346,6 +381,80 @@ fn replication_promotes_the_designated_shadow() {
     assert!(
         !ev.iter().any(|e| matches!(e.kind, EventKind::RedoComplete { .. })),
         "replication takeover must not redo work"
+    );
+}
+
+#[test]
+fn every_strategy_installs_state_once_per_recovery() {
+    // The contract the driver's one recovery path gives every strategy's
+    // `restore`: each member of a recovered group — survivor or rescue —
+    // sees exactly one `load_state` / `reset_state` after each `rewire`,
+    // before it steps again; and state is exported only for an iteration
+    // the strategy encodes, once.
+    for strategy in [StrategyKind::CheckpointRestart, StrategyKind::Abft, StrategyKind::Replicated]
+    {
+        let label = strategy.name();
+        let log = CallLog::default();
+        let report = job_on(WORKERS, SPARES, strategy, shared_kill(), None, Some(log.clone()));
+        assert_eq!(report.killed(), vec![1], "[{label}] the kill must fire");
+        assert_exact(&report, label);
+        let log = log.lock().unwrap();
+        let finished: Vec<u32> =
+            report.completed().iter().filter(|r| r.summary.is_some()).map(|r| r.rank).collect();
+        assert_eq!(finished.len(), WORKERS as usize);
+        for rank in finished {
+            let calls: Vec<Call> =
+                log.iter().filter(|(r, _)| *r == rank).map(|(_, c)| *c).collect();
+            let surface: Vec<Call> =
+                calls.iter().copied().filter(|c| !matches!(c, Call::Export(_))).collect();
+            let rewires = surface.iter().filter(|c| **c == Call::Rewire).count();
+            assert_eq!(rewires, 1, "[{label}] rank {rank}: one kill, one adopted epoch");
+            for (i, call) in surface.iter().enumerate() {
+                assert_eq!(
+                    *call == Call::Install,
+                    i > 0 && surface[i - 1] == Call::Rewire,
+                    "[{label}] rank {rank}: an install follows each rewire, nothing else: {surface:?}"
+                );
+            }
+            // One export per completed iteration at most, and under C/R
+            // only at a checkpoint (`checkpoint_every(4)`).
+            for pair in calls.windows(2) {
+                assert!(
+                    !matches!(pair, [Call::Export(_), Call::Export(_)]),
+                    "[{label}] rank {rank}: two exports without a step between: {calls:?}"
+                );
+            }
+            if strategy == StrategyKind::CheckpointRestart {
+                let off_interval: Vec<&Call> = calls
+                    .iter()
+                    .filter(|c| matches!(c, Call::Export(i) if !i.is_multiple_of(4)))
+                    .collect();
+                assert!(off_interval.is_empty(), "[{label}] rank {rank}: {off_interval:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn replication_replaces_a_rescue_lost_right_after_its_takeover() {
+    // GASPI rank 1 dies at iteration 6 and its designated shadow (rank
+    // WORKERS + 1) takes over at generation 6; the shadow then exits at the
+    // end of its first step — before its first own `prepare`. Its restore
+    // re-homed generation 6 under its own rank *and drained*, so the
+    // standby already holds it: the second rescue resumes there as well.
+    // All that is recomputed is the one step the shadow never pushed.
+    let shadow = WORKERS + 1;
+    let report =
+        job_on(WORKERS, SPARES, StrategyKind::Replicated, shared_kill(), Some(shadow), None);
+    let mut killed = report.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, shadow]);
+    assert_exact(&report, "replicated-second");
+    let restores = restored_iters(&report);
+    assert_eq!(restores.len(), 2 * WORKERS as usize, "two recoveries, every member: {restores:?}");
+    assert!(
+        restores.iter().all(|&i| i == 6),
+        "both takeovers must resume at generation 6, none older or fresh: {restores:?}"
     );
 }
 

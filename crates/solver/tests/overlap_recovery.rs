@@ -9,12 +9,15 @@
 //! The probe application is deliberately stateless: the iteration-`k`
 //! input vector is a pure function of (global index, k), so every rank
 //! can verify its spMVM output against a locally recomputed reference
-//! each step, and `restore` needs no checkpoint — just the collective
-//! barrier that keeps any survivor from re-posting before all partners
-//! finished rewiring.
+//! each step. Its state stream stays empty (`checkpoint_every` is 0), so
+//! every recovery votes for a collective fresh start — and the vote's
+//! allreduce is the barrier that keeps any survivor from re-posting before
+//! all partners finished rewiring.
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use ft_checkpoint::{Checkpointer, CheckpointerConfig};
 use ft_cluster::FaultSchedule;
 use ft_core::{run_ft_job, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld, SegId};
@@ -75,6 +78,8 @@ struct ProbeSummary {
 
 struct OverlapProbe {
     gen: Arc<ToeplitzTridiag>,
+    /// Never committed to.
+    ck: Checkpointer,
     dm: Option<DistMatrix>,
     comm: Option<SpmvComm>,
     halo: Vec<f64>,
@@ -83,8 +88,9 @@ struct OverlapProbe {
 }
 
 impl OverlapProbe {
-    fn new(gen: Arc<ToeplitzTridiag>) -> Self {
-        Self { gen, dm: None, comm: None, halo: Vec::new(), iters: 0, max_err: 0.0 }
+    fn new(ctx: &FtCtx, gen: Arc<ToeplitzTridiag>) -> Self {
+        let ck = Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(1), None);
+        Self { gen, ck, dm: None, comm: None, halo: Vec::new(), iters: 0, max_err: 0.0 }
     }
 
     fn install(&mut self, ctx: &FtCtx) -> FtResult<()> {
@@ -142,18 +148,16 @@ impl FtApp for OverlapProbe {
         Ok(false)
     }
 
-    fn checkpoint(&mut self, _ctx: &FtCtx, _iter: u64) -> FtResult<()> {
-        Ok(()) // stateless (checkpoint_every = 0; never called)
+    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
+        Some((&self.ck, Duration::from_secs(5)))
     }
 
-    fn restore(&mut self, ctx: &FtCtx) -> FtResult<u64> {
-        // Collective: no survivor may re-post before every partner has
-        // finished rewiring (notification reset + queue purge).
-        ctx.barrier_ft()?;
-        Ok(0) // stateless — redo from the start
+    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(()) // stateless — redo from the start
     }
 
-    fn rewire(&mut self, ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.ck.refresh_failed(&plan.failed);
         if let (Some(comm), Some(dm)) = (&self.comm, &self.dm) {
             comm.rewire(&ctx.proc, &dm.plan)?;
         }
@@ -174,11 +178,11 @@ fn failure_between_post_and_wait_recovers_and_stays_correct() {
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(0)
         .max_iters(MAX_ITERS)
-        .abandon(std::time::Duration::from_secs(30))
+        .abandon(Duration::from_secs(30))
         .build()
         .unwrap();
-    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |_ctx| {
-        OverlapProbe::new(Arc::clone(&gen))
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
+        OverlapProbe::new(ctx, Arc::clone(&gen))
     });
     assert_eq!(report.killed(), vec![KILL_GASPI_RANK], "the probe must have killed itself");
     let summaries = report.worker_summaries();

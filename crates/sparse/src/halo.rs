@@ -73,18 +73,6 @@ impl HaloStats {
         self.wait_stall_ns += other.wait_stall_ns;
     }
 
-    /// Counter delta since `earlier` (saturating, so a counter reset
-    /// never produces a bogus huge delta).
-    pub fn since(&self, earlier: &HaloStats) -> HaloStats {
-        HaloStats {
-            exchanges: self.exchanges.saturating_sub(earlier.exchanges),
-            posts: self.posts.saturating_sub(earlier.posts),
-            stale_drops: self.stale_drops.saturating_sub(earlier.stale_drops),
-            overlap_ns: self.overlap_ns.saturating_sub(earlier.overlap_ns),
-            wait_stall_ns: self.wait_stall_ns.saturating_sub(earlier.wait_stall_ns),
-        }
-    }
-
     /// Fraction of the exchange window spent computing rather than
     /// stalled: `overlap / (overlap + stall)`. 1.0 means the halo was
     /// always ready when `wait` ran; 0.0 means nothing was hidden (the
@@ -304,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_since_and_efficiency() {
+    fn stats_merge_and_efficiency() {
         let mut a = HaloStats {
             exchanges: 10,
             posts: 11,
@@ -318,11 +306,6 @@ mod tests {
         assert_eq!(a.exchanges, 15);
         assert_eq!(a.posts, 16);
         assert_eq!(a.overlap_ns, 1000);
-        let d = a.since(&b);
-        assert_eq!(d.exchanges, 10);
-        assert_eq!(d.overlap_ns, 900);
-        // since() saturates across counter resets.
-        assert_eq!(b.since(&a).exchanges, 0);
         assert!((a.overlap_efficiency() - 1000.0 / 1100.0).abs() < 1e-12);
         assert_eq!(HaloStats::default().overlap_efficiency(), 1.0);
     }

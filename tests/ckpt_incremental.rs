@@ -83,12 +83,12 @@ fn last_incremental_commit_writes_at_most_40_percent_and_both_pipelines_restore_
         ck_inc.commit(version, payload.clone(), CopyPolicy::Replicate);
         ck_full.commit(version, payload.clone(), CopyPolicy::Replicate);
         let now = ck_inc.stats();
-        let d = now.since(&last);
-        last = now;
-        if d.full_commits == 0 {
-            let written = d.chunk_bytes + d.manifest_bytes;
+        if now.full_commits == last.full_commits {
+            let written =
+                (now.chunk_bytes + now.manifest_bytes) - (last.chunk_bytes + last.manifest_bytes);
             last_incremental = Some((version, written as f64 / payload.len() as f64));
         }
+        last = now;
         last_payload = payload;
     }
     assert!(ck_inc.drain(T) && ck_full.drain(T), "replication must drain");
