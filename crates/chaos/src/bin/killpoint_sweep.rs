@@ -3,9 +3,9 @@
 //! `gaspi-ft/killpoint-sweep/v1` report to `target/telemetry/`, and exit
 //! non-zero on any contract violation or insufficient coverage.
 //!
-//! Environment:
-//! * `FT_SWEEP_BUDGET_SECS` — wall-clock budget for single-kill replays
-//!   (default 300; enumeration and the pair sweep always run).
+//! Usage: `killpoint_sweep [BUDGET_SECS]` — wall-clock budget for
+//! single-kill replays (default 300; enumeration and the pair sweep
+//! always run).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -16,10 +16,13 @@ use ft_chaos::{exhaustive_sweep, pair_sweep, RunClass, SweepConfig};
 const MIN_KILL_POINTS: usize = 30;
 
 fn main() -> ExitCode {
-    let budget = std::env::var("FT_SWEEP_BUDGET_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(300);
+    let budget = match std::env::args().nth(1).map_or(Ok(300), |s| s.parse::<u64>()) {
+        Ok(secs) => secs,
+        Err(e) => {
+            eprintln!("usage: killpoint_sweep [BUDGET_SECS] ({e})");
+            return ExitCode::FAILURE;
+        }
+    };
     let cfg = SweepConfig::ci();
     println!(
         "killpoint sweep: {} workers / {} spares, {} iters, budget {budget}s",

@@ -6,8 +6,9 @@
 //! TCP; otherwise it runs one of three supervisor modes and exits
 //! non-zero on any contract violation:
 //!
-//! * `smoke` (default) — enumerate kill points in memory, replay a
-//!   coverage-spread subset as real-process jobs with the kill shipped in
+//! * `smoke [KILLS [PARTITIONS]]` (default) — enumerate kill points in
+//!   memory, replay a coverage-spread subset (default 6 kill and 2
+//!   partition triples) as real-process jobs with the kill shipped in
 //!   the serialized schedule (an armed child exits mid-protocol), and
 //!   write the `gaspi-ft/process-sweep/v1` report to
 //!   `target/telemetry/process-sweep.json`.
@@ -32,12 +33,6 @@
 //! * `heal` — a transient FD↔worker partition healed before the
 //!   detector's `suspect_grace` expires: no detection, no recovery, full
 //!   exact completion.
-//!
-//! Environment: `FT_PROC_SWEEP_TRIPLES` — smoke kill-replay count
-//! (default 6); `FT_PROC_SWEEP_PARTITIONS` — smoke partition-replay
-//! count (default 2); `FT_PROC_KILL_MS` — fdkill SIGKILL time in ms
-//! (default 500); `FT_PROC_SWEEP_VERBOSE` — dump child event lines in
-//! fdkill mode.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -81,7 +76,20 @@ fn main() -> ExitCode {
         std::process::exit(code);
     }
     match mode.as_str() {
-        "smoke" => smoke(&cfg),
+        "smoke" => {
+            // Supervisor-only arguments: children are launched with the
+            // mode alone.
+            let count = |n: usize, default: usize| {
+                std::env::args().nth(n).map_or(Ok(default), |s| s.parse::<usize>())
+            };
+            match (count(2, 6), count(3, 2)) {
+                (Ok(kills), Ok(partitions)) => smoke(&cfg, kills, partitions),
+                _ => {
+                    eprintln!("usage: process_sweep smoke [KILLS [PARTITIONS]]");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         "storm" => storm(&cfg, &mode),
         "fdkill" => fdkill(&cfg, &mode),
         "partition" => partition(&cfg, &mode),
@@ -102,13 +110,7 @@ fn class_label(c: &Result<RunClass, String>) -> String {
     }
 }
 
-fn smoke(cfg: &SweepConfig) -> ExitCode {
-    let max_triples =
-        std::env::var("FT_PROC_SWEEP_TRIPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(6usize);
-    let max_partitions = std::env::var("FT_PROC_SWEEP_PARTITIONS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2usize);
+fn smoke(cfg: &SweepConfig, max_triples: usize, max_partitions: usize) -> ExitCode {
     println!(
         "process smoke sweep: {} workers / {} spares as OS processes, {max_triples} kill + \
          {max_partitions} partition triples",
@@ -508,9 +510,7 @@ fn heal(cfg: &SweepConfig, mode: &str) -> ExitCode {
 
 fn fdkill(cfg: &SweepConfig, mode: &str) -> ExitCode {
     const VICTIM: u32 = 1;
-    let kill_at = Duration::from_millis(
-        std::env::var("FT_PROC_KILL_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(500),
-    );
+    let kill_at = Duration::from_millis(500);
     let schedule = FaultSchedule::none().timed(kill_at, FaultAction::KillRank(VICTIM));
     println!("fd-kill e2e: SIGKILL rank {VICTIM} at {kill_at:?}, expect detect→rebuild→restore");
     let t0 = Instant::now();
@@ -524,11 +524,6 @@ fn fdkill(cfg: &SweepConfig, mode: &str) -> ExitCode {
     let elapsed = t0.elapsed();
     for (r, o) in report.outcomes.iter().enumerate() {
         println!("  rank {r}: {o:?}");
-    }
-    if std::env::var_os("FT_PROC_SWEEP_VERBOSE").is_some() {
-        for line in &report.event_lines {
-            println!("  | {line}");
-        }
     }
     let mut failures = Vec::new();
     match &report.outcomes[VICTIM as usize] {

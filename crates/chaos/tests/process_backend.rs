@@ -17,13 +17,10 @@ use std::time::{Duration, Instant};
 /// supervisor-level hang fails the test instead of wedging CI.
 const TEST_DEADLINE: Duration = Duration::from_secs(240);
 
-fn run_mode(mode: &str, envs: &[(&str, &str)]) {
+fn run_mode(mode: &str, args: &[&str]) {
     let t0 = Instant::now();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_process_sweep"));
-    cmd.arg(mode);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
+    cmd.arg(mode).args(args);
     let out = cmd.output().unwrap_or_else(|e| panic!("failed to launch process_sweep {mode}: {e}"));
     let elapsed = t0.elapsed();
     assert!(
@@ -42,7 +39,7 @@ fn run_mode(mode: &str, envs: &[(&str, &str)]) {
 /// injected-kill + link-fault + degraded classification.
 #[test]
 fn process_smoke_conformance() {
-    run_mode("smoke", &[("FT_PROC_SWEEP_TRIPLES", "3"), ("FT_PROC_SWEEP_PARTITIONS", "1")]);
+    run_mode("smoke", &["3", "1"]);
 }
 
 /// The paper's `kill -9` experiment end to end: SIGKILL a worker process

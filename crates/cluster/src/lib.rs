@@ -28,7 +28,7 @@
 //! * [`storage`] — node-local in-memory storage that is destroyed when its
 //!   node is killed; the neighbor-level checkpoint library builds on it.
 //! * [`metrics`] — cheap atomic counters for messages/bytes/pings.
-//! * [`time`] — the latency model and paper-scale conversion helpers.
+//! * [`time`] — the latency model.
 
 #![warn(missing_docs)]
 

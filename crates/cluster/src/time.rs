@@ -1,12 +1,10 @@
-//! Latency model and paper-scale conversion.
+//! Latency model.
 //!
 //! The simulated network runs at microsecond scale where the paper's
 //! InfiniBand + GPI-2 stack runs at millisecond scale (a `gaspi_proc_ping`
 //! costs ≈1 ms there, §VI Table I). All mechanisms are latency-*driven*,
 //! not latency-*dependent*: shrinking every constant by the same factor
-//! preserves the shape of every measured curve. [`PaperScale`] carries the
-//! factor so harnesses can print measured numbers next to extrapolated
-//! paper-scale numbers.
+//! preserves the shape of every measured curve.
 
 use std::time::Duration;
 
@@ -74,34 +72,6 @@ impl Default for LatencyModel {
     }
 }
 
-/// Conversion between simulated time and the paper's wall-clock scale.
-///
-/// The factor is chosen so that one simulated ping (≈`2 * base`) maps onto
-/// the paper's ≈1 ms per-ping cost.
-#[derive(Debug, Clone, Copy)]
-pub struct PaperScale {
-    /// Multiply a simulated duration by this to get a paper-scale estimate.
-    pub factor: f64,
-}
-
-impl PaperScale {
-    /// Paper per-ping cost (Table I: "approximately 1 ms to perform a ping
-    /// with each healthy process").
-    pub const PAPER_PING: Duration = Duration::from_millis(1);
-
-    /// Derive the scale from a latency model: paper ping time divided by
-    /// the model's round-trip time for an empty message.
-    pub fn from_model(model: &LatencyModel) -> Self {
-        let sim_ping = model.latency(0).as_secs_f64() * 2.0;
-        Self { factor: Self::PAPER_PING.as_secs_f64() / sim_ping }
-    }
-
-    /// Scale a simulated duration up to the paper's timescale.
-    pub fn to_paper(&self, sim: Duration) -> Duration {
-        sim.mul_f64(self.factor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +103,5 @@ mod tests {
     fn zero_jitter_is_exact() {
         let m = LatencyModel::deterministic_fast();
         assert_eq!(m.latency_jittered(64, 0.77), m.latency(64));
-    }
-
-    #[test]
-    fn paper_scale_roundtrip() {
-        let m = LatencyModel::deterministic_fast();
-        let s = PaperScale::from_model(&m);
-        // sim ping = 10 µs, paper ping = 1 ms → factor 100
-        assert!((s.factor - 100.0).abs() < 1e-9);
-        assert_eq!(s.to_paper(Duration::from_micros(10)), Duration::from_millis(1));
     }
 }

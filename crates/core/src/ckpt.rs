@@ -114,45 +114,21 @@ pub fn consistent_restore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::NO_RESCUE;
+    use crate::layout::WorldLayout;
 
     #[test]
-    fn source_is_self_for_survivors() {
-        let plan = RecoveryPlan {
-            epoch: 1,
-            failed: vec![2],
-            rescues: vec![5],
-            fd_alive: true,
-            fd_rank: None,
-        };
-        assert_eq!(restore_source(&plan, 0), 0);
-        assert_eq!(restore_source(&plan, 5), 2);
-    }
-
-    #[test]
-    fn chained_adoption_takes_last() {
-        // rank2 → rescue5 (epoch 1); rank5 → rescue6 (epoch 2).
-        let plan = RecoveryPlan {
-            epoch: 2,
-            failed: vec![2, 5],
-            rescues: vec![5, 6],
-            fd_alive: true,
-            fd_rank: None,
-        };
-        assert_eq!(restore_source(&plan, 6), 5);
-        // 5 is dead; if asked (it isn't), it would still resolve to 2.
-        assert_eq!(restore_source(&plan, 5), 2);
-    }
-
-    #[test]
-    fn no_rescue_entries_are_ignored() {
-        let plan = RecoveryPlan {
-            epoch: 1,
-            failed: vec![4],
-            rescues: vec![NO_RESCUE],
-            fd_alive: true,
-            fd_rank: None,
-        };
-        assert_eq!(restore_source(&plan, 3), 3);
+    fn source_is_the_last_adopted_predecessor() {
+        let layout = WorldLayout::new(4, 4); // idles 4-6, FD 7
+        let p1 = RecoveryPlan::initial().after_failures(&layout, &[2], None, false);
+        assert_eq!(restore_source(&p1, 0), 0, "survivors restore as themselves");
+        assert_eq!(restore_source(&p1, 4), 2);
+        // Chained: rank2 → rescue4 (epoch 1); rank4 → rescue5 (epoch 2).
+        let p2 = p1.after_failures(&layout, &[4], None, false);
+        assert_eq!(restore_source(&p2, 5), 4);
+        // 4 is dead; if asked (it isn't), it would still resolve to 2.
+        assert_eq!(restore_source(&p2, 4), 2);
+        // A dead idle adopts nobody and is adopted by nobody.
+        let p3 = p2.after_failures(&layout, &[6], None, false);
+        assert_eq!(restore_source(&p3, 3), 3);
     }
 }

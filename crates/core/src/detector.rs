@@ -4,16 +4,15 @@
 //! designated spare process periodically pings every other process with
 //! `gaspi_proc_ping`; a `GASPI_ERROR` return marks the process failed and
 //! adds it to the avoid-list. After a scan that found failures, the FD
-//! assigns rescue processes from the idle pool, bumps the recovery epoch,
-//! and acknowledges the failure to all healthy processes by one-sided
-//! writes into their control segments.
+//! advances the plan ([`RecoveryPlan::after_failures`]: rescues from the
+//! idle pool, epoch bumped) and acknowledges the failure to all healthy
+//! processes by one-sided writes into their control segments.
 //!
 //! There is one scan path, [`glo_health_chk_graced`]: all pings of a scan
 //! go out as one batch, so simultaneous failures are detected at the cost
 //! of a single one (the result the paper gets from a threaded FD). The
 //! paper's sequential per-ping loop lives on only in `examples/fd_demo.rs`.
 
-use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use ft_cluster::Rank;
@@ -23,7 +22,7 @@ use crate::ack::{self, CTRL_SEG, DONE_NOTIF};
 use crate::error::{FtError, FtResult};
 use crate::events::{EventKind, EventLog};
 use crate::layout::WorldLayout;
-use crate::plan::{RecoveryPlan, NO_RESCUE};
+use crate::plan::RecoveryPlan;
 
 /// Fault detector tuning.
 #[derive(Debug, Clone)]
@@ -147,78 +146,6 @@ pub fn glo_health_chk_graced(
     suspects.into_iter().filter(|&r| proc.proc_ping(r, ping_timeout).is_err()).collect()
 }
 
-/// Mutable detection state. It is reconstructible from the last broadcast
-/// plan (the plan is cumulative by design), which is what allows a
-/// *shadow* detector to take over when the primary dies — the redundancy
-/// approach the paper proposes as future work (§VIII).
-#[derive(Debug, Clone)]
-pub struct DetectorState {
-    /// Cumulative failed ranks (the avoid-list).
-    pub failed_cum: Vec<Rank>,
-    /// Parallel cumulative rescue assignments.
-    pub rescues_cum: Vec<Rank>,
-    /// Remaining idle pool, in activation order.
-    pub idle_pool: VecDeque<Rank>,
-    /// Last acknowledged epoch.
-    pub epoch: u64,
-    /// Set when this detector is not the layout-default FD (a shadow that
-    /// took over).
-    pub fd_rank_override: Option<Rank>,
-}
-
-impl DetectorState {
-    /// Fresh state for the primary FD. `reserved` ranks (e.g. the shadow
-    /// detector) are withheld from the rescue pool.
-    pub fn fresh(layout: &WorldLayout, reserved: &[Rank]) -> Self {
-        Self {
-            failed_cum: Vec::new(),
-            rescues_cum: Vec::new(),
-            idle_pool: layout.idle_pool().filter(|r| !reserved.contains(r)).collect(),
-            epoch: 0,
-            fd_rank_override: None,
-        }
-    }
-
-    /// Reconstruct state from the last plan a shadow received.
-    pub fn from_plan(layout: &WorldLayout, plan: &RecoveryPlan, reserved: &[Rank]) -> Self {
-        Self {
-            failed_cum: plan.failed.clone(),
-            rescues_cum: plan.rescues.clone(),
-            idle_pool: layout
-                .idle_pool()
-                .filter(|r| {
-                    !reserved.contains(r) && !plan.failed.contains(r) && !plan.rescues.contains(r)
-                })
-                .collect(),
-            epoch: plan.epoch,
-            fd_rank_override: None,
-        }
-    }
-
-    /// Record the old FD's death and this rank's takeover: one epoch bump
-    /// carrying the new detector rank to everyone.
-    pub fn register_takeover(&mut self, dead_fd: Rank, me: Rank) {
-        if !self.failed_cum.contains(&dead_fd) {
-            self.failed_cum.push(dead_fd);
-            self.rescues_cum.push(NO_RESCUE);
-        }
-        self.idle_pool.retain(|&x| x != dead_fd && x != me);
-        self.epoch += 1;
-        self.fd_rank_override = Some(me);
-    }
-
-    /// The plan describing this state.
-    pub fn plan(&self, fd_alive: bool) -> RecoveryPlan {
-        RecoveryPlan {
-            epoch: self.epoch,
-            failed: self.failed_cum.clone(),
-            rescues: self.rescues_cum.clone(),
-            fd_alive,
-            fd_rank: self.fd_rank_override,
-        }
-    }
-}
-
 /// Run the dedicated FD until the application signals completion, the
 /// spare pool forces a promotion, or capacity is exhausted. The control
 /// segment must already exist.
@@ -228,32 +155,32 @@ pub fn run_detector(
     cfg: &DetectorConfig,
     events: &EventLog,
 ) -> FtResult<DetectorOutcome> {
-    run_detector_from(proc, layout, cfg, events, DetectorState::fresh(layout, &[]))
+    run_detector_from(proc, layout, cfg, events, None, RecoveryPlan::initial())
 }
 
-/// [`run_detector`] starting from prior state (fresh for the primary FD,
-/// reconstructed-from-plan for a shadow after takeover).
+/// [`run_detector`] as the detector of `plan`: the initial plan for the
+/// primary FD, the takeover plan for a shadow. The plan is cumulative, so
+/// it is all the detection state there is — which is what lets a shadow
+/// continue where a dead primary stopped (the redundancy approach the
+/// paper proposes as future work, §VIII). `reserved` (the shadow's rank)
+/// is withheld from the rescue pool.
 pub fn run_detector_from(
     proc: &GaspiProc,
     layout: &WorldLayout,
     cfg: &DetectorConfig,
     events: &EventLog,
-    state: DetectorState,
+    reserved: Option<Rank>,
+    mut plan: RecoveryPlan,
 ) -> FtResult<DetectorOutcome> {
     let me = proc.rank();
     let mut out = DetectorOutcome::default();
-    let DetectorState {
-        mut failed_cum,
-        mut rescues_cum,
-        mut idle_pool,
-        mut epoch,
-        fd_rank_override,
-    } = state;
 
     let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
 
     loop {
         let done_value = done()?;
+        // Every rank not on the avoid-list (Listing 1).
+        let targets = alive_targets(layout, &plan, me);
         if done_value != 0 {
             // On a normal end app rank 0 may have left the last collective
             // while a leaf is still polling in its down-phase; a shutdown
@@ -261,14 +188,8 @@ pub fn run_detector_from(
             // finishing. Workers leave on their own after `max_iters`, so
             // only the ranks nothing else releases are told to stop. An
             // abort stops everyone.
-            let alive = alive_targets(layout, &failed_cum, me);
-            let map = RecoveryPlan {
-                failed: failed_cum,
-                rescues: rescues_cum,
-                ..RecoveryPlan::initial()
-            }
-            .rank_map(layout);
-            let (workers, stop): (Vec<Rank>, Vec<Rank>) = alive
+            let map = plan.rank_map(layout);
+            let (workers, stop): (Vec<Rank>, Vec<Rank>) = targets
                 .into_iter()
                 .partition(|&r| done_value != ack::DONE_ABORTED && map.app_of(r).is_some());
             ack::broadcast_shutdown(proc, &stop, cfg.ack_queue, cfg.ack_timeout)?;
@@ -276,10 +197,6 @@ pub fn run_detector_from(
             return Ok(out);
         }
 
-        // One scan cycle over all non-avoided ranks (Listing 1).
-        let avoid: HashSet<Rank> = failed_cum.iter().copied().collect();
-        let targets: Vec<Rank> =
-            (0..layout.total()).filter(|&r| r != me && !avoid.contains(&r)).collect();
         let t0 = Instant::now();
         let mut newly = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
         // Merge worker-reported suspects (the link-fault path): a severed
@@ -299,81 +216,20 @@ pub fn run_detector_from(
             out.scan_times.push(dur);
         } else {
             let t_detect = events.now();
-            epoch += 1;
-            // Assign rescues against the rank map as of the previous epoch.
-            let prev = RecoveryPlan {
-                epoch: epoch - 1,
-                failed: failed_cum.clone(),
-                rescues: rescues_cum.clone(),
-                fd_alive: true,
-                fd_rank: None,
-            };
-            let mut map = prev.rank_map(layout);
-            let mut promoted = false;
-            let mut exhausted = false;
-            for &f in &newly {
-                failed_cum.push(f);
-                idle_pool.retain(|&x| x != f);
-                if let Some(app) = map.app_of(f) {
-                    // A worker died: it needs a rescue. With designated
-                    // shadows on, the app rank's own standby spare is
-                    // preferred while it is still in the pool.
-                    let designated = cfg
-                        .designated_shadows
-                        .then(|| layout.designated_shadow(app))
-                        .filter(|d| idle_pool.contains(d));
-                    if let Some(d) = designated {
-                        idle_pool.retain(|&x| x != d);
-                    }
-                    let rescue = designated.or_else(|| idle_pool.pop_front()).or_else(|| {
-                        if promoted {
-                            None
-                        } else {
-                            // "The FD process itself joins the worker
-                            // group if no idle process is further
-                            // available." (§IV-D)
-                            promoted = true;
-                            Some(me)
-                        }
-                    });
-                    match rescue {
-                        Some(r) => {
-                            map.transfer(f, r);
-                            rescues_cum.push(r);
-                        }
-                        None => {
-                            exhausted = true;
-                            rescues_cum.push(NO_RESCUE);
-                        }
-                    }
-                } else {
-                    // A failed idle consumes no rescue.
-                    rescues_cum.push(NO_RESCUE);
-                }
-            }
+            plan = plan.after_failures(layout, &newly, reserved, cfg.designated_shadows);
+            let epoch = plan.epoch;
             events.record(me, EventKind::FdDetect { epoch, failed: newly.clone() });
-            let plan = RecoveryPlan {
-                epoch,
-                failed: failed_cum.clone(),
-                rescues: rescues_cum.clone(),
-                fd_alive: !promoted,
-                fd_rank: fd_rank_override,
-            };
-            let alive = alive_targets(layout, &failed_cum, me);
-            // Ranks whose ack write fails will be detected next scan.
-            let _undelivered =
-                ack::broadcast_plan(proc, &plan, &alive, cfg.ack_queue, cfg.ack_timeout)?;
-            events.record(me, EventKind::FdAck { epoch });
+            let alive = announce(proc, layout, cfg, events, &plan)?;
             let t_ack = events.now();
             out.recoveries.push(FdRecovery { epoch, detected: newly, t_detect, t_ack });
 
-            if exhausted {
+            if plan.exhausted(layout) {
                 events.record(me, EventKind::CapacityExhausted);
                 ack::broadcast_shutdown(proc, &alive, cfg.ack_queue, cfg.ack_timeout)?;
                 out.capacity_exhausted = true;
                 return Err(FtError::CapacityExhausted);
             }
-            if promoted {
+            if !plan.fd_alive {
                 events.record(me, EventKind::FdPromoted);
                 out.promoted_plan = Some(plan);
                 return Ok(out);
@@ -392,8 +248,38 @@ pub fn run_detector_from(
     }
 }
 
-fn alive_targets(layout: &WorldLayout, failed: &[Rank], me: Rank) -> Vec<Rank> {
-    (0..layout.total()).filter(|&r| r != me && !failed.contains(&r)).collect()
+/// Shadow side: the detector of `plan` is dead — record it, and announce
+/// this rank in its place. Returns the plan to scan on from.
+pub(crate) fn take_over(
+    proc: &GaspiProc,
+    layout: &WorldLayout,
+    cfg: &DetectorConfig,
+    events: &EventLog,
+    plan: &RecoveryPlan,
+) -> FtResult<RecoveryPlan> {
+    events.record(proc.rank(), EventKind::FdTakeover { dead_fd: plan.current_fd(layout) });
+    let next = plan.after_takeover(layout, proc.rank());
+    announce(proc, layout, cfg, events, &next)?;
+    Ok(next)
+}
+
+/// Acknowledge `plan` to every rank it leaves alive; returns them.
+fn announce(
+    proc: &GaspiProc,
+    layout: &WorldLayout,
+    cfg: &DetectorConfig,
+    events: &EventLog,
+    plan: &RecoveryPlan,
+) -> FtResult<Vec<Rank>> {
+    let alive = alive_targets(layout, plan, proc.rank());
+    // Ranks whose ack write fails will be detected next scan.
+    let _undelivered = ack::broadcast_plan(proc, plan, &alive, cfg.ack_queue, cfg.ack_timeout)?;
+    events.record(proc.rank(), EventKind::FdAck { epoch: plan.epoch });
+    Ok(alive)
+}
+
+fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Rank> {
+    (0..layout.total()).filter(|&r| r != me && !plan.failed.contains(&r)).collect()
 }
 
 #[cfg(test)]

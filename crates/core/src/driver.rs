@@ -25,7 +25,7 @@ use ft_gaspi::{
 };
 
 use crate::ack::{self, create_ctrl_segment};
-use crate::detector::{DetectorConfig, DetectorOutcome};
+use crate::detector::{run_detector_from, take_over, DetectorConfig, DetectorOutcome};
 use crate::error::{FtError, FtResult, FtSignal};
 use crate::events::{EventKind, EventLog};
 use crate::health::{CommPolicy, HealthWatch};
@@ -200,8 +200,6 @@ impl FtConfigBuilder {
 /// Mutable per-rank driver state visible to the application.
 struct CtxState {
     group: Option<Group>,
-    plan: RecoveryPlan,
-    map: RankMap,
     app_rank: Option<u32>,
     /// Set while this rank is a *freshly activated* rescue that has not
     /// yet restored: the failed predecessor whose checkpoints it must
@@ -210,8 +208,9 @@ struct CtxState {
     adopted_from: Option<Rank>,
 }
 
-/// Everything an [`FtApp`] needs: the process handle, the health watch,
-/// the current worker group and rank map, and the job event log.
+/// Everything an [`FtApp`] needs: the process handle, the health watch
+/// (which holds the plan in force and its rank map), the current worker
+/// group, and the job event log.
 pub struct FtCtx {
     /// This rank's GASPI handle.
     pub proc: GaspiProc,
@@ -229,50 +228,14 @@ pub struct FtCtx {
 
 impl FtCtx {
     fn new(proc: GaspiProc, cfg: FtConfig, events: EventLog) -> Self {
-        let watch = HealthWatch::new(proc.clone(), cfg.policy.clone());
         let layout = cfg.layout;
-        // Aim broken-partner reports at the layout's detector; plan
-        // receipt re-aims (or disables) it as the detector moves.
-        watch.set_fd_rank(layout.fd_rank());
-        let map = RankMap::identity(layout.num_workers);
-        Self {
-            proc,
-            layout,
-            watch,
-            events,
-            cfg,
-            state: RefCell::new(CtxState {
-                group: None,
-                plan: RecoveryPlan::initial(),
-                map,
-                app_rank: None,
-                adopted_from: None,
-            }),
-        }
+        let watch = HealthWatch::new(proc.clone(), cfg.policy.clone(), layout);
+        let state = RefCell::new(CtxState { group: None, app_rank: None, adopted_from: None });
+        Self { proc, layout, watch, events, cfg, state }
     }
 
-    fn install(&self, group: Group, plan: RecoveryPlan) {
-        self.install_plan_only(plan);
+    fn install(&self, group: Group) {
         self.state.borrow_mut().group = Some(group);
-    }
-
-    /// Adopt a plan that does not affect the worker group (FD takeover,
-    /// idle death): bookkeeping only, group untouched.
-    fn install_plan_only(&self, plan: RecoveryPlan) {
-        self.sync_fd_rank(&plan);
-        let mut st = self.state.borrow_mut();
-        st.map = plan.rank_map(&self.layout);
-        st.plan = plan;
-    }
-
-    /// Keep the watch's suspect-report target tracking the detector as
-    /// plans move (takeover) or retire (promotion) it.
-    fn sync_fd_rank(&self, plan: &RecoveryPlan) {
-        if let Some(fd) = plan.fd_rank {
-            self.watch.set_fd_rank(fd);
-        } else if !plan.fd_alive {
-            self.watch.clear_fd_rank();
-        }
     }
 
     fn set_app_rank(&self, app: u32) {
@@ -284,9 +247,9 @@ impl FtCtx {
         self.state.borrow().group.expect("no worker group installed")
     }
 
-    /// The current recovery plan (epoch 0 = initial world).
+    /// The recovery plan in force (epoch 0 = initial world).
     pub fn plan(&self) -> RecoveryPlan {
-        self.state.borrow().plan.clone()
+        self.watch.plan()
     }
 
     /// This process's application rank.
@@ -301,7 +264,7 @@ impl FtCtx {
 
     /// GASPI rank currently carrying `app_rank`.
     pub fn gaspi_of(&self, app_rank: u32) -> Rank {
-        self.state.borrow().map.gaspi_of(app_rank)
+        self.watch.gaspi_of(app_rank)
     }
 
     /// The rank whose checkpoints this process must restore: its failed
@@ -320,7 +283,7 @@ impl FtCtx {
 
     /// Snapshot of the application-rank map.
     pub fn rank_map(&self) -> RankMap {
-        self.state.borrow().map.clone()
+        self.watch.rank_map()
     }
 
     /// Fault-tolerant barrier on the current worker group.
@@ -517,14 +480,7 @@ where
     A: FtApp,
     F: Fn(&FtCtx) -> A + Send + Sync + 'static,
 {
-    assert_eq!(
-        world.config().num_ranks,
-        cfg.layout.total(),
-        "world size must match layout (workers + spares)"
-    );
-    // World-global checkpoint service: idle spares never construct a
-    // `Checkpointer`, yet their node's replica store must answer fetches.
-    ft_checkpoint::service::install(&world.proc_handle(0));
+    install_service(world, &cfg.layout, 0);
     let events = EventLog::new();
     let events2 = events.clone();
     let timer = schedule.start_timer(world.fault());
@@ -559,16 +515,23 @@ where
     A: FtApp,
     F: Fn(&FtCtx) -> A + Send + Sync + 'static,
 {
-    assert_eq!(
-        world.config().num_ranks,
-        cfg.layout.total(),
-        "world size must match layout (workers + spares)"
-    );
-    ft_checkpoint::service::install(&world.proc_handle(rank));
+    install_service(world, &cfg.layout, rank);
     world.run_local(rank, move |proc| {
         let ctx = FtCtx::new(proc, cfg, events);
         run_rank(ctx, &schedule, &make_app)
     })
+}
+
+/// Check that `world` fits `layout` and install the world-global
+/// checkpoint service through `rank`'s handle: idle spares never construct
+/// a `Checkpointer`, yet their node's replica store must answer fetches.
+fn install_service(world: &GaspiWorld, layout: &WorldLayout, rank: Rank) {
+    assert_eq!(
+        world.config().num_ranks,
+        layout.total(),
+        "world size must match layout (workers + spares)"
+    );
+    ft_checkpoint::service::install(&world.proc_handle(rank));
 }
 
 fn run_rank<A: FtApp>(
@@ -583,9 +546,10 @@ fn run_rank<A: FtApp>(
         Ok(RankReport { rank, role, app_rank, summary, error, detector })
     };
     // Activation of a spare (idle, shadow or promoted detector) as a
-    // rescue under `plan`: from here on it is a worker.
+    // rescue under `plan`: from here on it is a worker. (A detector put
+    // the plan out itself; an idle's watch already holds it.)
     let rescue = |plan: RecoveryPlan, detector| {
-        ctx.watch.acknowledge(plan.epoch);
+        ctx.watch.adopt(plan.clone());
         match worker_run(&ctx, make_app, schedule, Some(plan)) {
             Ok(summary) => {
                 report(Role::Rescue, Some(ctx.app_rank()), Some(summary), None, detector)
@@ -597,40 +561,22 @@ fn run_rank<A: FtApp>(
         }
     };
 
-    if rank == layout.fd_rank() {
-        // ---- Primary detector path ------------------------------------
-        let reserved: Vec<Rank> = ctx.cfg.shadow_rank().into_iter().collect();
-        let state = crate::detector::DetectorState::fresh(&layout, &reserved);
-        match crate::detector::run_detector_from(
-            &ctx.proc,
-            &layout,
-            &ctx.cfg.detector.clone(),
-            &ctx.events,
-            state,
-        ) {
-            // The FD joins the workers (restriction 2).
-            Ok(out) => match out.promoted_plan.clone() {
+    if rank == layout.fd_rank() || ctx.cfg.shadow_rank() == Some(rank) {
+        // ---- Detector path, primary and shadow alike ---------------------
+        match detector_run(&ctx) {
+            Ok(Some(out)) => match out.promoted_plan.clone() {
+                // The FD joins the workers (restriction 2).
                 Some(plan) => rescue(plan, Some(out)),
                 None => report(Role::Detector, None, None, None, Some(out)),
             },
+            Ok(None) => report(Role::Detector, None, None, None, None),
             Err(e) => report(Role::Detector, None, None, Some(e), None),
-        }
-    } else if ctx.cfg.shadow_rank() == Some(rank) {
-        // ---- Shadow detector path --------------------------------------
-        match run_shadow(&ctx) {
-            ShadowEnd::Quiet => report(Role::Detector, None, None, None, None),
-            ShadowEnd::TookOver(out) => match out.promoted_plan.clone() {
-                Some(plan) => rescue(plan, Some(out)),
-                None => report(Role::Detector, None, None, None, Some(out)),
-            },
-            ShadowEnd::Failed(e) => report(Role::Detector, None, None, Some(e), None),
         }
     } else if rank < layout.num_workers {
         // ---- Worker path ----------------------------------------------
         ctx.set_app_rank(rank);
-        let plan0 = RecoveryPlan::initial();
-        match recover_once(&ctx, &plan0)
-            .map(|group| ctx.install(group, plan0))
+        match recover_once(&ctx, &RecoveryPlan::initial())
+            .map(|group| ctx.install(group))
             .and_then(|()| worker_run(&ctx, make_app, schedule, None))
         {
             Ok(summary) => report(Role::Worker, Some(ctx.app_rank()), Some(summary), None, None),
@@ -645,7 +591,6 @@ fn run_rank<A: FtApp>(
         // detector's liveness: if every detector is gone (restriction 2
         // reached), nothing can ever activate them — exit instead of
         // idling forever.
-        let mut last_plan = RecoveryPlan::initial();
         let fd_check_every = ctx.cfg.detector.scan_interval.max(Duration::from_millis(5)) * 4;
         let mut last_fd_check = Instant::now();
         loop {
@@ -654,18 +599,17 @@ fn run_rank<A: FtApp>(
                 Err(FtError::Signal(FtSignal::Shutdown)) => {
                     return report(Role::Idle, None, None, None, None)
                 }
+                // A new worker group: mine to join if the plan names me.
                 Err(FtError::Signal(FtSignal::Recover(plan))) => {
                     if plan.adopted_app_rank(&layout, rank).is_some() {
                         return rescue(plan, None);
                     }
-                    // Not my epoch: keep idling with updated bookkeeping.
-                    last_plan = plan;
                 }
                 Err(e) => return report(Role::Idle, None, None, Some(e), None),
             }
             if last_fd_check.elapsed() >= fd_check_every {
                 last_fd_check = Instant::now();
-                let fd = last_plan.current_fd(&layout);
+                let fd = ctx.plan().current_fd(&layout);
                 let fd_dead = ctx.proc.proc_ping(fd, ctx.cfg.detector.ping_timeout).is_err();
                 if fd_dead {
                     // With redundancy, give the live shadow its chance to
@@ -694,71 +638,36 @@ fn run_rank<A: FtApp>(
     }
 }
 
-enum ShadowEnd {
-    /// The primary handled everything; the shadow was never needed.
-    Quiet,
-    /// The shadow took over and ran detection to completion.
-    TookOver(DetectorOutcome),
-    /// The shadow itself hit an error.
-    Failed(FtError),
-}
-
-/// The shadow detector: tracks plans, pings the primary FD, and takes
-/// over detection when the primary dies (paper §VIII future work).
-fn run_shadow(ctx: &FtCtx) -> ShadowEnd {
-    let layout = ctx.layout;
-    let me = ctx.proc.rank();
-    let mut last_plan = RecoveryPlan::initial();
-    let interval = ctx.cfg.detector.scan_interval;
+/// The one detector role, primary and shadow alike: while another rank is
+/// the detector of the plan in force, stand by — keep the plan current and
+/// ping that rank; once this rank is the detector, from the start or by
+/// taking over from a dead one (paper §VIII future work), scan. `None`
+/// when it never came to scanning.
+fn detector_run(ctx: &FtCtx) -> FtResult<Option<DetectorOutcome>> {
+    let (proc, layout, cfg) = (&ctx.proc, &ctx.layout, &ctx.cfg.detector);
     loop {
         match ctx.watch.check() {
-            Ok(()) => {}
-            Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                // Track cumulative state; the shadow is reserved, so it is
-                // never in the rescue list.
-                last_plan = plan;
-                if !last_plan.fd_alive {
-                    // The (possibly promoted) detector ended; nothing left
-                    // to shadow.
-                    return ShadowEnd::Quiet;
-                }
-            }
-            Err(FtError::Signal(FtSignal::Shutdown)) => return ShadowEnd::Quiet,
-            Err(e) => return ShadowEnd::Failed(e),
+            // A new worker group is none of a standby's business: it is
+            // reserved, never a rescue, and the watch keeps the plan.
+            Ok(()) | Err(FtError::Signal(FtSignal::Recover(_))) => {}
+            Err(FtError::Signal(FtSignal::Shutdown)) => return Ok(None),
+            Err(e) => return Err(e),
         }
-        let primary = last_plan.current_fd(&layout);
-        if primary != me && ctx.proc.proc_ping(primary, ctx.cfg.detector.ping_timeout).is_err() {
-            // Take over: reconstruct the detection state from the last
-            // cumulative plan, announce the new FD, and start scanning.
-            ctx.events.record(me, EventKind::FdTakeover { dead_fd: primary });
-            let mut state = crate::detector::DetectorState::from_plan(&layout, &last_plan, &[me]);
-            state.register_takeover(primary, me);
-            let plan = state.plan(true);
-            let alive: Vec<Rank> =
-                (0..layout.total()).filter(|&r| r != me && !plan.failed.contains(&r)).collect();
-            if let Err(e) = ack::broadcast_plan(
-                &ctx.proc,
-                &plan,
-                &alive,
-                ctx.cfg.detector.ack_queue,
-                ctx.cfg.detector.ack_timeout,
-            ) {
-                return ShadowEnd::Failed(e.into());
-            }
-            ctx.events.record(me, EventKind::FdAck { epoch: plan.epoch });
-            ctx.watch.acknowledge(plan.epoch);
-            return match crate::detector::run_detector_from(
-                &ctx.proc,
-                &layout,
-                &ctx.cfg.detector.clone(),
-                &ctx.events,
-                state,
-            ) {
-                Ok(out) => ShadowEnd::TookOver(out),
-                Err(e) => ShadowEnd::Failed(e),
-            };
+        let mut plan = ctx.plan();
+        if !plan.fd_alive {
+            // The detector joined the workers; nothing left to shadow.
+            return Ok(None);
         }
-        std::thread::sleep(interval.min(Duration::from_millis(5)));
+        let fd = plan.current_fd(layout);
+        if fd != proc.rank() {
+            if proc.proc_ping(fd, cfg.ping_timeout).is_ok() {
+                std::thread::sleep(cfg.scan_interval.min(Duration::from_millis(5)));
+                continue;
+            }
+            plan = take_over(proc, layout, cfg, &ctx.events, &plan)?;
+        }
+        let reserved = ctx.cfg.shadow_rank();
+        return run_detector_from(proc, layout, cfg, &ctx.events, reserved, plan).map(Some);
     }
 }
 
@@ -785,22 +694,21 @@ fn recover_once(ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<Group> {
 }
 
 /// The one recovery sequence (Fig. 3): rebuild the group `plan` describes,
-/// rewire the application, let the strategy restore, acknowledge —
-/// restarted with the newer plan whenever a further failure interrupts
-/// any stage, until a plan sticks. An empty `app` marks a spare being
-/// activated: it adopts its application rank per plan and attaches through
-/// `make_app` + `join_as_rescue` once the group stands.
+/// rewire the application, let the strategy restore — restarted with the
+/// newer plan whenever a further failure interrupts any stage, until a
+/// plan sticks. Only a plan that changes the worker group gets here or
+/// interrupts it; the watch absorbs the rest. An empty `app` marks a spare
+/// being activated: it adopts its application rank per plan and attaches
+/// through `make_app` + `join_as_rescue` once the group stands.
 ///
-/// Returns the iteration to resume from, or `None` for a benign plan (a
-/// detector takeover or a failed idle) that leaves the worker group
-/// untouched — no rollback then.
+/// Returns the iteration to resume from.
 fn recover<A: FtApp>(
     ctx: &FtCtx,
     app: &mut Option<A>,
     make_app: &impl Fn(&FtCtx) -> A,
     strat: &mut dyn RecoveryStrategy<A>,
     mut plan: RecoveryPlan,
-) -> FtResult<Option<u64>> {
+) -> FtResult<u64> {
     let rank = ctx.proc.rank();
     let activating = app.is_none();
     loop {
@@ -810,32 +718,28 @@ fn recover<A: FtApp>(
             ctx.set_app_rank(app_rank);
             ctx.set_adopted_from(Some(crate::ckpt::restore_source(&plan, rank)));
             ctx.events.record(rank, EventKind::Activated { app_rank });
-        } else if plan.worker_set(&ctx.layout) == ctx.plan().worker_set(&ctx.layout) {
-            // Benign: adopt the bookkeeping, keep computing.
-            ctx.install_plan_only(plan.clone());
-            ctx.watch.acknowledge(plan.epoch);
-            return Ok(None);
         } else {
             ctx.events.record(rank, EventKind::FailureSignal { epoch: plan.epoch });
         }
         let restored = recover_once(ctx, &plan).and_then(|group| {
-            ctx.install(group, plan.clone());
+            ctx.install(group);
             let app = app.get_or_insert_with(|| make_app(ctx));
             if activating {
                 app.join_as_rescue(ctx)?;
             }
-            app.rewire(ctx, &plan)?;
+            // The plan in force: `plan`, or a successor the watch absorbed
+            // since (same group, more ranks buried).
+            app.rewire(ctx, &ctx.plan())?;
             strat.restore(ctx, app)
         });
         match restored {
             Ok(decision) => {
                 let iter = decision.resume_iter();
-                ctx.events.record(rank, EventKind::Restored { epoch: plan.epoch, iter });
-                ctx.watch.acknowledge(plan.epoch);
+                ctx.events.record(rank, EventKind::Restored { epoch: ctx.plan().epoch, iter });
                 // A rescue's state is re-homed: from now on it restores
                 // as itself.
                 ctx.set_adopted_from(None);
-                return Ok(Some(iter));
+                return Ok(iter);
             }
             Err(FtError::Signal(FtSignal::Recover(newer))) => plan = newer,
             Err(e) => return Err(e),
@@ -856,8 +760,7 @@ fn worker_run<A: FtApp>(
     let mut strat = ctx.cfg.strategy.build::<A>(ctx);
     let mut slot = None;
     let mut iter = match activation {
-        Some(plan) => recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?
-            .expect("an activation rebuilds the group"),
+        Some(plan) => recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?,
         None => {
             slot.insert(make_app(ctx)).setup(ctx)?;
             ctx.events.record(rank, EventKind::SetupDone);
@@ -899,14 +802,12 @@ fn worker_run<A: FtApp>(
         match stepped {
             Ok(()) => {}
             Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                if let Some(resume) = recover(ctx, &mut slot, make_app, strat.as_mut(), plan)? {
-                    iter = resume;
-                    // A resume at the failure frontier (ABFT
-                    // reconstruction, replication takeover) loses no
-                    // work: record a redo interval only when there is one.
-                    if resume < max_iter {
-                        redo = Some((ctx.plan().epoch, max_iter));
-                    }
+                iter = recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?;
+                // A resume at the failure frontier (ABFT reconstruction,
+                // replication takeover) loses no work: record a redo
+                // interval only when there is one.
+                if iter < max_iter {
+                    redo = Some((ctx.plan().epoch, max_iter));
                 }
             }
             Err(e) => return Err(e),

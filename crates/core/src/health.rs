@@ -5,15 +5,20 @@
 //! communicating directly with the failed processes keep on returning with
 //! GASPI_TIMEOUT unless a failure acknowledgment is received" (§IV-A).
 //!
-//! [`HealthWatch::check`] is the cheap pre-communication test (an atomic
-//! peek of the epoch notification). The `*_ft` wrappers implement the
-//! retry-until-acknowledged loop: they issue the underlying GASPI call
-//! with a short timeout and re-check the watch between attempts, so a
-//! worker stuck on a dead partner leaves the call the moment the FD's
-//! acknowledgment lands — as a typed [`FtSignal::Recover`].
+//! [`HealthWatch::check`] is the cheap pre-communication test (two peeks
+//! of the control segment's notifications). The watch also holds the
+//! *plan in force* — the newest plan this rank has received — and is the
+//! one place an arriving plan is classified: one that leaves the worker
+//! group as it is (a detector takeover, a dead idle) is absorbed on the
+//! spot and nothing is interrupted; only one that changes the group
+//! surfaces, as a typed [`FtSignal::Recover`]. The `*_ft` wrappers
+//! implement the retry-until-acknowledged loop: they issue the underlying
+//! GASPI call with a short timeout and re-check the watch between
+//! attempts, so a worker stuck on a dead partner leaves the call the
+//! moment the FD's acknowledgment lands.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use ft_cluster::Rank;
@@ -21,6 +26,8 @@ use ft_gaspi::{GaspiError, GaspiProc, Group, NotificationId, ReduceOp, SegId, Ti
 
 use crate::ack::{self, CTRL_SEG, EPOCH_NOTIF, SHUTDOWN_NOTIF};
 use crate::error::{FtError, FtResult, FtSignal};
+use crate::layout::{RankMap, WorldLayout};
+use crate::plan::RecoveryPlan;
 
 /// Tuning knobs for the fault-tolerant communication wrappers.
 #[derive(Debug, Clone)]
@@ -46,57 +53,73 @@ impl Default for CommPolicy {
     }
 }
 
-/// Sentinel for "no FD rank configured" in [`HealthWatch::fd_rank`].
-const FD_UNSET: u64 = u64::MAX;
+/// The plan in force and the rank map it derives (cached: `gaspi_of` sits
+/// on the halo exchange's per-message path).
+struct InForce {
+    plan: RecoveryPlan,
+    map: RankMap,
+}
 
 /// The per-rank failure-acknowledgment watch.
 pub struct HealthWatch {
     proc: GaspiProc,
-    seen_epoch: Arc<AtomicU64>,
     policy: CommPolicy,
-    /// Current detector rank, or [`FD_UNSET`]. Workers report broken
-    /// partners here (the paper's link-fault path: the FD's own pings may
-    /// not cross a severed worker↔worker link).
-    fd_rank: AtomicU64,
+    layout: WorldLayout,
+    held: RefCell<InForce>,
     /// Ranks already reported — each suspect is flagged to the FD once.
-    reported: parking_lot::Mutex<std::collections::HashSet<Rank>>,
+    reported: parking_lot::Mutex<HashSet<Rank>>,
 }
 
 impl HealthWatch {
-    /// Watch for acknowledgments on `proc`'s control segment.
-    pub fn new(proc: GaspiProc, policy: CommPolicy) -> Self {
-        Self {
-            proc,
-            seen_epoch: Arc::new(AtomicU64::new(0)),
-            policy,
-            fd_rank: AtomicU64::new(FD_UNSET),
-            reported: parking_lot::Mutex::new(std::collections::HashSet::new()),
+    /// Watch for acknowledgments on `proc`'s control segment, starting
+    /// from the initial plan of `layout`.
+    pub fn new(proc: GaspiProc, policy: CommPolicy, layout: WorldLayout) -> Self {
+        let plan = RecoveryPlan::initial();
+        let held = RefCell::new(InForce { map: plan.rank_map(&layout), plan });
+        Self { proc, policy, layout, held, reported: parking_lot::Mutex::new(HashSet::new()) }
+    }
+
+    /// The plan in force (epoch 0 = initial world).
+    pub fn plan(&self) -> RecoveryPlan {
+        self.held.borrow().plan.clone()
+    }
+
+    /// The application-rank map of the plan in force.
+    pub fn rank_map(&self) -> RankMap {
+        self.held.borrow().map.clone()
+    }
+
+    /// GASPI rank carrying `app_rank` under the plan in force.
+    pub fn gaspi_of(&self, app_rank: u32) -> Rank {
+        self.held.borrow().map.gaspi_of(app_rank)
+    }
+
+    /// Put `plan` in force if it is newer than the one held, and say
+    /// whether that changes the worker group. [`Self::check`] does this
+    /// for every plan that arrives; a detector calls it for the plans it
+    /// broadcasts itself, which never arrive on its own control segment.
+    pub(crate) fn adopt(&self, plan: RecoveryPlan) -> bool {
+        let mut held = self.held.borrow_mut();
+        if plan.epoch <= held.plan.epoch {
+            return false;
         }
+        let regroups = held.plan.regroups(&plan);
+        *held = InForce { map: plan.rank_map(&self.layout), plan };
+        regroups
     }
 
-    /// Enable worker→FD suspect reporting, aimed at `fd`. The driver sets
-    /// this at startup and again whenever a recovery plan or takeover
-    /// moves the detector; without it the watch never reports (the
-    /// pre-link-fault behavior).
-    pub fn set_fd_rank(&self, fd: Rank) {
-        self.fd_rank.store(u64::from(fd), Ordering::Release);
-    }
-
-    /// Disable suspect reporting (no detector left — e.g. the FD promoted
-    /// itself to worker under restriction 2).
-    pub fn clear_fd_rank(&self) {
-        self.fd_rank.store(FD_UNSET, Ordering::Release);
-    }
-
-    /// Best-effort once-only suspect reports to the FD. Skips silently
-    /// when no FD is configured, when *we* are the FD, or when the
-    /// suspect *is* the FD (the FD-liveness watchdog owns that case).
+    /// Best-effort once-only suspect reports to the detector of the plan
+    /// in force (the paper's link-fault path: the FD's own pings may not
+    /// cross a severed worker↔worker link). Skips silently when no
+    /// detector is left (it joined the workers under restriction 2), when
+    /// *we* are the FD, or when the suspect *is* the FD (the FD-liveness
+    /// watchdog owns that case).
     fn report_broken(&self, ranks: &[Rank]) {
-        let fd = self.fd_rank.load(Ordering::Acquire);
-        if fd == FD_UNSET || fd == u64::from(self.proc.rank()) {
+        let held = self.held.borrow();
+        let fd = held.plan.current_fd(&self.layout);
+        if !held.plan.fd_alive || fd == self.proc.rank() {
             return;
         }
-        let fd = fd as Rank;
         let mut reported = self.reported.lock();
         for &r in ranks {
             if r == fd || r == self.proc.rank() || !reported.insert(r) {
@@ -124,43 +147,23 @@ impl HealthWatch {
         &self.policy
     }
 
-    /// The newest epoch this rank has acknowledged locally.
-    pub fn seen_epoch(&self) -> u64 {
-        self.seen_epoch.load(Ordering::Acquire)
-    }
-
-    /// Mark `epoch` as handled (the driver calls this when a recovery
-    /// completes, so an in-flight plan isn't signalled twice).
-    pub fn acknowledge(&self, epoch: u64) {
-        self.seen_epoch.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// The cheap pre-communication check: returns `Ok(())` when nothing
-    /// happened; a typed signal otherwise.
+    /// The cheap pre-communication check: `Ok(())` when nothing happened
+    /// *or* a newer plan arrived that leaves the worker group unchanged
+    /// (now in force; the caller carries on undisturbed), a typed signal
+    /// otherwise. Classification runs only on an epoch bump.
     pub fn check(&self) -> FtResult<()> {
         if self.proc.notify_peek(CTRL_SEG, SHUTDOWN_NOTIF)? != 0 {
             return Err(FtError::Signal(FtSignal::Shutdown));
         }
         let epoch = u64::from(self.proc.notify_peek(CTRL_SEG, EPOCH_NOTIF)?);
-        if epoch > self.seen_epoch() {
+        if epoch > self.held.borrow().plan.epoch {
             if let Some(plan) = ack::read_plan(&self.proc)? {
-                if plan.epoch > self.seen_epoch() {
-                    self.seen_epoch.store(plan.epoch, Ordering::Release);
+                if self.adopt(plan.clone()) {
                     return Err(FtError::Signal(FtSignal::Recover(plan)));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Block until a signal arrives (idle processes park here).
-    pub fn wait_signal(&self, lap: Duration) -> FtError {
-        loop {
-            if let Err(sig) = self.check() {
-                return sig;
-            }
-            std::thread::sleep(lap);
-        }
     }
 
     /// Generic retry loop shared by the `*_ft` wrappers.
@@ -250,8 +253,6 @@ impl HealthWatch {
 mod tests {
     use super::*;
     use crate::ack::create_ctrl_segment;
-    use crate::layout::WorldLayout;
-    use crate::plan::RecoveryPlan;
     use ft_gaspi::{GaspiConfig, GaspiWorld};
 
     #[test]
@@ -262,15 +263,9 @@ mod tests {
         let w0 = world.proc_handle(0);
         create_ctrl_segment(&fd, &layout).unwrap();
         create_ctrl_segment(&w0, &layout).unwrap();
-        let watch = HealthWatch::new(w0, CommPolicy::default());
+        let watch = HealthWatch::new(w0, CommPolicy::default(), layout);
         assert!(watch.check().is_ok());
-        let plan = RecoveryPlan {
-            epoch: 1,
-            failed: vec![1],
-            rescues: vec![2],
-            fd_alive: true,
-            fd_rank: None,
-        };
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
         ack::broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
         // Wait for delivery, then the check must fire exactly once.
         std::thread::sleep(Duration::from_millis(20));
@@ -279,7 +274,7 @@ mod tests {
             other => panic!("expected Recover, got {other:?}"),
         }
         assert!(watch.check().is_ok(), "same epoch must not re-signal");
-        assert_eq!(watch.seen_epoch(), 1);
+        assert_eq!(watch.plan(), plan);
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
         create_ctrl_segment(&w0, &layout).unwrap();
         ack::broadcast_shutdown(&fd, &[0], 0, Timeout::Ms(2000)).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let watch = HealthWatch::new(w0, CommPolicy::default());
+        let watch = HealthWatch::new(w0, CommPolicy::default(), layout);
         assert!(matches!(watch.check(), Err(FtError::Signal(FtSignal::Shutdown))));
     }
 
@@ -316,20 +311,13 @@ mod tests {
                 abandon: Duration::from_secs(30),
                 ..CommPolicy::default()
             },
+            layout,
         );
         let fd2 = fd.clone();
-        let layout2 = layout;
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            let plan = RecoveryPlan {
-                epoch: 1,
-                failed: vec![1],
-                rescues: vec![2],
-                fd_alive: true,
-                fd_rank: None,
-            };
+            let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
             ack::broadcast_plan(&fd2, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
-            let _ = layout2;
         });
         match watch.wait_ft(0) {
             Err(FtError::Signal(FtSignal::Recover(p))) => assert_eq!(p.epoch, 1),
@@ -339,18 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn broken_partner_is_reported_to_the_fd_once() {
-        let layout = WorldLayout::new(3, 1);
+    fn broken_partner_is_reported_once_to_the_detector_in_force() {
+        let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, FD 5
         let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let fd = world.proc_handle(layout.fd_rank());
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&fd, &layout).unwrap();
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let [w0, shadow, fd] = [0, 4, 5].map(|r| world.proc_handle(r));
+        for p in [&w0, &shadow, &fd] {
+            create_ctrl_segment(p, &layout).unwrap();
+        }
         w0.segment_create(5, 64).unwrap();
-        // Sever the w0→w1 link only: the FD's own pings to rank 1 still
-        // succeed, so only the worker's report can surface the fault.
-        world.fault().break_link_directed(0, 1);
-        w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
         let watch = HealthWatch::new(
             w0.clone(),
             CommPolicy {
@@ -358,14 +342,30 @@ mod tests {
                 abandon: Duration::from_millis(80),
                 ..CommPolicy::default()
             },
+            layout,
         );
-        watch.set_fd_rank(layout.fd_rank());
-        assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));
+        // Sever a w0→partner link only: the FD's own pings to the partner
+        // still succeed, so only the worker's report can surface the fault.
+        let break_and_trip = |partner: Rank| {
+            world.fault().break_link_directed(0, partner);
+            w0.write(5, 0, partner, 5, 0, 8, 0).unwrap();
+            assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));
+        };
+        break_and_trip(1);
         let suspects = ack::drain_suspects(&fd, layout.total()).unwrap();
         assert_eq!(suspects, vec![1], "w0 must flag its unreachable partner");
         // Second trip over the same broken partner must not re-report.
-        w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
-        assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));
+        break_and_trip(1);
+        assert!(ack::drain_suspects(&fd, layout.total()).unwrap().is_empty());
+        // The shadow takes over: the plan is absorbed without a signal, and
+        // the next broken partner is reported to the new detector.
+        let takeover = RecoveryPlan::initial().after_takeover(&layout, 4);
+        ack::broadcast_plan(&shadow, &takeover, &[0], 0, Timeout::Ms(2000)).unwrap();
+        w0.notify_waitsome(CTRL_SEG, EPOCH_NOTIF, 1, Timeout::Ms(2000)).unwrap();
+        assert!(watch.check().is_ok(), "a detector-only plan must not interrupt");
+        assert_eq!(watch.plan(), takeover);
+        break_and_trip(2);
+        assert_eq!(ack::drain_suspects(&shadow, layout.total()).unwrap(), vec![2]);
         assert!(ack::drain_suspects(&fd, layout.total()).unwrap().is_empty());
     }
 
@@ -385,6 +385,7 @@ mod tests {
                 abandon: Duration::from_millis(100),
                 ..CommPolicy::default()
             },
+            layout,
         );
         let t0 = Instant::now();
         assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));

@@ -64,44 +64,6 @@ impl WorldLayout {
     pub fn designated_shadow(&self, app_rank: u32) -> Rank {
         self.num_workers + app_rank
     }
-
-    /// Role of a GASPI rank at job start.
-    pub fn initial_role(&self, rank: Rank) -> ProcStatus {
-        if rank < self.num_workers {
-            ProcStatus::Working
-        } else if rank == self.fd_rank() {
-            ProcStatus::Detector
-        } else {
-            ProcStatus::Idle
-        }
-    }
-}
-
-/// Status of a process as tracked by the FD (the paper's
-/// `status_processes` array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ProcStatus {
-    /// Computing member of the worker group.
-    Working = 0,
-    /// Standing by as a rescue candidate.
-    Idle = 1,
-    /// Confirmed (or enforced) dead.
-    Failed = 2,
-    /// The dedicated fault detector.
-    Detector = 3,
-}
-
-impl ProcStatus {
-    /// Decode from the wire byte.
-    pub fn from_u8(b: u8) -> Self {
-        match b {
-            0 => ProcStatus::Working,
-            1 => ProcStatus::Idle,
-            2 => ProcStatus::Failed,
-            _ => ProcStatus::Detector,
-        }
-    }
 }
 
 /// Application rank → GASPI rank translation.
@@ -157,11 +119,6 @@ impl RankMap {
     pub fn as_slice(&self) -> &[Rank] {
         &self.map
     }
-
-    /// Rebuild from a raw slice (wire decode).
-    pub fn from_vec(map: Vec<Rank>) -> Self {
-        Self { map }
-    }
 }
 
 #[cfg(test)]
@@ -175,10 +132,6 @@ mod tests {
         assert_eq!(l.fd_rank(), 6);
         assert_eq!(l.idle_pool().collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!(l.rescue_capacity(), 2);
-        assert_eq!(l.initial_role(0), ProcStatus::Working);
-        assert_eq!(l.initial_role(3), ProcStatus::Working);
-        assert_eq!(l.initial_role(4), ProcStatus::Idle);
-        assert_eq!(l.initial_role(6), ProcStatus::Detector);
     }
 
     #[test]
@@ -204,12 +157,5 @@ mod tests {
         // transferring a rank that carries nothing is a no-op
         assert_eq!(m.transfer(2, 7), None);
         assert_eq!(m.worker_set(), vec![0, 1, 3, 6]);
-    }
-
-    #[test]
-    fn status_wire_roundtrip() {
-        for s in [ProcStatus::Working, ProcStatus::Idle, ProcStatus::Failed, ProcStatus::Detector] {
-            assert_eq!(ProcStatus::from_u8(s as u8), s);
-        }
     }
 }

@@ -46,7 +46,7 @@ pub use driver::{
 pub use error::{FtError, FtResult, FtSignal};
 pub use events::{Event, EventKind, EventLog};
 pub use health::HealthWatch;
-pub use layout::{ProcStatus, RankMap, WorldLayout};
+pub use layout::{RankMap, WorldLayout};
 pub use plan::RecoveryPlan;
 pub use process::{
     child_env, run_child, run_supervisor, ChildEnv, ProcJobReport, ProcOutcome, ProcResult,

@@ -1,18 +1,28 @@
-//! The recovery plan: what the fault detector broadcasts after failures.
+//! The recovery plan: what the fault detector broadcasts after failures —
+//! and the only detection state there is.
 //!
 //! A plan is a *pure function* of the job layout and the cumulative
 //! `(failed, rescue)` assignment history, so every process — workers that
 //! lived through all epochs and rescues that just woke up — derives the
 //! same rank map, worker set, and neighbor ring from the same broadcast.
+//!
+//! The two questions every role asks of a plan are answered here and
+//! nowhere else: *how a plan advances* ([`RecoveryPlan::after_failures`],
+//! [`RecoveryPlan::after_takeover`] — what a detector, primary or shadow,
+//! broadcasts next) and *whether a newer plan changes the worker group*
+//! ([`RecoveryPlan::regroups`] — what the health watch asks before it
+//! interrupts anything).
+
+use std::collections::VecDeque;
 
 use ft_checkpoint::{Dec, Enc};
 use ft_cluster::Rank;
 
-use crate::layout::{ProcStatus, RankMap, WorldLayout};
+use crate::layout::{RankMap, WorldLayout};
 
-/// Group-id base for worker groups; the group for recovery epoch `e` is
-/// `WORKER_GROUP_BASE + e`, so every participant derives the same id
-/// without negotiation.
+/// Group-id base for worker groups; the group standing after the `k`-th
+/// adoption is `WORKER_GROUP_BASE + k`, so every participant derives the
+/// same id without negotiation.
 pub const WORKER_GROUP_BASE: u64 = 1 << 32;
 
 /// Everything a process needs to run Listing 2.
@@ -68,47 +78,105 @@ impl RecoveryPlan {
         self.rank_map(layout).worker_set()
     }
 
-    /// Deterministic group id for this epoch's worker group.
+    /// How many adoptions the history holds — its *worker-affecting*
+    /// length. The arrays only append, so between two plans of one job the
+    /// count names the history: equal counts mean the same rank map. A
+    /// process may observe any subsequence of the broadcast plans (a
+    /// control segment keeps only the newest), so everything the members
+    /// of a worker group must agree on is a function of this count, never
+    /// of `epoch`, which also ticks for detector takeovers and idle deaths.
+    fn adoptions(&self) -> usize {
+        self.rescues.iter().filter(|&&r| r != NO_RESCUE).count()
+    }
+
+    /// Deterministic group id for this plan's worker group.
     pub fn group_id(&self) -> u64 {
-        WORKER_GROUP_BASE + self.epoch
+        WORKER_GROUP_BASE + self.adoptions() as u64
     }
 
-    /// Status of every GASPI rank at this epoch (the paper's
-    /// `status_processes`).
-    pub fn status(&self, layout: &WorldLayout) -> Vec<ProcStatus> {
-        let mut st: Vec<ProcStatus> = (0..layout.total()).map(|r| layout.initial_role(r)).collect();
-        // Rescues first become workers...
-        let map = self.rank_map(layout);
-        for g in 0..layout.total() {
-            if map.app_of(g).is_some() {
-                st[g as usize] = ProcStatus::Working;
+    /// Whether `newer` describes a different worker group than this plan —
+    /// the one classification of an acknowledgment. A plan that only moved
+    /// the detector or buried an idle does not, and must not interrupt
+    /// anything (§VIII: a detector failure is invisible to the workers).
+    pub fn regroups(&self, newer: &RecoveryPlan) -> bool {
+        self.adoptions() != newer.adoptions()
+    }
+
+    /// Whether some application rank has been left without a carrier
+    /// (failures exceeded the spare pool, paper restriction 1).
+    pub fn exhausted(&self, layout: &WorldLayout) -> bool {
+        self.worker_set(layout).iter().any(|w| self.failed.contains(w))
+    }
+
+    /// Spares still free to adopt a worker, in activation order. `reserved`
+    /// (the shadow detector's rank) is withheld.
+    fn idle_pool(&self, layout: &WorldLayout, reserved: Option<Rank>) -> VecDeque<Rank> {
+        layout
+            .idle_pool()
+            .filter(|r| {
+                Some(*r) != reserved && !self.failed.contains(r) && !self.rescues.contains(r)
+            })
+            .collect()
+    }
+
+    /// The plan the current detector broadcasts after a scan found `newly`
+    /// failed (ascending, none of them failed before): one epoch later,
+    /// each failed carrier of an application rank adopted by a spare. The
+    /// spare is the app rank's designated shadow
+    /// ([`WorldLayout::designated_shadow`]) when `designated_shadows` asks
+    /// for it and it is free, else the next of the pool, else the detector
+    /// itself ("the FD process itself joins the worker group if no idle
+    /// process is further available", §IV-D — the plan then has
+    /// `fd_alive == false`), else nobody ([`Self::exhausted`]). A rescue
+    /// named in this very round may itself be in `newly` further on, and is
+    /// then rescued in turn.
+    pub fn after_failures(
+        &self,
+        layout: &WorldLayout,
+        newly: &[Rank],
+        reserved: Option<Rank>,
+        designated_shadows: bool,
+    ) -> Self {
+        let mut next = Self { epoch: self.epoch + 1, ..self.clone() };
+        let mut map = self.rank_map(layout);
+        let mut pool = self.idle_pool(layout, reserved);
+        for &f in newly {
+            pool.retain(|&x| x != f);
+            let rescue = match map.app_of(f) {
+                // A failed idle consumes no rescue.
+                None => NO_RESCUE,
+                Some(app) => {
+                    let designated = layout.designated_shadow(app);
+                    if designated_shadows && pool.contains(&designated) {
+                        pool.retain(|&x| x != designated);
+                        designated
+                    } else if let Some(r) = pool.pop_front() {
+                        r
+                    } else if next.fd_alive {
+                        next.fd_alive = false;
+                        self.current_fd(layout)
+                    } else {
+                        NO_RESCUE
+                    }
+                }
+            };
+            if rescue != NO_RESCUE {
+                map.transfer(f, rescue);
             }
+            next.failed.push(f);
+            next.rescues.push(rescue);
         }
-        // ...then failures override everything.
-        for &f in &self.failed {
-            st[f as usize] = ProcStatus::Failed;
-        }
-        if let Some(fd) = self.fd_rank {
-            st[fd as usize] = ProcStatus::Detector;
-        }
-        if !self.fd_alive {
-            let fd = self.current_fd(layout) as usize;
-            if st[fd] == ProcStatus::Detector {
-                st[fd] = ProcStatus::Working;
-            }
-        }
-        st
+        next
     }
 
-    /// Ranks newly failed relative to `previous` (what `proc_kill` must
-    /// target during this recovery).
-    pub fn newly_failed(&self, previous_epochs_failed: usize) -> &[Rank] {
-        &self.failed[previous_epochs_failed.min(self.failed.len())..]
-    }
-
-    /// Whether `rank` is a rescue activated by this plan.
-    pub fn is_rescue(&self, rank: Rank) -> bool {
-        self.rescues.contains(&rank)
+    /// The plan shadow detector `me` broadcasts when it finds the current
+    /// detector dead: one epoch later, the old detector buried, `me` in its
+    /// place — and the worker group untouched.
+    pub fn after_takeover(&self, layout: &WorldLayout, me: Rank) -> Self {
+        let mut next = Self { epoch: self.epoch + 1, fd_rank: Some(me), ..self.clone() };
+        next.failed.push(self.current_fd(layout));
+        next.rescues.push(NO_RESCUE);
+        next
     }
 
     /// The app rank `rank` adopted, if it is a rescue (derived by replay).
@@ -159,78 +227,80 @@ mod tests {
         let l = layout();
         assert_eq!(p.worker_set(&l), vec![0, 1, 2, 3]);
         assert_eq!(p.group_id(), WORKER_GROUP_BASE);
-        let st = p.status(&l);
-        assert_eq!(st[4], ProcStatus::Idle);
-        assert_eq!(st[6], ProcStatus::Detector);
+        assert_eq!(p.current_fd(&l), 6);
+        assert!(!p.exhausted(&l));
     }
 
     #[test]
     fn single_failure_plan() {
         let l = layout();
-        let p = RecoveryPlan {
-            epoch: 1,
-            failed: vec![2],
-            rescues: vec![4],
-            fd_alive: true,
-            fd_rank: None,
-        };
+        let p0 = RecoveryPlan::initial();
+        let p = p0.after_failures(&l, &[2], None, false);
+        assert_eq!((p.epoch, &p.failed, &p.rescues), (1, &vec![2], &vec![4]));
         assert_eq!(p.worker_set(&l), vec![0, 1, 3, 4]);
         assert_eq!(p.rank_map(&l).gaspi_of(2), 4);
-        let st = p.status(&l);
-        assert_eq!(st[2], ProcStatus::Failed);
-        assert_eq!(st[4], ProcStatus::Working);
-        assert_eq!(st[5], ProcStatus::Idle);
         assert_eq!(p.adopted_app_rank(&l, 4), Some(2));
-        assert!(p.is_rescue(4));
-        assert!(!p.is_rescue(5));
+        assert_eq!(p.adopted_app_rank(&l, 5), None);
+        assert!(p0.regroups(&p));
+        assert_eq!(p.group_id(), WORKER_GROUP_BASE + 1);
     }
 
     #[test]
     fn chained_failures_including_a_rescue() {
         let l = layout();
         // epoch1: rank2 → rescue4; epoch2: rescue4 itself dies → rescue5.
-        let p = RecoveryPlan {
-            epoch: 2,
-            failed: vec![2, 4],
-            rescues: vec![4, 5],
-            fd_alive: true,
-            fd_rank: None,
-        };
+        let p = RecoveryPlan::initial().after_failures(&l, &[2], None, false).after_failures(
+            &l,
+            &[4],
+            None,
+            false,
+        );
+        assert_eq!((p.epoch, &p.failed, &p.rescues), (2, &vec![2, 4], &vec![4, 5]));
         assert_eq!(p.rank_map(&l).gaspi_of(2), 5);
         assert_eq!(p.worker_set(&l), vec![0, 1, 3, 5]);
-        assert_eq!(p.newly_failed(1), &[4]);
-        let st = p.status(&l);
-        assert_eq!(st[2], ProcStatus::Failed);
-        assert_eq!(st[4], ProcStatus::Failed);
-        assert_eq!(st[5], ProcStatus::Working);
+        // The same two deaths found by one scan: one epoch, same adoptions.
+        let batch = RecoveryPlan::initial().after_failures(&l, &[2, 4], None, false);
+        assert_eq!((batch.epoch, &batch.failed, &batch.rescues), (1, &p.failed, &p.rescues));
     }
 
     #[test]
-    fn failed_idle_consumes_no_rescue() {
+    fn failed_idle_and_takeover_leave_the_group_alone() {
         let l = layout();
-        let p = RecoveryPlan {
-            epoch: 1,
-            failed: vec![5],
-            rescues: vec![NO_RESCUE],
-            fd_alive: true,
-            fd_rank: None,
-        };
-        assert_eq!(p.worker_set(&l), vec![0, 1, 2, 3]);
-        assert_eq!(p.status(&l)[5], ProcStatus::Failed);
+        let p0 = RecoveryPlan::initial();
+        let idle = p0.after_failures(&l, &[5], None, false);
+        assert_eq!(idle.rescues, vec![NO_RESCUE]);
+        let p1 = p0.after_failures(&l, &[2], Some(5), false);
+        let shadowed = p1.after_takeover(&l, 5);
+        assert_eq!((shadowed.epoch, shadowed.current_fd(&l), shadowed.fd_alive), (2, 5, true));
+        assert_eq!((&shadowed.failed, &shadowed.rescues), (&vec![2, 6], &vec![4, NO_RESCUE]));
+        for (a, b) in [(p0, idle), (p1, shadowed)] {
+            assert!(!a.regroups(&b));
+            assert_eq!(a.group_id(), b.group_id());
+            assert_eq!(a.worker_set(&l), b.worker_set(&l));
+        }
     }
 
     #[test]
-    fn fd_promotion_reflected_in_status() {
-        let l = layout();
-        let p = RecoveryPlan {
-            epoch: 3,
-            failed: vec![0],
-            rescues: vec![6],
-            fd_alive: false,
-            fd_rank: None,
-        };
-        assert_eq!(p.status(&l)[6], ProcStatus::Working);
-        assert_eq!(p.worker_set(&l), vec![1, 2, 3, 6]);
+    fn pool_then_promotion_then_exhaustion() {
+        let l = WorldLayout::new(4, 3); // idles 4-5, FD 6
+        let p = RecoveryPlan::initial().after_failures(&l, &[0, 1, 2, 3], None, false);
+        assert_eq!(p.rescues, vec![4, 5, 6, NO_RESCUE]);
+        assert!(!p.fd_alive && p.exhausted(&l));
+        // With 5 reserved as the shadow, the FD's turn comes one earlier.
+        let q = RecoveryPlan::initial().after_failures(&l, &[0, 1], Some(5), false);
+        assert_eq!(
+            (q.worker_set(&l), q.fd_alive, q.exhausted(&l)),
+            (vec![2, 3, 4, 6], false, false)
+        );
+    }
+
+    #[test]
+    fn designated_shadow_is_preferred_while_free() {
+        let l = WorldLayout::new(3, 4); // idles 3-5 shadow app ranks 0-2, FD 6
+        let p = RecoveryPlan::initial().after_failures(&l, &[1, 2], None, true);
+        assert_eq!(p.rescues, vec![4, 5]);
+        // 5 is taken: app rank 2's next carrier falls back to pool order.
+        assert_eq!(p.after_failures(&l, &[5], None, true).rescues, vec![4, 5, 3]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    processes to die even if they were alive", handling transient and
 //!    false-positive failures),
 //! 3. create `COMM_MAIN_NEW` with a deterministic id derived from the
-//!    epoch, add the members from the plan's status, and
+//!    plan's adoption history, add the members of its worker set, and
 //! 4. `gaspi_group_commit` — the blocking step whose cost dominates OHF2.
 //!
 //! If a *further* failure interrupts the commit, the health watch
@@ -48,8 +48,8 @@ pub fn execute_recovery(
     for &f in &plan.failed {
         let _ = proc.proc_kill(f, step_timeout);
     }
-    // 3. COMM_MAIN_NEW with the epoch-derived id; clear the remnants of an
-    //    interrupted previous attempt at this epoch, if any.
+    // 3. COMM_MAIN_NEW with the plan-derived id; clear the remnants of an
+    //    interrupted previous attempt at this group, if any.
     let gid = plan.group_id();
     proc.injection_site("recover.group.create");
     let group = match proc.group_create_with_id(gid) {
@@ -99,13 +99,7 @@ mod tests {
         let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
         let fault = world.fault();
         fault.kill_rank(1);
-        let plan = RecoveryPlan {
-            epoch: 1,
-            failed: vec![1],
-            rescues: vec![3],
-            fd_alive: true,
-            fd_rank: None,
-        };
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
         let layout2 = layout;
         let outs = world
             .launch(move |p| {
@@ -122,6 +116,7 @@ mod tests {
                         abandon: Duration::from_secs(10),
                         ..CommPolicy::default()
                     },
+                    layout2,
                 );
                 let g = execute_recovery(&watch, &layout2, &plan, None, Timeout::Ms(2000), &events)
                     .expect("recovery");

@@ -32,23 +32,34 @@ pub struct Acc {
     /// Wait out the asynchronous copies of the last commit before each
     /// step, so what a later vote finds on which tier is deterministic.
     drain: bool,
-    /// When set, app rank 0 kills the primary FD from `finalize`: after the
-    /// last iteration's collectives, before the driver's done signal. (A
-    /// step-indexed `Injection` can only kill the rank that crosses the
-    /// site, so the app's own hook stands in for one in that window.)
-    pub primary_dies_at_finalize: Option<Arc<FaultPlane>>,
+    /// When set, app rank 0 kills the primary FD on first reaching the
+    /// hook. (A step-indexed `Injection` can only kill the rank that
+    /// crosses the site, so the app's own hook stands in for one.)
+    pub primary_dies_at: Option<(FdKill, Arc<FaultPlane>)>,
+}
+
+/// Where [`Acc::primary_dies_at`] fires.
+#[derive(Clone, Copy, PartialEq)]
+pub enum FdKill {
+    /// In `finalize`: after the last iteration's collectives, before the
+    /// driver's done signal.
+    Finalize,
+    /// In `rewire`, followed by a pause: the shadow's takeover plan then
+    /// finds the other members inside the restore's collectives, waiting
+    /// for this rank.
+    Rewire,
 }
 
 impl Acc {
     /// The default stream, copies left asynchronous.
     pub fn new(ctx: &FtCtx) -> Self {
         let ck = Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None);
-        Self { acc: 0.0, ck, drain: false, primary_dies_at_finalize: None }
+        Self { acc: 0.0, ck, drain: false, primary_dies_at: None }
     }
 
     /// Over a caller-built stream, draining it before every step.
     pub fn draining(ck: Checkpointer) -> Self {
-        Self { acc: 0.0, ck, drain: true, primary_dies_at_finalize: None }
+        Self { acc: 0.0, ck, drain: true, primary_dies_at: None }
     }
 }
 
@@ -96,16 +107,28 @@ impl FtApp for Acc {
         Ok(())
     }
 
-    fn rewire(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
         self.ck.refresh_failed(&plan.failed);
+        if self.kill_primary(ctx, FdKill::Rewire) {
+            std::thread::sleep(Duration::from_millis(300));
+        }
         Ok(())
     }
 
     fn finalize(&mut self, ctx: &FtCtx) -> FtResult<(f64, u64)> {
-        if let Some(fault) = self.primary_dies_at_finalize.as_ref().filter(|_| ctx.app_rank() == 0)
-        {
+        self.kill_primary(ctx, FdKill::Finalize);
+        Ok((self.acc, self.ck.stats().restores_pfs))
+    }
+}
+
+impl Acc {
+    /// Fire the [`Acc::primary_dies_at`] hook if this is its point (once,
+    /// on app rank 0); says whether it fired.
+    fn kill_primary(&mut self, ctx: &FtCtx, at: FdKill) -> bool {
+        let hook = self.primary_dies_at.take_if(|h| h.0 == at && ctx.app_rank() == 0);
+        if let Some((_, fault)) = &hook {
             fault.kill_rank(ctx.layout.fd_rank());
         }
-        Ok((self.acc, self.ck.stats().restores_pfs))
+        hook.is_some()
     }
 }

@@ -1,109 +1,171 @@
-//! Property tests for the recovery plan algebra (rank maps, worker sets,
-//! status derivation, the wire codec) and for the ABFT stripe code as a
-//! pure function.
+//! Property tests for the recovery plan as the detection state — the pure
+//! transitions (failures → plan, takeover → plan), the views derived from
+//! a plan (rank map, worker set, group id) and the one classification
+//! (does a newer plan change the worker group) — plus the wire codec and
+//! the ABFT stripe code as a pure function.
 
 use proptest::prelude::*;
 
+use ft_cluster::Rank;
 use ft_core::plan::NO_RESCUE;
 use ft_core::stripe;
-use ft_core::{ProcStatus, RecoveryPlan, WorldLayout};
+use ft_core::{RecoveryPlan, WorldLayout};
 
-/// Generate a consistent adoption history for a layout: failures drawn
-/// from live workers/idles, rescues drawn from the remaining idle pool.
-fn arb_history(workers: u32, spares: u32, steps: usize, picks: Vec<u16>) -> RecoveryPlan {
-    let layout = WorldLayout::new(workers, spares);
-    let mut failed = Vec::new();
-    let mut rescues = Vec::new();
-    let mut pool: Vec<u32> = layout.idle_pool().collect();
-    let mut map = ft_core::RankMap::identity(workers);
-    let mut pick = picks.into_iter();
-    for _ in 0..steps {
-        // Pick a live carrier (worker) to fail.
-        let carriers: Vec<u32> = (0..layout.total() - 1)
-            .filter(|&g| !failed.contains(&g) && map.app_of(g).is_some())
-            .collect();
-        if carriers.is_empty() {
-            break;
-        }
-        let f = carriers[pick.next().unwrap_or(0) as usize % carriers.len()];
-        failed.push(f);
-        match pool.first().copied() {
-            Some(r) => {
-                pool.remove(0);
-                map.transfer(f, r);
-                rescues.push(r);
-            }
-            None => rescues.push(NO_RESCUE),
-        }
+/// A job's detection history: the layout, the two knobs of the transition,
+/// and every plan broadcast, oldest first.
+struct History {
+    layout: WorldLayout,
+    reserved: Option<Rank>,
+    designated: bool,
+    plans: Vec<RecoveryPlan>,
+}
+
+/// The free spares of `plan`, derived independently of `plan.rs`.
+fn pool(h: &History, plan: &RecoveryPlan) -> Vec<Rank> {
+    h.layout
+        .idle_pool()
+        .filter(|r| Some(*r) != h.reserved && !plan.failed.contains(r) && !plan.rescues.contains(r))
+        .collect()
+}
+
+/// One failure, `prev → next`, against the assignment rule spelled out.
+fn check_step(h: &History, prev: &RecoveryPlan, next: &RecoveryPlan, f: Rank) {
+    let l = &h.layout;
+    let rescue = *next.rescues.last().unwrap();
+    assert_eq!(next.failed.last(), Some(&f));
+    let free: Vec<Rank> = pool(h, prev).into_iter().filter(|&r| r != f).collect();
+    let Some(app) = prev.rank_map(l).app_of(f) else {
+        // An idle (or the standby shadow) died: nobody adopts anything.
+        assert_eq!(rescue, NO_RESCUE);
+        assert!(!prev.regroups(next));
+        assert_eq!(prev.rank_map(l), next.rank_map(l));
+        assert_eq!(prev.fd_alive, next.fd_alive);
+        return;
+    };
+    let shadow = l.designated_shadow(app);
+    if h.designated && free.contains(&shadow) {
+        assert_eq!(rescue, shadow, "a free designated shadow is preferred");
+    } else if let Some(&first) = free.first() {
+        assert_eq!(rescue, first, "otherwise the pool, in layout order");
+    } else if prev.fd_alive {
+        assert_eq!((rescue, next.fd_alive), (prev.current_fd(l), false), "promotion");
+    } else {
+        assert_eq!(rescue, NO_RESCUE, "exhaustion: pool empty, FD already promoted");
+        assert!(next.exhausted(l) && !prev.regroups(next));
+        return;
     }
-    RecoveryPlan { epoch: failed.len() as u64, failed, rescues, fd_alive: true, fd_rank: None }
+    assert!(free.is_empty() || next.fd_alive, "promotion only when the pool is empty");
+    assert!(prev.regroups(next));
+    assert_eq!(next.rank_map(l).gaspi_of(app), rescue);
+}
+
+/// Drive the transitions the way the detectors do: scans that find 1–3
+/// dead ranks, and (with a reserved shadow) a takeover once the primary is
+/// picked to die. Every single-failure step is checked on the way.
+fn arb_history(
+    workers: u32,
+    spares: u32,
+    redundant: bool,
+    designated: bool,
+    picks: Vec<u16>,
+) -> History {
+    let layout = WorldLayout::new(workers, spares);
+    let reserved = (redundant && spares >= 2).then(|| layout.total() - 2);
+    let mut h = History { layout, reserved, designated, plans: vec![RecoveryPlan::initial()] };
+    let mut picks = picks.into_iter();
+    while let Some(pick) = picks.next() {
+        let plan = h.plans.last().unwrap().clone();
+        if !plan.fd_alive || plan.exhausted(&layout) {
+            break; // no detector scans past a promotion or an exhaustion
+        }
+        let fd = plan.current_fd(&layout);
+        let next =
+            if pick % 5 == 0 && reserved.is_some_and(|s| s != fd && !plan.failed.contains(&s)) {
+                plan.after_takeover(&layout, reserved.unwrap())
+            } else {
+                let alive: Vec<Rank> =
+                    (0..layout.total()).filter(|r| *r != fd && !plan.failed.contains(r)).collect();
+                let mut newly: Vec<Rank> = (0..1 + pick % 3)
+                    .filter_map(|_| picks.next())
+                    .map(|p| alive[usize::from(p) % alive.len()])
+                    .collect();
+                newly.sort_unstable();
+                newly.dedup();
+                let at_once = plan.after_failures(&layout, &newly, reserved, designated);
+                let folded = newly.iter().fold(plan.clone(), |prev, &f| {
+                    let next = prev.after_failures(&layout, &[f], reserved, designated);
+                    check_step(&h, &prev, &next, f);
+                    next
+                });
+                // One scan is one epoch, but adopts exactly as its failures
+                // taken one at a time would — chained rescues included.
+                assert_eq!(at_once, RecoveryPlan { epoch: plan.epoch + 1, ..folded });
+                at_once
+            };
+        h.plans.push(next);
+    }
+    h
 }
 
 proptest! {
-    /// Non-shrinking recovery: as long as every failure got a rescue, the
-    /// worker set always has exactly `workers` members, none failed.
+    /// What holds of every plan a detector can broadcast.
     #[test]
-    fn worker_set_is_non_shrinking(
+    fn every_reachable_plan_is_well_formed(
         workers in 1u32..12,
         spares in 1u32..8,
-        steps in 0usize..6,
-        picks in proptest::collection::vec(any::<u16>(), 8),
+        redundant in any::<bool>(),
+        designated in any::<bool>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..24),
     ) {
-        let layout = WorldLayout::new(workers, spares);
-        let plan = arb_history(workers, spares, steps, picks);
-        prop_assume!(plan.rescues.iter().all(|&r| r != NO_RESCUE));
-        let ws = plan.worker_set(&layout);
-        prop_assert_eq!(ws.len(), workers as usize);
-        for &g in &ws {
-            prop_assert!(!plan.failed.contains(&g), "failed rank in worker set");
+        let h = arb_history(workers, spares, redundant, designated, picks);
+        let l = &h.layout;
+        for (i, plan) in h.plans.iter().enumerate() {
+            prop_assert_eq!(plan.epoch, i as u64);
+            prop_assert_eq!(plan.failed.len(), plan.rescues.len());
+            for (i, &r) in plan.rescues.iter().enumerate().filter(|(_, &r)| r != NO_RESCUE) {
+                prop_assert!(!plan.rescues[..i].contains(&r), "rank {r} is a rescue twice");
+                prop_assert!(!plan.failed[..=i].contains(&r), "rank {r} adopted after it failed");
+                // The shadow is withheld from the pool: it only ever joins
+                // the workers as a detector promoting itself.
+                prop_assert!(Some(r) != h.reserved || (plan.fd_rank, plan.fd_alive) == (Some(r), false));
+            }
+            // Non-shrinking: every app rank has one live carrier of its own.
+            let mut ws = plan.worker_set(l);
+            prop_assert_eq!(ws.len(), workers as usize);
+            ws.dedup();
+            prop_assert_eq!(ws.len(), workers as usize, "carriers must be distinct");
+            prop_assert_eq!(plan.exhausted(l), ws.iter().any(|g| plan.failed.contains(g)));
+            prop_assert_eq!(RecoveryPlan::decode(&plan.encode()), Some(plan.clone()));
         }
-        // Every app rank has exactly one carrier.
-        let map = plan.rank_map(&layout);
-        let mut carriers: Vec<u32> = (0..workers).map(|a| map.gaspi_of(a)).collect();
-        carriers.sort_unstable();
-        carriers.dedup();
-        prop_assert_eq!(carriers.len(), workers as usize, "carriers must be distinct");
     }
 
-    /// Status derivation is consistent with the rank map: carriers are
-    /// WORKING, failed are FAILED, and counts add up.
+    /// A rank may see any subsequence of the plans (its control segment
+    /// keeps only the newest), so what the members of a group must agree
+    /// on has to follow from *which worker group* a plan describes alone:
+    /// any two plans of one job either describe the same rank map — then
+    /// neither interrupts a holder of the other and both name one group id
+    /// — or they differ in both. Takeovers and idle deaths are the former.
     #[test]
-    fn status_partitions_ranks(
+    fn regrouping_and_group_id_depend_on_the_rank_map_alone(
         workers in 1u32..12,
         spares in 1u32..8,
-        steps in 0usize..6,
-        picks in proptest::collection::vec(any::<u16>(), 8),
+        redundant in any::<bool>(),
+        designated in any::<bool>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..24),
     ) {
-        let layout = WorldLayout::new(workers, spares);
-        let plan = arb_history(workers, spares, steps, picks);
-        let st = plan.status(&layout);
-        prop_assert_eq!(st.len(), layout.total() as usize);
-        let map = plan.rank_map(&layout);
-        for (g, s) in st.iter().enumerate() {
-            let g = g as u32;
-            if plan.failed.contains(&g) {
-                prop_assert_eq!(*s, ProcStatus::Failed);
-            } else if map.app_of(g).is_some() {
-                prop_assert_eq!(*s, ProcStatus::Working);
-            } else {
-                prop_assert!(matches!(s, ProcStatus::Idle | ProcStatus::Detector));
+        let h = arb_history(workers, spares, redundant, designated, picks);
+        for (i, held) in h.plans.iter().enumerate() {
+            for newer in &h.plans[i..] {
+                let same_group = held.rank_map(&h.layout) == newer.rank_map(&h.layout);
+                prop_assert_eq!(held.regroups(newer), !same_group);
+                prop_assert_eq!(held.group_id() == newer.group_id(), same_group);
             }
         }
-    }
-
-    /// Plan wire codec roundtrips arbitrary histories.
-    #[test]
-    fn plan_codec_roundtrip(
-        workers in 1u32..12,
-        spares in 1u32..8,
-        steps in 0usize..6,
-        picks in proptest::collection::vec(any::<u16>(), 8),
-        fd_alive in any::<bool>(),
-    ) {
-        let mut plan = arb_history(workers, spares, steps, picks);
-        plan.fd_alive = fd_alive;
-        let buf = plan.encode();
-        prop_assert_eq!(RecoveryPlan::decode(&buf), Some(plan));
+        for pair in h.plans.windows(2) {
+            if pair[1].fd_rank != pair[0].fd_rank {
+                prop_assert!(!pair[0].regroups(&pair[1]), "a takeover regroups nothing");
+            }
+        }
     }
 
     /// Single-erasure code over `n` ranks with arbitrary block lengths

@@ -4,13 +4,15 @@
 
 mod common;
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::{expected_acc, Acc};
-use ft_cluster::{FaultAction, FaultSchedule};
-use ft_core::{run_ft_job, EventKind, FtConfig, Role, WorldLayout};
-use ft_gaspi::{GaspiConfig, GaspiWorld};
+use common::{expected_acc, Acc, FdKill};
+use ft_cluster::{FaultAction, FaultPlane, FaultSchedule};
+use ft_core::{
+    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, WorldLayout,
+};
+use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
 type Report = ft_core::JobReport<(f64, u64)>;
 
@@ -94,6 +96,116 @@ fn fd_takeover_does_not_roll_workers_back() {
     assert!(!ev.iter().any(|e| matches!(e.kind, EventKind::GroupRebuilt { epoch } if epoch > 0)));
 }
 
+/// Two collectives per step, and between them — at iteration 5, on app
+/// rank 0 — the primary FD's death and a pause, so the shadow's takeover
+/// plan finds every rank between the two halves of one step.
+struct TwoSums {
+    a: f64,
+    b: f64,
+    fault: Arc<FaultPlane>,
+}
+
+impl FtApp for TwoSums {
+    type Summary = (f64, f64);
+
+    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        ctx.barrier_ft()
+    }
+
+    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
+        self.a += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
+        if iter == 5 && ctx.app_rank() == 0 {
+            self.fault.kill_rank(ctx.layout.fd_rank());
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        self.b += ctx.allreduce_f64_ft(&[1000.0 * x], ReduceOp::Sum)?[0];
+        Ok(false)
+    }
+
+    fn rewire(&mut self, _ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<(f64, f64)> {
+        Ok((self.a, self.b))
+    }
+}
+
+#[test]
+fn takeover_plan_between_two_collectives_of_a_step_interrupts_nothing() {
+    // A detector-only plan must not unwind the step it lands in: re-entered
+    // from the top, the step's first sum would be counted twice.
+    let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(0)
+        .max_iters(20)
+        .redundant_fd(true)
+        .abandon(Duration::from_secs(20))
+        .build()
+        .unwrap();
+    let fault = world.fault();
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |_| TwoSums {
+        a: 0.0,
+        b: 0.0,
+        fault: fault.clone(),
+    });
+    assert_eq!(report.killed(), vec![5]);
+    assert!(report.first_error().is_none(), "{:?}", report.first_error());
+    let sums: Vec<(f64, f64)> = report.worker_summaries().into_iter().map(|(_, s)| *s).collect();
+    let a = expected_acc(3, 20);
+    assert_eq!(sums, vec![(a, 1000.0 * a); 3]);
+    let ev = report.events.snapshot();
+    assert!(ev.iter().any(|e| matches!(e.kind, EventKind::FdTakeover { dead_fd: 5 })));
+    assert!(!ev.iter().any(|e| matches!(e.kind, EventKind::Restored { .. })));
+    assert!(!ev.iter().any(|e| matches!(e.kind, EventKind::GroupRebuilt { epoch } if epoch > 0)));
+}
+
+#[test]
+fn takeover_plan_inside_a_restore_interrupts_nothing() {
+    // Worker 1 dies; in the recovery's `rewire` app rank 0 kills the
+    // primary FD and pauses, so the takeover plan reaches the other two
+    // members inside the restore's vote. They must stay in it: one group,
+    // one restore each, and the exact result.
+    let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(60)
+        .redundant_fd(true)
+        .abandon(Duration::from_secs(20))
+        .build()
+        .unwrap();
+    let fault = world.fault();
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 25);
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
+        let mut app = Acc::new(ctx);
+        app.primary_dies_at = Some((FdKill::Rewire, fault.clone()));
+        app
+    });
+    let mut killed = report.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, 5]);
+    assert!(report.first_error().is_none(), "{:?}", report.first_error());
+    assert_correct(&report, 3, 60);
+    let ev = report.events.snapshot();
+    assert!(ev.iter().any(|e| matches!(e.kind, EventKind::FdTakeover { dead_fd: 5 })));
+    let mut restored: Vec<u32> = ev
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Restored { .. }))
+        .map(|e| e.rank)
+        .collect();
+    restored.sort_unstable();
+    assert_eq!(restored, vec![0, 2, 3], "one restore per member of the rebuilt group");
+    let activations = ev.iter().filter(|e| matches!(e.kind, EventKind::Activated { .. })).count();
+    assert_eq!(activations, 1, "rescue 3 joins one group, once");
+}
+
 #[test]
 fn without_redundancy_fd_death_is_fatal_but_bounded() {
     // Baseline (paper restriction 2): no shadow, the FD dies, a worker
@@ -143,7 +255,7 @@ fn primary_death_at_job_end_does_not_strand_the_shadow() {
     let job = std::thread::spawn(move || {
         let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
             let mut app = Acc::new(ctx);
-            app.primary_dies_at_finalize = Some(fault.clone());
+            app.primary_dies_at = Some((FdKill::Finalize, fault.clone()));
             app
         });
         let _ = tx.send(report);

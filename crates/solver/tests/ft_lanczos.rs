@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use ft_checkpoint::{Pfs, PfsConfig};
-use ft_cluster::FaultSchedule;
-use ft_core::{run_ft_job, FtConfig, JobReport, WorldLayout};
+use ft_cluster::{FaultAction, FaultSchedule};
+use ft_core::{run_ft_job, EventKind, FtConfig, JobReport, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
 use ft_matgen::spectra::{Diagonal, ToeplitzTridiag};
@@ -18,6 +18,7 @@ fn run_job(
     spares: u32,
     iters: u64,
     ckpt_every: u64,
+    redundant: bool,
     schedule: FaultSchedule,
 ) -> JobReport<LanczosSummary> {
     let layout = WorldLayout::new(workers, spares);
@@ -25,6 +26,7 @@ fn run_job(
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(ckpt_every)
         .max_iters(iters)
+        .redundant_fd(redundant)
         .abandon(std::time::Duration::from_secs(30))
         .build()
         .unwrap();
@@ -46,7 +48,7 @@ fn distributed_matches_sequential_reference() {
     let gen = Graphene::new(8, 6).with_nnn(-0.15);
     let iters = 40;
     let seq = SeqLanczos::run(&gen, iters, 0x1A5C_205E);
-    let report = run_job(Arc::new(gen), 3, 1, iters, 10, FaultSchedule::none());
+    let report = run_job(Arc::new(gen), 3, 1, iters, 10, false, FaultSchedule::none());
     for s in summaries(&report, 3) {
         assert_eq!(s.iters, iters);
         // Distributed reductions reorder the sums relative to the
@@ -65,7 +67,7 @@ fn eigenvalues_match_known_spectrum() {
     // Full Krylov space on a diagonal matrix: extremes are exact.
     let gen = Diagonal::new((0..48).map(|i| 1.0 + 0.25 * f64::from(i)).collect());
     let exact = gen.eigenvalues();
-    let report = run_job(Arc::new(gen), 4, 1, 48, 12, FaultSchedule::none());
+    let report = run_job(Arc::new(gen), 4, 1, 48, 12, false, FaultSchedule::none());
     for s in summaries(&report, 4) {
         let eig = &s.eigenvalues;
         assert!((eig[0] - exact[0]).abs() < 1e-7, "{} vs {}", eig[0], exact[0]);
@@ -85,11 +87,11 @@ fn recovered_run_reproduces_failure_free_bit_for_bit() {
     // must equal the failure-free run's *exactly*.
     let gen = Graphene::new(6, 5).with_nnn(-0.1);
     let iters = 60;
-    let clean = run_job(Arc::new(gen.clone()), 4, 3, iters, 10, FaultSchedule::none());
+    let clean = run_job(Arc::new(gen.clone()), 4, 3, iters, 10, false, FaultSchedule::none());
     let clean_s = summaries(&clean, 4);
 
     let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 37);
-    let faulty = run_job(Arc::new(gen), 4, 3, iters, 10, schedule);
+    let faulty = run_job(Arc::new(gen), 4, 3, iters, 10, false, schedule);
     assert_eq!(faulty.killed(), vec![1]);
     let faulty_s = summaries(&faulty, 4);
 
@@ -103,15 +105,39 @@ fn recovered_run_reproduces_failure_free_bit_for_bit() {
 }
 
 #[test]
+fn fd_takeover_is_invisible_to_the_numerics() {
+    // The primary FD dies mid-run and the shadow takes over; no worker
+    // fails. The takeover plan lands wherever each worker happens to be —
+    // mid-halo, mid-allreduce, mid-commit — so the run is repeated: every
+    // time, α/β on every rank must equal the clean run's, bit for bit.
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let iters = 400;
+    let clean = run_job(Arc::new(gen.clone()), 4, 3, iters, 50, true, FaultSchedule::none());
+    let clean_s = summaries(&clean, 4);
+    for run in 0..10 {
+        // layout: idle 4, shadow 5, primary FD 6
+        let schedule = FaultSchedule::none()
+            .timed(std::time::Duration::from_millis(60), FaultAction::KillRank(6));
+        let faulty = run_job(Arc::new(gen.clone()), 4, 3, iters, 50, true, schedule);
+        let took_over = |e: &ft_core::Event| matches!(e.kind, EventKind::FdTakeover { .. });
+        assert!(faulty.events.first_where(took_over).is_some(), "run {run}: kill landed too late");
+        for (app, s) in summaries(&faulty, 4).iter().enumerate() {
+            assert_eq!(s.alphas, clean_s[0].alphas, "run {run}, app rank {app}: alpha");
+            assert_eq!(s.betas, clean_s[0].betas, "run {run}, app rank {app}: beta");
+        }
+    }
+}
+
+#[test]
 fn two_failures_still_bitwise_identical() {
     let gen = ToeplitzTridiag::new(240, 2.0, -1.0);
     let iters = 50;
-    let clean = run_job(Arc::new(gen.clone()), 4, 4, iters, 10, FaultSchedule::none());
+    let clean = run_job(Arc::new(gen.clone()), 4, 4, iters, 10, false, FaultSchedule::none());
     let clean_s = summaries(&clean, 4);
 
     let schedule =
         FaultSchedule::none().kill_rank_at_iteration(0, 23).kill_rank_at_iteration(2, 41);
-    let faulty = run_job(Arc::new(gen), 4, 4, iters, 10, schedule);
+    let faulty = run_job(Arc::new(gen), 4, 4, iters, 10, false, schedule);
     let faulty_s = summaries(&faulty, 4);
     assert_eq!(clean_s[0].alphas, faulty_s[0].alphas);
     assert_eq!(clean_s[0].betas, faulty_s[0].betas);

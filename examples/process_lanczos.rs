@@ -16,10 +16,8 @@
 //! seam changes how bytes move and how processes die, never the numbers.
 //!
 //! Run: `cargo run --release --example process_lanczos`
-//! (it re-executes itself as the rank children).
-//!
-//! Environment: `FT_PROC_KILL_MS` overrides the SIGKILL time (default:
-//! half the measured failure-free process wall time).
+//! (it re-executes itself as the rank children). The SIGKILL lands at half
+//! the measured failure-free process wall time.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -174,10 +172,7 @@ fn main() {
     println!("  α/β identical to in-memory baseline: yes (bit for bit)");
 
     // ---- 3. process backend, SIGKILL mid-solve ----------------------
-    let kill_at = std::env::var("FT_PROC_KILL_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map_or_else(|| clean_wall / 2, Duration::from_millis);
+    let kill_at = clean_wall / 2;
     let schedule = FaultSchedule::none().timed(kill_at, FaultAction::KillRank(VICTIM));
     let (healed, report, _) =
         run_process(schedule, &format!("process backend, SIGKILL rank {VICTIM} at {kill_at:?}"));
