@@ -21,10 +21,10 @@
 //!   survivors finished with the exact expected value, all within a
 //!   wall-clock bound.
 //! * `partition` — a timed `BreakLink(fd, worker)` mid-solve: the link
-//!   faults must reach the children (`skipped_actions` empty,
-//!   `link_faults` listed), the detector must observe the partitioned
-//!   worker, and the job must finish with exactly the same final values
-//!   as the in-memory backend running the same schedule.
+//!   faults must reach the children (`link_faults` listed, `LinkFault`
+//!   events recorded), the detector must observe the partitioned worker,
+//!   and the job must finish with exactly the same final values as the
+//!   in-memory backend running the same schedule.
 //! * `asym` — an *asymmetric* partition (the paper's link-fault path): a
 //!   step-indexed `BreakLink` fires on one worker's plane only, so the
 //!   FD still sees the severed peer while the worker does not; the
@@ -160,13 +160,11 @@ fn smoke(cfg: &SweepConfig, max_triples: usize, max_partitions: usize) -> ExitCo
             ("backends_agree", Json::Bool(o.agree())),
         ]));
     }
-    let mut skipped_link_actions = 0u64;
     let mut partition_rows = Vec::new();
     for p in &partitions {
         if p.process.is_err() {
             violations += 1;
         }
-        skipped_link_actions += p.skipped_link_actions as u64;
         println!(
             "  break {} occ {} rank {} peer {}: process={} in-memory={}",
             p.triple.site,
@@ -183,12 +181,8 @@ fn smoke(cfg: &SweepConfig, max_triples: usize, max_partitions: usize) -> ExitCo
             ("peer", Json::num_u64(u64::from(p.peer))),
             ("outcome", Json::Str(class_label(&p.process))),
             ("in_memory", Json::Str(class_label(&p.in_memory))),
-            ("skipped_link_actions", Json::num_u64(p.skipped_link_actions as u64)),
         ]));
     }
-    // Dropped-link ops are a contract violation in their own right: the
-    // supervisor must never file link faults under skipped_actions.
-    violations += skipped_link_actions;
     let excluded_rows: Vec<Json> = sweep
         .excluded
         .iter()
@@ -219,13 +213,7 @@ fn smoke(cfg: &SweepConfig, max_triples: usize, max_partitions: usize) -> ExitCo
         ("triples", Json::Arr(rows)),
         ("excluded", Json::Arr(excluded_rows)),
         ("over_budget", Json::num_u64(sweep.over_budget as u64)),
-        (
-            "link_faults",
-            Json::obj([
-                ("partition_replays", Json::num_u64(partitions.len() as u64)),
-                ("skipped_link_actions", Json::num_u64(skipped_link_actions)),
-            ]),
-        ),
+        ("link_faults", Json::obj([("partition_replays", Json::num_u64(partitions.len() as u64))])),
         ("partitions", Json::Arr(partition_rows)),
         ("elapsed_s", Json::Num(t0.elapsed().as_secs_f64())),
     ]);
@@ -329,10 +317,6 @@ fn partition(cfg: &SweepConfig, mode: &str) -> ExitCode {
         println!("  rank {r}: {o:?}");
     }
     let mut failures = Vec::new();
-    if !report.skipped_actions.is_empty() {
-        failures
-            .push(format!("link ops filed under skipped_actions: {:?}", report.skipped_actions));
-    }
     if report.link_faults.is_empty() {
         failures.push("no link faults listed as enforced in the report".into());
     }
@@ -385,11 +369,11 @@ fn asym(cfg: &SweepConfig, mode: &str) -> ExitCode {
     // §IV-A-a false-positive handling) and a rescue adopts its state.
     const CROSSER: u32 = 1;
     const SEVERED_PEER: u32 = 0;
-    let schedule = FaultSchedule::none().inject(Injection::break_link(
+    let schedule = FaultSchedule::none().inject(Injection::at(
         "gaspi.allreduce",
         CROSSER,
         1000,
-        SEVERED_PEER,
+        FaultAction::BreakLink(CROSSER, SEVERED_PEER),
     ));
     println!(
         "asymmetric-partition e2e: worker {CROSSER} loses sight of worker {SEVERED_PEER} \
@@ -406,10 +390,6 @@ fn asym(cfg: &SweepConfig, mode: &str) -> ExitCode {
         println!("  rank {r}: {o:?}");
     }
     let mut failures = Vec::new();
-    if !report.skipped_actions.is_empty() {
-        failures
-            .push(format!("link ops filed under skipped_actions: {:?}", report.skipped_actions));
-    }
     let detects = report.events_matching("FdDetect");
     // Both endpoints of the severed link may report each other (the
     // worker's sends are refused on its own plane; the peer's incoming
@@ -477,10 +457,6 @@ fn heal(cfg: &SweepConfig, mode: &str) -> ExitCode {
         println!("  rank {r}: {o:?}");
     }
     let mut failures = Vec::new();
-    if !report.skipped_actions.is_empty() {
-        failures
-            .push(format!("link ops filed under skipped_actions: {:?}", report.skipped_actions));
-    }
     if report.link_faults.len() < 2 {
         failures
             .push(format!("expected break + heal in link_faults, got {:?}", report.link_faults));

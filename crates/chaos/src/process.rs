@@ -243,10 +243,6 @@ pub struct PartitionOutcome {
     pub in_memory: Result<RunClass, String>,
     /// Process-backend classification.
     pub process: Result<RunClass, String>,
-    /// Timed link actions the supervisor failed to hand to the children
-    /// — must be zero (the regression guard on
-    /// `ProcJobReport::skipped_actions`).
-    pub skipped_link_actions: usize,
 }
 
 /// Enumerate crossings in memory, then replay up to `max_triples` of
@@ -269,23 +265,17 @@ pub fn process_partition_sweep(
     let mut out = Vec::new();
     for triple in sel.picked.into_iter().filter(|t| t.rank < cfg.workers).take(max_triples) {
         let peer = (triple.rank + 1) % cfg.workers;
-        let inj = ft_cluster::Injection::break_link(
+        let inj = ft_cluster::Injection::at(
             triple.site.clone(),
             triple.rank,
             triple.occurrence,
-            peer,
+            ft_cluster::FaultAction::BreakLink(triple.rank, peer),
         );
         let in_memory = run_with(cfg, std::slice::from_ref(&inj), false).class;
         let schedule = FaultSchedule::none().inject(inj);
         let report = run_process(cfg, schedule, child_args, per_job_deadline)?;
         let process = classify_process(cfg, &report);
-        out.push(PartitionOutcome {
-            triple,
-            peer,
-            in_memory,
-            process,
-            skipped_link_actions: report.skipped_actions.len(),
-        });
+        out.push(PartitionOutcome { triple, peer, in_memory, process });
     }
     Ok(out)
 }

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use ft_cluster::{InjectOp, Injection, Rank};
+use ft_cluster::{Injection, Rank};
 
 use crate::json::Json;
 use crate::sweep::{RunClass, SweepConfig};
@@ -177,17 +177,10 @@ fn outcome_str(o: &Result<RunClass, String>) -> &'static str {
 }
 
 fn injection_json(inj: &Injection) -> Json {
-    let op = match inj.op {
-        InjectOp::Kill => "kill".to_string(),
-        InjectOp::KillNode => "kill_node".to_string(),
-        InjectOp::BreakLink { peer } => format!("break_link:{peer}"),
-        InjectOp::HealLink { peer } => format!("heal_link:{peer}"),
-        InjectOp::Delay { dur } => format!("delay:{}us", dur.as_micros()),
-    };
     Json::obj([
         ("site", Json::Str(inj.site.clone())),
         ("rank", Json::num_u64(u64::from(inj.rank))),
         ("occurrence", Json::num_u64(inj.occurrence)),
-        ("op", Json::Str(op)),
+        ("op", Json::Str(inj.action.to_string())),
     ])
 }

@@ -50,9 +50,9 @@ fn process_fdkill_end_to_end() {
 }
 
 /// A timed FD↔worker partition mid-solve: link ops must reach the
-/// children (never `skipped_actions`), the detector must observe the
-/// partitioned worker, and the final values must equal the in-memory
-/// backend's for the same schedule.
+/// children (`link_faults` listed, `LinkFault` events), the detector
+/// must observe the partitioned worker, and the final values must equal
+/// the in-memory backend's for the same schedule.
 #[test]
 fn process_partition_end_to_end() {
     run_mode("partition", &[]);

@@ -14,7 +14,7 @@ use std::time::Duration;
 use ft_checkpoint::{
     Checkpointer, CheckpointerConfig, CopyPolicy, Pfs, PfsConfig, Provenance, RestoreOutcome,
 };
-use ft_cluster::{Injection, InjectionPlan, NodeId, RankKilled};
+use ft_cluster::{FaultAction, Injection, NodeId, RankKilled};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 
 const T: Duration = Duration::from_secs(5);
@@ -49,11 +49,12 @@ fn kill_mid_chunk_write_falls_back_to_neighbor_replica() {
     // occurrences 1–4. Kill rank 1's node while it writes the *second*
     // one: chunk 1 of v2 is on disk, the rest — and the manifest — never
     // happen.
-    world.fault().arm_injections(InjectionPlan::new().with(Injection::kill_node(
+    world.fault().arm_injections([Injection::at(
         "ckpt.chunk.write",
         1,
         2,
-    )));
+        FaultAction::KillNode(NodeId(1)),
+    )]);
     expect_killed(|| ck1.commit(2, payload(2), CopyPolicy::Replicate));
 
     // A rescue on rank 3 adopts rank 1: the neighbor replica still serves
@@ -79,11 +80,12 @@ fn kill_mid_manifest_write_falls_back_to_neighbor_replica() {
     // All of v2's chunks land, but the manifest write (the first crossing
     // after arming) kills the node: without a manifest the version is
     // invisible.
-    world.fault().arm_injections(InjectionPlan::new().with(Injection::kill_node(
+    world.fault().arm_injections([Injection::at(
         "ckpt.manifest.write",
         1,
         1,
-    )));
+        FaultAction::KillNode(NodeId(1)),
+    )]);
     expect_killed(|| ck1.commit(2, payload(4), CopyPolicy::Replicate));
 
     let p3 = world.proc_handle(3);
@@ -108,11 +110,7 @@ fn orphaned_chunks_without_manifest_fall_back_locally() {
 
     // Kill only rank 0 right before the v2 manifest put: node 0's shelf
     // keeps v2's orphan chunks but no v2 manifest.
-    world.fault().arm_injections(InjectionPlan::new().with(Injection::kill(
-        "ckpt.manifest.write",
-        0,
-        1,
-    )));
+    world.fault().arm_injections([Injection::kill("ckpt.manifest.write", 0, 1)]);
     expect_killed(|| ck0.commit(2, payload(6), CopyPolicy::Replicate));
 
     // Rank 1 lives on the same node and restores rank 0 from the local
@@ -145,11 +143,12 @@ fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     ck1.commit(1, v1.clone(), CopyPolicy::Replicate);
     assert!(ck1.drain(T), "v1 must reach both the neighbor and the PFS");
 
-    world.fault().arm_injections(InjectionPlan::new().with(Injection::kill_node(
+    world.fault().arm_injections([Injection::at(
         "ckpt.chunk.write",
         1,
         2,
-    )));
+        FaultAction::KillNode(NodeId(1)),
+    )]);
     expect_killed(|| ck1.commit(2, payload(8), CopyPolicy::Replicate));
     // The replica holder dies too.
     world.fault().kill_node(NodeId(2));

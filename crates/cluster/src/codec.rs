@@ -203,7 +203,10 @@ impl<'a> Dec<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn len_prefix(&mut self, elem: usize) -> Result<usize, CodecError> {
+    /// Read an element count and check it against the bytes left, at
+    /// `elem` bytes or more per element — before the caller allocates or
+    /// loops for it.
+    pub fn len_prefix(&mut self, elem: usize) -> Result<usize, CodecError> {
         let n = self.u64()?;
         let remaining = (self.buf.len() - self.pos) as u64;
         if n.checked_mul(elem as u64).is_none_or(|need| need > remaining) {

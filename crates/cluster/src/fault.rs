@@ -1,28 +1,30 @@
 //! The fault plane: fail-stop process/node failures and network faults.
 //!
-//! The paper verified its recovery mechanism by killing processes three
-//! ways (§VI): `exit(-1)` inside the program, `kill -9` from outside, and
-//! physically introducing a network failure. The fault plane reproduces all
-//! three:
+//! The paper verified its recovery mechanism with three kinds of failure
+//! (§VI): `exit(-1)` inside the program, `kill -9` from outside, and a
+//! physically introduced network fault. Here a fault is a *(trigger,
+//! action)* pair — a [`FaultAction`] under one of the three kinds of
+//! [`FaultSchedule`] entry: wall-clock, the victim's own iteration count,
+//! or a named protocol step of any rank ([`Injection`], see
+//! [`crate::inject`]). ARCHITECTURE.md §5 holds the table.
 //!
-//! * [`FaultPlane::kill_rank`] — external kill (`kill -9`): the rank's
-//!   liveness flag is poisoned; its next communication-layer call panics
-//!   with [`RankKilled`], unwound to the rank-thread boundary.
-//! * A rank may also kill *itself* (the `exit(-1)` style) by calling
-//!   [`FaultPlane::kill_rank`] on its own rank and then raising
-//!   [`RankKilled::raise`].
+//! * A kill ([`FaultPlane::kill_rank`]) poisons the rank's liveness flag;
+//!   its next communication-layer call panics with [`RankKilled`],
+//!   unwound to the rank-thread boundary. What makes a kill *real* lives
+//!   here too: the [`FaultPlane::on_kill`] hooks (the process supervisor's
+//!   is a `SIGKILL`) and [`FaultPlane::exit_process_on_kill`].
+//! * A node kill ([`FaultPlane::kill_node`]) takes down every rank placed
+//!   on the node *and* has the hooks drop node-local state (segments,
+//!   node-level checkpoints) — the reason the checkpoint library must
+//!   replicate to a *neighbor* node.
 //! * [`FaultPlane::break_link`] — a network fault: both processes stay
 //!   alive but messages between them are reported broken. Used to exercise
 //!   the paper's *false positive* discussion (§IV-A-a): the fault detector
 //!   suspects a healthy process and enforces its death via
 //!   `gaspi_proc_kill`.
-//!
-//! Node kills ([`FaultPlane::kill_node`]) take down every rank placed on
-//! the node *and* fire the registered kill hooks, which drop node-local
-//! state (segments, node-level checkpoints) — the reason the checkpoint
-//! library must replicate to a *neighbor* node.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +32,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{CodecError, Dec, Enc};
-use crate::inject::{InjectOp, InjectState, Injection, InjectionPlan, SiteName, SiteRecord};
+use crate::inject::{InjectState, Injection, SiteName, SiteRecord};
 use crate::topology::{NodeId, Rank, Topology};
 
 /// Panic payload raised by a killed rank's next communication call.
@@ -267,65 +269,43 @@ impl FaultPlane {
 
     /// Cross the named injection site on behalf of `rank`, **from the
     /// rank's own thread**: counts the occurrence, logs it while
-    /// recording, and applies a matching armed [`Injection`]. A matching
-    /// [`InjectOp::Kill`]/[`InjectOp::KillNode`] poisons the liveness
-    /// flag (idempotently — a rank already dead by wall-clock schedule is
-    /// not killed twice) and then unwinds the calling thread with
-    /// [`RankKilled`], like [`FaultPlane::assert_alive`] after an
-    /// external kill.
-    ///
-    /// Free when injection is disabled: one relaxed atomic load.
+    /// recording, and applies the action of every armed [`Injection`] the
+    /// crossing matches, in arming order. If that took out the crossing
+    /// rank, the calling thread then unwinds with [`RankKilled`], like
+    /// [`FaultPlane::assert_alive`] after an external kill; any other
+    /// victim is only poisoned and learns of it at its next communication
+    /// call. Free when injection is disabled: one relaxed atomic load.
     pub fn site(&self, rank: Rank, site: SiteName) {
-        if let Some(op) = self.site_hit(rank, site) {
-            self.apply_site_op(rank, &op, true);
+        if self.site_hit(rank, site) {
+            self.assert_alive(rank);
         }
     }
 
     /// [`FaultPlane::site`] for crossings performed by helper threads
     /// (the checkpoint library thread, the network scheduler): never
-    /// unwinds the calling thread. A kill match only poisons the rank's
-    /// liveness flag; the victim observes it at its next communication
-    /// call — external `kill -9` semantics.
+    /// unwinds the calling thread. A kill of the crossing rank, too, only
+    /// poisons its liveness flag — external `kill -9` semantics.
     pub fn site_passive(&self, rank: Rank, site: SiteName) {
-        if let Some(op) = self.site_hit(rank, site) {
-            self.apply_site_op(rank, &op, false);
-        }
+        self.site_hit(rank, site);
     }
 
-    fn site_hit(&self, rank: Rank, site: SiteName) -> Option<InjectOp> {
+    /// Whether the crossing fired anything.
+    fn site_hit(&self, rank: Rank, site: SiteName) -> bool {
         if !self.inject_on.load(Ordering::Relaxed) {
-            return None;
+            return false;
         }
-        self.inject.lock().cross(rank, site)
+        // The state lock is released before the actions run: a kill fires
+        // hooks and a delay sleeps.
+        let actions = self.inject.lock().cross(rank, site);
+        actions.iter().for_each(|a| a.apply(self));
+        !actions.is_empty()
     }
 
-    fn apply_site_op(&self, rank: Rank, op: &InjectOp, may_raise: bool) {
-        match *op {
-            InjectOp::Kill => {
-                self.kill_rank(rank);
-                if may_raise {
-                    RankKilled { rank }.raise();
-                }
-            }
-            InjectOp::KillNode => {
-                self.kill_node(self.topo.node_of(rank));
-                if may_raise {
-                    RankKilled { rank }.raise();
-                }
-            }
-            InjectOp::BreakLink { peer } => self.break_link(rank, peer),
-            InjectOp::HealLink { peer } => self.heal_link(rank, peer),
-            InjectOp::Delay { dur } => std::thread::sleep(dur),
+    /// Arm step-indexed injections (cumulative across calls).
+    pub fn arm_injections(&self, injections: impl IntoIterator<Item = Injection>) {
+        if self.inject.lock().arm(injections) {
+            self.inject_on.store(true, Ordering::Release);
         }
-    }
-
-    /// Arm a set of step-indexed injections (cumulative across calls).
-    pub fn arm_injections(&self, plan: InjectionPlan) {
-        if plan.is_empty() {
-            return;
-        }
-        self.inject.lock().arm(plan);
-        self.inject_on.store(true, Ordering::Release);
     }
 
     /// Start logging site crossings, keeping at most `cap_per_site`
@@ -353,8 +333,9 @@ impl FaultPlane {
     }
 }
 
-/// One planned fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a fault does — the one action vocabulary, under every trigger of a
+/// [`FaultSchedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Kill one rank.
     KillRank(Rank),
@@ -364,6 +345,10 @@ pub enum FaultAction {
     BreakLink(Rank, Rank),
     /// Heal the (bidirectional) link between two ranks.
     HealLink(Rank, Rank),
+    /// Stall the thread the trigger fires on (a slow step, e.g. a GC pause
+    /// or network hiccup, without killing anything). Only a site crossing
+    /// has such a thread; [`FaultSchedule::timed`] refuses it.
+    Delay(Duration),
 }
 
 impl FaultAction {
@@ -377,43 +362,67 @@ impl FaultAction {
             }
             FaultAction::BreakLink(a, b) => plane.break_link(a, b),
             FaultAction::HealLink(a, b) => plane.heal_link(a, b),
+            FaultAction::Delay(d) => std::thread::sleep(d),
         }
     }
 
-    /// Append the wire form (tag byte + operands) to `e`.
-    pub fn encode(&self, e: &mut Enc) {
+    /// Whether this is a kill (of a rank or a node).
+    pub fn is_kill(&self) -> bool {
+        matches!(self, FaultAction::KillRank(_) | FaultAction::KillNode(_))
+    }
+
+    /// Whether the action touches `rank` itself: kills it or its node, cuts
+    /// or heals one of its links, or — fired at its crossing — stalls it.
+    pub fn involves(&self, rank: Rank, topo: &Topology) -> bool {
         match *self {
-            FaultAction::KillRank(r) => {
-                e.u8(0).u32(r);
-            }
-            FaultAction::KillNode(n) => {
-                e.u8(1).u32(n.0);
-            }
-            FaultAction::BreakLink(a, b) => {
-                e.u8(2).u32(a).u32(b);
-            }
-            FaultAction::HealLink(a, b) => {
-                e.u8(3).u32(a).u32(b);
-            }
+            FaultAction::KillRank(r) => r == rank,
+            FaultAction::KillNode(n) => topo.node_of(rank) == n,
+            FaultAction::BreakLink(a, b) | FaultAction::HealLink(a, b) => a == rank || b == rank,
+            FaultAction::Delay(_) => true,
         }
     }
 
-    /// Inverse of [`FaultAction::encode`].
-    pub fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        match *self {
+            FaultAction::KillRank(r) => e.u8(0).u32(r),
+            FaultAction::KillNode(n) => e.u8(1).u32(n.0),
+            FaultAction::BreakLink(a, b) => e.u8(2).u32(a).u32(b),
+            FaultAction::HealLink(a, b) => e.u8(3).u32(a).u32(b),
+            FaultAction::Delay(d) => e.u8(DELAY_TAG).u64(d.as_nanos() as u64),
+        };
+    }
+
+    pub(crate) fn decode(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => FaultAction::KillRank(d.u32()?),
             1 => FaultAction::KillNode(NodeId(d.u32()?)),
             2 => FaultAction::BreakLink(d.u32()?, d.u32()?),
             3 => FaultAction::HealLink(d.u32()?, d.u32()?),
+            DELAY_TAG => FaultAction::Delay(Duration::from_nanos(d.u64()?)),
             t => return Err(CodecError::BadTag(t)),
         })
     }
 }
 
-/// A deterministic failure plan: iteration-triggered kills (the paper's
-/// `exit(-1)` at a fixed iteration, for reproducible redo-work time) and
-/// wall-clock-triggered actions (the paper's random `kill -9` during the
-/// run, for Table I).
+const DELAY_TAG: u8 = 4;
+
+impl fmt::Display for FaultAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultAction::KillRank(r) => write!(f, "kill_rank:{r}"),
+            FaultAction::KillNode(n) => write!(f, "kill_node:{}", n.0),
+            FaultAction::BreakLink(a, b) => write!(f, "break_link:{a}-{b}"),
+            FaultAction::HealLink(a, b) => write!(f, "heal_link:{a}-{b}"),
+            FaultAction::Delay(d) => write!(f, "delay:{}us", d.as_micros()),
+        }
+    }
+}
+
+/// A deterministic failure plan: [`FaultAction`]s under three triggers —
+/// the victim's own iteration count (the paper's `exit(-1)` at a fixed
+/// iteration, for reproducible redo-work time), wall-clock time (the
+/// paper's random `kill -9` during the run, for Table I) and a named
+/// protocol step ([`Injection`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     at_iteration: Vec<(Rank, u64)>,
@@ -435,7 +444,11 @@ impl FaultSchedule {
     }
 
     /// Apply `action` `after` the schedule timer starts.
+    ///
+    /// # Panics
+    /// On [`FaultAction::Delay`]: the timer has no thread worth stalling.
     pub fn timed(mut self, after: Duration, action: FaultAction) -> Self {
+        assert!(!matches!(action, FaultAction::Delay(_)), "a Delay needs a site to stall at");
         self.timed.push((after, action));
         self
     }
@@ -446,6 +459,15 @@ impl FaultSchedule {
     /// event.
     pub fn inject(mut self, inj: Injection) -> Self {
         self.injections.push(inj);
+        self
+    }
+
+    /// This schedule with only those wall-clock actions `keep` accepts;
+    /// iteration kills and injections stay. The process backend splits a
+    /// schedule with it: the supervisor takes the timed kills, each rank
+    /// process the rest.
+    pub fn retain_timed(mut self, keep: impl Fn(&FaultAction) -> bool) -> Self {
+        self.timed.retain(|(_, a)| keep(a));
         self
     }
 
@@ -464,9 +486,7 @@ impl FaultSchedule {
         &self.at_iteration
     }
 
-    /// Wall-clock-triggered actions, for inspection. The process-backend
-    /// supervisor reads these and enforces `KillRank`/`KillNode` as real
-    /// `SIGKILL`s instead of liveness-flag poisoning.
+    /// Wall-clock-triggered actions, for inspection.
     pub fn timed_actions(&self) -> &[(Duration, FaultAction)] {
         &self.timed
     }
@@ -491,57 +511,61 @@ impl FaultSchedule {
         e.finish()
     }
 
-    /// Inverse of [`FaultSchedule::encode`]; rejects trailing bytes.
+    /// Inverse of [`FaultSchedule::encode`], over bytes that reach a rank
+    /// process through its environment and are not trusted: each count is
+    /// bounded by the smallest encoding of its entries before anything is
+    /// allocated, a timed [`FaultAction::Delay`] is as illegal as in
+    /// [`FaultSchedule::timed`], and trailing bytes are rejected.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         let mut d = Dec::new(buf);
         let mut s = Self::default();
-        for _ in 0..d.u64()? {
+        for _ in 0..d.len_prefix(12)? {
             s.at_iteration.push((d.u32()?, d.u64()?));
         }
-        for _ in 0..d.u64()? {
+        for _ in 0..d.len_prefix(13)? {
             let after = Duration::from_nanos(d.u64()?);
-            s.timed.push((after, FaultAction::decode(&mut d)?));
+            match FaultAction::decode(&mut d)? {
+                FaultAction::Delay(_) => return Err(CodecError::BadTag(DELAY_TAG)),
+                action => s.timed.push((after, action)),
+            }
         }
-        for _ in 0..d.u64()? {
+        for _ in 0..d.len_prefix(25)? {
             s.injections.push(Injection::decode(&mut d)?);
         }
         d.expect_end()?;
         Ok(s)
     }
 
-    /// Spawn the timer thread applying the timed actions. The returned
-    /// guard aborts outstanding actions when dropped. Step-indexed
-    /// injections are armed on the plane before the timer starts.
+    /// Arm the step-indexed injections on `plane`, then spawn the timer
+    /// thread applying the timed actions (if any) to it — the one
+    /// interpreter of a schedule on both backends. The returned guard
+    /// aborts outstanding actions when dropped.
     pub fn start_timer(&self, plane: Arc<FaultPlane>) -> ScheduleTimer {
-        plane.arm_injections(InjectionPlan { injections: self.injections.clone() });
+        plane.arm_injections(self.injections.iter().cloned());
         let mut timed = self.timed.clone();
         timed.sort_by_key(|(d, _)| *d);
         let cancel = Arc::new(AtomicBool::new(false));
         let c2 = Arc::clone(&cancel);
-        let handle = std::thread::Builder::new()
-            .name("fault-schedule".into())
-            .spawn(move || {
-                let start = std::time::Instant::now();
-                for (after, action) in timed {
-                    loop {
-                        if c2.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let elapsed = start.elapsed();
-                        if elapsed >= after {
-                            break;
-                        }
-                        let nap = (after - elapsed).min(Duration::from_millis(1));
-                        std::thread::sleep(nap);
-                    }
+        let run = move || {
+            let start = std::time::Instant::now();
+            for (after, action) in timed {
+                // Short laps, so a cancel retires the thread at once.
+                while let Some(left) = after.checked_sub(start.elapsed()) {
                     if c2.load(Ordering::Acquire) {
                         return;
                     }
-                    action.apply(&plane);
+                    std::thread::sleep(left.min(Duration::from_millis(1)));
                 }
-            })
-            .expect("spawn fault-schedule thread");
-        ScheduleTimer { cancel, handle: Some(handle) }
+                if c2.load(Ordering::Acquire) {
+                    return;
+                }
+                action.apply(&plane);
+            }
+        };
+        let builder = std::thread::Builder::new().name("fault-schedule".into());
+        // Nothing timed (every benchmark job), no thread.
+        let handle = (!self.timed.is_empty()).then(|| builder.spawn(run).expect("spawn timer"));
+        ScheduleTimer { cancel, handle }
     }
 }
 
@@ -552,13 +576,8 @@ pub struct ScheduleTimer {
 }
 
 impl ScheduleTimer {
-    /// Stop applying further actions and join the timer thread.
-    pub fn cancel(mut self) {
-        self.cancel.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop applying further actions and join the timer thread: a drop.
+    pub fn cancel(self) {}
 
     /// Wait for all scheduled actions to be applied.
     pub fn join(mut self) {
@@ -680,9 +699,14 @@ mod tests {
             .timed(Duration::from_millis(90), FaultAction::BreakLink(0, 2))
             .timed(Duration::from_millis(95), FaultAction::HealLink(0, 2))
             .inject(Injection::kill("gaspi.write", 1, 3))
-            .inject(Injection::break_link("gaspi.allreduce", 2, 4, 5))
-            .inject(Injection::heal_link("gaspi.allreduce", 2, 6, 5))
-            .inject(Injection::delay("ckpt.restore", 4, 1, Duration::from_micros(10)));
+            .inject(Injection::at("gaspi.allreduce", 2, 4, FaultAction::BreakLink(2, 5)))
+            .inject(Injection::at("gaspi.allreduce", 2, 6, FaultAction::HealLink(2, 5)))
+            .inject(Injection::at(
+                "ckpt.restore",
+                4,
+                1,
+                FaultAction::Delay(Duration::from_micros(10)),
+            ));
         let bytes = s.encode();
         assert_eq!(FaultSchedule::decode(&bytes).unwrap(), s);
         // Hex round trip (how the supervisor actually ships it).
@@ -759,11 +783,56 @@ mod tests {
         let events = Arc::new(Mutex::new(Vec::new()));
         let e2 = Arc::clone(&events);
         p.on_kill(move |ev| e2.lock().push(ev.clone()));
-        p.arm_injections(InjectionPlan::new().with(Injection::kill("loop.step", 2, 1)));
+        p.arm_injections([Injection::kill("loop.step", 2, 1)]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.site(2, "loop.step")));
         assert!(r.unwrap_err().downcast_ref::<RankKilled>().is_some());
         assert!(!p.kill_rank(2), "already dead: wall-clock kill is a no-op");
         assert_eq!(events.lock().len(), 1);
+    }
+
+    /// A site may name any victim: it is poisoned like an external
+    /// `kill -9`, the crossing rank carries on, and a later timed kill of
+    /// the same victim is a no-op.
+    #[test]
+    fn site_kill_of_another_rank_poisons_it_and_spares_the_crosser() {
+        let p = plane(4);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let e2 = Arc::clone(&events);
+        p.on_kill(move |ev| e2.lock().push(ev.clone()));
+        p.arm_injections([Injection::at("loop.step", 0, 1, FaultAction::KillRank(3))]);
+        p.site(0, "loop.step"); // returns: the crosser is not the victim
+        assert!(p.is_alive(0) && !p.is_alive(3));
+        let late = FaultSchedule::none().timed(Duration::ZERO, FaultAction::KillRank(3));
+        late.start_timer(Arc::clone(&p)).join();
+        let evs = events.lock();
+        assert_eq!(evs.len(), 1, "one victim, two triggers, exactly one kill event");
+        assert_eq!(evs[0].ranks, vec![3]);
+    }
+
+    #[test]
+    fn every_injection_on_one_crossing_fires_in_arming_order() {
+        let p = plane(4);
+        let armed = [
+            Injection::at("net.op", 0, 1, FaultAction::HealLink(0, 2)),
+            Injection::at("net.op", 0, 1, FaultAction::BreakLink(0, 2)),
+        ];
+        p.arm_injections(armed.clone());
+        p.site(0, "net.op");
+        assert!(!p.link_ok(0, 2), "healed first, broken second");
+        assert_eq!(p.injections_fired(), armed);
+    }
+
+    /// A stall needs a thread to stall; the timer's own is nobody's.
+    #[test]
+    fn a_timed_delay_is_refused_by_the_builder_and_by_the_decoder() {
+        let delay = FaultAction::Delay(Duration::from_millis(1));
+        let built = std::panic::catch_unwind(|| FaultSchedule::none().timed(Duration::ZERO, delay));
+        assert!(built.is_err());
+        let mut e = Enc::new();
+        e.u64(0).u64(1).u64(0);
+        delay.encode(&mut e);
+        e.u64(0);
+        assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadTag(DELAY_TAG)));
     }
 
     /// A supervisor-shaped schedule mixing timed link ops with
@@ -774,8 +843,8 @@ mod tests {
         let s = FaultSchedule::none()
             .timed(Duration::from_millis(40), FaultAction::BreakLink(5, 1))
             .timed(Duration::from_millis(120), FaultAction::HealLink(5, 1))
-            .inject(Injection::break_link("gaspi.allreduce", 1, 2, 3))
-            .inject(Injection::heal_link("gaspi.allreduce", 1, 4, 3));
+            .inject(Injection::at("gaspi.allreduce", 1, 2, FaultAction::BreakLink(1, 3)))
+            .inject(Injection::at("gaspi.allreduce", 1, 4, FaultAction::HealLink(1, 3)));
         let hex = crate::codec::to_hex(&s.encode());
         let back = FaultSchedule::decode(&crate::codec::from_hex(&hex).unwrap()).unwrap();
         assert_eq!(back, s);
@@ -783,8 +852,8 @@ mod tests {
         assert!(matches!(back.timed_actions()[0].1, FaultAction::BreakLink(5, 1)));
         assert!(matches!(back.timed_actions()[1].1, FaultAction::HealLink(5, 1)));
         assert_eq!(back.injections().len(), 2);
-        assert_eq!(back.injections()[0].op, InjectOp::BreakLink { peer: 3 });
-        assert_eq!(back.injections()[1].op, InjectOp::HealLink { peer: 3 });
+        assert_eq!(back.injections()[0].action, FaultAction::BreakLink(1, 3));
+        assert_eq!(back.injections()[1].action, FaultAction::HealLink(1, 3));
     }
 
     #[test]
@@ -806,11 +875,10 @@ mod tests {
     #[test]
     fn heal_link_injection_restores_flow() {
         let p = plane(4);
-        p.arm_injections(
-            InjectionPlan::new()
-                .with(Injection::break_link("net.op", 0, 1, 2))
-                .with(Injection::heal_link("net.op", 0, 2, 2)),
-        );
+        p.arm_injections([
+            Injection::at("net.op", 0, 1, FaultAction::BreakLink(0, 2)),
+            Injection::at("net.op", 0, 2, FaultAction::HealLink(0, 2)),
+        ]);
         p.site(0, "net.op");
         assert!(!p.link_ok(0, 2));
         p.site(0, "net.op");
@@ -821,11 +889,10 @@ mod tests {
     #[test]
     fn break_link_and_delay_ops_do_not_unwind() {
         let p = plane(4);
-        p.arm_injections(
-            InjectionPlan::new()
-                .with(Injection::break_link("net.op", 0, 1, 2))
-                .with(Injection::delay("net.op", 0, 2, Duration::from_millis(1))),
-        );
+        p.arm_injections([
+            Injection::at("net.op", 0, 1, FaultAction::BreakLink(0, 2)),
+            Injection::at("net.op", 0, 2, FaultAction::Delay(Duration::from_millis(1))),
+        ]);
         p.site(0, "net.op"); // break link 0↔2
         assert!(!p.link_ok(0, 2));
         assert!(p.is_alive(0));
@@ -836,7 +903,7 @@ mod tests {
     #[test]
     fn passive_site_kill_poisons_without_unwinding() {
         let p = plane(6); // 2 ranks/node → 3 nodes
-        p.arm_injections(InjectionPlan::new().with(Injection::kill_node("ckpt.copy", 2, 1)));
+        p.arm_injections([Injection::at("ckpt.copy", 2, 1, FaultAction::KillNode(NodeId(1)))]);
         p.site_passive(2, "ckpt.copy"); // must NOT panic this thread
         assert!(!p.is_alive(2));
         assert!(!p.is_alive(3), "node kill takes the whole node");

@@ -15,25 +15,27 @@
 //! * A recording pass ([`crate::FaultPlane::record_sites`]) logs the crossings
 //!   of a failure-free run, enumerating every `(site, occurrence, rank)`
 //!   triple a sweep can kill at.
-//! * An [`InjectionPlan`] arms deterministic faults: *kill rank r at the
-//!   k-th occurrence of site s* — plus node-kill, break-link, and delay
-//!   variants.
+//! * An armed [`Injection`] is a deterministic fault: *apply this
+//!   [`FaultAction`] at the k-th crossing of site s by rank r* — the
+//!   step-indexed trigger of a [`crate::FaultSchedule`]. The action may
+//!   name any victim, not only the crossing rank.
 //!
 //! Sites are free when injection is disabled (one relaxed atomic load);
 //! the plane only pays for counters once a recording or an armed plan
 //! switches injection on.
 //!
-//! `site` raises [`crate::RankKilled`] on a kill match and therefore must
-//! only be called by the dying rank's own thread. Library threads (the
-//! checkpoint replicator, the network scheduler) use `site_passive`,
-//! which poisons the rank's liveness flag without unwinding the calling
-//! thread — the victim observes its death at its next communication
-//! call, exactly like an external `kill -9`.
+//! `site` raises [`crate::RankKilled`] when a matching action took out the
+//! crossing rank and therefore must only be called by that rank's own
+//! thread. Library threads (the checkpoint replicator, the network
+//! scheduler) use `site_passive`, which never unwinds the calling thread.
+//! Either way a victim other than the crossing rank is only poisoned and
+//! observes its death at its next communication call, exactly like an
+//! external `kill -9`.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use crate::codec::{CodecError, Dec, Enc};
+use crate::fault::FaultAction;
 use crate::topology::Rank;
 
 /// Injection-site names are compile-time constants at the call sites.
@@ -50,38 +52,9 @@ pub struct SiteRecord {
     pub occurrence: u64,
 }
 
-/// What to do when an armed injection matches.
+/// One armed step-indexed fault: apply `action` when `rank` crosses `site`
+/// for the `occurrence`-th time (which happens once, so it fires once).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InjectOp {
-    /// Fail-stop kill of the crossing rank (idempotent on the plane, so
-    /// it composes with wall-clock kills of the same rank).
-    Kill,
-    /// Kill the crossing rank's whole node — drops node-local state such
-    /// as checkpoints, via the registered kill hooks.
-    KillNode,
-    /// Break the bidirectional link between the crossing rank and `peer`.
-    BreakLink {
-        /// The other end of the link.
-        peer: Rank,
-    },
-    /// Heal the bidirectional link between the crossing rank and `peer`
-    /// (the inverse of [`InjectOp::BreakLink`], for partition-then-heal
-    /// scenarios indexed to protocol steps).
-    HealLink {
-        /// The other end of the link.
-        peer: Rank,
-    },
-    /// Stall the crossing thread for `dur` (models a slow step, e.g. a
-    /// GC pause or network hiccup, without killing anything).
-    Delay {
-        /// How long to stall.
-        dur: Duration,
-    },
-}
-
-/// One armed step-indexed fault: apply `op` when `rank` crosses `site`
-/// for the `occurrence`-th time. Fires at most once.
-#[derive(Debug, Clone, PartialEq)]
 pub struct Injection {
     /// Site name to match.
     pub site: String,
@@ -90,142 +63,40 @@ pub struct Injection {
     /// 1-based occurrence to fire at.
     pub occurrence: u64,
     /// The fault to apply.
-    pub op: InjectOp,
-}
-
-impl InjectOp {
-    /// Append the wire form (tag byte + operands) to `e`.
-    pub fn encode(&self, e: &mut Enc) {
-        match *self {
-            InjectOp::Kill => {
-                e.u8(0);
-            }
-            InjectOp::KillNode => {
-                e.u8(1);
-            }
-            InjectOp::BreakLink { peer } => {
-                e.u8(2).u32(peer);
-            }
-            InjectOp::Delay { dur } => {
-                e.u8(3).u64(dur.as_nanos() as u64);
-            }
-            InjectOp::HealLink { peer } => {
-                e.u8(4).u32(peer);
-            }
-        }
-    }
-
-    /// Inverse of [`InjectOp::encode`].
-    pub fn decode(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => InjectOp::Kill,
-            1 => InjectOp::KillNode,
-            2 => InjectOp::BreakLink { peer: d.u32()? },
-            3 => InjectOp::Delay { dur: Duration::from_nanos(d.u64()?) },
-            4 => InjectOp::HealLink { peer: d.u32()? },
-            t => return Err(CodecError::BadTag(t)),
-        })
-    }
+    pub action: FaultAction,
 }
 
 impl Injection {
-    /// Kill `rank` at its `occurrence`-th crossing of `site`.
+    /// Apply `action` at `rank`'s `occurrence`-th crossing of `site`.
+    pub fn at(site: impl Into<String>, rank: Rank, occurrence: u64, action: FaultAction) -> Self {
+        Self { site: site.into(), rank, occurrence, action }
+    }
+
+    /// Kill `rank` at its own `occurrence`-th crossing of `site`.
     pub fn kill(site: impl Into<String>, rank: Rank, occurrence: u64) -> Self {
-        Self { site: site.into(), rank, occurrence, op: InjectOp::Kill }
+        Self::at(site, rank, occurrence, FaultAction::KillRank(rank))
     }
 
-    /// Kill `rank`'s node at its `occurrence`-th crossing of `site`.
-    pub fn kill_node(site: impl Into<String>, rank: Rank, occurrence: u64) -> Self {
-        Self { site: site.into(), rank, occurrence, op: InjectOp::KillNode }
-    }
-
-    /// Break the `rank`↔`peer` link at the `occurrence`-th crossing.
-    pub fn break_link(site: impl Into<String>, rank: Rank, occurrence: u64, peer: Rank) -> Self {
-        Self { site: site.into(), rank, occurrence, op: InjectOp::BreakLink { peer } }
-    }
-
-    /// Heal the `rank`↔`peer` link at the `occurrence`-th crossing.
-    pub fn heal_link(site: impl Into<String>, rank: Rank, occurrence: u64, peer: Rank) -> Self {
-        Self { site: site.into(), rank, occurrence, op: InjectOp::HealLink { peer } }
-    }
-
-    /// Stall `rank` for `dur` at the `occurrence`-th crossing.
-    pub fn delay(site: impl Into<String>, rank: Rank, occurrence: u64, dur: Duration) -> Self {
-        Self { site: site.into(), rank, occurrence, op: InjectOp::Delay { dur } }
-    }
-
-    /// Append the wire form to `e` (the supervisor ships per-rank plans to
-    /// child processes through an environment variable).
-    pub fn encode(&self, e: &mut Enc) {
+    pub(crate) fn encode(&self, e: &mut Enc) {
         e.str(&self.site).u32(self.rank).u64(self.occurrence);
-        self.op.encode(e);
+        self.action.encode(e);
     }
 
-    /// Inverse of [`Injection::encode`].
-    pub fn decode(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(Self { site: d.str()?, rank: d.u32()?, occurrence: d.u64()?, op: InjectOp::decode(d)? })
+    pub(crate) fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(Self {
+            site: d.str()?,
+            rank: d.u32()?,
+            occurrence: d.u64()?,
+            action: FaultAction::decode(d)?,
+        })
     }
-}
-
-/// A set of step-indexed faults to arm on a [`crate::FaultPlane`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct InjectionPlan {
-    /// The armed injections, in arming order.
-    pub injections: Vec<Injection>,
-}
-
-impl InjectionPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one injection (builder style).
-    pub fn with(mut self, inj: Injection) -> Self {
-        self.injections.push(inj);
-        self
-    }
-
-    /// True if nothing is armed.
-    pub fn is_empty(&self) -> bool {
-        self.injections.is_empty()
-    }
-
-    /// Serialize the whole plan to bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.injections.len() as u64);
-        for inj in &self.injections {
-            inj.encode(&mut e);
-        }
-        e.finish()
-    }
-
-    /// Inverse of [`InjectionPlan::encode`]; rejects trailing bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Dec::new(buf);
-        let n = d.u64()?;
-        let mut injections = Vec::new();
-        for _ in 0..n {
-            injections.push(Injection::decode(&mut d)?);
-        }
-        d.expect_end()?;
-        Ok(Self { injections })
-    }
-}
-
-/// An armed injection plus its fired flag.
-#[derive(Debug)]
-struct Armed {
-    inj: Injection,
-    fired: bool,
 }
 
 /// Mutable injection state hanging off the fault plane (behind one
 /// mutex; only touched when injection is enabled).
 #[derive(Debug, Default)]
 pub(crate) struct InjectState {
-    armed: Vec<Armed>,
+    armed: Vec<Injection>,
     counters: HashMap<(SiteName, Rank), u64>,
     recording: bool,
     /// Max occurrences logged per `(site, rank)` — counters keep counting
@@ -236,26 +107,29 @@ pub(crate) struct InjectState {
 }
 
 impl InjectState {
-    /// Count a crossing; log it while recording; return the op of a
-    /// matching armed injection, at most once per injection.
-    pub(crate) fn cross(&mut self, rank: Rank, site: SiteName) -> Option<InjectOp> {
+    /// Count a crossing; log it while recording; return the actions of
+    /// every armed injection it matches, in arming order.
+    pub(crate) fn cross(&mut self, rank: Rank, site: SiteName) -> Vec<FaultAction> {
         let c = self.counters.entry((site, rank)).or_insert(0);
         *c += 1;
         let occurrence = *c;
         if self.recording && occurrence <= self.record_cap {
             self.log.push(SiteRecord { site: site.to_string(), rank, occurrence });
         }
-        let armed = self.armed.iter_mut().find(|a| {
-            !a.fired && a.inj.rank == rank && a.inj.occurrence == occurrence && a.inj.site == site
-        })?;
-        armed.fired = true;
-        let inj = armed.inj.clone();
-        self.fired.push(inj.clone());
-        Some(inj.op)
+        let hits = self
+            .armed
+            .iter()
+            .filter(|i| i.rank == rank && i.occurrence == occurrence && i.site == site);
+        let hits: Vec<Injection> = hits.cloned().collect();
+        let actions = hits.iter().map(|i| i.action).collect();
+        self.fired.extend(hits);
+        actions
     }
 
-    pub(crate) fn arm(&mut self, plan: InjectionPlan) {
-        self.armed.extend(plan.injections.into_iter().map(|inj| Armed { inj, fired: false }));
+    /// Arm `injections` (cumulative); says whether anything is armed.
+    pub(crate) fn arm(&mut self, injections: impl IntoIterator<Item = Injection>) -> bool {
+        self.armed.extend(injections);
+        !self.armed.is_empty()
     }
 
     pub(crate) fn start_recording(&mut self, cap_per_site: u64) {
@@ -294,10 +168,10 @@ mod tests {
     #[test]
     fn occurrences_count_per_site_and_rank() {
         let mut st = InjectState::default();
-        assert_eq!(st.cross(0, "a"), None);
-        assert_eq!(st.cross(0, "a"), None);
-        assert_eq!(st.cross(1, "a"), None);
-        assert_eq!(st.cross(0, "b"), None);
+        assert_eq!(st.cross(0, "a"), vec![]);
+        assert_eq!(st.cross(0, "a"), vec![]);
+        assert_eq!(st.cross(1, "a"), vec![]);
+        assert_eq!(st.cross(0, "b"), vec![]);
         assert_eq!(st.count("a", 0), 2);
         assert_eq!(st.count("a", 1), 1);
         assert_eq!(st.count("b", 0), 1);
@@ -307,11 +181,11 @@ mod tests {
     #[test]
     fn armed_injection_fires_exactly_once_at_its_occurrence() {
         let mut st = InjectState::default();
-        st.arm(InjectionPlan::new().with(Injection::kill("a", 0, 2)));
-        assert_eq!(st.cross(0, "a"), None); // occurrence 1
-        assert_eq!(st.cross(1, "a"), None); // other rank
-        assert_eq!(st.cross(0, "a"), Some(InjectOp::Kill)); // occurrence 2
-        assert_eq!(st.cross(0, "a"), None); // fired already
+        st.arm([Injection::kill("a", 0, 2)]);
+        assert_eq!(st.cross(0, "a"), vec![]); // occurrence 1
+        assert_eq!(st.cross(1, "a"), vec![]); // other rank
+        assert_eq!(st.cross(0, "a"), vec![FaultAction::KillRank(0)]); // occurrence 2
+        assert_eq!(st.cross(0, "a"), vec![]); // fired already
         assert_eq!(st.fired().len(), 1);
     }
 
@@ -327,32 +201,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log[0], SiteRecord { site: "x".into(), rank: 3, occurrence: 1 });
         assert_eq!(log[1], SiteRecord { site: "x".into(), rank: 3, occurrence: 2 });
-    }
-
-    #[test]
-    fn injection_plan_codec_roundtrip() {
-        let plan = InjectionPlan::new()
-            .with(Injection::kill("driver.checkpoint.commit", 3, 2))
-            .with(Injection::kill_node("gaspi.write", 1, 7))
-            .with(Injection::break_link("gaspi.barrier", 0, 1, 5))
-            .with(Injection::heal_link("gaspi.barrier", 0, 3, 5))
-            .with(Injection::delay("ckpt.restore", 2, 4, Duration::from_micros(250)));
-        let bytes = plan.encode();
-        assert_eq!(InjectionPlan::decode(&bytes).unwrap(), plan);
-        // Empty plan round-trips too.
-        assert_eq!(
-            InjectionPlan::decode(&InjectionPlan::new().encode()).unwrap(),
-            InjectionPlan::new()
-        );
-        // Truncation and trailing garbage are loud.
-        assert!(InjectionPlan::decode(&bytes[..bytes.len() - 1]).is_err());
-        let mut noisy = bytes.clone();
-        noisy.push(0);
-        assert!(InjectionPlan::decode(&noisy).is_err());
-        // A bogus op tag is rejected.
-        let mut e = Enc::new();
-        e.u64(1).str("x").u32(0).u64(1).u8(9);
-        assert!(matches!(InjectionPlan::decode(&e.finish()), Err(CodecError::BadTag(9))));
     }
 
     #[test]

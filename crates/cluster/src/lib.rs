@@ -34,7 +34,6 @@
 
 pub mod codec;
 pub mod fault;
-pub mod host;
 pub mod inject;
 pub mod metrics;
 pub mod storage;
@@ -47,8 +46,7 @@ pub use codec::{CodecError, Dec, Enc};
 pub use fault::{
     FaultAction, FaultPlane, FaultSchedule, RankKilled, ScheduleTimer, KILLED_EXIT_CODE,
 };
-pub use host::{RankHost, ThreadHost};
-pub use inject::{site_is_deterministic, InjectOp, Injection, InjectionPlan, SiteName, SiteRecord};
+pub use inject::{site_is_deterministic, Injection, SiteName, SiteRecord};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use storage::{BlobKey, NodeStorage};
 pub use tcp::TcpTransport;

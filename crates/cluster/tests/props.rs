@@ -1,10 +1,83 @@
-//! Property tests for topology and fault-plane invariants.
+//! Property tests for topology, fault-plane and schedule-codec invariants.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ft_cluster::{FaultPlane, NodeId, Topology};
+use ft_cluster::codec::{from_hex, to_hex};
+use ft_cluster::{
+    CodecError, Enc, FaultAction, FaultPlane, FaultSchedule, Injection, NodeId, Topology,
+};
+
+/// The `kind`-th action over drawn operands.
+fn action(kind: u8, a: u32, b: u32, nanos: u64) -> FaultAction {
+    match kind {
+        0 => FaultAction::KillRank(a),
+        1 => FaultAction::KillNode(NodeId(a)),
+        2 => FaultAction::BreakLink(a, b),
+        3 => FaultAction::HealLink(a, b),
+        _ => FaultAction::Delay(Duration::from_nanos(nanos)),
+    }
+}
+
+/// One schedule entry per draw: all three triggers, all five actions (four
+/// under `timed`, which refuses a `Delay`).
+fn schedule(entries: &[(u8, u8, u32, u32, u64)]) -> FaultSchedule {
+    entries.iter().fold(FaultSchedule::none(), |s, &(trigger, kind, a, b, n)| match trigger {
+        0 => s.kill_rank_at_iteration(a, n),
+        1 => s.timed(Duration::from_nanos(n), action(kind % 4, a, b, n)),
+        _ => s.inject(Injection::at(format!("site.{}", b % 7), a, n, action(kind, b, a, n))),
+    })
+}
+
+/// A rank process decodes its schedule from an environment variable, so
+/// the bytes are hostile: a count no input could back is refused before
+/// anything is allocated for it, and an unknown action is not guessed at.
+#[test]
+fn schedule_decoder_bounds_counts_and_rejects_unknown_actions() {
+    for zero_counts_before in 0..3 {
+        let mut e = Enc::new();
+        for _ in 0..zero_counts_before {
+            e.u64(0);
+        }
+        e.u64(u64::MAX);
+        assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadLength(u64::MAX)));
+    }
+    let mut e = Enc::new();
+    e.u64(0).u64(0).u64(1).str("x").u32(0).u64(1).u8(9).u64(0);
+    assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadTag(9)));
+}
 
 proptest! {
+    /// Every schedule survives the byte and the hex trip (how the
+    /// supervisor ships it); no strict prefix of an encoding and nothing
+    /// with trailing bytes decodes; damaged and random bytes may decode to
+    /// anything but a panic.
+    #[test]
+    fn schedule_codec_roundtrips_and_survives_damage(
+        entries in proptest::collection::vec(
+            (0u8..3, 0u8..5, any::<u32>(), any::<u32>(), any::<u64>()),
+            0..10,
+        ),
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        flip in any::<usize>(),
+    ) {
+        let s = schedule(&entries);
+        let mut bytes = s.encode();
+        prop_assert_eq!(FaultSchedule::decode(&bytes), Ok(s.clone()));
+        prop_assert_eq!(FaultSchedule::decode(&from_hex(&to_hex(&bytes)).unwrap()), Ok(s));
+        for cut in 0..bytes.len() {
+            prop_assert!(FaultSchedule::decode(&bytes[..cut]).is_err(), "prefix of {} bytes", cut);
+        }
+        bytes.push(0);
+        prop_assert!(FaultSchedule::decode(&bytes).is_err(), "trailing byte");
+        bytes.pop();
+        let _ = FaultSchedule::decode(&junk);
+        let at = flip % bytes.len();
+        bytes[at] ^= 1 << (flip % 8);
+        let _ = FaultSchedule::decode(&bytes);
+    }
+
     /// Node ranges tile the rank space and owner lookups agree.
     #[test]
     fn placement_tiles_ranks(num_ranks in 1u32..2000, rpn in 1u32..64) {

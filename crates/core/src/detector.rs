@@ -158,12 +158,13 @@ pub fn run_detector(
     run_detector_from(proc, layout, cfg, events, None, RecoveryPlan::initial())
 }
 
-/// [`run_detector`] as the detector of `plan`: the initial plan for the
-/// primary FD, the takeover plan for a shadow. The plan is cumulative, so
-/// it is all the detection state there is — which is what lets a shadow
-/// continue where a dead primary stopped (the redundancy approach the
-/// paper proposes as future work, §VIII). `reserved` (the shadow's rank)
-/// is withheld from the rescue pool.
+/// [`run_detector`] from `plan` on: the initial plan for the primary FD;
+/// for a shadow, the plan whose detector it found dead — it records the
+/// takeover and announces itself in that rank's place first. The plan is
+/// cumulative, so it is all the detection state there is — which is what
+/// lets a shadow continue where a dead primary stopped (the redundancy
+/// approach the paper proposes as future work, §VIII). `reserved` (the
+/// shadow's rank) is withheld from the rescue pool.
 pub fn run_detector_from(
     proc: &GaspiProc,
     layout: &WorldLayout,
@@ -174,6 +175,15 @@ pub fn run_detector_from(
 ) -> FtResult<DetectorOutcome> {
     let me = proc.rank();
     let mut out = DetectorOutcome::default();
+    // Ranks the plan in force has not reached: dead and not yet detected,
+    // or alive and not yet listening (a spare scheduled so late that its
+    // control segment did not exist when the write arrived).
+    let mut unreached = Vec::new();
+    if plan.current_fd(layout) != me {
+        events.record(me, EventKind::FdTakeover { dead_fd: plan.current_fd(layout) });
+        plan = plan.after_takeover(layout, me);
+        unreached = announce(proc, cfg, events, &plan, &alive_targets(layout, &plan, me))?;
+    }
 
     let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
 
@@ -214,12 +224,21 @@ pub fn run_detector_from(
         out.scans += 1;
         if newly.is_empty() {
             out.scan_times.push(dur);
+            if !unreached.is_empty() {
+                // Everyone answered this scan, so whoever missed the plan
+                // is alive: say it again. (A rank that died since is found
+                // by the next scan, whose announcement starts a new list.)
+                unreached =
+                    ack::broadcast_plan(proc, &plan, &unreached, cfg.ack_queue, cfg.ack_timeout)?;
+            }
         } else {
             let t_detect = events.now();
             plan = plan.after_failures(layout, &newly, reserved, cfg.designated_shadows);
             let epoch = plan.epoch;
             events.record(me, EventKind::FdDetect { epoch, failed: newly.clone() });
-            let alive = announce(proc, layout, cfg, events, &plan)?;
+            let alive = alive_targets(layout, &plan, me);
+            // The plan is cumulative: the newest is all a straggler needs.
+            unreached = announce(proc, cfg, events, &plan, &alive)?;
             let t_ack = events.now();
             out.recoveries.push(FdRecovery { epoch, detected: newly, t_detect, t_ack });
 
@@ -248,34 +267,18 @@ pub fn run_detector_from(
     }
 }
 
-/// Shadow side: the detector of `plan` is dead — record it, and announce
-/// this rank in its place. Returns the plan to scan on from.
-pub(crate) fn take_over(
-    proc: &GaspiProc,
-    layout: &WorldLayout,
-    cfg: &DetectorConfig,
-    events: &EventLog,
-    plan: &RecoveryPlan,
-) -> FtResult<RecoveryPlan> {
-    events.record(proc.rank(), EventKind::FdTakeover { dead_fd: plan.current_fd(layout) });
-    let next = plan.after_takeover(layout, proc.rank());
-    announce(proc, layout, cfg, events, &next)?;
-    Ok(next)
-}
-
-/// Acknowledge `plan` to every rank it leaves alive; returns them.
+/// Acknowledge `plan` to `alive`, the ranks it leaves standing; returns
+/// those the write did not reach.
 fn announce(
     proc: &GaspiProc,
-    layout: &WorldLayout,
     cfg: &DetectorConfig,
     events: &EventLog,
     plan: &RecoveryPlan,
+    alive: &[Rank],
 ) -> FtResult<Vec<Rank>> {
-    let alive = alive_targets(layout, plan, proc.rank());
-    // Ranks whose ack write fails will be detected next scan.
-    let _undelivered = ack::broadcast_plan(proc, plan, &alive, cfg.ack_queue, cfg.ack_timeout)?;
+    let unreached = ack::broadcast_plan(proc, plan, alive, cfg.ack_queue, cfg.ack_timeout)?;
     events.record(proc.rank(), EventKind::FdAck { epoch: plan.epoch });
-    Ok(alive)
+    Ok(unreached)
 }
 
 fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Rank> {

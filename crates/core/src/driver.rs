@@ -25,7 +25,7 @@ use ft_gaspi::{
 };
 
 use crate::ack::{self, create_ctrl_segment};
-use crate::detector::{run_detector_from, take_over, DetectorConfig, DetectorOutcome};
+use crate::detector::{run_detector_from, DetectorConfig, DetectorOutcome};
 use crate::error::{FtError, FtResult, FtSignal};
 use crate::events::{EventKind, EventLog};
 use crate::health::{CommPolicy, HealthWatch};
@@ -653,18 +653,15 @@ fn detector_run(ctx: &FtCtx) -> FtResult<Option<DetectorOutcome>> {
             Err(FtError::Signal(FtSignal::Shutdown)) => return Ok(None),
             Err(e) => return Err(e),
         }
-        let mut plan = ctx.plan();
+        let plan = ctx.plan();
         if !plan.fd_alive {
             // The detector joined the workers; nothing left to shadow.
             return Ok(None);
         }
         let fd = plan.current_fd(layout);
-        if fd != proc.rank() {
-            if proc.proc_ping(fd, cfg.ping_timeout).is_ok() {
-                std::thread::sleep(cfg.scan_interval.min(Duration::from_millis(5)));
-                continue;
-            }
-            plan = take_over(proc, layout, cfg, &ctx.events, &plan)?;
+        if fd != proc.rank() && proc.proc_ping(fd, cfg.ping_timeout).is_ok() {
+            std::thread::sleep(cfg.scan_interval.min(Duration::from_millis(5)));
+            continue;
         }
         let reserved = ctx.cfg.shadow_rank();
         return run_detector_from(proc, layout, cfg, &ctx.events, reserved, plan).map(Some);

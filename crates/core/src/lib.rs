@@ -50,7 +50,7 @@ pub use layout::{RankMap, WorldLayout};
 pub use plan::RecoveryPlan;
 pub use process::{
     child_env, run_child, run_supervisor, ChildEnv, ProcJobReport, ProcOutcome, ProcResult,
-    ProcessHost, SupervisorConfig,
+    SupervisorConfig,
 };
 pub use strategy::{
     Abft, CheckpointRestart, RecoveryStrategy, Replicated, RestoreDecision, StrategyKind,

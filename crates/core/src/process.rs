@@ -14,8 +14,8 @@
 //!   the current binary once per rank, with the rank's identity and the
 //!   full [`FaultSchedule`] shipped in environment variables; brokers the
 //!   port map; enforces wall-clock `KillRank`/`KillNode` actions as real
-//!   `SIGKILL`s through [`ProcessHost`]; and collects each child's exit
-//!   status and `RESULT`/`EVENT` lines.
+//!   `SIGKILL`s; and collects each child's exit status and
+//!   `RESULT`/`EVENT` lines.
 //! * **Child** (the re-executed binary): detects its role via
 //!   [`child_env`], then [`run_child`] builds a single-rank
 //!   [`GaspiWorld`] over TCP and runs the ordinary Fig. 3 driver flow for
@@ -36,26 +36,24 @@
 //! signal = the supervisor's `SIGKILL`. The last two both classify as
 //! [`ProcOutcome::Killed`] — the same fate by different executioners.
 //!
-//! ## What the schedule means per backend
+//! ## Who enforces which part of the schedule
 //!
-//! Children arm the schedule's step-indexed injections and iteration
-//! kills on their local fault plane with
-//! [`FaultPlane::exit_process_on_kill`] set, so every cooperative kill
-//! path becomes a process exit. Wall-clock `KillRank`/`KillNode` actions
-//! are **not** applied in children — the supervisor owns wall-clock time
-//! and delivers them as `SIGKILL`s, with no cooperation from the victim.
-//! Wall-clock `BreakLink`/`HealLink` actions are enforced *in-process*:
-//! every child applies them to its local fault plane on the same clock
-//! (started at MAP time), and the TCP transport turns the table entry
-//! into real refusal — live sockets are severed, in-flight sends drain
-//! as `Broken`, and the receive side refuses frames per-connection — so
-//! a partition is symmetric across the wire without any supervisor
-//! cooperation. Step-indexed `BreakLink`/`HealLink` injections fire only
-//! on the crossing rank's own plane, which is exactly what makes
-//! *asymmetric* partitions (one side believes the link is down, the
-//! other does not) expressible. Enforced link ops are listed in
-//! [`ProcJobReport::link_faults`]; `skipped_actions` stays empty and is
-//! asserted on as a regression guard.
+//! One interpreter, [`FaultSchedule::start_timer`], runs on both sides over
+//! a local [`FaultPlane`]; ARCHITECTURE.md §5 has the table. The
+//! supervisor takes the wall-clock kills — its plane's kill hook is a
+//! `SIGKILL`, no cooperation from the victim. Each child takes the rest:
+//! iteration kills and step-indexed injections, which
+//! [`FaultPlane::exit_process_on_kill`] turns into a process exit when they
+//! kill the child's own rank, and wall-clock link ops, which the TCP
+//! transport turns into real refusal (live sockets severed, in-flight sends
+//! drained as `Broken`, frames refused per connection) — every child
+//! applies them on the same clock (started at MAP time), so a timed
+//! partition is symmetric across the wire. A step-indexed action fires on
+//! the crossing rank's own plane only, which is exactly what makes
+//! *asymmetric* partitions (one side believes the link is down, the other
+//! does not) expressible — and what makes one that does not involve the
+//! crossing rank unenforceable: [`run_supervisor`] refuses it. Enforced
+//! wall-clock link ops are listed in [`ProcJobReport::link_faults`].
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write as _};
@@ -67,8 +65,8 @@ use parking_lot::Mutex;
 
 use ft_cluster::codec::{from_hex, to_hex};
 use ft_cluster::{
-    FaultAction, FaultPlane, FaultSchedule, InjectionPlan, NodeId, Rank, RankHost, TcpTransport,
-    Topology, Transport, KILLED_EXIT_CODE,
+    FaultAction, FaultPlane, FaultSchedule, Injection, Rank, TcpTransport, Topology, Transport,
+    KILLED_EXIT_CODE,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
 
@@ -89,9 +87,8 @@ pub struct ChildEnv {
     pub rank: Rank,
     /// Total ranks in the job.
     pub num_ranks: u32,
-    /// The full fault schedule. Wall-clock kills are the supervisor's to
-    /// enforce (as `SIGKILL`s); wall-clock link ops are applied by the
-    /// child itself to its local fault plane.
+    /// The full fault schedule; [`run_child`] leaves the wall-clock kills
+    /// to the supervisor.
     pub schedule: FaultSchedule,
 }
 
@@ -131,7 +128,6 @@ where
     let fault = FaultPlane::new(topo);
     // Every cooperative kill of *this* rank becomes real process death.
     fault.exit_process_on_kill(env.rank);
-    fault.arm_injections(InjectionPlan { injections: env.schedule.injections().to_vec() });
 
     let tcp = Arc::new(
         TcpTransport::listen(env.rank, env.num_ranks, Arc::clone(&fault), gaspi.model.clone())
@@ -170,22 +166,13 @@ where
             }
         });
     }
-    // Enforce wall-clock link ops in-process: each child applies them to
-    // its own fault plane on the supervisor's clock (started at MAP
-    // time), and the TCP transport severs/refuses accordingly. Kills stay
-    // with the supervisor — a victim cannot be trusted to sign its own
-    // death warrant, but a partition needs exactly this local knowledge.
-    let link_timer = {
-        let mut links = FaultSchedule::none();
-        for (after, a) in env.schedule.timed_actions() {
-            if matches!(a, FaultAction::BreakLink(..) | FaultAction::HealLink(..)) {
-                links = links.timed(*after, a.clone());
-            }
-        }
-        (!links.timed_actions().is_empty()).then(|| links.start_timer(world.fault()))
-    };
+    // This rank's part of the schedule, on its own fault plane and the
+    // supervisor's clock (started at MAP time). Wall-clock kills stay with
+    // the supervisor — a victim cannot be trusted to sign its own death
+    // warrant, but a partition needs exactly this local knowledge.
+    let timer = env.schedule.clone().retain_timed(|a| !a.is_kill()).start_timer(world.fault());
     let outcome = run_ft_rank(&world, env.rank, cfg, env.schedule, events.clone(), make_app);
-    drop(link_timer); // cancel link ops the job outlived
+    drop(timer); // cancel link ops the job outlived
 
     // Linger (bounded) until the detector's end-of-job word — shutdown for
     // spares and aborted jobs, the done echo for workers: a process that
@@ -251,16 +238,14 @@ fn role_name(role: Role) -> &'static str {
 // Supervisor side
 // ---------------------------------------------------------------------
 
-/// [`RankHost`] over real child processes: a kill is a `SIGKILL`.
-pub struct ProcessHost {
-    topo: Topology,
+/// The job's rank processes; a kill is a `SIGKILL`.
+struct ProcessHost {
     children: Mutex<Vec<Option<Child>>>,
 }
 
 impl ProcessHost {
     fn new(children: Vec<Child>) -> Arc<Self> {
-        let topo = Topology::new(children.len() as u32, 1);
-        Arc::new(Self { topo, children: Mutex::new(children.into_iter().map(Some).collect()) })
+        Arc::new(Self { children: Mutex::new(children.into_iter().map(Some).collect()) })
     }
 
     /// Wait (bounded) for the child hosting `rank`; `None` on timeout.
@@ -285,29 +270,17 @@ impl ProcessHost {
         }
     }
 
-    fn kill_all(&self) {
-        for r in 0..self.topo.num_ranks() {
-            self.kill_rank(r);
-        }
-    }
-}
-
-impl RankHost for ProcessHost {
-    fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
+    /// SIGKILL on Unix; idempotent (killing a reaped or dead child is an
+    /// ignorable error).
     fn kill_rank(&self, rank: Rank) {
         if let Some(child) = self.children.lock()[rank as usize].as_mut() {
-            // SIGKILL on Unix; idempotent (killing a reaped/dead child is
-            // an ignorable error).
             let _ = child.kill();
         }
     }
 
-    fn kill_node(&self, node: NodeId) {
-        for r in self.topo.ranks_on(node) {
-            self.kill_rank(r);
+    fn kill_all(&self) {
+        for child in self.children.lock().iter_mut().flatten() {
+            let _ = child.kill();
         }
     }
 }
@@ -372,11 +345,6 @@ pub struct ProcJobReport {
     /// severs/refuses accordingly). Additive to the per-rank `outcomes`,
     /// so report consumers can tell a partition run from a kill-only run.
     pub link_faults: Vec<FaultAction>,
-    /// Wall-clock actions the process backend could not enforce. Every
-    /// action class is enforced today — kills by the supervisor, link ops
-    /// by the children — so this must stay empty; the conformance sweep
-    /// asserts on it as a regression guard.
-    pub skipped_actions: Vec<FaultAction>,
 }
 
 impl ProcJobReport {
@@ -420,7 +388,7 @@ pub struct SupervisorConfig {
     /// Total rank processes to spawn.
     pub num_ranks: u32,
     /// The fault schedule; wall-clock `KillRank`/`KillNode` become
-    /// `SIGKILL`s, everything else ships to the children.
+    /// `SIGKILL`s, everything else is the children's to apply.
     pub schedule: FaultSchedule,
     /// Arguments passed to the re-executed binary (so a multi-mode bin
     /// can route to the right app).
@@ -460,7 +428,19 @@ impl SupervisorConfig {
 /// Spawn, broker, monitor, and reap one rank process per rank of the
 /// job. Re-executes the current binary; children must detect
 /// [`child_env`] and divert to [`run_child`].
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], before anything is spawned, for a
+/// schedule with a step-indexed action that does not involve its crossing
+/// rank (see the module docs); otherwise what spawning and the handshake
+/// return.
 pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
+    let topo = Topology::new(cfg.num_ranks, 1);
+    let enforceable = |i: &Injection| i.rank < cfg.num_ranks && i.action.involves(i.rank, &topo);
+    if let Some(inj) = cfg.schedule.injections().iter().find(|i| !enforceable(i)) {
+        let why = "fires on the crossing rank's own fault plane only, which it does not involve";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, format!("{inj:?} {why}")));
+    }
     let exe = std::env::current_exe()?;
     let schedule_hex = to_hex(&cfg.schedule.encode());
     let mut children = Vec::with_capacity(cfg.num_ranks as usize);
@@ -506,47 +486,17 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     }
 
     let host = ProcessHost::new(children);
-    // The job clock starts when the port map is out: wall-clock kills are
-    // now enforced by this thread, as real signals.
-    let timer_host = Arc::clone(&host);
-    let timed: Vec<(Duration, FaultAction)> = cfg.schedule.timed_actions().to_vec();
-    let link_faults: Vec<FaultAction> = timed
-        .iter()
-        .filter(|(_, a)| matches!(a, FaultAction::BreakLink(..) | FaultAction::HealLink(..)))
-        .map(|(_, a)| a.clone())
-        .collect();
-    let timer_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let timer_stop2 = Arc::clone(&timer_stop);
-    let timer = std::thread::Builder::new()
-        .name("proc-fault-schedule".into())
-        .spawn(move || {
-            use std::sync::atomic::Ordering;
-            let start = Instant::now();
-            let mut timed = timed;
-            timed.sort_by_key(|(d, _)| *d);
-            for (after, action) in timed {
-                // Sleep in short laps so the supervisor can retire this
-                // thread as soon as the job ends (a schedule may place
-                // kills far beyond the job's actual runtime).
-                while let Some(nap) = after.checked_sub(start.elapsed()) {
-                    if timer_stop2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(nap.min(Duration::from_millis(10)));
-                }
-                if timer_stop2.load(Ordering::Acquire) {
-                    return;
-                }
-                match action {
-                    FaultAction::KillRank(r) => timer_host.kill_rank(r),
-                    FaultAction::KillNode(n) => timer_host.kill_node(n),
-                    // Enforced in-process: every child applies link ops to
-                    // its own fault plane on the same clock (see run_child).
-                    FaultAction::BreakLink(..) | FaultAction::HealLink(..) => {}
-                }
-            }
-        })
-        .expect("spawn supervisor fault-schedule thread");
+    // The job clock starts when the port map is out. The supervisor's part
+    // of the schedule is the wall-clock kills: the timer every backend
+    // runs, over a fault plane on which a kill is a real signal. (The
+    // injections it arms there are the children's; no rank crosses this
+    // plane.)
+    let plane = FaultPlane::new(topo);
+    let killer = Arc::clone(&host);
+    plane.on_kill(move |ev| ev.ranks.iter().for_each(|&r| killer.kill_rank(r)));
+    let timer = cfg.schedule.clone().retain_timed(FaultAction::is_kill).start_timer(plane);
+    let link_faults =
+        cfg.schedule.timed_actions().iter().map(|&(_, a)| a).filter(|a| !a.is_kill()).collect();
 
     // Drain each child's stdout on its own thread (children block on full
     // pipes otherwise), collecting EVENT and RESULT lines.
@@ -594,8 +544,7 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     for h in readers {
         let _ = h.join();
     }
-    timer_stop.store(true, std::sync::atomic::Ordering::Release);
-    let _ = timer.join();
+    timer.cancel(); // a schedule may place kills far beyond the job's end
 
     let (event_lines, mut results) = {
         let mut guard = collected.lock();
@@ -606,7 +555,7 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
         .enumerate()
         .map(|(rank, status)| classify(status, results.remove(&(rank as Rank))))
         .collect();
-    Ok(ProcJobReport { outcomes, event_lines, link_faults, skipped_actions: Vec::new() })
+    Ok(ProcJobReport { outcomes, event_lines, link_faults })
 }
 
 fn classify(status: Option<std::process::ExitStatus>, result: Option<String>) -> ProcOutcome {
@@ -678,6 +627,22 @@ mod tests {
     fn classify_exit_codes() {
         // Timeout.
         assert!(matches!(classify(None, None), ProcOutcome::TimedOut));
+    }
+
+    /// A rank process applies a site-triggered action to its own fault
+    /// plane, so one aimed past the crossing rank would silently not
+    /// happen. (`--list`: were anything spawned, a copy of this test binary
+    /// would print its tests and the handshake would fail differently.)
+    #[test]
+    fn supervisor_refuses_a_site_action_that_spares_its_crossing_rank() {
+        for action in [FaultAction::KillRank(2), FaultAction::BreakLink(1, 2)] {
+            let schedule = FaultSchedule::none()
+                .inject(Injection::kill("gaspi.allreduce", 1, 2))
+                .inject(Injection::at("gaspi.allreduce", 0, 3, action));
+            let cfg = SupervisorConfig::new(4, schedule).with_args(["--list"]);
+            let err = run_supervisor(cfg).expect_err("unenforceable schedule");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

@@ -6,11 +6,9 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc};
-use ft_cluster::FaultPlane;
 use ft_core::{FtApp, FtCtx, FtResult, RecoveryPlan};
 use ft_gaspi::ReduceOp;
 
@@ -20,6 +18,13 @@ pub const FETCH: Duration = Duration::from_secs(5);
 /// Crossed by a draining [`Acc`] at the top of every step, once the copies
 /// of its last commit have landed — a kill here finds them on every tier.
 pub const DRAINED_SITE: &str = "test.acc.drained";
+/// Crossed by every [`Acc`] inside `rewire`: a fault here finds the other
+/// members of the rebuilt group in the restore's collectives, waiting for
+/// this rank.
+pub const REWIRE_SITE: &str = "test.acc.rewire";
+/// Crossed by every [`Acc`] on entering `finalize`: after the last
+/// iteration's collectives, before the driver's done signal.
+pub const FINALIZE_SITE: &str = "test.acc.finalize";
 
 /// Ground truth: Σ_{i=1..iters} i · W(W+1)/2.
 pub fn expected_acc(workers: u32, iters: u64) -> f64 {
@@ -32,34 +37,18 @@ pub struct Acc {
     /// Wait out the asynchronous copies of the last commit before each
     /// step, so what a later vote finds on which tier is deterministic.
     drain: bool,
-    /// When set, app rank 0 kills the primary FD on first reaching the
-    /// hook. (A step-indexed `Injection` can only kill the rank that
-    /// crosses the site, so the app's own hook stands in for one.)
-    pub primary_dies_at: Option<(FdKill, Arc<FaultPlane>)>,
-}
-
-/// Where [`Acc::primary_dies_at`] fires.
-#[derive(Clone, Copy, PartialEq)]
-pub enum FdKill {
-    /// In `finalize`: after the last iteration's collectives, before the
-    /// driver's done signal.
-    Finalize,
-    /// In `rewire`, followed by a pause: the shadow's takeover plan then
-    /// finds the other members inside the restore's collectives, waiting
-    /// for this rank.
-    Rewire,
 }
 
 impl Acc {
     /// The default stream, copies left asynchronous.
     pub fn new(ctx: &FtCtx) -> Self {
         let ck = Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None);
-        Self { acc: 0.0, ck, drain: false, primary_dies_at: None }
+        Self { acc: 0.0, ck, drain: false }
     }
 
     /// Over a caller-built stream, draining it before every step.
     pub fn draining(ck: Checkpointer) -> Self {
-        Self { acc: 0.0, ck, drain: true, primary_dies_at: None }
+        Self { acc: 0.0, ck, drain: true }
     }
 }
 
@@ -109,26 +98,12 @@ impl FtApp for Acc {
 
     fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
         self.ck.refresh_failed(&plan.failed);
-        if self.kill_primary(ctx, FdKill::Rewire) {
-            std::thread::sleep(Duration::from_millis(300));
-        }
+        ctx.proc.injection_site(REWIRE_SITE);
         Ok(())
     }
 
     fn finalize(&mut self, ctx: &FtCtx) -> FtResult<(f64, u64)> {
-        self.kill_primary(ctx, FdKill::Finalize);
+        ctx.proc.injection_site(FINALIZE_SITE);
         Ok((self.acc, self.ck.stats().restores_pfs))
-    }
-}
-
-impl Acc {
-    /// Fire the [`Acc::primary_dies_at`] hook if this is its point (once,
-    /// on app rank 0); says whether it fired.
-    fn kill_primary(&mut self, ctx: &FtCtx, at: FdKill) -> bool {
-        let hook = self.primary_dies_at.take_if(|h| h.0 == at && ctx.app_rank() == 0);
-        if let Some((_, fault)) = &hook {
-            fault.kill_rank(ctx.layout.fd_rank());
-        }
-        hook.is_some()
     }
 }

@@ -4,13 +4,15 @@
 //! is a pure function of (num_workers, iterations), so any adoption,
 //! restore, or redo mistake shows up as a wrong number.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc};
-use ft_cluster::FaultSchedule;
+use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::ack::FIRST_APP_SEG;
 use ft_core::{
-    run_ft_job, FtApp, FtConfig, FtCtx, FtError, FtResult, RecoveryPlan, Role, WorldLayout,
+    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtError, FtResult, RecoveryPlan, Role,
+    StrategyKind, WorldLayout,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
@@ -62,6 +64,9 @@ impl FtApp for ToyApp {
         let mut e = Enc::new();
         e.u64(PLAN_MAGIC).u32(ctx.app_rank());
         self.plan_ck.commit(0, e.finish(), CopyPolicy::Replicate);
+        // Pre-processing is not done until its result is safe: a rank that
+        // dies in its first iterations must leave the plan behind.
+        assert!(self.plan_ck.drain(FETCH), "plan replication must land");
         // A data segment, to make the world realistic.
         ctx.proc.segment_create(FIRST_APP_SEG, 256)?;
         ctx.barrier_ft()?;
@@ -84,14 +89,21 @@ impl FtApp for ToyApp {
         let app = d.u32().expect("plan blob app rank");
         assert_eq!(magic, PLAN_MAGIC);
         assert_eq!(app, ctx.app_rank(), "adopted the wrong identity");
-        // Re-home the plan blob under our own rank.
+        // Re-home the plan blob under our own rank — safely, as in `setup`.
         self.plan_ck.commit(0, r.data, CopyPolicy::Replicate);
+        assert!(self.plan_ck.drain(FETCH), "plan replication must land");
         Ok(())
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        // A kill must find the last checkpoint's copies landed, or where
+        // the job rolls back to would depend on the library thread. (A rank
+        // killed from outside fails the drain too: the collective unwinds
+        // it before the assert can speak for it.)
+        let landed = self.state_ck.drain(FETCH);
         let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
         let sum = ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
+        assert!(landed, "replication must land");
         self.acc += sum;
         Ok(false)
     }
@@ -240,6 +252,44 @@ fn idle_spares_end_a_clean_job_without_error() {
     }
 }
 
+/// Regression (the `EarlyKill` class): the lone worker is done with six
+/// iterations and dead before the spare — stalled at its first
+/// `gaspi.segment.create` — has a control segment for the FD's plan write
+/// to land in. The write was lost and never repeated, so the spare stayed
+/// idle and the job never returned; now the FD re-sends the plan in force
+/// to whoever missed it, every scan, until it lands.
+#[test]
+fn late_spare_still_hears_of_the_plan_that_makes_it_a_rescue() {
+    let layout = WorldLayout::new(1, 2); // worker 0, idle 1, FD 2
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .max_iters(12)
+        .abandon(Duration::from_secs(20))
+        .strategy(StrategyKind::Abft)
+        .build()
+        .unwrap();
+    let abandon = cfg.policy.abandon;
+    let stall = FaultAction::Delay(Duration::from_millis(300));
+    let stall = Injection::at("gaspi.segment.create", 1, 1, stall);
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(0, 6).inject(stall);
+    // An idle has no abandon deadline, so a lost plan hangs the job for
+    // good: bound the wait here.
+    let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
+    let (tx, rx) = mpsc::channel();
+    let job = std::thread::spawn(move || {
+        let _ = tx.send(run_ft_job(&world, cfg, schedule, move |ctx| ToyApp::new(ctx, &pfs)));
+    });
+    let report = rx
+        .recv_timeout(abandon)
+        .expect("job hung: no rank finished — the spare never heard it was made a rescue");
+    job.join().unwrap();
+    assert_eq!(report.killed(), vec![0]);
+    assert_workers_correct(&report, 1, 12);
+    let ev = report.events.snapshot();
+    let activations = ev.iter().filter(|e| matches!(e.kind, EventKind::Activated { .. })).count();
+    assert_eq!(activations, 1, "rank 1 becomes the rescue, once");
+}
+
 #[test]
 fn single_failure_recovers_and_matches_failure_free() {
     let schedule = FaultSchedule::none().kill_rank_at_iteration(2, 37);
@@ -312,9 +362,10 @@ fn simultaneous_failures_single_detection_round() {
     // dies, and the FD's batched scan detects all three in a single round.
     let layout = WorldLayout::new(4, 4);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()).with_ranks_per_node(3));
-    // Node 0 hosts ranks {0,1,2}; kill it mid-run.
-    let schedule = FaultSchedule::none()
-        .timed(Duration::from_millis(10), ft_cluster::FaultAction::KillNode(ft_cluster::NodeId(0)));
+    // Node 0 hosts ranks {0,1,2}; kill it mid-run, at rank 0's 150th step
+    // (a wall-clock kill can land inside `setup` on a loaded machine).
+    let node0 = FaultAction::KillNode(ft_cluster::NodeId(0));
+    let schedule = FaultSchedule::none().inject(Injection::at("gaspi.allreduce", 0, 150, node0));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(20)
         .max_iters(400)
@@ -377,9 +428,11 @@ fn false_positive_network_failure_is_enforced_dead() {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    // Break the link early enough that plenty of iterations remain.
-    let schedule = FaultSchedule::none()
-        .timed(Duration::from_millis(10), ft_cluster::FaultAction::BreakLink(fd, 1));
+    // Break the link early enough that plenty of iterations remain, but
+    // at a named step: on a loaded machine a wall-clock trigger can land
+    // inside `setup`.
+    let cut = Injection::at("gaspi.allreduce", 0, 50, FaultAction::BreakLink(fd, 1));
+    let schedule = FaultSchedule::none().inject(cut);
     let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
     let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp::new(ctx, &pfs));
     assert_workers_correct(&report, 3, 400);

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use common::{expected_acc, Acc, DRAINED_SITE, STATE_TAG};
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Pfs, PfsConfig};
-use ft_cluster::{FaultSchedule, Injection};
+use ft_cluster::{FaultAction, FaultSchedule, Injection, NodeId};
 use ft_core::{run_ft_job, FtConfig, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 
@@ -27,8 +27,8 @@ fn two_node_loss_restores_from_pfs_tier() {
     let layout = WorldLayout::new(workers, 3);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let schedule = FaultSchedule::none()
-        .inject(Injection::kill_node(DRAINED_SITE, 1, 13))
-        .inject(Injection::kill_node(DRAINED_SITE, 2, 13));
+        .inject(Injection::at(DRAINED_SITE, 1, 13, FaultAction::KillNode(NodeId(1))))
+        .inject(Injection::at(DRAINED_SITE, 2, 13, FaultAction::KillNode(NodeId(2))));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(4)
         .max_iters(iters)

@@ -4,11 +4,11 @@
 
 mod common;
 
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
-use common::{expected_acc, Acc, FdKill};
-use ft_cluster::{FaultAction, FaultPlane, FaultSchedule};
+use common::{expected_acc, Acc, FINALIZE_SITE, REWIRE_SITE};
+use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::{
     run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, WorldLayout,
 };
@@ -96,14 +96,23 @@ fn fd_takeover_does_not_roll_workers_back() {
     assert!(!ev.iter().any(|e| matches!(e.kind, EventKind::GroupRebuilt { epoch } if epoch > 0)));
 }
 
-/// Two collectives per step, and between them — at iteration 5, on app
-/// rank 0 — the primary FD's death and a pause, so the shadow's takeover
-/// plan finds every rank between the two halves of one step.
+/// What the FD-kill tests arm at one crossing of app rank 0: the primary
+/// FD's death, then a pause in which the shadow's takeover plan reaches the
+/// other ranks where that crossing left them waiting.
+fn kill_fd_and_pause(site: &str, occurrence: u64, fd: u32) -> FaultSchedule {
+    let pause = FaultAction::Delay(Duration::from_millis(300));
+    FaultSchedule::none()
+        .inject(Injection::at(site, 0, occurrence, FaultAction::KillRank(fd)))
+        .inject(Injection::at(site, 0, occurrence, pause))
+}
+
+/// Two collectives per step and a site between them.
 struct TwoSums {
     a: f64,
     b: f64,
-    fault: Arc<FaultPlane>,
 }
+
+const BETWEEN_SUMS_SITE: &str = "test.twosums.between";
 
 impl FtApp for TwoSums {
     type Summary = (f64, f64);
@@ -119,10 +128,7 @@ impl FtApp for TwoSums {
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
         let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
         self.a += ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
-        if iter == 5 && ctx.app_rank() == 0 {
-            self.fault.kill_rank(ctx.layout.fd_rank());
-            std::thread::sleep(Duration::from_millis(300));
-        }
+        ctx.proc.injection_site(BETWEEN_SUMS_SITE);
         self.b += ctx.allreduce_f64_ft(&[1000.0 * x], ReduceOp::Sum)?[0];
         Ok(false)
     }
@@ -149,12 +155,12 @@ fn takeover_plan_between_two_collectives_of_a_step_interrupts_nothing() {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    let fault = world.fault();
-    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |_| TwoSums {
-        a: 0.0,
-        b: 0.0,
-        fault: fault.clone(),
-    });
+    // Between the two sums of iteration 5: every rank is in the step's
+    // second collective when the takeover plan arrives.
+    let schedule = kill_fd_and_pause(BETWEEN_SUMS_SITE, 6, layout.fd_rank());
+    let armed = schedule.injections().to_vec();
+    let report = run_ft_job(&world, cfg, schedule, |_| TwoSums { a: 0.0, b: 0.0 });
+    assert_eq!(world.fault().injections_fired(), armed, "the schedule must hit its window");
     assert_eq!(report.killed(), vec![5]);
     assert!(report.first_error().is_none(), "{:?}", report.first_error());
     let sums: Vec<(f64, f64)> = report.worker_summaries().into_iter().map(|(_, s)| *s).collect();
@@ -168,10 +174,10 @@ fn takeover_plan_between_two_collectives_of_a_step_interrupts_nothing() {
 
 #[test]
 fn takeover_plan_inside_a_restore_interrupts_nothing() {
-    // Worker 1 dies; in the recovery's `rewire` app rank 0 kills the
-    // primary FD and pauses, so the takeover plan reaches the other two
-    // members inside the restore's vote. They must stay in it: one group,
-    // one restore each, and the exact result.
+    // Worker 1 dies; when app rank 0 is in the recovery's `rewire` the
+    // primary FD dies and rank 0 pauses, so the takeover plan reaches the
+    // other two members inside the restore's vote. They must stay in it:
+    // one group, one restore each, and the exact result.
     let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
@@ -181,13 +187,11 @@ fn takeover_plan_inside_a_restore_interrupts_nothing() {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    let fault = world.fault();
-    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 25);
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
-        let mut app = Acc::new(ctx);
-        app.primary_dies_at = Some((FdKill::Rewire, fault.clone()));
-        app
-    });
+    let schedule =
+        kill_fd_and_pause(REWIRE_SITE, 1, layout.fd_rank()).kill_rank_at_iteration(1, 25);
+    let armed = schedule.injections().to_vec();
+    let report = run_ft_job(&world, cfg, schedule, Acc::new);
+    assert_eq!(world.fault().injections_fired(), armed, "the schedule must hit its window");
     let mut killed = report.killed();
     killed.sort_unstable();
     assert_eq!(killed, vec![1, 5]);
@@ -251,19 +255,17 @@ fn primary_death_at_job_end_does_not_strand_the_shadow() {
         .unwrap();
     let abandon = cfg.policy.abandon;
     let fault = world.fault();
+    let kill = Injection::at(FINALIZE_SITE, 0, 1, FaultAction::KillRank(layout.fd_rank()));
+    let schedule = FaultSchedule::none().inject(kill.clone());
     let (tx, rx) = mpsc::channel();
     let job = std::thread::spawn(move || {
-        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
-            let mut app = Acc::new(ctx);
-            app.primary_dies_at = Some((FdKill::Finalize, fault.clone()));
-            app
-        });
-        let _ = tx.send(report);
+        let _ = tx.send(run_ft_job(&world, cfg, schedule, Acc::new));
     });
     let report = rx
         .recv_timeout(abandon)
         .expect("job hung: the shadow took over and never learnt the application was done");
     job.join().unwrap();
+    assert_eq!(fault.injections_fired(), vec![kill], "the schedule must hit its window");
     assert_eq!(report.killed(), vec![5]);
     assert_correct(&report, 3, 40);
     let ev = report.events.snapshot();

@@ -102,7 +102,7 @@ impl GaspiProc {
 
     /// Cross a named fault-injection site on this rank's own thread.
     /// Free when injection is disabled; unwinds with [`RankKilled`] if an
-    /// armed step-indexed kill matches (see [`ft_cluster::InjectionPlan`]).
+    /// armed step-indexed action kills this rank (see [`ft_cluster::Injection`]).
     pub fn injection_site(&self, name: &'static str) {
         self.world.fault.site(self.rank, name);
     }
