@@ -26,11 +26,14 @@
 //! the application thread"), and additionally forces the next commit to be
 //! full so a new replica holder gets a self-contained base image.
 //!
-//! Restore resolution order ([`Checkpointer::restore_latest`]):
-//! local node → neighbor replica → PFS; the returned [`Provenance`] lets
-//! benchmarks attribute re-initialization cost (the paper's OHF3), and the
-//! [`RestoreOutcome`] distinguishes *why* a restore missed (not found /
-//! timeout / checksum mismatch) for the recovery vote path.
+//! The store's surface is [`Checkpointer::commit`], [`Checkpointer::probe`]
+//! (newest restorable version over all tiers) and [`Checkpointer::pull`]
+//! (that version's image); [`Checkpointer::restore_latest`] takes what the
+//! nearest tier holds. All three walk local node → neighbor replica → PFS
+//! and ask a remote replica holder one of the two request kinds of
+//! [`service`] (copy, fetch). The returned [`Provenance`] attributes
+//! re-initialization cost (the paper's OHF3); [`RestoreOutcome`] says *why*
+//! a restore missed (not found / timeout / checksum mismatch).
 
 pub mod chunk;
 pub mod neighbor;
@@ -47,6 +50,5 @@ pub use neighbor::NeighborMap;
 pub use pfs::{Pfs, PfsConfig};
 pub use stats::CkptStats;
 pub use writer::{
-    Checkpointer, CheckpointerConfig, CheckpointerConfigBuilder, ConfigError, CopyPolicy,
-    Provenance, RestoreOutcome, Restored,
+    Checkpointer, CheckpointerConfig, ConfigError, CopyPolicy, Provenance, RestoreOutcome, Restored,
 };

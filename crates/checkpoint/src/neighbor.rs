@@ -75,6 +75,11 @@ impl NeighborMap {
         self.neighbor_of(self.topo.node_of(rank))
     }
 
+    /// Whom to address on `node`: its lowest rank not known to have failed.
+    pub fn endpoint_on(&self, node: NodeId) -> Option<Rank> {
+        self.topo.ranks_on(node).find(|r| !self.failed.contains(r))
+    }
+
     /// The topology this map is over.
     pub fn topology(&self) -> &Topology {
         &self.topo

@@ -4,16 +4,15 @@
 //! The GASPI endpoint routes any message on a queue `>=`
 //! [`ft_gaspi::CKPT_QUEUE_BASE`] to the world's installed checkpoint
 //! handler without decoding it; this module defines that handler and the
-//! three requests it services:
+//! two requests it services:
 //!
 //! * **copy** — a committing rank pushes its dirty chunks + manifest; the
 //!   replica holder writes them into *its* node store and applies the
 //!   same pruning/GC, keeping the two stores in lockstep.
-//! * **fetch** — a restoring (or rescue) rank asks the replica holder to
-//!   reassemble a full image from its manifest + chunk replica and ship
-//!   the materialized bytes.
-//! * **latest** — version-only probe: the newest version the replica
-//!   holder could serve, verified by reassembly, without the payload.
+//! * **fetch** — one [`Request`]: "the newest version you can serve" or
+//!   "exactly version v", with or without the payload. The replica holder
+//!   reassembles (and so verifies) from its manifest + chunk replica and
+//!   answers one [`Reply`].
 //!
 //! Under the in-memory backend the handler runs on the scheduler thread
 //! against the shared [`NodeStorage`]; under the process backend it runs
@@ -21,49 +20,123 @@
 //! process can see — which is exactly why the assembly logic lives here,
 //! on the serving side, and the requester gets only bytes. Miss details
 //! (gap and checksum-mismatch counts) ride back in the reply so the
-//! requester's counters stay equivalent to the old in-process accounting.
+//! requester's counters see what the holder saw.
+//!
+//! Every byte arriving here was written by a peer: a request is decoded
+//! completely before it touches the store, and a request that does not
+//! decode changes nothing.
 
 use std::sync::Arc;
 
-use ft_cluster::{BlobKey, Dec, Enc, NodeStorage, QueueId, Rank, Topology};
+use ft_cluster::{BlobKey, CodecError, Dec, Enc, NodeStorage, QueueId, Rank, Topology};
 use ft_gaspi::{CkptHandler, GaspiProc};
 
 use crate::chunk::chunk_tag;
-use crate::writer::{assemble_best, assemble_exact};
+use crate::writer::probe_node;
 
-/// Queue for fetch/latest request-reply traffic.
+/// Queue for fetch request-reply traffic.
 pub const FETCH_QUEUE: QueueId = u16::MAX;
 /// Queue for the one-way replication push.
 pub const COPY_QUEUE: QueueId = u16::MAX - 1;
 
 const SVC_FETCH: u8 = 1;
-const SVC_LATEST: u8 = 2;
 const SVC_COPY: u8 = 3;
 
 const OK: u8 = 1;
 const FAIL: u8 = 0;
 
-// ---------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------
-
-pub(crate) fn enc_fetch(for_rank: Rank, tag: u32, version: Option<u64>) -> Vec<u8> {
-    let mut e = Enc::with_capacity(24);
-    e.u8(SVC_FETCH).u32(for_rank).u32(tag);
-    match version {
-        Some(v) => e.u8(1).u64(v),
-        None => e.u8(0),
+fn put_opt(e: &mut Enc, v: Option<u64>) {
+    match v {
+        Some(v) => e.u8(OK).u64(v),
+        None => e.u8(FAIL),
     };
-    e.finish()
 }
 
-pub(crate) fn enc_latest(for_rank: Rank, tag: u32) -> Vec<u8> {
-    let mut e = Enc::with_capacity(12);
-    e.u8(SVC_LATEST).u32(for_rank).u32(tag);
-    e.finish()
+fn get_flag(d: &mut Dec<'_>) -> Result<bool, CodecError> {
+    match d.u8()? {
+        FAIL => Ok(false),
+        OK => Ok(true),
+        other => Err(CodecError::BadLength(u64::from(other))),
+    }
 }
 
-pub(crate) fn enc_copy(
+fn get_opt(d: &mut Dec<'_>) -> Result<Option<u64>, CodecError> {
+    Ok(if get_flag(d)? { Some(d.u64()?) } else { None })
+}
+
+/// The one question asked of a node's replica store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Request {
+    /// Whose checkpoint.
+    pub rank: Rank,
+    /// Which stream.
+    pub tag: u32,
+    /// Exactly this version, or (`None`) the newest that reassembles.
+    pub version: Option<u64>,
+    /// Ship the materialized image, or only name the version.
+    pub payload: bool,
+}
+
+impl Request {
+    /// The fetch message for this request.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(24);
+        e.u8(SVC_FETCH).u32(self.rank).u32(self.tag);
+        put_opt(&mut e, self.version);
+        e.u8(u8::from(self.payload));
+        e.finish()
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let r = Self { rank: d.u32()?, tag: d.u32()?, version: get_opt(d)?, payload: get_flag(d)? };
+        d.expect_end()?;
+        Ok(r)
+    }
+}
+
+/// What one node's store answered (the default is "miss, nothing to
+/// count").
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Reply {
+    /// Newest requested version that reassembled and verified, with its
+    /// image (empty when the request asked for the version only).
+    pub found: Option<(u64, Vec<u8>)>,
+    /// Newest version rejected by the whole-payload checksum, if any.
+    pub mismatch: Option<u64>,
+    /// Versions skipped because the manifest was unreadable or a
+    /// referenced chunk was missing.
+    pub gaps: u64,
+}
+
+impl Reply {
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        match &self.found {
+            Some((v, data)) => e.u8(OK).u64(*v).bytes(data),
+            None => e.u8(FAIL),
+        };
+        put_opt(&mut e, self.mismatch);
+        e.u64(self.gaps);
+        e.finish()
+    }
+
+    /// Decode a fetch reply; anything malformed reads as a plain miss.
+    pub fn decode(reply: &[u8]) -> Self {
+        fn inner(reply: &[u8]) -> Result<Reply, CodecError> {
+            let mut d = Dec::new(reply);
+            let found = if get_flag(&mut d)? { Some((d.u64()?, d.bytes()?)) } else { None };
+            let r = Reply { found, mismatch: get_opt(&mut d)?, gaps: d.u64()? };
+            d.expect_end()?;
+            Ok(r)
+        }
+        inner(reply).unwrap_or_default()
+    }
+}
+
+/// The replication push: `rank`'s commit `version` as dirty chunks
+/// (`(content hash, bytes)`), the encoded manifest, and the chunk hashes
+/// the commit released. `keep` is the sender's `keep_versions`.
+pub fn enc_copy(
     rank: Rank,
     tag: u32,
     version: u64,
@@ -84,63 +157,16 @@ pub(crate) fn enc_copy(
     e.finish()
 }
 
-// ---------------------------------------------------------------------
-// Replies
-// ---------------------------------------------------------------------
-
-/// Decoded fetch reply (defaults mean "miss, nothing to count").
-#[derive(Default)]
-pub(crate) struct FetchReply {
-    pub found: Option<(u64, Vec<u8>)>,
-    pub mismatch: Option<u64>,
-    pub gaps: u64,
-}
-
-pub(crate) fn dec_fetch_reply(reply: &[u8]) -> FetchReply {
-    fn inner(reply: &[u8]) -> Result<FetchReply, ft_cluster::CodecError> {
-        let mut d = Dec::new(reply);
-        let found = match d.u8()? {
-            OK => Some((d.u64()?, d.bytes()?)),
-            _ => None,
-        };
-        let mismatch = match d.u8()? {
-            OK => Some(d.u64()?),
-            _ => None,
-        };
-        let gaps = d.u64()?;
-        Ok(FetchReply { found, mismatch, gaps })
-    }
-    inner(reply).unwrap_or_default()
-}
-
-/// Decoded latest reply: `(newest restorable version, gaps observed)`.
-pub(crate) fn dec_latest_reply(reply: &[u8]) -> (Option<u64>, u64) {
-    fn inner(reply: &[u8]) -> Result<(Option<u64>, u64), ft_cluster::CodecError> {
-        let mut d = Dec::new(reply);
-        let v = match d.u8()? {
-            OK => Some(d.u64()?),
-            _ => None,
-        };
-        let gaps = d.u64()?;
-        Ok((v, gaps))
-    }
-    inner(reply).unwrap_or((None, 0))
-}
-
 pub(crate) fn copy_reply_ok(reply: &[u8]) -> bool {
     reply.first() == Some(&OK)
 }
-
-// ---------------------------------------------------------------------
-// The handler (serving side)
-// ---------------------------------------------------------------------
 
 /// Build the service handler over a node store and placement. `to` is the
 /// locally hosted rank the message was addressed to; all storage access
 /// resolves through its node.
 pub fn handler(storage: Arc<NodeStorage>, topo: Topology) -> CkptHandler {
     Arc::new(move |to: Rank, _from: Rank, _queue: QueueId, msg: &[u8]| {
-        serve(&storage, &topo, to, msg).unwrap_or_else(|| vec![FAIL])
+        serve(&storage, &topo, to, msg).unwrap_or_else(|_| vec![FAIL])
     })
 }
 
@@ -152,94 +178,82 @@ pub fn install(proc: &GaspiProc) {
     proc.install_ckpt_handler(handler(proc.cluster_storage(), proc.topology().clone()));
 }
 
-fn serve(storage: &Arc<NodeStorage>, topo: &Topology, to: Rank, msg: &[u8]) -> Option<Vec<u8>> {
+fn serve(
+    storage: &NodeStorage,
+    topo: &Topology,
+    to: Rank,
+    msg: &[u8],
+) -> Result<Vec<u8>, CodecError> {
     let node = topo.node_of(to);
     let mut d = Dec::new(msg);
-    match d.u8().ok()? {
-        SVC_FETCH => {
-            let for_rank = d.u32().ok()?;
-            let tag = d.u32().ok()?;
-            let version = match d.u8().ok()? {
-                0 => None,
-                _ => Some(d.u64().ok()?),
-            };
-            let probe = match version {
-                Some(v) => assemble_exact(storage, node, for_rank, tag, v),
-                None => assemble_best(storage, node, for_rank, tag),
-            };
-            let mut e = Enc::new();
-            match probe.found {
-                Some((v, data)) => e.u8(OK).u64(v).bytes(&data),
-                None => e.u8(FAIL),
-            };
-            match probe.mismatch {
-                Some(v) => e.u8(OK).u64(v),
-                None => e.u8(FAIL),
-            };
-            e.u64(probe.gaps);
-            Some(e.finish())
-        }
-        SVC_LATEST => {
-            let for_rank = d.u32().ok()?;
-            let tag = d.u32().ok()?;
-            let probe = assemble_best(storage, node, for_rank, tag);
-            let mut e = Enc::new();
-            match probe.found {
-                Some((v, _)) => e.u8(OK).u64(v),
-                None => e.u8(FAIL),
-            };
-            e.u64(probe.gaps);
-            Some(e.finish())
-        }
+    match d.u8()? {
+        SVC_FETCH => Ok(probe_node(storage, node, &Request::decode(&mut d)?).encode()),
         SVC_COPY => {
-            let rank = d.u32().ok()?;
-            let tag = d.u32().ok()?;
-            let version = d.u64().ok()?;
-            let keep = d.u64().ok()?;
-            let n = d.u64().ok()? as usize;
+            let (rank, tag, version, keep) = (d.u32()?, d.u32()?, d.u64()?, d.u64()?);
+            // A blob is at least a hash and a length prefix.
+            let n = d.len_prefix(16)?;
+            let blobs =
+                (0..n).map(|_| Ok((d.u64()?, d.bytes()?))).collect::<Result<Vec<_>, _>>()?;
+            let manifest = d.bytes()?;
+            let release = d.u64s()?;
+            d.expect_end()?;
+            // Same order as a local commit: chunks, then the manifest that
+            // makes them visible, then pruning and chunk GC.
             let ctag = chunk_tag(tag);
-            for _ in 0..n {
-                let h = d.u64().ok()?;
-                let blob = d.bytes().ok()?;
+            for (h, blob) in blobs {
                 storage.put(node, BlobKey { rank, tag: ctag, version: h }, Arc::new(blob));
             }
-            let manifest = d.bytes().ok()?;
-            let release = d.u64s().ok()?;
             storage.put(node, BlobKey { rank, tag, version }, Arc::new(manifest));
-            if version + 1 >= keep {
-                storage.prune(node, rank, tag, version + 1 - keep);
-            }
+            storage.prune(node, rank, tag, version.saturating_add(1).saturating_sub(keep));
             for h in release {
                 storage.remove(node, BlobKey { rank, tag: ctag, version: h });
             }
-            Some(vec![OK])
+            Ok(vec![OK])
         }
-        _ => None,
+        other => Err(CodecError::BadLength(u64::from(other))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::Manifest;
 
-    #[test]
-    fn fetch_request_roundtrip() {
-        let m = enc_fetch(3, 7, Some(9));
-        let mut d = Dec::new(&m);
-        assert_eq!(d.u8().unwrap(), SVC_FETCH);
-        assert_eq!(d.u32().unwrap(), 3);
-        assert_eq!(d.u32().unwrap(), 7);
-        assert_eq!(d.u8().unwrap(), 1);
-        assert_eq!(d.u64().unwrap(), 9);
-        d.expect_end().unwrap();
+    fn fetch(h: &CkptHandler, version: Option<u64>) -> Reply {
+        let req = Request { rank: 0, tag: 7, version, payload: true };
+        Reply::decode(&h(1, 0, FETCH_QUEUE, &req.encode()))
     }
 
     #[test]
-    fn reply_decoders_tolerate_garbage() {
-        let r = dec_fetch_reply(&[0xff, 0x01]);
-        assert!(r.found.is_none());
-        assert_eq!(r.gaps, 0);
-        assert_eq!(dec_latest_reply(&[]), (None, 0));
+    fn push_then_fetch_roundtrip() {
+        let topo = Topology::one_per_node(2);
+        let h = handler(NodeStorage::new(topo.clone()), topo);
+        let payload = b"replica".to_vec();
+        let m = Manifest::describe(4, &payload, 4, true);
+        let blobs: Vec<_> = m
+            .chunks
+            .iter()
+            .zip(payload.chunks(4))
+            .map(|(&h, c)| (h, Arc::new(c.to_vec())))
+            .collect();
+        assert!(copy_reply_ok(&h(
+            1,
+            0,
+            COPY_QUEUE,
+            &enc_copy(0, 7, 4, 2, &blobs, &m.encode(), &[])
+        )));
+        assert_eq!(fetch(&h, None).found, Some((4, payload.clone())));
+        assert_eq!(fetch(&h, Some(4)).found, Some((4, payload)));
+        assert_eq!(fetch(&h, Some(3)), Reply::default());
+        let req = Request { rank: 0, tag: 7, version: None, payload: false };
+        let named = Reply::decode(&h(1, 0, FETCH_QUEUE, &req.encode()));
+        assert_eq!(named.found, Some((4, Vec::new())), "version only: no image shipped");
+    }
+
+    #[test]
+    fn reply_decoder_tolerates_garbage() {
+        assert_eq!(Reply::decode(&[0xff, 0x01]), Reply::default());
+        assert_eq!(Reply::decode(&[]), Reply::default());
         assert!(!copy_reply_ok(&[]));
         assert!(copy_reply_ok(&[OK]));
     }

@@ -34,7 +34,7 @@ fn neighbor_replica_survives_node_kill() {
     let ck1 = Checkpointer::new(&p1, CheckpointerConfig::for_tag(7), None);
     ck1.commit(5, vec![9u8; 64], CopyPolicy::Replicate);
     assert!(ck1.drain(T), "async neighbor copy must land");
-    assert_eq!(ck1.copies_done.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(ck1.stats().neighbor_copies, 1);
     assert_eq!(ck1.neighbor_node(), Some(NodeId(2)));
 
     // Node 1 dies; its local checkpoint is wiped.
@@ -112,13 +112,13 @@ fn pfs_fallback_when_both_nodes_dead() {
     assert_eq!(r.version, 4);
 }
 
-/// The restart *vote* path against the PFS tier: `latest_restorable`
-/// must count PFS versions and `restore_exact` of the agreed version
+/// The restart *vote* path against the PFS tier: `probe` must count PFS
+/// versions and `pull` of the agreed version
 /// must fall back to PFS when both the home node and the replica holder
 /// are gone — the path a group-wide consistent restore takes after a
 /// two-node loss.
 #[test]
-fn vote_path_restore_exact_falls_back_to_pfs() {
+fn vote_path_pull_falls_back_to_pfs() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let fault = world.fault();
     let pfs = Pfs::new(PfsConfig::instant());
@@ -141,16 +141,49 @@ fn vote_path_restore_exact_falls_back_to_pfs() {
     );
     ck2.refresh_failed(&[0, 1]);
     // The vote must still see version 2 (via PFS)…
-    assert_eq!(ck2.latest_restorable(0, T), RestoreOutcome::Hit(2));
+    assert_eq!(ck2.probe(0, T), RestoreOutcome::Hit(2));
     // …and the agreed version must be restorable from PFS — both the
     // latest and the older one (a divergent-epoch vote may agree on v1).
-    let r = ck2.restore_exact(0, 2, T).hit().expect("PFS exact restore");
+    let r = ck2.pull(0, 2, T).hit().expect("PFS exact restore");
     assert_eq!(r.provenance, Provenance::Pfs);
     assert_eq!(r.data, b"v2");
-    let r1 = ck2.restore_exact(0, 1, T).hit().expect("PFS exact restore of older version");
+    let r1 = ck2.pull(0, 1, T).hit().expect("PFS exact restore of older version");
     assert_eq!(r1.provenance, Provenance::Pfs);
     assert_eq!(r1.data, b"v1");
     assert_eq!(ck2.stats().restores_pfs, 2);
+}
+
+/// The library thread spills to the PFS *before* the neighbor send, so a
+/// link that breaks between two commits leaves the PFS one version ahead
+/// of the replica. Each entry point's contract against that split:
+/// `probe` names the newest version anywhere, `pull` finds it on whichever
+/// tier has it, `restore_latest` takes what the nearest tier holds.
+#[test]
+fn entry_points_when_the_pfs_is_ahead_of_the_replica() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let fault = world.fault();
+    let pfs = Pfs::new(PfsConfig::instant());
+    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(6) };
+    let p0 = world.proc_handle(0);
+    let ck0 = Checkpointer::new(&p0, cfg.clone(), Some(Arc::clone(&pfs)));
+    ck0.commit(1, b"v1".to_vec(), CopyPolicy::Replicate);
+    assert!(ck0.drain(T));
+    fault.break_link(0, 1);
+    ck0.commit(2, b"v2".to_vec(), CopyPolicy::Replicate);
+    assert!(ck0.drain(T));
+    let st = ck0.stats();
+    assert_eq!((st.neighbor_copies, st.copy_failures, st.pfs_spills), (1, 1, 2));
+    fault.kill_node(NodeId(0));
+
+    let p2 = world.proc_handle(2);
+    let ck2 = Checkpointer::new(&p2, cfg, Some(pfs));
+    ck2.refresh_failed(&[0]);
+    assert_eq!(ck2.probe(0, T), RestoreOutcome::Hit(2));
+    let r = ck2.pull(0, 2, T).hit().expect("v2 is on the PFS");
+    assert_eq!((r.provenance, r.data.as_slice()), (Provenance::Pfs, &b"v2"[..]));
+    let r = ck2.restore_latest(0, T).hit().expect("the replica holds v1");
+    assert_eq!((r.version, r.provenance), (1, Provenance::Neighbor(NodeId(1))));
+    assert_eq!(r.data, b"v1");
 }
 
 #[test]
@@ -177,7 +210,7 @@ fn keep_versions_prunes_old_checkpoints() {
 }
 
 #[test]
-fn latest_restorable_sees_remote_replica() {
+fn probe_sees_remote_replica() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let fault = world.fault();
     let p1 = world.proc_handle(1);
@@ -189,9 +222,9 @@ fn latest_restorable_sees_remote_replica() {
     let p3 = world.proc_handle(3);
     let ck3 = Checkpointer::new(&p3, CheckpointerConfig::for_tag(1), None);
     ck3.refresh_failed(&[1]);
-    assert_eq!(ck3.latest_restorable(1, T), RestoreOutcome::Hit(2));
-    // And restore_exact of the agreed version works remotely.
-    let r = ck3.restore_exact(1, 2, T).hit().expect("exact restore");
+    assert_eq!(ck3.probe(1, T), RestoreOutcome::Hit(2));
+    // And pulling the agreed version works remotely.
+    let r = ck3.pull(1, 2, T).hit().expect("exact restore");
     assert_eq!(r.data, vec![2]);
 }
 

@@ -27,7 +27,7 @@ fn payload(gen: u8) -> Vec<u8> {
 }
 
 fn small_cfg(tag: u32) -> CheckpointerConfig {
-    CheckpointerConfig::builder(tag).chunk_size(CHUNK).build().expect("valid config")
+    CheckpointerConfig { chunk_size: CHUNK, ..CheckpointerConfig::for_tag(tag) }
 }
 
 /// Run `f`, asserting it unwinds with the simulator's `RankKilled` panic.
@@ -132,11 +132,7 @@ fn orphaned_chunks_without_manifest_fall_back_locally() {
 fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let pfs = Pfs::new(PfsConfig::instant());
-    let cfg = CheckpointerConfig::builder(5)
-        .chunk_size(CHUNK)
-        .pfs_every(1)
-        .build()
-        .expect("valid config");
+    let cfg = CheckpointerConfig { pfs_every: Some(1), ..small_cfg(5) };
     let p1 = world.proc_handle(1);
     let ck1 = Checkpointer::new(&p1, cfg.clone(), Some(Arc::clone(&pfs)));
     let v1 = payload(7);
@@ -160,5 +156,5 @@ fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     assert_eq!((r.version, r.data), (1, v1));
     assert_eq!(r.provenance, Provenance::Pfs);
     // The torn v2 never reached the PFS either.
-    assert!(matches!(ck3.restore_exact(1, 2, T), RestoreOutcome::NotFound));
+    assert!(matches!(ck3.pull(1, 2, T), RestoreOutcome::NotFound));
 }

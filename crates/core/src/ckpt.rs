@@ -15,10 +15,10 @@ use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CopyPolicy, RestoreOutcome, Restored};
 use ft_cluster::Rank;
-use ft_gaspi::ReduceOp;
+use ft_gaspi::{GaspiError, ReduceOp};
 
 use crate::driver::FtCtx;
-use crate::error::FtResult;
+use crate::error::{FtError, FtResult};
 use crate::events::EventKind;
 use crate::plan::RecoveryPlan;
 
@@ -74,7 +74,7 @@ pub fn consistent_restore(
 ) -> FtResult<Option<Restored>> {
     let me = ctx.proc.rank();
     let source = ctx.restore_source();
-    let probed = ck.latest_restorable(source, fetch_timeout);
+    let probed = ck.probe(source, fetch_timeout);
     if let Some(reason) = probed.miss_reason() {
         // Not-found is the normal fresh-start vote; a timeout or a
         // checksum mismatch means state existed but was unusable — worth
@@ -91,7 +91,7 @@ pub fn consistent_restore(
         return Ok(None);
     }
     let version = agreed - 1;
-    let fetched = ck.restore_exact(source, version, fetch_timeout);
+    let fetched = ck.pull(source, version, fetch_timeout);
     if let Some(reason) = fetched.miss_reason() {
         ctx.events.record(me, EventKind::RestoreMiss { stage: "fetch", reason });
     }
@@ -100,15 +100,30 @@ pub fn consistent_restore(
     if !all_ok {
         return Ok(None);
     }
-    let restored = fetched.hit().expect("confirmed fetch");
-    if source != me {
-        // Re-home the adopted state under our own rank so the next
-        // recovery resolves it locally. The commit is full (fresh chunk
-        // table), so the rescue's replica holder gets a self-contained
-        // base image.
+    Ok(Some(rehome(ctx, ck, fetched.hit().expect("confirmed fetch"))))
+}
+
+/// A rescue's one-time streams (the communication plan): restore whatever
+/// the nearest tier holds of the adopted predecessor's stream `ck` and
+/// re-home it. No vote — the stream is written once, in `setup`, so every
+/// tier that has it has the same version.
+pub fn adopt_latest(ctx: &FtCtx, ck: &Checkpointer, fetch_timeout: Duration) -> FtResult<Restored> {
+    let restored = ck
+        .restore_latest(ctx.restore_source(), fetch_timeout)
+        .hit()
+        .ok_or(FtError::Gaspi(GaspiError::Timeout))?;
+    Ok(rehome(ctx, ck, restored))
+}
+
+/// A rescue re-homes what it adopts: state restored from a predecessor's
+/// stream is committed again under the rescue's own rank, so the next
+/// recovery resolves it locally. The commit is full (fresh chunk table),
+/// so the rescue's replica holder gets a self-contained base image.
+fn rehome(ctx: &FtCtx, ck: &Checkpointer, restored: Restored) -> Restored {
+    if ctx.restore_source() != ctx.proc.rank() {
         ck.commit(restored.version, restored.data.clone(), CopyPolicy::Replicate);
     }
-    Ok(Some(restored))
+    restored
 }
 
 #[cfg(test)]

@@ -118,9 +118,8 @@ impl fmt::Display for FtConfigError {
 
 impl std::error::Error for FtConfigError {}
 
-/// Fluent, validating construction of [`FtConfig`] (mirrors
-/// `CheckpointerConfig::builder`). Invalid combinations are rejected at
-/// [`build`](Self::build) time instead of failing mid-job.
+/// Fluent, validating construction of [`FtConfig`]. Invalid combinations
+/// are rejected at [`build`](Self::build) time instead of failing mid-job.
 #[derive(Debug, Clone)]
 pub struct FtConfigBuilder {
     cfg: FtConfig,

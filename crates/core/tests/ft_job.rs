@@ -10,9 +10,10 @@ use std::time::Duration;
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc};
 use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::ack::FIRST_APP_SEG;
+use ft_core::ckpt::adopt_latest;
 use ft_core::{
-    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtError, FtResult, RecoveryPlan, Role,
-    StrategyKind, WorldLayout,
+    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, StrategyKind,
+    WorldLayout,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
@@ -78,19 +79,14 @@ impl FtApp for ToyApp {
         // Read the predecessor's plan blob — the paper's "the rescue
         // process reads the checkpoint of the failed process. In this way,
         // the rescue process is informed about the communicating partners"
-        let source = ctx.restore_source();
-        let r = self
-            .plan_ck
-            .restore_latest(source, FETCH)
-            .hit()
-            .ok_or(FtError::Gaspi(ft_gaspi::GaspiError::Timeout))?;
+        let r = adopt_latest(ctx, &self.plan_ck, FETCH)?;
         let mut d = Dec::new(&r.data);
         let magic = d.u64().expect("plan blob magic");
         let app = d.u32().expect("plan blob app rank");
         assert_eq!(magic, PLAN_MAGIC);
         assert_eq!(app, ctx.app_rank(), "adopted the wrong identity");
-        // Re-home the plan blob under our own rank — safely, as in `setup`.
-        self.plan_ck.commit(0, r.data, CopyPolicy::Replicate);
+        // `adopt_latest` re-homed the blob under our own rank — make that
+        // safe, as in `setup`.
         assert!(self.plan_ck.drain(FETCH), "plan replication must land");
         Ok(())
     }

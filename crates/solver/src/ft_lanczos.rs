@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CkptStats, CopyPolicy, Pfs};
+use ft_core::ckpt::adopt_latest;
 use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
 use ft_gaspi::{GaspiError, SegId, Timeout};
 use ft_matgen::RowGen;
@@ -180,20 +181,14 @@ impl FtApp for FtLanczos {
         // of the failed process. In this way, the rescue process is
         // informed about the communicating partners and the respective
         // RHS indices" (§V).
-        let source = ctx.restore_source();
-        let blob = self
-            .plan_ck
-            .restore_latest(source, self.cfg.fetch_timeout)
-            .hit()
-            .ok_or(FtError::Gaspi(GaspiError::Timeout))?;
+        let blob = adopt_latest(ctx, &self.plan_ck, self.cfg.fetch_timeout)?;
         let plan = CommPlan::decode(&blob.data)
             .ok_or(FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
         if plan.me != ctx.app_rank() {
             return Err(FtError::Gaspi(GaspiError::InvalidArg("adopted the wrong plan")));
         }
-        // Re-home the plan under our own rank, then regenerate the matrix
-        // chunk locally (no PFS read, §V).
-        self.plan_ck.commit(0, blob.data, CopyPolicy::Replicate);
+        // `adopt_latest` re-homed the plan under our own rank; the matrix
+        // chunk is regenerated locally (no PFS read, §V).
         self.install_plan(ctx, plan)?;
         Ok(())
     }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc, Pfs};
+use ft_core::ckpt::adopt_latest;
 use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
 use ft_gaspi::{GaspiError, SegId, Timeout};
 use ft_matgen::stencil::Laplace2d;
@@ -153,15 +154,9 @@ impl FtApp for FtHeat {
     }
 
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        let source = ctx.restore_source();
-        let blob = self
-            .plan_ck
-            .restore_latest(source, self.cfg.fetch_timeout)
-            .hit()
-            .ok_or(FtError::Gaspi(GaspiError::Timeout))?;
+        let blob = adopt_latest(ctx, &self.plan_ck, self.cfg.fetch_timeout)?;
         let plan = CommPlan::decode(&blob.data)
             .ok_or(FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
-        self.plan_ck.commit(0, blob.data, CopyPolicy::Replicate);
         self.install_plan(ctx, plan)?;
         self.u = vec![0.0; self.partition(ctx).len(ctx.app_rank())];
         Ok(())

@@ -19,11 +19,11 @@ fn main() {
     // Rank 1 checkpoints every "iteration"; every 2nd version also goes to
     // the (slow) PFS tier.
     let p1 = world.proc_handle(1);
-    let cfg = CheckpointerConfig::builder(7)
-        .pfs_every(2)
-        .keep_versions(4) // keep all four so the async copies can't race pruning
-        .build()
-        .expect("valid config");
+    let cfg = CheckpointerConfig {
+        pfs_every: Some(2),
+        keep_versions: 4, // keep all four so the async copies can't race pruning
+        ..CheckpointerConfig::for_tag(7)
+    };
     let ck1 = Checkpointer::new(&p1, cfg, Some(Arc::clone(&pfs)));
     println!("rank 1 writes checkpoints; its neighbor ring partner is {:?}", ck1.neighbor_node());
 
@@ -41,13 +41,13 @@ fn main() {
         );
     }
     assert!(ck1.drain(Duration::from_secs(10)), "replication must settle");
+    let st = ck1.stats();
     println!(
         "  background copies done: {} ok, {} failed; PFS holds {} blobs",
-        ck1.copies_done.load(std::sync::atomic::Ordering::Relaxed),
-        ck1.copy_failures.load(std::sync::atomic::Ordering::Relaxed),
+        st.neighbor_copies,
+        st.copy_failures,
         pfs.blobs()
     );
-    let st = ck1.stats();
     println!(
         "  incremental pipeline: {} full + {} incremental commits, {} chunk bytes \
 for {} logical bytes (dedup ratio {:.3})",

@@ -58,11 +58,11 @@ fn last_incremental_commit_writes_at_most_40_percent_and_both_pipelines_restore_
     let world = GaspiWorld::new(GaspiConfig::deterministic(2));
     let p0 = world.proc_handle(0);
     let checkpointer = |tag, full_every| {
-        let cfg = CheckpointerConfig::builder(tag)
-            .chunk_size(CHUNK)
-            .full_every(full_every)
-            .build()
-            .expect("valid config");
+        let cfg = CheckpointerConfig {
+            chunk_size: CHUNK,
+            full_every,
+            ..CheckpointerConfig::for_tag(tag)
+        };
         Checkpointer::new(&p0, cfg, None)
     };
     let ck_inc = checkpointer(11, 8);
