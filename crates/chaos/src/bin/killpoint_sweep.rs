@@ -10,7 +10,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ft_chaos::{exhaustive_sweep, pair_sweep, RunClass, SweepConfig};
+use ft_chaos::{class_label, exhaustive_sweep, pair_sweep, write_report, SweepConfig};
 
 /// Minimum distinct `(site, rank)` kill points the CI world must cover.
 const MIN_KILL_POINTS: usize = 30;
@@ -32,15 +32,7 @@ fn main() -> ExitCode {
     let mut report = exhaustive_sweep(&cfg, Some(Duration::from_secs(budget)));
     report.pairs = pair_sweep(&cfg);
 
-    let mut correct = 0;
-    let mut degraded = 0;
-    for t in &report.replayed {
-        match t.outcome {
-            Ok(RunClass::Correct) => correct += 1,
-            Ok(RunClass::Degraded) => degraded += 1,
-            Err(_) => {}
-        }
-    }
+    let (correct, degraded) = report.class_counts();
     println!(
         "enumerated {} triples, replayed {} ({} correct, {} degraded, {} skipped on budget), \
          {} distinct (site, rank) kill points",
@@ -52,27 +44,16 @@ fn main() -> ExitCode {
         report.distinct_kill_points()
     );
     for p in &report.pairs {
-        let outcome = match &p.outcome {
-            Ok(RunClass::Correct) => "correct".to_string(),
-            Ok(RunClass::Degraded) => "degraded".to_string(),
-            Err(v) => format!("VIOLATION: {v}"),
-        };
-        println!("pair {}: {} ({} injections fired)", p.label, outcome, p.fired);
+        let (label, fired) = (p.scenario.label, p.facts.fired.len());
+        println!("pair {label}: {} ({fired} injections fired)", class_label(&p.outcome));
     }
     for v in &report.violations {
         eprintln!("VIOLATION: {v}");
     }
 
-    let out = ft_chaos::telemetry_dir();
-    let path = out.join("killpoint-sweep.json");
-    match std::fs::create_dir_all(&out)
-        .and_then(|()| std::fs::write(&path, report.to_json().render()))
-    {
-        Ok(()) => println!("report written to {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write report to {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = write_report("killpoint-sweep.json", report.to_json()) {
+        eprintln!("could not write the report: {e}");
+        return ExitCode::FAILURE;
     }
 
     if !report.clean() {

@@ -58,14 +58,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -177,64 +169,51 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
         b't' => eat(b, pos, "true").map(|()| Json::Bool(true)),
         b'f' => eat(b, pos, "false").map(|()| Json::Bool(false)),
         b'"' => parse_string(b, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return None;
-                }
-                *pos += 1;
-                members.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Obj(members));
-                    }
-                    _ => return None,
-                }
-            }
-        }
+        b'[' => parse_seq(b, pos, b']', parse_value).map(Json::Arr),
+        b'{' => parse_seq(b, pos, b'}', parse_member).map(Json::Obj),
         _ => parse_number(b, pos),
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-    if b.get(*pos) != Some(&b'"') {
-        return None;
-    }
+/// The comma-separated items between the opening bracket at `pos` and
+/// `close`.
+fn parse_seq<T>(
+    b: &[u8],
+    pos: &mut usize,
+    close: u8,
+    item: fn(&[u8], &mut usize) -> Option<T>,
+) -> Option<Vec<T>> {
     *pos += 1;
+    let mut items = Vec::new();
+    skip_ws(b, pos);
+    if b.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Some(items);
+    }
+    loop {
+        items.push(item(b, pos)?);
+        skip_ws(b, pos);
+        match *b.get(*pos)? {
+            b',' => *pos += 1,
+            c if c == close => {
+                *pos += 1;
+                return Some(items);
+            }
+            _ => return None,
+        }
+    }
+}
+
+fn parse_member(b: &[u8], pos: &mut usize) -> Option<(String, Json)> {
+    skip_ws(b, pos);
+    let key = parse_string(b, pos)?;
+    skip_ws(b, pos);
+    eat(b, pos, ":")?;
+    Some((key, parse_value(b, pos)?))
+}
+
+fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
+    eat(b, pos, "\"")?;
     let mut out = String::new();
     loop {
         match *b.get(*pos)? {
@@ -308,7 +287,7 @@ mod tests {
         assert_eq!(back, v);
         assert_eq!(back.get("recoveries").and_then(Json::as_u64), Some(2));
         assert_eq!(back.get("total_s").and_then(Json::as_f64), Some(1.25));
-        assert_eq!(back.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(back.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(back.get("epochs").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
     }
 

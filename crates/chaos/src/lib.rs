@@ -12,7 +12,7 @@
 //!   asserting the chaos contract: a replay either completes with the
 //!   exact expected value or degrades cleanly (recorded failure, no
 //!   wrong number) — never a hang, never silent corruption.
-//! * [`sweep::pair_sweep`] — scenarios arming a *second* failure inside
+//! * [`scenario::pair_sweep`] — scenarios arming a *second* failure inside
 //!   the recovery window the first one opens (group rebuild, commit,
 //!   rescue neighbor re-copy) plus a spare-exhaustion run, covering the
 //!   failure-during-recovery paths a single kill cannot reach.
@@ -21,10 +21,13 @@
 //! ([`report::SweepReport`]) written to `target/telemetry/` by the
 //! `killpoint_sweep` binary, so CI diffs site coverage across PRs.
 //!
-//! The [`process`] module re-runs the same contract over the **process
-//! backend** (every rank an OS process over TCP, kills delivered as real
-//! `SIGKILL`s or armed process exits) via the `process_sweep` binary —
-//! the conformance suite for the transport seam.
+//! Every job runs through one [`sweep::run`] on either backend and is
+//! judged by one [`sweep::classify`]. Over the **process backend** (every
+//! rank an OS process over TCP, kills delivered as real `SIGKILL`s or
+//! armed process exits) [`process`] replays kill and partition triples and
+//! [`scenario::process_scenarios`] is the end-to-end table; the
+//! `process_sweep` binary runs both — the transport seam's conformance
+//! suite.
 
 #![warn(missing_docs)]
 
@@ -32,20 +35,21 @@ pub mod app;
 pub mod json;
 pub mod process;
 pub mod report;
+pub mod scenario;
 pub mod sweep;
 
 pub use app::SweepApp;
 pub use json::Json;
 pub use process::{
-    classify_process, maybe_run_child, process_partition_sweep, process_smoke_sweep, run_process,
-    select_triples, sweep_gaspi_config, ExcludeReason, PartitionOutcome, SmokeOutcome, SmokeSweep,
-    TripleSelection,
+    maybe_run_child, process_smoke_sweep, select_triples, ExcludeReason, Replay, TripleSelection,
 };
-pub use report::{PairOutcome, SweepReport, TripleOutcome, SCHEMA};
-pub use sweep::{
-    exhaustive_sweep, pair_scenarios, pair_sweep, replay_triple, run_with, run_with_schedule,
-    triple_is_early, verdict_of, JobRun, PairScenario, RunClass, SweepConfig, Verdict,
+pub use report::{
+    class_label, triple_row, world_json, write_report, SweepReport, TripleOutcome, SCHEMA,
 };
+pub use scenario::{
+    pair_scenarios, pair_sweep, process_scenarios, Expect, Pred, Scenario, ScenarioOutcome,
+};
+pub use sweep::{classify, exhaustive_sweep, replay, run, Backend, Facts, RunClass, SweepConfig};
 
 /// Where the sweep binaries leave their machine-readable reports: the
 /// workspace-level `target/telemetry/` directory (`CARGO_TARGET_DIR` when

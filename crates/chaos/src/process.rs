@@ -4,13 +4,9 @@
 //! The in-memory sweep proves the recovery stack correct under
 //! cooperative fail-stop (poisoned liveness flags). This module replays
 //! the same job — same [`SweepApp`], same driver configuration, same
-//! step-indexed injection triples — through
-//! [`ft_core::process::run_supervisor`], where every rank is an OS
-//! process over TCP and a kill is either an armed process exit or a
-//! genuine `SIGKILL`. The contract is unchanged: a run either completes
-//! with the exact expected accumulator value in every worker, or
-//! degrades cleanly with the deaths on record — never a hang, never a
-//! wrong number.
+//! step-indexed injection triples — as rank processes over TCP
+//! ([`Backend::Process`]), where a kill is an armed process exit; the
+//! contract ([`classify`]) is unchanged.
 //!
 //! Triples are enumerated by the **in-memory** recording pass (the site
 //! instrumentation is backend-independent: sites are crossed by the rank
@@ -18,22 +14,11 @@
 //! deterministic sites, and a coverage-spread subset is replayed as real
 //! processes — one supervisor job per triple, in smoke-test budget.
 
-use std::io;
-use std::time::Duration;
-
-use ft_cluster::{site_is_deterministic, FaultSchedule, Rank, SiteRecord};
-use ft_core::process::{run_supervisor, ProcJobReport, SupervisorConfig};
+use ft_cluster::{site_is_deterministic, FaultAction, FaultSchedule, Injection, Rank, SiteRecord};
 use ft_core::{child_env, run_child};
-use ft_gaspi::GaspiConfig;
 
 use crate::app::SweepApp;
-use crate::sweep::{run_with, RunClass, SweepConfig};
-
-/// The GASPI world configuration both supervisor bookkeeping and every
-/// child build from `cfg` (they must agree bit-for-bit).
-pub fn sweep_gaspi_config(cfg: &SweepConfig) -> GaspiConfig {
-    GaspiConfig::deterministic(cfg.ft_config().layout.total()).with_seed(cfg.seed)
-}
+use crate::sweep::{classify, replay, run, Backend, RunClass, SweepConfig};
 
 /// Child-mode hook: when the current process is a supervised rank child,
 /// run the sweep app for that one rank and return the exit code for
@@ -41,63 +26,8 @@ pub fn sweep_gaspi_config(cfg: &SweepConfig) -> GaspiConfig {
 /// else.
 pub fn maybe_run_child(cfg: &SweepConfig) -> Option<i32> {
     let env = child_env()?;
-    let ft = cfg.ft_config();
-    let gaspi = sweep_gaspi_config(cfg);
-    Some(run_child(env, ft, gaspi, SweepApp::new, |s: &f64| s.to_le_bytes().to_vec()))
-}
-
-/// Run one sweep job over the process backend with `schedule` armed.
-/// `child_args` must route the re-executed binary back into
-/// [`maybe_run_child`] with the same `cfg`.
-pub fn run_process(
-    cfg: &SweepConfig,
-    schedule: FaultSchedule,
-    child_args: &[&str],
-    deadline: Duration,
-) -> io::Result<ProcJobReport> {
-    let total = cfg.ft_config().layout.total();
-    let sup = SupervisorConfig::new(total, schedule)
-        .with_args(child_args.iter().copied())
-        .with_deadline(deadline);
-    run_supervisor(sup)
-}
-
-/// The chaos contract over a process-backend report: complete ⇒ every
-/// worker summary is the exact expected value; incomplete ⇒ at least one
-/// recorded kill or error, and nothing crashed, timed out, or produced a
-/// wrong number.
-pub fn classify_process(cfg: &SweepConfig, report: &ProcJobReport) -> Result<RunClass, String> {
-    for o in &report.outcomes {
-        match o {
-            ft_core::ProcOutcome::TimedOut => return Err("rank timed out (hang)".into()),
-            ft_core::ProcOutcome::Crashed(d) => return Err(format!("rank crashed: {d}")),
-            _ => {}
-        }
-    }
-    let expected = SweepApp::expected(cfg.workers, cfg.max_iters);
-    let summaries = report.worker_summaries();
-    for (app, bytes) in &summaries {
-        let Ok(arr) = <[u8; 8]>::try_from(*bytes) else {
-            return Err(format!("app rank {app}: malformed 8-byte summary"));
-        };
-        let acc = f64::from_le_bytes(arr);
-        if acc != expected {
-            return Err(format!("app rank {app} produced {acc}, expected {expected}"));
-        }
-    }
-    if summaries.len() == cfg.workers as usize {
-        return Ok(RunClass::Correct);
-    }
-    let killed = report.killed().len();
-    let errored = report.first_error().is_some();
-    if killed == 0 && !errored {
-        return Err(format!(
-            "incomplete ({}/{} summaries) without any recorded failure",
-            summaries.len(),
-            cfg.workers
-        ));
-    }
-    Ok(RunClass::Degraded)
+    let summary = |s: &f64| s.to_le_bytes().to_vec();
+    Some(run_child(env, cfg.ft_config(), cfg.gaspi_config(), SweepApp::new, summary))
 }
 
 /// Why an enumerated triple was excluded from process replay. Exclusion
@@ -166,18 +96,24 @@ pub fn select_triples(log: &[SiteRecord], max: usize) -> TripleSelection {
     sel
 }
 
-/// One smoke-sweep replay: the kill point, the in-memory backend's
-/// classification of the same injection, and the process backend's.
-pub struct SmokeOutcome {
-    /// The replayed kill point.
-    pub triple: SiteRecord,
-    /// What the in-memory backend makes of this kill (the reference).
+/// One replayed triple: the crossing, the fault armed there — a kill of
+/// the crossing rank, or a `BreakLink(rank, peer)` that on the process
+/// backend fires on the crossing rank's own plane only (an *asymmetric*
+/// partition the TCP transport enforces end to end) — and what each
+/// backend makes of it. The in-memory side shares one plane, so for a
+/// break it is a reference, not an oracle: conformance requires that
+/// neither side violates the contract.
+#[derive(Debug)]
+pub struct Replay {
+    /// The fault, and the crossing it was armed at.
+    pub armed: Injection,
+    /// What the in-memory backend makes of it (the reference).
     pub in_memory: Result<RunClass, String>,
     /// What the process backend makes of it.
     pub process: Result<RunClass, String>,
 }
 
-impl SmokeOutcome {
+impl Replay {
     /// True when both backends agree on the classification (the strong
     /// conformance statement; the contract itself only requires that
     /// neither side *violates*).
@@ -186,98 +122,38 @@ impl SmokeOutcome {
     }
 }
 
-/// Everything a smoke sweep produced: the replays plus the selection's
-/// exclusion accounting (emitted in the report so the dedup is
-/// machine-checkable).
-pub struct SmokeSweep {
-    /// One entry per replayed kill triple.
-    pub outcomes: Vec<SmokeOutcome>,
-    /// Triples excluded from replay, with reason codes.
-    pub excluded: Vec<(SiteRecord, ExcludeReason)>,
-    /// Eligible triples beyond the replay budget.
-    pub over_budget: usize,
-}
-
-/// Enumerate kill points in memory, then replay `max_triples` of them
-/// both in memory (the reference classification) and as real-process
-/// jobs.
+/// Enumerate crossings in memory, then replay a coverage-spread subset on
+/// both backends: `max_kills` of them with a kill armed, and
+/// `max_partitions` worker crossings with `BreakLink(rank, next worker)`
+/// instead — the paper's link-fault path over real TCP: send-side sever,
+/// receive-side refusal, worker suspect reports, `proc_kill` enforcement,
+/// rebuild, restore. `child_arg` as in [`Backend::Process`]. Returns the
+/// replays, kills first, and the kill selection they came from: its
+/// exclusion accounting goes into the report, so the dedup is
+/// machine-checkable.
 pub fn process_smoke_sweep(
     cfg: &SweepConfig,
-    max_triples: usize,
-    child_args: &[&str],
-    per_job_deadline: Duration,
-) -> io::Result<SmokeSweep> {
-    let recording = run_with(cfg, &[], true);
-    if let Err(v) = recording.class {
-        return Err(io::Error::other(format!("in-memory enumeration run violated: {v}")));
-    }
-    let sel = select_triples(&recording.log, max_triples);
-    let mut outcomes = Vec::new();
-    for triple in sel.picked {
-        let in_memory = crate::sweep::replay_triple(cfg, &triple);
-        let schedule = FaultSchedule::none().inject(ft_cluster::Injection::kill(
-            triple.site.clone(),
-            triple.rank,
-            triple.occurrence,
-        ));
-        let report = run_process(cfg, schedule, child_args, per_job_deadline)?;
-        let process = classify_process(cfg, &report);
-        outcomes.push(SmokeOutcome { triple, in_memory, process });
-    }
-    Ok(SmokeSweep { outcomes, excluded: sel.excluded, over_budget: sel.over_budget })
-}
-
-/// One partition-conformance replay: a step-indexed `BreakLink`
-/// injection armed at a deterministic kill point, replayed on both
-/// backends. On the process backend the break fires only on the crossing
-/// rank's local fault plane (an *asymmetric* partition the TCP transport
-/// enforces end to end); the in-memory backend shares one plane, so its
-/// classification is a reference, not an oracle — conformance requires
-/// that neither side violates the contract.
-pub struct PartitionOutcome {
-    /// The crossing the break was armed at.
-    pub triple: SiteRecord,
-    /// The severed peer.
-    pub peer: Rank,
-    /// In-memory classification of the same injection.
-    pub in_memory: Result<RunClass, String>,
-    /// Process-backend classification.
-    pub process: Result<RunClass, String>,
-}
-
-/// Enumerate crossings in memory, then replay up to `max_triples` of
-/// them as *network partitions*: each selected worker-rank crossing arms
-/// `BreakLink(rank, next worker)` instead of a kill. Exercises the
-/// paper's link-fault path over real TCP: send-side sever, receive-side
-/// refusal, worker suspect reports, `proc_kill` enforcement, rebuild,
-/// restore.
-pub fn process_partition_sweep(
-    cfg: &SweepConfig,
-    max_triples: usize,
-    child_args: &[&str],
-    per_job_deadline: Duration,
-) -> io::Result<Vec<PartitionOutcome>> {
-    let recording = run_with(cfg, &[], true);
-    if let Err(v) = recording.class {
-        return Err(io::Error::other(format!("in-memory enumeration run violated: {v}")));
-    }
-    let sel = select_triples(&recording.log, usize::MAX);
-    let mut out = Vec::new();
-    for triple in sel.picked.into_iter().filter(|t| t.rank < cfg.workers).take(max_triples) {
-        let peer = (triple.rank + 1) % cfg.workers;
-        let inj = ft_cluster::Injection::at(
-            triple.site.clone(),
-            triple.rank,
-            triple.occurrence,
-            ft_cluster::FaultAction::BreakLink(triple.rank, peer),
-        );
-        let in_memory = run_with(cfg, std::slice::from_ref(&inj), false).class;
-        let schedule = FaultSchedule::none().inject(inj);
-        let report = run_process(cfg, schedule, child_args, per_job_deadline)?;
-        let process = classify_process(cfg, &report);
-        out.push(PartitionOutcome { triple, peer, in_memory, process });
-    }
-    Ok(out)
+    max_kills: usize,
+    max_partitions: usize,
+    child_arg: &str,
+) -> Result<(Vec<Replay>, TripleSelection), String> {
+    let recording = run(cfg, FaultSchedule::none(), Backend::InMemory);
+    classify(cfg, &recording).map_err(|v| format!("in-memory enumeration run violated: {v}"))?;
+    let kills = select_triples(&recording.log, max_kills);
+    let breaks = select_triples(&recording.log, usize::MAX).picked.into_iter();
+    let breaks = breaks.filter(|t| t.rank < cfg.workers).take(max_partitions);
+    let armed = kills
+        .picked
+        .iter()
+        .map(|t| (FaultAction::KillRank(t.rank), t.clone()))
+        .chain(breaks.map(|t| (FaultAction::BreakLink(t.rank, (t.rank + 1) % cfg.workers), t)));
+    let replays = armed.map(|(action, t)| {
+        let armed = Injection::at(t.site, t.rank, t.occurrence, action);
+        let in_memory = replay(cfg, &armed, Backend::InMemory);
+        let process = replay(cfg, &armed, Backend::Process { child_arg });
+        Replay { armed, in_memory, process }
+    });
+    Ok((replays.collect(), kills))
 }
 
 #[cfg(test)]

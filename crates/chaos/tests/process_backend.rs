@@ -1,7 +1,8 @@
 //! Regression tests for the process-backend conformance driver.
 //!
 //! Each test runs the `process_sweep` binary in one of its supervisor
-//! modes — the binary re-executes itself as the rank children, so this
+//! modes (`smoke`, or one row of `ft_chaos::process_scenarios` by its
+//! label) — the binary re-executes itself as the rank children, so this
 //! exercises the full path: spawn, PORT/MAP handshake, TCP transport,
 //! fault delivery (armed exits and real `SIGKILL`s), reaping, and
 //! contract classification. The binary exits non-zero on any contract
@@ -71,4 +72,38 @@ fn process_asymmetric_partition() {
 #[test]
 fn process_heal_before_timeout() {
     run_mode("heal", &[]);
+}
+
+/// A cooperative iteration kill *and* a wall-clock `SIGKILL` in one job,
+/// on a world with spare capacity for both: the contract must hold.
+#[test]
+fn process_storm() {
+    run_mode("storm", &[]);
+}
+
+/// The typed replacement of the old string split must be able to say no:
+/// `asym`'s `DetectsOnly` accepts a detection naming the two endpoints of
+/// the severed link, and rejects one naming a rank outside it — as it
+/// rejects a run in which nothing was detected at all.
+#[test]
+fn asym_detects_only_rejects_an_outside_rank() {
+    use ft_chaos::{process_scenarios, Expect, Facts};
+    use ft_core::EventKind;
+
+    let asym = process_scenarios().into_iter().find(|s| s.label == "asym").expect("asym row");
+    let detects_only =
+        asym.expect.iter().find(|e| matches!(e, Expect::DetectsOnly(_))).expect("DetectsOnly");
+    let verdict = |detections: &[&[u32]]| {
+        let facts = Facts::default();
+        for (i, failed) in detections.iter().enumerate() {
+            let epoch = i as u64 + 1;
+            facts.events.record(5, EventKind::FdDetect { epoch, failed: failed.to_vec() });
+        }
+        detects_only.check(&asym.world, &facts, &|| unreachable!("no reference needed"))
+    };
+    assert_eq!(verdict(&[&[0]]), Ok(()));
+    assert_eq!(verdict(&[&[1], &[0, 1]]), Ok(()));
+    let err = verdict(&[&[0], &[1, 3]]).expect_err("rank 3 is outside the partition");
+    assert!(err.contains("[1, 3]"), "{err}");
+    assert!(verdict(&[]).is_err(), "no detection at all must fail too");
 }

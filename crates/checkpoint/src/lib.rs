@@ -50,5 +50,6 @@ pub use neighbor::NeighborMap;
 pub use pfs::{Pfs, PfsConfig};
 pub use stats::CkptStats;
 pub use writer::{
-    Checkpointer, CheckpointerConfig, ConfigError, CopyPolicy, Provenance, RestoreOutcome, Restored,
+    Checkpointer, CheckpointerConfig, ConfigError, CopyPolicy, MissReason, Provenance,
+    RestoreOutcome, Restored,
 };

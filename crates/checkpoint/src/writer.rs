@@ -92,6 +92,17 @@ pub enum RestoreOutcome<T> {
     },
 }
 
+/// The miss variants of [`RestoreOutcome`], without their details.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissReason {
+    /// See [`RestoreOutcome::NotFound`].
+    NotFound,
+    /// See [`RestoreOutcome::Timeout`].
+    Timeout,
+    /// See [`RestoreOutcome::ChecksumMismatch`].
+    ChecksumMismatch,
+}
+
 impl<T> RestoreOutcome<T> {
     /// The hit value, discarding miss details.
     pub fn hit(self) -> Option<T> {
@@ -106,14 +117,13 @@ impl<T> RestoreOutcome<T> {
         matches!(self, RestoreOutcome::Hit(_))
     }
 
-    /// Stable label for the miss ("not-found" / "timeout" /
-    /// "checksum-mismatch"), `None` for a hit. Used in recovery events.
-    pub fn miss_reason(&self) -> Option<&'static str> {
+    /// Why this missed, `None` for a hit. Used in recovery events.
+    pub fn miss_reason(&self) -> Option<MissReason> {
         match self {
             RestoreOutcome::Hit(_) => None,
-            RestoreOutcome::NotFound => Some("not-found"),
-            RestoreOutcome::Timeout => Some("timeout"),
-            RestoreOutcome::ChecksumMismatch { .. } => Some("checksum-mismatch"),
+            RestoreOutcome::NotFound => Some(MissReason::NotFound),
+            RestoreOutcome::Timeout => Some(MissReason::Timeout),
+            RestoreOutcome::ChecksumMismatch { .. } => Some(MissReason::ChecksumMismatch),
         }
     }
 

@@ -188,6 +188,16 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Read a flag written as `u8(0)` / `u8(1)`; any other byte is a bad
+    /// tag, so a flipped bit cannot pass for a value.
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))

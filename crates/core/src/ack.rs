@@ -24,6 +24,10 @@ pub const CTRL_SEG: SegId = 0;
 /// First segment id available to applications.
 pub const FIRST_APP_SEG: SegId = 1;
 
+/// Queue the control traffic goes out on: the detector's acknowledgment
+/// writes and the workers' done / abort signals.
+pub const ACK_QUEUE: u16 = 0;
+
 /// Notification slot carrying the latest recovery epoch.
 pub const EPOCH_NOTIF: u32 = 0;
 /// Notification slot the workers set on the FD's control segment when the

@@ -13,13 +13,13 @@
 
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CopyPolicy, RestoreOutcome, Restored};
+use ft_checkpoint::{Checkpointer, CopyPolicy, MissReason, Restored};
 use ft_cluster::Rank;
 use ft_gaspi::{GaspiError, ReduceOp};
 
 use crate::driver::FtCtx;
 use crate::error::{FtError, FtResult};
-use crate::events::EventKind;
+use crate::events::{EventKind, MissStage};
 use crate::plan::RecoveryPlan;
 
 /// Versions are shifted by one on the wire so that 0 means "nothing
@@ -75,13 +75,11 @@ pub fn consistent_restore(
     let me = ctx.proc.rank();
     let source = ctx.restore_source();
     let probed = ck.probe(source, fetch_timeout);
-    if let Some(reason) = probed.miss_reason() {
-        // Not-found is the normal fresh-start vote; a timeout or a
-        // checksum mismatch means state existed but was unusable — worth
-        // an event, since it degrades the whole group's vote.
-        if !matches!(probed, RestoreOutcome::NotFound) {
-            ctx.events.record(me, EventKind::RestoreMiss { stage: "vote", reason });
-        }
+    // Not-found is the normal fresh-start vote; a timeout or a checksum
+    // mismatch means state existed but was unusable — worth an event,
+    // since it degrades the whole group's vote.
+    if let Some(reason) = probed.miss_reason().filter(|r| *r != MissReason::NotFound) {
+        ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Vote, reason });
     }
     let mine = encode_version(probed.hit());
     let agreed = ctx.allreduce_u64_ft(&[mine], ReduceOp::Min)?[0];
@@ -93,7 +91,7 @@ pub fn consistent_restore(
     let version = agreed - 1;
     let fetched = ck.pull(source, version, fetch_timeout);
     if let Some(reason) = fetched.miss_reason() {
-        ctx.events.record(me, EventKind::RestoreMiss { stage: "fetch", reason });
+        ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Fetch, reason });
     }
     let ok = u64::from(fetched.is_hit());
     let all_ok = ctx.allreduce_u64_ft(&[ok], ReduceOp::Min)?[0] == 1;

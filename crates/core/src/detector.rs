@@ -32,8 +32,6 @@ pub struct DetectorConfig {
     pub scan_interval: Duration,
     /// Per-ping timeout.
     pub ping_timeout: Timeout,
-    /// Queue used for acknowledgment writes.
-    pub ack_queue: u16,
     /// Timeout for flushing acknowledgment writes.
     pub ack_timeout: Timeout,
     /// Hysteresis before a scan's suspects are re-ping-verified.
@@ -56,7 +54,6 @@ impl Default for DetectorConfig {
         Self {
             scan_interval: Duration::from_millis(30),
             ping_timeout: Timeout::Ms(200),
-            ack_queue: 0,
             ack_timeout: Timeout::Ms(2000),
             suspect_grace: Duration::ZERO,
             designated_shadows: false,
@@ -202,8 +199,8 @@ pub fn run_detector_from(
             let (workers, stop): (Vec<Rank>, Vec<Rank>) = targets
                 .into_iter()
                 .partition(|&r| done_value != ack::DONE_ABORTED && map.app_of(r).is_some());
-            ack::broadcast_shutdown(proc, &stop, cfg.ack_queue, cfg.ack_timeout)?;
-            ack::broadcast_finished(proc, &workers, cfg.ack_queue, cfg.ack_timeout)?;
+            ack::broadcast_shutdown(proc, &stop, ack::ACK_QUEUE, cfg.ack_timeout)?;
+            ack::broadcast_finished(proc, &workers, ack::ACK_QUEUE, cfg.ack_timeout)?;
             return Ok(out);
         }
 
@@ -229,7 +226,7 @@ pub fn run_detector_from(
                 // is alive: say it again. (A rank that died since is found
                 // by the next scan, whose announcement starts a new list.)
                 unreached =
-                    ack::broadcast_plan(proc, &plan, &unreached, cfg.ack_queue, cfg.ack_timeout)?;
+                    ack::broadcast_plan(proc, &plan, &unreached, ack::ACK_QUEUE, cfg.ack_timeout)?;
             }
         } else {
             let t_detect = events.now();
@@ -244,7 +241,7 @@ pub fn run_detector_from(
 
             if plan.exhausted(layout) {
                 events.record(me, EventKind::CapacityExhausted);
-                ack::broadcast_shutdown(proc, &alive, cfg.ack_queue, cfg.ack_timeout)?;
+                ack::broadcast_shutdown(proc, &alive, ack::ACK_QUEUE, cfg.ack_timeout)?;
                 out.capacity_exhausted = true;
                 return Err(FtError::CapacityExhausted);
             }
@@ -276,7 +273,7 @@ fn announce(
     plan: &RecoveryPlan,
     alive: &[Rank],
 ) -> FtResult<Vec<Rank>> {
-    let unreached = ack::broadcast_plan(proc, plan, alive, cfg.ack_queue, cfg.ack_timeout)?;
+    let unreached = ack::broadcast_plan(proc, plan, alive, ack::ACK_QUEUE, cfg.ack_timeout)?;
     events.record(proc.rank(), EventKind::FdAck { epoch: plan.epoch });
     Ok(unreached)
 }

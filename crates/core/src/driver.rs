@@ -21,7 +21,6 @@ use ft_checkpoint::Checkpointer;
 use ft_cluster::{FaultSchedule, Rank};
 use ft_gaspi::{
     GaspiProc, GaspiResult, GaspiWorld, Group, NotificationId, RankOutcome, ReduceOp, SegId,
-    Timeout,
 };
 
 use crate::ack::{self, create_ctrl_segment};
@@ -48,8 +47,6 @@ pub struct FtConfig {
     /// Stop after this many iterations (the paper fixes 3500); `step` may
     /// also end the run early by returning `true`.
     pub max_iters: u64,
-    /// Per-attempt timeout for recovery steps (kill, commit).
-    pub recovery_step: Timeout,
     /// Run a *shadow* detector on the second-to-last spare: it monitors
     /// the primary FD and takes over if the primary dies — the paper's
     /// §VIII "redundancy approach … to make the FD process fault
@@ -69,7 +66,6 @@ impl FtConfig {
             policy: CommPolicy::default(),
             checkpoint_every: 100,
             max_iters: 1000,
-            recovery_step: Timeout::Ms(500),
             redundant_fd: false,
             strategy: StrategyKind::CheckpointRestart,
         }
@@ -150,12 +146,6 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Per-attempt timeout for recovery steps.
-    pub fn recovery_step(mut self, t: Timeout) -> Self {
-        self.cfg.recovery_step = t;
-        self
-    }
-
     /// Give up on fault-tolerant communication after this long without
     /// progress (shorthand for setting `policy.abandon`).
     pub fn abandon(mut self, t: Duration) -> Self {
@@ -215,8 +205,8 @@ pub struct FtCtx {
     pub proc: GaspiProc,
     /// The job layout.
     pub layout: WorldLayout,
-    /// The failure-acknowledgment watch (use its `*_ft` wrappers, or the
-    /// convenience methods on this context).
+    /// The failure-acknowledgment watch (behind the `*_ft` methods of this
+    /// context).
     pub watch: HealthWatch,
     /// Shared job event log.
     pub events: EventLog,
@@ -287,28 +277,32 @@ impl FtCtx {
 
     /// Fault-tolerant barrier on the current worker group.
     pub fn barrier_ft(&self) -> FtResult<()> {
-        self.watch.barrier_ft(self.group())
+        let (group, t) = (self.group(), self.cfg.policy.attempt);
+        self.watch.retry(|| self.proc.barrier(group, t))
     }
 
     /// Fault-tolerant allreduce on the current worker group.
     pub fn allreduce_f64_ft(&self, input: &[f64], op: ReduceOp) -> FtResult<Vec<f64>> {
-        self.watch.allreduce_f64_ft(self.group(), input, op)
+        let (group, t) = (self.group(), self.cfg.policy.attempt);
+        self.watch.retry(|| self.proc.allreduce_f64(group, input, op, t))
     }
 
     /// Fault-tolerant `u64` allreduce on the current worker group.
     pub fn allreduce_u64_ft(&self, input: &[u64], op: ReduceOp) -> FtResult<Vec<u64>> {
-        self.watch.allreduce_u64_ft(self.group(), input, op)
+        let (group, t) = (self.group(), self.cfg.policy.attempt);
+        self.watch.retry(|| self.proc.allreduce_u64(group, input, op, t))
     }
 
     /// Fault-tolerant personalised all-to-all on the current worker group
     /// (`out` indexed by group member, see [`GaspiProc::alltoall`]).
     pub fn alltoall_ft(&self, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
-        self.watch.alltoall_ft(self.group(), out)
+        let (group, t) = (self.group(), self.cfg.policy.attempt);
+        self.watch.retry(|| self.proc.alltoall(group, out, t))
     }
 
     /// Fault-tolerant queue wait.
     pub fn wait_ft(&self, queue: u16) -> FtResult<()> {
-        self.watch.wait_ft(queue)
+        self.watch.retry(|| self.proc.wait(queue, self.cfg.policy.attempt))
     }
 
     /// Fault-tolerant notification wait.
@@ -318,7 +312,7 @@ impl FtCtx {
         begin: NotificationId,
         count: u32,
     ) -> FtResult<NotificationId> {
-        self.watch.notify_waitsome_ft(seg, begin, count)
+        self.watch.retry(|| self.proc.notify_waitsome(seg, begin, count, self.cfg.policy.attempt))
     }
 }
 
@@ -407,6 +401,8 @@ pub struct RankReport<S> {
     pub error: Option<FtError>,
     /// Detector statistics (FD rank only).
     pub detector: Option<DetectorOutcome>,
+    /// Job-clock time (the event log's) at which the rank returned.
+    pub t_end: Duration,
 }
 
 /// Whole-job result.
@@ -461,9 +457,16 @@ impl<S: std::fmt::Debug> JobReport<S> {
         self.completed().into_iter().find_map(|r| r.detector.as_ref())
     }
 
-    /// First error recorded by any completed rank.
+    /// The earliest error that ended a completed rank, by job clock. A rank
+    /// that ends in error aborts the job, and every other rank then ends on
+    /// `Signal(Shutdown)` — an effect, never the cause — so a `Shutdown` is
+    /// returned only when nothing else is on record.
     pub fn first_error(&self) -> Option<&FtError> {
-        self.completed().into_iter().find_map(|r| r.error.as_ref())
+        self.completed()
+            .into_iter()
+            .filter_map(|r| r.error.as_ref().map(|e| (r.t_end, e)))
+            .min_by_key(|(t, e)| (matches!(e, FtError::Signal(FtSignal::Shutdown)), *t))
+            .map(|(_, e)| e)
     }
 }
 
@@ -542,7 +545,7 @@ fn run_rank<A: FtApp>(
     let layout = ctx.layout;
     create_ctrl_segment(&ctx.proc, &layout)?;
     let report = |role, app_rank, summary, error, detector| {
-        Ok(RankReport { rank, role, app_rank, summary, error, detector })
+        Ok(RankReport { rank, role, app_rank, summary, error, detector, t_end: ctx.events.now() })
     };
     // Activation of a spare (idle, shadow or promoted detector) as a
     // rescue under `plan`: from here on it is a worker. (A detector put
@@ -674,19 +677,15 @@ fn detector_run(ctx: &FtCtx) -> FtResult<Option<DetectorOutcome>> {
 fn abort_job(ctx: &FtCtx) {
     let plan = ctx.plan();
     if plan.fd_alive {
-        let _ = ack::signal_abort(
-            &ctx.proc,
-            plan.current_fd(&ctx.layout),
-            ctx.cfg.detector.ack_queue,
-            ctx.cfg.detector.ack_timeout,
-        );
+        let fd = plan.current_fd(&ctx.layout);
+        let _ = ack::signal_abort(&ctx.proc, fd, ack::ACK_QUEUE, ctx.cfg.detector.ack_timeout);
     }
 }
 
 fn recover_once(ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<Group> {
     // The group being replaced: none on a rescue's first attempt.
     let prev = ctx.state.borrow().group;
-    execute_recovery(&ctx.watch, &ctx.layout, plan, prev, ctx.cfg.recovery_step, &ctx.events)
+    execute_recovery(&ctx.watch, &ctx.layout, plan, prev, &ctx.events)
 }
 
 /// The one recovery sequence (Fig. 3): rebuild the group `plan` describes,
@@ -759,7 +758,6 @@ fn worker_run<A: FtApp>(
         Some(plan) => recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?,
         None => {
             slot.insert(make_app(ctx)).setup(ctx)?;
-            ctx.events.record(rank, EventKind::SetupDone);
             0
         }
     };
@@ -824,12 +822,8 @@ fn worker_run<A: FtApp>(
         let fd = plan.current_fd(&ctx.layout);
         let shadow = ctx.cfg.shadow_rank().filter(|s| *s != fd && !plan.failed.contains(s));
         for target in std::iter::once(fd).chain(shadow) {
-            let _ = ack::signal_done(
-                &ctx.proc,
-                target,
-                ctx.cfg.detector.ack_queue,
-                ctx.cfg.detector.ack_timeout,
-            );
+            let _ =
+                ack::signal_done(&ctx.proc, target, ack::ACK_QUEUE, ctx.cfg.detector.ack_timeout);
         }
     }
     Ok(summary)

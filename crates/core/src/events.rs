@@ -11,20 +11,22 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use ft_checkpoint::MissReason;
+use ft_cluster::codec::{CodecError, Dec, Enc};
 use ft_cluster::Rank;
+
+/// The stage of the consistent-restore protocol a restore missed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissStage {
+    /// The latest-restorable probe behind a rank's vote.
+    Vote,
+    /// The confirm round's fetch of the agreed version.
+    Fetch,
+}
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// Worker finished its setup (pre-processing) phase.
-    SetupDone,
-    /// Checkpoint `version` written (locally) at iteration `iter`.
-    Checkpoint {
-        /// Checkpoint version.
-        version: u64,
-        /// Iteration at which it was taken.
-        iter: u64,
-    },
     /// A rank is about to kill itself on schedule (`exit(-1)` style).
     KillFired {
         /// Iteration at which the kill fired.
@@ -56,12 +58,10 @@ pub enum EventKind {
     /// protocol (the group then degrades to an older version or a fresh
     /// start).
     RestoreMiss {
-        /// Protocol stage: `"vote"` (latest-restorable probe) or
-        /// `"fetch"` (confirm-round exact fetch).
-        stage: &'static str,
-        /// Why it missed: `"not-found"`, `"timeout"`, or
-        /// `"checksum-mismatch"` (see `RestoreOutcome::miss_reason`).
-        reason: &'static str,
+        /// Protocol stage.
+        stage: MissStage,
+        /// Why it missed (see `RestoreOutcome::miss_reason`).
+        reason: MissReason,
     },
     /// State restored from a checkpoint (end of OHF3).
     Restored {
@@ -119,6 +119,75 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+impl Event {
+    /// The wire form — what a rank process ships to its supervisor: `t` in
+    /// nanoseconds, the rank, a kind tag, the kind's fields.
+    pub fn encode(&self) -> Vec<u8> {
+        use EventKind::*;
+        let mut e = Enc::new();
+        e.u64(self.t.as_nanos() as u64).u32(self.rank);
+        match &self.kind {
+            KillFired { iter } => e.u8(0).u64(*iter),
+            FdDetect { epoch, failed } => e.u8(1).u64(*epoch).u32s(failed),
+            FdAck { epoch } => e.u8(2).u64(*epoch),
+            FailureSignal { epoch } => e.u8(3).u64(*epoch),
+            GroupRebuilt { epoch } => e.u8(4).u64(*epoch),
+            RestoreMiss { stage, reason } => e.u8(5).u8(*stage as u8).u8(*reason as u8),
+            Restored { epoch, iter } => e.u8(6).u64(*epoch).u64(*iter),
+            RedoComplete { epoch, iter } => e.u8(7).u64(*epoch).u64(*iter),
+            Activated { app_rank } => e.u8(8).u32(*app_rank),
+            FdPromoted => e.u8(9),
+            FdTakeover { dead_fd } => e.u8(10).u32(*dead_fd),
+            LinkFault { peer, broken } => e.u8(11).u32(*peer).u8(u8::from(*broken)),
+            CapacityExhausted => e.u8(12),
+            Finished { iter } => e.u8(13).u64(*iter),
+        };
+        e.finish()
+    }
+
+    /// Read an event written by [`Event::encode`]. The bytes come from
+    /// another process: an unknown tag, a short or an over-long buffer is
+    /// an error, and the one variable-length field is bounded by the bytes
+    /// left.
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        use EventKind::*;
+        let mut d = Dec::new(bytes);
+        let t = Duration::from_nanos(d.u64()?);
+        let rank = d.u32()?;
+        let kind = match d.u8()? {
+            0 => KillFired { iter: d.u64()? },
+            1 => FdDetect { epoch: d.u64()?, failed: d.u32s()? },
+            2 => FdAck { epoch: d.u64()? },
+            3 => FailureSignal { epoch: d.u64()? },
+            4 => GroupRebuilt { epoch: d.u64()? },
+            5 => RestoreMiss {
+                stage: match d.u8()? {
+                    0 => MissStage::Vote,
+                    1 => MissStage::Fetch,
+                    t => return Err(CodecError::BadTag(t)),
+                },
+                reason: match d.u8()? {
+                    0 => MissReason::NotFound,
+                    1 => MissReason::Timeout,
+                    2 => MissReason::ChecksumMismatch,
+                    t => return Err(CodecError::BadTag(t)),
+                },
+            },
+            6 => Restored { epoch: d.u64()?, iter: d.u64()? },
+            7 => RedoComplete { epoch: d.u64()?, iter: d.u64()? },
+            8 => Activated { app_rank: d.u32()? },
+            9 => FdPromoted,
+            10 => FdTakeover { dead_fd: d.u32()? },
+            11 => LinkFault { peer: d.u32()?, broken: d.bool()? },
+            12 => CapacityExhausted,
+            13 => Finished { iter: d.u64()? },
+            t => return Err(CodecError::BadTag(t)),
+        };
+        d.expect_end()?;
+        Ok(Event { t, rank, kind })
+    }
+}
+
 /// Shared job-wide log.
 ///
 /// Clones share one underlying store, so every rank thread (and any
@@ -129,7 +198,7 @@ pub struct Event {
 ///
 /// let log = EventLog::new();
 /// let writer = log.clone(); // e.g. handed to a rank thread
-/// writer.record(0, EventKind::SetupDone);
+/// writer.record(0, EventKind::FailureSignal { epoch: 1 });
 /// writer.record(0, EventKind::Finished { iter: 100 });
 ///
 /// let snapshot = log.snapshot(); // sorted by time
@@ -139,7 +208,7 @@ pub struct Event {
 ///     .expect("recorded above");
 /// assert_eq!(done.rank, 0);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct EventLog {
     t0: Instant,
     entries: Arc<Mutex<Vec<Event>>>,
@@ -161,6 +230,13 @@ impl EventLog {
     pub fn record(&self, rank: Rank, kind: EventKind) {
         let t = self.t0.elapsed();
         self.entries.lock().push(Event { t, rank, kind });
+    }
+
+    /// Add an event recorded on another log, timestamp kept: the process
+    /// backend's supervisor merges its children's logs this way (their
+    /// clocks all start at the port map).
+    pub fn push(&self, event: Event) {
+        self.entries.lock().push(event);
     }
 
     /// Time since the log was created (the job clock).
@@ -193,7 +269,7 @@ mod tests {
     #[test]
     fn record_and_query() {
         let log = EventLog::new();
-        log.record(3, EventKind::SetupDone);
+        log.record(3, EventKind::FdPromoted);
         log.record(1, EventKind::FailureSignal { epoch: 1 });
         log.record(3, EventKind::Finished { iter: 10 });
         let snap = log.snapshot();
@@ -212,7 +288,7 @@ mod tests {
     fn clones_share_entries() {
         let log = EventLog::new();
         let log2 = log.clone();
-        log2.record(0, EventKind::SetupDone);
+        log2.record(0, EventKind::FdPromoted);
         assert_eq!(log.snapshot().len(), 1);
     }
 }

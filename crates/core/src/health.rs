@@ -11,18 +11,18 @@
 //! one place an arriving plan is classified: one that leaves the worker
 //! group as it is (a detector takeover, a dead idle) is absorbed on the
 //! spot and nothing is interrupted; only one that changes the group
-//! surfaces, as a typed [`FtSignal::Recover`]. The `*_ft` wrappers
-//! implement the retry-until-acknowledged loop: they issue the underlying
-//! GASPI call with a short timeout and re-check the watch between
-//! attempts, so a worker stuck on a dead partner leaves the call the
-//! moment the FD's acknowledgment lands.
+//! surfaces, as a typed [`FtSignal::Recover`]. [`HealthWatch::retry`] is
+//! the retry-until-acknowledged loop behind `FtCtx`'s `*_ft` calls: it
+//! issues the underlying GASPI call with a short timeout and re-checks the
+//! watch between attempts, so a worker stuck on a dead partner leaves the
+//! call the moment the FD's acknowledgment lands.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use ft_cluster::Rank;
-use ft_gaspi::{GaspiError, GaspiProc, Group, NotificationId, ReduceOp, SegId, Timeout};
+use ft_gaspi::{GaspiError, GaspiProc, Timeout};
 
 use crate::ack::{self, CTRL_SEG, EPOCH_NOTIF, SHUTDOWN_NOTIF};
 use crate::error::{FtError, FtResult, FtSignal};
@@ -39,17 +39,17 @@ pub struct CommPolicy {
     /// acknowledgment. Guards against the paper's restriction 2 (no FD
     /// left to acknowledge) turning into an infinite hang.
     pub abandon: Duration,
-    /// Queue used for worker→FD suspect reports (the link-fault path).
-    /// Must differ from any queue carrying the traffic being retried:
-    /// `report_suspect` waits on this queue, and waiting on the queue of
-    /// the broken operation would consume its completions. Defaults to
-    /// the highest default app queue.
-    pub suspect_queue: u16,
 }
+
+/// Queue used for worker→FD suspect reports (the link-fault path): the
+/// highest app queue. Must differ from any queue carrying the traffic
+/// being retried: `report_suspect` waits on this queue, and waiting on
+/// the queue of the broken operation would consume its completions.
+const SUSPECT_QUEUE: u16 = ft_gaspi::APP_QUEUES - 1;
 
 impl Default for CommPolicy {
     fn default() -> Self {
-        Self { attempt: Timeout::Ms(20), abandon: Duration::from_secs(10), suspect_queue: 7 }
+        Self { attempt: Timeout::Ms(20), abandon: Duration::from_secs(10) }
     }
 }
 
@@ -127,13 +127,7 @@ impl HealthWatch {
             }
             // Delivery failure is tolerable: the FD may be unreachable
             // too, and the ordinary scan-and-acknowledge path still runs.
-            let _ = ack::report_suspect(
-                &self.proc,
-                fd,
-                r,
-                self.policy.suspect_queue,
-                self.policy.attempt,
-            );
+            let _ = ack::report_suspect(&self.proc, fd, r, SUSPECT_QUEUE, self.policy.attempt);
         }
     }
 
@@ -166,16 +160,15 @@ impl HealthWatch {
         Ok(())
     }
 
-    /// Generic retry loop shared by the `*_ft` wrappers.
-    ///
-    /// Timeouts re-attempt. A *broken* completion (dead partner or severed
+    /// Run `attempt` (a GASPI call with the policy's per-attempt timeout)
+    /// until it succeeds or the watch raises a signal. Timeouts re-attempt. A *broken* completion (dead partner or severed
     /// link) is final for this operation — the data did not arrive — so
     /// the loop reports the broken partners to the FD (see
-    /// [`Self::report_broken`]), then stops attempting and holds position,
+    /// `report_broken`), then stops attempting and holds position,
     /// polling only the watch, until the FD's acknowledgment (or the
     /// abandon deadline) arrives. This is the paper's "keep on returning
     /// with GASPI_TIMEOUT unless a failure acknowledgment is received".
-    fn retry<T>(&self, mut attempt: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
+    pub fn retry<T>(&self, mut attempt: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
         let deadline = Instant::now() + self.policy.abandon;
         let mut broken = false;
         loop {
@@ -202,51 +195,6 @@ impl HealthWatch {
             }
         }
     }
-
-    /// Fault-tolerant `gaspi_wait`.
-    pub fn wait_ft(&self, queue: u16) -> FtResult<()> {
-        self.retry(|| self.proc.wait(queue, self.policy.attempt))
-    }
-
-    /// Fault-tolerant `gaspi_notify_waitsome`.
-    pub fn notify_waitsome_ft(
-        &self,
-        seg: SegId,
-        begin: NotificationId,
-        count: u32,
-    ) -> FtResult<NotificationId> {
-        self.retry(|| self.proc.notify_waitsome(seg, begin, count, self.policy.attempt))
-    }
-
-    /// Fault-tolerant barrier on `group`.
-    pub fn barrier_ft(&self, group: Group) -> FtResult<()> {
-        self.retry(|| self.proc.barrier(group, self.policy.attempt))
-    }
-
-    /// Fault-tolerant `f64` allreduce on `group`.
-    pub fn allreduce_f64_ft(
-        &self,
-        group: Group,
-        input: &[f64],
-        op: ReduceOp,
-    ) -> FtResult<Vec<f64>> {
-        self.retry(|| self.proc.allreduce_f64(group, input, op, self.policy.attempt))
-    }
-
-    /// Fault-tolerant `u64` allreduce on `group`.
-    pub fn allreduce_u64_ft(
-        &self,
-        group: Group,
-        input: &[u64],
-        op: ReduceOp,
-    ) -> FtResult<Vec<u64>> {
-        self.retry(|| self.proc.allreduce_u64(group, input, op, self.policy.attempt))
-    }
-
-    /// Fault-tolerant personalised all-to-all on `group`.
-    pub fn alltoall_ft(&self, group: Group, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
-        self.retry(|| self.proc.alltoall(group, out, self.policy.attempt))
-    }
 }
 
 #[cfg(test)]
@@ -254,6 +202,11 @@ mod tests {
     use super::*;
     use crate::ack::create_ctrl_segment;
     use ft_gaspi::{GaspiConfig, GaspiWorld};
+
+    /// Fault-tolerant `gaspi_wait` on queue 0, as `FtCtx::wait_ft` runs it.
+    fn wait_ft(watch: &HealthWatch) -> FtResult<()> {
+        watch.retry(|| watch.proc().wait(0, watch.policy().attempt))
+    }
 
     #[test]
     fn check_is_quiet_then_signals_once() {
@@ -306,11 +259,7 @@ mod tests {
         w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
         let watch = HealthWatch::new(
             w0,
-            CommPolicy {
-                attempt: Timeout::Ms(5),
-                abandon: Duration::from_secs(30),
-                ..CommPolicy::default()
-            },
+            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_secs(30) },
             layout,
         );
         let fd2 = fd.clone();
@@ -319,7 +268,7 @@ mod tests {
             let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
             ack::broadcast_plan(&fd2, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
         });
-        match watch.wait_ft(0) {
+        match wait_ft(&watch) {
             Err(FtError::Signal(FtSignal::Recover(p))) => assert_eq!(p.epoch, 1),
             other => panic!("expected Recover, got {other:?}"),
         }
@@ -337,11 +286,7 @@ mod tests {
         w0.segment_create(5, 64).unwrap();
         let watch = HealthWatch::new(
             w0.clone(),
-            CommPolicy {
-                attempt: Timeout::Ms(5),
-                abandon: Duration::from_millis(80),
-                ..CommPolicy::default()
-            },
+            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_millis(80) },
             layout,
         );
         // Sever a w0→partner link only: the FD's own pings to the partner
@@ -349,7 +294,7 @@ mod tests {
         let break_and_trip = |partner: Rank| {
             world.fault().break_link_directed(0, partner);
             w0.write(5, 0, partner, 5, 0, 8, 0).unwrap();
-            assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));
+            assert!(matches!(wait_ft(&watch), Err(FtError::Gaspi(GaspiError::Timeout))));
         };
         break_and_trip(1);
         let suspects = ack::drain_suspects(&fd, layout.total()).unwrap();
@@ -380,15 +325,11 @@ mod tests {
         w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
         let watch = HealthWatch::new(
             w0,
-            CommPolicy {
-                attempt: Timeout::Ms(5),
-                abandon: Duration::from_millis(100),
-                ..CommPolicy::default()
-            },
+            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_millis(100) },
             layout,
         );
         let t0 = Instant::now();
-        assert!(matches!(watch.wait_ft(0), Err(FtError::Gaspi(GaspiError::Timeout))));
+        assert!(matches!(wait_ft(&watch), Err(FtError::Gaspi(GaspiError::Timeout))));
         assert!(t0.elapsed() >= Duration::from_millis(100));
         assert!(t0.elapsed() < Duration::from_secs(5));
     }

@@ -14,8 +14,8 @@
 //!   the current binary once per rank, with the rank's identity and the
 //!   full [`FaultSchedule`] shipped in environment variables; brokers the
 //!   port map; enforces wall-clock `KillRank`/`KillNode` actions as real
-//!   `SIGKILL`s; and collects each child's exit status and
-//!   `RESULT`/`EVENT` lines.
+//!   `SIGKILL`s; and turns each child's exit status and `EVENT`/`RESULT`
+//!   lines into one [`ProcJobReport`].
 //! * **Child** (the re-executed binary): detects its role via
 //!   [`child_env`], then [`run_child`] builds a single-rank
 //!   [`GaspiWorld`] over TCP and runs the ordinary Fig. 3 driver flow for
@@ -26,52 +26,46 @@
 //! ```text
 //! child → parent:  PORT <tcp-port>
 //! parent → child:  MAP <port-rank-0> <port-rank-1> …
-//! child → parent:  EVENT <rank> <event-debug>          (zero or more)
-//! child → parent:  RESULT <role> <app-rank|-> <ok|err|killed|panic> [detail]
+//! child → parent:  EVENT <hex of Event::encode>        (zero or more)
+//! child → parent:  RESULT <hex of encode_end>
 //! ```
 //!
-//! Exit codes: `0` = ran to completion (a `RESULT` line says how),
-//! [`KILLED_EXIT_CODE`] = died to an armed cooperative kill (iteration
-//! kill, step-indexed injection, received `gaspi_proc_kill`), death by
-//! signal = the supervisor's `SIGKILL`. The last two both classify as
-//! [`ProcOutcome::Killed`] — the same fate by different executioners.
+//! The two payloads are the [`ft_cluster::codec`] binary forms, hex-coded
+//! to stay line-oriented; [`child_outcome`] decodes them as bytes from
+//! another process — a torn or non-hex protocol line makes that rank
+//! [`ProcOutcome::Crashed`]. Lines with any other prefix are the
+//! application's own output and are ignored. Exit codes: `0` = ran to
+//! completion (the `RESULT` line says how), [`KILLED_EXIT_CODE`] = died to
+//! an armed cooperative kill (iteration kill, step-indexed injection,
+//! received `gaspi_proc_kill`), death by signal = the supervisor's
+//! `SIGKILL` — the last two are both [`ProcOutcome::Killed`], the same
+//! fate by different executioners — `1` = the rank's closure failed or
+//! panicked (the `RESULT` line carries the message).
 //!
-//! ## Who enforces which part of the schedule
-//!
-//! One interpreter, [`FaultSchedule::start_timer`], runs on both sides over
-//! a local [`FaultPlane`]; ARCHITECTURE.md §5 has the table. The
-//! supervisor takes the wall-clock kills — its plane's kill hook is a
-//! `SIGKILL`, no cooperation from the victim. Each child takes the rest:
-//! iteration kills and step-indexed injections, which
-//! [`FaultPlane::exit_process_on_kill`] turns into a process exit when they
-//! kill the child's own rank, and wall-clock link ops, which the TCP
-//! transport turns into real refusal (live sockets severed, in-flight sends
-//! drained as `Broken`, frames refused per connection) — every child
-//! applies them on the same clock (started at MAP time), so a timed
-//! partition is symmetric across the wire. A step-indexed action fires on
-//! the crossing rank's own plane only, which is exactly what makes
-//! *asymmetric* partitions (one side believes the link is down, the other
-//! does not) expressible — and what makes one that does not involve the
-//! crossing rank unenforceable: [`run_supervisor`] refuses it. Enforced
-//! wall-clock link ops are listed in [`ProcJobReport::link_faults`].
+//! Who enforces which part of the fault schedule — one interpreter,
+//! [`FaultSchedule::start_timer`], on both sides; wall-clock kills at the
+//! supervisor, everything else on each child's own [`FaultPlane`], which
+//! is what makes asymmetric partitions expressible and a site action that
+//! spares its crossing rank unenforceable — is ARCHITECTURE.md §5's table.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write as _};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use ft_cluster::codec::{from_hex, to_hex};
+use ft_cluster::codec::{from_hex, to_hex, CodecError, Dec, Enc};
 use ft_cluster::{
     FaultAction, FaultPlane, FaultSchedule, Injection, Rank, TcpTransport, Topology, Transport,
     KILLED_EXIT_CODE,
 };
-use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
+use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome, Timeout};
 
+use crate::ack::{CTRL_SEG, DONE_NOTIF, SHUTDOWN_NOTIF};
 use crate::driver::{run_ft_rank, FtApp, FtConfig, FtCtx, Role};
-use crate::events::EventLog;
+use crate::error::{FtError, FtSignal};
+use crate::events::{Event, EventKind, EventLog};
 
 const ENV_RANK: &str = "FT_PROC_RANK";
 const ENV_RANKS: &str = "FT_PROC_RANKS";
@@ -107,9 +101,9 @@ pub fn child_env() -> Option<ChildEnv> {
 
 /// Run one rank as a supervised child process: handshake ports over
 /// stdio, build a single-rank world over TCP, run the driver flow, report
-/// a `RESULT` line, and return the exit code for `main` to pass to
-/// [`std::process::exit`]. `enc_summary` turns the app summary into the
-/// bytes shipped (hex) on the `RESULT` line.
+/// the `EVENT` and `RESULT` lines, and return the exit code for `main` to
+/// pass to [`std::process::exit`]. `enc_summary` turns the app summary
+/// into the bytes the `RESULT` line carries.
 pub fn run_child<A, F, E>(
     env: ChildEnv,
     cfg: FtConfig,
@@ -162,7 +156,7 @@ where
         let me = env.rank;
         world.fault().on_link(move |src, dst, broken| {
             if src == me {
-                ev.record(me, crate::events::EventKind::LinkFault { peer: dst, broken });
+                ev.record(me, EventKind::LinkFault { peer: dst, broken });
             }
         });
     }
@@ -174,64 +168,101 @@ where
     let outcome = run_ft_rank(&world, env.rank, cfg, env.schedule, events.clone(), make_app);
     drop(timer); // cancel link ops the job outlived
 
-    // Linger (bounded) until the detector's end-of-job word — shutdown for
-    // spares and aborted jobs, the done echo for workers: a process that
-    // exits resets its sockets, and under real fail-stop a completed
-    // rank is indistinguishable from a dead one — leaving early makes the
-    // still-scanning FD "detect" finished workers and spin up a pointless
-    // recovery at the end of every clean run.
+    // Linger (bounded) until the detector's end-of-job word — the done
+    // echo for workers, shutdown (the next slot) for spares and aborted
+    // jobs: a process that exits resets its sockets, and under real
+    // fail-stop a completed rank is indistinguishable from a dead one —
+    // leaving early makes the still-scanning FD "detect" finished workers
+    // and spin up a pointless recovery at the end of every clean run.
     if env.rank != fd_rank {
+        const _: () = assert!(SHUTDOWN_NOTIF == DONE_NOTIF + 1);
         let proc = world.proc_handle(env.rank);
-        let told = |slot| !matches!(proc.notify_peek(crate::ack::CTRL_SEG, slot), Ok(0));
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline
-            && !told(crate::ack::SHUTDOWN_NOTIF)
-            && !told(crate::ack::DONE_NOTIF)
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let _ = proc.notify_waitsome(CTRL_SEG, DONE_NOTIF, 2, Timeout::Ms(2000));
     }
 
     // Ship the event stream before the verdict (the supervisor's asserts
     // read both).
     for ev in events.snapshot() {
-        println!("EVENT {} {:?}", ev.rank, ev.kind);
+        println!("EVENT {}", to_hex(&ev.encode()));
     }
-    let code = match outcome {
+    let (end, code) = match outcome {
         RankOutcome::Completed(report) => {
-            let role = role_name(report.role);
-            let app = report.app_rank.map_or("-".into(), |a| a.to_string());
-            match (&report.error, &report.summary) {
-                (Some(e), _) => println!("RESULT {role} {app} err {e:?}"),
-                (None, Some(s)) => println!("RESULT {role} {app} ok {}", to_hex(&enc_summary(s))),
-                (None, None) => println!("RESULT {role} {app} ok -"),
-            }
-            0
+            let shutdown = matches!(report.error, Some(FtError::Signal(FtSignal::Shutdown)));
+            let result = ProcResult {
+                role: report.role,
+                app_rank: report.app_rank,
+                summary: report.summary.as_ref().map(&enc_summary),
+                error: report.error.map(|e| format!("{e:?}")),
+                shutdown,
+                t_end: report.t_end,
+            };
+            (Ok(result), 0)
         }
-        RankOutcome::Failed(e) => {
-            println!("RESULT - - err {e:?}");
-            0
-        }
+        RankOutcome::Failed(e) => (Err(format!("rank failed: {e:?}")), 1),
+        RankOutcome::Panicked(msg) => (Err(format!("rank panicked: {msg}")), 1),
         // Unreachable in practice: exit_process_on_kill turns kills into
         // process exits before the unwind surfaces. Kept for robustness.
-        RankOutcome::Killed(_) => KILLED_EXIT_CODE,
-        RankOutcome::Panicked(msg) => {
-            println!("RESULT - - panic {}", msg.replace('\n', " "));
-            1
-        }
+        RankOutcome::Killed(_) => return KILLED_EXIT_CODE,
     };
+    println!("RESULT {}", to_hex(&encode_end(&end)));
     let _ = io::stdout().flush();
     transport.shutdown();
     code
 }
 
-fn role_name(role: Role) -> &'static str {
-    match role {
-        Role::Worker => "Worker",
-        Role::Idle => "Idle",
-        Role::Rescue => "Rescue",
-        Role::Detector => "Detector",
-    }
+/// What a child's `RESULT` line says: the completion record, or the
+/// message of a rank closure that failed or panicked.
+pub type ChildEnd = Result<ProcResult, String>;
+
+/// The `RESULT` payload (hex-coded on the line).
+pub fn encode_end(end: &ChildEnd) -> Vec<u8> {
+    let mut e = Enc::new();
+    match end {
+        Err(message) => e.u8(0).str(message),
+        Ok(r) => {
+            e.u8(1).u8(r.role as u8).u64(r.t_end.as_nanos() as u64);
+            match r.app_rank {
+                Some(app) => e.u8(1).u32(app),
+                None => e.u8(0),
+            };
+            match (&r.error, &r.summary) {
+                (Some(err), _) => e.u8(2 + u8::from(r.shutdown)).str(err),
+                (None, Some(summary)) => e.u8(1).bytes(summary),
+                (None, None) => e.u8(0),
+            }
+        }
+    };
+    e.finish()
+}
+
+/// Decode a `RESULT` payload. The bytes come from another process:
+/// unknown tags, short or over-long buffers are errors.
+pub fn decode_end(bytes: &[u8]) -> Result<ChildEnd, CodecError> {
+    let mut d = Dec::new(bytes);
+    let end = match d.u8()? {
+        0 => Err(d.str()?),
+        1 => {
+            let role = match d.u8()? {
+                0 => Role::Worker,
+                1 => Role::Idle,
+                2 => Role::Rescue,
+                3 => Role::Detector,
+                t => return Err(CodecError::BadTag(t)),
+            };
+            let t_end = Duration::from_nanos(d.u64()?);
+            let app_rank = if d.bool()? { Some(d.u32()?) } else { None };
+            let (summary, error, shutdown) = match d.u8()? {
+                0 => (None, None, false),
+                1 => (Some(d.bytes()?), None, false),
+                t @ (2 | 3) => (None, Some(d.str()?), t == 3),
+                t => return Err(CodecError::BadTag(t)),
+            };
+            Ok(ProcResult { role, app_rank, summary, error, shutdown, t_end })
+        }
+        t => return Err(CodecError::BadTag(t)),
+    };
+    d.expect_end()?;
+    Ok(end)
 }
 
 // ---------------------------------------------------------------------
@@ -249,7 +280,7 @@ impl ProcessHost {
     }
 
     /// Wait (bounded) for the child hosting `rank`; `None` on timeout.
-    fn wait_rank(&self, rank: Rank, deadline: Instant) -> Option<std::process::ExitStatus> {
+    fn wait_rank(&self, rank: Rank, deadline: Instant) -> Option<ExitStatus> {
         loop {
             {
                 let mut guard = self.children.lock();
@@ -318,17 +349,23 @@ impl ProcOutcome {
     }
 }
 
-/// A child's parsed `RESULT` line.
-#[derive(Debug)]
+/// A child's decoded `RESULT` line: the process-backend form of
+/// [`crate::RankReport`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcResult {
-    /// Final role (`Worker`/`Idle`/`Rescue`/`Detector`).
-    pub role: String,
+    /// Final role.
+    pub role: Role,
     /// Application rank carried at the end, if any.
     pub app_rank: Option<u32>,
-    /// Decoded summary bytes (`ok` results with a payload).
+    /// Summary bytes (ranks that finished the application).
     pub summary: Option<Vec<u8>>,
-    /// Error detail (`err`/`panic` results).
+    /// Debug rendering of the [`FtError`] that ended the rank's run.
     pub error: Option<String>,
+    /// True when `error` is `Signal(Shutdown)` — what an aborted job
+    /// hands every other rank, never a cause.
+    pub shutdown: bool,
+    /// Job-clock time (started at the port map) the rank returned.
+    pub t_end: Duration,
 }
 
 /// Whole-job report from the supervisor.
@@ -336,10 +373,10 @@ pub struct ProcResult {
 pub struct ProcJobReport {
     /// Per-rank outcomes, indexed by rank.
     pub outcomes: Vec<ProcOutcome>,
-    /// `EVENT` payloads from all children, in arrival order: the debug
-    /// rendering of each [`crate::events::EventKind`], prefixed by the
-    /// recording rank.
-    pub event_lines: Vec<String>,
+    /// Every child's events, each with the timestamp its child gave it
+    /// (the children's job clocks all start at the port map), so the
+    /// merged log sorts by time like an in-memory job's.
+    pub events: EventLog,
     /// Wall-clock link ops enforced in-process by the children (each
     /// endpoint applies them to its local fault plane; the TCP transport
     /// severs/refuses accordingly). Additive to the per-rank `outcomes`,
@@ -372,14 +409,20 @@ impl ProcJobReport {
         v
     }
 
-    /// Event lines whose kind-name matches `needle` (e.g. `"FdDetect"`).
-    pub fn events_matching(&self, needle: &str) -> Vec<&str> {
-        self.event_lines.iter().filter(|l| l.contains(needle)).map(|s| s.as_str()).collect()
-    }
-
-    /// First error detail reported by any completed rank.
+    /// The earliest error that ended a completed rank, by job clock (see
+    /// [`crate::JobReport::first_error`]); failing that, what the lowest
+    /// crashed rank — a failed or panicked closure, which has no time on
+    /// record — left behind; `Signal(Shutdown)` only when nothing else is
+    /// on record.
     pub fn first_error(&self) -> Option<&str> {
-        self.outcomes.iter().filter_map(|o| o.completed()).find_map(|r| r.error.as_deref())
+        let ranked = self.outcomes.iter().filter_map(|o| match o {
+            ProcOutcome::Completed(r) => {
+                r.error.as_deref().map(|e| ((2 * u8::from(r.shutdown), r.t_end), e))
+            }
+            ProcOutcome::Crashed(detail) => Some(((1, Duration::ZERO), detail.as_str())),
+            _ => None,
+        });
+        ranked.min_by_key(|(key, _)| *key).map(|(_, e)| e)
     }
 }
 
@@ -393,8 +436,6 @@ pub struct SupervisorConfig {
     /// Arguments passed to the re-executed binary (so a multi-mode bin
     /// can route to the right app).
     pub child_args: Vec<String>,
-    /// Extra environment for children.
-    pub child_env: Vec<(String, String)>,
     /// Hard deadline for the whole job; stragglers are killed and
     /// reported [`ProcOutcome::TimedOut`].
     pub deadline: Duration,
@@ -403,13 +444,7 @@ pub struct SupervisorConfig {
 impl SupervisorConfig {
     /// A supervisor for `num_ranks` ranks with a 60 s deadline.
     pub fn new(num_ranks: u32, schedule: FaultSchedule) -> Self {
-        Self {
-            num_ranks,
-            schedule,
-            child_args: Vec::new(),
-            child_env: Vec::new(),
-            deadline: Duration::from_secs(60),
-        }
+        Self { num_ranks, schedule, child_args: Vec::new(), deadline: Duration::from_secs(60) }
     }
 
     /// Pass `args` to the re-executed binary.
@@ -454,9 +489,6 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        for (k, v) in &cfg.child_env {
-            cmd.env(k, v);
-        }
         let mut child = cmd.spawn()?;
         stdouts.push(BufReader::new(child.stdout.take().expect("piped child stdout")));
         children.push(child);
@@ -491,6 +523,7 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     // runs, over a fault plane on which a kill is a real signal. (The
     // injections it arms there are the children's; no rank crosses this
     // plane.)
+    let events = EventLog::new();
     let plane = FaultPlane::new(topo);
     let killer = Arc::clone(&host);
     plane.on_kill(move |ev| ev.ranks.iter().for_each(|&r| killer.kill_rank(r)));
@@ -499,27 +532,17 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
         cfg.schedule.timed_actions().iter().map(|&(_, a)| a).filter(|a| !a.is_kill()).collect();
 
     // Drain each child's stdout on its own thread (children block on full
-    // pipes otherwise), collecting EVENT and RESULT lines.
-    type Collected = Arc<Mutex<(Vec<String>, HashMap<Rank, String>)>>;
-    let collected: Collected = Arc::new(Mutex::new((Vec::new(), HashMap::new())));
-    let mut readers = Vec::new();
-    for (rank, out) in stdouts.into_iter().enumerate() {
-        let collected = Arc::clone(&collected);
-        let h = std::thread::Builder::new()
-            .name(format!("proc-stdout-{rank}"))
-            .spawn(move || {
-                for line in out.lines() {
-                    let Ok(line) = line else { break };
-                    if let Some(ev) = line.strip_prefix("EVENT ") {
-                        collected.lock().0.push(ev.to_string());
-                    } else if let Some(res) = line.strip_prefix("RESULT ") {
-                        collected.lock().1.insert(rank as Rank, res.to_string());
-                    }
-                }
-            })
-            .expect("spawn supervisor stdout reader");
-        readers.push(h);
-    }
+    // pipes otherwise); the lines are decoded once the child is reaped.
+    let readers: Vec<_> = stdouts
+        .into_iter()
+        .enumerate()
+        .map(|(rank, out)| {
+            std::thread::Builder::new()
+                .name(format!("proc-stdout-{rank}"))
+                .spawn(move || out.lines().map_while(Result::ok).collect::<Vec<String>>())
+                .expect("spawn supervisor stdout reader")
+        })
+        .collect();
 
     // Reap children against the deadline.
     let deadline = Instant::now() + cfg.deadline;
@@ -541,62 +564,51 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
             }
         }
     }
-    for h in readers {
-        let _ = h.join();
-    }
     timer.cancel(); // a schedule may place kills far beyond the job's end
 
-    let (event_lines, mut results) = {
-        let mut guard = collected.lock();
-        (std::mem::take(&mut guard.0), std::mem::take(&mut guard.1))
-    };
     let outcomes = statuses
         .into_iter()
-        .enumerate()
-        .map(|(rank, status)| classify(status, results.remove(&(rank as Rank))))
+        .zip(readers)
+        .map(|(status, reader)| child_outcome(status, &reader.join().unwrap_or_default(), &events))
         .collect();
-    Ok(ProcJobReport { outcomes, event_lines, link_faults })
+    Ok(ProcJobReport { outcomes, events, link_faults })
 }
 
-fn classify(status: Option<std::process::ExitStatus>, result: Option<String>) -> ProcOutcome {
-    let Some(status) = status else { return ProcOutcome::TimedOut };
-    match status.code() {
-        // Killed by signal: the supervisor's SIGKILL.
-        None => ProcOutcome::Killed { by_signal: true },
-        Some(c) if c == KILLED_EXIT_CODE => ProcOutcome::Killed { by_signal: false },
-        Some(0) => match result.as_deref().map(parse_result) {
-            Some(Some(r)) => ProcOutcome::Completed(r),
-            _ => ProcOutcome::Crashed("exit 0 without a parseable RESULT line".into()),
-        },
-        Some(c) => {
-            let detail = result.unwrap_or_default();
-            ProcOutcome::Crashed(format!("exit code {c}: {detail}"))
+/// One rank's outcome from its exit status (`None` = still running at the
+/// deadline) and its stdout: `EVENT` lines are decoded into `events`, the
+/// `RESULT` line into the completion record. A protocol line that does
+/// not decode — torn, non-hex, trailing bytes — is never dropped: a rank
+/// that exited 0 with one is [`ProcOutcome::Crashed`].
+pub fn child_outcome(
+    status: Option<ExitStatus>,
+    stdout: &[String],
+    events: &EventLog,
+) -> ProcOutcome {
+    let mut end = None;
+    let mut malformed = None;
+    for line in stdout {
+        let decoded = if let Some(hex) = line.strip_prefix("EVENT ") {
+            from_hex(hex).and_then(|bytes| Event::decode(&bytes)).map(|ev| events.push(ev))
+        } else if let Some(hex) = line.strip_prefix("RESULT ") {
+            from_hex(hex).and_then(|bytes| decode_end(&bytes)).map(|e| end = Some(e))
+        } else {
+            Ok(())
+        };
+        if let Err(e) = decoded {
+            malformed.get_or_insert(format!("malformed line {line:?}: {e}"));
         }
     }
-}
-
-/// Parse the body of a `RESULT` line (prefix already stripped).
-fn parse_result(body: &str) -> Option<ProcResult> {
-    let mut it = body.splitn(4, ' ');
-    let role = it.next()?.to_string();
-    let app_rank = match it.next()? {
-        "-" => None,
-        a => Some(a.parse().ok()?),
-    };
-    let status = it.next()?;
-    let detail = it.next().unwrap_or("");
-    match status {
-        "ok" => {
-            let summary = match detail {
-                "-" | "" => None,
-                hex => Some(from_hex(hex).ok()?),
-            };
-            Some(ProcResult { role, app_rank, summary, error: None })
+    let Some(status) = status else { return ProcOutcome::TimedOut };
+    match (status.code(), malformed, end) {
+        // Killed by signal: the supervisor's SIGKILL.
+        (None, ..) => ProcOutcome::Killed { by_signal: true },
+        (Some(KILLED_EXIT_CODE), ..) => ProcOutcome::Killed { by_signal: false },
+        (Some(0), None, Some(Ok(result))) => ProcOutcome::Completed(result),
+        (Some(0), None, None) => ProcOutcome::Crashed("exit 0 without a RESULT line".into()),
+        (Some(c), Some(why), _) | (Some(c), None, Some(Err(why))) => {
+            ProcOutcome::Crashed(format!("exit code {c}: {why}"))
         }
-        "err" | "panic" => {
-            Some(ProcResult { role, app_rank, summary: None, error: Some(detail.to_string()) })
-        }
-        _ => None,
+        (Some(c), None, _) => ProcOutcome::Crashed(format!("exit code {c}")),
     }
 }
 
@@ -604,29 +616,39 @@ fn parse_result(body: &str) -> Option<ProcResult> {
 mod tests {
     use super::*;
 
+    #[cfg(unix)]
     #[test]
-    fn result_line_parsing() {
-        let r = parse_result("Worker 3 ok 0a0b").unwrap();
-        assert_eq!(r.role, "Worker");
-        assert_eq!(r.app_rank, Some(3));
-        assert_eq!(r.summary.as_deref(), Some(&[0x0a, 0x0b][..]));
-        assert!(r.error.is_none());
-
-        let r = parse_result("Idle - ok -").unwrap();
-        assert_eq!(r.app_rank, None);
-        assert!(r.summary.is_none());
-
-        let r = parse_result("Worker 0 err Timeout with spaces").unwrap();
-        assert_eq!(r.error.as_deref(), Some("Timeout with spaces"));
-
-        assert!(parse_result("Worker 0 bogus x").is_none());
-        assert!(parse_result("").is_none());
+    fn classify_exit_codes() {
+        use std::os::unix::process::ExitStatusExt;
+        let exited = |code: i32| Some(ExitStatus::from_raw(code << 8));
+        let outcome = |status, end: Option<ChildEnd>| {
+            let lines: Vec<String> =
+                end.iter().map(|e| format!("RESULT {}", to_hex(&encode_end(e)))).collect();
+            child_outcome(status, &lines, &EventLog::new())
+        };
+        // Still running at the deadline, whatever it printed so far.
+        assert!(matches!(outcome(None, None), ProcOutcome::TimedOut));
+        assert!(matches!(outcome(None, Some(Err("late".into()))), ProcOutcome::TimedOut));
+        // The two executioners of a kill.
+        let armed = outcome(exited(KILLED_EXIT_CODE), None);
+        assert!(matches!(armed, ProcOutcome::Killed { by_signal: false }), "{armed:?}");
+        let sigkill = outcome(Some(ExitStatus::from_raw(9)), None);
+        assert!(matches!(sigkill, ProcOutcome::Killed { by_signal: true }), "{sigkill:?}");
+        // A failed rank closure exits 1 and says why; a bare non-zero exit
+        // is a crash too.
+        let failed = outcome(exited(1), Some(Err("rank failed: no segment".into())));
+        assert!(
+            matches!(&failed, ProcOutcome::Crashed(d) if d == "exit code 1: rank failed: no segment"),
+            "{failed:?}"
+        );
+        let bare = outcome(exited(3), None);
+        assert!(matches!(&bare, ProcOutcome::Crashed(d) if d == "exit code 3"), "{bare:?}");
     }
 
     #[test]
-    fn classify_exit_codes() {
-        // Timeout.
-        assert!(matches!(classify(None, None), ProcOutcome::TimedOut));
+    fn child_env_absent_outside_supervision() {
+        // The test runner itself is not a supervised child.
+        assert!(child_env().is_none() || std::env::var(ENV_RANK).is_ok());
     }
 
     /// A rank process applies a site-triggered action to its own fault
@@ -643,11 +665,5 @@ mod tests {
             let err = run_supervisor(cfg).expect_err("unenforceable schedule");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         }
-    }
-
-    #[test]
-    fn child_env_absent_outside_supervision() {
-        // The test runner itself is not a supervised child.
-        assert!(child_env().is_none() || std::env::var(ENV_RANK).is_ok());
     }
 }

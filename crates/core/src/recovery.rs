@@ -24,6 +24,9 @@ use crate::health::HealthWatch;
 use crate::layout::WorldLayout;
 use crate::plan::RecoveryPlan;
 
+/// Per-attempt timeout of the recovery steps (kill, commit).
+const STEP_TIMEOUT: Timeout = Timeout::Ms(500);
+
 /// Rebuild the worker group per `plan`. Returns the committed group.
 ///
 /// Callers must be members of `plan.worker_set(layout)`. On
@@ -33,7 +36,6 @@ pub fn execute_recovery(
     layout: &WorldLayout,
     plan: &RecoveryPlan,
     prev_group: Option<Group>,
-    step_timeout: Timeout,
     events: &EventLog,
 ) -> FtResult<Group> {
     let proc = watch.proc();
@@ -46,7 +48,7 @@ pub fn execute_recovery(
     // 2. Enforce death of every failed process — transient failures and
     //    false positives must not keep participating.
     for &f in &plan.failed {
-        let _ = proc.proc_kill(f, step_timeout);
+        let _ = proc.proc_kill(f, STEP_TIMEOUT);
     }
     // 3. COMM_MAIN_NEW with the plan-derived id; clear the remnants of an
     //    interrupted previous attempt at this group, if any.
@@ -68,7 +70,7 @@ pub fn execute_recovery(
     //    failure *during* recovery escalates to the newer epoch.
     let deadline = Instant::now() + watch.policy().abandon;
     loop {
-        match proc.group_commit(group, step_timeout) {
+        match proc.group_commit(group, STEP_TIMEOUT) {
             Ok(()) => break,
             Err(GaspiError::Timeout) | Err(GaspiError::RemoteBroken { .. }) => {
                 watch.check()?;
@@ -111,15 +113,10 @@ mod tests {
                 let events = EventLog::new();
                 let watch = HealthWatch::new(
                     p,
-                    CommPolicy {
-                        attempt: Timeout::Ms(100),
-                        abandon: Duration::from_secs(10),
-                        ..CommPolicy::default()
-                    },
+                    CommPolicy { attempt: Timeout::Ms(100), abandon: Duration::from_secs(10) },
                     layout2,
                 );
-                let g = execute_recovery(&watch, &layout2, &plan, None, Timeout::Ms(2000), &events)
-                    .expect("recovery");
+                let g = execute_recovery(&watch, &layout2, &plan, None, &events).expect("recovery");
                 // The rebuilt group is immediately usable.
                 watch.proc().barrier(g, Timeout::Ms(5000)).unwrap();
                 Ok(true)

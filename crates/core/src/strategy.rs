@@ -40,7 +40,6 @@ use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Restored};
 use crate::ckpt::consistent_restore;
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
-use crate::events::EventKind;
 use crate::stripe;
 
 /// What a strategy decided after a recovery.
@@ -154,10 +153,8 @@ impl<A: FtApp> RecoveryStrategy<A> for CheckpointRestart {
             let (ck, _) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
             // The *checkpoint counter* is the version: the stream prunes
             // and deduplicates over consecutive versions.
-            let version = iter / every;
-            ck.commit(version, blob, CopyPolicy::Replicate);
+            ck.commit(iter / every, blob, CopyPolicy::Replicate);
             ctx.proc.injection_site("driver.checkpoint.commit");
-            ctx.events.record(ctx.proc.rank(), EventKind::Checkpoint { version, iter });
         }
         Ok(())
     }

@@ -12,8 +12,8 @@ use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::ack::FIRST_APP_SEG;
 use ft_core::ckpt::adopt_latest;
 use ft_core::{
-    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, Role, StrategyKind,
-    WorldLayout,
+    run_ft_job, EventKind, EventLog, FtApp, FtConfig, FtCtx, FtError, FtResult, FtSignal,
+    ProcJobReport, ProcOutcome, ProcResult, RecoveryPlan, Role, StrategyKind, WorldLayout,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
@@ -484,4 +484,86 @@ fn failure_before_first_checkpoint_restarts_from_scratch() {
         })
         .unwrap();
     assert_eq!(restored, 0, "no checkpoint existed; must restart from iteration 0");
+}
+
+/// A worker that gives up with an error of its own at iteration 5 when it
+/// carries the highest application rank; everyone else allreduces on.
+struct GivesUp;
+
+impl FtApp for GivesUp {
+    type Summary = ();
+
+    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        ctx.barrier_ft()
+    }
+
+    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        if iter == 5 && ctx.app_rank() + 1 == ctx.num_app_ranks() {
+            return Err(FtError::Unsupported("gives up"));
+        }
+        ctx.allreduce_f64_ft(&[1.0], ReduceOp::Sum).map(|_| false)
+    }
+
+    fn rewire(&mut self, _ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+}
+
+/// Regression: a rank that ends in error aborts the job, and every other
+/// rank then ends on the abort's `Signal(Shutdown)`. `first_error` used to
+/// return the lowest rank's error — rank 0's `Shutdown`, the effect — and
+/// hide the cause; it is the earliest error that is not a `Shutdown`.
+#[test]
+fn first_error_names_the_cause_not_the_shutdown_it_caused() {
+    let layout = WorldLayout::new(3, 2);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout).checkpoint_every(0).max_iters(50).build().unwrap();
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), |_| GivesUp);
+    let ended_on = |rank: u32| {
+        let completed = report.completed();
+        completed.into_iter().find(|r| r.rank == rank).and_then(|r| r.error.clone())
+    };
+    let shutdown = FtError::Signal(FtSignal::Shutdown);
+    assert_eq!(ended_on(0), Some(shutdown), "the abort must reach rank 0");
+    assert_eq!(ended_on(2), Some(FtError::Unsupported("gives up")));
+    assert_eq!(report.first_error(), Some(&FtError::Unsupported("gives up")));
+
+    // The same rule over a process-backend report.
+    let result = |error: &str, shutdown, ms| {
+        ProcOutcome::Completed(ProcResult {
+            role: Role::Worker,
+            app_rank: None,
+            summary: None,
+            error: Some(error.to_string()),
+            shutdown,
+            t_end: Duration::from_millis(ms),
+        })
+    };
+    let mut report = ProcJobReport {
+        outcomes: vec![
+            result("Signal(Shutdown)", true, 30),
+            result("Unsupported(\"late\")", false, 20),
+        ],
+        events: EventLog::new(),
+        link_faults: Vec::new(),
+    };
+    assert_eq!(report.first_error(), Some("Unsupported(\"late\")"));
+    report.outcomes.push(result("Unsupported(\"gives up\")", false, 10));
+    assert_eq!(report.first_error(), Some("Unsupported(\"gives up\")"), "earliest wins");
+    report.outcomes.truncate(1);
+    assert_eq!(report.first_error(), Some("Signal(Shutdown)"), "only when nothing else exists");
+    // A rank whose closure failed has no completion record, but it is a
+    // cause: it outranks the shutdown, not an error that ended a rank.
+    report.outcomes.push(ProcOutcome::Crashed("exit code 1: rank failed: no segment".into()));
+    assert_eq!(report.first_error(), Some("exit code 1: rank failed: no segment"));
+    report.outcomes.push(result("Unsupported(\"late\")", false, 20));
+    assert_eq!(report.first_error(), Some("Unsupported(\"late\")"));
 }

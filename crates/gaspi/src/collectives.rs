@@ -136,7 +136,7 @@ impl GaspiProc {
         self.world().transport.send(
             self.rank(),
             dst,
-            self.world().cfg.coll_queue(),
+            crate::config::COLL_QUEUE,
             cost,
             msg,
             Box::new(move |out, _reply| {

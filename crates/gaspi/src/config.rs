@@ -15,17 +15,24 @@ pub struct GaspiConfig {
     pub model: LatencyModel,
     /// Seed for transport jitter and anything else stochastic.
     pub seed: u64,
-    /// Number of application communication queues (GPI-2 default is 8).
-    /// Service traffic (pings, kills, collectives, passive, read
-    /// responses) uses internal queues above this range.
-    pub queues: u16,
-    /// Notification slots per segment.
-    pub notification_slots: u32,
-    /// Granularity of blocking-wait poll laps. Blocked calls re-check
-    /// their condition at least this often, which also bounds how long a
-    /// killed rank keeps blocking before it observes its own death.
-    pub poll_lap: Duration,
 }
+
+/// Number of application communication queues (the GPI-2 default).
+/// Service traffic (pings, kills, collectives, passive, read responses)
+/// uses internal queues above this range.
+pub const APP_QUEUES: u16 = 8;
+/// Notification slots per segment.
+pub(crate) const NOTIFICATION_SLOTS: u32 = 1024;
+/// Granularity of blocking-wait poll laps. Blocked calls re-check their
+/// condition at least this often, which also bounds how long a killed
+/// rank keeps blocking before it observes its own death.
+pub(crate) const POLL_LAP: Duration = Duration::from_micros(200);
+/// First internal queue id (service traffic).
+pub(crate) const SERVICE_QUEUE: u16 = APP_QUEUES;
+/// Internal queue for collective tokens.
+pub(crate) const COLL_QUEUE: u16 = APP_QUEUES + 1;
+/// Internal queue for passive messages.
+pub(crate) const PASSIVE_QUEUE: u16 = APP_QUEUES + 2;
 
 impl GaspiConfig {
     /// A world with `num_ranks` ranks, one per node, default everything.
@@ -35,9 +42,6 @@ impl GaspiConfig {
             ranks_per_node: 1,
             model: LatencyModel::default_sim(),
             seed: 0x5EED_CA5C_ADE5,
-            queues: 8,
-            notification_slots: 1024,
-            poll_lap: Duration::from_micros(200),
         }
     }
 
@@ -68,21 +72,6 @@ impl GaspiConfig {
     pub fn topology(&self) -> Topology {
         Topology::new(self.num_ranks, self.ranks_per_node)
     }
-
-    /// First internal queue id (service traffic).
-    pub(crate) fn service_queue(&self) -> u16 {
-        self.queues
-    }
-
-    /// Internal queue for collective tokens.
-    pub(crate) fn coll_queue(&self) -> u16 {
-        self.queues + 1
-    }
-
-    /// Internal queue for passive messages.
-    pub(crate) fn passive_queue(&self) -> u16 {
-        self.queues + 2
-    }
 }
 
 #[cfg(test)]
@@ -100,9 +89,10 @@ mod tests {
 
     #[test]
     fn internal_queues_above_app_queues() {
-        let c = GaspiConfig::new(2);
-        assert!(c.service_queue() >= c.queues);
-        assert_ne!(c.coll_queue(), c.service_queue());
-        assert_ne!(c.passive_queue(), c.coll_queue());
+        let internal = [SERVICE_QUEUE, COLL_QUEUE, PASSIVE_QUEUE];
+        for (i, q) in internal.iter().enumerate() {
+            assert!(*q >= APP_QUEUES, "internal queue {q} is an application queue");
+            assert!(!internal[..i].contains(q), "internal queue {q} is used twice");
+        }
     }
 }

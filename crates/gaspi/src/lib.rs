@@ -51,7 +51,7 @@ mod queue;
 mod signal;
 
 pub use collectives::ALLREDUCE_MAX_ELEMS;
-pub use config::GaspiConfig;
+pub use config::{GaspiConfig, APP_QUEUES};
 pub use endpoint::CKPT_QUEUE_BASE;
 pub use error::{GaspiError, GaspiResult, ProcState, Timeout};
 pub use group::{Group, EXPLICIT_ID_BASE};

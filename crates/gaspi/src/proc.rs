@@ -89,11 +89,6 @@ impl GaspiProc {
         }
     }
 
-    /// Number of application communication queues.
-    pub fn num_queues(&self) -> u16 {
-        self.world.cfg.queues
-    }
-
     /// Fail-stop check: unwinds with [`RankKilled`] if this rank has been
     /// killed. Every API entry point calls this.
     pub(crate) fn check_self(&self) {
@@ -148,7 +143,7 @@ impl GaspiProc {
     ) -> GaspiResult<T> {
         let sig = &self.shared().signal;
         let mut seen = sig.generation();
-        let lap = self.world.cfg.poll_lap;
+        let lap = crate::config::POLL_LAP;
         loop {
             self.check_self();
             if let Some(r) = f() {
@@ -180,7 +175,7 @@ impl GaspiProc {
     pub fn segment_create(&self, seg: SegId, size: usize) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.segment.create");
-        self.shared().segments.create(seg, size, self.world.cfg.notification_slots)
+        self.shared().segments.create(seg, size, crate::config::NOTIFICATION_SLOTS)
     }
 
     /// Delete a segment (`gaspi_segment_delete`).
@@ -229,7 +224,7 @@ impl GaspiProc {
     // ------------------------------------------------------------------
 
     fn validate_queue(&self, q: u16) -> GaspiResult<()> {
-        if q >= self.world.cfg.queues {
+        if q >= crate::config::APP_QUEUES {
             return Err(GaspiError::InvalidArg("queue id out of range"));
         }
         Ok(())
@@ -505,7 +500,7 @@ impl GaspiProc {
         let cell = Arc::new(AtomicU8::new(0));
         let me = self.shared_arc();
         let c1 = Arc::clone(&cell);
-        let squeue = self.world.cfg.service_queue();
+        let squeue = crate::config::SERVICE_QUEUE;
         // A round trip (ping + pong leg), zero payload both ways.
         self.world.transport.call(
             self.rank,
@@ -576,7 +571,7 @@ impl GaspiProc {
         self.world.transport.call_fanout(
             self.rank,
             &uniq,
-            self.world.cfg.service_queue(),
+            crate::config::SERVICE_QUEUE,
             0,
             payload,
             Arc::new(move |rank, out, _reply| {
@@ -643,7 +638,7 @@ impl GaspiProc {
         self.world.transport.send(
             self.rank,
             dst,
-            self.world.cfg.service_queue(),
+            crate::config::SERVICE_QUEUE,
             0,
             endpoint::enc_kill(),
             Box::new(move |out, _reply| {
@@ -679,7 +674,7 @@ impl GaspiProc {
         self.world.transport.send(
             self.rank,
             dst,
-            self.world.cfg.passive_queue(),
+            crate::config::PASSIVE_QUEUE,
             cost,
             msg,
             Box::new(move |out, reply| {
@@ -754,7 +749,7 @@ impl GaspiProc {
         let cell: Arc<Cell> = Arc::new(Mutex::new(None));
         let me = self.shared_arc();
         let c1 = Arc::clone(&cell);
-        let squeue = self.world.cfg.service_queue();
+        let squeue = crate::config::SERVICE_QUEUE;
         self.world.transport.call(
             self.rank,
             dst,

@@ -46,7 +46,7 @@ pub(crate) struct RankShared {
 impl RankShared {
     fn new(cfg: &GaspiConfig) -> Self {
         // App queues plus service/collective/passive internal queues.
-        let nqueues = cfg.queues as usize + 3;
+        let nqueues = crate::config::PASSIVE_QUEUE as usize + 1;
         Self {
             segments: SegmentTable::default(),
             queues: (0..nqueues).map(|_| Queue::default()).collect(),

@@ -24,7 +24,9 @@ use std::time::{Duration, Instant};
 
 use gaspi_ft::cluster::{FaultAction, FaultSchedule};
 use gaspi_ft::core::process::{run_supervisor, SupervisorConfig};
-use gaspi_ft::core::{child_env, run_child, run_ft_job, FtConfig, ProcOutcome, WorldLayout};
+use gaspi_ft::core::{
+    child_env, run_child, run_ft_job, EventKind, FtConfig, ProcOutcome, WorldLayout,
+};
 use gaspi_ft::gaspi::{GaspiConfig, GaspiWorld, Timeout};
 use gaspi_ft::matgen::graphene::Graphene;
 use gaspi_ft::solver::ft_lanczos::{FtLanczos, FtLanczosConfig, LanczosSummary};
@@ -181,11 +183,12 @@ fn main() {
         "victim must die by SIGKILL, got {:?}",
         report.outcomes[VICTIM as usize]
     );
+    let count = |pred: fn(&EventKind) -> bool| report.events.all_where(|e| pred(&e.kind)).len();
     println!(
         "  victim SIGKILLed; {} FdDetect / {} GroupRebuilt / {} Restored events",
-        report.events_matching("FdDetect").len(),
-        report.events_matching("GroupRebuilt").len(),
-        report.events_matching("Restored").len(),
+        count(|k| matches!(k, EventKind::FdDetect { .. })),
+        count(|k| matches!(k, EventKind::GroupRebuilt { .. })),
+        count(|k| matches!(k, EventKind::Restored { .. })),
     );
     assert_eq!(healed.len(), WORKERS as usize, "healed run must complete every app rank");
     for (app, (_, alphas, betas)) in &healed {
