@@ -1,7 +1,8 @@
 //! Content-hashed chunking for incremental checkpoints.
 //!
 //! A checkpoint payload is split into fixed-size chunks; each chunk is
-//! identified by its FNV-1a content hash and stored under a
+//! identified by its 64-bit content hash
+//! ([`ft_cluster::codec::content_hash64`]) and stored under a
 //! content-addressed key. A **manifest** per version records the ordered
 //! chunk hash list, the payload length, and a whole-payload checksum, so
 //! any tier holding the manifest plus the referenced chunks can
@@ -22,7 +23,7 @@
 //!   a monotone counter — chunk garbage collection is an explicit
 //!   release list computed against the retained manifests.
 
-use ft_cluster::codec::{fnv1a64, CodecError, Dec, Enc};
+use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc};
 
 /// Default chunk size, and the alignment solvers use for chunk-stable
 /// checkpoint layouts (see `LanczosState::encode` in `ft-solver`).
@@ -51,7 +52,7 @@ pub struct Manifest {
     /// Whether this version was written as a *full* checkpoint (every
     /// chunk freshly written — a chain anchor).
     pub full: bool,
-    /// FNV-1a over the whole payload, verified after reassembly.
+    /// Content hash of the whole payload, verified after reassembly.
     pub checksum: u64,
     /// Content hash of each chunk, in payload order.
     pub chunks: Vec<u64>,
@@ -65,7 +66,7 @@ impl Manifest {
             total_len: payload.len() as u64,
             chunk_size: chunk_size as u32,
             full,
-            checksum: fnv1a64(payload),
+            checksum: content_hash64(payload),
             chunks: chunk_hashes(payload, chunk_size),
         }
     }
@@ -125,7 +126,7 @@ pub fn chunk_range(idx: usize, chunk_size: usize, total_len: usize) -> std::ops:
 /// Content hash of every chunk of `payload`, in order.
 pub fn chunk_hashes(payload: &[u8], chunk_size: usize) -> Vec<u64> {
     assert!(chunk_size >= 1, "chunk_size must be >= 1");
-    payload.chunks(chunk_size).map(fnv1a64).collect()
+    payload.chunks(chunk_size).map(content_hash64).collect()
 }
 
 #[cfg(test)]

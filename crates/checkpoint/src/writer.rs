@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use ft_cluster::codec::fnv1a64;
+use ft_cluster::codec::content_hash64;
 use ft_cluster::{BlobKey, NodeId, NodeStorage, Outcome, Rank, Topology, Transport};
 use ft_gaspi::GaspiProc;
 
@@ -386,7 +386,7 @@ impl Checkpointer {
             total_len: payload.len() as u64,
             chunk_size: s.cfg.chunk_size as u32,
             full,
-            checksum: fnv1a64(&payload),
+            checksum: content_hash64(&payload),
             chunks: hashes.clone(),
         };
         fault.site(s.rank, "ckpt.manifest.write");
@@ -448,8 +448,10 @@ impl Checkpointer {
     }
 
     /// Block until all signaled copies have been replicated (or failed).
-    /// Used by tests and by shutdown; the application itself never calls
-    /// this on the fast path.
+    /// Checkpoint/restart calls this only at finalize, never on the fast
+    /// path; `ft-core`'s `Replicated` strategy calls it after every
+    /// per-iteration commit (a synchronous push), so there the replica
+    /// round trip is on the critical path.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut c = self.shared.pending.lock();
@@ -700,7 +702,7 @@ fn assemble(storage: &NodeStorage, node: NodeId, rank: Rank, tag: u32, version: 
     for c in &parts {
         out.extend_from_slice(c);
     }
-    if fnv1a64(&out) != m.checksum {
+    if content_hash64(&out) != m.checksum {
         return Assembled::Mismatch;
     }
     Assembled::Ok(out)

@@ -9,19 +9,46 @@
 
 use std::fmt;
 
-/// FNV-1a 64-bit hash — the content hash of the incremental checkpoint
-/// pipeline (chunk identity and whole-payload checksums). Dependency-free
-/// and stable across platforms, which is all a *simulated* content store
-/// needs; it is not collision-resistant against adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+/// 64-bit content hash of the incremental checkpoint pipeline (chunk
+/// identity and whole-payload checksums). Word at a time: each 8-byte
+/// little-endian word is folded into a lane by one 64 × 64 → 128-bit
+/// multiply (high half ⊕ low half). Even and odd words go to two lanes,
+/// so the two multiply chains overlap; the lanes are seeded with the
+/// length, so zero padding of the last words cannot alias a shorter
+/// input, and are joined by one more multiply and the SplitMix64
+/// finaliser. Dependency-free and stable across platforms, which is all
+/// a *simulated* content store needs; it is not collision-resistant
+/// against adversaries.
+pub fn content_hash64(bytes: &[u8]) -> u64 {
+    const SEED: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let fold = |x: u64, y: u64| {
+        let p = u128::from(x) * u128::from(y);
+        (p as u64) ^ ((p >> 64) as u64)
+    };
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+    let len = bytes.len() as u64;
+    let [mut a, mut b] = SEED.map(|s| s ^ len);
+    let mut pairs = bytes.chunks_exact(16);
+    for p in &mut pairs {
+        a = fold(a ^ word(&p[..8]), K);
+        b = fold(b ^ word(&p[8..]), K);
     }
-    h
+    let tail = pairs.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 16];
+        last[..tail.len()].copy_from_slice(tail);
+        a = fold(a ^ word(&last[..8]), K);
+        b = fold(b ^ word(&last[8..]), K);
+    }
+    splitmix64(fold(a ^ K, b))
+}
+
+/// The SplitMix64 finaliser: a bijective 64-bit mix.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Decoding failure.
@@ -389,14 +416,80 @@ mod tests {
         assert!(d.align_to(64).is_err());
     }
 
+    /// `n` pseudo-random bytes from `seed` (SplitMix64 stream).
+    fn noise(seed: u64, n: usize) -> Vec<u8> {
+        let mut out: Vec<u8> = (1..=n.div_ceil(8) as u64)
+            .flat_map(|i| {
+                splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).to_le_bytes()
+            })
+            .collect();
+        out.truncate(n);
+        out
+    }
+
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Sensitivity: one flipped bit changes the hash.
-        assert_ne!(fnv1a64(&[0u8; 32]), fnv1a64(&[1u8; 32]));
+    fn content_hash_is_pinned() {
+        // A change here changes every stored chunk key and checksum.
+        assert_eq!(content_hash64(b""), 0x1105_069b_6d94_dd77);
+        assert_eq!(content_hash64(b"gaspi-ft checkpoint chunk"), 0xe4e9_1a69_ae0c_f47f);
+    }
+
+    #[test]
+    fn content_hash_sees_every_single_bit_flip() {
+        let mut chunk = noise(1, 4096);
+        let h = content_hash64(&chunk);
+        for bit in 0..chunk.len() * 8 {
+            chunk[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(content_hash64(&chunk), h, "flip of bit {bit} went unseen");
+            chunk[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn content_hash_sees_an_appended_zero_byte() {
+        let data = noise(2, 4096);
+        let mut lens: Vec<usize> = (0..=64).collect();
+        lens.push(4095);
+        for len in lens {
+            assert_ne!(
+                content_hash64(&data[..len]),
+                content_hash64(&[&data[..len], &[0u8][..]].concat()),
+                "length {len} + one zero byte"
+            );
+        }
+        assert_ne!(content_hash64(&[0u8; 4095]), content_hash64(&[0u8; 4096]));
+    }
+
+    /// ≥ 100 000 distinct chunks, a third of them mostly zero: every
+    /// single-bit chunk, every all-zero length, and section-padded chunks
+    /// (a prefix of f64 values, then zeros to 4 KiB — the shape of
+    /// `LanczosState`'s chunk-aligned sections), plus random chunks.
+    #[test]
+    fn content_hash_has_no_collisions_among_100k_distinct_chunks() {
+        const CHUNK: usize = 4096;
+        let single_bit = (0..CHUNK * 8).map(|bit| {
+            let mut c = vec![0u8; CHUNK];
+            c[bit / 8] = 1 << (bit % 8);
+            c
+        });
+        let all_zero = (0..=CHUNK).map(|len| vec![0u8; len]);
+        let padded = (0..64u64).flat_map(|seed| {
+            (1..=CHUNK / 8).map(move |k| {
+                let mut c: Vec<u8> = (0..k)
+                    .flat_map(|i| (1.0 + (seed * 1000 + i as u64) as f64 * 0.5).to_le_bytes())
+                    .collect();
+                c.resize(CHUNK, 0);
+                c
+            })
+        });
+        let random = (0..CHUNK as u64 * 8).map(|seed| noise(1_000 + seed, CHUNK));
+        let mut seen = std::collections::HashSet::new();
+        let mut n = 0usize;
+        for c in single_bit.chain(all_zero).chain(padded).chain(random) {
+            assert!(seen.insert(content_hash64(&c)), "collision at chunk {n}");
+            n += 1;
+        }
+        assert!(n >= 100_000, "{n} chunks");
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Default model: 20 µs base latency, ~2 GB/s bandwidth, 5 % jitter,
     /// 200 µs break detection. Roughly 1/50 of the paper's timescale.
+    ///
+    /// On Linux the in-memory transport's shard threads run with a timer
+    /// slack of `base / 2`, so an idle delivery lands at most ≈ 10 µs
+    /// (plus the wake-up itself) after its modelled due time, not the
+    /// kernel's default 50 µs.
     pub fn default_sim() -> Self {
         Self {
             base: Duration::from_micros(20),

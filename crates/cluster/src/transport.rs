@@ -86,6 +86,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
+use crate::codec::splitmix64;
 use crate::fault::FaultPlane;
 use crate::metrics::Metrics;
 use crate::time::LatencyModel;
@@ -412,12 +413,9 @@ pub fn default_shards() -> usize {
 /// whose draws depended on lock-acquisition order.
 pub fn stream_jitter_u(seed: u64, src: Rank, queue: QueueId, dst: Rank, n: u64) -> f64 {
     let key = (u64::from(src) << 33) ^ (u64::from(dst) << 1) ^ (u64::from(queue) << 52);
-    let mut x =
-        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    // SplitMix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+    let x = splitmix64(
+        seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n.wrapping_mul(0xD1B5_4A32_D192_ED03),
+    );
     // 53 mantissa bits → uniform in [0, 1).
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -624,6 +622,7 @@ impl SimTransport {
 
     /// One shard's scheduler loop.
     fn run(&self, shard_idx: usize) {
+        set_timer_slack(slack_for(&self.inner.model));
         let shard = &self.inner.shards[shard_idx];
         loop {
             let next = {
@@ -781,6 +780,36 @@ fn schedule_locked(
     entry.due = due;
     st.heap.push(Scheduled { due, seq, env });
 }
+
+/// Timer slack for a shard scheduler thread: half the smallest modelled
+/// latency, so a delivery lands at most `base / 2` after its due time.
+/// Never zero — to the kernel, zero means "back to the 50 µs default".
+fn slack_for(model: &LatencyModel) -> Duration {
+    (model.base / 2).max(Duration::from_nanos(1))
+}
+
+/// Set the calling thread's timer slack. Linux may end a timed futex wait
+/// (the shard's `wait_until`) up to the slack late — 50 µs by default,
+/// more than twice the default model's 20 µs hop. Best effort: a failed
+/// call keeps the default.
+#[cfg(target_os = "linux")]
+fn set_timer_slack(slack: Duration) {
+    use std::ffi::{c_int, c_ulong};
+    const PR_SET_TIMERSLACK: c_int = 29;
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    let ns = c_ulong::try_from(slack.as_nanos()).unwrap_or(c_ulong::MAX);
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long by value and
+    // changes only the calling thread's slack; no memory is shared.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, ns);
+    }
+}
+
+/// Other platforms keep their default timer behaviour.
+#[cfg(not(target_os = "linux"))]
+fn set_timer_slack(_: Duration) {}
 
 /// Terminate a record's work with a non-delivered outcome (or a fan-out
 /// reply that made it home). Never touches an endpoint.
@@ -1210,6 +1239,17 @@ mod tests {
             stream_jitter_u(42, 3, 1, 9, 0).to_bits(),
             stream_jitter_u(42, 9, 1, 3, 0).to_bits()
         );
+    }
+
+    /// The shard's timer slack is half the model's base latency, and
+    /// never the zero that would restore the kernel's 50 µs default.
+    #[test]
+    fn timer_slack_is_half_the_base_latency_and_never_zero() {
+        assert_eq!(slack_for(&LatencyModel::default_sim()), Duration::from_micros(10));
+        let fast = LatencyModel::deterministic_fast();
+        assert_eq!(slack_for(&fast), fast.base / 2);
+        let zero = LatencyModel { base: Duration::ZERO, ..fast };
+        assert_eq!(slack_for(&zero), Duration::from_nanos(1));
     }
 
     /// Per-stream FIFO holds for every shard count, including when ranks
