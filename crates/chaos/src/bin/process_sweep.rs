@@ -90,12 +90,11 @@ fn scenarios(rows: Vec<Scenario>, report: bool) -> ExitCode {
         println!("== {label}: {:?}", row.schedule);
         let out = row.execute(Backend::Process { child_arg: label });
         println!(
-            "  {} in {:?}: killed {:?} (by signal {:?}), {} link ops, {} events",
+            "  {} in {:?}: killed {:?} (by signal {:?}), {} events",
             class_label(&out.outcome),
             out.facts.elapsed,
             out.facts.killed,
             out.facts.by_signal,
-            out.facts.link_ops.len(),
             out.facts.events.snapshot().len(),
         );
         if let Err(why) = &out.outcome {

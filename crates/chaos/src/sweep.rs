@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use ft_cluster::{FaultAction, FaultSchedule, Injection, Rank, SiteRecord};
+use ft_cluster::{FaultSchedule, Injection, Rank, SiteRecord};
 use ft_core::process::{run_supervisor, ProcJobReport, ProcOutcome, SupervisorConfig};
 use ft_core::{run_ft_job, DetectorConfig, EventLog, FtConfig, StrategyKind, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome, Timeout};
@@ -133,9 +133,6 @@ pub struct Facts {
     pub broken: Vec<String>,
     /// The job's event log.
     pub events: EventLog,
-    /// The wall-clock link ops the supervisor lists as enforced (process
-    /// backend only).
-    pub link_ops: Vec<FaultAction>,
     /// Site crossings, capped per `(site, rank)` (in memory only: a rank
     /// process's fault plane dies with it).
     pub log: Vec<SiteRecord>,
@@ -201,7 +198,7 @@ fn process_facts(report: ProcJobReport) -> Facts {
             ProcOutcome::Completed(r) => facts.errored += usize::from(r.error.is_some()),
         }
     }
-    Facts { events: report.events, link_ops: report.link_faults, ..facts }
+    Facts { events: report.events, ..facts }
 }
 
 /// The chaos contract, one statement for both backends: nothing hung or

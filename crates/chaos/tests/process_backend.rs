@@ -51,7 +51,7 @@ fn process_fdkill_end_to_end() {
 }
 
 /// A timed FD↔worker partition mid-solve: link ops must reach the
-/// children (`link_faults` listed, `LinkFault` events), the detector
+/// children (`LinkFault` events), the detector
 /// must observe the partitioned worker, and the final values must equal
 /// the in-memory backend's for the same schedule.
 #[test]
@@ -68,7 +68,7 @@ fn process_asymmetric_partition() {
 }
 
 /// A transient partition healed before the detector's grace expires must
-/// cause no spurious recovery and complete exactly.
+/// reach a child and cause no spurious recovery and complete exactly.
 #[test]
 fn process_heal_before_timeout() {
     run_mode("heal", &[]);

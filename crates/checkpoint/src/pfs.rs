@@ -8,7 +8,6 @@
 //! net. It survives any node failure.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,26 +54,17 @@ struct PfsKey {
 pub struct Pfs {
     cfg: PfsConfig,
     store: Mutex<HashMap<PfsKey, Arc<Vec<u8>>>>,
-    /// Bytes written/read, for overhead accounting.
-    pub bytes_written: AtomicU64,
-    pub bytes_read: AtomicU64,
 }
 
 impl Pfs {
     /// An empty PFS with the given cost model.
     pub fn new(cfg: PfsConfig) -> Arc<Self> {
-        Arc::new(Self {
-            cfg,
-            store: Mutex::new(HashMap::new()),
-            bytes_written: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-        })
+        Arc::new(Self { cfg, store: Mutex::new(HashMap::new()) })
     }
 
     /// Write a checkpoint blob; blocks for the modeled cost.
     pub fn write(&self, rank: Rank, tag: u32, version: u64, data: Arc<Vec<u8>>) {
         std::thread::sleep(self.cfg.cost(data.len()));
-        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.store.lock().insert(PfsKey { rank, tag, version }, data);
     }
 
@@ -82,7 +72,6 @@ impl Pfs {
     pub fn read(&self, rank: Rank, tag: u32, version: u64) -> Option<Arc<Vec<u8>>> {
         let data = self.store.lock().get(&PfsKey { rank, tag, version }).cloned()?;
         std::thread::sleep(self.cfg.cost(data.len()));
-        self.bytes_read.fetch_add(data.len() as u64, Ordering::Relaxed);
         Some(data)
     }
 
@@ -112,7 +101,6 @@ mod tests {
         assert_eq!(pfs.read(3, 1, 10).as_deref(), Some(&vec![1, 2, 3]));
         assert!(pfs.read(9, 1, 1).is_none());
         assert_eq!(pfs.blobs(), 3);
-        assert_eq!(pfs.bytes_written.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //!   failed processes.
 //! * [`storage`] — node-local in-memory storage that is destroyed when its
 //!   node is killed; the neighbor-level checkpoint library builds on it.
-//! * [`metrics`] — cheap atomic counters for messages/bytes/pings.
 //! * [`time`] — the latency model.
 
 #![warn(missing_docs)]
@@ -35,7 +34,6 @@
 pub mod codec;
 pub mod fault;
 pub mod inject;
-pub mod metrics;
 pub mod storage;
 pub mod tcp;
 pub mod time;
@@ -47,7 +45,6 @@ pub use fault::{
     FaultAction, FaultPlane, FaultSchedule, RankKilled, ScheduleTimer, KILLED_EXIT_CODE,
 };
 pub use inject::{site_is_deterministic, Injection, SiteName, SiteRecord};
-pub use metrics::{Metrics, MetricsSnapshot};
 pub use storage::{BlobKey, NodeStorage};
 pub use tcp::TcpTransport;
 pub use time::LatencyModel;

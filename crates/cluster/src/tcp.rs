@@ -72,7 +72,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::fault::FaultPlane;
-use crate::metrics::Metrics;
 use crate::time::LatencyModel;
 use crate::topology::Rank;
 use crate::transport::{Completion, Endpoint, Outcome, QueueId, Transport};
@@ -146,7 +145,6 @@ struct PeerConn {
 struct TcpInner {
     me: Rank,
     fault: Arc<FaultPlane>,
-    metrics: Arc<Metrics>,
     model: LatencyModel,
     /// Rank → listener address, filled by [`TcpTransport::set_peers`].
     peers: Mutex<Vec<Option<SocketAddr>>>,
@@ -223,7 +221,6 @@ impl TcpTransport {
         let inner = Arc::new(TcpInner {
             me,
             fault,
-            metrics: Arc::new(Metrics::default()),
             model,
             peers: Mutex::new(vec![None; num_ranks as usize]),
             conns: Mutex::new(HashMap::new()),
@@ -302,24 +299,14 @@ impl TcpTransport {
     }
 
     /// One wire exchange: register the completion, write the request.
-    fn roundtrip(
-        &self,
-        src: Rank,
-        dst: Rank,
-        queue: QueueId,
-        cost: usize,
-        msg: Vec<u8>,
-        done: Completion,
-    ) {
+    fn roundtrip(&self, src: Rank, dst: Rank, queue: QueueId, msg: Vec<u8>, done: Completion) {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Acquire) {
             done(Outcome::Cancelled, Vec::new());
             return;
         }
-        // Same injection crossing and counters as the simulator's post().
+        // Same injection crossing as the simulator's post().
         inner.fault.site_passive(src, "transport.post");
-        inner.metrics.msg_posted.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.bytes_posted.fetch_add(cost as u64, Ordering::Relaxed);
         if !inner.fault.is_alive(dst) || !inner.fault.link_ok(src, dst) {
             done(Outcome::Broken, Vec::new());
             return;
@@ -444,7 +431,6 @@ fn server_reader(mut stream: TcpStream, inner: Arc<TcpInner>) {
                     }
                     continue;
                 }
-                inner.metrics.msg_delivered.fetch_add(1, Ordering::Relaxed);
                 let reply = inner.dispatch(&f);
                 let resp = Frame {
                     kind: KIND_RESP,
@@ -474,11 +460,11 @@ impl Transport for TcpTransport {
         src: Rank,
         dst: Rank,
         queue: QueueId,
-        cost: usize,
+        _cost: usize,
         msg: Vec<u8>,
         done: Completion,
     ) {
-        self.roundtrip(src, dst, queue, cost, msg, done);
+        self.roundtrip(src, dst, queue, msg, done);
     }
 
     fn call(
@@ -486,20 +472,16 @@ impl Transport for TcpTransport {
         src: Rank,
         dst: Rank,
         queue: QueueId,
-        cost: usize,
+        _cost: usize,
         msg: Vec<u8>,
         done: Completion,
     ) {
         // Every TCP exchange is already a round trip.
-        self.roundtrip(src, dst, queue, cost, msg, done);
+        self.roundtrip(src, dst, queue, msg, done);
     }
 
     fn fault(&self) -> &Arc<FaultPlane> {
         &self.inner.fault
-    }
-
-    fn metrics(&self) -> &Arc<Metrics> {
-        &self.inner.metrics
     }
 
     fn model(&self) -> &LatencyModel {
@@ -569,7 +551,6 @@ mod tests {
         let (out, reply) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(out, Outcome::Delivered);
         assert_eq!(reply, vec![0, 3, 0xAB, 0xCD]);
-        assert_eq!(t0.metrics().msg_posted.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -88,7 +88,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::codec::splitmix64;
 use crate::fault::FaultPlane;
-use crate::metrics::Metrics;
 use crate::time::LatencyModel;
 use crate::topology::Rank;
 
@@ -205,9 +204,6 @@ pub trait Transport: Send + Sync {
 
     /// The fault plane this transport consults for liveness/link state.
     fn fault(&self) -> &Arc<FaultPlane>;
-
-    /// Transport counters.
-    fn metrics(&self) -> &Arc<Metrics>;
 
     /// The latency model in effect (the TCP backend reports the model its
     /// timeouts were derived from; actual latency is the real network's).
@@ -377,7 +373,6 @@ impl Shard {
 struct Inner {
     model: LatencyModel,
     fault: Arc<FaultPlane>,
-    metrics: Arc<Metrics>,
     shards: Vec<Shard>,
     seed: u64,
     shutdown: AtomicBool,
@@ -467,7 +462,6 @@ impl SimTransport {
         let inner = Arc::new(Inner {
             model,
             fault,
-            metrics: Arc::new(Metrics::default()),
             shards: (0..shards).map(|_| Shard::new()).collect(),
             seed,
             shutdown: AtomicBool::new(false),
@@ -494,11 +488,6 @@ impl SimTransport {
     /// The fault plane the transport consults.
     pub fn fault(&self) -> &Arc<FaultPlane> {
         &self.inner.fault
-    }
-
-    /// Transport counters.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.inner.metrics
     }
 
     /// The number of timing-wheel shards (scheduler threads).
@@ -542,8 +531,6 @@ impl SimTransport {
         // Passive: posting also happens on shard threads (nested response
         // posts), which must never unwind with `RankKilled`.
         self.inner.fault.site_passive(env.src, "transport.post");
-        self.inner.metrics.msg_posted.fetch_add(1, Ordering::Relaxed);
-        self.inner.metrics.bytes_posted.fetch_add(env.bytes as u64, Ordering::Relaxed);
         let shard = self.inner.shard_of(env.dst);
         let doomed = {
             let mut st = shard.state.lock();
@@ -581,10 +568,6 @@ impl SimTransport {
             return;
         }
         self.inner.fault.site_passive(envs[0].src, "transport.post");
-        self.inner.metrics.msg_posted.fetch_add(envs.len() as u64, Ordering::Relaxed);
-        let total: u64 = envs.iter().map(|e| e.bytes as u64).sum();
-        self.inner.metrics.bytes_posted.fetch_add(total, Ordering::Relaxed);
-        self.inner.metrics.batch_posts.fetch_add(1, Ordering::Relaxed);
         // Group by shard index, preserving per-shard post order.
         let nshards = self.inner.shards.len();
         let mut by_shard: Vec<Vec<Env>> = (0..nshards).map(|_| Vec::new()).collect();
@@ -662,7 +645,6 @@ impl SimTransport {
             // Initiator died in flight: nobody is left to observe the
             // completion; drop it. (Remote memory effects of *earlier*
             // messages have already happened, as with a real NIC.)
-            self.inner.metrics.msg_dropped_dead_src.fetch_add(1, Ordering::Relaxed);
             return;
         }
         if env.failed {
@@ -671,16 +653,10 @@ impl SimTransport {
             return;
         }
         if fault.is_alive(env.dst) && fault.link_ok(env.src, env.dst) {
-            // Self-deliveries are internal follow-ups; they don't count as
-            // network deliveries.
-            if env.src != env.dst {
-                self.inner.metrics.msg_delivered.fetch_add(1, Ordering::Relaxed);
-            }
             self.execute(env);
         } else {
             // Report the break after the detection delay; the report
             // travels back to the source on the same queue.
-            self.inner.metrics.msg_broken.fetch_add(1, Ordering::Relaxed);
             let delay = self.inner.model.break_detect;
             let Env { src, queue, work, .. } = env;
             self.post_work(Env { src, dst: src, queue, bytes: 0, failed: true, work }, Some(delay));
@@ -910,10 +886,6 @@ impl Transport for SimTransport {
         SimTransport::fault(self)
     }
 
-    fn metrics(&self) -> &Arc<Metrics> {
-        SimTransport::metrics(self)
-    }
-
     fn model(&self) -> &LatencyModel {
         SimTransport::model(self)
     }
@@ -1012,7 +984,6 @@ mod tests {
             }),
         });
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
-        assert_eq!(t.metrics().msg_dropped_dead_src.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1099,19 +1070,6 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(5));
     }
 
-    #[test]
-    fn metrics_count_messages() {
-        let (o, f) = setup(2);
-        let t = o.handle();
-        assert_eq!(send_and_wait(&t, 0, 1, 0), Outcome::Delivered);
-        f.kill_rank(1);
-        assert_eq!(send_and_wait(&t, 0, 1, 0), Outcome::Broken);
-        let m = t.metrics();
-        assert!(m.msg_posted.load(Ordering::Relaxed) >= 2);
-        assert_eq!(m.msg_delivered.load(Ordering::Relaxed), 1);
-        assert_eq!(m.msg_broken.load(Ordering::Relaxed), 1);
-    }
-
     // ---- Transport-trait surface --------------------------------------
 
     /// Echo endpoint: replies with `[src as u8, queue as u8]` + payload.
@@ -1182,9 +1140,9 @@ mod tests {
         assert!(reply.is_empty());
     }
 
-    /// Fan-out posts one batch and reports a per-destination outcome: live
-    /// ranks round-trip an echo, the dead one comes back `Broken` with its
-    /// own rank attached.
+    /// Fan-out reports a per-destination outcome: live ranks round-trip
+    /// an echo, the dead one comes back `Broken` with its own rank
+    /// attached.
     #[test]
     fn call_fanout_reports_per_destination_outcomes() {
         let (o, f) = setup(4);
@@ -1213,8 +1171,6 @@ mod tests {
         assert_eq!(got[1].1, Outcome::Broken);
         assert!(got[1].2.is_empty());
         assert_eq!(got[2], (3, Outcome::Delivered, vec![0, 5, 7]));
-        // The whole batch was one post pass.
-        assert_eq!(t.metrics().batch_posts.load(Ordering::Relaxed), 1);
     }
 
     /// The jitter draw is a pure function of (seed, stream identity, n):

@@ -135,10 +135,10 @@ fn different_seeds_draw_different_schedules() {
 
 #[test]
 fn per_stream_draw_sequences_are_deterministic_under_load() {
-    // Hammer one transport from several threads, then verify via metrics
-    // that nothing about concurrency perturbed the assignment: a second
-    // identical run must observe the identical per-stream FIFO completion
-    // count and the same (pure) draw sequence.
+    // Hammer one transport from several threads, then verify by counting
+    // completions that nothing about concurrency perturbed the assignment:
+    // a second identical run must observe the identical per-stream FIFO
+    // completion count and the same (pure) draw sequence.
     let draws: Vec<u64> = (0..64).map(|n| stream_jitter_u(9, 3, 1, 5, n).to_bits()).collect();
     let again: Vec<u64> = (0..64).map(|n| stream_jitter_u(9, 3, 1, 5, n).to_bits()).collect();
     assert_eq!(draws, again);

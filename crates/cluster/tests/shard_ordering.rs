@@ -3,7 +3,6 @@
 //! every shard count, under genuinely concurrent senders.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -70,11 +69,6 @@ fn run_case(ranks: u32, shards: usize, plans: &[SenderPlan]) {
         assert_eq!(*n, i, "stream {key:?} delivered out of order ({shards} shards)");
         *n += 1;
     }
-    // Self-deliveries (src == dst) complete but are not counted as
-    // network deliveries.
-    let network: usize =
-        plans.iter().map(|p| p.msgs.iter().filter(|&&(d, _, _)| d != p.src).count()).sum();
-    assert_eq!(t.metrics().msg_delivered.load(Ordering::Relaxed) as usize, network);
     drop(owner);
 }
 

@@ -61,50 +61,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// One detection/acknowledgment round, on the job clock.
-#[derive(Debug, Clone)]
-pub struct FdRecovery {
-    /// Epoch this round produced.
-    pub epoch: u64,
-    /// Ranks detected this round.
-    pub detected: Vec<Rank>,
-    /// When the failing pings were confirmed.
-    pub t_detect: Duration,
-    /// When the acknowledgment broadcast finished.
-    pub t_ack: Duration,
-}
-
-/// What the detector did over its lifetime.
-///
-/// The recovery instants are also recorded into the job's [`EventLog`]
-/// (as `FdDetect` / `FdAck` events).
-#[derive(Debug, Clone, Default)]
-pub struct DetectorOutcome {
-    /// Total scans performed.
-    pub scans: u64,
-    /// Durations of *failure-free* scans (the paper's "avg ping scan
-    /// time", Table I).
-    pub scan_times: Vec<Duration>,
-    /// Detection rounds.
-    pub recoveries: Vec<FdRecovery>,
-    /// Set when the FD had to join the workers itself (paper restriction
-    /// 2): the caller must transition into the rescue path with this plan.
-    pub promoted_plan: Option<RecoveryPlan>,
-    /// Set when failures exceeded the spare pool (restriction 1).
-    pub capacity_exhausted: bool,
-}
-
-impl DetectorOutcome {
-    /// Mean failure-free scan time.
-    pub fn avg_scan_time(&self) -> Option<Duration> {
-        if self.scan_times.is_empty() {
-            return None;
-        }
-        let total: Duration = self.scan_times.iter().sum();
-        Some(total / self.scan_times.len() as u32)
-    }
-}
-
 /// One scan — the epoch-batched form of the paper's `glo_health_chk`
 /// (Listing 1): all targets are pinged through one
 /// `Transport::call_fanout` batch (one shard-lock pass, one shared
@@ -146,12 +102,16 @@ pub fn glo_health_chk_graced(
 /// Run the dedicated FD until the application signals completion, the
 /// spare pool forces a promotion, or capacity is exhausted. The control
 /// segment must already exist.
+///
+/// Returns the plan to join the workers with when the FD had to promote
+/// itself (paper restriction 2), `None` after a normal end. What the
+/// detector saw and did is in `events` (`FdDetect`, `FdAck`, …).
 pub fn run_detector(
     proc: &GaspiProc,
     layout: &WorldLayout,
     cfg: &DetectorConfig,
     events: &EventLog,
-) -> FtResult<DetectorOutcome> {
+) -> FtResult<Option<RecoveryPlan>> {
     run_detector_from(proc, layout, cfg, events, None, RecoveryPlan::initial())
 }
 
@@ -169,9 +129,8 @@ pub fn run_detector_from(
     events: &EventLog,
     reserved: Option<Rank>,
     mut plan: RecoveryPlan,
-) -> FtResult<DetectorOutcome> {
+) -> FtResult<Option<RecoveryPlan>> {
     let me = proc.rank();
-    let mut out = DetectorOutcome::default();
     // Ranks the plan in force has not reached: dead and not yet detected,
     // or alive and not yet listening (a spare scheduled so late that its
     // control segment did not exist when the write arrived).
@@ -201,10 +160,9 @@ pub fn run_detector_from(
                 .partition(|&r| done_value != ack::DONE_ABORTED && map.app_of(r).is_some());
             ack::broadcast_shutdown(proc, &stop, ack::ACK_QUEUE, cfg.ack_timeout)?;
             ack::broadcast_finished(proc, &workers, ack::ACK_QUEUE, cfg.ack_timeout)?;
-            return Ok(out);
+            return Ok(None);
         }
 
-        let t0 = Instant::now();
         let mut newly = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
         // Merge worker-reported suspects (the link-fault path): a severed
         // worker↔worker link breaks the workers' one-sided ops while the
@@ -217,10 +175,7 @@ pub fn run_detector_from(
             }
         }
         newly.sort_unstable();
-        let dur = t0.elapsed();
-        out.scans += 1;
         if newly.is_empty() {
-            out.scan_times.push(dur);
             if !unreached.is_empty() {
                 // Everyone answered this scan, so whoever missed the plan
                 // is alive: say it again. (A rank that died since is found
@@ -229,26 +184,20 @@ pub fn run_detector_from(
                     ack::broadcast_plan(proc, &plan, &unreached, ack::ACK_QUEUE, cfg.ack_timeout)?;
             }
         } else {
-            let t_detect = events.now();
             plan = plan.after_failures(layout, &newly, reserved, cfg.designated_shadows);
-            let epoch = plan.epoch;
-            events.record(me, EventKind::FdDetect { epoch, failed: newly.clone() });
+            events.record(me, EventKind::FdDetect { epoch: plan.epoch, failed: newly });
             let alive = alive_targets(layout, &plan, me);
             // The plan is cumulative: the newest is all a straggler needs.
             unreached = announce(proc, cfg, events, &plan, &alive)?;
-            let t_ack = events.now();
-            out.recoveries.push(FdRecovery { epoch, detected: newly, t_detect, t_ack });
 
             if plan.exhausted(layout) {
                 events.record(me, EventKind::CapacityExhausted);
                 ack::broadcast_shutdown(proc, &alive, ack::ACK_QUEUE, cfg.ack_timeout)?;
-                out.capacity_exhausted = true;
                 return Err(FtError::CapacityExhausted);
             }
             if !plan.fd_alive {
                 events.record(me, EventKind::FdPromoted);
-                out.promoted_plan = Some(plan);
-                return Ok(out);
+                return Ok(Some(plan));
             }
         }
 
@@ -285,8 +234,14 @@ fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Ran
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use ft_cluster::{
+        Completion, Endpoint, FanoutCompletion, FaultPlane, LatencyModel, QueueId, SimTransport,
+        Transport, TransportOwner,
+    };
     use ft_gaspi::{GaspiConfig, GaspiWorld};
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn batched_health_chk_matches_sequential() {
@@ -302,20 +257,98 @@ mod tests {
             .copied()
             .filter(|&r| p.proc_ping(r, Timeout::Ms(500)).is_err())
             .collect();
-        let before = world.transport().metrics().batch_posts.load(Ordering::Relaxed);
         let bat = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
         assert_eq!(seq, bat);
         assert_eq!(bat, vec![1, 7, 8]);
-        // One transport batch per scan, not one post per target.
-        assert_eq!(world.transport().metrics().batch_posts.load(Ordering::Relaxed), before + 1);
     }
 
+    /// A simulator that counts the round trips posted through it.
+    struct Counting {
+        sim: SimTransport,
+        fanouts: AtomicUsize,
+        calls: AtomicUsize,
+    }
+
+    impl Transport for Counting {
+        fn bind(&self, rank: Rank, endpoint: Arc<dyn Endpoint>) {
+            self.sim.bind(rank, endpoint);
+        }
+        fn send(&self, s: Rank, d: Rank, q: QueueId, cost: usize, m: Vec<u8>, done: Completion) {
+            self.sim.send(s, d, q, cost, m, done);
+        }
+        fn call(&self, s: Rank, d: Rank, q: QueueId, cost: usize, m: Vec<u8>, done: Completion) {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            self.sim.call(s, d, q, cost, m, done);
+        }
+        fn call_fanout(
+            &self,
+            s: Rank,
+            dsts: &[Rank],
+            q: QueueId,
+            cost: usize,
+            m: Arc<[u8]>,
+            done: FanoutCompletion,
+        ) {
+            self.fanouts.fetch_add(1, Ordering::SeqCst);
+            self.sim.call_fanout(s, dsts, q, cost, m, done);
+        }
+        fn fault(&self) -> &Arc<FaultPlane> {
+            self.sim.fault()
+        }
+        fn model(&self) -> &LatencyModel {
+            self.sim.model()
+        }
+        fn shutdown(&self) {
+            Transport::shutdown(&self.sim);
+        }
+    }
+
+    /// Answers every message with an empty reply: a live target.
+    struct Live;
+    impl Endpoint for Live {
+        fn handle(&self, _: Rank, _: QueueId, _: &[u8]) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    /// A world whose rank `n` is the FD scanning `0..n` over a counting
+    /// simulator; the owner must outlive the world.
+    fn counting_world(n: u32) -> (TransportOwner, Arc<Counting>, GaspiWorld) {
+        let cfg = GaspiConfig::deterministic(n + 1);
+        let fault = FaultPlane::new(cfg.topology());
+        let owner = SimTransport::start(cfg.model.clone(), Arc::clone(&fault), cfg.seed);
+        let t = Arc::new(Counting {
+            sim: owner.handle(),
+            fanouts: AtomicUsize::new(0),
+            calls: AtomicUsize::new(0),
+        });
+        for r in 0..n {
+            t.bind(r, Arc::new(Live));
+        }
+        let world = GaspiWorld::with_transport(cfg, fault, Arc::clone(&t) as _, n);
+        (owner, t, world)
+    }
+
+    /// The scan contract at the seam: a healthy scan of N ranks is one
+    /// fan-out and no single pings; k dead ranks add exactly k verifying
+    /// pings.
     #[test]
-    fn batched_health_chk_all_healthy_is_empty() {
-        let world = GaspiWorld::new(GaspiConfig::deterministic(8));
-        let p = world.proc_handle(7);
-        let targets: Vec<Rank> = (0..7).collect();
+    fn a_scan_is_one_fanout_plus_one_verifying_ping_per_suspect() {
+        const N: u32 = 9;
+        let (_owner, t, world) = counting_world(N);
+        let p = world.proc_handle(N);
+        let targets: Vec<Rank> = (0..N).collect();
+        let counts = || (t.fanouts.load(Ordering::SeqCst), t.calls.load(Ordering::SeqCst));
+
         assert!(glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO).is_empty());
+        assert_eq!(counts(), (1, 0), "(fan-outs, calls) of a healthy scan");
+
+        for r in [1, 7, 8] {
+            world.fault().kill_rank(r);
+        }
+        let failed = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
+        assert_eq!(failed, vec![1, 7, 8]);
+        assert_eq!(counts(), (2, 3), "(fan-outs, calls) after a scan with 3 dead");
     }
 
     #[test]
@@ -335,13 +368,5 @@ mod tests {
         // The same fault without the grace is reported immediately.
         world.fault().break_link(3, 1);
         assert_eq!(glo_health_chk_graced(&p, &[0, 1, 2], Timeout::Ms(20), Duration::ZERO), vec![1]);
-    }
-
-    #[test]
-    fn avg_scan_time() {
-        let mut o = DetectorOutcome::default();
-        assert!(o.avg_scan_time().is_none());
-        o.scan_times = vec![Duration::from_millis(2), Duration::from_millis(4)];
-        assert_eq!(o.avg_scan_time(), Some(Duration::from_millis(3)));
     }
 }

@@ -24,7 +24,7 @@ use ft_gaspi::{
 };
 
 use crate::ack::{self, create_ctrl_segment};
-use crate::detector::{run_detector_from, DetectorConfig, DetectorOutcome};
+use crate::detector::{run_detector_from, DetectorConfig};
 use crate::error::{FtError, FtResult, FtSignal};
 use crate::events::{EventKind, EventLog};
 use crate::health::{CommPolicy, HealthWatch};
@@ -399,8 +399,6 @@ pub struct RankReport<S> {
     pub summary: Option<S>,
     /// Error that ended this rank's run, if any.
     pub error: Option<FtError>,
-    /// Detector statistics (FD rank only).
-    pub detector: Option<DetectorOutcome>,
     /// Job-clock time (the event log's) at which the rank returned.
     pub t_end: Duration,
 }
@@ -450,11 +448,6 @@ impl<S: std::fmt::Debug> JobReport<S> {
             .enumerate()
             .filter_map(|(r, o)| o.was_killed().then_some(r as Rank))
             .collect()
-    }
-
-    /// The detector's statistics, if the FD survived to report them.
-    pub fn detector(&self) -> Option<&DetectorOutcome> {
-        self.completed().into_iter().find_map(|r| r.detector.as_ref())
     }
 
     /// The earliest error that ended a completed rank, by job clock. A rank
@@ -544,21 +537,19 @@ fn run_rank<A: FtApp>(
     let rank = ctx.proc.rank();
     let layout = ctx.layout;
     create_ctrl_segment(&ctx.proc, &layout)?;
-    let report = |role, app_rank, summary, error, detector| {
-        Ok(RankReport { rank, role, app_rank, summary, error, detector, t_end: ctx.events.now() })
+    let report = |role, app_rank, summary, error| {
+        Ok(RankReport { rank, role, app_rank, summary, error, t_end: ctx.events.now() })
     };
     // Activation of a spare (idle, shadow or promoted detector) as a
     // rescue under `plan`: from here on it is a worker. (A detector put
     // the plan out itself; an idle's watch already holds it.)
-    let rescue = |plan: RecoveryPlan, detector| {
+    let rescue = |plan: RecoveryPlan| {
         ctx.watch.adopt(plan.clone());
         match worker_run(&ctx, make_app, schedule, Some(plan)) {
-            Ok(summary) => {
-                report(Role::Rescue, Some(ctx.app_rank()), Some(summary), None, detector)
-            }
+            Ok(summary) => report(Role::Rescue, Some(ctx.app_rank()), Some(summary), None),
             Err(e) => {
                 abort_job(&ctx);
-                report(Role::Rescue, None, None, Some(e), detector)
+                report(Role::Rescue, None, None, Some(e))
             }
         }
     };
@@ -566,13 +557,10 @@ fn run_rank<A: FtApp>(
     if rank == layout.fd_rank() || ctx.cfg.shadow_rank() == Some(rank) {
         // ---- Detector path, primary and shadow alike ---------------------
         match detector_run(&ctx) {
-            Ok(Some(out)) => match out.promoted_plan.clone() {
-                // The FD joins the workers (restriction 2).
-                Some(plan) => rescue(plan, Some(out)),
-                None => report(Role::Detector, None, None, None, Some(out)),
-            },
-            Ok(None) => report(Role::Detector, None, None, None, None),
-            Err(e) => report(Role::Detector, None, None, Some(e), None),
+            // The FD joins the workers (restriction 2).
+            Ok(Some(plan)) => rescue(plan),
+            Ok(None) => report(Role::Detector, None, None, None),
+            Err(e) => report(Role::Detector, None, None, Some(e)),
         }
     } else if rank < layout.num_workers {
         // ---- Worker path ----------------------------------------------
@@ -581,10 +569,10 @@ fn run_rank<A: FtApp>(
             .map(|group| ctx.install(group))
             .and_then(|()| worker_run(&ctx, make_app, schedule, None))
         {
-            Ok(summary) => report(Role::Worker, Some(ctx.app_rank()), Some(summary), None, None),
+            Ok(summary) => report(Role::Worker, Some(ctx.app_rank()), Some(summary), None),
             Err(e) => {
                 abort_job(&ctx);
-                report(Role::Worker, Some(ctx.app_rank()), None, Some(e), None)
+                report(Role::Worker, Some(ctx.app_rank()), None, Some(e))
             }
         }
     } else {
@@ -599,15 +587,15 @@ fn run_rank<A: FtApp>(
             match ctx.watch.check() {
                 Ok(()) => {}
                 Err(FtError::Signal(FtSignal::Shutdown)) => {
-                    return report(Role::Idle, None, None, None, None)
+                    return report(Role::Idle, None, None, None)
                 }
                 // A new worker group: mine to join if the plan names me.
                 Err(FtError::Signal(FtSignal::Recover(plan))) => {
                     if plan.adopted_app_rank(&layout, rank).is_some() {
-                        return rescue(plan, None);
+                        return rescue(plan);
                     }
                 }
-                Err(e) => return report(Role::Idle, None, None, Some(e), None),
+                Err(e) => return report(Role::Idle, None, None, Some(e)),
             }
             if last_fd_check.elapsed() >= fd_check_every {
                 last_fd_check = Instant::now();
@@ -631,7 +619,7 @@ fn run_rank<A: FtApp>(
                                 rank: fd,
                             })),
                         };
-                        return report(Role::Idle, None, None, error, None);
+                        return report(Role::Idle, None, None, error);
                     }
                 }
             }
@@ -643,9 +631,9 @@ fn run_rank<A: FtApp>(
 /// The one detector role, primary and shadow alike: while another rank is
 /// the detector of the plan in force, stand by — keep the plan current and
 /// ping that rank; once this rank is the detector, from the start or by
-/// taking over from a dead one (paper §VIII future work), scan. `None`
-/// when it never came to scanning.
-fn detector_run(ctx: &FtCtx) -> FtResult<Option<DetectorOutcome>> {
+/// taking over from a dead one (paper §VIII future work), scan. `Some`
+/// carries the plan under which this detector must join the workers.
+fn detector_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
     let (proc, layout, cfg) = (&ctx.proc, &ctx.layout, &ctx.cfg.detector);
     loop {
         match ctx.watch.check() {
@@ -666,7 +654,7 @@ fn detector_run(ctx: &FtCtx) -> FtResult<Option<DetectorOutcome>> {
             continue;
         }
         let reserved = ctx.cfg.shadow_rank();
-        return run_detector_from(proc, layout, cfg, &ctx.events, reserved, plan).map(Some);
+        return run_detector_from(proc, layout, cfg, &ctx.events, reserved, plan);
     }
 }
 

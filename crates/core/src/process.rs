@@ -377,11 +377,6 @@ pub struct ProcJobReport {
     /// (the children's job clocks all start at the port map), so the
     /// merged log sorts by time like an in-memory job's.
     pub events: EventLog,
-    /// Wall-clock link ops enforced in-process by the children (each
-    /// endpoint applies them to its local fault plane; the TCP transport
-    /// severs/refuses accordingly). Additive to the per-rank `outcomes`,
-    /// so report consumers can tell a partition run from a kill-only run.
-    pub link_faults: Vec<FaultAction>,
 }
 
 impl ProcJobReport {
@@ -528,8 +523,6 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     let killer = Arc::clone(&host);
     plane.on_kill(move |ev| ev.ranks.iter().for_each(|&r| killer.kill_rank(r)));
     let timer = cfg.schedule.clone().retain_timed(FaultAction::is_kill).start_timer(plane);
-    let link_faults =
-        cfg.schedule.timed_actions().iter().map(|&(_, a)| a).filter(|a| !a.is_kill()).collect();
 
     // Drain each child's stdout on its own thread (children block on full
     // pipes otherwise); the lines are decoded once the child is reaped.
@@ -571,7 +564,7 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
         .zip(readers)
         .map(|(status, reader)| child_outcome(status, &reader.join().unwrap_or_default(), &events))
         .collect();
-    Ok(ProcJobReport { outcomes, events, link_faults })
+    Ok(ProcJobReport { outcomes, events })
 }
 
 /// One rank's outcome from its exit status (`None` = still running at the

@@ -495,8 +495,6 @@ impl GaspiProc {
     pub fn proc_ping(&self, dst: Rank, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.validate_rank(dst)?;
-        let metrics = Arc::clone(self.world.transport.metrics());
-        metrics.pings.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(AtomicU8::new(0));
         let me = self.shared_arc();
         let c1 = Arc::clone(&cell);
@@ -525,7 +523,6 @@ impl GaspiProc {
             _ => Some(Err(GaspiError::Shutdown)),
         });
         if matches!(res, Err(GaspiError::RemoteBroken { .. })) {
-            metrics.ping_errors.fetch_add(1, Ordering::Relaxed);
             self.mark_corrupt(dst);
         }
         res
@@ -546,8 +543,7 @@ impl GaspiProc {
     /// `ft_core::detector::glo_health_chk_graced`). Ranks whose ping
     /// came back broken are marked CORRUPT (matching
     /// [`GaspiProc::proc_ping`], which does not mark on a mere timeout);
-    /// duplicate destinations are pinged once. Metrics count one ping
-    /// (and at most one error) per target.
+    /// duplicate destinations are pinged once.
     pub fn proc_ping_many(&self, dsts: &[Rank], timeout: Timeout) -> GaspiResult<Vec<Rank>> {
         self.check_self();
         for &d in dsts {
@@ -559,8 +555,6 @@ impl GaspiProc {
         if uniq.is_empty() {
             return Ok(Vec::new());
         }
-        let metrics = Arc::clone(self.world.transport.metrics());
-        metrics.pings.fetch_add(uniq.len() as u64, Ordering::Relaxed);
         // One state cell per target: 0 pending, 1 ok, 2 broken, 3 shutdown.
         let states: Arc<Vec<AtomicU8>> = Arc::new(uniq.iter().map(|_| AtomicU8::new(0)).collect());
         let index: std::collections::HashMap<Rank, usize> =
@@ -603,7 +597,6 @@ impl GaspiProc {
             let state = states[i].load(Ordering::Acquire);
             if state != 1 {
                 failed.push(d);
-                metrics.ping_errors.fetch_add(1, Ordering::Relaxed);
                 // Only a *broken* round trip proves the remote corrupt; a
                 // ping still pending at the shared deadline may be a
                 // healthy straggler (proc_ping likewise leaves the state

@@ -19,12 +19,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CkptStats, CopyPolicy, Pfs};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Pfs};
 use ft_core::ckpt::adopt_latest;
 use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
 use ft_gaspi::{GaspiError, SegId, Timeout};
 use ft_matgen::RowGen;
-use ft_sparse::{CommPlan, DistMatrix, HaloStats, RowPartition, SpmvComm};
+use ft_sparse::{CommPlan, DistMatrix, RowPartition, SpmvComm};
 
 use crate::lanczos::LanczosState;
 
@@ -84,11 +84,6 @@ pub struct LanczosSummary {
     pub alphas: Vec<f64>,
     /// Full β history.
     pub betas: Vec<f64>,
-    /// This rank's checkpoint-tier counters (state + plan streams merged),
-    /// read after draining pending neighbor copies.
-    pub ckpt: CkptStats,
-    /// This rank's halo-exchange counters.
-    pub halo: HaloStats,
 }
 
 /// The fault-tolerant Lanczos application.
@@ -252,20 +247,11 @@ impl FtApp for FtLanczos {
 
     fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<LanczosSummary> {
         let state = self.state.take().expect("finalize before setup");
-        // Let in-flight neighbor copies land so the counters reflect the
-        // whole run, then merge both checkpoint streams (state + plan).
-        self.state_ck.drain(self.cfg.fetch_timeout);
-        self.plan_ck.drain(self.cfg.fetch_timeout);
-        let mut ckpt = self.state_ck.stats();
-        ckpt.merge(&self.plan_ck.stats());
-        let halo = self.comm.as_ref().map(SpmvComm::stats).unwrap_or_default();
         Ok(LanczosSummary {
             iters: state.iter,
             eigenvalues: state.eigenvalues(),
             alphas: state.alphas,
             betas: state.betas,
-            ckpt,
-            halo,
         })
     }
 }

@@ -153,10 +153,12 @@ impl LanczosState {
         const A: usize = DEFAULT_CHUNK_SIZE;
         let mut d = Dec::new(buf);
         let iter = d.u64()?;
-        let n_prev = d.u64()? as usize;
-        let n_v = d.u64()? as usize;
-        let n_alphas = d.u64()? as usize;
-        let n_betas = d.u64()? as usize;
+        // The bytes may be a peer's replica: no count may claim more
+        // values than there are bytes left.
+        let n_prev = d.len_prefix(8)?;
+        let n_v = d.len_prefix(8)?;
+        let n_alphas = d.len_prefix(8)?;
+        let n_betas = d.len_prefix(8)?;
         d.align_to(A)?;
         let v_prev = (0..n_prev).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
         d.align_to(A)?;
@@ -215,7 +217,24 @@ mod tests {
         let buf = s.encode();
         let t = LanczosState::decode(&buf).unwrap();
         assert_eq!(s, t);
-        assert!(LanczosState::decode(&buf[..buf.len() - 3]).is_err());
+        for cut in 0..buf.len() {
+            assert!(LanczosState::decode(&buf[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+    }
+
+    /// A state claiming 2^40 α values is refused before anything is sized
+    /// from the count (it used to abort the process).
+    #[test]
+    fn a_forged_count_is_refused_not_allocated() {
+        for forged in 0..4 {
+            let mut e = Enc::new();
+            e.u64(1);
+            for i in 0..4 {
+                e.u64(if i == forged { 1 << 40 } else { 0 });
+            }
+            e.pad_to(DEFAULT_CHUNK_SIZE);
+            assert!(LanczosState::decode(&e.finish()).is_err(), "count {forged} forged");
+        }
     }
 
     #[test]

@@ -35,56 +35,10 @@
 //! pre-rollback iteration tag and is discarded by the next `wait`'s
 //! stale-tag loop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
 use ft_core::{FtCtx, FtResult};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId};
 
 use crate::plan::CommPlan;
-
-/// Point-in-time halo-exchange counters for one rank, carried out of the
-/// rank thread by application summaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HaloStats {
-    /// Completed halo exchanges (one per spMVM iteration).
-    pub exchanges: u64,
-    /// Posted sends-phases (≥ `exchanges`; the surplus is exchanges
-    /// abandoned by a failure between post and wait).
-    pub posts: u64,
-    /// Stale notifications discarded (tags from pre-recovery traffic).
-    pub stale_drops: u64,
-    /// Total nanoseconds between `post` returning and `wait` being
-    /// entered — the window in which halo flight was hidden behind
-    /// compute.
-    pub overlap_ns: u64,
-    /// Total nanoseconds `wait` spent blocked for notifications — the
-    /// part of the flight time the overlap did *not* cover.
-    pub wait_stall_ns: u64,
-}
-
-impl HaloStats {
-    /// Accumulate `other` into `self` (field-wise sum).
-    pub fn merge(&mut self, other: &HaloStats) {
-        self.exchanges += other.exchanges;
-        self.posts += other.posts;
-        self.stale_drops += other.stale_drops;
-        self.overlap_ns += other.overlap_ns;
-        self.wait_stall_ns += other.wait_stall_ns;
-    }
-
-    /// Fraction of the exchange window spent computing rather than
-    /// stalled: `overlap / (overlap + stall)`. 1.0 means the halo was
-    /// always ready when `wait` ran; 0.0 means nothing was hidden (the
-    /// synchronous regime). Reports 1.0 when no time was observed at all.
-    pub fn overlap_efficiency(&self) -> f64 {
-        let window = self.overlap_ns + self.wait_stall_ns;
-        if window == 0 {
-            return 1.0;
-        }
-        self.overlap_ns as f64 / window as f64
-    }
-}
 
 /// Token for a posted-but-not-yet-awaited halo exchange, returned by
 /// [`SpmvComm::post`] and consumed by [`SpmvComm::wait`].
@@ -98,8 +52,6 @@ impl HaloStats {
 pub struct PendingExchange {
     /// The iteration tag the matching `wait` must see.
     tag: u32,
-    /// When `post` returned, for the overlap telemetry.
-    posted_at: Instant,
 }
 
 impl PendingExchange {
@@ -121,16 +73,6 @@ pub struct SpmvComm {
     pub queue: u16,
     /// Per-send staging offsets (slots).
     stage_offsets: Vec<usize>,
-    /// Completed exchanges (telemetry).
-    exchanges: AtomicU64,
-    /// Posted send-phases (telemetry).
-    posts: AtomicU64,
-    /// Stale notification tags dropped (telemetry).
-    stale_drops: AtomicU64,
-    /// Nanoseconds between post and wait (telemetry).
-    overlap_ns: AtomicU64,
-    /// Nanoseconds blocked inside wait (telemetry).
-    wait_stall_ns: AtomicU64,
 }
 
 impl SpmvComm {
@@ -150,28 +92,7 @@ impl SpmvComm {
         }
         proc.segment_create(seg_halo, 8 * plan.halo_len.max(1))?;
         proc.segment_create(seg_stage, 8 * off.max(1))?;
-        Ok(Self {
-            seg_halo,
-            seg_stage,
-            queue,
-            stage_offsets,
-            exchanges: AtomicU64::new(0),
-            posts: AtomicU64::new(0),
-            stale_drops: AtomicU64::new(0),
-            overlap_ns: AtomicU64::new(0),
-            wait_stall_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// Point-in-time readout of this rank's exchange counters.
-    pub fn stats(&self) -> HaloStats {
-        HaloStats {
-            exchanges: self.exchanges.load(Ordering::Relaxed),
-            posts: self.posts.load(Ordering::Relaxed),
-            stale_drops: self.stale_drops.load(Ordering::Relaxed),
-            overlap_ns: self.overlap_ns.load(Ordering::Relaxed),
-            wait_stall_ns: self.wait_stall_ns.load(Ordering::Relaxed),
-        }
+        Ok(Self { seg_halo, seg_stage, queue, stage_offsets })
     }
 
     /// Notification tag for an iteration (non-zero as GASPI requires).
@@ -213,8 +134,7 @@ impl SpmvComm {
                 self.queue,
             )?;
         }
-        self.posts.fetch_add(1, Ordering::Relaxed);
-        Ok(PendingExchange { tag, posted_at: Instant::now() })
+        Ok(PendingExchange { tag })
     }
 
     /// Phase two: await one tagged notification per incoming block
@@ -227,11 +147,6 @@ impl SpmvComm {
         pending: PendingExchange,
         halo_out: &mut Vec<f64>,
     ) -> FtResult<()> {
-        let entered = Instant::now();
-        self.overlap_ns.fetch_add(
-            entered.duration_since(pending.posted_at).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
         let proc = &ctx.proc;
         for recv in &plan.recvs {
             loop {
@@ -240,7 +155,6 @@ impl SpmvComm {
                 if v == pending.tag {
                     break;
                 }
-                self.stale_drops.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Read the full halo.
@@ -251,10 +165,7 @@ impl SpmvComm {
             }
         })?;
         // Flush our writes before the iteration's collectives.
-        ctx.wait_ft(self.queue)?;
-        self.wait_stall_ns.fetch_add(entered.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.exchanges.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        ctx.wait_ft(self.queue)
     }
 
     /// Clear all halo notifications — part of post-recovery rewiring, so
@@ -289,24 +200,5 @@ mod tests {
         assert_ne!(SpmvComm::tag_for_iter(7), SpmvComm::tag_for_iter(8));
         // Wraparound still never zero.
         assert!(SpmvComm::tag_for_iter(u64::from(u32::MAX)) >= 1);
-    }
-
-    #[test]
-    fn stats_merge_and_efficiency() {
-        let mut a = HaloStats {
-            exchanges: 10,
-            posts: 11,
-            stale_drops: 1,
-            overlap_ns: 900,
-            wait_stall_ns: 100,
-        };
-        let b =
-            HaloStats { exchanges: 5, posts: 5, stale_drops: 0, overlap_ns: 100, wait_stall_ns: 0 };
-        a.merge(&b);
-        assert_eq!(a.exchanges, 15);
-        assert_eq!(a.posts, 16);
-        assert_eq!(a.overlap_ns, 1000);
-        assert!((a.overlap_efficiency() - 1000.0 / 1100.0).abs() < 1e-12);
-        assert_eq!(HaloStats::default().overlap_efficiency(), 1.0);
     }
 }

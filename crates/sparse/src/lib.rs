@@ -34,6 +34,6 @@ pub mod plan;
 
 pub use csr::Csr;
 pub use dist::{det_allreduce_sum, DistMatrix, KernelPolicy};
-pub use halo::{HaloStats, PendingExchange, SpmvComm};
+pub use halo::{PendingExchange, SpmvComm};
 pub use partition::RowPartition;
 pub use plan::CommPlan;

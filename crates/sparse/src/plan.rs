@@ -169,22 +169,24 @@ impl CommPlan {
         e.finish()
     }
 
-    /// Decode a checkpointed plan.
+    /// Decode a checkpointed plan. The bytes may come from a peer's
+    /// replica: each block count is bounded by the bytes left (a block
+    /// takes at least 20) before anything is allocated for it.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut d = Dec::new(buf);
         let me = d.u32().ok()?;
         let nparts = d.u32().ok()?;
         let halo_len = d.u64().ok()? as usize;
-        let nr = d.u64().ok()?;
-        let mut recvs = Vec::with_capacity(nr as usize);
+        let nr = d.len_prefix(20).ok()?;
+        let mut recvs = Vec::with_capacity(nr);
         for _ in 0..nr {
             let from = d.u32().ok()?;
             let halo_offset = d.u64().ok()? as usize;
             let cols = d.u64s().ok()?;
             recvs.push(RecvSpec { from, halo_offset, cols });
         }
-        let ns = d.u64().ok()?;
-        let mut sends = Vec::with_capacity(ns as usize);
+        let ns = d.len_prefix(20).ok()?;
+        let mut sends = Vec::with_capacity(ns);
         for _ in 0..ns {
             let to = d.u32().ok()?;
             let dest_offset = d.u64().ok()? as usize;
@@ -232,6 +234,21 @@ mod tests {
         let buf = plan.encode();
         assert_eq!(CommPlan::decode(&buf), Some(plan));
         assert_eq!(CommPlan::decode(&buf[1..]), None);
+        for cut in 0..buf.len() {
+            assert_eq!(CommPlan::decode(&buf[..cut]), None, "prefix of {cut} bytes");
+        }
+    }
+
+    /// A plan claiming 2^40 receive blocks in 24 bytes is refused before
+    /// anything is sized from the count (it used to abort the process).
+    #[test]
+    fn a_forged_block_count_is_refused_not_allocated() {
+        let mut e = Enc::new();
+        e.u32(0).u32(2).u64(0).u64(1 << 40);
+        assert_eq!(CommPlan::decode(&e.finish()), None);
+        let mut e = Enc::new();
+        e.u32(0).u32(2).u64(0).u64(0).u64(1 << 40);
+        assert_eq!(CommPlan::decode(&e.finish()), None);
     }
 
     /// Ring exchange: rank i needs the first row of rank (i+1) % n.

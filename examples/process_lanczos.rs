@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gaspi_ft::cluster::{FaultAction, FaultSchedule};
+use gaspi_ft::cluster::{Dec, Enc, FaultAction, FaultSchedule};
 use gaspi_ft::core::process::{run_supervisor, SupervisorConfig};
 use gaspi_ft::core::{
     child_env, run_child, run_ft_job, EventKind, FtConfig, ProcOutcome, WorldLayout,
@@ -67,36 +67,18 @@ fn app_cfg() -> Arc<FtLanczosConfig> {
 /// histories as little-endian f64 — exactly the bits the parity check
 /// compares.
 fn encode_summary(s: &LanczosSummary) -> Vec<u8> {
-    let mut v = Vec::with_capacity(24 + 8 * (s.alphas.len() + s.betas.len()));
-    v.extend_from_slice(&s.iters.to_le_bytes());
-    for arr in [&s.alphas, &s.betas] {
-        v.extend_from_slice(&(arr.len() as u64).to_le_bytes());
-        for x in arr {
-            v.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    v
+    let mut e = Enc::new();
+    e.u64(s.iters).f64s(&s.alphas).f64s(&s.betas);
+    e.finish()
 }
 
+/// Read a child's summary. The bytes come from another process, so the
+/// decoder bounds each history's length by the bytes left.
 fn decode_summary(b: &[u8]) -> Option<Summary> {
-    fn u64_at(b: &[u8], at: &mut usize) -> Option<u64> {
-        let bytes: [u8; 8] = b.get(*at..*at + 8)?.try_into().ok()?;
-        *at += 8;
-        Some(u64::from_le_bytes(bytes))
-    }
-    fn f64_vec(b: &[u8], at: &mut usize) -> Option<Vec<f64>> {
-        let n = u64_at(b, at)? as usize;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(f64::from_bits(u64_at(b, at)?));
-        }
-        Some(v)
-    }
-    let mut at = 0;
-    let iters = u64_at(b, &mut at)?;
-    let alphas = f64_vec(b, &mut at)?;
-    let betas = f64_vec(b, &mut at)?;
-    (at == b.len()).then_some((iters, alphas, betas))
+    let mut d = Dec::new(b);
+    let summary = (d.u64().ok()?, d.f64s().ok()?, d.f64s().ok()?);
+    d.expect_end().ok()?;
+    Some(summary)
 }
 
 /// Decoded child summary: iteration count plus the α and β histories.
