@@ -18,13 +18,13 @@
 //!   messages are posted with a byte count, acquire a latency from the
 //!   [`time::LatencyModel`] (jitter drawn from counter-based per-stream
 //!   RNG streams, so same-seed runs are bit-identical regardless of thread
-//!   interleaving or shard count), and are delivered (their action closure
-//!   runs) when due. Messages between the same (source, queue, target)
-//!   triple are delivered in FIFO order, like a GASPI queue. Delivery to a
-//!   dead rank or across a broken link completes with
-//!   [`transport::Outcome::Broken`] after a configurable break-detection
-//!   delay — this is what makes `gaspi_proc_ping` return an error for
-//!   failed processes.
+//!   interleaving or shard count), and are delivered (the destination's
+//!   endpoint runs, then the sender's completion) when due. Messages
+//!   between the same (source, queue, target) triple are delivered in FIFO
+//!   order, like a GASPI queue. Delivery to a dead rank or across a broken
+//!   link completes with [`transport::Outcome::Broken`] after a
+//!   configurable break-detection delay — this is what makes
+//!   `gaspi_proc_ping` return an error for failed processes.
 //! * [`storage`] — node-local in-memory storage that is destroyed when its
 //!   node is killed; the neighbor-level checkpoint library builds on it.
 //! * [`time`] — the latency model.
@@ -50,6 +50,6 @@ pub use tcp::TcpTransport;
 pub use time::LatencyModel;
 pub use topology::{NodeId, Rank, Topology};
 pub use transport::{
-    default_shards, stream_jitter_u, Completion, Endpoint, Envelope, FanoutCompletion, Outcome,
-    QueueId, SimTransport, Transport, TransportOwner,
+    default_shards, stream_jitter_u, Completion, Endpoint, FanoutCompletion, Outcome, QueueId,
+    SimTransport, Transport, TransportOwner,
 };

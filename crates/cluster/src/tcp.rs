@@ -27,10 +27,11 @@
 //! Per connection there is one reader thread (responses back to the
 //! caller-side, requests on the server-side); incoming requests are
 //! dispatched to the bound [`Endpoint`] under one process-wide dispatch
-//! lock, which serializes remote accesses the way the simulator's single
-//! scheduler thread does (global atomics stay atomic). TCP gives per-
-//! connection FIFO, which is strictly stronger than the per-`(src, queue,
-//! dst)` order the seam requires.
+//! lock, so the reader threads of different peers never run a handler at
+//! the same time — the per-destination serialization the [`Endpoint`]
+//! contract promises, which the simulator gets from its one shard thread
+//! per rank. TCP gives per-connection FIFO, which is strictly stronger
+//! than the per-`(src, queue, dst)` order the seam requires.
 //!
 //! ## Failure mapping
 //!
@@ -57,7 +58,9 @@
 //!   request and answers a refused frame with a `KIND_RESP_BROKEN`
 //!   response instead of dispatching it, so an *asymmetric* partition
 //!   (only one side's fault plane knows) still breaks the sender's calls
-//!   without killing the connection.
+//!   without killing the connection. A header whose `src` is not a rank of
+//!   the world or whose `dst` is not this rank is refused the same way:
+//!   those ranks are peer bytes, checked before anything indexes by them.
 //! * **Heal** — `HealLink` clears the table; the next send lazily
 //!   reconnects. Severed connections carry a generation counter so a
 //!   stale reader observing the sever's EOF cannot misclassify it as
@@ -150,8 +153,9 @@ struct TcpInner {
     peers: Mutex<Vec<Option<SocketAddr>>>,
     conns: Mutex<HashMap<Rank, Arc<Mutex<PeerConn>>>>,
     endpoints: Mutex<HashMap<Rank, Arc<dyn Endpoint>>>,
-    /// Serializes endpoint dispatch (the TCP analogue of the simulator's
-    /// single scheduler thread) so remote atomics are atomic.
+    /// Serializes endpoint dispatch across the per-peer reader threads
+    /// (the TCP analogue of the simulator's one shard thread per rank):
+    /// the [`Endpoint`] contract.
     dispatch: Mutex<()>,
     /// Accepted (incoming) streams, kept so shutdown can reset them and
     /// peers observe EOF instead of hanging on a silent half-open socket.
@@ -413,11 +417,14 @@ fn server_reader(mut stream: TcpStream, inner: Arc<TcpInner>) {
     loop {
         match read_frame(&mut stream) {
             Ok(f) if f.kind == KIND_REQ => {
-                // Receive-side link check: refuse the frame (don't
-                // dispatch) when *this* rank's fault plane has the
-                // src → dst link down. This is what makes asymmetric
-                // partitions real — the sender's plane may not know.
-                if !inner.fault.link_ok(f.src, f.dst) {
+                // Refuse the frame (don't dispatch) when its header names
+                // a sender outside the world or a receiver other than this
+                // rank, or when *this* rank's fault plane has the
+                // src → dst link down. The link check is what makes
+                // asymmetric partitions real — the sender's plane may not
+                // know.
+                let addressed = f.src < inner.fault.topology().num_ranks() && f.dst == inner.me;
+                if !addressed || !inner.fault.link_ok(f.src, f.dst) {
                     let resp = Frame {
                         kind: KIND_RESP_BROKEN,
                         call_id: f.call_id,
@@ -508,30 +515,31 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::topology::Topology;
+    use crate::transport::tests::{report, send_wait, Echo, OverlapProbe};
     use std::sync::mpsc;
     use std::time::Duration;
 
-    /// Echo endpoint mirroring the SimTransport trait tests.
-    struct Echo;
-    impl Endpoint for Echo {
-        fn handle(&self, src: Rank, queue: QueueId, msg: &[u8]) -> Vec<u8> {
-            let mut out = vec![src as u8, queue as u8];
-            out.extend_from_slice(msg);
-            out
+    /// `n` loopback transports, one per rank, each with its own fault
+    /// plane (the process backend's shape) and an [`Echo`] bound.
+    fn mesh(n: u32) -> Vec<TcpTransport> {
+        let ts: Vec<TcpTransport> = (0..n)
+            .map(|r| {
+                let fault = FaultPlane::new(Topology::one_per_node(n));
+                TcpTransport::listen(r, n, fault, LatencyModel::deterministic_fast()).unwrap()
+            })
+            .collect();
+        let ports: Vec<u16> = ts.iter().map(TcpTransport::port).collect();
+        for (r, t) in (0..).zip(&ts) {
+            t.set_peers(&ports);
+            t.bind(r, Arc::new(Echo));
         }
+        ts
     }
 
     fn pair() -> (TcpTransport, TcpTransport) {
-        let fault0 = FaultPlane::new(Topology::one_per_node(2));
-        let fault1 = FaultPlane::new(Topology::one_per_node(2));
-        let t0 = TcpTransport::listen(0, 2, fault0, LatencyModel::deterministic_fast()).unwrap();
-        let t1 = TcpTransport::listen(1, 2, fault1, LatencyModel::deterministic_fast()).unwrap();
-        let ports = [t0.port(), t1.port()];
-        t0.set_peers(&ports);
-        t1.set_peers(&ports);
-        t0.bind(0, Arc::new(Echo));
-        t1.bind(1, Arc::new(Echo));
-        (t0, t1)
+        let mut ts = mesh(2);
+        let t1 = ts.pop().unwrap();
+        (ts.pop().unwrap(), t1)
     }
 
     #[test]
@@ -556,111 +564,33 @@ mod tests {
     #[test]
     fn self_send_dispatches_inline() {
         let (t0, _t1) = pair();
-        let (tx, rx) = mpsc::channel();
-        t0.send(
-            0,
-            0,
-            1,
-            8,
-            vec![7],
-            Box::new(move |out, reply| {
-                let _ = tx.send((out, reply));
-            }),
-        );
-        let (out, reply) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(out, Outcome::Delivered);
-        assert_eq!(reply, vec![0, 1, 7]);
+        assert_eq!(send_wait(&t0, 0, 0, 1, vec![7]), (Outcome::Delivered, vec![0, 1, 7]));
     }
 
     #[test]
     fn dead_peer_breaks_pending_and_future_sends() {
         let (t0, t1) = pair();
         // Warm up the connection.
-        let (tx, rx) = mpsc::channel();
-        let tx0 = tx.clone();
-        t0.send(
-            0,
-            1,
-            0,
-            0,
-            vec![1],
-            Box::new(move |o, _| {
-                let _ = tx0.send(o);
-            }),
-        );
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Delivered);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![1]).0, Outcome::Delivered);
         // Peer "dies": its transport shuts down and resets connections.
         t1.shutdown();
         drop(t1);
         // The next exchange observes Broken (possibly after the reader
         // notices the reset and breaks the peer for good).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let tx0 = tx.clone();
-            t0.send(
-                0,
-                1,
-                0,
-                0,
-                vec![2],
-                Box::new(move |o, _| {
-                    let _ = tx0.send(o);
-                }),
-            );
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                Outcome::Broken => break,
-                _ if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10))
-                }
-                o => panic!("expected Broken, got {o:?}"),
-            }
+        while send_wait(&t0, 0, 1, 0, vec![2]).0 != Outcome::Broken {
+            assert!(std::time::Instant::now() < deadline, "expected Broken");
+            std::thread::sleep(Duration::from_millis(10));
         }
         // Once broken, it stays broken (fail-stop: no resurrection).
-        let (tx2, rx2) = mpsc::channel();
-        t0.send(
-            0,
-            1,
-            0,
-            0,
-            vec![3],
-            Box::new(move |o, _| {
-                let _ = tx2.send(o);
-            }),
-        );
-        assert_eq!(rx2.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Broken);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![3]).0, Outcome::Broken);
     }
 
     #[test]
     fn locally_known_dead_rank_breaks_fast() {
         let (t0, _t1) = pair();
         t0.fault().kill_rank(1);
-        let (tx, rx) = mpsc::channel();
-        t0.send(
-            0,
-            1,
-            0,
-            0,
-            vec![],
-            Box::new(move |o, _| {
-                let _ = tx.send(o);
-            }),
-        );
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Broken);
-    }
-
-    fn send_once(t: &TcpTransport, src: Rank, dst: Rank, byte: u8) -> (Outcome, Vec<u8>) {
-        let (tx, rx) = mpsc::channel();
-        t.send(
-            src,
-            dst,
-            0,
-            0,
-            vec![byte],
-            Box::new(move |o, r| {
-                let _ = tx.send((o, r));
-            }),
-        );
-        rx.recv_timeout(Duration::from_secs(5)).unwrap()
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![]).0, Outcome::Broken);
     }
 
     /// Breaking a link mid-traffic severs the live connection (sends
@@ -669,11 +599,11 @@ mod tests {
     #[test]
     fn break_link_severs_and_heal_restores() {
         let (t0, _t1) = pair();
-        assert_eq!(send_once(&t0, 0, 1, 1).0, Outcome::Delivered);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![1]).0, Outcome::Delivered);
         t0.fault().break_link(0, 1);
-        assert_eq!(send_once(&t0, 0, 1, 2).0, Outcome::Broken);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![2]).0, Outcome::Broken);
         t0.fault().heal_link(0, 1);
-        let (out, reply) = send_once(&t0, 0, 1, 3);
+        let (out, reply) = send_wait(&t0, 0, 1, 0, vec![3]);
         assert_eq!(out, Outcome::Delivered);
         assert_eq!(reply, vec![0, 0, 3]);
     }
@@ -685,13 +615,13 @@ mod tests {
     #[test]
     fn receive_side_refusal_enforces_asymmetric_partition() {
         let (t0, t1) = pair();
-        assert_eq!(send_once(&t0, 0, 1, 1).0, Outcome::Delivered);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![1]).0, Outcome::Delivered);
         // Break on rank 1's plane only; rank 0 still thinks all is well.
         t1.fault().break_link(0, 1);
         assert!(t0.fault().link_ok(0, 1), "sender's plane is oblivious");
-        assert_eq!(send_once(&t0, 0, 1, 2).0, Outcome::Broken);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![2]).0, Outcome::Broken);
         t1.fault().heal_link(0, 1);
-        let (out, reply) = send_once(&t0, 0, 1, 3);
+        let (out, reply) = send_wait(&t0, 0, 1, 0, vec![3]);
         assert_eq!(out, Outcome::Delivered);
         assert_eq!(reply, vec![0, 0, 3]);
     }
@@ -701,20 +631,11 @@ mod tests {
     #[test]
     fn break_link_drains_inflight_as_broken() {
         let (t0, _t1) = pair();
-        assert_eq!(send_once(&t0, 0, 1, 1).0, Outcome::Delivered);
+        assert_eq!(send_wait(&t0, 0, 1, 0, vec![1]).0, Outcome::Delivered);
         // Stall rank 1's dispatch so a call is parked in `pending`.
         let _block = t1_dispatch_stall(&_t1);
         let (tx, rx) = mpsc::channel();
-        t0.call(
-            0,
-            1,
-            0,
-            0,
-            vec![9],
-            Box::new(move |o, _| {
-                let _ = tx.send(o);
-            }),
-        );
+        t0.call(0, 1, 0, 0, vec![9], report(tx));
         // Give the frame time to hit the wire, then break.
         std::thread::sleep(Duration::from_millis(50));
         t0.fault().break_link(0, 1);
@@ -749,5 +670,60 @@ mod tests {
             assert_eq!(out, Outcome::Delivered);
             assert_eq!(reply, vec![0, (i % 5) as u8, i as u8]);
         }
+    }
+
+    /// A request whose header names a rank outside the world, or a
+    /// receiver other than the listener's rank, is refused like a broken
+    /// link: answered `KIND_RESP_BROKEN`, not dispatched, and the
+    /// connection keeps serving the well-formed frame behind it.
+    #[test]
+    fn forged_header_ranks_are_refused_and_the_connection_survives() {
+        let (_t0, t1) = pair();
+        let mut raw = TcpStream::connect(t1.inner.local_addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let req = |call_id, src, dst| Frame {
+            kind: KIND_REQ,
+            call_id,
+            src,
+            dst,
+            queue: 0,
+            payload: vec![7],
+        };
+        for (call_id, src, dst) in [(1, 1000, 1), (2, 0, 1000), (3, 0, 0), (4, 0, 1)] {
+            write_frame(&mut raw, &req(call_id, src, dst)).unwrap();
+            let resp = read_frame(&mut raw).expect("every request is answered");
+            assert_eq!(resp.call_id, call_id);
+            if call_id < 4 {
+                assert_eq!((resp.kind, resp.payload), (KIND_RESP_BROKEN, vec![]));
+            } else {
+                assert_eq!((resp.kind, resp.payload), (KIND_RESP, vec![0, 0, 7]));
+            }
+        }
+    }
+
+    /// Ranks 0 and 1 flood rank 2 at once: two server reader threads, one
+    /// handler that never runs twice at once (the dispatch lock).
+    #[test]
+    fn handler_calls_from_two_peers_never_overlap() {
+        const PER_SENDER: usize = 200;
+        let ts = mesh(3);
+        let probe = Arc::new(OverlapProbe::default());
+        ts[2].bind(2, Arc::clone(&probe) as Arc<dyn Endpoint>);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            for (src, t) in (0..2).zip(&ts) {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    for _ in 0..PER_SENDER {
+                        t.send(src, 2, 0, 0, Vec::new(), report(tx.clone()));
+                    }
+                });
+            }
+        });
+        for _ in 0..2 * PER_SENDER {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Delivered);
+        }
+        assert_eq!(probe.calls.load(Ordering::SeqCst), 2 * PER_SENDER);
+        assert_eq!(probe.overlaps.load(Ordering::SeqCst), 0);
     }
 }

@@ -9,14 +9,14 @@
 //!
 //! * [`Transport::bind`] registers the per-rank [`Endpoint`] that services
 //!   incoming messages — the GASPI layer's endpoint decodes RDMA puts,
-//!   reads, pings, atomics, collective tokens from the payload and applies
-//!   them to the rank's segments.
+//!   pings, kills, passive messages and collective tokens from the payload
+//!   and applies them to the rank's state.
 //! * [`Transport::send`] is fire-and-forget with a completion: the remote
 //!   endpoint runs at delivery, its (small) reply travels back with the
 //!   [`Completion`], and the completion observes [`Outcome::Broken`] when
 //!   the destination is dead or unreachable.
 //! * [`Transport::call`] is a round trip: the reply is itself subject to
-//!   transport latency/failure on the way back (RDMA read semantics).
+//!   transport latency/failure on the way back (a ping's pong leg).
 //! * [`Transport::call_fanout`] posts one request to many destinations in
 //!   a single pass — the epoch-batched scan primitive the fault detector
 //!   uses to amortize one traversal of liveness state over all targets.
@@ -27,10 +27,6 @@
 //! binary RPC over TCP, real `SIGKILL` death).
 //!
 //! ## SimTransport semantics
-//!
-//! Every message is an [`Envelope`]: source, destination, queue id, a
-//! payload byte count (for the latency model), and an *action* closure that
-//! runs when the message is delivered.
 //!
 //! * **Latency.** Delivery happens `latency(bytes)` (± jitter) after the
 //!   post. Latency is modeled by *timestamps*, not by executing slowly:
@@ -43,13 +39,13 @@
 //!   writes on the same queue/target). Different streams are unordered.
 //! * **Failures.** At *delivery time* the transport consults the
 //!   [`FaultPlane`]: if the destination is dead or the directed link is
-//!   broken, the action runs with [`Outcome::Broken`] after an additional
-//!   break-detection delay. If the *source* died after posting, the
-//!   message is dropped silently (the initiator no longer exists to
+//!   broken, the completion runs with [`Outcome::Broken`] after an
+//!   additional break-detection delay. If the *source* died after posting,
+//!   the message is dropped silently (the initiator no longer exists to
 //!   observe a completion) — though its remote effects may still have
 //!   happened earlier, as with real RDMA.
 //! * **Shutdown.** Dropping the [`TransportOwner`] stops the scheduler
-//!   threads; undelivered actions run with [`Outcome::Cancelled`] so
+//!   threads; undelivered messages complete with [`Outcome::Cancelled`] so
 //!   resources waiting on them unblock.
 //!
 //! ## Sharding and determinism
@@ -63,8 +59,7 @@
 //!   per-stream FIFO needs no cross-shard coordination;
 //! * all deliveries *to* one rank are executed by exactly one scheduler
 //!   thread, which serializes [`Endpoint::handle`] per destination rank —
-//!   the property that keeps GASPI's remote atomics atomic (they only
-//!   ever touch the destination rank's own segment state);
+//!   the [`Endpoint`] contract (see there);
 //! * a node kill invalidates messages of exactly one shard's worth of
 //!   co-located ranks.
 //!
@@ -123,16 +118,19 @@ pub type Completion = Box<dyn FnOnce(Outcome, Vec<u8>) + Send>;
 pub type FanoutCompletion = Arc<dyn Fn(Rank, Outcome, Vec<u8>) + Send + Sync>;
 
 /// Per-rank message handler: the receiving side of the seam. The GASPI
-/// runtime binds one per rank; it decodes the payload (put/read/ping/…)
+/// runtime binds one per rank; it decodes the payload (put/ping/…)
 /// against that rank's own state and returns the reply bytes.
 ///
 /// `handle` runs on a transport-internal thread and is serialized *per
 /// destination rank* by every backend (the sim delivers all of a rank's
 /// messages from the one shard thread owning that rank's node group; the
-/// TCP backend holds its process-wide dispatch lock), which is what makes
-/// GASPI's remote atomics atomic — they only touch the destination rank's
-/// own segment state. It must never block on transport completions and
-/// must never unwind.
+/// TCP backend holds its process-wide dispatch lock). A handler's
+/// multi-step update therefore never interleaves with another message to
+/// the same rank: the checkpoint service applies a replica copy's chunks →
+/// manifest → prune → GC sequence whole before it serves the next fetch
+/// or copy, and a write-notify's data and notification are both in place
+/// before the next message to that rank is handled. It must never block
+/// on transport completions and must never unwind.
 pub trait Endpoint: Send + Sync {
     /// Service one incoming message from `src` on `queue`.
     fn handle(&self, src: Rank, queue: QueueId, msg: &[u8]) -> Vec<u8>;
@@ -213,27 +211,6 @@ pub trait Transport: Send + Sync {
     fn shutdown(&self);
 }
 
-/// Action executed at delivery time, on the owning shard's scheduler
-/// thread. It receives a transport handle so it can post follow-up
-/// messages (pong replies, collective forwarding).
-pub type Action = Box<dyn FnOnce(&SimTransport, Outcome) + Send>;
-
-/// A message in flight.
-pub struct Envelope {
-    /// Posting rank.
-    pub src: Rank,
-    /// Destination rank.
-    pub dst: Rank,
-    /// Stream/queue id — messages on the same `(src, queue, dst)` stream
-    /// deliver in post order.
-    pub queue: QueueId,
-    /// Payload size used by the latency model (the data itself lives in
-    /// the action closure).
-    pub bytes: usize,
-    /// Runs at delivery.
-    pub action: Action,
-}
-
 /// Payload bytes carried by the built-in send/call work kinds: either an
 /// owned buffer or a batch-shared one (a fan-out posts *one* allocation
 /// for all destinations).
@@ -252,13 +229,10 @@ impl std::ops::Deref for MsgBuf {
     }
 }
 
-/// What to do when a scheduled record comes due. `Send`/`Call`/`Reply`
-/// exist so the hot path carries the caller's completion directly instead
-/// of allocating a wrapper closure per message (the pre-shard design
-/// boxed an adapter `Action` around every `Completion`).
+/// What to do when a scheduled record comes due. Each variant carries the
+/// caller's completion directly instead of a wrapper closure per message
+/// (the pre-shard design boxed an adapter around every `Completion`).
 enum Work {
-    /// Raw action closure ([`SimTransport::post`]).
-    Act(Action),
     /// [`Transport::send`]: run the endpoint, reply rides back for free.
     Send { msg: MsgBuf, done: Completion },
     /// [`Transport::call`] request leg: run the endpoint, then schedule
@@ -275,8 +249,9 @@ enum Work {
     FanoutReply { reply: Vec<u8>, done: FanoutCompletion, for_dst: Rank },
 }
 
-/// Internal scheduled record: an envelope's fields plus its work and the
-/// failure flag a break-detection follow-up carries back to the source.
+/// Internal scheduled record: the message's addressing and cost, its work,
+/// and the failure flag a break-detection follow-up carries back to the
+/// source.
 struct Env {
     src: Rank,
     dst: Rank,
@@ -416,8 +391,8 @@ pub fn stream_jitter_u(seed: u64, src: Rank, queue: QueueId, dst: Rank, n: u64) 
 }
 
 /// Cheap-to-clone handle to the simulated interconnect. The scheduler
-/// threads are owned by [`TransportOwner`]; handles stay valid (but post
-/// cancelled messages) after shutdown.
+/// threads are owned by [`TransportOwner`]; handles stay valid (but
+/// cancel what they send) after shutdown.
 #[derive(Clone)]
 pub struct SimTransport {
     inner: Arc<Inner>,
@@ -428,14 +403,15 @@ pub struct SimTransport {
 ///
 /// Teardown ordering contract: `stop()` first requests shutdown, then
 /// joins every shard thread. Each shard's final act is to drain its wheel
-/// and run every still-queued action with [`Outcome::Cancelled`] —
-/// *outside* the shard lock, so a cancelled action may itself post (its
-/// follow-up runs inline, also cancelled) without deadlocking. A post
-/// that races shutdown re-checks the flag under the shard lock and drains
-/// the shard itself if the scheduler already exited, so no action is ever
-/// leaked. By the time `stop()` returns, every action that was ever
-/// posted has run exactly once and the threads are gone; owners must
-/// therefore be dropped *before* the state those actions reference.
+/// and run every still-queued completion with [`Outcome::Cancelled`] —
+/// *outside* the shard lock, so a cancelled completion may itself send
+/// (its follow-up completes inline, also cancelled) without deadlocking. A
+/// send that races shutdown re-checks the flag under the shard lock and
+/// drains the shard itself if the scheduler already exited, so no
+/// completion is ever leaked. By the time `stop()` returns, every
+/// completion of a message ever sent has run exactly once and the threads
+/// are gone; owners must therefore be dropped *before* the state those
+/// completions reference.
 pub struct TransportOwner {
     t: SimTransport,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -500,32 +476,14 @@ impl SimTransport {
         self.inner.endpoints.read().get(rank as usize).cloned().flatten()
     }
 
-    /// Post a message. Returns immediately; the action runs on the owning
-    /// shard's scheduler thread when the message is due. Posting after
-    /// shutdown runs the action inline with [`Outcome::Cancelled`].
-    pub fn post(&self, env: Envelope) {
-        let Envelope { src, dst, queue, bytes, action } = env;
-        self.post_work(
-            Env { src, dst, queue, bytes, failed: false, work: Work::Act(action) },
-            None,
-        );
-    }
-
-    /// Post with an explicit one-way delay instead of the model's latency
-    /// (used for timed follow-ups and tests).
-    pub fn post_after(&self, env: Envelope, delay: Duration) {
-        let Envelope { src, dst, queue, bytes, action } = env;
-        self.post_work(
-            Env { src, dst, queue, bytes, failed: false, work: Work::Act(action) },
-            Some(delay),
-        );
-    }
-
-    /// Shared post path. `delay: None` means "charge the latency model
-    /// (with the stream's deterministic jitter draw)".
+    /// Shared post path: returns immediately; the work runs on the owning
+    /// shard's scheduler thread when the record is due, or inline with
+    /// [`Outcome::Cancelled`] after shutdown. `delay: None` means "charge
+    /// the latency model (with the stream's deterministic jitter draw)";
+    /// the break report passes the detection delay instead.
     fn post_work(&self, env: Env, delay: Option<Duration>) {
         if self.inner.shutdown.load(Ordering::Acquire) {
-            fire(self, env.work, Outcome::Cancelled);
+            fire(env.work, Outcome::Cancelled);
             return;
         }
         // Passive: posting also happens on shard threads (nested response
@@ -548,7 +506,7 @@ impl SimTransport {
         match doomed {
             Some(heap) => {
                 for s in heap {
-                    fire(self, s.env.work, Outcome::Cancelled);
+                    fire(s.env.work, Outcome::Cancelled);
                 }
             }
             None => shard.cv.notify_one(),
@@ -563,7 +521,7 @@ impl SimTransport {
         }
         if self.inner.shutdown.load(Ordering::Acquire) {
             for env in envs {
-                fire(self, env.work, Outcome::Cancelled);
+                fire(env.work, Outcome::Cancelled);
             }
             return;
         }
@@ -595,7 +553,7 @@ impl SimTransport {
             match doomed {
                 Some(heap) => {
                     for s in heap {
-                        fire(self, s.env.work, Outcome::Cancelled);
+                        fire(s.env.work, Outcome::Cancelled);
                     }
                 }
                 None => shard.cv.notify_one(),
@@ -613,12 +571,12 @@ impl SimTransport {
                 loop {
                     if self.inner.shutdown.load(Ordering::Acquire) {
                         // Drain: cancel everything still queued in this
-                        // shard (outside the lock — cancelled actions may
-                        // post follow-ups, which cancel inline).
+                        // shard (outside the lock — cancelled completions
+                        // may send follow-ups, which cancel inline).
                         let heap = std::mem::take(&mut st.heap);
                         drop(st);
                         for s in heap {
-                            fire(self, s.env.work, Outcome::Cancelled);
+                            fire(s.env.work, Outcome::Cancelled);
                         }
                         return;
                     }
@@ -649,7 +607,7 @@ impl SimTransport {
         }
         if env.failed {
             // The delayed break report arriving back at the source.
-            fire(self, env.work, Outcome::Broken);
+            fire(env.work, Outcome::Broken);
             return;
         }
         if fault.is_alive(env.dst) && fault.link_ok(env.src, env.dst) {
@@ -667,7 +625,6 @@ impl SimTransport {
     fn execute(&self, env: Env) {
         let Env { src, dst, queue, work, .. } = env;
         match work {
-            Work::Act(action) => action(self, Outcome::Delivered),
             Work::Send { msg, done } => {
                 let reply = match self.endpoint(dst) {
                     Some(ep) => ep.handle(src, queue, &msg),
@@ -718,11 +675,15 @@ impl SimTransport {
         }
     }
 
-    /// Request shutdown (queued actions cancel). Prefer dropping the
+    /// Request shutdown (queued messages cancel). Prefer dropping the
     /// [`TransportOwner`], which also joins the scheduler threads.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         for shard in &self.inner.shards {
+            // Notify under the shard lock: a scheduler between its flag
+            // check and its wait would otherwise sleep through the wake-up
+            // until its next due time.
+            let _st = shard.state.lock();
             shard.cv.notify_all();
         }
     }
@@ -789,10 +750,9 @@ fn set_timer_slack(_: Duration) {}
 
 /// Terminate a record's work with a non-delivered outcome (or a fan-out
 /// reply that made it home). Never touches an endpoint.
-fn fire(t: &SimTransport, work: Work, out: Outcome) {
+fn fire(work: Work, out: Outcome) {
     debug_assert_ne!(out, Outcome::Delivered);
     match work {
-        Work::Act(action) => action(t, out),
         Work::Send { done, .. } | Work::Call { done, .. } | Work::Reply { done, .. } => {
             done(out, Vec::new());
         }
@@ -921,9 +881,10 @@ impl Drop for TransportOwner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::topology::Topology;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
     fn setup(n: u32) -> (TransportOwner, Arc<FaultPlane>) {
@@ -932,57 +893,73 @@ mod tests {
         (t, fault)
     }
 
-    fn send_and_wait(t: &SimTransport, src: Rank, dst: Rank, queue: QueueId) -> Outcome {
+    /// A transport whose every message is due an hour after it is sent,
+    /// so whatever is sent is still in flight at shutdown.
+    fn setup_stalled(n: u32) -> TransportOwner {
+        let model =
+            LatencyModel { base: Duration::from_secs(3600), ..LatencyModel::deterministic_fast() };
+        SimTransport::start(model, FaultPlane::new(Topology::one_per_node(n)), 42)
+    }
+
+    /// A completion that forwards its outcome into `tx`.
+    pub(crate) fn report(tx: mpsc::Sender<Outcome>) -> Completion {
+        Box::new(move |out, _| {
+            let _ = tx.send(out);
+        })
+    }
+
+    /// Send `msg` and wait for the completion's outcome and reply. With no
+    /// endpoint bound, a sim send completes on the destination's shard
+    /// thread at the message's due time with an empty reply.
+    pub(crate) fn send_wait(
+        t: &dyn Transport,
+        src: Rank,
+        dst: Rank,
+        queue: QueueId,
+        msg: Vec<u8>,
+    ) -> (Outcome, Vec<u8>) {
         let (tx, rx) = mpsc::channel();
-        t.post(Envelope {
+        t.send(
             src,
             dst,
             queue,
-            bytes: 8,
-            action: Box::new(move |_, out| {
-                let _ = tx.send(out);
+            msg.len(),
+            msg,
+            Box::new(move |out, reply| {
+                let _ = tx.send((out, reply));
             }),
-        });
-        rx.recv_timeout(Duration::from_secs(5)).expect("delivery")
+        );
+        rx.recv_timeout(Duration::from_secs(5)).expect("completion")
     }
 
     #[test]
     fn delivers_to_live_rank() {
         let (o, _f) = setup(2);
-        assert_eq!(send_and_wait(&o.handle(), 0, 1, 0), Outcome::Delivered);
+        assert_eq!(send_wait(&o.handle(), 0, 1, 0, vec![]).0, Outcome::Delivered);
     }
 
     #[test]
     fn breaks_to_dead_rank() {
         let (o, f) = setup(2);
         f.kill_rank(1);
-        assert_eq!(send_and_wait(&o.handle(), 0, 1, 0), Outcome::Broken);
+        assert_eq!(send_wait(&o.handle(), 0, 1, 0, vec![]).0, Outcome::Broken);
     }
 
     #[test]
     fn breaks_on_broken_link_even_if_alive() {
         let (o, f) = setup(2);
         f.break_link_directed(0, 1);
-        assert_eq!(send_and_wait(&o.handle(), 0, 1, 0), Outcome::Broken);
+        assert_eq!(send_wait(&o.handle(), 0, 1, 0, vec![]).0, Outcome::Broken);
         // Reverse direction still fine.
-        assert_eq!(send_and_wait(&o.handle(), 1, 0, 0), Outcome::Delivered);
+        assert_eq!(send_wait(&o.handle(), 1, 0, 0, vec![]).0, Outcome::Delivered);
     }
 
     #[test]
     fn drops_when_source_is_dead() {
         let (o, f) = setup(2);
         f.kill_rank(0);
-        let t = o.handle();
-        let (tx, rx) = mpsc::channel::<Outcome>();
-        t.post(Envelope {
-            src: 0,
-            dst: 1,
-            queue: 0,
-            bytes: 0,
-            action: Box::new(move |_, out| {
-                let _ = tx.send(out);
-            }),
-        });
+        let (tx, rx) = mpsc::channel();
+        o.handle().send(0, 1, 0, 0, Vec::new(), report(tx));
         assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
@@ -993,64 +970,49 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         // Large first message, tiny second: without the stream watermark the
         // second would be due earlier.
-        for (i, bytes) in [(0u32, 1_000_000usize), (1, 0)] {
+        for (i, cost) in [(0u32, 1_000_000usize), (1, 0)] {
             let tx = tx.clone();
-            t.post(Envelope {
-                src: 0,
-                dst: 1,
-                queue: 3,
-                bytes,
-                action: Box::new(move |_, _| {
+            t.send(
+                0,
+                1,
+                3,
+                cost,
+                Vec::new(),
+                Box::new(move |_, _| {
                     let _ = tx.send(i);
                 }),
-            });
+            );
         }
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 0);
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 1);
     }
 
     #[test]
-    fn action_can_post_followup() {
+    fn completion_can_send_followup() {
         let (o, _f) = setup(3);
+        let t = o.handle();
         let (tx, rx) = mpsc::channel();
-        o.handle().post(Envelope {
-            src: 0,
-            dst: 1,
-            queue: 0,
-            bytes: 0,
-            action: Box::new(move |tr, out| {
+        let t2 = t.clone();
+        t.send(
+            0,
+            1,
+            0,
+            0,
+            Vec::new(),
+            Box::new(move |out, _| {
                 assert_eq!(out, Outcome::Delivered);
                 // pong back
-                tr.post(Envelope {
-                    src: 1,
-                    dst: 0,
-                    queue: 0,
-                    bytes: 0,
-                    action: Box::new(move |_, out2| {
-                        let _ = tx.send(out2);
-                    }),
-                });
+                t2.send(1, 0, 0, 0, Vec::new(), report(tx));
             }),
-        });
+        );
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Delivered);
     }
 
     #[test]
     fn shutdown_cancels_pending() {
-        let (o, _f) = setup(2);
+        let o = setup_stalled(2);
         let (tx, rx) = mpsc::channel();
-        o.handle().post_after(
-            Envelope {
-                src: 0,
-                dst: 1,
-                queue: 0,
-                bytes: 0,
-                action: Box::new(move |_, out| {
-                    let _ = tx.send(out);
-                }),
-            },
-            Duration::from_secs(3600),
-        );
+        o.handle().send(0, 1, 0, 0, Vec::new(), report(tx));
         o.shutdown();
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Cancelled);
     }
@@ -1066,14 +1028,14 @@ mod tests {
         };
         let o = SimTransport::start(model, fault, 1);
         let start = Instant::now();
-        assert_eq!(send_and_wait(&o.handle(), 0, 1, 0), Outcome::Delivered);
+        assert_eq!(send_wait(&o.handle(), 0, 1, 0, vec![]).0, Outcome::Delivered);
         assert!(start.elapsed() >= Duration::from_millis(5));
     }
 
     // ---- Transport-trait surface --------------------------------------
 
     /// Echo endpoint: replies with `[src as u8, queue as u8]` + payload.
-    struct Echo;
+    pub(crate) struct Echo;
     impl Endpoint for Echo {
         fn handle(&self, src: Rank, queue: QueueId, msg: &[u8]) -> Vec<u8> {
             let mut out = vec![src as u8, queue as u8];
@@ -1082,25 +1044,64 @@ mod tests {
         }
     }
 
+    /// Counts `handle` calls, and calls that began while another was
+    /// still running. Each call stays inside for 20 µs, long enough for a
+    /// second delivery thread to be caught overlapping it.
+    #[derive(Default)]
+    pub(crate) struct OverlapProbe {
+        inside: AtomicUsize,
+        pub(crate) overlaps: AtomicUsize,
+        pub(crate) calls: AtomicUsize,
+    }
+    impl Endpoint for OverlapProbe {
+        fn handle(&self, _src: Rank, _queue: QueueId, _msg: &[u8]) -> Vec<u8> {
+            if self.inside.fetch_add(1, Ordering::SeqCst) != 0 {
+                self.overlaps.fetch_add(1, Ordering::SeqCst);
+            }
+            let until = Instant::now() + Duration::from_micros(20);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            self.inside.fetch_sub(1, Ordering::SeqCst);
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            Vec::new()
+        }
+    }
+
+    /// Four threads flood one rank of a 4-shard wheel: its handler never
+    /// runs twice at once, because one shard thread delivers to it.
+    #[test]
+    fn handler_calls_to_one_rank_never_overlap() {
+        const PER_SENDER: usize = 200;
+        let fault = FaultPlane::new(Topology::one_per_node(5));
+        let o = SimTransport::start_sharded(LatencyModel::deterministic_fast(), fault, 3, 4);
+        let t = o.handle();
+        let probe = Arc::new(OverlapProbe::default());
+        t.bind(4, Arc::clone(&probe) as Arc<dyn Endpoint>);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            for src in 0..4 {
+                let (t, tx) = (t.clone(), tx.clone());
+                s.spawn(move || {
+                    for i in 0..PER_SENDER {
+                        t.send(src, 4, (i % 3) as QueueId, 8, Vec::new(), report(tx.clone()));
+                    }
+                });
+            }
+        });
+        for _ in 0..4 * PER_SENDER {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Delivered);
+        }
+        assert_eq!(probe.calls.load(Ordering::SeqCst), 4 * PER_SENDER);
+        assert_eq!(probe.overlaps.load(Ordering::SeqCst), 0);
+    }
+
     #[test]
     fn trait_send_runs_endpoint_and_returns_reply() {
         let (o, _f) = setup(2);
-        let t: Arc<dyn Transport> = Arc::new(o.handle());
+        let t = o.handle();
         t.bind(1, Arc::new(Echo));
-        let (tx, rx) = mpsc::channel();
-        t.send(
-            0,
-            1,
-            3,
-            16,
-            vec![0xAA],
-            Box::new(move |out, reply| {
-                let _ = tx.send((out, reply));
-            }),
-        );
-        let (out, reply) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(out, Outcome::Delivered);
-        assert_eq!(reply, vec![0, 3, 0xAA]);
+        assert_eq!(send_wait(&t, 0, 1, 3, vec![0xAA]), (Outcome::Delivered, vec![0, 3, 0xAA]));
     }
 
     #[test]
@@ -1227,16 +1228,12 @@ mod tests {
             for i in 0..PER_STREAM {
                 for dst in [1u32, 5] {
                     let tx = tx.clone();
-                    t.post(Envelope {
-                        src: 0,
-                        dst,
-                        queue: 2,
-                        bytes: if i % 3 == 0 { 4096 } else { 0 },
-                        action: Box::new(move |_, out| {
-                            assert_eq!(out, Outcome::Delivered);
-                            let _ = tx.send((dst, i));
-                        }),
+                    let cost = if i % 3 == 0 { 4096 } else { 0 };
+                    let done: Completion = Box::new(move |out, _| {
+                        assert_eq!(out, Outcome::Delivered);
+                        let _ = tx.send((dst, i));
                     });
+                    t.send(0, dst, 2, cost, Vec::new(), done);
                 }
             }
             let mut next = HashMap::new();
@@ -1249,62 +1246,45 @@ mod tests {
         }
     }
 
-    /// Satellite regression: dropping the owner while the wheel is full of
-    /// far-future deliveries must (a) not deadlock, (b) run every action
-    /// exactly once with `Cancelled`, and (c) survive cancelled actions
-    /// that post follow-ups from inside the drain (the follow-up runs
+    /// Dropping the owner while the wheel is full of far-future
+    /// deliveries must (a) not deadlock, (b) run every completion exactly
+    /// once with `Cancelled`, and (c) survive cancelled completions that
+    /// send follow-ups from inside the drain (the follow-up completes
     /// inline, also cancelled).
     #[test]
-    fn teardown_with_inflight_deliveries_runs_every_action_once() {
-        use std::sync::atomic::AtomicUsize;
-        let (o, _f) = setup(4);
+    fn teardown_with_inflight_deliveries_runs_every_completion_once() {
+        let o = setup_stalled(4);
         let t = o.handle();
         let ran = Arc::new(AtomicUsize::new(0));
+        let counted = |ran: &Arc<AtomicUsize>| -> Completion {
+            let ran = Arc::clone(ran);
+            Box::new(move |out, _| {
+                assert_eq!(out, Outcome::Cancelled);
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        };
         const N: usize = 64;
         for i in 0..N {
-            let ran = Arc::clone(&ran);
-            let t2 = t.clone();
-            t.post_after(
-                Envelope {
-                    src: (i % 4) as Rank,
-                    dst: ((i + 1) % 4) as Rank,
-                    queue: (i % 3) as QueueId,
-                    bytes: 8,
-                    action: Box::new(move |_, out| {
-                        assert_eq!(out, Outcome::Cancelled);
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        let ran2 = Arc::clone(&ran);
-                        // A follow-up posted during cancellation must still
-                        // complete (inline, cancelled) instead of leaking.
-                        t2.post(Envelope {
-                            src: 0,
-                            dst: 1,
-                            queue: 0,
-                            bytes: 0,
-                            action: Box::new(move |_, out2| {
-                                assert_eq!(out2, Outcome::Cancelled);
-                                ran2.fetch_add(1, Ordering::SeqCst);
-                            }),
-                        });
-                    }),
-                },
-                Duration::from_secs(3600),
+            let (ran, t2) = (Arc::clone(&ran), t.clone());
+            t.send(
+                (i % 4) as Rank,
+                ((i + 1) % 4) as Rank,
+                (i % 3) as QueueId,
+                8,
+                Vec::new(),
+                Box::new(move |out, _| {
+                    assert_eq!(out, Outcome::Cancelled);
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    // A follow-up sent during cancellation must still
+                    // complete (inline, cancelled) instead of leaking.
+                    t2.send(0, 1, 0, 0, Vec::new(), counted(&ran));
+                }),
             );
         }
         drop(o); // shutdown + join; must not hang
         assert_eq!(ran.load(Ordering::SeqCst), 2 * N);
-        // The handle stays usable post-shutdown: posts cancel inline.
-        let ran3 = Arc::clone(&ran);
-        t.post(Envelope {
-            src: 0,
-            dst: 1,
-            queue: 0,
-            bytes: 0,
-            action: Box::new(move |_, out| {
-                assert_eq!(out, Outcome::Cancelled);
-                ran3.fetch_add(1, Ordering::SeqCst);
-            }),
-        });
+        // The handle stays usable post-shutdown: sends cancel inline.
+        t.send(0, 1, 0, 0, Vec::new(), counted(&ran));
         assert_eq!(ran.load(Ordering::SeqCst), 2 * N + 1);
     }
 }

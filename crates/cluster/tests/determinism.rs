@@ -18,7 +18,7 @@ use std::time::Duration;
 use ft_cluster::fault::FaultPlane;
 use ft_cluster::time::LatencyModel;
 use ft_cluster::topology::Topology;
-use ft_cluster::transport::{stream_jitter_u, Envelope, Outcome, SimTransport};
+use ft_cluster::transport::{stream_jitter_u, Outcome, SimTransport, Transport};
 
 /// Latency model with a jitter spread (≈ 1..39 ms) that dwarfs scheduler
 /// wakeup noise, so computed-order assertions are meaningful.
@@ -31,9 +31,10 @@ fn wide_jitter_model() -> LatencyModel {
     }
 }
 
-/// Post one message on each of `streams` distinct (src=0, queue, dst)
+/// Send one message on each of `streams` distinct (src=0, queue, dst)
 /// streams in a tight burst and return the streams in observed completion
-/// order.
+/// order. No endpoint is bound: each completion fires on its shard thread
+/// at the message's due time.
 fn observed_order(seed: u64, shards: usize, streams: u32) -> Vec<u32> {
     let ranks = streams + 1;
     let fault = FaultPlane::new(Topology::one_per_node(ranks));
@@ -42,16 +43,17 @@ fn observed_order(seed: u64, shards: usize, streams: u32) -> Vec<u32> {
     let (tx, rx) = mpsc::channel();
     for dst in 1..=streams {
         let tx = tx.clone();
-        t.post(Envelope {
-            src: 0,
+        t.send(
+            0,
             dst,
-            queue: 2,
-            bytes: 0,
-            action: Box::new(move |_, out| {
+            2,
+            0,
+            Vec::new(),
+            Box::new(move |out, _| {
                 assert_eq!(out, Outcome::Delivered);
                 let _ = tx.send(dst);
             }),
-        });
+        );
     }
     (0..streams).map(|_| rx.recv_timeout(Duration::from_secs(10)).expect("delivery")).collect()
 }
@@ -154,15 +156,16 @@ fn per_stream_draw_sequences_are_deterministic_under_load() {
             s.spawn(move || {
                 for i in 0..100u32 {
                     let counter = Arc::clone(&counter);
-                    t.post(Envelope {
+                    t.send(
                         src,
-                        dst: 4 + (i % 4),
-                        queue: 1,
-                        bytes: 128,
-                        action: Box::new(move |_, _| {
+                        4 + (i % 4),
+                        1,
+                        128,
+                        Vec::new(),
+                        Box::new(move |_, _| {
                             counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                         }),
-                    });
+                    );
                 }
             });
         }

@@ -9,7 +9,7 @@ use std::time::Duration;
 use ft_cluster::fault::FaultPlane;
 use ft_cluster::time::LatencyModel;
 use ft_cluster::topology::Topology;
-use ft_cluster::transport::{Envelope, Outcome, SimTransport};
+use ft_cluster::transport::{Outcome, SimTransport, Transport};
 use proptest::prelude::*;
 
 /// One sender thread's plan: its source rank and the (dst, queue, bytes)
@@ -32,8 +32,9 @@ fn run_case(ranks: u32, shards: usize, plans: &[SenderPlan]) {
     let total: usize = plans.iter().map(|p| p.msgs.len()).sum();
     let (tx, rx) = mpsc::channel::<((u32, u16, u32), u32)>();
 
-    // Concurrent senders: each thread owns one src rank and posts its
-    // streams interleaved with the other threads'.
+    // Concurrent senders: each thread owns one src rank and sends its
+    // streams interleaved with the other threads'. No endpoint is bound,
+    // so each completion fires on its shard thread at the due time.
     std::thread::scope(|s| {
         for plan in plans {
             let t = t.clone();
@@ -46,16 +47,17 @@ fn run_case(ranks: u32, shards: usize, plans: &[SenderPlan]) {
                     let i = *idx;
                     *idx += 1;
                     let tx = tx.clone();
-                    t.post(Envelope {
-                        src: plan.src,
+                    t.send(
+                        plan.src,
                         dst,
                         queue,
                         bytes,
-                        action: Box::new(move |_, out| {
+                        Vec::new(),
+                        Box::new(move |out, _| {
                             assert_eq!(out, Outcome::Delivered);
                             let _ = tx.send((key, i));
                         }),
-                    });
+                    );
                 }
             });
         }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use ft_cluster::fault::FaultPlane;
 use ft_cluster::time::LatencyModel;
 use ft_cluster::topology::Topology;
-use ft_cluster::transport::{stream_jitter_u, Envelope, Outcome, SimTransport};
+use ft_cluster::transport::{stream_jitter_u, Outcome, SimTransport, Transport};
 
 #[test]
 fn idle_delivery_is_late_by_less_than_one_base_latency() {
@@ -25,20 +25,22 @@ fn idle_delivery_is_late_by_less_than_one_base_latency() {
     let owner = SimTransport::start_sharded(model.clone(), fault, SEED, 2);
     let t = owner.handle();
     // One message in flight at a time: each is due exactly its own
-    // jittered latency after its post (no FIFO watermark pushes it out).
+    // jittered latency after its send (no FIFO watermark pushes it out).
+    // No endpoint is bound, so the completion fires at the due time.
     let mut late: Vec<Duration> = (0..SENDS)
         .map(|n| {
             let (tx, rx) = mpsc::channel();
             let posted = Instant::now();
-            t.post(Envelope {
-                src: 0,
-                dst: 1,
-                queue: 0,
-                bytes: BYTES,
-                action: Box::new(move |_, out| {
+            t.send(
+                0,
+                1,
+                0,
+                BYTES,
+                Vec::new(),
+                Box::new(move |out, _| {
                     let _ = tx.send((out, Instant::now()));
                 }),
-            });
+            );
             let (out, delivered) = rx.recv_timeout(Duration::from_secs(5)).expect("delivery");
             assert_eq!(out, Outcome::Delivered);
             let modelled = model.latency_jittered(BYTES, stream_jitter_u(SEED, 0, 0, 1, n));

@@ -34,23 +34,6 @@ pub fn get_f64(buf: &[u8], off: usize) -> f64 {
     f64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
 }
 
-/// Copy an `f64` slice into `buf` starting at `off`.
-pub fn put_f64s(buf: &mut [u8], off: usize, vs: &[f64]) {
-    for (i, v) in vs.iter().enumerate() {
-        put_f64(buf, off + 8 * i, *v);
-    }
-}
-
-/// Read `n` `f64`s from `buf` starting at `off`.
-pub fn get_f64s(buf: &[u8], off: usize, n: usize) -> Vec<f64> {
-    (0..n).map(|i| get_f64(buf, off + 8 * i)).collect()
-}
-
-/// Bytes needed for `n` `f64`s.
-pub fn f64_bytes(n: usize) -> usize {
-    n * 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,14 +47,6 @@ mod tests {
         assert_eq!(get_u64(&b, 0), u64::MAX - 3);
         assert_eq!(get_u32(&b, 8), 0xDEAD_BEEF);
         assert_eq!(get_f64(&b, 16), -1.25e-300);
-    }
-
-    #[test]
-    fn slice_roundtrip() {
-        let vs = [1.0, -2.5, f64::INFINITY, 0.0, 3.25e17];
-        let mut b = vec![0u8; f64_bytes(vs.len()) + 4];
-        put_f64s(&mut b, 4, &vs);
-        assert_eq!(get_f64s(&b, 4, vs.len()), vs);
     }
 
     #[test]

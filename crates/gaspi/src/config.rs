@@ -18,8 +18,8 @@ pub struct GaspiConfig {
 }
 
 /// Number of application communication queues (the GPI-2 default).
-/// Service traffic (pings, kills, collectives, passive, read responses)
-/// uses internal queues above this range.
+/// Service traffic (pings, kills, collectives, passive) uses internal
+/// queues above this range.
 pub const APP_QUEUES: u16 = 8;
 /// Notification slots per segment.
 pub(crate) const NOTIFICATION_SLOTS: u32 = 1024;

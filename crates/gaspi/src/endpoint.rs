@@ -17,11 +17,9 @@
 
 use std::sync::Weak;
 
-use ft_cluster::{Dec, Enc, Endpoint, QueueId, Rank};
+use ft_cluster::{CodecError, Dec, Enc, Endpoint, QueueId, Rank};
 
-use crate::bytes;
 use crate::collectives::CollKey;
-use crate::error::{GaspiError, GaspiResult};
 use crate::runtime::WorldInner;
 use crate::segment::{NotificationId, SegId};
 
@@ -32,21 +30,14 @@ pub const CKPT_QUEUE_BASE: QueueId = u16::MAX - 1;
 
 // Op tags (first byte of every GASPI wire message).
 const OP_PUT: u8 = 1;
-const OP_READ: u8 = 2;
-const OP_PING: u8 = 3;
-const OP_KILL: u8 = 4;
-const OP_PASSIVE: u8 = 5;
-const OP_FAA: u8 = 6;
-const OP_CAS: u8 = 7;
-const OP_COLL: u8 = 8;
+const OP_PING: u8 = 2;
+const OP_KILL: u8 = 3;
+const OP_PASSIVE: u8 = 4;
+const OP_COLL: u8 = 5;
 
 // Reply status bytes.
 pub(crate) const ST_OK: u8 = 0;
 pub(crate) const ST_FAIL: u8 = 1;
-/// Atomic op addressed a missing segment (remote looks broken).
-const ST_NO_SEGMENT: u8 = 2;
-/// Atomic op addressed an out-of-bounds offset.
-const ST_BOUNDS: u8 = 3;
 
 // ---------------------------------------------------------------------
 // Encoders (initiator side)
@@ -68,12 +59,6 @@ pub(crate) fn enc_put(
     e.finish()
 }
 
-pub(crate) fn enc_read(rseg: SegId, roff: u64, len: u64) -> Vec<u8> {
-    let mut e = Enc::with_capacity(24);
-    e.u8(OP_READ).u32(u32::from(rseg)).u64(roff).u64(len);
-    e.finish()
-}
-
 pub(crate) fn enc_ping() -> Vec<u8> {
     vec![OP_PING]
 }
@@ -88,52 +73,15 @@ pub(crate) fn enc_passive(data: &[u8]) -> Vec<u8> {
     e.finish()
 }
 
-pub(crate) fn enc_faa(seg: SegId, off: u64, delta: u64) -> Vec<u8> {
-    let mut e = Enc::with_capacity(32);
-    e.u8(OP_FAA).u32(u32::from(seg)).u64(off).u64(delta);
-    e.finish()
-}
-
-pub(crate) fn enc_cas(seg: SegId, off: u64, expect: u64, new: u64) -> Vec<u8> {
-    let mut e = Enc::with_capacity(40);
-    e.u8(OP_CAS).u32(u32::from(seg)).u64(off).u64(expect).u64(new);
-    e.finish()
-}
-
 pub(crate) fn enc_coll(key: &CollKey, data: &[u8]) -> Vec<u8> {
     let mut e = Enc::with_capacity(data.len() + 40);
     e.u8(OP_COLL).u64(key.group).u64(key.seq).u32(key.phase).u32(key.from).bytes(data);
     e.finish()
 }
 
-// ---------------------------------------------------------------------
-// Reply decoders (initiator side)
-// ---------------------------------------------------------------------
-
 /// Whether a one-byte-status reply reports success.
 pub(crate) fn reply_ok(reply: &[u8]) -> bool {
     reply.first() == Some(&ST_OK)
-}
-
-/// Decode a read reply into the fetched bytes (None = remote failure).
-pub(crate) fn dec_read_reply(reply: &[u8]) -> Option<Vec<u8>> {
-    let mut d = Dec::new(reply);
-    match d.u8() {
-        Ok(ST_OK) => d.bytes().ok(),
-        _ => None,
-    }
-}
-
-/// Decode an atomic reply into the previous value, mapping remote
-/// failures the way the in-memory implementation always has: missing
-/// segment → the remote looks broken; bad offset → a segment error.
-pub(crate) fn dec_atomic_reply(reply: &[u8], dst: Rank) -> GaspiResult<u64> {
-    let mut d = Dec::new(reply);
-    match d.u8() {
-        Ok(ST_OK) => d.u64().map_err(|_| GaspiError::RemoteBroken { rank: dst }),
-        Ok(ST_BOUNDS) => Err(GaspiError::Segment { what: "atomic access out of bounds" }),
-        _ => Err(GaspiError::RemoteBroken { rank: dst }),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -166,23 +114,55 @@ impl Endpoint for GaspiEndpoint {
                 None => vec![ST_FAIL],
             };
         }
-        dispatch(&world, self.rank, src, msg).unwrap_or_else(|| vec![ST_FAIL])
+        match decode(msg) {
+            Ok(op) => dispatch(&world, self.rank, src, op),
+            Err(_) => vec![ST_FAIL],
+        }
     }
 }
 
-/// Decode and execute one op on `me`'s state; `None` = malformed message.
-fn dispatch(world: &WorldInner, me: Rank, src: Rank, msg: &[u8]) -> Option<Vec<u8>> {
-    let shared = world.shared(me);
+/// One decoded wire op.
+enum Op {
+    Put { rseg: SegId, roff: usize, notif: Option<(NotificationId, u32)>, data: Vec<u8> },
+    Ping,
+    Kill,
+    Passive(Vec<u8>),
+    Coll(CollKey, Vec<u8>),
+}
+
+/// Decode a whole message: a truncated op, an unknown tag or a trailing
+/// byte is an error, so no rank state is touched on the strength of a
+/// message that only starts like an op.
+fn decode(msg: &[u8]) -> Result<Op, CodecError> {
     let mut d = Dec::new(msg);
-    match d.u8().ok()? {
+    let op = match d.u8()? {
         OP_PUT => {
-            let rseg = d.u32().ok()? as SegId;
-            let roff = d.u64().ok()? as usize;
-            let notif = match d.u8().ok()? {
-                0 => None,
-                _ => Some((d.u32().ok()?, d.u32().ok()?)),
-            };
-            let data = d.bytes().ok()?;
+            let (rseg, roff) = (d.u32()?, d.u64()?);
+            Op::Put {
+                rseg: SegId::try_from(rseg).map_err(|_| CodecError::BadLength(rseg.into()))?,
+                roff: usize::try_from(roff).map_err(|_| CodecError::BadLength(roff))?,
+                notif: if d.bool()? { Some((d.u32()?, d.u32()?)) } else { None },
+                data: d.bytes()?,
+            }
+        }
+        OP_PING => Op::Ping,
+        OP_KILL => Op::Kill,
+        OP_PASSIVE => Op::Passive(d.bytes()?),
+        OP_COLL => {
+            let key = CollKey { group: d.u64()?, seq: d.u64()?, phase: d.u32()?, from: d.u32()? };
+            Op::Coll(key, d.bytes()?)
+        }
+        t => return Err(CodecError::BadTag(t)),
+    };
+    d.expect_end()?;
+    Ok(op)
+}
+
+/// Execute one decoded op on `me`'s state.
+fn dispatch(world: &WorldInner, me: Rank, src: Rank, op: Op) -> Vec<u8> {
+    let shared = world.shared(me);
+    match op {
+        Op::Put { rseg, roff, notif, data } => {
             let ok = match shared.segments.get(rseg) {
                 Some(seg) => {
                     let wrote = data.is_empty() || seg.write_at(roff, &data).is_ok();
@@ -198,87 +178,26 @@ fn dispatch(world: &WorldInner, me: Rank, src: Rank, msg: &[u8]) -> Option<Vec<u
             if ok && notif.is_some() {
                 shared.signal.bump();
             }
-            Some(vec![if ok { ST_OK } else { ST_FAIL }])
+            vec![if ok { ST_OK } else { ST_FAIL }]
         }
-        OP_READ => {
-            let rseg = d.u32().ok()? as SegId;
-            let roff = d.u64().ok()? as usize;
-            let len = d.u64().ok()? as usize;
-            match shared.segments.get(rseg).and_then(|s| s.read_at(roff, len).ok()) {
-                Some(data) => {
-                    let mut e = Enc::with_capacity(data.len() + 16);
-                    e.u8(ST_OK).bytes(&data);
-                    Some(e.finish())
-                }
-                None => Some(vec![ST_FAIL]),
-            }
-        }
-        OP_PING => Some(Vec::new()),
-        OP_KILL => {
+        Op::Ping => Vec::new(),
+        Op::Kill => {
             // `gaspi_proc_kill` landing: this rank dies. Under the thread
             // backend the liveness flag is poisoned; under the process
             // backend the fault plane's armed exit turns this into a real
             // `exit()` and the reply below is never sent.
             world.fault.kill_rank(me);
-            Some(Vec::new())
+            Vec::new()
         }
-        OP_PASSIVE => {
-            let data = d.bytes().ok()?;
+        Op::Passive(data) => {
             shared.passive_inbox.lock().push_back((src, data));
             shared.signal.bump();
-            Some(vec![ST_OK])
+            vec![ST_OK]
         }
-        OP_FAA => {
-            let seg = d.u32().ok()? as SegId;
-            let off = d.u64().ok()? as usize;
-            let delta = d.u64().ok()?;
-            Some(atomic_rmw(shared, seg, off, move |old| Some(old.wrapping_add(delta))))
-        }
-        OP_CAS => {
-            let seg = d.u32().ok()? as SegId;
-            let off = d.u64().ok()? as usize;
-            let expect = d.u64().ok()?;
-            let new = d.u64().ok()?;
-            Some(atomic_rmw(shared, seg, off, move |old| (old == expect).then_some(new)))
-        }
-        OP_COLL => {
-            let key = CollKey {
-                group: d.u64().ok()?,
-                seq: d.u64().ok()?,
-                phase: d.u32().ok()?,
-                from: d.u32().ok()?,
-            };
-            let data = d.bytes().ok()?;
+        Op::Coll(key, data) => {
             shared.coll.insert(key, data);
             shared.signal.bump();
-            Some(vec![ST_OK])
-        }
-        _ => None,
-    }
-}
-
-/// The read-modify-write behind both atomics. Runs inside the endpoint
-/// handler, which every backend serializes (sim scheduler thread / TCP
-/// dispatch lock) — that serialization is what makes it atomic.
-fn atomic_rmw(
-    shared: &crate::runtime::RankShared,
-    seg: SegId,
-    off: usize,
-    update: impl FnOnce(u64) -> Option<u64>,
-) -> Vec<u8> {
-    let Some(s) = shared.segments.get(seg) else {
-        return vec![ST_NO_SEGMENT];
-    };
-    match s.read_at(off, 8) {
-        Err(_) => vec![ST_BOUNDS],
-        Ok(b) => {
-            let old = bytes::get_u64(&b, 0);
-            if let Some(new) = update(old) {
-                s.with_mut(|d| bytes::put_u64(d, off, new));
-            }
-            let mut e = Enc::with_capacity(9);
-            e.u8(ST_OK).u64(old);
-            e.finish()
+            vec![ST_OK]
         }
     }
 }
@@ -302,21 +221,84 @@ mod tests {
     }
 
     #[test]
-    fn reply_decoders() {
+    fn reply_status() {
         assert!(reply_ok(&[ST_OK]));
         assert!(!reply_ok(&[ST_FAIL]));
         assert!(!reply_ok(&[]));
-        let mut e = Enc::new();
-        e.u8(ST_OK).bytes(b"abc");
-        assert_eq!(dec_read_reply(&e.finish()).unwrap(), b"abc");
-        assert!(dec_read_reply(&[ST_FAIL]).is_none());
-        let mut e = Enc::new();
-        e.u8(ST_OK).u64(77);
-        assert_eq!(dec_atomic_reply(&e.finish(), 1).unwrap(), 77);
-        assert!(matches!(
-            dec_atomic_reply(&[ST_NO_SEGMENT], 1),
-            Err(GaspiError::RemoteBroken { rank: 1 })
-        ));
-        assert!(matches!(dec_atomic_reply(&[ST_BOUNDS], 1), Err(GaspiError::Segment { .. })));
+    }
+
+    /// Every strict prefix of each op, each op with one trailing byte and
+    /// every unknown tag, sent to a live endpoint through the transport:
+    /// each is answered `ST_FAIL` and leaves the rank as it was. The
+    /// well-formed ops sent last show the checks see every effect.
+    #[test]
+    fn malformed_ops_fail_and_change_nothing() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        use ft_cluster::Outcome;
+
+        use crate::config::{NOTIFICATION_SLOTS, SERVICE_QUEUE};
+        use crate::{GaspiConfig, GaspiWorld};
+
+        const SEG: SegId = 1;
+        let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+        let (t, fault, p) = (world.transport(), world.fault(), world.proc_handle(1));
+        p.segment_create(SEG, 16).unwrap();
+        let send = |msg: Vec<u8>| {
+            let (tx, rx) = mpsc::channel();
+            t.send(
+                0,
+                1,
+                SERVICE_QUEUE,
+                msg.len(),
+                msg,
+                Box::new(move |out, reply| {
+                    let _ = tx.send((out, reply));
+                }),
+            );
+            rx.recv_timeout(Duration::from_secs(5)).expect("completion")
+        };
+        let state = || {
+            let seg = p.shared().segments.require(SEG).unwrap();
+            (
+                fault.is_alive(1),
+                seg.read_at(0, 16).unwrap(),
+                seg.notify_scan(0, NOTIFICATION_SLOTS),
+                p.shared().passive_inbox.lock().len(),
+                p.shared().coll.len(),
+            )
+        };
+        let before = state();
+        let key = CollKey { group: 1 << 32, seq: 1, phase: 0, from: 0 };
+        let ops = [
+            enc_put(SEG, 0, Some((3, 7)), &[0xAB; 8]),
+            enc_put(SEG, 8, None, &[0xCD; 4]),
+            enc_ping(),
+            enc_passive(b"hi"),
+            enc_coll(&key, b"token"),
+            enc_kill(),
+        ];
+        let mut bad: Vec<Vec<u8>> = (OP_COLL + 1..=u8::MAX).chain([0]).map(|t| vec![t]).collect();
+        // A segment id beyond `SegId` must not wrap onto segment 1.
+        let mut wide = Enc::new();
+        wide.u8(OP_PUT).u32(0x1_0000 + u32::from(SEG)).u64(0).u8(0).bytes(&[0xEE; 4]);
+        bad.push(wide.finish());
+        for op in &ops {
+            bad.extend((0..op.len()).map(|n| op[..n].to_vec()));
+            bad.push([op.as_slice(), &[0]].concat());
+        }
+        for msg in bad {
+            assert_eq!(send(msg.clone()), (Outcome::Delivered, vec![ST_FAIL]), "{msg:?}");
+            assert_eq!(state(), before, "{msg:?} changed the rank");
+        }
+        let (kill, rest) = ops.split_last().unwrap();
+        for op in rest {
+            assert_ne!(send(op.clone()).1, vec![ST_FAIL], "{op:?}");
+        }
+        let written = [[0xAB; 8].as_slice(), &[0xCD; 4], &[0; 4]].concat();
+        assert_eq!(state(), (true, written, Some(3), 1, 1));
+        send(kill.clone());
+        assert!(!fault.is_alive(1));
     }
 }

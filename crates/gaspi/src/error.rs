@@ -30,7 +30,7 @@ pub enum GaspiError {
         /// Remote ranks whose requests failed.
         ranks: Vec<Rank>,
     },
-    /// A point-to-point service operation (ping, atomic, passive send)
+    /// A point-to-point service operation (ping, passive send)
     /// found the remote broken (`GASPI_ERROR` from `gaspi_proc_ping`).
     RemoteBroken {
         /// The unreachable rank.
@@ -73,13 +73,6 @@ impl fmt::Display for GaspiError {
 }
 
 impl std::error::Error for GaspiError {}
-
-impl GaspiError {
-    /// True for [`GaspiError::Timeout`] — the recoverable, retry-me case.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, GaspiError::Timeout)
-    }
-}
 
 /// Timeout argument accepted by every potentially blocking procedure,
 /// mirroring `GASPI_BLOCK` / `GASPI_TEST` / milliseconds.
@@ -151,7 +144,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("queue 2") && s.contains('4') && s.contains('7'));
         assert_eq!(GaspiError::Timeout.to_string(), "GASPI_TIMEOUT");
-        assert!(GaspiError::Timeout.is_timeout());
-        assert!(!e.is_timeout());
     }
 }

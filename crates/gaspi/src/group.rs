@@ -6,16 +6,13 @@
 //! and rescue processes are added, and `gaspi_group_commit` — a blocking
 //! collective — establishes it.
 //!
-//! Group *handles* are process-local. Members agree on a group by using
-//! the same numeric id: either implicitly (every rank performs the same
-//! sequence of [`crate::GaspiProc::group_create`] calls, as GPI-2 assumes)
-//! or explicitly via [`crate::GaspiProc::group_create_with_id`] — which
-//! the recovery protocol uses, deriving the id from the recovery epoch so
+//! Group *handles* are process-local. Members agree on a group by naming
+//! the same numeric id in [`crate::GaspiProc::group_create_with_id`]; the
+//! recovery protocol derives the id from the plan's adoption count, so
 //! ranks that joined at different times (rescues!) still agree.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ft_cluster::Rank;
 
@@ -26,10 +23,6 @@ use crate::proc::GaspiProc;
 /// Handle to a group (process-local; members agree via the numeric id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Group(pub u64);
-
-/// Auto-allocated ids live below this; explicit ids should be at or above
-/// it to avoid collisions.
-pub const EXPLICIT_ID_BASE: u64 = 1 << 32;
 
 pub(crate) struct GroupState {
     pub members: Vec<Rank>, // sorted, deduplicated
@@ -54,16 +47,9 @@ pub(crate) enum CollKind {
 #[derive(Default)]
 pub(crate) struct GroupRegistry {
     map: Mutex<HashMap<u64, GroupState>>,
-    auto: AtomicU64,
 }
 
 impl GroupRegistry {
-    pub fn create_auto(&self) -> u64 {
-        let id = self.auto.fetch_add(1, Ordering::Relaxed) + 1;
-        self.map.lock().insert(id, GroupState::new());
-        id
-    }
-
     pub fn create_with_id(&self, id: u64) -> GaspiResult<()> {
         let mut m = self.map.lock();
         if m.contains_key(&id) {
@@ -162,22 +148,11 @@ pub(crate) fn members_fingerprint(members: &[Rank]) -> u64 {
 }
 
 impl GaspiProc {
-    /// Create a group with an automatically allocated id. Ids agree across
-    /// ranks only if all ranks create groups in the same order; prefer
-    /// [`GaspiProc::group_create_with_id`] when ranks may diverge (e.g.
-    /// during failure recovery).
-    pub fn group_create(&self) -> Group {
-        self.check_self();
-        Group(self.shared().groups.create_auto())
-    }
-
-    /// Create a group with an explicit id (must be `>=`
-    /// [`EXPLICIT_ID_BASE`] to stay clear of auto ids).
+    /// Create a group under an id every member names (`gaspi_group_create`,
+    /// with the id chosen by the caller instead of allocated). An id this
+    /// rank already holds is an error.
     pub fn group_create_with_id(&self, id: u64) -> GaspiResult<Group> {
         self.check_self();
-        if id < EXPLICIT_ID_BASE {
-            return Err(GaspiError::InvalidArg("explicit group id below EXPLICIT_ID_BASE"));
-        }
         self.shared().groups.create_with_id(id)?;
         Ok(Group(id))
     }
@@ -189,12 +164,6 @@ impl GaspiProc {
             return Err(GaspiError::InvalidArg("rank out of range"));
         }
         self.shared().groups.add(group.0, rank)
-    }
-
-    /// Current member count (`gaspi_group_size`).
-    pub fn group_size(&self, group: Group) -> GaspiResult<u32> {
-        self.check_self();
-        Ok(self.shared().groups.members(group.0)?.len() as u32)
     }
 
     /// Member list, sorted ascending.
@@ -264,7 +233,7 @@ mod tests {
     fn short_commit_token_is_an_error_not_a_panic() {
         let world = GaspiWorld::new(GaspiConfig::deterministic(2));
         let p = world.proc_handle(0);
-        let g = p.group_create_with_id(EXPLICIT_ID_BASE).unwrap();
+        let g = p.group_create_with_id(1 << 32).unwrap();
         p.group_add(g, 0).unwrap();
         p.group_add(g, 1).unwrap();
         // What a corrupt frame from rank 1 would leave on the board.

@@ -9,18 +9,17 @@
 //!   ([`GaspiProc::segment_create`]); data to be communicated is placed in
 //!   segments.
 //! * **One-sided communication** — [`GaspiProc::write`],
-//!   [`GaspiProc::read`], [`GaspiProc::notify`],
-//!   [`GaspiProc::write_notify`]; completion via [`GaspiProc::wait`] on a
-//!   queue, remote completion via [`GaspiProc::notify_waitsome`].
-//! * **Groups and collectives** — [`GaspiProc::group_create`] /
+//!   [`GaspiProc::notify`], [`GaspiProc::write_notify`]; completion via
+//!   [`GaspiProc::wait`] on a queue, remote completion via
+//!   [`GaspiProc::notify_waitsome`].
+//! * **Groups and collectives** — [`GaspiProc::group_create_with_id`] /
 //!   `group_add` / `group_commit` / `group_delete`, [`GaspiProc::barrier`],
 //!   [`GaspiProc::allreduce_f64`] — the pieces Listing 2 of the paper uses
 //!   to rebuild the worker group after a failure — plus
 //!   [`GaspiProc::alltoall`], a one-hop personalised exchange under the
 //!   same timeout/resume contract (not in the specification).
-//! * **Global atomics** ([`GaspiProc::atomic_fetch_add`],
-//!   [`GaspiProc::atomic_compare_swap`]) and **passive communication**
-//!   ([`GaspiProc::passive_send`] / [`GaspiProc::passive_receive`]).
+//! * **Passive communication** ([`GaspiProc::passive_send`] /
+//!   [`GaspiProc::passive_receive`]).
 //! * **Timeouts everywhere** — every potentially blocking procedure takes
 //!   a [`Timeout`] and can return [`GaspiError::Timeout`], the first of
 //!   the two GASPI fault-tolerance concepts.
@@ -54,7 +53,7 @@ pub use collectives::ALLREDUCE_MAX_ELEMS;
 pub use config::{GaspiConfig, APP_QUEUES};
 pub use endpoint::CKPT_QUEUE_BASE;
 pub use error::{GaspiError, GaspiResult, ProcState, Timeout};
-pub use group::{Group, EXPLICIT_ID_BASE};
+pub use group::Group;
 pub use proc::GaspiProc;
 pub use runtime::{CkptHandler, GaspiWorld, JobHandle, RankOutcome};
 pub use segment::{NotificationId, SegId};

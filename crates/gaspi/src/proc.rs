@@ -4,11 +4,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use ft_cluster::{Completion, NodeId, Outcome, Rank, RankKilled, Topology, Transport};
 
-use ft_cluster::{NodeId, Outcome, Rank, RankKilled, Topology, Transport};
-
-use crate::config::GaspiConfig;
+use crate::config::{GaspiConfig, PASSIVE_QUEUE, SERVICE_QUEUE};
 use crate::endpoint;
 use crate::error::{GaspiError, GaspiResult, ProcState, Timeout};
 use crate::runtime::{RankShared, WorldInner};
@@ -178,12 +176,6 @@ impl GaspiProc {
         self.shared().segments.create(seg, size, crate::config::NOTIFICATION_SLOTS)
     }
 
-    /// Delete a segment (`gaspi_segment_delete`).
-    pub fn segment_delete(&self, seg: SegId) -> GaspiResult<()> {
-        self.check_self();
-        self.shared().segments.delete(seg)
-    }
-
     /// Size of a local segment in bytes.
     pub fn segment_size(&self, seg: SegId) -> GaspiResult<usize> {
         self.check_self();
@@ -194,13 +186,6 @@ impl GaspiProc {
     pub fn segment_read(&self, seg: SegId, off: usize, len: usize) -> GaspiResult<Vec<u8>> {
         self.check_self();
         self.shared().segments.require(seg)?.read_at(off, len)
-    }
-
-    /// Write bytes at `off` into a local segment (local access, no
-    /// communication).
-    pub fn segment_write_local(&self, seg: SegId, off: usize, data: &[u8]) -> GaspiResult<()> {
-        self.check_self();
-        self.shared().segments.require(seg)?.write_at(off, data)
     }
 
     /// Run `f` over a local segment's bytes (shared borrow).
@@ -345,57 +330,6 @@ impl GaspiProc {
         );
     }
 
-    /// One-sided get (`gaspi_read`): copy `len` bytes from `(dst, rseg,
-    /// roff)` into local `(lseg, loff)`. Non-blocking; complete with
-    /// [`GaspiProc::wait`].
-    #[allow(clippy::too_many_arguments)] // mirrors the GASPI signature
-    pub fn read(
-        &self,
-        lseg: SegId,
-        loff: usize,
-        dst: Rank,
-        rseg: SegId,
-        roff: usize,
-        len: usize,
-        queue: u16,
-    ) -> GaspiResult<()> {
-        self.check_self();
-        self.injection_site("gaspi.read");
-        self.validate_queue(queue)?;
-        self.validate_rank(dst)?;
-        // Validate the local landing zone up front.
-        let lsize = self.shared().segments.require(lseg)?.size();
-        if loff.checked_add(len).is_none_or(|end| end > lsize) {
-            return Err(GaspiError::Segment { what: "read landing zone out of bounds" });
-        }
-        let me = self.shared_arc();
-        let qidx = queue as usize;
-        me.queues[qidx].post();
-        let msg = endpoint::enc_read(rseg, roff as u64, len as u64);
-        // A round trip: the reply leg carries the data and is costed (and
-        // breakable) in its own right.
-        self.world.transport.call(
-            self.rank,
-            dst,
-            queue,
-            16,
-            msg,
-            Box::new(move |out, reply| {
-                let ok = out == Outcome::Delivered
-                    && endpoint::dec_read_reply(&reply).is_some_and(|data| {
-                        me.segments.get(lseg).is_some_and(|s| s.write_at(loff, &data).is_ok())
-                    });
-                if ok {
-                    me.queues[qidx].complete_ok();
-                } else {
-                    me.queues[qidx].complete_failed(dst);
-                }
-                me.signal.bump();
-            }),
-        );
-        Ok(())
-    }
-
     /// Block until every request posted to `queue` so far has completed
     /// (`gaspi_wait`). Returns `GASPI_ERROR` (as
     /// [`GaspiError::QueueFailure`]) if any completed with a broken
@@ -421,22 +355,6 @@ impl GaspiProc {
             self.mark_corrupt(r);
         }
         Err(GaspiError::QueueFailure { queue, ranks })
-    }
-
-    /// Outstanding (incomplete) request count on `queue`.
-    pub fn queue_outstanding(&self, queue: u16) -> GaspiResult<u64> {
-        self.check_self();
-        self.validate_queue(queue)?;
-        Ok(self.shared().queues[queue as usize].outstanding())
-    }
-
-    /// Whether `queue` has recorded failures that a future
-    /// [`GaspiProc::wait`] will report. Cheap, non-destructive — useful in
-    /// health checks.
-    pub fn queue_has_failures(&self, queue: u16) -> GaspiResult<bool> {
-        self.check_self();
-        self.validate_queue(queue)?;
-        Ok(self.shared().queues[queue as usize].has_failures())
     }
 
     /// Discard the failure history of `queue` after waiting (bounded by
@@ -488,6 +406,38 @@ impl GaspiProc {
     // Ping / kill — the paper's fault-tolerance extensions
     // ------------------------------------------------------------------
 
+    /// Post one service op through `post` and park until its completion
+    /// lands, the timeout passes or this rank dies: the shared body of
+    /// `proc_ping`, `proc_kill` and `passive_send`. `verdict` maps the
+    /// transport's outcome and the endpoint's reply to a cell state, on the
+    /// transport's thread. A [`BROKEN`] verdict returns
+    /// [`GaspiError::RemoteBroken`] and marks `dst` CORRUPT.
+    fn park_on(
+        &self,
+        dst: Rank,
+        timeout: Timeout,
+        verdict: fn(Outcome, &[u8]) -> u8,
+        post: impl FnOnce(Completion),
+    ) -> GaspiResult<()> {
+        let cell = Arc::new(AtomicU8::new(PENDING));
+        let me = self.shared_arc();
+        let c1 = Arc::clone(&cell);
+        post(Box::new(move |out, reply| {
+            c1.store(verdict(out, &reply), Ordering::Release);
+            me.signal.bump();
+        }));
+        let res = self.poll(timeout, || match cell.load(Ordering::Acquire) {
+            PENDING => None,
+            DONE => Some(Ok(())),
+            BROKEN => Some(Err(GaspiError::RemoteBroken { rank: dst })),
+            _ => Some(Err(GaspiError::Shutdown)),
+        });
+        if res == Err(GaspiError::RemoteBroken { rank: dst }) {
+            self.mark_corrupt(dst);
+        }
+        res
+    }
+
     /// Test the availability of a rank (`gaspi_proc_ping`, the GPI-2
     /// extension introduced by the paper, §III): a ping message round
     /// trips to `dst`; a detected problem returns `GASPI_ERROR`
@@ -495,37 +445,12 @@ impl GaspiProc {
     pub fn proc_ping(&self, dst: Rank, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.validate_rank(dst)?;
-        let cell = Arc::new(AtomicU8::new(0));
-        let me = self.shared_arc();
-        let c1 = Arc::clone(&cell);
-        let squeue = crate::config::SERVICE_QUEUE;
         // A round trip (ping + pong leg), zero payload both ways.
-        self.world.transport.call(
-            self.rank,
-            dst,
-            squeue,
-            0,
-            endpoint::enc_ping(),
-            Box::new(move |out, _reply| {
-                let state = match out {
-                    Outcome::Delivered => 1,
-                    Outcome::Broken => 2,
-                    Outcome::Cancelled => 3,
-                };
-                c1.store(state, Ordering::Release);
-                me.signal.bump();
-            }),
-        );
-        let res = self.poll(timeout, || match cell.load(Ordering::Acquire) {
-            0 => None,
-            1 => Some(Ok(())),
-            2 => Some(Err(GaspiError::RemoteBroken { rank: dst })),
-            _ => Some(Err(GaspiError::Shutdown)),
-        });
-        if matches!(res, Err(GaspiError::RemoteBroken { .. })) {
-            self.mark_corrupt(dst);
-        }
-        res
+        let verdict = |out, _: &[u8]| outcome_state(out);
+        self.park_on(dst, timeout, verdict, |done| {
+            let msg = endpoint::enc_ping();
+            self.world.transport.call(self.rank, dst, SERVICE_QUEUE, 0, msg, done);
+        })
     }
 
     /// Ping a whole set of ranks in one epoch batch and return those that
@@ -555,8 +480,9 @@ impl GaspiProc {
         if uniq.is_empty() {
             return Ok(Vec::new());
         }
-        // One state cell per target: 0 pending, 1 ok, 2 broken, 3 shutdown.
-        let states: Arc<Vec<AtomicU8>> = Arc::new(uniq.iter().map(|_| AtomicU8::new(0)).collect());
+        // One state cell per target.
+        let states: Arc<Vec<AtomicU8>> =
+            Arc::new(uniq.iter().map(|_| AtomicU8::new(PENDING)).collect());
         let index: std::collections::HashMap<Rank, usize> =
             uniq.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         let me = self.shared_arc();
@@ -565,23 +491,18 @@ impl GaspiProc {
         self.world.transport.call_fanout(
             self.rank,
             &uniq,
-            crate::config::SERVICE_QUEUE,
+            SERVICE_QUEUE,
             0,
             payload,
             Arc::new(move |rank, out, _reply| {
-                let state = match out {
-                    Outcome::Delivered => 1,
-                    Outcome::Broken => 2,
-                    Outcome::Cancelled => 3,
-                };
                 if let Some(&i) = index.get(&rank) {
-                    st[i].store(state, Ordering::Release);
+                    st[i].store(outcome_state(out), Ordering::Release);
                 }
                 me.signal.bump();
             }),
         );
         let res = self.poll(timeout, || {
-            if states.iter().any(|s| s.load(Ordering::Acquire) == 0) {
+            if states.iter().any(|s| s.load(Ordering::Acquire) == PENDING) {
                 None
             } else {
                 Some(Ok(()))
@@ -593,15 +514,15 @@ impl GaspiProc {
         }
         let mut failed = Vec::new();
         for (i, &d) in uniq.iter().enumerate() {
-            // Pending-at-timeout (0) and shutdown (3) both mean "no answer".
+            // Pending at the timeout and cancelled both mean "no answer".
             let state = states[i].load(Ordering::Acquire);
-            if state != 1 {
+            if state != DONE {
                 failed.push(d);
                 // Only a *broken* round trip proves the remote corrupt; a
                 // ping still pending at the shared deadline may be a
                 // healthy straggler (proc_ping likewise leaves the state
                 // vector alone on a timeout).
-                if state == 2 {
+                if state == BROKEN {
                     self.mark_corrupt(d);
                 }
             }
@@ -621,31 +542,17 @@ impl GaspiProc {
         if dst == self.rank {
             self.exit_failure();
         }
-        let cell = Arc::new(AtomicU8::new(0));
-        let me = self.shared_arc();
-        let c1 = Arc::clone(&cell);
         // The kill itself executes in the *target's* endpoint (which, on
         // the process backend, exits the victim process for real). A
         // Broken outcome means the target was already dead or unreachable:
         // mission accomplished either way.
-        self.world.transport.send(
-            self.rank,
-            dst,
-            crate::config::SERVICE_QUEUE,
-            0,
-            endpoint::enc_kill(),
-            Box::new(move |out, _reply| {
-                match out {
-                    Outcome::Delivered | Outcome::Broken => c1.store(1, Ordering::Release),
-                    Outcome::Cancelled => c1.store(3, Ordering::Release),
-                }
-                me.signal.bump();
-            }),
-        );
-        self.poll(timeout, || match cell.load(Ordering::Acquire) {
-            0 => None,
-            1 => Some(Ok(())),
-            _ => Some(Err(GaspiError::Shutdown)),
+        let verdict = |out, _: &[u8]| match out {
+            Outcome::Delivered | Outcome::Broken => DONE,
+            Outcome::Cancelled => CANCELLED,
+        };
+        self.park_on(dst, timeout, verdict, |done| {
+            let msg = endpoint::enc_kill();
+            self.world.transport.send(self.rank, dst, SERVICE_QUEUE, 0, msg, done);
         })
     }
 
@@ -659,37 +566,16 @@ impl GaspiProc {
         self.check_self();
         self.injection_site("gaspi.passive_send");
         self.validate_rank(dst)?;
-        let cell = Arc::new(AtomicU8::new(0));
-        let me = self.shared_arc();
-        let c1 = Arc::clone(&cell);
-        let cost = data.len();
-        let msg = endpoint::enc_passive(&data);
-        self.world.transport.send(
-            self.rank,
-            dst,
-            crate::config::PASSIVE_QUEUE,
-            cost,
-            msg,
-            Box::new(move |out, reply| {
-                let state = match out {
-                    Outcome::Delivered if endpoint::reply_ok(&reply) => 1,
-                    Outcome::Delivered | Outcome::Broken => 2,
-                    Outcome::Cancelled => 3,
-                };
-                c1.store(state, Ordering::Release);
-                me.signal.bump();
-            }),
-        );
-        let res = self.poll(timeout, || match cell.load(Ordering::Acquire) {
-            0 => None,
-            1 => Some(Ok(())),
-            2 => Some(Err(GaspiError::RemoteBroken { rank: dst })),
-            _ => Some(Err(GaspiError::Shutdown)),
-        });
-        if matches!(res, Err(GaspiError::RemoteBroken { .. })) {
-            self.mark_corrupt(dst);
-        }
-        res
+        // A refused transfer breaks the exchange like a dead target does.
+        let verdict = |out, reply: &[u8]| match out {
+            Outcome::Delivered if endpoint::reply_ok(reply) => DONE,
+            Outcome::Delivered | Outcome::Broken => BROKEN,
+            Outcome::Cancelled => CANCELLED,
+        };
+        self.park_on(dst, timeout, verdict, |done| {
+            let msg = endpoint::enc_passive(&data);
+            self.world.transport.send(self.rank, dst, PASSIVE_QUEUE, data.len(), msg, done);
+        })
     }
 
     /// Receive the next passive message addressed to this rank
@@ -698,70 +584,19 @@ impl GaspiProc {
         self.check_self();
         self.poll(timeout, || self.shared().passive_inbox.lock().pop_front().map(Ok))
     }
+}
 
-    // ------------------------------------------------------------------
-    // Global atomics
-    // ------------------------------------------------------------------
+// States of a service op's completion cell (see `GaspiProc::park_on`).
+const PENDING: u8 = 0;
+const DONE: u8 = 1;
+const BROKEN: u8 = 2;
+const CANCELLED: u8 = 3;
 
-    /// Atomic fetch-and-add on a `u64` at `(dst, seg, off)`
-    /// (`gaspi_atomic_fetch_add`); returns the previous value. Atomicity
-    /// holds across all ranks (delivery actions are serialized).
-    pub fn atomic_fetch_add(
-        &self,
-        dst: Rank,
-        seg: SegId,
-        off: usize,
-        delta: u64,
-        timeout: Timeout,
-    ) -> GaspiResult<u64> {
-        self.atomic_op(dst, timeout, endpoint::enc_faa(seg, off as u64, delta))
-    }
-
-    /// Atomic compare-and-swap on a `u64` at `(dst, seg, off)`
-    /// (`gaspi_atomic_compare_swap`); writes `new` if the current value
-    /// equals `expect`. Returns the previous value either way.
-    pub fn atomic_compare_swap(
-        &self,
-        dst: Rank,
-        seg: SegId,
-        off: usize,
-        expect: u64,
-        new: u64,
-        timeout: Timeout,
-    ) -> GaspiResult<u64> {
-        self.atomic_op(dst, timeout, endpoint::enc_cas(seg, off as u64, expect, new))
-    }
-
-    /// Ship an encoded atomic op to `dst` and await the previous value.
-    /// The read-modify-write itself runs in the target's endpoint
-    /// handler, which every backend serializes — globally atomic.
-    fn atomic_op(&self, dst: Rank, timeout: Timeout, msg: Vec<u8>) -> GaspiResult<u64> {
-        self.check_self();
-        self.validate_rank(dst)?;
-        type Cell = Mutex<Option<GaspiResult<u64>>>;
-        let cell: Arc<Cell> = Arc::new(Mutex::new(None));
-        let me = self.shared_arc();
-        let c1 = Arc::clone(&cell);
-        let squeue = crate::config::SERVICE_QUEUE;
-        self.world.transport.call(
-            self.rank,
-            dst,
-            squeue,
-            16,
-            msg,
-            Box::new(move |out, reply| {
-                *c1.lock() = Some(match out {
-                    Outcome::Delivered => endpoint::dec_atomic_reply(&reply, dst),
-                    Outcome::Broken => Err(GaspiError::RemoteBroken { rank: dst }),
-                    Outcome::Cancelled => Err(GaspiError::Shutdown),
-                });
-                me.signal.bump();
-            }),
-        );
-        let res = self.poll(timeout, || cell.lock().take());
-        if let Err(GaspiError::RemoteBroken { rank }) = &res {
-            self.mark_corrupt(*rank);
-        }
-        res
+/// The cell state a ping's transport outcome leaves.
+fn outcome_state(out: Outcome) -> u8 {
+    match out {
+        Outcome::Delivered => DONE,
+        Outcome::Broken => BROKEN,
+        Outcome::Cancelled => CANCELLED,
     }
 }

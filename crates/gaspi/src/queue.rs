@@ -47,19 +47,9 @@ impl Queue {
         self.completed.load(Ordering::Acquire) >= target
     }
 
-    /// Outstanding request count (posted - completed).
-    pub fn outstanding(&self) -> u64 {
-        self.posted().saturating_sub(self.completed.load(Ordering::Acquire))
-    }
-
     /// Take and clear the failure records.
     pub fn take_failures(&self) -> Vec<Rank> {
         std::mem::take(&mut *self.failed.lock())
-    }
-
-    /// Whether any failure is currently recorded (without clearing).
-    pub fn has_failures(&self) -> bool {
-        !self.failed.lock().is_empty()
     }
 }
 
@@ -73,14 +63,12 @@ mod tests {
         let t1 = q.post();
         let t2 = q.post();
         assert_eq!((t1, t2), (1, 2));
-        assert_eq!(q.outstanding(), 2);
         assert!(!q.drained_to(2));
         q.complete_ok();
         assert!(q.drained_to(1));
         assert!(!q.drained_to(2));
         q.complete_ok();
         assert!(q.drained_to(2));
-        assert_eq!(q.outstanding(), 0);
     }
 
     #[test]
@@ -90,10 +78,8 @@ mod tests {
         q.post();
         q.complete_failed(3);
         q.complete_ok();
-        assert!(q.has_failures());
         assert!(q.drained_to(2));
         assert_eq!(q.take_failures(), vec![3]);
-        assert!(!q.has_failures());
         assert!(q.take_failures().is_empty());
     }
 }

@@ -38,11 +38,6 @@ impl Segment {
         self.data.read().len()
     }
 
-    /// Number of notification slots.
-    pub fn notification_slots(&self) -> u32 {
-        self.notifications.len() as u32
-    }
-
     /// Run `f` over the segment bytes (shared).
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         f(&self.data.read())
@@ -133,14 +128,6 @@ impl SegmentTable {
         Ok(())
     }
 
-    pub fn delete(&self, id: SegId) -> GaspiResult<()> {
-        self.map
-            .write()
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(GaspiError::Segment { what: "segment id not found" })
-    }
-
     pub fn get(&self, id: SegId) -> Option<Arc<Segment>> {
         self.map.read().get(&id).cloned()
     }
@@ -160,14 +147,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_get_delete() {
+    fn create_get() {
         let t = SegmentTable::default();
         t.create(3, 64, 8).unwrap();
         assert!(matches!(t.create(3, 1, 1), Err(GaspiError::Segment { .. })));
         assert_eq!(t.require(3).unwrap().size(), 64);
-        t.delete(3).unwrap();
-        assert!(t.get(3).is_none());
-        assert!(matches!(t.delete(3), Err(GaspiError::Segment { .. })));
+        assert!(t.get(4).is_none());
+        assert!(matches!(t.require(4), Err(GaspiError::Segment { .. })));
     }
 
     #[test]

@@ -58,24 +58,6 @@ fn write_notify_roundtrip() {
 }
 
 #[test]
-fn read_fetches_remote_data() {
-    let world = GaspiWorld::new(GaspiConfig::deterministic(3));
-    let outs = world
-        .launch(|p| {
-            let g = setup_world(&p, 64)?;
-            p.with_segment_mut(SEG, |b| ft_gaspi::bytes::put_u64(b, 0, u64::from(p.rank()) * 11))?;
-            p.barrier(g, Timeout::Ms(5000))?; // everyone's data in place
-            let target = (p.rank() + 1) % p.num_ranks();
-            p.read(SEG, 8, target, SEG, 0, 8, Q)?;
-            p.wait(Q, Timeout::Ms(5000))?;
-            let got = p.with_segment(SEG, |b| ft_gaspi::bytes::get_u64(b, 8))?;
-            Ok(got == u64::from(target) * 11)
-        })
-        .join();
-    assert!(join_ok(outs).into_iter().all(|ok| ok));
-}
-
-#[test]
 fn allreduce_sum_min_max_deterministic() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(5));
     let outs = world
@@ -263,31 +245,6 @@ fn passive_send_receive() {
         .join();
     let vals = join_ok(outs);
     assert_eq!(vals[1], Some((0, b"hello".to_vec())));
-}
-
-#[test]
-fn atomics_fetch_add_and_cas() {
-    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
-    let outs = world
-        .launch(|p| {
-            let g = setup_world(&p, 64)?;
-            // Everyone increments a counter on rank 0.
-            let old = p.atomic_fetch_add(0, SEG, 0, 1, Timeout::Ms(5000))?;
-            assert!(old < 4);
-            p.barrier(g, Timeout::Ms(5000))?;
-            let total = p.with_segment(SEG, |b| ft_gaspi::bytes::get_u64(b, 0))?;
-            if p.rank() == 0 {
-                assert_eq!(total, 4);
-            }
-            // CAS: only one rank wins the swap 4 → 100.
-            let prev =
-                p.atomic_compare_swap(0, SEG, 8, 0, u64::from(p.rank()) + 1, Timeout::Ms(5000))?;
-            p.barrier(g, Timeout::Ms(5000))?;
-            Ok(prev == 0) // true for the single winner
-        })
-        .join();
-    let winners = join_ok(outs).into_iter().filter(|w| *w).count();
-    assert_eq!(winners, 1);
 }
 
 #[test]
