@@ -81,7 +81,6 @@ impl SweepConfig {
                 ping_timeout: Timeout::Ms(60),
                 ack_timeout: Timeout::Ms(500),
                 suspect_grace: self.suspect_grace,
-                ..Default::default()
             })
             .build()
             .expect("sweep world config must validate")

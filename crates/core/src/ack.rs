@@ -230,7 +230,7 @@ mod tests {
         let w0 = world.proc_handle(0);
         create_ctrl_segment(&fd, &layout).unwrap();
         create_ctrl_segment(&w0, &layout).unwrap();
-        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         let failed_writes = broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
         assert!(failed_writes.is_empty());
         // Worker sees the epoch notification and reads the same plan.
@@ -249,7 +249,7 @@ mod tests {
         let w0 = world.proc_handle(0);
         create_ctrl_segment(&w0, &layout).unwrap();
         world.fault().kill_rank(1); // rank 1 never created its segment & died
-        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         let failed = broadcast_plan(&fd, &plan, &[0, 1], 0, Timeout::Ms(2000)).unwrap();
         assert_eq!(failed, vec![1]);
         assert_eq!(read_plan(&w0).unwrap().unwrap().epoch, 1);

@@ -132,16 +132,17 @@ mod tests {
     #[test]
     fn source_is_the_last_adopted_predecessor() {
         let layout = WorldLayout::new(4, 4); // idles 4-6, FD 7
-        let p1 = RecoveryPlan::initial().after_failures(&layout, &[2], None, false);
+        let p1 = RecoveryPlan::initial().after_failures(&layout, &[2], None);
         assert_eq!(restore_source(&p1, 0), 0, "survivors restore as themselves");
-        assert_eq!(restore_source(&p1, 4), 2);
-        // Chained: rank2 → rescue4 (epoch 1); rank4 → rescue5 (epoch 2).
-        let p2 = p1.after_failures(&layout, &[4], None, false);
-        assert_eq!(restore_source(&p2, 5), 4);
-        // 4 is dead; if asked (it isn't), it would still resolve to 2.
-        assert_eq!(restore_source(&p2, 4), 2);
+        assert_eq!(restore_source(&p1, 6), 2);
+        // Chained: rank2 → rescue6, app rank 2's designated shadow (epoch
+        // 1); rank6 → rescue4, the pool's first (epoch 2).
+        let p2 = p1.after_failures(&layout, &[6], None);
+        assert_eq!(restore_source(&p2, 4), 6);
+        // 6 is dead; if asked (it isn't), it would still resolve to 2.
+        assert_eq!(restore_source(&p2, 6), 2);
         // A dead idle adopts nobody and is adopted by nobody.
-        let p3 = p2.after_failures(&layout, &[6], None, false);
+        let p3 = p2.after_failures(&layout, &[5], None);
         assert_eq!(restore_source(&p3, 3), 3);
     }
 }

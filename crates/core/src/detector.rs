@@ -38,15 +38,11 @@ pub struct DetectorConfig {
     /// A link fault that breaks and heals within this window never
     /// surfaces as a detection — the verifying re-ping crosses the healed
     /// link — so transient partitions shorter than the grace cause no
-    /// spurious recovery. `ZERO` (the default) verifies immediately, the
-    /// pre-link-fault behavior.
+    /// spurious recovery. The spares' watch on the detector takes the same
+    /// second look, so neither an idle nor the shadow gives up on a
+    /// detector behind such a link. `ZERO` (the default) verifies
+    /// immediately, the pre-link-fault behavior.
     pub suspect_grace: Duration,
-    /// Prefer each app rank's *designated shadow* spare
-    /// ([`WorldLayout::designated_shadow`]) when assigning a rescue, so a
-    /// replication strategy's hot standby is the process that adopts the
-    /// state it has been mirroring. Falls back to the ordinary pool order
-    /// when the designated spare is unavailable.
-    pub designated_shadows: bool,
 }
 
 impl Default for DetectorConfig {
@@ -56,7 +52,6 @@ impl Default for DetectorConfig {
             ping_timeout: Timeout::Ms(200),
             ack_timeout: Timeout::Ms(2000),
             suspect_grace: Duration::ZERO,
-            designated_shadows: false,
         }
     }
 }
@@ -116,7 +111,9 @@ pub fn run_detector(
 }
 
 /// [`run_detector`] from `plan` on: the initial plan for the primary FD;
-/// for a shadow, the plan whose detector it found dead — it records the
+/// for a shadow, the plan whose detector it found dead — it enforces that
+/// verdict with `gaspi_proc_kill` (§IV-A-a: a detector condemned while
+/// alive must not keep scanning beside its successor), records the
 /// takeover and announces itself in that rank's place first. The plan is
 /// cumulative, so it is all the detection state there is — which is what
 /// lets a shadow continue where a dead primary stopped (the redundancy
@@ -135,8 +132,12 @@ pub fn run_detector_from(
     // or alive and not yet listening (a spare scheduled so late that its
     // control segment did not exist when the write arrived).
     let mut unreached = Vec::new();
-    if plan.current_fd(layout) != me {
-        events.record(me, EventKind::FdTakeover { dead_fd: plan.current_fd(layout) });
+    let dead_fd = plan.current_fd(layout);
+    if dead_fd != me {
+        // Best effort, like recovery's kill loop: an unreachable rank stays
+        // condemned by the plan either way.
+        let _ = proc.proc_kill(dead_fd, cfg.ping_timeout);
+        events.record(me, EventKind::FdTakeover { dead_fd });
         plan = plan.after_takeover(layout, me);
         unreached = announce(proc, cfg, events, &plan, &alive_targets(layout, &plan, me))?;
     }
@@ -184,7 +185,7 @@ pub fn run_detector_from(
                     ack::broadcast_plan(proc, &plan, &unreached, ack::ACK_QUEUE, cfg.ack_timeout)?;
             }
         } else {
-            plan = plan.after_failures(layout, &newly, reserved, cfg.designated_shadows);
+            plan = plan.after_failures(layout, &newly, reserved);
             events.record(me, EventKind::FdDetect { epoch: plan.epoch, failed: newly });
             let alive = alive_targets(layout, &plan, me);
             // The plan is cumulative: the newest is all a straggler needs.
@@ -349,6 +350,32 @@ mod tests {
         let failed = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
         assert_eq!(failed, vec![1, 7, 8]);
         assert_eq!(counts(), (2, 3), "(fan-outs, calls) after a scan with 3 dead");
+    }
+
+    /// §IV-A-a on the takeover path: a successor started from a plan whose
+    /// detector is alive (condemned behind a slow or broken link) kills it
+    /// before it announces itself, so two detectors never scan at once.
+    #[test]
+    fn a_takeover_kills_the_detector_it_replaces() {
+        let layout = WorldLayout::new(1, 3); // worker 0, idle 1, shadow 2, FD 3
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let procs: Vec<GaspiProc> = (0..4).map(|r| world.proc_handle(r)).collect();
+        for p in &procs {
+            ack::create_ctrl_segment(p, &layout).unwrap();
+        }
+        let (cfg, events) = (DetectorConfig::default(), EventLog::new());
+        let (shadow, cfg2, events2) = (procs[2].clone(), cfg.clone(), events.clone());
+        let run = std::thread::spawn(move || {
+            run_detector_from(&shadow, &layout, &cfg2, &events2, Some(2), RecoveryPlan::initial())
+        });
+        let took_over = || events.first_where(|e| matches!(e.kind, EventKind::FdTakeover { .. }));
+        while took_over().is_none() && !run.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(took_over().is_some(), "the takeover must be recorded");
+        assert!(!world.fault().is_alive(3), "the replaced detector must be enforced dead");
+        ack::signal_done(&procs[0], 2, ack::ACK_QUEUE, cfg.ack_timeout).unwrap();
+        assert_eq!(run.join().unwrap(), Ok(None));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ft_gaspi::{
 };
 
 use crate::ack::{self, create_ctrl_segment};
-use crate::detector::{run_detector_from, DetectorConfig};
+use crate::detector::{glo_health_chk_graced, run_detector_from, DetectorConfig};
 use crate::error::{FtError, FtResult, FtSignal};
 use crate::events::{EventKind, EventLog};
 use crate::health::{CommPolicy, HealthWatch};
@@ -165,22 +165,16 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Validate and produce the config. Selecting
-    /// [`StrategyKind::Replicated`] turns on designated-shadow rescue
-    /// assignment in the detector, so each app rank's hot standby is the
-    /// spare that actually adopts it.
-    pub fn build(mut self) -> Result<FtConfig, FtConfigError> {
+    /// Validate and produce the config.
+    pub fn build(self) -> Result<FtConfig, FtConfigError> {
         if self.cfg.max_iters == 0 {
             return Err(FtConfigError::ZeroIters);
         }
         if self.cfg.redundant_fd && self.cfg.layout.num_spares < 2 {
             return Err(FtConfigError::ShadowNeedsSpares { have: self.cfg.layout.num_spares });
         }
-        if self.cfg.strategy == StrategyKind::Replicated {
-            if self.cfg.layout.rescue_capacity() < 1 {
-                return Err(FtConfigError::ReplicationNeedsSpares);
-            }
-            self.cfg.detector.designated_shadows = true;
+        if self.cfg.strategy == StrategyKind::Replicated && self.cfg.layout.rescue_capacity() < 1 {
+            return Err(FtConfigError::ReplicationNeedsSpares);
         }
         Ok(self.cfg)
     }
@@ -540,122 +534,100 @@ fn run_rank<A: FtApp>(
     let report = |role, app_rank, summary, error| {
         Ok(RankReport { rank, role, app_rank, summary, error, t_end: ctx.events.now() })
     };
-    // Activation of a spare (idle, shadow or promoted detector) as a
-    // rescue under `plan`: from here on it is a worker. (A detector put
-    // the plan out itself; an idle's watch already holds it.)
-    let rescue = |plan: RecoveryPlan| {
-        ctx.watch.adopt(plan.clone());
-        match worker_run(&ctx, make_app, schedule, Some(plan)) {
-            Ok(summary) => report(Role::Rescue, Some(ctx.app_rank()), Some(summary), None),
-            Err(e) => {
-                abort_job(&ctx);
-                report(Role::Rescue, None, None, Some(e))
+    let (role, activation) = if rank < layout.num_workers {
+        ctx.set_app_rank(rank);
+        (Role::Worker, None)
+    } else {
+        let detector = rank == layout.fd_rank() || ctx.cfg.shadow_rank() == Some(rank);
+        let role = if detector { Role::Detector } else { Role::Idle };
+        match spare_run(&ctx) {
+            // Activated — an idle the plan names, or a detector joining the
+            // workers (restriction 2) under the plan it put out itself:
+            // from here on it is a worker.
+            Ok(Some(plan)) => {
+                ctx.watch.adopt(plan.clone());
+                (Role::Rescue, Some(plan))
             }
+            Ok(None) => return report(role, None, None, None),
+            Err(e) => return report(role, None, None, Some(e)),
         }
     };
-
-    if rank == layout.fd_rank() || ctx.cfg.shadow_rank() == Some(rank) {
-        // ---- Detector path, primary and shadow alike ---------------------
-        match detector_run(&ctx) {
-            // The FD joins the workers (restriction 2).
-            Ok(Some(plan)) => rescue(plan),
-            Ok(None) => report(Role::Detector, None, None, None),
-            Err(e) => report(Role::Detector, None, None, Some(e)),
-        }
-    } else if rank < layout.num_workers {
-        // ---- Worker path ----------------------------------------------
-        ctx.set_app_rank(rank);
-        match recover_once(&ctx, &RecoveryPlan::initial())
-            .map(|group| ctx.install(group))
-            .and_then(|()| worker_run(&ctx, make_app, schedule, None))
-        {
-            Ok(summary) => report(Role::Worker, Some(ctx.app_rank()), Some(summary), None),
-            Err(e) => {
-                abort_job(&ctx);
-                report(Role::Worker, Some(ctx.app_rank()), None, Some(e))
-            }
-        }
-    } else {
-        // ---- Idle path -------------------------------------------------
-        // Idles park on their control segment, but also watch the
-        // detector's liveness: if every detector is gone (restriction 2
-        // reached), nothing can ever activate them — exit instead of
-        // idling forever.
-        let fd_check_every = ctx.cfg.detector.scan_interval.max(Duration::from_millis(5)) * 4;
-        let mut last_fd_check = Instant::now();
-        loop {
-            match ctx.watch.check() {
-                Ok(()) => {}
-                Err(FtError::Signal(FtSignal::Shutdown)) => {
-                    return report(Role::Idle, None, None, None)
-                }
-                // A new worker group: mine to join if the plan names me.
-                Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                    if plan.adopted_app_rank(&layout, rank).is_some() {
-                        return rescue(plan);
-                    }
-                }
-                Err(e) => return report(Role::Idle, None, None, Some(e)),
-            }
-            if last_fd_check.elapsed() >= fd_check_every {
-                last_fd_check = Instant::now();
-                let fd = ctx.plan().current_fd(&layout);
-                let fd_dead = ctx.proc.proc_ping(fd, ctx.cfg.detector.ping_timeout).is_err();
-                if fd_dead {
-                    // With redundancy, give the live shadow its chance to
-                    // take over; without (or if the shadow is gone too),
-                    // fault tolerance has ended.
-                    let shadow_alive =
-                        ctx.cfg.shadow_rank().filter(|&s| s != fd && s != rank).is_some_and(|s| {
-                            ctx.proc.proc_ping(s, ctx.cfg.detector.ping_timeout).is_ok()
-                        });
-                    if !shadow_alive {
-                        // A detector that left because the job ended fails
-                        // the ping too, but its shutdown reached this
-                        // control segment before it went.
-                        let error = match ctx.watch.check() {
-                            Err(FtError::Signal(FtSignal::Shutdown)) => None,
-                            _ => Some(FtError::Gaspi(ft_gaspi::GaspiError::RemoteBroken {
-                                rank: fd,
-                            })),
-                        };
-                        return report(Role::Idle, None, None, error);
-                    }
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
+    match worker_run(&ctx, make_app, schedule, activation) {
+        Ok(summary) => report(role, Some(ctx.app_rank()), Some(summary), None),
+        Err(e) => {
+            abort_job(&ctx);
+            report(role, ctx.state.borrow().app_rank, None, Some(e))
         }
     }
 }
 
-/// The one detector role, primary and shadow alike: while another rank is
-/// the detector of the plan in force, stand by — keep the plan current and
-/// ping that rank; once this rank is the detector, from the start or by
-/// taking over from a dead one (paper §VIII future work), scan. `Some`
-/// carries the plan under which this detector must join the workers.
-fn detector_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
+/// The one loop of a rank that does not compute — an idle spare, the
+/// standby shadow detector, the primary detector — until the job ends
+/// (`None`) or the rank joins the workers (`Some` carries the plan). A plan
+/// naming this rank a rescue activates it; being the plan's detector runs
+/// [`run_detector_from`] (the primary from the start, the shadow once it
+/// takes over). Otherwise, once per look period, the FD's own two-look scan
+/// ([`glo_health_chk_graced`]) says whether the detector is gone. If it is,
+/// the successor (the shadow) takes over; an idle with no live successor
+/// gives up — nothing could ever activate it (restriction 2).
+fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
     let (proc, layout, cfg) = (&ctx.proc, &ctx.layout, &ctx.cfg.detector);
-    loop {
+    let (me, shadow) = (proc.rank(), ctx.cfg.shadow_rank());
+    let look_every = if shadow == Some(me) {
+        cfg.scan_interval.min(Duration::from_millis(5))
+    } else {
+        cfg.scan_interval.max(Duration::from_millis(5)) * 4
+    };
+    let mut last_look = Instant::now();
+    let plan = loop {
         match ctx.watch.check() {
-            // A new worker group is none of a standby's business: it is
-            // reserved, never a rescue, and the watch keeps the plan.
-            Ok(()) | Err(FtError::Signal(FtSignal::Recover(_))) => {}
+            Ok(()) => {}
             Err(FtError::Signal(FtSignal::Shutdown)) => return Ok(None),
+            // A new worker group: mine to join if the plan names me. (The
+            // shadow is withheld from the pool; the watch keeps the plan.)
+            Err(FtError::Signal(FtSignal::Recover(plan))) => {
+                if plan.adopted_app_rank(layout, me).is_some() {
+                    return Ok(Some(plan));
+                }
+            }
             Err(e) => return Err(e),
         }
         let plan = ctx.plan();
         if !plan.fd_alive {
-            // The detector joined the workers; nothing left to shadow.
+            // The detector joined the workers: none is left to watch,
+            // replace, or activate anyone.
             return Ok(None);
         }
         let fd = plan.current_fd(layout);
-        if fd != proc.rank() && proc.proc_ping(fd, cfg.ping_timeout).is_ok() {
-            std::thread::sleep(cfg.scan_interval.min(Duration::from_millis(5)));
-            continue;
+        if fd == me {
+            break plan;
         }
-        let reserved = ctx.cfg.shadow_rank();
-        return run_detector_from(proc, layout, cfg, &ctx.events, reserved, plan);
-    }
+        if last_look.elapsed() >= look_every {
+            last_look = Instant::now();
+            let successor = shadow.filter(|&s| s != fd && !plan.failed.contains(&s));
+            let targets: Vec<Rank> =
+                std::iter::once(fd).chain(successor.filter(|&s| s != me)).collect();
+            let gone = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
+            if gone.contains(&fd) {
+                match successor {
+                    Some(s) if s == me => break plan,
+                    // The live successor's turn: its takeover plan follows.
+                    Some(s) if !gone.contains(&s) => {}
+                    // A detector that left because the job ended fails the
+                    // look too, but its shutdown reached this control
+                    // segment first.
+                    _ => {
+                        return match ctx.watch.check() {
+                            Err(FtError::Signal(FtSignal::Shutdown)) => Ok(None),
+                            _ => Err(ft_gaspi::GaspiError::RemoteBroken { rank: fd }.into()),
+                        }
+                    }
+                }
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    run_detector_from(proc, layout, cfg, &ctx.events, shadow, plan)
 }
 
 /// Best-effort "stop the job" signal sent by a rank that ends in error:
@@ -731,8 +703,9 @@ fn recover<A: FtApp>(
 }
 
 /// The worker compute loop with failure handling and redo accounting. A
-/// worker of the initial group starts with `setup` at iteration 0; a spare
-/// activated under `activation` starts with the recovery that attaches it.
+/// worker of the initial group forms that group and starts with `setup` at
+/// iteration 0; a spare activated under `activation` starts with the
+/// recovery that attaches it.
 fn worker_run<A: FtApp>(
     ctx: &FtCtx,
     make_app: &impl Fn(&FtCtx) -> A,
@@ -740,6 +713,9 @@ fn worker_run<A: FtApp>(
     activation: Option<RecoveryPlan>,
 ) -> FtResult<A::Summary> {
     let rank = ctx.proc.rank();
+    if activation.is_none() {
+        ctx.install(recover_once(ctx, &RecoveryPlan::initial())?);
+    }
     let mut strat = ctx.cfg.strategy.build::<A>(ctx);
     let mut slot = None;
     let mut iter = match activation {

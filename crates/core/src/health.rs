@@ -218,7 +218,7 @@ mod tests {
         create_ctrl_segment(&w0, &layout).unwrap();
         let watch = HealthWatch::new(w0, CommPolicy::default(), layout);
         assert!(watch.check().is_ok());
-        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         ack::broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
         // Wait for delivery, then the check must fire exactly once.
         std::thread::sleep(Duration::from_millis(20));
@@ -265,7 +265,7 @@ mod tests {
         let fd2 = fd.clone();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
+            let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
             ack::broadcast_plan(&fd2, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
         });
         match wait_ft(&watch) {

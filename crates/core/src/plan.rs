@@ -123,19 +123,17 @@ impl RecoveryPlan {
     /// failed (ascending, none of them failed before): one epoch later,
     /// each failed carrier of an application rank adopted by a spare. The
     /// spare is the app rank's designated shadow
-    /// ([`WorldLayout::designated_shadow`]) when `designated_shadows` asks
-    /// for it and it is free, else the next of the pool, else the detector
-    /// itself ("the FD process itself joins the worker group if no idle
-    /// process is further available", §IV-D — the plan then has
-    /// `fd_alive == false`), else nobody ([`Self::exhausted`]). A rescue
-    /// named in this very round may itself be in `newly` further on, and is
-    /// then rescued in turn.
+    /// ([`WorldLayout::designated_shadow`]) while it is free, else the next
+    /// of the pool, else the detector itself ("the FD process itself joins
+    /// the worker group if no idle process is further available", §IV-D —
+    /// the plan then has `fd_alive == false`), else nobody
+    /// ([`Self::exhausted`]). A rescue named in this very round may itself
+    /// be in `newly` further on, and is then rescued in turn.
     pub fn after_failures(
         &self,
         layout: &WorldLayout,
         newly: &[Rank],
         reserved: Option<Rank>,
-        designated_shadows: bool,
     ) -> Self {
         let mut next = Self { epoch: self.epoch + 1, ..self.clone() };
         let mut map = self.rank_map(layout);
@@ -147,7 +145,7 @@ impl RecoveryPlan {
                 None => NO_RESCUE,
                 Some(app) => {
                     let designated = layout.designated_shadow(app);
-                    if designated_shadows && pool.contains(&designated) {
+                    if pool.contains(&designated) {
                         pool.retain(|&x| x != designated);
                         designated
                     } else if let Some(r) = pool.pop_front() {
@@ -235,7 +233,7 @@ mod tests {
     fn single_failure_plan() {
         let l = layout();
         let p0 = RecoveryPlan::initial();
-        let p = p0.after_failures(&l, &[2], None, false);
+        let p = p0.after_failures(&l, &[2], None);
         assert_eq!((p.epoch, &p.failed, &p.rescues), (1, &vec![2], &vec![4]));
         assert_eq!(p.worker_set(&l), vec![0, 1, 3, 4]);
         assert_eq!(p.rank_map(&l).gaspi_of(2), 4);
@@ -249,17 +247,13 @@ mod tests {
     fn chained_failures_including_a_rescue() {
         let l = layout();
         // epoch1: rank2 → rescue4; epoch2: rescue4 itself dies → rescue5.
-        let p = RecoveryPlan::initial().after_failures(&l, &[2], None, false).after_failures(
-            &l,
-            &[4],
-            None,
-            false,
-        );
+        let p =
+            RecoveryPlan::initial().after_failures(&l, &[2], None).after_failures(&l, &[4], None);
         assert_eq!((p.epoch, &p.failed, &p.rescues), (2, &vec![2, 4], &vec![4, 5]));
         assert_eq!(p.rank_map(&l).gaspi_of(2), 5);
         assert_eq!(p.worker_set(&l), vec![0, 1, 3, 5]);
         // The same two deaths found by one scan: one epoch, same adoptions.
-        let batch = RecoveryPlan::initial().after_failures(&l, &[2, 4], None, false);
+        let batch = RecoveryPlan::initial().after_failures(&l, &[2, 4], None);
         assert_eq!((batch.epoch, &batch.failed, &batch.rescues), (1, &p.failed, &p.rescues));
     }
 
@@ -267,9 +261,9 @@ mod tests {
     fn failed_idle_and_takeover_leave_the_group_alone() {
         let l = layout();
         let p0 = RecoveryPlan::initial();
-        let idle = p0.after_failures(&l, &[5], None, false);
+        let idle = p0.after_failures(&l, &[5], None);
         assert_eq!(idle.rescues, vec![NO_RESCUE]);
-        let p1 = p0.after_failures(&l, &[2], Some(5), false);
+        let p1 = p0.after_failures(&l, &[2], Some(5));
         let shadowed = p1.after_takeover(&l, 5);
         assert_eq!((shadowed.epoch, shadowed.current_fd(&l), shadowed.fd_alive), (2, 5, true));
         assert_eq!((&shadowed.failed, &shadowed.rescues), (&vec![2, 6], &vec![4, NO_RESCUE]));
@@ -283,11 +277,11 @@ mod tests {
     #[test]
     fn pool_then_promotion_then_exhaustion() {
         let l = WorldLayout::new(4, 3); // idles 4-5, FD 6
-        let p = RecoveryPlan::initial().after_failures(&l, &[0, 1, 2, 3], None, false);
+        let p = RecoveryPlan::initial().after_failures(&l, &[0, 1, 2, 3], None);
         assert_eq!(p.rescues, vec![4, 5, 6, NO_RESCUE]);
         assert!(!p.fd_alive && p.exhausted(&l));
         // With 5 reserved as the shadow, the FD's turn comes one earlier.
-        let q = RecoveryPlan::initial().after_failures(&l, &[0, 1], Some(5), false);
+        let q = RecoveryPlan::initial().after_failures(&l, &[0, 1], Some(5));
         assert_eq!(
             (q.worker_set(&l), q.fd_alive, q.exhausted(&l)),
             (vec![2, 3, 4, 6], false, false)
@@ -297,10 +291,10 @@ mod tests {
     #[test]
     fn designated_shadow_is_preferred_while_free() {
         let l = WorldLayout::new(3, 4); // idles 3-5 shadow app ranks 0-2, FD 6
-        let p = RecoveryPlan::initial().after_failures(&l, &[1, 2], None, true);
+        let p = RecoveryPlan::initial().after_failures(&l, &[1, 2], None);
         assert_eq!(p.rescues, vec![4, 5]);
         // 5 is taken: app rank 2's next carrier falls back to pool order.
-        assert_eq!(p.after_failures(&l, &[5], None, true).rescues, vec![4, 5, 3]);
+        assert_eq!(p.after_failures(&l, &[5], None).rescues, vec![4, 5, 3]);
     }
 
     #[test]

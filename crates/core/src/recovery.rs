@@ -101,7 +101,7 @@ mod tests {
         let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
         let fault = world.fault();
         fault.kill_rank(1);
-        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None, false);
+        let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         let layout2 = layout;
         let outs = world
             .launch(move |p| {

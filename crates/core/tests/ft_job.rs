@@ -249,6 +249,50 @@ fn idle_spares_end_a_clean_job_without_error() {
     }
 }
 
+/// Regression: an idle spare judged the detector by one ping, so a link
+/// that was down for a moment made it give up on a live detector with
+/// `RemoteBroken`. It now takes the detector's own two looks, the second
+/// after `suspect_grace`: an idle↔FD link down for three of the idle's look
+/// periods, healed well inside the grace, is forgiven by everyone.
+#[test]
+fn idle_forgives_a_detector_link_that_heals_within_the_grace() {
+    let layout = WorldLayout::new(2, 2); // workers 0-1, idle 2, FD 3
+    let (idle, fd) = (2, layout.fd_rank());
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(60)
+        .abandon(Duration::from_secs(20))
+        .detector(ft_core::DetectorConfig {
+            // The idle looks every 4 × 10 ms.
+            scan_interval: Duration::from_millis(10),
+            suspect_grace: Duration::from_millis(400),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    // At app rank 0's 20th step: cut the link for 120 ms, heal it, then hold
+    // the job long enough for every second look to land before it ends.
+    let at = |action| Injection::at("gaspi.allreduce", 0, 20, action);
+    let schedule = [
+        FaultAction::BreakLink(idle, fd),
+        FaultAction::Delay(Duration::from_millis(120)),
+        FaultAction::HealLink(idle, fd),
+        FaultAction::Delay(Duration::from_millis(700)),
+    ]
+    .into_iter()
+    .fold(FaultSchedule::none(), |s, a| s.inject(at(a)));
+    let armed = schedule.injections().to_vec();
+    let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp::new(ctx, &pfs));
+    assert_eq!(world.fault().injections_fired(), armed, "the schedule must hit its window");
+    assert!(report.killed().is_empty());
+    assert_workers_correct(&report, 2, 60);
+    assert!(report.first_error().is_none(), "{:?}", report.first_error());
+    let spare = report.completed().into_iter().find(|r| r.rank == idle).expect("the idle ends");
+    assert_eq!((spare.role, &spare.error), (Role::Idle, &None));
+}
+
 /// Regression (the `EarlyKill` class): the lone worker is done with six
 /// iterations and dead before the spare — stalled at its first
 /// `gaspi.segment.create` — has a control segment for the FD's plan write
@@ -337,11 +381,11 @@ fn two_sequential_failures() {
 
 #[test]
 fn rescue_failure_is_rescued_again() {
-    // Rank 1 dies; the first idle (rank 3) adopts app rank 1, then is
-    // itself killed mid-compute. The second rescue (rank 4) must adopt
-    // the same app rank transitively.
+    // Rank 1 dies; app rank 1's designated shadow (idle rank 4) adopts it,
+    // then is itself killed mid-compute. The pool's first idle (rank 3)
+    // must adopt the same app rank transitively.
     let schedule =
-        FaultSchedule::none().kill_rank_at_iteration(1, 15).kill_rank_at_iteration(3, 35); // fires once rank 3 computes as a worker
+        FaultSchedule::none().kill_rank_at_iteration(1, 15).kill_rank_at_iteration(4, 35); // fires once rank 4 computes as a worker
     let report = job(3, 4, 50, 10, schedule);
     assert_workers_correct(&report, 3, 50);
     let rescue = report
@@ -349,7 +393,7 @@ fn rescue_failure_is_rescued_again() {
         .into_iter()
         .find(|r| r.role == Role::Rescue && r.summary.is_some())
         .expect("final rescue");
-    assert_eq!(rescue.rank, 4);
+    assert_eq!(rescue.rank, 3);
     assert_eq!(rescue.app_rank, Some(1));
 }
 

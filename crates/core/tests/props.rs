@@ -20,12 +20,11 @@ use ft_core::{
     Event, EventKind, EventLog, ProcOutcome, ProcResult, RecoveryPlan, Role, WorldLayout,
 };
 
-/// A job's detection history: the layout, the two knobs of the transition,
-/// and every plan broadcast, oldest first.
+/// A job's detection history: the layout, the shadow withheld from the
+/// pool, and every plan broadcast, oldest first.
 struct History {
     layout: WorldLayout,
     reserved: Option<Rank>,
-    designated: bool,
     plans: Vec<RecoveryPlan>,
 }
 
@@ -52,7 +51,7 @@ fn check_step(h: &History, prev: &RecoveryPlan, next: &RecoveryPlan, f: Rank) {
         return;
     };
     let shadow = l.designated_shadow(app);
-    if h.designated && free.contains(&shadow) {
+    if free.contains(&shadow) {
         assert_eq!(rescue, shadow, "a free designated shadow is preferred");
     } else if let Some(&first) = free.first() {
         assert_eq!(rescue, first, "otherwise the pool, in layout order");
@@ -71,16 +70,10 @@ fn check_step(h: &History, prev: &RecoveryPlan, next: &RecoveryPlan, f: Rank) {
 /// Drive the transitions the way the detectors do: scans that find 1–3
 /// dead ranks, and (with a reserved shadow) a takeover once the primary is
 /// picked to die. Every single-failure step is checked on the way.
-fn arb_history(
-    workers: u32,
-    spares: u32,
-    redundant: bool,
-    designated: bool,
-    picks: Vec<u16>,
-) -> History {
+fn arb_history(workers: u32, spares: u32, redundant: bool, picks: Vec<u16>) -> History {
     let layout = WorldLayout::new(workers, spares);
     let reserved = (redundant && spares >= 2).then(|| layout.total() - 2);
-    let mut h = History { layout, reserved, designated, plans: vec![RecoveryPlan::initial()] };
+    let mut h = History { layout, reserved, plans: vec![RecoveryPlan::initial()] };
     let mut picks = picks.into_iter();
     while let Some(pick) = picks.next() {
         let plan = h.plans.last().unwrap().clone();
@@ -100,9 +93,9 @@ fn arb_history(
                     .collect();
                 newly.sort_unstable();
                 newly.dedup();
-                let at_once = plan.after_failures(&layout, &newly, reserved, designated);
+                let at_once = plan.after_failures(&layout, &newly, reserved);
                 let folded = newly.iter().fold(plan.clone(), |prev, &f| {
-                    let next = prev.after_failures(&layout, &[f], reserved, designated);
+                    let next = prev.after_failures(&layout, &[f], reserved);
                     check_step(&h, &prev, &next, f);
                     next
                 });
@@ -123,10 +116,9 @@ proptest! {
         workers in 1u32..12,
         spares in 1u32..8,
         redundant in any::<bool>(),
-        designated in any::<bool>(),
         picks in proptest::collection::vec(any::<u16>(), 0..24),
     ) {
-        let h = arb_history(workers, spares, redundant, designated, picks);
+        let h = arb_history(workers, spares, redundant, picks);
         let l = &h.layout;
         for (i, plan) in h.plans.iter().enumerate() {
             prop_assert_eq!(plan.epoch, i as u64);
@@ -159,10 +151,9 @@ proptest! {
         workers in 1u32..12,
         spares in 1u32..8,
         redundant in any::<bool>(),
-        designated in any::<bool>(),
         picks in proptest::collection::vec(any::<u16>(), 0..24),
     ) {
-        let h = arb_history(workers, spares, redundant, designated, picks);
+        let h = arb_history(workers, spares, redundant, picks);
         for (i, held) in h.plans.iter().enumerate() {
             for newer in &h.plans[i..] {
                 let same_group = held.rank_map(&h.layout) == newer.rank_map(&h.layout);
