@@ -13,9 +13,11 @@
 //! spot and nothing is interrupted; only one that changes the group
 //! surfaces, as a typed [`FtSignal::Recover`]. [`HealthWatch::retry`] is
 //! the retry-until-acknowledged loop behind `FtCtx`'s `*_ft` calls: it
-//! issues the underlying GASPI call with a short timeout and re-checks the
-//! watch between attempts, so a worker stuck on a dead partner leaves the
-//! call the moment the FD's acknowledgment lands.
+//! issues the underlying GASPI call under a wake on the control segment's
+//! epoch and shutdown slots ([`GaspiProc::wake_on`]), so the FD's
+//! acknowledgment itself ends a wait blocked on a dead partner, and the
+//! worker leaves the call the moment the acknowledgment lands — not at
+//! the next [`CommPolicy::attempt`] timeout.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -33,7 +35,9 @@ use crate::plan::RecoveryPlan;
 #[derive(Debug, Clone)]
 pub struct CommPolicy {
     /// Per-attempt GASPI timeout (the paper sets 1 s; the simulation
-    /// scales it down).
+    /// scales it down). It does not delay detection: the acknowledgment
+    /// wakes a blocked call at once. It only bounds how often the abandon
+    /// deadline is checked.
     pub attempt: Timeout,
     /// Give up entirely after this long without progress or
     /// acknowledgment. Guards against the paper's restriction 2 (no FD
@@ -146,37 +150,63 @@ impl HealthWatch {
     /// (now in force; the caller carries on undisturbed), a typed signal
     /// otherwise. Classification runs only on an epoch bump.
     pub fn check(&self) -> FtResult<()> {
+        self.look().map(drop)
+    }
+
+    /// [`Self::check`], returning the epoch slot's value as it read it.
+    fn look(&self) -> FtResult<u32> {
         if self.proc.notify_peek(CTRL_SEG, SHUTDOWN_NOTIF)? != 0 {
             return Err(FtError::Signal(FtSignal::Shutdown));
         }
-        let epoch = u64::from(self.proc.notify_peek(CTRL_SEG, EPOCH_NOTIF)?);
-        if epoch > self.held.borrow().plan.epoch {
+        let seen = self.proc.notify_peek(CTRL_SEG, EPOCH_NOTIF)?;
+        if u64::from(seen) > self.held.borrow().plan.epoch {
             if let Some(plan) = ack::read_plan(&self.proc)? {
                 if self.adopt(plan.clone()) {
                     return Err(FtError::Signal(FtSignal::Recover(plan)));
                 }
             }
         }
-        Ok(())
+        Ok(seen)
     }
 
-    /// Run `attempt` (a GASPI call with the policy's per-attempt timeout)
-    /// until it succeeds or the watch raises a signal. Timeouts re-attempt. A *broken* completion (dead partner or severed
-    /// link) is final for this operation — the data did not arrive — so
-    /// the loop reports the broken partners to the FD (see
-    /// `report_broken`), then stops attempting and holds position,
-    /// polling only the watch, until the FD's acknowledgment (or the
+    /// One attempt of a blocking GASPI call: [`Self::check`], then `call`
+    /// under a wake ([`GaspiProc::wake_on`]) that ends any wait inside it
+    /// with `GaspiError::Timeout` once the epoch slot moves past the value
+    /// the check read, or the shutdown word lands. A plan that arrives
+    /// between the check and the park therefore ends the park at once.
+    /// The finished-echo slot (`DONE_NOTIF`) wakes nothing.
+    pub(crate) fn attempt<T>(
+        &self,
+        call: impl FnOnce() -> Result<T, GaspiError>,
+    ) -> FtResult<Result<T, GaspiError>> {
+        let seen = self.look()?;
+        Ok(self.proc.wake_on(CTRL_SEG, &[(EPOCH_NOTIF, seen), (SHUTDOWN_NOTIF, 0)], call))
+    }
+
+    /// Run `call` (a GASPI call with the policy's per-attempt timeout)
+    /// until it succeeds or the watch raises a signal. Each try is one
+    /// `attempt`, so the acknowledgment ends a blocked call the moment it
+    /// lands. Timeouts re-attempt. A *broken* completion (dead partner or
+    /// severed link) is final for this operation — the data did not
+    /// arrive — so the loop reports the broken partners to the FD (see
+    /// `report_broken`), then stops attempting and holds position, parked
+    /// on the control segment, until the FD's acknowledgment (or the
     /// abandon deadline) arrives. This is the paper's "keep on returning
     /// with GASPI_TIMEOUT unless a failure acknowledgment is received".
-    pub fn retry<T>(&self, mut attempt: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
+    pub fn retry<T>(&self, mut call: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
         let deadline = Instant::now() + self.policy.abandon;
         let mut broken = false;
+        // Holding position: a wait on the shutdown slot, which the wake
+        // also ends when a newer plan lands.
+        let park = || self.proc.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, self.policy.attempt);
         loop {
-            self.check()?;
             if broken {
-                std::thread::sleep(Duration::from_millis(1));
+                match self.attempt(park)? {
+                    Ok(_) | Err(GaspiError::Timeout) => {}
+                    Err(e) => return Err(FtError::Gaspi(e)),
+                }
             } else {
-                match attempt() {
+                match self.attempt(&mut call)? {
                     Ok(v) => return Ok(v),
                     Err(GaspiError::Timeout) => {}
                     Err(GaspiError::QueueFailure { ranks, .. }) => {
@@ -200,8 +230,8 @@ impl HealthWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ack::create_ctrl_segment;
-    use ft_gaspi::{GaspiConfig, GaspiWorld};
+    use crate::ack::{create_ctrl_segment, FIRST_APP_SEG};
+    use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
     /// Fault-tolerant `gaspi_wait` on queue 0, as `FtCtx::wait_ft` runs it.
     fn wait_ft(watch: &HealthWatch) -> FtResult<()> {
@@ -273,6 +303,87 @@ mod tests {
             other => panic!("expected Recover, got {other:?}"),
         }
         h.join().unwrap();
+    }
+
+    #[test]
+    fn retry_wakes_on_the_acknowledgment() {
+        let layout = WorldLayout::new(2, 1);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let fd = world.proc_handle(layout.fd_rank());
+        let w0 = world.proc_handle(0);
+        create_ctrl_segment(&fd, &layout).unwrap();
+        create_ctrl_segment(&w0, &layout).unwrap();
+        w0.segment_create(FIRST_APP_SEG, 64).unwrap();
+        // One attempt outlasts the test: only the acknowledgment can end it.
+        let attempt = Timeout::Ms(5_000);
+        let watch =
+            HealthWatch::new(w0, CommPolicy { attempt, abandon: Duration::from_secs(30) }, layout);
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
+            ack::broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
+        });
+        let t0 = Instant::now();
+        // A halo wait for a partner that never writes.
+        match watch.retry(|| watch.proc().notify_waitsome(FIRST_APP_SEG, 0, 1, attempt)) {
+            Err(FtError::Signal(FtSignal::Recover(p))) => assert_eq!(p.epoch, 1),
+            other => panic!("expected Recover, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(1), "Recover after {:?}", t0.elapsed());
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_takeover_mid_allreduce_is_absorbed_and_the_allreduce_resumes() {
+        let layout = WorldLayout::new(2, 3); // idle 2, shadow 3, FD 4
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let [w0, w1, shadow] = [0, 1, 3].map(|r| world.proc_handle(r));
+        for p in [&w0, &w1, &shadow] {
+            create_ctrl_segment(p, &layout).unwrap();
+        }
+        let workers = |p: &GaspiProc| {
+            let g = p.group_create_with_id(1 << 32).unwrap();
+            for r in 0..2 {
+                p.group_add(g, r).unwrap();
+            }
+            p.group_commit(g, Timeout::Ms(5_000)).unwrap();
+            g
+        };
+        let attempt = Timeout::Ms(5_000);
+        let watch = HealthWatch::new(
+            w0.clone(),
+            CommPolicy { attempt, abandon: Duration::from_secs(30) },
+            layout,
+        );
+        let takeover = RecoveryPlan::initial().after_takeover(&layout, 3);
+        let (tried, tries) = std::sync::mpsc::channel();
+        let t0 = Instant::now();
+        let (sum, attempts) = std::thread::scope(|s| {
+            // The late peer: the takeover lands while w0 waits for it in
+            // its first attempt; it joins the allreduce only once w0 tried
+            // again.
+            let late = s.spawn(|| {
+                let tries = tries;
+                let g = workers(&w1);
+                tries.recv().unwrap();
+                ack::broadcast_plan(&shadow, &takeover, &[0], 0, Timeout::Ms(2000)).unwrap();
+                tries.recv().unwrap();
+                w1.allreduce_f64(g, &[2.0], ReduceOp::Sum, Timeout::Ms(5_000)).unwrap()
+            });
+            let g = workers(&w0);
+            let mut attempts = 0;
+            let sum = watch.retry(|| {
+                attempts += 1;
+                let _ = tried.send(());
+                w0.allreduce_f64(g, &[1.0], ReduceOp::Sum, attempt)
+            });
+            assert_eq!(late.join().unwrap(), vec![3.0]);
+            (sum, attempts)
+        });
+        assert_eq!(sum.expect("a takeover must not interrupt"), vec![3.0]);
+        assert_eq!(attempts, 2, "the plan ends the first attempt; the second resumes it");
+        assert_eq!(watch.plan(), takeover);
+        assert!(t0.elapsed() < Duration::from_millis(2_500), "took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!    plan's adoption history, add the members of its worker set, and
 //! 4. `gaspi_group_commit` — the blocking step whose cost dominates OHF2.
 //!
-//! If a *further* failure interrupts the commit, the health watch
-//! surfaces the newer plan and the caller restarts recovery with it.
+//! If a *further* failure interrupts the commit, its plan ends the commit
+//! attempt as it lands (the watch's wake), the health watch surfaces it,
+//! and the caller restarts recovery with it.
 
 use std::time::Instant;
 
@@ -66,14 +67,13 @@ pub fn execute_recovery(
     for &m in &members {
         proc.group_add(group, m)?;
     }
-    // 4. Blocking commit, re-checking the watch between attempts so a
-    //    failure *during* recovery escalates to the newer epoch.
+    // 4. Blocking commit, each attempt under the watch's wake so a failure
+    //    *during* recovery escalates to the newer epoch as its plan lands.
     let deadline = Instant::now() + watch.policy().abandon;
     loop {
-        match proc.group_commit(group, STEP_TIMEOUT) {
+        match watch.attempt(|| proc.group_commit(group, STEP_TIMEOUT))? {
             Ok(()) => break,
             Err(GaspiError::Timeout) | Err(GaspiError::RemoteBroken { .. }) => {
-                watch.check()?;
                 if Instant::now() >= deadline {
                     return Err(FtError::Gaspi(GaspiError::Timeout));
                 }
@@ -89,7 +89,7 @@ pub fn execute_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ack::create_ctrl_segment;
+    use crate::ack::{self, create_ctrl_segment};
     use crate::health::CommPolicy;
     use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
     use std::time::Duration;
@@ -129,5 +129,38 @@ mod tests {
             assert!(matches!(o, RankOutcome::Completed(true)) || r == 1, "rank {r}: {o:?}");
         }
         assert!(!fault.is_alive(1));
+    }
+
+    /// A second failure during a rebuild escalates as its plan lands, not
+    /// after a commit attempt (`STEP_TIMEOUT`) runs out.
+    #[test]
+    fn a_newer_plan_ends_a_blocked_group_commit() {
+        let layout = WorldLayout::new(3, 2); // workers 0-2, idle 3, FD 4
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let fd = world.proc_handle(layout.fd_rank());
+        let w0 = world.proc_handle(0);
+        create_ctrl_segment(&fd, &layout).unwrap();
+        create_ctrl_segment(&w0, &layout).unwrap();
+        let first = RecoveryPlan::initial().after_failures(&layout, &[1], None);
+        let second = first.after_failures(&layout, &[2], None);
+        let watch = HealthWatch::new(
+            w0,
+            CommPolicy { attempt: Timeout::Ms(100), abandon: Duration::from_secs(10) },
+            layout,
+        );
+        watch.adopt(first.clone());
+        let plan = second.clone();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            ack::broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
+        });
+        // Nobody else commits: rank 0 blocks in the commit until the plan.
+        let t0 = Instant::now();
+        match execute_recovery(&watch, &layout, &first, None, &EventLog::new()) {
+            Err(FtError::Signal(crate::error::FtSignal::Recover(p))) => assert_eq!(p, second),
+            other => panic!("expected Recover, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_millis(400), "escalated after {:?}", t0.elapsed());
+        h.join().unwrap();
     }
 }

@@ -1,5 +1,6 @@
 //! The per-rank process handle: the GASPI API surface.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -10,7 +11,7 @@ use crate::config::{GaspiConfig, PASSIVE_QUEUE, SERVICE_QUEUE};
 use crate::endpoint;
 use crate::error::{GaspiError, GaspiResult, ProcState, Timeout};
 use crate::runtime::{RankShared, WorldInner};
-use crate::segment::{NotificationId, SegId};
+use crate::segment::{NotificationId, SegId, Segment};
 
 /// Handle through which a rank performs GASPI operations. Cloneable and
 /// shareable across threads of the same process — the paper's *threaded*
@@ -133,7 +134,32 @@ impl GaspiProc {
     // Poll loops
     // ------------------------------------------------------------------
 
-    /// Poll `f` until it yields, the deadline passes, or this rank dies.
+    /// Run `call` with a wake condition on the calling thread: while it
+    /// runs, every blocking wait it makes returns [`GaspiError::Timeout`]
+    /// once one of `slots` — `(notification, value seen)` pairs of local
+    /// segment `seg` — holds a value other than the one seen. A slot that
+    /// already differs ends the first wait at once. A wait whose own
+    /// condition holds still completes. Waits on other threads are not
+    /// affected. Without segment `seg` the call runs unconditioned. The
+    /// previous condition is restored when `call` returns or unwinds.
+    ///
+    /// This is how a worker's blocked call learns of the fault detector's
+    /// acknowledgment: the write that lands it already wakes every parked
+    /// wait of the rank, and the condition makes the wait give up.
+    pub fn wake_on<R>(
+        &self,
+        seg: SegId,
+        slots: &[(NotificationId, u32)],
+        call: impl FnOnce() -> R,
+    ) -> R {
+        let wake =
+            self.shared().segments.get(seg).map(|segment| Wake { segment, slots: slots.to_vec() });
+        let _restore = RestoreWake(WAKE.with(|w| w.replace(wake)));
+        call()
+    }
+
+    /// Poll `f` until it yields, the deadline passes, the calling thread's
+    /// wake condition fires (see [`GaspiProc::wake_on`]), or this rank dies.
     pub(crate) fn poll_deadline<T>(
         &self,
         deadline: Option<Instant>,
@@ -146,6 +172,9 @@ impl GaspiProc {
             self.check_self();
             if let Some(r) = f() {
                 return r;
+            }
+            if woken() {
+                return Err(GaspiError::Timeout);
             }
             if let Some(d) = deadline {
                 if Instant::now() >= d {
@@ -583,6 +612,40 @@ impl GaspiProc {
     pub fn passive_receive(&self, timeout: Timeout) -> GaspiResult<(Rank, Vec<u8>)> {
         self.check_self();
         self.poll(timeout, || self.shared().passive_inbox.lock().pop_front().map(Ok))
+    }
+}
+
+thread_local! {
+    /// The wake condition of the [`GaspiProc::wake_on`] call running on
+    /// this thread, if any.
+    static WAKE: RefCell<Option<Wake>> = const { RefCell::new(None) };
+}
+
+/// A wake condition: a segment and the `(notification, value seen)` pairs
+/// to watch there.
+struct Wake {
+    segment: Arc<Segment>,
+    slots: Vec<(NotificationId, u32)>,
+}
+
+/// Whether the calling thread's wake condition is set and has fired.
+fn woken() -> bool {
+    WAKE.with(|w| {
+        w.borrow().as_ref().is_some_and(|w| {
+            w.slots.iter().any(|&(nid, seen)| w.segment.notify_peek(nid).is_ok_and(|v| v != seen))
+        })
+    })
+}
+
+/// Puts back the wake condition a [`GaspiProc::wake_on`] call replaced,
+/// on return and on unwind alike.
+struct RestoreWake(Option<Wake>);
+
+impl Drop for RestoreWake {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        // Fails only while the thread itself is being torn down.
+        let _ = WAKE.try_with(|w| w.replace(prev));
     }
 }
 

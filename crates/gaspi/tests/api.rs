@@ -1,6 +1,7 @@
 //! End-to-end tests of the GASPI API over live rank threads.
 
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use ft_gaspi::{
     GaspiConfig, GaspiError, GaspiProc, GaspiResult, GaspiWorld, ProcState, RankOutcome, ReduceOp,
@@ -567,4 +568,99 @@ fn alltoall_crosses_two_loopback_tcp_transports() {
     for (_, tcp) in &worlds {
         tcp.shutdown();
     }
+}
+
+/// A one-rank world whose segment `SEG` has notification 3 set to 7.
+fn wake_world() -> (GaspiWorld, GaspiProc) {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(1));
+    let p = world.proc_handle(0);
+    p.segment_create(SEG, 8).unwrap();
+    p.notify(0, SEG, 3, 7, Q).unwrap();
+    p.wait(Q, Timeout::Ms(5000)).unwrap();
+    (world, p)
+}
+
+/// Wait on notification 10 (never written) with the timeout `t`.
+fn park(p: &GaspiProc, t: u64) -> (GaspiResult<u32>, Duration) {
+    let t0 = Instant::now();
+    (p.notify_waitsome(SEG, 10, 1, Timeout::Ms(t)), t0.elapsed())
+}
+
+#[test]
+fn wake_on_ends_a_wait_at_once_when_a_listed_slot_already_moved() {
+    let (_world, p) = wake_world();
+    // Seen 0, holds 7: the condition fired before the wait began.
+    let (r, took) = p.wake_on(SEG, &[(2, 0), (3, 0)], || park(&p, 5_000));
+    assert_eq!(r, Err(GaspiError::Timeout));
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    // Seen 7, holds 7: the wait runs its course.
+    let (r, took) = p.wake_on(SEG, &[(3, 7)], || park(&p, 100));
+    assert_eq!(r, Err(GaspiError::Timeout));
+    assert!(took >= Duration::from_millis(100));
+    // A wait whose own condition holds still completes.
+    assert_eq!(p.wake_on(SEG, &[(3, 0)], || p.notify_waitsome(SEG, 3, 1, Timeout::Ms(100))), Ok(3));
+}
+
+#[test]
+fn a_write_to_a_listed_slot_ends_the_wait_and_to_another_slot_does_not() {
+    let (_world, p) = wake_world();
+    // Park under a wake on slot 5 while another thread of the rank writes
+    // `slot` once the park is about to begin.
+    let park_while_written = |slot, t| {
+        let (go, went) = mpsc::channel();
+        std::thread::scope(|s| {
+            let q = p.clone();
+            s.spawn(move || {
+                went.recv().unwrap();
+                q.notify(0, SEG, slot, 1, Q).unwrap();
+                q.wait(Q, Timeout::Ms(5000)).unwrap();
+            });
+            p.wake_on(SEG, &[(5, 0)], || {
+                go.send(()).unwrap();
+                park(&p, t)
+            })
+        })
+    };
+    let (r, took) = park_while_written(5, 5_000);
+    assert_eq!(r, Err(GaspiError::Timeout));
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    assert_eq!(p.notify_reset(SEG, 5), Ok(1));
+    let (r, took) = park_while_written(4, 300);
+    assert_eq!(r, Err(GaspiError::Timeout));
+    assert!(took >= Duration::from_millis(300), "an unlisted slot woke the wait after {took:?}");
+    assert_eq!(p.notify_peek(SEG, 4), Ok(1));
+}
+
+#[test]
+fn wake_on_binds_only_the_calling_thread() {
+    let (_world, p) = wake_world();
+    let (entered, has_entered) = mpsc::channel();
+    let (leave, may_leave) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let q = p.clone();
+        s.spawn(move || {
+            q.wake_on(SEG, &[(3, 0)], || {
+                entered.send(()).unwrap();
+                may_leave.recv().unwrap();
+            })
+        });
+        has_entered.recv().unwrap();
+        // The other thread's condition has fired; this wait ignores it.
+        let (r, took) = park(&p, 100);
+        leave.send(()).unwrap();
+        assert_eq!(r, Err(GaspiError::Timeout));
+        assert!(took >= Duration::from_millis(100), "woken by another thread after {took:?}");
+    });
+}
+
+#[test]
+fn an_unwound_wake_on_leaves_the_next_wait_alone() {
+    let (_world, p) = wake_world();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        p.wake_on(SEG, &[(3, 0)], || panic!("the call unwinds"))
+    }));
+    assert!(unwound.is_err());
+    let (r, took) = park(&p, 100);
+    assert_eq!(r, Err(GaspiError::Timeout));
+    assert!(took >= Duration::from_millis(100), "a leaked condition woke the wait after {took:?}");
 }
