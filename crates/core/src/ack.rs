@@ -28,17 +28,18 @@ pub const FIRST_APP_SEG: SegId = 1;
 /// writes and the workers' done / abort signals.
 pub const ACK_QUEUE: u16 = 0;
 
-/// Notification slot carrying the latest recovery epoch.
+/// Notification slot carrying the epoch of the latest plan: a recovery, a
+/// detector takeover, or the end plan ([`RecoveryPlan::after_done`]).
 pub const EPOCH_NOTIF: u32 = 0;
-/// Notification slot the workers set on the FD's control segment when the
-/// application has finished ([`signal_done`], value 1) or a rank ended in
-/// error and the job must stop ([`signal_abort`], value [`DONE_ABORTED`]).
-/// On a *worker's* control segment the same slot is the FD's echo of a
-/// normal end ([`broadcast_finished`]).
+/// Notification slot of the FD's control segment that app rank 0 sets
+/// when the application is done ([`signal_done`], value 1), or that a rank
+/// ended in error sets to stop the job ([`signal_abort`], value
+/// [`DONE_ABORTED`]). Unused on every other control segment.
 pub const DONE_NOTIF: u32 = 1;
 /// [`DONE_NOTIF`] value of [`signal_abort`].
 pub const DONE_ABORTED: u32 = 2;
-/// Notification slot carrying the orderly-shutdown signal to idles.
+/// Notification slot carrying the stop word ([`broadcast_shutdown`]): the
+/// job aborted or ran out of spares. A normal end is a plan.
 pub const SHUTDOWN_NOTIF: u32 = 2;
 /// First slot of the worker→FD suspect-report channel: slot
 /// `SUSPECT_NOTIF_BASE + r` on the FD's control segment flags rank `r` as
@@ -82,60 +83,45 @@ pub fn broadcast_plan(
         b[4..4 + len].copy_from_slice(&payload);
     })?;
     let epoch_value = u32::try_from(plan.epoch).expect("epoch fits u32");
-    for &t in targets {
-        if t == proc.rank() {
-            continue;
-        }
+    for &t in targets.iter().filter(|&&t| t != proc.rank()) {
         proc.write_notify(CTRL_SEG, 0, t, CTRL_SEG, 0, 4 + len, EPOCH_NOTIF, epoch_value, queue)?;
     }
-    match proc.wait(queue, timeout) {
-        Ok(()) => Ok(Vec::new()),
-        Err(ft_gaspi::GaspiError::QueueFailure { ranks, .. }) => Ok(ranks),
-        Err(e) => Err(e),
-    }
+    flush(proc, queue, timeout)
 }
 
-/// FD side: tell `targets` to stop. Every `HealthWatch::check` on a
-/// target fails with `Signal(Shutdown)` from then on, so on a normal job
-/// end this goes only to ranks that carry no application rank (idle pool,
-/// shadow FD); workers get [`broadcast_finished`].
+/// FD side: tell `targets` to stop — the job aborted or ran out of
+/// spares. Every `HealthWatch::check` on a target fails with
+/// `Signal(Shutdown)` from then on. Returns the ranks it did not reach.
 pub fn broadcast_shutdown(
     proc: &GaspiProc,
     targets: &[Rank],
     queue: u16,
     timeout: Timeout,
-) -> GaspiResult<()> {
-    notify_each(proc, targets, SHUTDOWN_NOTIF, queue, timeout)
+) -> GaspiResult<Vec<Rank>> {
+    notify_each(proc, targets, SHUTDOWN_NOTIF, 1, queue, timeout)
 }
 
-/// FD side: echo a normal job end to the workers. No health check reads
-/// it — a worker still inside its last collective finishes it and leaves
-/// after `max_iters` on its own — but a rank *process* lingers for it, so
-/// it exits only once the FD has stopped scanning.
-pub fn broadcast_finished(
-    proc: &GaspiProc,
-    targets: &[Rank],
-    queue: u16,
-    timeout: Timeout,
-) -> GaspiResult<()> {
-    notify_each(proc, targets, DONE_NOTIF, queue, timeout)
-}
-
+/// Set `slot` of every target's control segment to `value` and flush.
 fn notify_each(
     proc: &GaspiProc,
     targets: &[Rank],
     slot: u32,
+    value: u32,
     queue: u16,
     timeout: Timeout,
-) -> GaspiResult<()> {
-    for &t in targets {
-        if t == proc.rank() {
-            continue;
-        }
-        proc.notify(t, CTRL_SEG, slot, 1, queue)?;
+) -> GaspiResult<Vec<Rank>> {
+    for &t in targets.iter().filter(|&&t| t != proc.rank()) {
+        proc.notify(t, CTRL_SEG, slot, value, queue)?;
     }
+    flush(proc, queue, timeout)
+}
+
+/// Wait for `queue`; the ranks a write broke on are returned, not an error
+/// of *this* rank.
+fn flush(proc: &GaspiProc, queue: u16, timeout: Timeout) -> GaspiResult<Vec<Rank>> {
     match proc.wait(queue, timeout) {
-        Ok(()) | Err(ft_gaspi::GaspiError::QueueFailure { .. }) => Ok(()),
+        Ok(()) => Ok(Vec::new()),
+        Err(ft_gaspi::GaspiError::QueueFailure { ranks, .. }) => Ok(ranks),
         Err(e) => Err(e),
     }
 }
@@ -162,11 +148,7 @@ pub fn report_suspect(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    proc.notify(fd_rank, CTRL_SEG, SUSPECT_NOTIF_BASE + suspect, 1, queue)?;
-    match proc.wait(queue, timeout) {
-        Ok(()) | Err(ft_gaspi::GaspiError::QueueFailure { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
+    notify_each(proc, &[fd_rank], SUSPECT_NOTIF_BASE + suspect, 1, queue, timeout).map(drop)
 }
 
 /// FD side: drain (read + reset) the suspect-report slots for all
@@ -181,15 +163,15 @@ pub fn drain_suspects(proc: &GaspiProc, total: u32) -> GaspiResult<Vec<Rank>> {
     Ok(reported)
 }
 
-/// Worker side: tell the FD the application has finished. The FD stops
-/// the ranks that carry no application rank; workers leave on their own.
+/// Worker side: tell the FD the application is done. The FD answers every
+/// rank with its end plan ([`RecoveryPlan::after_done`]) and leaves.
 pub fn signal_done(
     proc: &GaspiProc,
     fd_rank: Rank,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    signal_fd(proc, fd_rank, 1, queue, timeout)
+    notify_each(proc, &[fd_rank], DONE_NOTIF, 1, queue, timeout).map(drop)
 }
 
 /// Worker side: this rank ended in error — have the FD stop every rank.
@@ -199,22 +181,7 @@ pub fn signal_abort(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    signal_fd(proc, fd_rank, DONE_ABORTED, queue, timeout)
-}
-
-fn signal_fd(
-    proc: &GaspiProc,
-    fd_rank: Rank,
-    value: u32,
-    queue: u16,
-    timeout: Timeout,
-) -> GaspiResult<()> {
-    proc.notify(fd_rank, CTRL_SEG, DONE_NOTIF, value, queue)?;
-    match proc.wait(queue, timeout) {
-        // The FD being gone already is not a failure of *this* rank.
-        Ok(()) | Err(ft_gaspi::GaspiError::QueueFailure { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
+    notify_each(proc, &[fd_rank], DONE_NOTIF, DONE_ABORTED, queue, timeout).map(drop)
 }
 
 #[cfg(test)]
@@ -253,22 +220,5 @@ mod tests {
         let failed = broadcast_plan(&fd, &plan, &[0, 1], 0, Timeout::Ms(2000)).unwrap();
         assert_eq!(failed, vec![1]);
         assert_eq!(read_plan(&w0).unwrap().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn done_and_shutdown_signals() {
-        let layout = WorldLayout::new(1, 2);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let w0 = world.proc_handle(0);
-        let idle = world.proc_handle(1);
-        let fd = world.proc_handle(layout.fd_rank());
-        for p in [&w0, &idle, &fd] {
-            create_ctrl_segment(p, &layout).unwrap();
-        }
-        signal_done(&w0, layout.fd_rank(), 0, Timeout::Ms(2000)).unwrap();
-        fd.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, Timeout::Ms(2000)).unwrap();
-        broadcast_shutdown(&fd, &[1], 0, Timeout::Ms(2000)).unwrap();
-        idle.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, Timeout::Ms(2000)).unwrap();
-        assert_eq!(idle.notify_peek(CTRL_SEG, SHUTDOWN_NOTIF).unwrap(), 1);
     }
 }

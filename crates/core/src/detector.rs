@@ -13,10 +13,10 @@
 //! of a single one (the result the paper gets from a threaded FD). The
 //! paper's sequential per-ping loop lives on only in `examples/fd_demo.rs`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ft_cluster::Rank;
-use ft_gaspi::{GaspiProc, Timeout};
+use ft_gaspi::{GaspiProc, GaspiResult, Timeout};
 
 use crate::ack::{self, CTRL_SEG, DONE_NOTIF};
 use crate::error::{FtError, FtResult};
@@ -128,6 +128,14 @@ pub fn run_detector_from(
     mut plan: RecoveryPlan,
 ) -> FtResult<Option<RecoveryPlan>> {
     let me = proc.rank();
+    let (q, t) = (ack::ACK_QUEUE, cfg.ack_timeout);
+    // Acknowledge a plan to the ranks it leaves standing; returns those the
+    // write did not reach.
+    let announce = |plan: &RecoveryPlan| -> FtResult<Vec<Rank>> {
+        let unreached = ack::broadcast_plan(proc, plan, &alive_targets(layout, plan, me), q, t)?;
+        events.record(me, EventKind::FdAck { epoch: plan.epoch });
+        Ok(unreached)
+    };
     // Ranks the plan in force has not reached: dead and not yet detected,
     // or alive and not yet listening (a spare scheduled so late that its
     // control segment did not exist when the write arrived).
@@ -139,31 +147,40 @@ pub fn run_detector_from(
         let _ = proc.proc_kill(dead_fd, cfg.ping_timeout);
         events.record(me, EventKind::FdTakeover { dead_fd });
         plan = plan.after_takeover(layout, me);
-        unreached = announce(proc, cfg, events, &plan, &alive_targets(layout, &plan, me))?;
+        unreached = announce(&plan)?;
     }
 
+    // The detector's last word (the end plan, the shutdown word, or the
+    // plan it joins the workers under) goes to every rank but this one,
+    // condemned ones included — one condemned by mistake is alive, and
+    // nothing else would release it — and again to a live rank it missed.
+    let others: Vec<Rank> = (0..layout.total()).filter(|&r| r != me).collect();
+    let last_word = |say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>| -> FtResult<()> {
+        let mut unreached = say(&others)?;
+        while !unreached.is_empty() {
+            let dead = glo_health_chk_graced(proc, &unreached, cfg.ping_timeout, Duration::ZERO);
+            unreached.retain(|r| !dead.contains(r));
+            std::thread::sleep(Duration::from_millis(1));
+            unreached = say(&unreached)?;
+        }
+        Ok(())
+    };
     let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
+    let ended = |plan: &RecoveryPlan| -> FtResult<bool> {
+        match done()? {
+            0 => return Ok(false),
+            ack::DONE_ABORTED => last_word(&|to| ack::broadcast_shutdown(proc, to, q, t))?,
+            _ => last_word(&|to| ack::broadcast_plan(proc, &plan.after_done(), to, q, t))?,
+        }
+        Ok(true)
+    };
 
     loop {
-        let done_value = done()?;
-        // Every rank not on the avoid-list (Listing 1).
-        let targets = alive_targets(layout, &plan, me);
-        if done_value != 0 {
-            // On a normal end app rank 0 may have left the last collective
-            // while a leaf is still polling in its down-phase; a shutdown
-            // there would abort a rank one notification away from
-            // finishing. Workers leave on their own after `max_iters`, so
-            // only the ranks nothing else releases are told to stop. An
-            // abort stops everyone.
-            let map = plan.rank_map(layout);
-            let (workers, stop): (Vec<Rank>, Vec<Rank>) = targets
-                .into_iter()
-                .partition(|&r| done_value != ack::DONE_ABORTED && map.app_of(r).is_some());
-            ack::broadcast_shutdown(proc, &stop, ack::ACK_QUEUE, cfg.ack_timeout)?;
-            ack::broadcast_finished(proc, &workers, ack::ACK_QUEUE, cfg.ack_timeout)?;
+        if ended(&plan)? {
             return Ok(None);
         }
-
+        // Every rank not on the avoid-list (Listing 1).
+        let targets = alive_targets(layout, &plan, me);
         let mut newly = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
         // Merge worker-reported suspects (the link-fault path): a severed
         // worker↔worker link breaks the workers' one-sided ops while the
@@ -176,56 +193,41 @@ pub fn run_detector_from(
             }
         }
         newly.sort_unstable();
+        // A scan whose findings arrive after done ends the job all the
+        // same: no worker group is left to rebuild.
+        if ended(&plan)? {
+            return Ok(None);
+        }
         if newly.is_empty() {
             if !unreached.is_empty() {
                 // Everyone answered this scan, so whoever missed the plan
                 // is alive: say it again. (A rank that died since is found
                 // by the next scan, whose announcement starts a new list.)
-                unreached =
-                    ack::broadcast_plan(proc, &plan, &unreached, ack::ACK_QUEUE, cfg.ack_timeout)?;
+                unreached = ack::broadcast_plan(proc, &plan, &unreached, q, t)?;
             }
         } else {
             plan = plan.after_failures(layout, &newly, reserved);
             events.record(me, EventKind::FdDetect { epoch: plan.epoch, failed: newly });
-            let alive = alive_targets(layout, &plan, me);
-            // The plan is cumulative: the newest is all a straggler needs.
-            unreached = announce(proc, cfg, events, &plan, &alive)?;
-
-            if plan.exhausted(layout) {
-                events.record(me, EventKind::CapacityExhausted);
-                ack::broadcast_shutdown(proc, &alive, ack::ACK_QUEUE, cfg.ack_timeout)?;
-                return Err(FtError::CapacityExhausted);
-            }
-            if !plan.fd_alive {
+            if plan.fd_alive {
+                // The plan is cumulative: the newest is all a straggler needs.
+                unreached = announce(&plan)?;
+            } else {
+                last_word(&|to| ack::broadcast_plan(proc, &plan, to, q, t))?;
+                events.record(me, EventKind::FdAck { epoch: plan.epoch });
+                if plan.exhausted(layout) {
+                    events.record(me, EventKind::CapacityExhausted);
+                    last_word(&|to| ack::broadcast_shutdown(proc, to, q, t))?;
+                    return Err(FtError::CapacityExhausted);
+                }
                 events.record(me, EventKind::FdPromoted);
                 return Ok(Some(plan));
             }
         }
 
-        // Sleep the scan interval in small laps so the done signal is
-        // honored promptly (and a killed FD unwinds quickly).
-        let deadline = Instant::now() + cfg.scan_interval;
-        while Instant::now() < deadline {
-            if done()? != 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Wait out the scan interval; the done signal cuts it short.
+        let interval = Timeout::Ms(cfg.scan_interval.as_millis() as u64);
+        let _ = proc.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, interval);
     }
-}
-
-/// Acknowledge `plan` to `alive`, the ranks it leaves standing; returns
-/// those the write did not reach.
-fn announce(
-    proc: &GaspiProc,
-    cfg: &DetectorConfig,
-    events: &EventLog,
-    plan: &RecoveryPlan,
-    alive: &[Rank],
-) -> FtResult<Vec<Rank>> {
-    let unreached = ack::broadcast_plan(proc, plan, alive, ack::ACK_QUEUE, cfg.ack_timeout)?;
-    events.record(proc.rank(), EventKind::FdAck { epoch: plan.epoch });
-    Ok(unreached)
 }
 
 fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Rank> {
@@ -236,13 +238,15 @@ fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Ran
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     use ft_cluster::{
         Completion, Endpoint, FanoutCompletion, FaultPlane, LatencyModel, QueueId, SimTransport,
         Transport, TransportOwner,
     };
     use ft_gaspi::{GaspiConfig, GaspiWorld};
+
+    use crate::driver::{spare_run, FtConfig, FtCtx};
 
     #[test]
     fn batched_health_chk_matches_sequential() {
@@ -376,6 +380,38 @@ mod tests {
         assert!(!world.fault().is_alive(3), "the replaced detector must be enforced dead");
         ack::signal_done(&procs[0], 2, ack::ACK_QUEUE, cfg.ack_timeout).unwrap();
         assert_eq!(run.join().unwrap(), Ok(None));
+    }
+
+    /// An idle the detector condemned by mistake (a ping lost under load),
+    /// and so late that it is not listening yet when the job ends, still
+    /// learns that the job is over: the end plan goes to every rank, and
+    /// again to a live one it missed, until it lands.
+    #[test]
+    fn a_condemned_late_idle_gets_the_end_plan() {
+        let layout = WorldLayout::new(1, 2); // worker 0, idle 1, FD 2
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let procs: Vec<GaspiProc> = (0..3).map(|r| world.proc_handle(r)).collect();
+        for p in [&procs[0], &procs[2]] {
+            ack::create_ctrl_segment(p, &layout).unwrap();
+        }
+        let (cfg, events) = (FtConfig::builder(layout).build().unwrap(), EventLog::new());
+        let condemned = RecoveryPlan::initial().after_failures(&layout, &[1], None);
+        let (fd, dcfg, ev, plan) =
+            (procs[2].clone(), cfg.detector.clone(), events.clone(), condemned.clone());
+        let detector =
+            std::thread::spawn(move || run_detector_from(&fd, &layout, &dcfg, &ev, None, plan));
+        ack::signal_done(&procs[0], 2, ack::ACK_QUEUE, cfg.detector.ack_timeout).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        ack::create_ctrl_segment(&procs[1], &layout).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let (idle, cfg2) = (procs[1].clone(), cfg.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(spare_run(&FtCtx::new(idle, cfg2, events)));
+        });
+        let ended = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(ended, Ok(Ok(None)), "the idle never learnt the job was over");
+        assert_eq!(detector.join().unwrap(), Ok(None));
+        assert_eq!(ack::read_plan(&procs[1]).unwrap(), Some(condemned.after_done()));
     }
 
     #[test]

@@ -210,7 +210,7 @@ pub struct FtCtx {
 }
 
 impl FtCtx {
-    fn new(proc: GaspiProc, cfg: FtConfig, events: EventLog) -> Self {
+    pub(crate) fn new(proc: GaspiProc, cfg: FtConfig, events: EventLog) -> Self {
         let layout = cfg.layout;
         let watch = HealthWatch::new(proc.clone(), cfg.policy.clone(), layout);
         let state = RefCell::new(CtxState { group: None, app_rank: None, adopted_from: None });
@@ -363,7 +363,9 @@ pub trait FtApp {
     /// the checkpoint library's neighbor list (rank map has changed).
     fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()>;
 
-    /// Produce the per-worker summary after the run.
+    /// Produce the per-worker summary after the run. Rank-local by
+    /// contract: the job's end is announced before it, so nothing in here
+    /// is recovered; what the summary needs from the group rides in a step.
     fn finalize(&mut self, ctx: &FtCtx) -> FtResult<Self::Summary>;
 }
 
@@ -564,13 +566,16 @@ fn run_rank<A: FtApp>(
 /// The one loop of a rank that does not compute — an idle spare, the
 /// standby shadow detector, the primary detector — until the job ends
 /// (`None`) or the rank joins the workers (`Some` carries the plan). A plan
-/// naming this rank a rescue activates it; being the plan's detector runs
-/// [`run_detector_from`] (the primary from the start, the shadow once it
-/// takes over). Otherwise, once per look period, the FD's own two-look scan
-/// ([`glo_health_chk_graced`]) says whether the detector is gone. If it is,
-/// the successor (the shadow) takes over; an idle with no live successor
-/// gives up — nothing could ever activate it (restriction 2).
-fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
+/// naming this rank a rescue activates it; one with no detector standing
+/// (the end plan, or the detector joined the workers) ends it; being the
+/// plan's detector runs [`run_detector_from`] (the primary from the start,
+/// the shadow once it takes over). Otherwise, once per look period, the FD's
+/// own two-look scan ([`glo_health_chk_graced`]) says whether the detector
+/// is gone, judged after the control segment is read again (a detector that
+/// left at the job's end fails the look too, but its end plan landed
+/// first). If so, the successor (the shadow) takes over; an idle with no
+/// live successor gives up — nothing could ever activate it (restriction 2).
+pub(crate) fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
     let (proc, layout, cfg) = (&ctx.proc, &ctx.layout, &ctx.cfg.detector);
     let (me, shadow) = (proc.rank(), ctx.cfg.shadow_rank());
     let look_every = if shadow == Some(me) {
@@ -579,6 +584,7 @@ fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
         cfg.scan_interval.max(Duration::from_millis(5)) * 4
     };
     let mut last_look = Instant::now();
+    let mut gone = Vec::new(); // what the last look found dead
     let plan = loop {
         match ctx.watch.check() {
             Ok(()) => {}
@@ -594,36 +600,28 @@ fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
         }
         let plan = ctx.plan();
         if !plan.fd_alive {
-            // The detector joined the workers: none is left to watch,
-            // replace, or activate anyone.
             return Ok(None);
         }
         let fd = plan.current_fd(layout);
         if fd == me {
             break plan;
         }
+        let successor = shadow.filter(|&s| s != fd && !plan.failed.contains(&s));
+        if gone.contains(&fd) {
+            match successor {
+                Some(s) if s == me => break plan,
+                // The live successor's turn: its takeover plan follows.
+                Some(s) if !gone.contains(&s) => {}
+                _ => return Err(ft_gaspi::GaspiError::RemoteBroken { rank: fd }.into()),
+            }
+        }
+        gone.clear();
         if last_look.elapsed() >= look_every {
             last_look = Instant::now();
-            let successor = shadow.filter(|&s| s != fd && !plan.failed.contains(&s));
             let targets: Vec<Rank> =
                 std::iter::once(fd).chain(successor.filter(|&s| s != me)).collect();
-            let gone = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
-            if gone.contains(&fd) {
-                match successor {
-                    Some(s) if s == me => break plan,
-                    // The live successor's turn: its takeover plan follows.
-                    Some(s) if !gone.contains(&s) => {}
-                    // A detector that left because the job ended fails the
-                    // look too, but its shutdown reached this control
-                    // segment first.
-                    _ => {
-                        return match ctx.watch.check() {
-                            Err(FtError::Signal(FtSignal::Shutdown)) => Ok(None),
-                            _ => Err(ft_gaspi::GaspiError::RemoteBroken { rank: fd }.into()),
-                        }
-                    }
-                }
-            }
+            gone = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
+            continue;
         }
         std::thread::sleep(Duration::from_millis(1));
     };
@@ -771,16 +769,11 @@ fn worker_run<A: FtApp>(
             Err(e) => return Err(e),
         }
     }
-    let app = slot.as_mut().expect("attached above");
-    // Finalize BEFORE telling the FD: once it stops scanning, a failure
-    // inside finalize's group collectives would go undetected.
-    let summary = app.finalize(ctx)?;
-    // Tell the FD the application is done (app rank 0 speaks for the
-    // group, if a detector is still standing — the *current* one, which
-    // may be the shadow after a takeover). A standing shadow is told as
-    // well: if the primary dies before this rank has seen the takeover
-    // plan, the signal above went to a dead rank, and the shadow finds the
-    // word on its own control segment the moment it takes over.
+    // App rank 0 speaks for the group: the application is done, and the
+    // detector answers every rank with its end plan, so `finalize` runs
+    // rank-local with no detector left to misread it. The copy to a
+    // standing shadow stays: it is how a shadow that takes over from a
+    // primary lost before this signal learns that the job is done.
     let plan = ctx.plan();
     if ctx.app_rank() == 0 && plan.fd_alive {
         let fd = plan.current_fd(&ctx.layout);
@@ -790,5 +783,5 @@ fn worker_run<A: FtApp>(
                 ack::signal_done(&ctx.proc, target, ack::ACK_QUEUE, ctx.cfg.detector.ack_timeout);
         }
     }
-    Ok(summary)
+    slot.as_mut().expect("attached above").finalize(ctx)
 }

@@ -174,7 +174,6 @@ impl HealthWatch {
     /// with `GaspiError::Timeout` once the epoch slot moves past the value
     /// the check read, or the shutdown word lands. A plan that arrives
     /// between the check and the park therefore ends the park at once.
-    /// The finished-echo slot (`DONE_NOTIF`) wakes nothing.
     pub(crate) fn attempt<T>(
         &self,
         call: impl FnOnce() -> Result<T, GaspiError>,

@@ -8,10 +8,10 @@
 //!
 //! The two questions every role asks of a plan are answered here and
 //! nowhere else: *how a plan advances* ([`RecoveryPlan::after_failures`],
-//! [`RecoveryPlan::after_takeover`] — what a detector, primary or shadow,
-//! broadcasts next) and *whether a newer plan changes the worker group*
-//! ([`RecoveryPlan::regroups`] — what the health watch asks before it
-//! interrupts anything).
+//! [`RecoveryPlan::after_takeover`], [`RecoveryPlan::after_done`] — what a
+//! detector broadcasts next) and *whether a newer plan changes the worker
+//! group* ([`RecoveryPlan::regroups`] — what the health watch asks before
+//! it interrupts anything).
 
 use std::collections::VecDeque;
 
@@ -175,6 +175,13 @@ impl RecoveryPlan {
         next.failed.push(self.current_fd(layout));
         next.rescues.push(NO_RESCUE);
         next
+    }
+
+    /// The plan the current detector broadcasts when the application is
+    /// done: one epoch later, no detector standing (every rank ends on it),
+    /// the worker group untouched (a worker in its last step absorbs it).
+    pub fn after_done(&self) -> Self {
+        Self { epoch: self.epoch + 1, fd_alive: false, ..self.clone() }
     }
 
     /// The app rank `rank` adopted, if it is a rescue (derived by replay).

@@ -28,6 +28,7 @@
 //! parent → child:  MAP <port-rank-0> <port-rank-1> …
 //! child → parent:  EVENT <hex of Event::encode>        (zero or more)
 //! child → parent:  RESULT <hex of encode_end>
+//! parent → child:  (stdin closes, once every rank has ended)
 //! ```
 //!
 //! The two payloads are the [`ft_cluster::codec`] binary forms, hex-coded
@@ -48,6 +49,7 @@
 //! is what makes asymmetric partitions expressible and a site action that
 //! spares its crossing rank unenforceable — is ARCHITECTURE.md §5's table.
 
+use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
@@ -60,9 +62,8 @@ use ft_cluster::{
     FaultAction, FaultPlane, FaultSchedule, Injection, Rank, TcpTransport, Topology, Transport,
     KILLED_EXIT_CODE,
 };
-use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome, Timeout};
+use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
 
-use crate::ack::{CTRL_SEG, DONE_NOTIF, SHUTDOWN_NOTIF};
 use crate::driver::{run_ft_rank, FtApp, FtConfig, FtCtx, Role};
 use crate::error::{FtError, FtSignal};
 use crate::events::{Event, EventKind, EventLog};
@@ -148,7 +149,6 @@ where
         .collect();
     tcp.set_peers(&ports);
     let events = EventLog::new();
-    let fd_rank = cfg.layout.fd_rank();
     // Surface every link transition touching this rank in the event
     // stream (both timed ops below and step-indexed injections).
     {
@@ -167,18 +167,6 @@ where
     let timer = env.schedule.clone().retain_timed(|a| !a.is_kill()).start_timer(world.fault());
     let outcome = run_ft_rank(&world, env.rank, cfg, env.schedule, events.clone(), make_app);
     drop(timer); // cancel link ops the job outlived
-
-    // Linger (bounded) until the detector's end-of-job word — the done
-    // echo for workers, shutdown (the next slot) for spares and aborted
-    // jobs: a process that exits resets its sockets, and under real
-    // fail-stop a completed rank is indistinguishable from a dead one —
-    // leaving early makes the still-scanning FD "detect" finished workers
-    // and spin up a pointless recovery at the end of every clean run.
-    if env.rank != fd_rank {
-        const _: () = assert!(SHUTDOWN_NOTIF == DONE_NOTIF + 1);
-        let proc = world.proc_handle(env.rank);
-        let _ = proc.notify_waitsome(CTRL_SEG, DONE_NOTIF, 2, Timeout::Ms(2000));
-    }
 
     // Ship the event stream before the verdict (the supervisor's asserts
     // read both).
@@ -206,6 +194,10 @@ where
     };
     println!("RESULT {}", to_hex(&encode_end(&end)));
     let _ = io::stdout().flush();
+    // Stay up until the supervisor closes stdin, once every rank has ended:
+    // an exited rank looks dead — to a detector still scanning, or to a peer
+    // still resuming the job's last collective with it.
+    let _ = io::stdin().read_line(&mut String::new());
     transport.shutdown();
     code
 }
@@ -506,10 +498,11 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     }
     let map_line =
         format!("MAP {}\n", ports.iter().map(u16::to_string).collect::<Vec<_>>().join(" "));
+    let mut stdins = Vec::with_capacity(children.len());
     for child in &mut children {
         let mut stdin = child.stdin.take().expect("piped child stdin");
         stdin.write_all(map_line.as_bytes())?;
-        // Dropping stdin closes it; children only ever read this one line.
+        stdins.push(stdin);
     }
 
     let host = ProcessHost::new(children);
@@ -526,19 +519,40 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
 
     // Drain each child's stdout on its own thread (children block on full
     // pipes otherwise); the lines are decoded once the child is reaped.
+    // A `RESULT` line or the end of output says the child has ended.
+    let (ended_tx, ended_rx) = std::sync::mpsc::channel();
     let readers: Vec<_> = stdouts
         .into_iter()
         .enumerate()
         .map(|(rank, out)| {
+            let ended = ended_tx.clone();
             std::thread::Builder::new()
                 .name(format!("proc-stdout-{rank}"))
-                .spawn(move || out.lines().map_while(Result::ok).collect::<Vec<String>>())
+                .spawn(move || {
+                    let mut lines = Vec::new();
+                    for line in out.lines().map_while(Result::ok) {
+                        if line.starts_with("RESULT ") {
+                            let _ = ended.send(rank);
+                        }
+                        lines.push(line);
+                    }
+                    let _ = ended.send(rank);
+                    lines
+                })
                 .expect("spawn supervisor stdout reader")
         })
         .collect();
 
-    // Reap children against the deadline.
+    // Release the children together once every one has ended (see
+    // `run_child`), then reap them against the deadline.
     let deadline = Instant::now() + cfg.deadline;
+    let mut ended = HashSet::new();
+    let left = || deadline.saturating_duration_since(Instant::now());
+    while ended.len() < readers.len() {
+        let Ok(rank) = ended_rx.recv_timeout(left()) else { break };
+        ended.insert(rank);
+    }
+    drop(stdins);
     let mut statuses = Vec::with_capacity(cfg.num_ranks as usize);
     for rank in 0..cfg.num_ranks {
         statuses.push(host.wait_rank(rank, deadline));

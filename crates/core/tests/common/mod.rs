@@ -23,7 +23,8 @@ pub const DRAINED_SITE: &str = "test.acc.drained";
 /// this rank.
 pub const REWIRE_SITE: &str = "test.acc.rewire";
 /// Crossed by every [`Acc`] on entering `finalize`: after the last
-/// iteration's collectives, before the driver's done signal.
+/// iteration's collectives — on app rank 0, after the driver's done signal,
+/// so the detector may already have announced the job's end.
 pub const FINALIZE_SITE: &str = "test.acc.finalize";
 
 /// Ground truth: Σ_{i=1..iters} i · W(W+1)/2.

@@ -1,5 +1,5 @@
 //! Property tests for the recovery plan as the detection state — the pure
-//! transitions (failures → plan, takeover → plan), the views derived from
+//! transitions (failures → plan, takeover → plan, done → plan), the views derived from
 //! a plan (rank map, worker set, group id) and the one classification
 //! (does a newer plan change the worker group) — plus the wire codec, the
 //! ABFT stripe code as a pure function, and the `EVENT` / `RESULT` payloads
@@ -165,6 +165,30 @@ proptest! {
             if pair[1].fd_rank != pair[0].fd_rank {
                 prop_assert!(!pair[0].regroups(&pair[1]), "a takeover regroups nothing");
             }
+        }
+    }
+
+    /// The job's end from any position a detector can reach: the end plan
+    /// leaves the worker group, its id and the detector's rank alone — so
+    /// a worker still inside its last collective absorbs it — and crosses
+    /// the wire like any other plan.
+    #[test]
+    fn the_end_plan_regroups_nothing_from_any_position(
+        workers in 2u32..5,
+        spares in 1u32..4,
+        redundant in any::<bool>(),
+        picks in proptest::collection::vec(any::<u16>(), 0..24),
+    ) {
+        let h = arb_history(workers, spares, redundant, picks);
+        let l = &h.layout;
+        for plan in &h.plans {
+            let end = plan.after_done();
+            prop_assert!(!plan.regroups(&end));
+            prop_assert_eq!((end.epoch, end.fd_alive), (plan.epoch + 1, false));
+            prop_assert_eq!(end.group_id(), plan.group_id());
+            prop_assert_eq!(end.worker_set(l), plan.worker_set(l));
+            prop_assert_eq!(end.current_fd(l), plan.current_fd(l));
+            prop_assert_eq!(RecoveryPlan::decode(&end.encode()), Some(end.clone()));
         }
     }
 

@@ -239,23 +239,25 @@ fn without_redundancy_fd_death_is_fatal_but_bounded() {
 
 #[test]
 fn primary_death_at_job_end_does_not_strand_the_shadow() {
-    // The primary dies after every collective of the job but before app
-    // rank 0 signals completion, so the done signal goes to a dead rank.
-    // The shadow takes over with nobody left to tell it the job is over —
-    // unless app rank 0 told it too. Before that fix the shadow scanned
-    // forever and the job never returned.
+    // The primary dies as app rank 0 enters the job's last collective, so
+    // the done signal that follows it goes to a dead rank. The shadow takes
+    // over with nobody left to tell it the job is over — unless app rank 0
+    // told it too. Before that fix the shadow scanned forever and the job
+    // never returned.
+    const ITERS: u64 = 40;
     let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(10)
-        .max_iters(40)
+        .max_iters(ITERS)
         .redundant_fd(true)
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
     let abandon = cfg.policy.abandon;
     let fault = world.fault();
-    let kill = Injection::at(FINALIZE_SITE, 0, 1, FaultAction::KillRank(layout.fd_rank()));
+    // One allreduce per step: the last step's is rank 0's ITERS-th.
+    let kill = Injection::at("gaspi.allreduce", 0, ITERS, FaultAction::KillRank(layout.fd_rank()));
     let schedule = FaultSchedule::none().inject(kill.clone());
     let (tx, rx) = mpsc::channel();
     let job = std::thread::spawn(move || {
@@ -267,13 +269,77 @@ fn primary_death_at_job_end_does_not_strand_the_shadow() {
     job.join().unwrap();
     assert_eq!(fault.injections_fired(), vec![kill], "the schedule must hit its window");
     assert_eq!(report.killed(), vec![5]);
-    assert_correct(&report, 3, 40);
+    assert_correct(&report, 3, ITERS);
     let ev = report.events.snapshot();
     assert!(
         ev.iter().any(|e| matches!(e.kind, EventKind::FdTakeover { dead_fd: 5 } if e.rank == 4)),
         "the shadow must have taken over"
     );
     assert!(report.first_error().is_none(), "{:?}", report.first_error());
+}
+
+/// The job's end, position by position, for a worker that is a leaf of
+/// every allreduce tree (nobody waits on it). Killed at its last iteration,
+/// it is recovered. Killed once app rank 0 has signalled done — (b) as
+/// rank 0 enters `finalize`, (c) as the detector broadcasts its end plan,
+/// (d) in its own `finalize` — it is simply lost: no rescue is activated,
+/// no rank errs, and every survivor's summary is exact. Rows (b)–(d) hold
+/// the victim in its `finalize` (if it gets there first) so the kill finds
+/// it running.
+#[test]
+fn a_worker_lost_at_the_job_end_has_one_stated_outcome_per_position() {
+    const ITERS: u64 = 40;
+    let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, primary FD 5
+    let victim = 2;
+    let kill = || FaultAction::KillRank(victim);
+    let held = || {
+        let pause = FaultAction::Delay(Duration::from_millis(300));
+        FaultSchedule::none().inject(Injection::at(FINALIZE_SITE, victim, 1, pause))
+    };
+    let rows = [
+        ("(a) last iteration", FaultSchedule::none().kill_rank_at_iteration(victim, ITERS - 1)),
+        ("(b) rank 0 enters finalize", held().inject(Injection::at(FINALIZE_SITE, 0, 1, kill()))),
+        (
+            "(c) the end broadcast",
+            held().inject(Injection::at("ack.broadcast", layout.fd_rank(), 1, kill())),
+        ),
+        ("(d) its own finalize", held().inject(Injection::at(FINALIZE_SITE, victim, 1, kill()))),
+    ];
+    for (position, schedule) in rows {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let cfg = FtConfig::builder(layout)
+            .checkpoint_every(10)
+            .max_iters(ITERS)
+            .redundant_fd(true)
+            .abandon(Duration::from_secs(20))
+            .build()
+            .unwrap();
+        let kills: Vec<Injection> = schedule
+            .injections()
+            .iter()
+            .filter(|i| matches!(i.action, FaultAction::KillRank(_)))
+            .cloned()
+            .collect();
+        let report = run_ft_job(&world, cfg, schedule, Acc::new);
+        let fired = world.fault().injections_fired();
+        assert!(kills.iter().all(|k| fired.contains(k)), "{position}: window missed");
+        assert_eq!(report.killed(), vec![victim], "{position}");
+        assert!(report.first_error().is_none(), "{position}: {:?}", report.first_error());
+        let ev = report.events.snapshot();
+        let activated = ev.iter().any(|e| matches!(e.kind, EventKind::Activated { .. }));
+        let summaries = report.worker_summaries();
+        let apps: Vec<u32> = summaries.iter().map(|(app, _)| *app).collect();
+        if position.starts_with("(a)") {
+            assert!(activated, "{position}: the victim must be rescued");
+            assert_eq!(apps, vec![0, 1, 2], "{position}");
+        } else {
+            assert!(!activated, "{position}: nothing may be recovered after done");
+            assert_eq!(apps, vec![0, 1], "{position}");
+        }
+        for (app, (acc, _)) in summaries {
+            assert_eq!(*acc, expected_acc(3, ITERS), "{position}: app rank {app}");
+        }
+    }
 }
 
 #[test]

@@ -121,6 +121,7 @@ fn fd_takeover_is_invisible_to_the_numerics() {
         let faulty = run_job(Arc::new(gen.clone()), 4, 3, iters, 50, true, schedule);
         let took_over = |e: &ft_core::Event| matches!(e.kind, EventKind::FdTakeover { .. });
         assert!(faulty.events.first_where(took_over).is_some(), "run {run}: kill landed too late");
+        assert!(faulty.first_error().is_none(), "run {run}: {:?}", faulty.first_error());
         for (app, s) in summaries(&faulty, 4).iter().enumerate() {
             assert_eq!(s.alphas, clean_s[0].alphas, "run {run}, app rank {app}: alpha");
             assert_eq!(s.betas, clean_s[0].betas, "run {run}, app rank {app}: beta");

@@ -168,15 +168,22 @@ impl DistMatrix {
 /// Falls back to a plain (order-dependent) allreduce when `nparts`
 /// exceeds the GASPI 255-element buffer limit.
 pub fn det_allreduce_sum(ctx: &FtCtx, value: f64) -> FtResult<f64> {
+    Ok(det_allreduce_sums(ctx, [value])?[0])
+}
+
+/// [`det_allreduce_sum`] of `K` values in one collective: each sum is the
+/// one `det_allreduce_sum` of its value alone would give.
+pub fn det_allreduce_sums<const K: usize>(ctx: &FtCtx, values: [f64; K]) -> FtResult<[f64; K]> {
     let nparts = ctx.num_app_ranks() as usize;
-    if nparts > ft_gaspi::ALLREDUCE_MAX_ELEMS {
-        let s = ctx.allreduce_f64_ft(&[value], ReduceOp::Sum)?;
-        return Ok(s[0]);
+    if nparts * K > ft_gaspi::ALLREDUCE_MAX_ELEMS {
+        let s = ctx.allreduce_f64_ft(&values, ReduceOp::Sum)?;
+        return Ok(std::array::from_fn(|j| s[j]));
     }
-    let mut buf = vec![0.0f64; nparts];
-    buf[ctx.app_rank() as usize] = value;
+    let mut buf = vec![0.0f64; nparts * K];
+    let me = ctx.app_rank() as usize;
+    buf[me * K..(me + 1) * K].copy_from_slice(&values);
     let out = ctx.allreduce_f64_ft(&buf, ReduceOp::Sum)?;
-    Ok(out.into_iter().sum())
+    Ok(std::array::from_fn(|j| out.iter().skip(j).step_by(K).sum()))
 }
 
 #[cfg(test)]

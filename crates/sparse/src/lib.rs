@@ -33,7 +33,7 @@ pub mod partition;
 pub mod plan;
 
 pub use csr::Csr;
-pub use dist::{det_allreduce_sum, DistMatrix, KernelPolicy};
+pub use dist::{det_allreduce_sum, det_allreduce_sums, DistMatrix, KernelPolicy};
 pub use halo::{PendingExchange, SpmvComm};
 pub use partition::RowPartition;
 pub use plan::CommPlan;
