@@ -221,4 +221,25 @@ mod tests {
         assert_eq!(failed, vec![1]);
         assert_eq!(read_plan(&w0).unwrap().unwrap().epoch, 1);
     }
+
+    #[test]
+    fn done_and_shutdown_signals() {
+        let layout = WorldLayout::new(1, 2);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let w0 = world.proc_handle(0);
+        let idle = world.proc_handle(1);
+        let fd = world.proc_handle(layout.fd_rank());
+        for p in [&w0, &idle, &fd] {
+            create_ctrl_segment(p, &layout).unwrap();
+        }
+        signal_done(&w0, layout.fd_rank(), 0, Timeout::Ms(2000)).unwrap();
+        fd.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, Timeout::Ms(2000)).unwrap();
+        assert_eq!(fd.notify_reset(CTRL_SEG, DONE_NOTIF).unwrap(), 1);
+        signal_abort(&w0, layout.fd_rank(), 0, Timeout::Ms(2000)).unwrap();
+        fd.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, Timeout::Ms(2000)).unwrap();
+        assert_eq!(fd.notify_peek(CTRL_SEG, DONE_NOTIF).unwrap(), DONE_ABORTED);
+        broadcast_shutdown(&fd, &[1], 0, Timeout::Ms(2000)).unwrap();
+        idle.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, Timeout::Ms(2000)).unwrap();
+        assert_eq!(idle.notify_peek(CTRL_SEG, SHUTDOWN_NOTIF).unwrap(), 1);
+    }
 }

@@ -51,11 +51,11 @@
 
 use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Write as _};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use ft_cluster::codec::{from_hex, to_hex, CodecError, Dec, Enc};
 use ft_cluster::{
@@ -264,11 +264,50 @@ pub fn decode_end(bytes: &[u8]) -> Result<ChildEnd, CodecError> {
 /// The job's rank processes; a kill is a `SIGKILL`.
 struct ProcessHost {
     children: Mutex<Vec<Option<Child>>>,
+    /// Ranks that printed `RESULT` (or closed their output): their run is
+    /// over, and a wall-clock kill no longer changes how it ended (as on
+    /// the in-memory backend).
+    ended: Mutex<HashSet<Rank>>,
+    one_ended: Condvar,
 }
 
 impl ProcessHost {
     fn new(children: Vec<Child>) -> Arc<Self> {
-        Arc::new(Self { children: Mutex::new(children.into_iter().map(Some).collect()) })
+        let children = Mutex::new(children.into_iter().map(Some).collect());
+        Arc::new(Self { children, ended: Mutex::default(), one_ended: Condvar::new() })
+    }
+
+    fn end(&self, rank: Rank) {
+        self.ended.lock().insert(rank);
+        self.one_ended.notify_all();
+    }
+
+    fn has_ended(&self, rank: Rank) -> bool {
+        self.ended.lock().contains(&rank)
+    }
+
+    /// Release the children together once every one has ended (see
+    /// `run_child`) or the deadline passed, then reap each: one that ended
+    /// has a grace of its own to exit, hung peer or not; a straggler is
+    /// killed, and stays `None` (timed out) unless it exited on its own.
+    fn release_and_reap(
+        &self,
+        stdins: Vec<ChildStdin>,
+        deadline: Instant,
+    ) -> Vec<Option<ExitStatus>> {
+        let n = stdins.len();
+        let mut ended = self.ended.lock();
+        while ended.len() < n && !self.one_ended.wait_until(&mut ended, deadline).timed_out() {}
+        drop((ended, stdins));
+        let grace = deadline.max(Instant::now() + Duration::from_secs(2));
+        let reap_by = |r| if self.has_ended(r) { grace } else { deadline };
+        let mut statuses: Vec<_> = (0..n as Rank).map(|r| self.wait_rank(r, reap_by(r))).collect();
+        self.kill_all(); // No-op for reaped children.
+        for (r, status) in statuses.iter_mut().enumerate().filter(|(_, s)| s.is_none()) {
+            let reaped = self.wait_rank(r as Rank, Instant::now() + Duration::from_secs(5));
+            *status = reaped.filter(|s| s.code().is_some());
+        }
+        statuses
     }
 
     /// Wait (bounded) for the child hosting `rank`; `None` on timeout.
@@ -296,6 +335,9 @@ impl ProcessHost {
     /// SIGKILL on Unix; idempotent (killing a reaped or dead child is an
     /// ignorable error).
     fn kill_rank(&self, rank: Rank) {
+        if self.has_ended(rank) {
+            return;
+        }
         if let Some(child) = self.children.lock()[rank as usize].as_mut() {
             let _ = child.kill();
         }
@@ -520,57 +562,29 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
     // Drain each child's stdout on its own thread (children block on full
     // pipes otherwise); the lines are decoded once the child is reaped.
     // A `RESULT` line or the end of output says the child has ended.
-    let (ended_tx, ended_rx) = std::sync::mpsc::channel();
     let readers: Vec<_> = stdouts
         .into_iter()
         .enumerate()
         .map(|(rank, out)| {
-            let ended = ended_tx.clone();
+            let host = Arc::clone(&host);
             std::thread::Builder::new()
                 .name(format!("proc-stdout-{rank}"))
                 .spawn(move || {
                     let mut lines = Vec::new();
                     for line in out.lines().map_while(Result::ok) {
                         if line.starts_with("RESULT ") {
-                            let _ = ended.send(rank);
+                            host.end(rank as Rank);
                         }
                         lines.push(line);
                     }
-                    let _ = ended.send(rank);
+                    host.end(rank as Rank);
                     lines
                 })
                 .expect("spawn supervisor stdout reader")
         })
         .collect();
 
-    // Release the children together once every one has ended (see
-    // `run_child`), then reap them against the deadline.
-    let deadline = Instant::now() + cfg.deadline;
-    let mut ended = HashSet::new();
-    let left = || deadline.saturating_duration_since(Instant::now());
-    while ended.len() < readers.len() {
-        let Ok(rank) = ended_rx.recv_timeout(left()) else { break };
-        ended.insert(rank);
-    }
-    drop(stdins);
-    let mut statuses = Vec::with_capacity(cfg.num_ranks as usize);
-    for rank in 0..cfg.num_ranks {
-        statuses.push(host.wait_rank(rank, deadline));
-    }
-    host.kill_all(); // No-op for reaped children; stops stragglers.
-    for rank in 0..cfg.num_ranks {
-        if statuses[rank as usize].is_none() {
-            // One more (short) chance to reap the straggler post-SIGKILL.
-            let grace = Instant::now() + Duration::from_secs(5);
-            if let Some(s) = host.wait_rank(rank, grace) {
-                if s.code().is_none() {
-                    // Died to our deadline SIGKILL: still a timeout.
-                    continue;
-                }
-                statuses[rank as usize] = Some(s);
-            }
-        }
-    }
+    let statuses = host.release_and_reap(stdins, Instant::now() + cfg.deadline);
     timer.cancel(); // a schedule may place kills far beyond the job's end
 
     let outcomes = statuses
@@ -650,6 +664,28 @@ mod tests {
         );
         let bare = outcome(exited(3), None);
         assert!(matches!(&bare, ProcOutcome::Crashed(d) if d == "exit code 3"), "{bare:?}");
+    }
+
+    /// A hung rank holds the others only until the deadline: those that
+    /// ended are reaped as exited, not timed out, and a wall-clock kill
+    /// after their end leaves them be.
+    #[cfg(unix)]
+    #[test]
+    fn ended_ranks_are_reaped_past_a_hung_peer() {
+        let spawn = |script| {
+            let mut cmd = Command::new("sh");
+            cmd.args(["-c", script]).stdin(Stdio::piped()).spawn().unwrap()
+        };
+        let mut children =
+            vec![spawn("cat >/dev/null"), spawn("cat >/dev/null"), spawn("sleep 30")];
+        let stdins = children.iter_mut().map(|c| c.stdin.take().unwrap()).collect();
+        let host = ProcessHost::new(children);
+        host.end(0);
+        host.end(1);
+        host.kill_rank(0);
+        let statuses = host.release_and_reap(stdins, Instant::now() + Duration::from_millis(200));
+        assert!(statuses[..2].iter().all(|s| s.is_some_and(|s| s.success())), "{statuses:?}");
+        assert!(statuses[2].is_none(), "{statuses:?}");
     }
 
     #[test]

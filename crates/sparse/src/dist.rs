@@ -171,18 +171,23 @@ pub fn det_allreduce_sum(ctx: &FtCtx, value: f64) -> FtResult<f64> {
     Ok(det_allreduce_sums(ctx, [value])?[0])
 }
 
-/// [`det_allreduce_sum`] of `K` values in one collective: each sum is the
-/// one `det_allreduce_sum` of its value alone would give.
+/// [`det_allreduce_sum`] of `K` values: each sum is the one
+/// `det_allreduce_sum` of its value alone would give, deterministic up to
+/// the same 255 parts. The `nparts · K` buffer goes out in collectives of
+/// at most 255 elements — one while `nparts · K` fits.
 pub fn det_allreduce_sums<const K: usize>(ctx: &FtCtx, values: [f64; K]) -> FtResult<[f64; K]> {
     let nparts = ctx.num_app_ranks() as usize;
-    if nparts * K > ft_gaspi::ALLREDUCE_MAX_ELEMS {
+    if nparts > ft_gaspi::ALLREDUCE_MAX_ELEMS {
         let s = ctx.allreduce_f64_ft(&values, ReduceOp::Sum)?;
         return Ok(std::array::from_fn(|j| s[j]));
     }
     let mut buf = vec![0.0f64; nparts * K];
     let me = ctx.app_rank() as usize;
     buf[me * K..(me + 1) * K].copy_from_slice(&values);
-    let out = ctx.allreduce_f64_ft(&buf, ReduceOp::Sum)?;
+    let mut out = Vec::with_capacity(buf.len());
+    for chunk in buf.chunks(ft_gaspi::ALLREDUCE_MAX_ELEMS) {
+        out.extend(ctx.allreduce_f64_ft(chunk, ReduceOp::Sum)?);
+    }
     Ok(std::array::from_fn(|j| out.iter().skip(j).step_by(K).sum()))
 }
 
