@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, Wire};
 use ft_core::{FtApp, FtCtx, FtResult, RecoveryPlan};
 use ft_gaspi::ReduceOp;
 
@@ -60,15 +60,12 @@ impl FtApp for SweepApp {
     }
 
     fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        Ok(Some(e.finish()))
+        Ok(Some((iter, self.acc).to_bytes()))
     }
 
     fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64()?;
-        self.acc = d.f64()?;
+        let (iter, acc) = <(u64, f64)>::from_bytes(data)?;
+        self.acc = acc;
         Ok(iter)
     }
 

@@ -14,7 +14,9 @@
 //! deterministic sites, and a coverage-spread subset is replayed as real
 //! processes — one supervisor job per triple, in smoke-test budget.
 
-use ft_cluster::{site_is_deterministic, FaultAction, FaultSchedule, Injection, Rank, SiteRecord};
+use ft_cluster::{
+    site_is_deterministic, FaultAction, FaultSchedule, Injection, Rank, SiteRecord, Wire,
+};
 use ft_core::{child_env, run_child};
 
 use crate::app::SweepApp;
@@ -26,7 +28,7 @@ use crate::sweep::{classify, replay, run, Backend, RunClass, SweepConfig};
 /// else.
 pub fn maybe_run_child(cfg: &SweepConfig) -> Option<i32> {
     let env = child_env()?;
-    let summary = |s: &f64| s.to_le_bytes().to_vec();
+    let summary = |s: &f64| s.to_bytes();
     Some(run_child(env, cfg.ft_config(), cfg.gaspi_config(), SweepApp::new, summary))
 }
 

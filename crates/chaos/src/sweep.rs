@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use ft_cluster::{FaultSchedule, Injection, Rank, SiteRecord};
+use ft_cluster::{FaultSchedule, Injection, Rank, SiteRecord, Wire};
 use ft_core::process::{run_supervisor, ProcJobReport, ProcOutcome, SupervisorConfig};
 use ft_core::{run_ft_job, DetectorConfig, EventLog, FtConfig, StrategyKind, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome, Timeout};
@@ -183,8 +183,8 @@ pub fn run(cfg: &SweepConfig, schedule: FaultSchedule, backend: Backend) -> Fact
 fn process_facts(report: ProcJobReport) -> Facts {
     let mut facts = Facts { killed: report.killed(), ..Facts::default() };
     for (app, bytes) in report.worker_summaries() {
-        match <[u8; 8]>::try_from(bytes) {
-            Ok(le) => facts.summaries.push((app, f64::from_le_bytes(le))),
+        match f64::from_bytes(bytes) {
+            Ok(summary) => facts.summaries.push((app, summary)),
             Err(_) => facts.broken.push(format!("app rank {app}: malformed 8-byte summary")),
         }
     }

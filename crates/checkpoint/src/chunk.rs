@@ -23,10 +23,10 @@
 //!   a monotone counter — chunk garbage collection is an explicit
 //!   release list computed against the retained manifests.
 
-use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc};
+use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc, Wire};
 
 /// Default chunk size, and the alignment solvers use for chunk-stable
-/// checkpoint layouts (see `LanczosState::encode` in `ft-solver`).
+/// checkpoint layouts (see `LanczosState`'s `Wire` impl in `ft-solver`).
 pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 
 /// Tag bit reserved for the content-addressed chunk store.
@@ -71,24 +71,27 @@ impl Manifest {
         }
     }
 
-    /// Encoded manifest blob (what is stored and replicated).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(48 + 8 * self.chunks.len());
+    /// Byte range of chunk `idx` within the payload.
+    pub fn chunk_range(&self, idx: usize) -> std::ops::Range<usize> {
+        chunk_range(idx, self.chunk_size as usize, self.total_len as usize)
+    }
+}
+
+/// The blob that is stored and replicated. Decoding validates the
+/// structure: a legacy full-image blob (or any corruption) fails loudly —
+/// the magic and the chunk-count consistency check reject it.
+impl Wire for Manifest {
+    fn encode(&self, e: &mut Enc) {
         e.u64(MANIFEST_MAGIC)
             .u64(self.version)
             .u64(self.total_len)
             .u32(self.chunk_size)
-            .u32(u32::from(self.full))
+            .u8(u8::from(self.full))
             .u64(self.checksum)
             .u64s(&self.chunks);
-        e.finish()
     }
 
-    /// Decode and structurally validate a manifest blob. A legacy
-    /// full-image blob (or any corruption) fails loudly — the magic and
-    /// the chunk-count consistency check reject it.
-    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Dec::new(buf);
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
         let magic = d.u64()?;
         if magic != MANIFEST_MAGIC {
             return Err(CodecError::BadLength(magic));
@@ -96,10 +99,9 @@ impl Manifest {
         let version = d.u64()?;
         let total_len = d.u64()?;
         let chunk_size = d.u32()?;
-        let full = d.u32()? != 0;
+        let full = d.bool()?;
         let checksum = d.u64()?;
         let chunks = d.u64s()?;
-        d.expect_end()?;
         if chunk_size == 0 {
             return Err(CodecError::BadLength(0));
         }
@@ -108,11 +110,6 @@ impl Manifest {
             return Err(CodecError::BadLength(chunks.len() as u64));
         }
         Ok(Self { version, total_len, chunk_size, full, checksum, chunks })
-    }
-
-    /// Byte range of chunk `idx` within the payload.
-    pub fn chunk_range(&self, idx: usize) -> std::ops::Range<usize> {
-        chunk_range(idx, self.chunk_size as usize, self.total_len as usize)
     }
 }
 
@@ -134,34 +131,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_roundtrip() {
+    fn manifest_chunk_ranges() {
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         let m = Manifest::describe(7, &payload, 256, false);
         assert_eq!(m.chunks.len(), 4);
         assert_eq!(m.chunk_range(3), 768..1000);
-        let d = Manifest::decode(&m.encode()).unwrap();
-        assert_eq!(d, m);
-    }
-
-    #[test]
-    fn empty_payload_manifest() {
-        let m = Manifest::describe(1, &[], 64, true);
-        assert!(m.chunks.is_empty());
-        assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn legacy_blob_is_not_a_manifest() {
-        // A raw payload blob (no magic) must not decode as a manifest.
-        assert!(Manifest::decode(&[0u8; 64]).is_err());
-        assert!(Manifest::decode(b"short").is_err());
+        assert!(Manifest::describe(1, &[], 64, true).chunks.is_empty());
     }
 
     #[test]
     fn chunk_count_consistency_enforced() {
         let mut m = Manifest::describe(1, &[9u8; 100], 32, false);
         m.chunks.pop();
-        assert!(Manifest::decode(&m.encode()).is_err());
+        assert!(Manifest::from_bytes(&m.to_bytes()).is_err());
     }
 
     #[test]

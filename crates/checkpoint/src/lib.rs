@@ -45,7 +45,7 @@ pub mod writer;
 pub use chunk::{
     chunk_hashes, chunk_range, chunk_tag, Manifest, CHUNK_TAG_BIT, DEFAULT_CHUNK_SIZE,
 };
-pub use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc};
+pub use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc, Wire};
 pub use neighbor::NeighborMap;
 pub use pfs::{Pfs, PfsConfig};
 pub use stats::CkptStats;

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use ft_cluster::{BlobKey, CodecError, Dec, Enc, NodeStorage, QueueId, Rank, Topology};
+use ft_cluster::{BlobKey, CodecError, Dec, Enc, NodeStorage, QueueId, Rank, Topology, Wire};
 use ft_gaspi::{CkptHandler, GaspiProc};
 
 use crate::chunk::chunk_tag;
@@ -42,29 +42,8 @@ pub const COPY_QUEUE: QueueId = u16::MAX - 1;
 const SVC_FETCH: u8 = 1;
 const SVC_COPY: u8 = 3;
 
-const OK: u8 = 1;
-const FAIL: u8 = 0;
-
-fn put_opt(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(v) => e.u8(OK).u64(v),
-        None => e.u8(FAIL),
-    };
-}
-
-fn get_flag(d: &mut Dec<'_>) -> Result<bool, CodecError> {
-    match d.u8()? {
-        FAIL => Ok(false),
-        OK => Ok(true),
-        other => Err(CodecError::BadLength(u64::from(other))),
-    }
-}
-
-fn get_opt(d: &mut Dec<'_>) -> Result<Option<u64>, CodecError> {
-    Ok(if get_flag(d)? { Some(d.u64()?) } else { None })
-}
-
-/// The one question asked of a node's replica store.
+/// The one question asked of a node's replica store; its encoding is the
+/// whole fetch message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Whose checkpoint.
@@ -77,20 +56,23 @@ pub struct Request {
     pub payload: bool,
 }
 
-impl Request {
-    /// The fetch message for this request.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(24);
+impl Wire for Request {
+    fn encode(&self, e: &mut Enc) {
         e.u8(SVC_FETCH).u32(self.rank).u32(self.tag);
-        put_opt(&mut e, self.version);
-        e.u8(u8::from(self.payload));
-        e.finish()
+        self.version.encode(e);
+        self.payload.encode(e);
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let r = Self { rank: d.u32()?, tag: d.u32()?, version: get_opt(d)?, payload: get_flag(d)? };
-        d.expect_end()?;
-        Ok(r)
+        match d.u8()? {
+            SVC_FETCH => Ok(Self {
+                rank: d.u32()?,
+                tag: d.u32()?,
+                version: Wire::decode(d)?,
+                payload: d.bool()?,
+            }),
+            t => Err(CodecError::BadTag(t)),
+        }
     }
 }
 
@@ -108,57 +90,75 @@ pub struct Reply {
     pub gaps: u64,
 }
 
-impl Reply {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match &self.found {
-            Some((v, data)) => e.u8(OK).u64(*v).bytes(data),
-            None => e.u8(FAIL),
-        };
-        put_opt(&mut e, self.mismatch);
+impl Wire for Reply {
+    fn encode(&self, e: &mut Enc) {
+        self.found.encode(e);
+        self.mismatch.encode(e);
         e.u64(self.gaps);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(Self { found: Wire::decode(d)?, mismatch: Wire::decode(d)?, gaps: d.u64()? })
+    }
+}
+
+/// The replication push, the whole copy message: `rank`'s commit
+/// `version` as dirty chunks (`(content hash, bytes)`), the encoded
+/// manifest, and the chunk hashes the commit released. `keep` is the
+/// sender's `keep_versions`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Push {
+    /// Whose checkpoint.
+    pub rank: Rank,
+    /// Which stream.
+    pub tag: u32,
+    /// The committed version.
+    pub version: u64,
+    /// The sender's `keep_versions`.
+    pub keep: u64,
+    /// The commit's dirty chunks, by content hash.
+    pub blobs: Vec<(u64, Arc<Vec<u8>>)>,
+    /// The encoded manifest of `version`.
+    pub manifest: Arc<Vec<u8>>,
+    /// Chunk hashes no retained manifest references any more.
+    pub release: Vec<u64>,
+}
+
+impl Wire for Push {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(SVC_COPY).u32(self.rank).u32(self.tag).u64(self.version).u64(self.keep);
+        self.blobs.encode(e);
+        self.manifest.encode(e);
+        self.release.encode(e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        match d.u8()? {
+            SVC_COPY => Ok(Self {
+                rank: d.u32()?,
+                tag: d.u32()?,
+                version: d.u64()?,
+                keep: d.u64()?,
+                blobs: Wire::decode(d)?,
+                manifest: Wire::decode(d)?,
+                release: Wire::decode(d)?,
+            }),
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+
+    /// Sized up front: a push carries whole chunks.
+    fn to_bytes(&self) -> Vec<u8> {
+        let chunks: usize = self.blobs.iter().map(|(_, b)| 16 + b.len()).sum();
+        let mut e = Enc::with_capacity(64 + chunks + self.manifest.len() + 8 * self.release.len());
+        self.encode(&mut e);
         e.finish()
     }
-
-    /// Decode a fetch reply; anything malformed reads as a plain miss.
-    pub fn decode(reply: &[u8]) -> Self {
-        fn inner(reply: &[u8]) -> Result<Reply, CodecError> {
-            let mut d = Dec::new(reply);
-            let found = if get_flag(&mut d)? { Some((d.u64()?, d.bytes()?)) } else { None };
-            let r = Reply { found, mismatch: get_opt(&mut d)?, gaps: d.u64()? };
-            d.expect_end()?;
-            Ok(r)
-        }
-        inner(reply).unwrap_or_default()
-    }
 }
 
-/// The replication push: `rank`'s commit `version` as dirty chunks
-/// (`(content hash, bytes)`), the encoded manifest, and the chunk hashes
-/// the commit released. `keep` is the sender's `keep_versions`.
-pub fn enc_copy(
-    rank: Rank,
-    tag: u32,
-    version: u64,
-    keep: u64,
-    blobs: &[(u64, Arc<Vec<u8>>)],
-    manifest: &[u8],
-    release: &[u64],
-) -> Vec<u8> {
-    let total: usize = manifest.len() + blobs.iter().map(|(_, d)| d.len()).sum::<usize>();
-    let mut e = Enc::with_capacity(total + 64 + blobs.len() * 16);
-    e.u8(SVC_COPY).u32(rank).u32(tag).u64(version).u64(keep);
-    e.u64(blobs.len() as u64);
-    for (h, d) in blobs {
-        e.u64(*h).bytes(d);
-    }
-    e.bytes(manifest);
-    e.u64s(release);
-    e.finish()
-}
-
+/// Whether the service accepted a push.
 pub(crate) fn copy_reply_ok(reply: &[u8]) -> bool {
-    reply.first() == Some(&OK)
+    bool::from_bytes(reply) == Ok(true)
 }
 
 /// Build the service handler over a node store and placement. `to` is the
@@ -166,7 +166,7 @@ pub(crate) fn copy_reply_ok(reply: &[u8]) -> bool {
 /// resolves through its node.
 pub fn handler(storage: Arc<NodeStorage>, topo: Topology) -> CkptHandler {
     Arc::new(move |to: Rank, _from: Rank, _queue: QueueId, msg: &[u8]| {
-        serve(&storage, &topo, to, msg).unwrap_or_else(|_| vec![FAIL])
+        serve(&storage, &topo, to, msg).unwrap_or_else(|_| false.to_bytes())
     })
 }
 
@@ -185,33 +185,24 @@ fn serve(
     msg: &[u8],
 ) -> Result<Vec<u8>, CodecError> {
     let node = topo.node_of(to);
-    let mut d = Dec::new(msg);
-    match d.u8()? {
-        SVC_FETCH => Ok(probe_node(storage, node, &Request::decode(&mut d)?).encode()),
-        SVC_COPY => {
-            let (rank, tag, version, keep) = (d.u32()?, d.u32()?, d.u64()?, d.u64()?);
-            // A blob is at least a hash and a length prefix.
-            let n = d.len_prefix(16)?;
-            let blobs =
-                (0..n).map(|_| Ok((d.u64()?, d.bytes()?))).collect::<Result<Vec<_>, _>>()?;
-            let manifest = d.bytes()?;
-            let release = d.u64s()?;
-            d.expect_end()?;
-            // Same order as a local commit: chunks, then the manifest that
-            // makes them visible, then pruning and chunk GC.
-            let ctag = chunk_tag(tag);
-            for (h, blob) in blobs {
-                storage.put(node, BlobKey { rank, tag: ctag, version: h }, Arc::new(blob));
-            }
-            storage.put(node, BlobKey { rank, tag, version }, Arc::new(manifest));
-            storage.prune(node, rank, tag, version.saturating_add(1).saturating_sub(keep));
-            for h in release {
-                storage.remove(node, BlobKey { rank, tag: ctag, version: h });
-            }
-            Ok(vec![OK])
-        }
-        other => Err(CodecError::BadLength(u64::from(other))),
+    // Anything but a push is a fetch to `Request`'s decoder, which
+    // refuses an unknown tag.
+    if msg.first() != Some(&SVC_COPY) {
+        return Ok(probe_node(storage, node, &Request::from_bytes(msg)?).to_bytes());
     }
+    let Push { rank, tag, version, keep, blobs, manifest, release } = Push::from_bytes(msg)?;
+    // Same order as a local commit: chunks, then the manifest that makes
+    // them visible, then pruning and chunk GC.
+    let ctag = chunk_tag(tag);
+    for (h, blob) in blobs {
+        storage.put(node, BlobKey { rank, tag: ctag, version: h }, blob);
+    }
+    storage.put(node, BlobKey { rank, tag, version }, manifest);
+    storage.prune(node, rank, tag, version.saturating_add(1).saturating_sub(keep));
+    for h in release {
+        storage.remove(node, BlobKey { rank, tag: ctag, version: h });
+    }
+    Ok(true.to_bytes())
 }
 
 #[cfg(test)]
@@ -219,9 +210,9 @@ mod tests {
     use super::*;
     use crate::chunk::Manifest;
 
-    fn fetch(h: &CkptHandler, version: Option<u64>) -> Reply {
-        let req = Request { rank: 0, tag: 7, version, payload: true };
-        Reply::decode(&h(1, 0, FETCH_QUEUE, &req.encode()))
+    fn fetch(h: &CkptHandler, version: Option<u64>, payload: bool) -> Reply {
+        let req = Request { rank: 0, tag: 7, version, payload };
+        Reply::from_bytes(&h(1, 0, FETCH_QUEUE, &req.to_bytes())).unwrap()
     }
 
     #[test]
@@ -236,25 +227,20 @@ mod tests {
             .zip(payload.chunks(4))
             .map(|(&h, c)| (h, Arc::new(c.to_vec())))
             .collect();
-        assert!(copy_reply_ok(&h(
-            1,
-            0,
-            COPY_QUEUE,
-            &enc_copy(0, 7, 4, 2, &blobs, &m.encode(), &[])
-        )));
-        assert_eq!(fetch(&h, None).found, Some((4, payload.clone())));
-        assert_eq!(fetch(&h, Some(4)).found, Some((4, payload)));
-        assert_eq!(fetch(&h, Some(3)), Reply::default());
-        let req = Request { rank: 0, tag: 7, version: None, payload: false };
-        let named = Reply::decode(&h(1, 0, FETCH_QUEUE, &req.encode()));
+        let push = Push {
+            rank: 0,
+            tag: 7,
+            version: 4,
+            keep: 2,
+            blobs,
+            manifest: Arc::new(m.to_bytes()),
+            release: vec![],
+        };
+        assert!(copy_reply_ok(&h(1, 0, COPY_QUEUE, &push.to_bytes())));
+        assert_eq!(fetch(&h, None, true).found, Some((4, payload.clone())));
+        assert_eq!(fetch(&h, Some(4), true).found, Some((4, payload)));
+        assert_eq!(fetch(&h, Some(3), true), Reply::default());
+        let named = fetch(&h, None, false);
         assert_eq!(named.found, Some((4, Vec::new())), "version only: no image shipped");
-    }
-
-    #[test]
-    fn reply_decoder_tolerates_garbage() {
-        assert_eq!(Reply::decode(&[0xff, 0x01]), Reply::default());
-        assert_eq!(Reply::decode(&[]), Reply::default());
-        assert!(!copy_reply_ok(&[]));
-        assert!(copy_reply_ok(&[OK]));
     }
 }

@@ -31,7 +31,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use ft_cluster::codec::content_hash64;
-use ft_cluster::{BlobKey, NodeId, NodeStorage, Outcome, Rank, Topology, Transport};
+use ft_cluster::{BlobKey, NodeId, NodeStorage, Outcome, Rank, Topology, Transport, Wire};
 use ft_gaspi::GaspiProc;
 
 use crate::chunk::{chunk_hashes, chunk_range, chunk_tag, Manifest, DEFAULT_CHUNK_SIZE};
@@ -390,7 +390,7 @@ impl Checkpointer {
             chunks: hashes.clone(),
         };
         fault.site(s.rank, "ckpt.manifest.write");
-        let mbytes = manifest.encode();
+        let mbytes = manifest.to_bytes();
         let mlen = mbytes.len() as u64;
         s.storage.put(s.node, BlobKey { rank: s.rank, tag: s.cfg.tag, version }, Arc::new(mbytes));
 
@@ -610,7 +610,7 @@ impl Checkpointer {
     fn ask_replica(&self, dst: Rank, req: &Request, timeout: Duration) -> Option<Reply> {
         let s = &*self.shared;
         let (tx, rx) = mpsc::channel();
-        let msg = req.encode();
+        let msg = req.to_bytes();
         s.transport.call(
             s.rank,
             dst,
@@ -619,7 +619,8 @@ impl Checkpointer {
             msg,
             Box::new(move |out, bytes| {
                 let reply = match out {
-                    Outcome::Delivered => Reply::decode(&bytes),
+                    // A reply that does not decode is a miss, like a broken link.
+                    Outcome::Delivered => Reply::from_bytes(&bytes).unwrap_or_default(),
                     _ => Reply::default(),
                 };
                 // The asker may have timed out and gone.
@@ -679,7 +680,7 @@ fn assemble(storage: &NodeStorage, node: NodeId, rank: Rank, tag: u32, version: 
     let Some(mbytes) = storage.get(node, BlobKey { rank, tag, version }) else {
         return Assembled::NoManifest;
     };
-    let Ok(m) = Manifest::decode(&mbytes) else {
+    let Ok(m) = Manifest::from_bytes(&mbytes) else {
         // A corrupt (torn) manifest is as unusable as a missing one.
         return Assembled::Gap;
     };
@@ -811,15 +812,16 @@ impl Shared {
         // The payload total is the latency cost; the envelope framing is
         // not charged.
         let bytes = mbytes.len() + blobs.iter().map(|(_, d)| d.len()).sum::<usize>();
-        let msg = service::enc_copy(
-            self.rank,
-            self.cfg.tag,
+        let msg = service::Push {
+            rank: self.rank,
+            tag: self.cfg.tag,
             version,
-            self.cfg.keep_versions,
-            &blobs,
-            &mbytes,
-            release,
-        );
+            keep: self.cfg.keep_versions,
+            blobs,
+            manifest: mbytes,
+            release: release.to_vec(),
+        }
+        .to_bytes();
         Some((dst, bytes, msg))
     }
 

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::codec::{CodecError, Dec, Enc};
+use crate::codec::{CodecError, Dec, Enc, Wire};
 use crate::inject::{InjectState, Injection, SiteName, SiteRecord};
 use crate::topology::{NodeId, Rank, Topology};
 
@@ -381,8 +381,10 @@ impl FaultAction {
             FaultAction::Delay(_) => true,
         }
     }
+}
 
-    pub(crate) fn encode(&self, e: &mut Enc) {
+impl Wire for FaultAction {
+    fn encode(&self, e: &mut Enc) {
         match *self {
             FaultAction::KillRank(r) => e.u8(0).u32(r),
             FaultAction::KillNode(n) => e.u8(1).u32(n.0),
@@ -392,7 +394,7 @@ impl FaultAction {
         };
     }
 
-    pub(crate) fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
             0 => FaultAction::KillRank(d.u32()?),
             1 => FaultAction::KillNode(NodeId(d.u32()?)),
@@ -491,51 +493,6 @@ impl FaultSchedule {
         &self.timed
     }
 
-    /// Serialize the schedule to bytes (environment-variable transport to
-    /// child rank processes; pair with [`crate::codec::to_hex`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.at_iteration.len() as u64);
-        for &(r, i) in &self.at_iteration {
-            e.u32(r).u64(i);
-        }
-        e.u64(self.timed.len() as u64);
-        for (d, a) in &self.timed {
-            e.u64(d.as_nanos() as u64);
-            a.encode(&mut e);
-        }
-        e.u64(self.injections.len() as u64);
-        for inj in &self.injections {
-            inj.encode(&mut e);
-        }
-        e.finish()
-    }
-
-    /// Inverse of [`FaultSchedule::encode`], over bytes that reach a rank
-    /// process through its environment and are not trusted: each count is
-    /// bounded by the smallest encoding of its entries before anything is
-    /// allocated, a timed [`FaultAction::Delay`] is as illegal as in
-    /// [`FaultSchedule::timed`], and trailing bytes are rejected.
-    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Dec::new(buf);
-        let mut s = Self::default();
-        for _ in 0..d.len_prefix(12)? {
-            s.at_iteration.push((d.u32()?, d.u64()?));
-        }
-        for _ in 0..d.len_prefix(13)? {
-            let after = Duration::from_nanos(d.u64()?);
-            match FaultAction::decode(&mut d)? {
-                FaultAction::Delay(_) => return Err(CodecError::BadTag(DELAY_TAG)),
-                action => s.timed.push((after, action)),
-            }
-        }
-        for _ in 0..d.len_prefix(25)? {
-            s.injections.push(Injection::decode(&mut d)?);
-        }
-        d.expect_end()?;
-        Ok(s)
-    }
-
     /// Arm the step-indexed injections on `plane`, then spawn the timer
     /// thread applying the timed actions (if any) to it — the one
     /// interpreter of a schedule on both backends. The returned guard
@@ -566,6 +523,29 @@ impl FaultSchedule {
         // Nothing timed (every benchmark job), no thread.
         let handle = (!self.timed.is_empty()).then(|| builder.spawn(run).expect("spawn timer"));
         ScheduleTimer { cancel, handle }
+    }
+}
+
+/// Shipped to a rank process through its environment, so decoded from
+/// untrusted bytes: a timed [`FaultAction::Delay`] is as illegal as in
+/// [`FaultSchedule::timed`].
+impl Wire for FaultSchedule {
+    fn encode(&self, e: &mut Enc) {
+        self.at_iteration.encode(e);
+        self.timed.encode(e);
+        self.injections.encode(e);
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        let s = Self {
+            at_iteration: Wire::decode(d)?,
+            timed: Wire::decode(d)?,
+            injections: Wire::decode(d)?,
+        };
+        match s.timed.iter().any(|(_, a)| matches!(a, FaultAction::Delay(_))) {
+            true => Err(CodecError::BadTag(DELAY_TAG)),
+            false => Ok(s),
+        }
     }
 }
 
@@ -690,36 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_schedule_codec_roundtrip() {
-        let s = FaultSchedule::none()
-            .kill_rank_at_iteration(2, 130)
-            .kill_rank_at_iteration(5, 220)
-            .timed(Duration::from_millis(40), FaultAction::KillRank(3))
-            .timed(Duration::from_millis(80), FaultAction::KillNode(NodeId(1)))
-            .timed(Duration::from_millis(90), FaultAction::BreakLink(0, 2))
-            .timed(Duration::from_millis(95), FaultAction::HealLink(0, 2))
-            .inject(Injection::kill("gaspi.write", 1, 3))
-            .inject(Injection::at("gaspi.allreduce", 2, 4, FaultAction::BreakLink(2, 5)))
-            .inject(Injection::at("gaspi.allreduce", 2, 6, FaultAction::HealLink(2, 5)))
-            .inject(Injection::at(
-                "ckpt.restore",
-                4,
-                1,
-                FaultAction::Delay(Duration::from_micros(10)),
-            ));
-        let bytes = s.encode();
-        assert_eq!(FaultSchedule::decode(&bytes).unwrap(), s);
-        // Hex round trip (how the supervisor actually ships it).
-        let hex = crate::codec::to_hex(&bytes);
-        assert_eq!(FaultSchedule::decode(&crate::codec::from_hex(&hex).unwrap()).unwrap(), s);
-        // Empty schedule.
-        let none = FaultSchedule::none();
-        assert_eq!(FaultSchedule::decode(&none.encode()).unwrap(), none);
-        // Truncation is loud.
-        assert!(FaultSchedule::decode(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
     fn sites_are_free_until_enabled() {
         let p = plane(4);
         p.site(0, "x");
@@ -832,28 +782,7 @@ mod tests {
         e.u64(0).u64(1).u64(0);
         delay.encode(&mut e);
         e.u64(0);
-        assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadTag(DELAY_TAG)));
-    }
-
-    /// A supervisor-shaped schedule mixing timed link ops with
-    /// step-indexed link ops must survive the hex trip the process
-    /// backend actually ships (env var → child), byte for byte.
-    #[test]
-    fn link_ops_survive_the_supervisor_hex_trip() {
-        let s = FaultSchedule::none()
-            .timed(Duration::from_millis(40), FaultAction::BreakLink(5, 1))
-            .timed(Duration::from_millis(120), FaultAction::HealLink(5, 1))
-            .inject(Injection::at("gaspi.allreduce", 1, 2, FaultAction::BreakLink(1, 3)))
-            .inject(Injection::at("gaspi.allreduce", 1, 4, FaultAction::HealLink(1, 3)));
-        let hex = crate::codec::to_hex(&s.encode());
-        let back = FaultSchedule::decode(&crate::codec::from_hex(&hex).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.timed_actions().len(), 2);
-        assert!(matches!(back.timed_actions()[0].1, FaultAction::BreakLink(5, 1)));
-        assert!(matches!(back.timed_actions()[1].1, FaultAction::HealLink(5, 1)));
-        assert_eq!(back.injections().len(), 2);
-        assert_eq!(back.injections()[0].action, FaultAction::BreakLink(1, 3));
-        assert_eq!(back.injections()[1].action, FaultAction::HealLink(1, 3));
+        assert_eq!(FaultSchedule::from_bytes(&e.finish()), Err(CodecError::BadTag(DELAY_TAG)));
     }
 
     #[test]

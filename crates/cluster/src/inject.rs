@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use crate::codec::{CodecError, Dec, Enc};
+use crate::codec::{CodecError, Dec, Enc, Wire};
 use crate::fault::FaultAction;
 use crate::topology::Rank;
 
@@ -76,13 +76,15 @@ impl Injection {
     pub fn kill(site: impl Into<String>, rank: Rank, occurrence: u64) -> Self {
         Self::at(site, rank, occurrence, FaultAction::KillRank(rank))
     }
+}
 
-    pub(crate) fn encode(&self, e: &mut Enc) {
+impl Wire for Injection {
+    fn encode(&self, e: &mut Enc) {
         e.str(&self.site).u32(self.rank).u64(self.occurrence);
         self.action.encode(e);
     }
 
-    pub(crate) fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
         Ok(Self {
             site: d.str()?,
             rank: d.u32()?,

@@ -40,7 +40,7 @@ pub mod time;
 pub mod topology;
 pub mod transport;
 
-pub use codec::{CodecError, Dec, Enc};
+pub use codec::{CodecError, Dec, Enc, Wire};
 pub use fault::{
     FaultAction, FaultPlane, FaultSchedule, RankKilled, ScheduleTimer, KILLED_EXIT_CODE,
 };

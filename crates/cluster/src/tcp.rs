@@ -74,6 +74,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::codec::{CodecError, Dec, Enc, Wire};
 use crate::fault::FaultPlane;
 use crate::time::LatencyModel;
 use crate::topology::Rank;
@@ -86,28 +87,47 @@ const KIND_RESP: u8 = 1;
 /// call completes as [`Outcome::Broken`] without dispatching. The
 /// connection itself stays up — the link may heal.
 const KIND_RESP_BROKEN: u8 = 2;
-/// kind + call_id + src + dst + queue.
+/// Encoded size of a [`Header`].
 const HDR: usize = 1 + 8 + 4 + 4 + 2;
 
-struct Frame {
+/// What precedes a frame's payload.
+#[derive(Debug, Clone, Copy)]
+struct Header {
     kind: u8,
     call_id: u64,
     src: Rank,
     dst: Rank,
     queue: QueueId,
+}
+
+impl Header {
+    /// The header of the response to this request.
+    fn reply(&self, kind: u8) -> Self {
+        Self { kind, src: self.dst, dst: self.src, ..*self }
+    }
+}
+
+impl Wire for Header {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(self.kind).u64(self.call_id).u32(self.src).u32(self.dst).u16(self.queue);
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(Self { kind: d.u8()?, call_id: d.u64()?, src: d.u32()?, dst: d.u32()?, queue: d.u16()? })
+    }
+}
+
+struct Frame {
+    hdr: Header,
     payload: Vec<u8>,
 }
 
-fn write_frame(w: &mut TcpStream, f: &Frame) -> io::Result<()> {
-    let len = (HDR + f.payload.len()) as u32;
-    let mut buf = Vec::with_capacity(4 + HDR + f.payload.len());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.push(f.kind);
-    buf.extend_from_slice(&f.call_id.to_le_bytes());
-    buf.extend_from_slice(&f.src.to_le_bytes());
-    buf.extend_from_slice(&f.dst.to_le_bytes());
-    buf.extend_from_slice(&f.queue.to_le_bytes());
-    buf.extend_from_slice(&f.payload);
+fn write_frame(w: &mut TcpStream, hdr: &Header, payload: &[u8]) -> io::Result<()> {
+    let mut e = Enc::with_capacity(4 + HDR + payload.len());
+    e.u32((HDR + payload.len()) as u32);
+    hdr.encode(&mut e);
+    let mut buf = e.finish();
+    buf.extend_from_slice(payload);
     w.write_all(&buf)
 }
 
@@ -120,14 +140,10 @@ fn read_frame(r: &mut TcpStream) -> io::Result<Frame> {
     }
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
-    Ok(Frame {
-        kind: buf[0],
-        call_id: u64::from_le_bytes(buf[1..9].try_into().unwrap()),
-        src: u32::from_le_bytes(buf[9..13].try_into().unwrap()),
-        dst: u32::from_le_bytes(buf[13..17].try_into().unwrap()),
-        queue: u16::from_le_bytes(buf[17..19].try_into().unwrap()),
-        payload: buf[HDR..].to_vec(),
-    })
+    let hdr = Header::from_bytes(&buf[..HDR])
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    buf.drain(..HDR);
+    Ok(Frame { hdr, payload: buf })
 }
 
 /// State of one outgoing (client) connection to a peer.
@@ -166,11 +182,11 @@ struct TcpInner {
 }
 
 impl TcpInner {
-    fn dispatch(&self, f: &Frame) -> Vec<u8> {
-        let ep = self.endpoints.lock().get(&f.dst).cloned();
+    fn dispatch(&self, hdr: &Header, payload: &[u8]) -> Vec<u8> {
+        let ep = self.endpoints.lock().get(&hdr.dst).cloned();
         let _serialize = self.dispatch.lock();
         match ep {
-            Some(ep) => ep.handle(f.src, f.queue, &f.payload),
+            Some(ep) => ep.handle(hdr.src, hdr.queue, payload),
             None => Vec::new(),
         }
     }
@@ -318,8 +334,8 @@ impl TcpTransport {
         if dst == inner.me {
             // Loopback fast path: dispatch inline (still under the
             // dispatch lock, via TcpInner::dispatch).
-            let f = Frame { kind: KIND_REQ, call_id: 0, src, dst, queue, payload: msg };
-            let reply = inner.dispatch(&f);
+            let reply =
+                inner.dispatch(&Header { kind: KIND_REQ, call_id: 0, src, dst, queue }, &msg);
             done(Outcome::Delivered, reply);
             return;
         }
@@ -335,8 +351,8 @@ impl TcpTransport {
             return;
         }
         c.pending.insert(call_id, done);
-        let f = Frame { kind: KIND_REQ, call_id, src, dst, queue, payload: msg };
-        let res = write_frame(c.stream.as_mut().unwrap(), &f);
+        let hdr = Header { kind: KIND_REQ, call_id, src, dst, queue };
+        let res = write_frame(c.stream.as_mut().unwrap(), &hdr, &msg);
         drop(c);
         if res.is_err() {
             inner.break_peer(dst, Outcome::Broken);
@@ -358,16 +374,16 @@ fn client_reader(
 ) {
     loop {
         match read_frame(&mut stream) {
-            Ok(f) if f.kind == KIND_RESP => {
-                let done = conn.lock().pending.remove(&f.call_id);
+            Ok(f) if f.hdr.kind == KIND_RESP => {
+                let done = conn.lock().pending.remove(&f.hdr.call_id);
                 if let Some(done) = done {
                     done(Outcome::Delivered, f.payload);
                 }
             }
-            Ok(f) if f.kind == KIND_RESP_BROKEN => {
+            Ok(f) if f.hdr.kind == KIND_RESP_BROKEN => {
                 // The receiver refused the frame: its fault plane has the
                 // src → dst link down. Break the call, keep the socket.
-                let done = conn.lock().pending.remove(&f.call_id);
+                let done = conn.lock().pending.remove(&f.hdr.call_id);
                 if let Some(done) = done {
                     done(Outcome::Broken, Vec::new());
                 }
@@ -416,38 +432,22 @@ fn server_reader(mut stream: TcpStream, inner: Arc<TcpInner>) {
     };
     loop {
         match read_frame(&mut stream) {
-            Ok(f) if f.kind == KIND_REQ => {
+            Ok(Frame { hdr, payload }) if hdr.kind == KIND_REQ => {
                 // Refuse the frame (don't dispatch) when its header names
                 // a sender outside the world or a receiver other than this
                 // rank, or when *this* rank's fault plane has the
                 // src → dst link down. The link check is what makes
                 // asymmetric partitions real — the sender's plane may not
                 // know.
-                let addressed = f.src < inner.fault.topology().num_ranks() && f.dst == inner.me;
-                if !addressed || !inner.fault.link_ok(f.src, f.dst) {
-                    let resp = Frame {
-                        kind: KIND_RESP_BROKEN,
-                        call_id: f.call_id,
-                        src: f.dst,
-                        dst: f.src,
-                        queue: f.queue,
-                        payload: Vec::new(),
-                    };
-                    if write_frame(&mut writer, &resp).is_err() {
+                let addressed = hdr.src < inner.fault.topology().num_ranks() && hdr.dst == inner.me;
+                if !addressed || !inner.fault.link_ok(hdr.src, hdr.dst) {
+                    if write_frame(&mut writer, &hdr.reply(KIND_RESP_BROKEN), &[]).is_err() {
                         return;
                     }
                     continue;
                 }
-                let reply = inner.dispatch(&f);
-                let resp = Frame {
-                    kind: KIND_RESP,
-                    call_id: f.call_id,
-                    src: f.dst,
-                    dst: f.src,
-                    queue: f.queue,
-                    payload: reply,
-                };
-                if write_frame(&mut writer, &resp).is_err() {
+                let reply = inner.dispatch(&hdr, &payload);
+                if write_frame(&mut writer, &hdr.reply(KIND_RESP), &reply).is_err() {
                     return;
                 }
             }
@@ -672,6 +672,12 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_frame_header_meets_the_wire_property() {
+        let hdr = Header { kind: KIND_RESP_BROKEN, call_id: 1 << 40, src: 3, dst: 1000, queue: 7 };
+        crate::codec::check_wire::<Header>(&hdr);
+    }
+
     /// A request whose header names a rank outside the world, or a
     /// receiver other than the listener's rank, is refused like a broken
     /// link: answered `KIND_RESP_BROKEN`, not dispatched, and the
@@ -681,22 +687,15 @@ mod tests {
         let (_t0, t1) = pair();
         let mut raw = TcpStream::connect(t1.inner.local_addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let req = |call_id, src, dst| Frame {
-            kind: KIND_REQ,
-            call_id,
-            src,
-            dst,
-            queue: 0,
-            payload: vec![7],
-        };
         for (call_id, src, dst) in [(1, 1000, 1), (2, 0, 1000), (3, 0, 0), (4, 0, 1)] {
-            write_frame(&mut raw, &req(call_id, src, dst)).unwrap();
+            let req = Header { kind: KIND_REQ, call_id, src, dst, queue: 0 };
+            write_frame(&mut raw, &req, &[7]).unwrap();
             let resp = read_frame(&mut raw).expect("every request is answered");
-            assert_eq!(resp.call_id, call_id);
+            assert_eq!(resp.hdr.call_id, call_id);
             if call_id < 4 {
-                assert_eq!((resp.kind, resp.payload), (KIND_RESP_BROKEN, vec![]));
+                assert_eq!((resp.hdr.kind, resp.payload), (KIND_RESP_BROKEN, vec![]));
             } else {
-                assert_eq!((resp.kind, resp.payload), (KIND_RESP, vec![0, 0, 7]));
+                assert_eq!((resp.hdr.kind, resp.payload), (KIND_RESP, vec![0, 0, 7]));
             }
         }
     }

@@ -4,10 +4,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ft_cluster::codec::{from_hex, to_hex};
-use ft_cluster::{
-    CodecError, Enc, FaultAction, FaultPlane, FaultSchedule, Injection, NodeId, Topology,
-};
+use ft_cluster::codec::check_wire;
+use ft_cluster::{FaultAction, FaultPlane, FaultSchedule, Injection, NodeId, Topology};
 
 /// The `kind`-th action over drawn operands.
 fn action(kind: u8, a: u32, b: u32, nanos: u64) -> FaultAction {
@@ -30,54 +28,23 @@ fn schedule(entries: &[(u8, u8, u32, u32, u64)]) -> FaultSchedule {
     })
 }
 
-/// A rank process decodes its schedule from an environment variable, so
-/// the bytes are hostile: a count no input could back is refused before
-/// anything is allocated for it, and an unknown action is not guessed at.
-#[test]
-fn schedule_decoder_bounds_counts_and_rejects_unknown_actions() {
-    for zero_counts_before in 0..3 {
-        let mut e = Enc::new();
-        for _ in 0..zero_counts_before {
-            e.u64(0);
-        }
-        e.u64(u64::MAX);
-        assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadLength(u64::MAX)));
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A rank process decodes its schedule from an environment variable,
+    /// so every schedule meets the wire property.
+    #[test]
+    fn schedules_meet_the_wire_property(
+        entries in proptest::collection::vec(
+            (0u8..3, 0u8..5, any::<u32>(), any::<u32>(), any::<u64>()),
+            0..6,
+        ),
+    ) {
+        check_wire::<FaultSchedule>(&schedule(&entries));
     }
-    let mut e = Enc::new();
-    e.u64(0).u64(0).u64(1).str("x").u32(0).u64(1).u8(9).u64(0);
-    assert_eq!(FaultSchedule::decode(&e.finish()), Err(CodecError::BadTag(9)));
 }
 
 proptest! {
-    /// Every schedule survives the byte and the hex trip (how the
-    /// supervisor ships it); no strict prefix of an encoding and nothing
-    /// with trailing bytes decodes; damaged and random bytes may decode to
-    /// anything but a panic.
-    #[test]
-    fn schedule_codec_roundtrips_and_survives_damage(
-        entries in proptest::collection::vec(
-            (0u8..3, 0u8..5, any::<u32>(), any::<u32>(), any::<u64>()),
-            0..10,
-        ),
-        junk in proptest::collection::vec(any::<u8>(), 0..96),
-        flip in any::<usize>(),
-    ) {
-        let s = schedule(&entries);
-        let mut bytes = s.encode();
-        prop_assert_eq!(FaultSchedule::decode(&bytes), Ok(s.clone()));
-        prop_assert_eq!(FaultSchedule::decode(&from_hex(&to_hex(&bytes)).unwrap()), Ok(s));
-        for cut in 0..bytes.len() {
-            prop_assert!(FaultSchedule::decode(&bytes[..cut]).is_err(), "prefix of {} bytes", cut);
-        }
-        bytes.push(0);
-        prop_assert!(FaultSchedule::decode(&bytes).is_err(), "trailing byte");
-        bytes.pop();
-        let _ = FaultSchedule::decode(&junk);
-        let at = flip % bytes.len();
-        bytes[at] ^= 1 << (flip % 8);
-        let _ = FaultSchedule::decode(&bytes);
-    }
-
     /// Node ranges tile the rank space and owner lookups agree.
     #[test]
     fn placement_tiles_ranks(num_ranks in 1u32..2000, rpn in 1u32..64) {

@@ -12,7 +12,7 @@
 //! communication, which is why the paper measures *no overhead* for the
 //! health check in failure-free runs.
 
-use ft_cluster::Rank;
+use ft_cluster::{Rank, Wire};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId, Timeout};
 
 use crate::layout::WorldLayout;
@@ -53,7 +53,7 @@ pub const SHUTDOWN_NOTIF: u32 = 2;
 pub const SUSPECT_NOTIF_BASE: u32 = 3;
 
 /// Bytes of a control segment for a given layout (plan payload is
-/// `28 + 8·total` worst case; headroom doubled).
+/// `30 + 8·total` worst case; headroom doubled).
 pub fn ctrl_seg_size(layout: &WorldLayout) -> usize {
     128 + 16 * layout.total() as usize
 }
@@ -74,7 +74,7 @@ pub fn broadcast_plan(
     timeout: Timeout,
 ) -> GaspiResult<Vec<Rank>> {
     proc.injection_site("ack.broadcast");
-    let payload = plan.encode();
+    let payload = plan.to_bytes();
     let len = payload.len();
     // Stage [len][payload] in our own control segment, then push it
     // one-sidedly to every target.
@@ -133,7 +133,8 @@ pub fn read_plan(proc: &GaspiProc) -> GaspiResult<Option<RecoveryPlan>> {
         if len == 0 || 4 + len > b.len() {
             return None;
         }
-        RecoveryPlan::decode(&b[4..4 + len])
+        // A torn plan is no plan: the next epoch's write replaces it.
+        RecoveryPlan::from_bytes(&b[4..4 + len]).ok()
     })
 }
 

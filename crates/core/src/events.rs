@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use ft_checkpoint::MissReason;
-use ft_cluster::codec::{CodecError, Dec, Enc};
+use ft_cluster::codec::{CodecError, Dec, Enc, Wire};
 use ft_cluster::Rank;
 
 /// The stage of the consistent-restore protocol a restore missed in.
@@ -119,13 +119,13 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Event {
-    /// The wire form — what a rank process ships to its supervisor: `t` in
-    /// nanoseconds, the rank, a kind tag, the kind's fields.
-    pub fn encode(&self) -> Vec<u8> {
+/// What a rank process ships to its supervisor: `t`, the rank, a kind
+/// tag, the kind's fields.
+impl Wire for Event {
+    fn encode(&self, e: &mut Enc) {
         use EventKind::*;
-        let mut e = Enc::new();
-        e.u64(self.t.as_nanos() as u64).u32(self.rank);
+        self.t.encode(e);
+        e.u32(self.rank);
         match &self.kind {
             KillFired { iter } => e.u8(0).u64(*iter),
             FdDetect { epoch, failed } => e.u8(1).u64(*epoch).u32s(failed),
@@ -142,17 +142,11 @@ impl Event {
             CapacityExhausted => e.u8(12),
             Finished { iter } => e.u8(13).u64(*iter),
         };
-        e.finish()
     }
 
-    /// Read an event written by [`Event::encode`]. The bytes come from
-    /// another process: an unknown tag, a short or an over-long buffer is
-    /// an error, and the one variable-length field is bounded by the bytes
-    /// left.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
         use EventKind::*;
-        let mut d = Dec::new(bytes);
-        let t = Duration::from_nanos(d.u64()?);
+        let t = Duration::decode(d)?;
         let rank = d.u32()?;
         let kind = match d.u8()? {
             0 => KillFired { iter: d.u64()? },
@@ -183,7 +177,6 @@ impl Event {
             13 => Finished { iter: d.u64()? },
             t => return Err(CodecError::BadTag(t)),
         };
-        d.expect_end()?;
         Ok(Event { t, rank, kind })
     }
 }

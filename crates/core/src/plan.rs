@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use ft_checkpoint::{Dec, Enc};
+use ft_checkpoint::{CodecError, Dec, Enc, Wire};
 use ft_cluster::Rank;
 
 use crate::layout::{RankMap, WorldLayout};
@@ -188,33 +188,28 @@ impl RecoveryPlan {
     pub fn adopted_app_rank(&self, layout: &WorldLayout, rank: Rank) -> Option<u32> {
         self.rank_map(layout).app_of(rank)
     }
+}
 
-    /// Wire encoding (broadcast into every control segment).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(40 + 8 * self.failed.len());
-        e.u64(self.epoch)
-            .u32(u32::from(self.fd_alive))
-            .u32(self.fd_rank.map_or(u32::MAX, |r| r))
-            .u32s(&self.failed)
-            .u32s(&self.rescues);
-        e.finish()
+/// What the detector writes into every control segment. A torn or forged
+/// plan is an error (`ack::read_plan` reads it as no plan).
+impl Wire for RecoveryPlan {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.epoch);
+        self.fd_alive.encode(e);
+        self.fd_rank.encode(e);
+        e.u32s(&self.failed).u32s(&self.rescues);
     }
 
-    /// Wire decoding.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
-        let mut d = Dec::new(buf);
-        let epoch = d.u64().ok()?;
-        let fd_alive = d.u32().ok()? != 0;
-        let fd_rank = match d.u32().ok()? {
-            u32::MAX => None,
-            r => Some(r),
-        };
-        let failed = d.u32s().ok()?;
-        let rescues = d.u32s().ok()?;
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        let epoch = d.u64()?;
+        let fd_alive = d.bool()?;
+        let fd_rank = Wire::decode(d)?;
+        let failed = d.u32s()?;
+        let rescues = d.u32s()?;
         if failed.len() != rescues.len() {
-            return None;
+            return Err(CodecError::BadLength(rescues.len() as u64));
         }
-        Some(Self { epoch, failed, rescues, fd_alive, fd_rank })
+        Ok(Self { epoch, failed, rescues, fd_alive, fd_rank })
     }
 }
 
@@ -302,20 +297,5 @@ mod tests {
         assert_eq!(p.rescues, vec![4, 5]);
         // 5 is taken: app rank 2's next carrier falls back to pool order.
         assert_eq!(p.after_failures(&l, &[5], None).rescues, vec![4, 5, 3]);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let p = RecoveryPlan {
-            epoch: 7,
-            failed: vec![2, 9, 5],
-            rescues: vec![4, NO_RESCUE, 6],
-            fd_alive: false,
-            fd_rank: None,
-        };
-        let buf = p.encode();
-        assert_eq!(RecoveryPlan::decode(&buf), Some(p));
-        assert_eq!(RecoveryPlan::decode(&buf[..buf.len() - 1]), None);
-        assert_eq!(RecoveryPlan::decode(&[]), None);
     }
 }

@@ -26,12 +26,12 @@
 //! ```text
 //! child → parent:  PORT <tcp-port>
 //! parent → child:  MAP <port-rank-0> <port-rank-1> …
-//! child → parent:  EVENT <hex of Event::encode>        (zero or more)
-//! child → parent:  RESULT <hex of encode_end>
+//! child → parent:  EVENT <hex of Event::to_bytes>      (zero or more)
+//! child → parent:  RESULT <hex of ChildEnd::to_bytes>
 //! parent → child:  (stdin closes, once every rank has ended)
 //! ```
 //!
-//! The two payloads are the [`ft_cluster::codec`] binary forms, hex-coded
+//! The two payloads are [`ft_cluster::Wire`] encodings, hex-coded
 //! to stay line-oriented; [`child_outcome`] decodes them as bytes from
 //! another process — a torn or non-hex protocol line makes that rank
 //! [`ProcOutcome::Crashed`]. Lines with any other prefix are the
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use ft_cluster::codec::{from_hex, to_hex, CodecError, Dec, Enc};
+use ft_cluster::codec::{from_hex, to_hex, CodecError, Dec, Enc, Wire};
 use ft_cluster::{
     FaultAction, FaultPlane, FaultSchedule, Injection, Rank, TcpTransport, Topology, Transport,
     KILLED_EXIT_CODE,
@@ -94,7 +94,7 @@ pub fn child_env() -> Option<ChildEnv> {
     let rank: Rank = std::env::var(ENV_RANK).ok()?.parse().ok()?;
     let num_ranks: u32 = std::env::var(ENV_RANKS).ok()?.parse().ok()?;
     let schedule = match std::env::var(ENV_SCHEDULE) {
-        Ok(hex) => FaultSchedule::decode(&from_hex(&hex).ok()?).ok()?,
+        Ok(hex) => FaultSchedule::from_bytes(&from_hex(&hex).ok()?).ok()?,
         Err(_) => FaultSchedule::none(),
     };
     Some(ChildEnv { rank, num_ranks, schedule })
@@ -171,7 +171,7 @@ where
     // Ship the event stream before the verdict (the supervisor's asserts
     // read both).
     for ev in events.snapshot() {
-        println!("EVENT {}", to_hex(&ev.encode()));
+        println!("EVENT {}", to_hex(&ev.to_bytes()));
     }
     let (end, code) = match outcome {
         RankOutcome::Completed(report) => {
@@ -184,15 +184,15 @@ where
                 shutdown,
                 t_end: report.t_end,
             };
-            (Ok(result), 0)
+            (ChildEnd::Ran(result), 0)
         }
-        RankOutcome::Failed(e) => (Err(format!("rank failed: {e:?}")), 1),
-        RankOutcome::Panicked(msg) => (Err(format!("rank panicked: {msg}")), 1),
+        RankOutcome::Failed(e) => (ChildEnd::Failed(format!("rank failed: {e:?}")), 1),
+        RankOutcome::Panicked(msg) => (ChildEnd::Failed(format!("rank panicked: {msg}")), 1),
         // Unreachable in practice: exit_process_on_kill turns kills into
         // process exits before the unwind surfaces. Kept for robustness.
         RankOutcome::Killed(_) => return KILLED_EXIT_CODE,
     };
-    println!("RESULT {}", to_hex(&encode_end(&end)));
+    println!("RESULT {}", to_hex(&end.to_bytes()));
     let _ = io::stdout().flush();
     // Stay up until the supervisor closes stdin, once every rank has ended:
     // an exited rank looks dead — to a detector still scanning, or to a peer
@@ -202,59 +202,58 @@ where
     code
 }
 
-/// What a child's `RESULT` line says: the completion record, or the
-/// message of a rank closure that failed or panicked.
-pub type ChildEnd = Result<ProcResult, String>;
-
-/// The `RESULT` payload (hex-coded on the line).
-pub fn encode_end(end: &ChildEnd) -> Vec<u8> {
-    let mut e = Enc::new();
-    match end {
-        Err(message) => e.u8(0).str(message),
-        Ok(r) => {
-            e.u8(1).u8(r.role as u8).u64(r.t_end.as_nanos() as u64);
-            match r.app_rank {
-                Some(app) => e.u8(1).u32(app),
-                None => e.u8(0),
-            };
-            match (&r.error, &r.summary) {
-                (Some(err), _) => e.u8(2 + u8::from(r.shutdown)).str(err),
-                (None, Some(summary)) => e.u8(1).bytes(summary),
-                (None, None) => e.u8(0),
-            }
-        }
-    };
-    e.finish()
+/// What a child's `RESULT` line says.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChildEnd {
+    /// The rank's run ended: its completion record.
+    Ran(ProcResult),
+    /// The rank closure failed or panicked: its message.
+    Failed(String),
 }
 
-/// Decode a `RESULT` payload. The bytes come from another process:
-/// unknown tags, short or over-long buffers are errors.
-pub fn decode_end(bytes: &[u8]) -> Result<ChildEnd, CodecError> {
-    let mut d = Dec::new(bytes);
-    let end = match d.u8()? {
-        0 => Err(d.str()?),
-        1 => {
-            let role = match d.u8()? {
-                0 => Role::Worker,
-                1 => Role::Idle,
-                2 => Role::Rescue,
-                3 => Role::Detector,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            let t_end = Duration::from_nanos(d.u64()?);
-            let app_rank = if d.bool()? { Some(d.u32()?) } else { None };
-            let (summary, error, shutdown) = match d.u8()? {
-                0 => (None, None, false),
-                1 => (Some(d.bytes()?), None, false),
-                t @ (2 | 3) => (None, Some(d.str()?), t == 3),
-                t => return Err(CodecError::BadTag(t)),
-            };
-            Ok(ProcResult { role, app_rank, summary, error, shutdown, t_end })
+/// The `RESULT` payload (hex-coded on the line).
+impl Wire for ChildEnd {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            ChildEnd::Failed(message) => {
+                e.u8(0).str(message);
+            }
+            ChildEnd::Ran(r) => {
+                e.u8(1).u8(r.role as u8);
+                r.t_end.encode(e);
+                r.app_rank.encode(e);
+                match (&r.error, &r.summary) {
+                    (Some(err), _) => e.u8(2 + u8::from(r.shutdown)).str(err),
+                    (None, Some(summary)) => e.u8(1).bytes(summary),
+                    (None, None) => e.u8(0),
+                };
+            }
         }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    d.expect_end()?;
-    Ok(end)
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        match d.u8()? {
+            0 => return Ok(ChildEnd::Failed(d.str()?)),
+            1 => {}
+            t => return Err(CodecError::BadTag(t)),
+        }
+        let role = match d.u8()? {
+            0 => Role::Worker,
+            1 => Role::Idle,
+            2 => Role::Rescue,
+            3 => Role::Detector,
+            t => return Err(CodecError::BadTag(t)),
+        };
+        let t_end = Duration::decode(d)?;
+        let app_rank = Wire::decode(d)?;
+        let (summary, error, shutdown) = match d.u8()? {
+            0 => (None, None, false),
+            1 => (Some(d.bytes()?), None, false),
+            t @ (2 | 3) => (None, Some(d.str()?), t == 3),
+            t => return Err(CodecError::BadTag(t)),
+        };
+        Ok(ChildEnd::Ran(ProcResult { role, app_rank, summary, error, shutdown, t_end }))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -506,7 +505,7 @@ pub fn run_supervisor(cfg: SupervisorConfig) -> io::Result<ProcJobReport> {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, format!("{inj:?} {why}")));
     }
     let exe = std::env::current_exe()?;
-    let schedule_hex = to_hex(&cfg.schedule.encode());
+    let schedule_hex = to_hex(&cfg.schedule.to_bytes());
     let mut children = Vec::with_capacity(cfg.num_ranks as usize);
     let mut stdouts = Vec::with_capacity(cfg.num_ranks as usize);
     for rank in 0..cfg.num_ranks {
@@ -609,9 +608,9 @@ pub fn child_outcome(
     let mut malformed = None;
     for line in stdout {
         let decoded = if let Some(hex) = line.strip_prefix("EVENT ") {
-            from_hex(hex).and_then(|bytes| Event::decode(&bytes)).map(|ev| events.push(ev))
+            from_hex(hex).and_then(|bytes| Event::from_bytes(&bytes)).map(|ev| events.push(ev))
         } else if let Some(hex) = line.strip_prefix("RESULT ") {
-            from_hex(hex).and_then(|bytes| decode_end(&bytes)).map(|e| end = Some(e))
+            from_hex(hex).and_then(|bytes| ChildEnd::from_bytes(&bytes)).map(|e| end = Some(e))
         } else {
             Ok(())
         };
@@ -624,9 +623,9 @@ pub fn child_outcome(
         // Killed by signal: the supervisor's SIGKILL.
         (None, ..) => ProcOutcome::Killed { by_signal: true },
         (Some(KILLED_EXIT_CODE), ..) => ProcOutcome::Killed { by_signal: false },
-        (Some(0), None, Some(Ok(result))) => ProcOutcome::Completed(result),
+        (Some(0), None, Some(ChildEnd::Ran(result))) => ProcOutcome::Completed(result),
         (Some(0), None, None) => ProcOutcome::Crashed("exit 0 without a RESULT line".into()),
-        (Some(c), Some(why), _) | (Some(c), None, Some(Err(why))) => {
+        (Some(c), Some(why), _) | (Some(c), None, Some(ChildEnd::Failed(why))) => {
             ProcOutcome::Crashed(format!("exit code {c}: {why}"))
         }
         (Some(c), None, _) => ProcOutcome::Crashed(format!("exit code {c}")),
@@ -644,12 +643,15 @@ mod tests {
         let exited = |code: i32| Some(ExitStatus::from_raw(code << 8));
         let outcome = |status, end: Option<ChildEnd>| {
             let lines: Vec<String> =
-                end.iter().map(|e| format!("RESULT {}", to_hex(&encode_end(e)))).collect();
+                end.iter().map(|e| format!("RESULT {}", to_hex(&e.to_bytes()))).collect();
             child_outcome(status, &lines, &EventLog::new())
         };
         // Still running at the deadline, whatever it printed so far.
         assert!(matches!(outcome(None, None), ProcOutcome::TimedOut));
-        assert!(matches!(outcome(None, Some(Err("late".into()))), ProcOutcome::TimedOut));
+        assert!(matches!(
+            outcome(None, Some(ChildEnd::Failed("late".into()))),
+            ProcOutcome::TimedOut
+        ));
         // The two executioners of a kill.
         let armed = outcome(exited(KILLED_EXIT_CODE), None);
         assert!(matches!(armed, ProcOutcome::Killed { by_signal: false }), "{armed:?}");
@@ -657,7 +659,7 @@ mod tests {
         assert!(matches!(sigkill, ProcOutcome::Killed { by_signal: true }), "{sigkill:?}");
         // A failed rank closure exits 1 and says why; a bare non-zero exit
         // is a crash too.
-        let failed = outcome(exited(1), Some(Err("rank failed: no segment".into())));
+        let failed = outcome(exited(1), Some(ChildEnd::Failed("rank failed: no segment".into())));
         assert!(
             matches!(&failed, ProcOutcome::Crashed(d) if d == "exit code 1: rank failed: no segment"),
             "{failed:?}"

@@ -35,7 +35,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Restored};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Restored, Wire};
 
 use crate::ckpt::consistent_restore;
 use crate::driver::{FtApp, FtCtx};
@@ -262,14 +262,14 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
             (false, Some(g)) => g.iter + 1,
             (false, None) => 0,
         };
-        let votes = exchange(ctx, vec![vote.to_le_bytes().to_vec(); n])?
+        let votes = exchange(ctx, vec![vote.to_bytes(); n])?
             .iter()
             .enumerate()
             .map(|(a, v)| {
                 if a == me {
                     return Ok(vote);
                 }
-                v.as_slice().try_into().map(u64::from_le_bytes).map_err(|_| UNDECODABLE)
+                u64::from_bytes(v).map_err(|_| UNDECODABLE)
             })
             .collect::<FtResult<Vec<u64>>>()?;
         let erased: Vec<usize> = (0..n).filter(|&a| votes[a] == u64::MAX).collect();

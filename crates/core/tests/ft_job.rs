@@ -7,7 +7,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Wire};
 use ft_cluster::{FaultAction, FaultSchedule, Injection};
 use ft_core::ack::FIRST_APP_SEG;
 use ft_core::ckpt::adopt_latest;
@@ -48,12 +48,6 @@ impl ToyApp {
             ),
         }
     }
-
-    fn encode_state(&self, iter: u64) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc);
-        e.finish()
-    }
 }
 
 impl FtApp for ToyApp {
@@ -62,9 +56,7 @@ impl FtApp for ToyApp {
     fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
         // Our "pre-processing result": a plan blob a rescue must be able
         // to read instead of redoing setup.
-        let mut e = Enc::new();
-        e.u64(PLAN_MAGIC).u32(ctx.app_rank());
-        self.plan_ck.commit(0, e.finish(), CopyPolicy::Replicate);
+        self.plan_ck.commit(0, (PLAN_MAGIC, ctx.app_rank()).to_bytes(), CopyPolicy::Replicate);
         // Pre-processing is not done until its result is safe: a rank that
         // dies in its first iterations must leave the plan behind.
         assert!(self.plan_ck.drain(FETCH), "plan replication must land");
@@ -80,9 +72,7 @@ impl FtApp for ToyApp {
         // process reads the checkpoint of the failed process. In this way,
         // the rescue process is informed about the communicating partners"
         let r = adopt_latest(ctx, &self.plan_ck, FETCH)?;
-        let mut d = Dec::new(&r.data);
-        let magic = d.u64().expect("plan blob magic");
-        let app = d.u32().expect("plan blob app rank");
+        let (magic, app) = <(u64, u32)>::from_bytes(&r.data).expect("plan blob");
         assert_eq!(magic, PLAN_MAGIC);
         assert_eq!(app, ctx.app_rank(), "adopted the wrong identity");
         // `adopt_latest` re-homed the blob under our own rank — make that
@@ -109,13 +99,12 @@ impl FtApp for ToyApp {
     }
 
     fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
-        Ok(Some(self.encode_state(iter)))
+        Ok(Some((iter, self.acc).to_bytes()))
     }
 
     fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64().expect("state iter");
-        self.acc = d.f64().expect("state acc");
+        let (iter, acc) = <(u64, f64)>::from_bytes(data).expect("state");
+        self.acc = acc;
         Ok(iter)
     }
 

@@ -1,20 +1,18 @@
 //! Property tests for the recovery plan as the detection state — the pure
 //! transitions (failures → plan, takeover → plan, done → plan), the views derived from
 //! a plan (rank map, worker set, group id) and the one classification
-//! (does a newer plan change the worker group) — plus the wire codec, the
-//! ABFT stripe code as a pure function, and the `EVENT` / `RESULT` payloads
-//! a rank process ships to its supervisor, as hostile input.
+//! (does a newer plan change the worker group) — plus the ABFT stripe code
+//! as a pure function, and how the supervisor reads a rank process's
+//! protocol lines.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ft_checkpoint::MissReason;
 use ft_cluster::codec::to_hex;
-use ft_cluster::Rank;
-use ft_core::events::MissStage;
+use ft_cluster::{Rank, Wire};
 use ft_core::plan::NO_RESCUE;
-use ft_core::process::{child_outcome, decode_end, encode_end, ChildEnd};
+use ft_core::process::{child_outcome, ChildEnd};
 use ft_core::stripe;
 use ft_core::{
     Event, EventKind, EventLog, ProcOutcome, ProcResult, RecoveryPlan, Role, WorldLayout,
@@ -136,7 +134,7 @@ proptest! {
             ws.dedup();
             prop_assert_eq!(ws.len(), workers as usize, "carriers must be distinct");
             prop_assert_eq!(plan.exhausted(l), ws.iter().any(|g| plan.failed.contains(g)));
-            prop_assert_eq!(RecoveryPlan::decode(&plan.encode()), Some(plan.clone()));
+            prop_assert_eq!(RecoveryPlan::from_bytes(&plan.to_bytes()), Ok(plan.clone()));
         }
     }
 
@@ -188,7 +186,7 @@ proptest! {
             prop_assert_eq!(end.group_id(), plan.group_id());
             prop_assert_eq!(end.worker_set(l), plan.worker_set(l));
             prop_assert_eq!(end.current_fd(l), plan.current_fd(l));
-            prop_assert_eq!(RecoveryPlan::decode(&end.encode()), Some(end.clone()));
+            prop_assert_eq!(RecoveryPlan::from_bytes(&end.to_bytes()), Ok(end.clone()));
         }
     }
 
@@ -245,135 +243,6 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// What crosses the pipe from a rank process: `EVENT` and `RESULT` lines.
-// ---------------------------------------------------------------------
-
-/// One event of every kind. The `match` has no wildcard arm, so a new kind
-/// does not compile until it is listed here — and so round-tripped,
-/// truncated and bit-flipped below.
-fn one_of_every_kind() -> Vec<Event> {
-    use EventKind::*;
-    let kinds = vec![
-        KillFired { iter: 7 },
-        FdDetect { epoch: 2, failed: vec![1, 4, 0xFFFF_FFFF] },
-        FdAck { epoch: 2 },
-        FailureSignal { epoch: u64::MAX },
-        GroupRebuilt { epoch: 3 },
-        RestoreMiss { stage: MissStage::Vote, reason: MissReason::Timeout },
-        RestoreMiss { stage: MissStage::Fetch, reason: MissReason::ChecksumMismatch },
-        RestoreMiss { stage: MissStage::Fetch, reason: MissReason::NotFound },
-        Restored { epoch: 3, iter: 400 },
-        RedoComplete { epoch: 3, iter: 460 },
-        Activated { app_rank: 2 },
-        FdPromoted,
-        FdTakeover { dead_fd: 5 },
-        LinkFault { peer: 1, broken: true },
-        LinkFault { peer: 1, broken: false },
-        CapacityExhausted,
-        Finished { iter: 3000 },
-    ];
-    let mut seen = std::collections::BTreeSet::new();
-    for k in &kinds {
-        seen.insert(match k {
-            KillFired { .. } => 0,
-            FdDetect { .. } => 1,
-            FdAck { .. } => 2,
-            FailureSignal { .. } => 3,
-            GroupRebuilt { .. } => 4,
-            RestoreMiss { .. } => 5,
-            Restored { .. } => 6,
-            RedoComplete { .. } => 7,
-            Activated { .. } => 8,
-            FdPromoted => 9,
-            FdTakeover { .. } => 10,
-            LinkFault { .. } => 11,
-            CapacityExhausted => 12,
-            Finished { .. } => 13,
-        });
-    }
-    assert_eq!(seen.len(), 14, "every kind must be listed");
-    kinds
-        .into_iter()
-        .enumerate()
-        .map(|(i, kind)| Event {
-            t: Duration::from_nanos(1_000_003 * i as u64),
-            rank: i as u32,
-            kind,
-        })
-        .collect()
-}
-
-/// Every prefix and every single-bit flip of `bytes`.
-fn mangled(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
-    let prefixes = (0..bytes.len()).map(|n| bytes[..n].to_vec());
-    let flips = (0..bytes.len() * 8).map(|bit| {
-        let mut b = bytes.to_vec();
-        b[bit / 8] ^= 1 << (bit % 8);
-        b
-    });
-    prefixes.chain(flips)
-}
-
-fn child_ends() -> Vec<ChildEnd> {
-    let result =
-        |role, app_rank, summary: Option<&[u8]>, error: Option<&str>, shutdown| ProcResult {
-            role,
-            app_rank,
-            summary: summary.map(<[u8]>::to_vec),
-            error: error.map(str::to_string),
-            shutdown,
-            t_end: Duration::from_micros(1234),
-        };
-    vec![
-        Ok(result(Role::Worker, Some(3), Some(&[1, 2, 3, 4, 5, 6, 7, 8]), None, false)),
-        Ok(result(Role::Rescue, Some(0), Some(&[]), None, false)),
-        Ok(result(Role::Idle, None, None, None, false)),
-        Ok(result(Role::Detector, None, None, Some("CapacityExhausted"), false)),
-        Ok(result(Role::Worker, Some(1), None, Some("Signal(Shutdown)"), true)),
-        Err("rank panicked: index out of bounds".to_string()),
-    ]
-}
-
-#[test]
-fn every_event_kind_and_child_end_round_trips() {
-    for ev in one_of_every_kind() {
-        assert_eq!(Event::decode(&ev.encode()), Ok(ev));
-    }
-    for end in child_ends() {
-        assert_eq!(decode_end(&encode_end(&end)), Ok(end));
-    }
-}
-
-/// Bytes from a rank process are hostile until decoded: a mangled payload
-/// is an error or some other valid value — never a panic, and never an
-/// allocation beyond the input's length (`Dec::len_prefix` is the bound;
-/// a flipped high bit of a length prefix is where it bites).
-#[test]
-fn mangled_events_and_results_decode_to_an_error_or_a_bounded_value() {
-    for ev in one_of_every_kind() {
-        for bytes in mangled(&ev.encode()) {
-            if let Ok(Event { kind: EventKind::FdDetect { failed, .. }, .. }) =
-                Event::decode(&bytes)
-            {
-                assert!(failed.len() * 4 <= bytes.len());
-            }
-        }
-    }
-    for end in child_ends() {
-        for bytes in mangled(&encode_end(&end)) {
-            match decode_end(&bytes) {
-                Ok(Ok(r)) => {
-                    let held = r.summary.map_or(0, |s| s.len()) + r.error.map_or(0, |e| e.len());
-                    assert!(held <= bytes.len() * 3, "lossy UTF-8 triples a byte at most");
-                }
-                Ok(Err(message)) => assert!(message.len() <= bytes.len() * 3),
-                Err(_) => {}
-            }
-        }
-    }
-}
-
 /// A protocol line that does not decode is never dropped and never a
 /// supervisor panic: the rank that printed it — and exited 0 — crashed.
 #[cfg(unix)]
@@ -381,8 +250,17 @@ fn mangled_events_and_results_decode_to_an_error_or_a_bounded_value() {
 fn a_torn_or_non_hex_protocol_line_is_a_crashed_rank() {
     use std::os::unix::process::ExitStatusExt;
     let exit0 = || Some(std::process::ExitStatus::from_raw(0));
-    let event = format!("EVENT {}", to_hex(&one_of_every_kind()[1].encode()));
-    let result = format!("RESULT {}", to_hex(&encode_end(&child_ends()[0])));
+    let event = Event { t: Duration::from_micros(5), rank: 0, kind: EventKind::FdPromoted };
+    let event = format!("EVENT {}", to_hex(&event.to_bytes()));
+    let end = ChildEnd::Ran(ProcResult {
+        role: Role::Worker,
+        app_rank: Some(3),
+        summary: Some(vec![1, 2, 3]),
+        error: None,
+        shutdown: false,
+        t_end: Duration::from_micros(1234),
+    });
+    let result = format!("RESULT {}", to_hex(&end.to_bytes()));
     let outcome = |lines: &[&str]| {
         let log = EventLog::new();
         let lines: Vec<String> = lines.iter().map(|l| l.to_string()).collect();

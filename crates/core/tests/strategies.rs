@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, Dec, Enc};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, Wire};
 use ft_cluster::FaultSchedule;
 use ft_core::{
     run_ft_job, EventKind, FtApp, FtConfig, FtConfigError, FtCtx, FtResult, JobReport,
@@ -125,18 +125,15 @@ impl FtApp for Acc {
 
     fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
         self.note(ctx, Call::Export(iter));
-        let mut e = Enc::new();
-        e.u64(iter).f64(self.acc).f64(self.local).bytes(&self.trail);
-        Ok(Some(e.finish()))
+        Ok(Some(((iter, self.acc), (self.local, self.trail.clone())).to_bytes()))
     }
 
     fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
         self.note(ctx, Call::Install);
-        let mut d = Dec::new(data);
-        let iter = d.u64()?;
-        self.acc = d.f64()?;
-        self.local = d.f64()?;
-        self.trail = d.bytes()?;
+        let ((iter, acc), (local, trail)) = Wire::from_bytes(data)?;
+        self.acc = acc;
+        self.local = local;
+        self.trail = trail;
         self.restored = true;
         Ok(iter)
     }

@@ -17,7 +17,7 @@
 
 use std::sync::Weak;
 
-use ft_cluster::{CodecError, Dec, Enc, Endpoint, QueueId, Rank};
+use ft_cluster::{CodecError, Dec, Enc, Endpoint, QueueId, Rank, Wire};
 
 use crate::collectives::CollKey;
 use crate::runtime::WorldInner;
@@ -43,20 +43,36 @@ pub(crate) const ST_FAIL: u8 = 1;
 // Encoders (initiator side)
 // ---------------------------------------------------------------------
 
+// The `enc_*` helpers borrow the payload and write the layout of the
+// matching [`Op`] variant; `Op::encode` goes through the same writers.
+
+fn put(e: &mut Enc, rseg: SegId, roff: u64, notif: Option<(NotificationId, u32)>, data: &[u8]) {
+    e.u8(OP_PUT).u32(u32::from(rseg)).u64(roff);
+    notif.encode(e);
+    e.bytes(data);
+}
+
+fn passive(e: &mut Enc, data: &[u8]) {
+    e.u8(OP_PASSIVE).bytes(data);
+}
+
+fn coll(e: &mut Enc, key: &CollKey, data: &[u8]) {
+    e.u8(OP_COLL).u64(key.group).u64(key.seq).u32(key.phase).u32(key.from).bytes(data);
+}
+
+fn encoded(data: &[u8], write: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::with_capacity(data.len() + 40);
+    write(&mut e);
+    e.finish()
+}
+
 pub(crate) fn enc_put(
     rseg: SegId,
     roff: u64,
     notif: Option<(NotificationId, u32)>,
     data: &[u8],
 ) -> Vec<u8> {
-    let mut e = Enc::with_capacity(data.len() + 32);
-    e.u8(OP_PUT).u32(u32::from(rseg)).u64(roff);
-    match notif {
-        Some((nid, val)) => e.u8(1).u32(nid).u32(val),
-        None => e.u8(0),
-    };
-    e.bytes(data);
-    e.finish()
+    encoded(data, |e| put(e, rseg, roff, notif, data))
 }
 
 pub(crate) fn enc_ping() -> Vec<u8> {
@@ -68,15 +84,11 @@ pub(crate) fn enc_kill() -> Vec<u8> {
 }
 
 pub(crate) fn enc_passive(data: &[u8]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(data.len() + 16);
-    e.u8(OP_PASSIVE).bytes(data);
-    e.finish()
+    encoded(data, |e| passive(e, data))
 }
 
 pub(crate) fn enc_coll(key: &CollKey, data: &[u8]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(data.len() + 40);
-    e.u8(OP_COLL).u64(key.group).u64(key.seq).u32(key.phase).u32(key.from).bytes(data);
-    e.finish()
+    encoded(data, |e| coll(e, key, data))
 }
 
 /// Whether a one-byte-status reply reports success.
@@ -114,14 +126,18 @@ impl Endpoint for GaspiEndpoint {
                 None => vec![ST_FAIL],
             };
         }
-        match decode(msg) {
+        match Op::from_bytes(msg) {
             Ok(op) => dispatch(&world, self.rank, src, op),
             Err(_) => vec![ST_FAIL],
         }
     }
 }
 
-/// One decoded wire op.
+/// One decoded wire op. Decoded whole ([`Wire::from_bytes`]): a
+/// truncated op, an unknown tag or a trailing byte is an error, so no
+/// rank state is touched on the strength of a message that only starts
+/// like an op.
+#[derive(Debug)]
 enum Op {
     Put { rseg: SegId, roff: usize, notif: Option<(NotificationId, u32)>, data: Vec<u8> },
     Ping,
@@ -130,32 +146,43 @@ enum Op {
     Coll(CollKey, Vec<u8>),
 }
 
-/// Decode a whole message: a truncated op, an unknown tag or a trailing
-/// byte is an error, so no rank state is touched on the strength of a
-/// message that only starts like an op.
-fn decode(msg: &[u8]) -> Result<Op, CodecError> {
-    let mut d = Dec::new(msg);
-    let op = match d.u8()? {
-        OP_PUT => {
-            let (rseg, roff) = (d.u32()?, d.u64()?);
-            Op::Put {
-                rseg: SegId::try_from(rseg).map_err(|_| CodecError::BadLength(rseg.into()))?,
-                roff: usize::try_from(roff).map_err(|_| CodecError::BadLength(roff))?,
-                notif: if d.bool()? { Some((d.u32()?, d.u32()?)) } else { None },
-                data: d.bytes()?,
+impl Wire for Op {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            Op::Put { rseg, roff, notif, data } => put(e, *rseg, *roff as u64, *notif, data),
+            Op::Ping => {
+                e.u8(OP_PING);
             }
+            Op::Kill => {
+                e.u8(OP_KILL);
+            }
+            Op::Passive(data) => passive(e, data),
+            Op::Coll(key, data) => coll(e, key, data),
         }
-        OP_PING => Op::Ping,
-        OP_KILL => Op::Kill,
-        OP_PASSIVE => Op::Passive(d.bytes()?),
-        OP_COLL => {
-            let key = CollKey { group: d.u64()?, seq: d.u64()?, phase: d.u32()?, from: d.u32()? };
-            Op::Coll(key, d.bytes()?)
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    d.expect_end()?;
-    Ok(op)
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            OP_PUT => {
+                let rseg = d.u32()?;
+                Op::Put {
+                    rseg: SegId::try_from(rseg).map_err(|_| CodecError::BadLength(rseg.into()))?,
+                    roff: usize::decode(d)?,
+                    notif: Option::decode(d)?,
+                    data: d.bytes()?,
+                }
+            }
+            OP_PING => Op::Ping,
+            OP_KILL => Op::Kill,
+            OP_PASSIVE => Op::Passive(d.bytes()?),
+            OP_COLL => {
+                let key =
+                    CollKey { group: d.u64()?, seq: d.u64()?, phase: d.u32()?, from: d.u32()? };
+                Op::Coll(key, d.bytes()?)
+            }
+            t => return Err(CodecError::BadTag(t)),
+        })
+    }
 }
 
 /// Execute one decoded op on `me`'s state.
@@ -206,18 +233,28 @@ fn dispatch(world: &WorldInner, me: Rank, src: Rank, op: Op) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// Every op meets the wire property, and the borrowing `enc_*`
+    /// helpers write exactly what `Op::encode` does.
     #[test]
-    fn put_codec_roundtrip_shapes() {
-        let m = enc_put(3, 40, Some((7, 9)), &[1, 2, 3]);
-        let mut d = Dec::new(&m);
-        assert_eq!(d.u8().unwrap(), OP_PUT);
-        assert_eq!(d.u32().unwrap(), 3);
-        assert_eq!(d.u64().unwrap(), 40);
-        assert_eq!(d.u8().unwrap(), 1);
-        assert_eq!(d.u32().unwrap(), 7);
-        assert_eq!(d.u32().unwrap(), 9);
-        assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
-        d.expect_end().unwrap();
+    fn ops_meet_the_wire_property() {
+        let key = CollKey { group: 1 << 32, seq: 9, phase: 2, from: 3 };
+        let ops = [
+            (
+                Op::Put { rseg: 3, roff: 40, notif: Some((7, 9)), data: vec![1, 2, 3] },
+                Some(enc_put(3, 40, Some((7, 9)), &[1, 2, 3])),
+            ),
+            (Op::Put { rseg: 0, roff: 0, notif: None, data: Vec::new() }, None),
+            (Op::Ping, Some(enc_ping())),
+            (Op::Kill, Some(enc_kill())),
+            (Op::Passive(b"hi".to_vec()), Some(enc_passive(b"hi"))),
+            (Op::Coll(key, b"token".to_vec()), Some(enc_coll(&key, b"token"))),
+        ];
+        for (op, helper) in &ops {
+            ft_cluster::codec::check_wire::<Op>(op);
+            if let Some(bytes) = helper {
+                assert_eq!(&op.to_bytes(), bytes);
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-use ft_cluster::Rank;
+use ft_cluster::{Rank, Wire};
 
 use crate::collectives::{CollKey, COMMIT_PHASE};
 use crate::error::{GaspiError, GaspiResult, Timeout};
@@ -202,7 +202,7 @@ impl GaspiProc {
         let tokens = self.exchange_all(
             CollKey { group: group.0, seq: 0, phase: COMMIT_PHASE, from: self.rank() },
             &members,
-            |_| fp.to_le_bytes().to_vec(),
+            |_| fp.to_bytes(),
             timeout.deadline(),
         )?;
         for (&m, token) in members.iter().zip(&tokens) {
@@ -210,11 +210,9 @@ impl GaspiProc {
                 continue;
             }
             // The token is bytes a peer sent: decode it, never index it.
-            let their_fp: [u8; 8] = token
-                .as_slice()
-                .try_into()
+            let their_fp = u64::from_bytes(token)
                 .map_err(|_| GaspiError::Group { what: "malformed commit token" })?;
-            if u64::from_le_bytes(their_fp) != fp {
+            if their_fp != fp {
                 return Err(GaspiError::Group { what: "member set mismatch at commit" });
             }
         }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Pfs};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Pfs, Wire};
 use ft_core::ckpt::adopt_latest;
 use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
 use ft_gaspi::{GaspiError, SegId, Timeout};
@@ -164,7 +164,7 @@ impl FtApp for FtLanczos {
         )?;
         // "Each process writes a checkpoint after the pre-processing
         // stage" — the one-time plan checkpoint.
-        self.plan_ck.commit(0, plan.encode(), CopyPolicy::Replicate);
+        self.plan_ck.commit(0, plan.to_bytes(), CopyPolicy::Replicate);
         self.install_plan(ctx, plan)?;
         self.state = Some(self.fresh_state(ctx)?);
         ctx.barrier_ft()?;
@@ -177,8 +177,8 @@ impl FtApp for FtLanczos {
         // informed about the communicating partners and the respective
         // RHS indices" (§V).
         let blob = adopt_latest(ctx, &self.plan_ck, self.cfg.fetch_timeout)?;
-        let plan = CommPlan::decode(&blob.data)
-            .ok_or(FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
+        let plan = CommPlan::from_bytes(&blob.data)
+            .map_err(|_| FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
         if plan.me != ctx.app_rank() {
             return Err(FtError::Gaspi(GaspiError::InvalidArg("adopted the wrong plan")));
         }
@@ -217,7 +217,7 @@ impl FtApp for FtLanczos {
     }
 
     fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let st = LanczosState::decode(data)?;
+        let st = LanczosState::from_bytes(data)?;
         let iter = st.iter;
         self.state = Some(st);
         self.last_low_eig = None;

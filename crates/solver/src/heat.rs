@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc, Pfs};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Enc, Pfs, Wire};
 use ft_core::ckpt::adopt_latest;
 use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
 use ft_gaspi::{GaspiError, SegId, Timeout};
@@ -129,6 +129,7 @@ impl FtHeat {
         Ok(())
     }
 
+    /// The state as a `(u64, Vec<f64>)`, written without copying the field.
     fn encode_state(&self) -> Vec<u8> {
         let mut e = Enc::with_capacity(16 + 8 * self.u.len());
         e.u64(self.iter).f64s(&self.u);
@@ -149,7 +150,7 @@ impl FtApp for FtHeat {
             part.range(me).start,
             Timeout::Ms(30_000),
         )?;
-        self.plan_ck.commit(0, plan.encode(), CopyPolicy::Replicate);
+        self.plan_ck.commit(0, plan.to_bytes(), CopyPolicy::Replicate);
         self.install_plan(ctx, plan)?;
         self.u = vec![0.0; part.len(me)];
         ctx.barrier_ft()?;
@@ -158,8 +159,8 @@ impl FtApp for FtHeat {
 
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
         let blob = adopt_latest(ctx, &self.plan_ck, self.cfg.fetch_timeout)?;
-        let plan = CommPlan::decode(&blob.data)
-            .ok_or(FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
+        let plan = CommPlan::from_bytes(&blob.data)
+            .map_err(|_| FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
         self.install_plan(ctx, plan)?;
         self.u = vec![0.0; self.partition(ctx).len(ctx.app_rank())];
         Ok(())
@@ -204,9 +205,8 @@ impl FtApp for FtHeat {
     }
 
     fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        let mut d = Dec::new(data);
-        let iter = d.u64()?;
-        self.u = d.f64s()?;
+        let (iter, u) = <(u64, Vec<f64>)>::from_bytes(data)?;
+        self.u = u;
         self.iter = iter;
         Ok(iter)
     }

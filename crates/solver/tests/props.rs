@@ -1,9 +1,7 @@
-//! Property tests for the QL tridiagonal eigenvalue solver and the
-//! Lanczos state codec.
+//! Property tests for the QL tridiagonal eigenvalue solver.
 
 use proptest::prelude::*;
 
-use ft_solver::lanczos::LanczosState;
 use ft_solver::tridiag::tridiag_eigenvalues;
 
 proptest! {
@@ -57,37 +55,6 @@ proptest! {
         parts.sort_by(f64::total_cmp);
         for (w, p) in whole.iter().zip(&parts) {
             prop_assert!((w - p).abs() < 1e-8, "{w} vs {p}");
-        }
-    }
-
-    /// Lanczos checkpoint payloads roundtrip bit-exactly.
-    #[test]
-    fn lanczos_state_codec(
-        v in proptest::collection::vec(any::<f64>(), 1..50),
-        alphas in proptest::collection::vec(any::<f64>(), 0..30),
-    ) {
-        let _n = v.len();
-        let st = LanczosState {
-            v_prev: v.iter().map(|x| x * 0.5).collect(),
-            v,
-            betas: alphas.iter().map(|a| a.abs()).collect(),
-            iter: alphas.len() as u64,
-            alphas,
-        };
-        let buf = st.encode();
-        let back = LanczosState::decode(&buf).unwrap();
-        prop_assert_eq!(st.iter, back.iter);
-        for (a, b) in st.v.iter().zip(&back.v) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in st.alphas.iter().zip(&back.alphas) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(st.v_prev.len(), back.v_prev.len());
-        prop_assert_eq!(st.betas.len(), back.betas.len());
-        // Corruption is detected, not misread.
-        if !buf.is_empty() {
-            let _ = LanczosState::decode(&buf[..buf.len() - 1]);
         }
     }
 }

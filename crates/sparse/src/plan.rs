@@ -15,12 +15,13 @@
 
 use std::collections::BTreeMap;
 
-use ft_checkpoint::{Dec, Enc};
+use ft_checkpoint::{CodecError, Dec, Enc, Wire};
 use ft_cluster::Rank;
 use ft_gaspi::{GaspiError, GaspiProc, GaspiResult, Timeout};
 
 /// Incoming halo block: `cols` (global indices, ascending) arrive from
-/// `from` at `halo_offset` in the halo segment.
+/// `from` at `halo_offset` in the halo segment. It is also the
+/// negotiation request: the block as its receiver `from` asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecvSpec {
     /// Sending application rank.
@@ -113,29 +114,19 @@ impl CommPlan {
             if to_app == me {
                 continue;
             }
-            let mut e = Enc::new();
-            e.u32(me);
-            match self.recvs.iter().find(|r| r.from == to_app) {
-                Some(r) => {
-                    e.u64(r.halo_offset as u64);
-                    e.u64s(&r.cols);
-                }
-                None => {
-                    e.u64(0);
-                    e.u64s(&[]);
-                }
-            }
-            proc.passive_send(gaspi_of(to_app), e.finish(), timeout)?;
+            let request = match self.recvs.iter().find(|r| r.from == to_app) {
+                Some(r) => RecvSpec { from: me, ..r.clone() },
+                None => RecvSpec { from: me, halo_offset: 0, cols: Vec::new() },
+            };
+            proc.passive_send(gaspi_of(to_app), request.to_bytes(), timeout)?;
         }
         // Round 2: collect exactly nparts−1 requests.
         let mut sends = Vec::new();
         for _ in 0..nparts - 1 {
             let (_, payload) = proc.passive_receive(timeout)?;
-            let mut d = Dec::new(&payload);
-            let from_app = d.u32().map_err(|_| GaspiError::InvalidArg("malformed plan request"))?;
-            let dest_offset =
-                d.u64().map_err(|_| GaspiError::InvalidArg("malformed plan request"))? as usize;
-            let cols = d.u64s().map_err(|_| GaspiError::InvalidArg("malformed plan request"))?;
+            let RecvSpec { from: from_app, halo_offset: dest_offset, cols } =
+                RecvSpec::from_bytes(&payload)
+                    .map_err(|_| GaspiError::InvalidArg("malformed plan request"))?;
             if cols.is_empty() {
                 continue;
             }
@@ -153,48 +144,50 @@ impl CommPlan {
         self.sends = sends;
         Ok(self)
     }
+}
 
-    /// Byte encoding for the one-time plan checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(self.me).u32(self.nparts).u64(self.halo_len as u64);
-        e.u64(self.recvs.len() as u64);
-        for r in &self.recvs {
-            e.u32(r.from).u64(r.halo_offset as u64).u64s(&r.cols);
-        }
-        e.u64(self.sends.len() as u64);
-        for s in &self.sends {
-            e.u32(s.to).u64(s.dest_offset as u64).u32s(&s.local_rows);
-        }
-        e.finish()
+impl Wire for RecvSpec {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.from);
+        self.halo_offset.encode(e);
+        e.u64s(&self.cols);
     }
 
-    /// Decode a checkpointed plan. The bytes may come from a peer's
-    /// replica: each block count is bounded by the bytes left (a block
-    /// takes at least 20) before anything is allocated for it.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
-        let mut d = Dec::new(buf);
-        let me = d.u32().ok()?;
-        let nparts = d.u32().ok()?;
-        let halo_len = d.u64().ok()? as usize;
-        let nr = d.len_prefix(20).ok()?;
-        let mut recvs = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            let from = d.u32().ok()?;
-            let halo_offset = d.u64().ok()? as usize;
-            let cols = d.u64s().ok()?;
-            recvs.push(RecvSpec { from, halo_offset, cols });
-        }
-        let ns = d.len_prefix(20).ok()?;
-        let mut sends = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let to = d.u32().ok()?;
-            let dest_offset = d.u64().ok()? as usize;
-            let local_rows = d.u32s().ok()?;
-            sends.push(SendSpec { to, dest_offset, local_rows });
-        }
-        d.expect_end().ok()?;
-        Some(Self { me, nparts, halo_len, recvs, sends })
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(Self { from: d.u32()?, halo_offset: Wire::decode(d)?, cols: d.u64s()? })
+    }
+}
+
+impl Wire for SendSpec {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.to);
+        self.dest_offset.encode(e);
+        e.u32s(&self.local_rows);
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(Self { to: d.u32()?, dest_offset: Wire::decode(d)?, local_rows: d.u32s()? })
+    }
+}
+
+/// The one-time plan checkpoint; the bytes may come from a peer's
+/// replica.
+impl Wire for CommPlan {
+    fn encode(&self, e: &mut Enc) {
+        e.u32(self.me).u32(self.nparts);
+        self.halo_len.encode(e);
+        self.recvs.encode(e);
+        self.sends.encode(e);
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, CodecError> {
+        Ok(Self {
+            me: d.u32()?,
+            nparts: d.u32()?,
+            halo_len: Wire::decode(d)?,
+            recvs: Wire::decode(d)?,
+            sends: Wire::decode(d)?,
+        })
     }
 }
 
@@ -217,38 +210,6 @@ mod tests {
         assert_eq!(p.halo_slot(5), Some(1));
         assert_eq!(p.halo_slot(40), Some(2));
         assert_eq!(p.halo_slot(7), None);
-    }
-
-    #[test]
-    fn codec_roundtrip() {
-        let plan = CommPlan {
-            me: 2,
-            nparts: 4,
-            halo_len: 5,
-            recvs: vec![RecvSpec { from: 0, halo_offset: 0, cols: vec![3, 9, 11] }],
-            sends: vec![
-                SendSpec { to: 1, dest_offset: 7, local_rows: vec![0, 4] },
-                SendSpec { to: 3, dest_offset: 0, local_rows: vec![2] },
-            ],
-        };
-        let buf = plan.encode();
-        assert_eq!(CommPlan::decode(&buf), Some(plan));
-        assert_eq!(CommPlan::decode(&buf[1..]), None);
-        for cut in 0..buf.len() {
-            assert_eq!(CommPlan::decode(&buf[..cut]), None, "prefix of {cut} bytes");
-        }
-    }
-
-    /// A plan claiming 2^40 receive blocks in 24 bytes is refused before
-    /// anything is sized from the count (it used to abort the process).
-    #[test]
-    fn a_forged_block_count_is_refused_not_allocated() {
-        let mut e = Enc::new();
-        e.u32(0).u32(2).u64(0).u64(1 << 40);
-        assert_eq!(CommPlan::decode(&e.finish()), None);
-        let mut e = Enc::new();
-        e.u32(0).u32(2).u64(0).u64(0).u64(1 << 40);
-        assert_eq!(CommPlan::decode(&e.finish()), None);
     }
 
     /// Ring exchange: rank i needs the first row of rank (i+1) % n.

@@ -1,4 +1,4 @@
-//! Property tests: partition, plan codec, and distributed SpMV equality.
+//! Property tests: partition, halo slots, and distributed SpMV equality.
 
 use proptest::prelude::*;
 
@@ -25,40 +25,6 @@ proptest! {
         }
         prop_assert_eq!(covered, n);
         prop_assert!(max_len - min_len <= 1, "balanced within one row");
-    }
-
-    /// Plan codec roundtrips arbitrary well-formed plans.
-    #[test]
-    fn plan_codec_roundtrip(
-        me in 0u32..16,
-        nparts in 1u32..16,
-        recv_data in proptest::collection::vec(
-            (0u32..16, proptest::collection::vec(0u64..10_000, 1..20)), 0..5),
-        send_data in proptest::collection::vec(
-            (0u32..16, 0usize..1000, proptest::collection::vec(0u32..500, 1..20)), 0..5),
-    ) {
-        let mut off = 0usize;
-        let recvs: Vec<_> = recv_data
-            .into_iter()
-            .map(|(from, mut cols)| {
-                cols.sort_unstable();
-                cols.dedup();
-                let r = ft_sparse::plan::RecvSpec { from, halo_offset: off, cols };
-                off += r.cols.len();
-                r
-            })
-            .collect();
-        let sends: Vec<_> = send_data
-            .into_iter()
-            .map(|(to, dest_offset, local_rows)| ft_sparse::plan::SendSpec {
-                to,
-                dest_offset,
-                local_rows,
-            })
-            .collect();
-        let plan = CommPlan { me, nparts, halo_len: off, recvs, sends };
-        let buf = plan.encode();
-        prop_assert_eq!(CommPlan::decode(&buf), Some(plan));
     }
 
     /// halo_slot finds exactly the planned columns, densely.

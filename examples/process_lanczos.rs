@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gaspi_ft::cluster::{Dec, Enc, FaultAction, FaultSchedule};
+use gaspi_ft::cluster::{CodecError, Enc, FaultAction, FaultSchedule, Wire};
 use gaspi_ft::core::process::{run_supervisor, SupervisorConfig};
 use gaspi_ft::core::{
     child_env, run_child, run_ft_job, EventKind, FtConfig, ProcOutcome, WorldLayout,
@@ -63,22 +63,19 @@ fn app_cfg() -> Arc<FtLanczosConfig> {
     Arc::new(FtLanczosConfig::fixed_iters(Arc::new(gen)))
 }
 
-/// Wire format for a child's final summary: iters, then the α and β
-/// histories as little-endian f64 — exactly the bits the parity check
-/// compares.
+/// Wire format for a child's final summary, the layout of
+/// `(u64, (Vec<f64>, Vec<f64>))`: iters, then the α and β histories as
+/// little-endian f64 — exactly the bits the parity check compares.
 fn encode_summary(s: &LanczosSummary) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(s.iters).f64s(&s.alphas).f64s(&s.betas);
     e.finish()
 }
 
-/// Read a child's summary. The bytes come from another process, so the
-/// decoder bounds each history's length by the bytes left.
-fn decode_summary(b: &[u8]) -> Option<Summary> {
-    let mut d = Dec::new(b);
-    let summary = (d.u64().ok()?, d.f64s().ok()?, d.f64s().ok()?);
-    d.expect_end().ok()?;
-    Some(summary)
+/// Read a child's summary. The bytes come from another process.
+fn decode_summary(b: &[u8]) -> Result<Summary, CodecError> {
+    let (iters, (alphas, betas)) = Wire::from_bytes(b)?;
+    Ok((iters, alphas, betas))
 }
 
 /// Decoded child summary: iteration count plus the α and β histories.
@@ -103,7 +100,7 @@ fn run_process(
         .into_iter()
         .map(|(app, bytes)| {
             let s = decode_summary(bytes)
-                .unwrap_or_else(|| panic!("app rank {app}: malformed summary"));
+                .unwrap_or_else(|e| panic!("app rank {app}: malformed summary: {e}"));
             (app, s)
         })
         .collect();
