@@ -262,7 +262,13 @@ impl FaultPlane {
     /// Whether messages can flow `src → dst` right now (both endpoints
     /// alive, link intact).
     pub fn link_ok(&self, src: Rank, dst: Rank) -> bool {
-        self.is_alive(src) && self.is_alive(dst) && !self.broken_links.read().contains(&(src, dst))
+        self.is_alive(src) && self.is_alive(dst) && !self.link_broken(src, dst)
+    }
+
+    /// Whether the directed link `src → dst` is broken, whatever the
+    /// liveness of its ends.
+    pub(crate) fn link_broken(&self, src: Rank, dst: Rank) -> bool {
+        self.broken_links.read().contains(&(src, dst))
     }
 
     // ---- Step-indexed injection sites (see `crate::inject`) ------------

@@ -40,10 +40,14 @@
 //! * **Failures.** At *delivery time* the transport consults the
 //!   [`FaultPlane`]: if the destination is dead or the directed link is
 //!   broken, the completion runs with [`Outcome::Broken`] after an
-//!   additional break-detection delay. If the *source* died after posting,
-//!   the message is dropped silently (the initiator no longer exists to
-//!   observe a completion) — though its remote effects may still have
-//!   happened earlier, as with real RDMA.
+//!   additional break-detection delay. If the *initiator* died after
+//!   posting, the message is dropped silently (nobody is left to observe
+//!   a completion) — though its remote effects may still have happened
+//!   earlier, as with real RDMA. A round trip's reply leg is observed by
+//!   its caller: a reply already sent reaches a live caller even if the
+//!   responder died since (as the TCP backend's socket buffer delivers
+//!   it), is dropped if the caller died, and breaks only on a broken
+//!   responder → caller link.
 //! * **Shutdown.** Dropping the [`TransportOwner`] stops the scheduler
 //!   threads; undelivered messages complete with [`Outcome::Cancelled`] so
 //!   resources waiting on them unblock.
@@ -599,25 +603,38 @@ impl SimTransport {
 
     fn deliver(&self, env: Env) {
         let fault = &self.inner.fault;
-        if !fault.is_alive(env.src) {
-            // Initiator died in flight: nobody is left to observe the
+        // The rank whose completion this leg runs: the caller for a reply
+        // leg (whose `src` is the responder), the initiator otherwise.
+        let reply_leg = matches!(env.work, Work::Reply { .. } | Work::FanoutReply { .. });
+        let observer = if reply_leg { env.dst } else { env.src };
+        if !fault.is_alive(observer) {
+            // Observer died in flight: nobody is left to observe the
             // completion; drop it. (Remote memory effects of *earlier*
             // messages have already happened, as with a real NIC.)
             return;
         }
         if env.failed {
-            // The delayed break report arriving back at the source.
+            // The delayed break report arriving back at the observer.
             fire(env.work, Outcome::Broken);
             return;
         }
-        if fault.is_alive(env.dst) && fault.link_ok(env.src, env.dst) {
+        // A reply already sent reaches its live caller even if the
+        // responder died since (as a socket buffer would deliver it), but
+        // not over a broken responder → caller link.
+        let reachable = if reply_leg {
+            !fault.link_broken(env.src, env.dst)
+        } else {
+            fault.link_ok(env.src, env.dst)
+        };
+        if reachable {
             self.execute(env);
         } else {
             // Report the break after the detection delay; the report
-            // travels back to the source on the same queue.
+            // travels back to the observer on the same queue.
             let delay = self.inner.model.break_detect;
-            let Env { src, queue, work, .. } = env;
-            self.post_work(Env { src, dst: src, queue, bytes: 0, failed: true, work }, Some(delay));
+            let Env { queue, work, .. } = env;
+            let home = Env { src: observer, dst: observer, queue, bytes: 0, failed: true, work };
+            self.post_work(home, Some(delay));
         }
     }
 
@@ -901,6 +918,20 @@ pub(crate) mod tests {
         SimTransport::start(model, FaultPlane::new(Topology::one_per_node(n)), 42)
     }
 
+    /// A transport whose every leg takes 200 ms, without jitter: wide
+    /// enough that a kill made when an endpoint ran lands while its reply
+    /// is still in flight.
+    fn setup_slow(n: u32) -> (TransportOwner, Arc<FaultPlane>) {
+        let fault = FaultPlane::new(Topology::one_per_node(n));
+        let model = LatencyModel {
+            base: Duration::from_millis(200),
+            per_byte_ns: 0.0,
+            jitter: 0.0,
+            break_detect: Duration::from_micros(50),
+        };
+        (SimTransport::start(model, Arc::clone(&fault), 1), fault)
+    }
+
     /// A completion that forwards its outcome into `tx`.
     pub(crate) fn report(tx: mpsc::Sender<Outcome>) -> Completion {
         Box::new(move |out, _| {
@@ -1172,6 +1203,85 @@ pub(crate) mod tests {
         assert_eq!(got[1].1, Outcome::Broken);
         assert!(got[1].2.is_empty());
         assert_eq!(got[2], (3, Outcome::Delivered, vec![0, 5, 7]));
+    }
+
+    /// [`Echo`] that first reports its own rank into `handled`.
+    struct Tattle {
+        me: Rank,
+        handled: mpsc::Sender<Rank>,
+    }
+    impl Endpoint for Tattle {
+        fn handle(&self, src: Rank, queue: QueueId, msg: &[u8]) -> Vec<u8> {
+            let _ = self.handled.send(self.me);
+            Echo.handle(src, queue, msg)
+        }
+    }
+
+    /// A reply already sent reaches its live caller although the responder
+    /// is killed right after its endpoint ran, on a `call` and on a
+    /// `call_fanout` leg alike. Every leg takes 200 ms, so each kill lands
+    /// deep inside its reply's flight.
+    #[test]
+    fn a_sent_reply_outlives_its_responder() {
+        let (o, fault) = setup_slow(3);
+        let t: Arc<dyn Transport> = Arc::new(o.handle());
+        let (handled, victims) = mpsc::channel();
+        for me in 1..3 {
+            t.bind(me, Arc::new(Tattle { me, handled: handled.clone() }));
+        }
+        let (tx, rx) = mpsc::channel();
+        let call_tx = tx.clone();
+        t.call(
+            0,
+            1,
+            5,
+            8,
+            vec![7],
+            Box::new(move |out, reply| {
+                let _ = call_tx.send((1, out, reply));
+            }),
+        );
+        t.call_fanout(
+            0,
+            &[2],
+            5,
+            8,
+            Arc::from(vec![7u8].into_boxed_slice()),
+            Arc::new(move |rank, out, reply| {
+                let _ = tx.send((rank, out, reply));
+            }),
+        );
+        for _ in 0..2 {
+            fault.kill_rank(victims.recv_timeout(Duration::from_secs(5)).unwrap());
+        }
+        let mut got: Vec<(Rank, Outcome, Vec<u8>)> =
+            (0..2).map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
+        got.sort_by_key(|(r, _, _)| *r);
+        assert_eq!(
+            got,
+            [(1, Outcome::Delivered, vec![0, 5, 7]), (2, Outcome::Delivered, vec![0, 5, 7])]
+        );
+    }
+
+    /// A broken responder → caller link still breaks the reply leg, and a
+    /// dead caller still gets nothing.
+    #[test]
+    fn a_reply_breaks_on_its_link_and_drops_for_a_dead_caller() {
+        let (o, f) = setup_slow(3);
+        let t: Arc<dyn Transport> = Arc::new(o.handle());
+        t.bind(1, Arc::new(Echo));
+        f.break_link_directed(1, 0);
+        let (tx, rx) = mpsc::channel();
+        t.call(0, 1, 0, 0, vec![], report(tx));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Outcome::Broken);
+
+        let (handled, victims) = mpsc::channel();
+        t.bind(2, Arc::new(Tattle { me: 2, handled }));
+        let (tx, rx) = mpsc::channel();
+        t.call(0, 2, 0, 0, vec![], report(tx));
+        victims.recv_timeout(Duration::from_secs(5)).unwrap();
+        f.kill_rank(0);
+        assert!(rx.recv_timeout(Duration::from_millis(400)).is_err());
     }
 
     /// The jitter draw is a pure function of (seed, stream identity, n):

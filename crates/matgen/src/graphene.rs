@@ -131,16 +131,17 @@ impl RowGen for Graphene {
             }
         }
         // Periodic wrap on tiny lattices can map several displacements to
-        // the same site (including the diagonal): sort and merge.
+        // the same site (including the diagonal): stable-sort, then add
+        // each duplicate into the entry kept before it, in place, so a
+        // warmed `out` never reallocates.
         out.sort_by_key(|e| e.col);
-        let mut merged: Vec<RowEntry> = Vec::with_capacity(out.len());
-        for e in out.drain(..) {
-            match merged.last_mut() {
-                Some(last) if last.col == e.col => last.val += e.val,
-                _ => merged.push(e),
+        out.dedup_by(|e, kept| {
+            let same = e.col == kept.col;
+            if same {
+                kept.val += e.val;
             }
-        }
-        *out = merged;
+            same
+        });
     }
 }
 

@@ -40,7 +40,10 @@ pub trait RowGen: Send + Sync {
     fn dim(&self) -> u64;
 
     /// Append the entries of `row` to `out` (sorted by column, no
-    /// duplicates). `out` is cleared first.
+    /// duplicates). `out` is cleared first and reused: once it has
+    /// [`RowGen::max_row_entries`] capacity, a generator must not
+    /// allocate, so assembling a chunk costs its rows, not one allocation
+    /// per row.
     fn row(&self, row: u64, out: &mut Vec<RowEntry>);
 
     /// Convenience: the row as a fresh vector.

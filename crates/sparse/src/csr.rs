@@ -27,17 +27,34 @@ impl Csr {
         Self { row_ptr: vec![0; nrows + 1], cols: Vec::new(), vals: Vec::new(), ncols }
     }
 
+    /// A matrix of no rows yet over `ncols` columns, with room for `nrows`
+    /// rows of `nnz` entries in total. Rows are appended in order: each
+    /// row's entries with [`Csr::push`], then [`Csr::end_row`].
+    pub fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        Self { row_ptr, cols: Vec::with_capacity(nnz), vals: Vec::with_capacity(nnz), ncols }
+    }
+
+    /// Append an entry to the row being built; columns ascend within it.
+    #[inline]
+    pub fn push(&mut self, col: u32, val: f64) {
+        self.cols.push(col);
+        self.vals.push(val);
+    }
+
+    /// Close the row being built.
+    #[inline]
+    pub fn end_row(&mut self) {
+        self.row_ptr.push(self.cols.len());
+    }
+
     /// Build from per-row `(col, val)` lists (each sorted by column).
     pub fn from_rows(rows: &[Vec<(u32, f64)>], ncols: usize) -> Self {
-        let mut m = Self::empty(rows.len(), ncols);
-        m.cols.reserve(rows.iter().map(Vec::len).sum());
-        m.vals.reserve(m.cols.capacity());
-        for (i, r) in rows.iter().enumerate() {
-            for &(c, v) in r {
-                m.cols.push(c);
-                m.vals.push(v);
-            }
-            m.row_ptr[i + 1] = m.cols.len();
+        let mut m = Self::with_capacity(rows.len(), ncols, rows.iter().map(Vec::len).sum());
+        for r in rows {
+            r.iter().for_each(|&(c, v)| m.push(c, v));
+            m.end_row();
         }
         m
     }

@@ -76,6 +76,11 @@ impl DistMatrix {
     /// identically for the initial build (after negotiation) and for a
     /// rescue process that restored the plan from a checkpoint and
     /// regenerates the matrix chunk on the fly.
+    ///
+    /// One pass writes each generated row straight into the two CSR
+    /// parts. Their arrays are reserved up front and the two row buffers
+    /// are reused across rows, so the allocation count does not grow with
+    /// the chunk.
     pub fn assemble<G: RowGen + ?Sized>(
         gen: &G,
         part: RowPartition,
@@ -85,34 +90,36 @@ impl DistMatrix {
         let my_rows = part.range(me);
         let local_len = part.len(me);
         let start = my_rows.start;
-        let mut rows_loc: Vec<Vec<(u32, f64)>> = Vec::with_capacity(local_len);
-        let mut rows_rem: Vec<Vec<(u32, f64)>> = Vec::with_capacity(local_len);
-        let mut buf = Vec::with_capacity(gen.max_row_entries());
+        let max = gen.max_row_entries();
+        let mut a_loc = Csr::with_capacity(local_len, local_len, local_len * max);
+        // The true halo length — a halo-free rank gets an honest
+        // zero-column remote part (a fake 1-column space used to trip the
+        // kernels' `x.len() >= ncols` assertion on an empty halo buffer).
+        // The matrix is symmetric, so a halo column sits in at most `max`
+        // of the chunk's rows.
+        let mut a_rem = Csr::with_capacity(local_len, plan.halo_len, plan.halo_len * max);
+        let mut buf = Vec::with_capacity(max);
+        let mut rem: Vec<(u32, f64)> = Vec::with_capacity(max);
         for row in my_rows.clone() {
             gen.row(row, &mut buf);
-            let mut rl = Vec::new();
-            let mut rr = Vec::new();
+            rem.clear();
             for e in &buf {
                 if my_rows.contains(&e.col) {
-                    rl.push(((e.col - start) as u32, e.val));
+                    a_loc.push((e.col - start) as u32, e.val);
                 } else {
                     let slot = plan
                         .halo_slot(e.col)
                         .expect("plan must cover every remote column of the chunk");
-                    rr.push((slot as u32, e.val));
+                    rem.push((slot as u32, e.val));
                 }
             }
+            a_loc.end_row();
             // Halo slots are not globally ordered within a row; CSR wants
             // ascending columns.
-            rr.sort_by_key(|&(c, _)| c);
-            rows_loc.push(rl);
-            rows_rem.push(rr);
+            rem.sort_by_key(|&(c, _)| c);
+            rem.iter().for_each(|&(c, v)| a_rem.push(c, v));
+            a_rem.end_row();
         }
-        let a_loc = Csr::from_rows(&rows_loc, local_len);
-        // The true halo length — a halo-free rank gets an honest
-        // zero-column remote part (a fake 1-column space used to trip the
-        // kernels' `x.len() >= ncols` assertion on an empty halo buffer).
-        let a_rem = Csr::from_rows(&rows_rem, plan.halo_len);
         Self { part, me, a_loc, a_rem, plan }
     }
 
