@@ -12,9 +12,12 @@
 //! communication, which is why the paper measures *no overhead* for the
 //! health check in failure-free runs.
 
+use std::time::Duration;
+
 use ft_cluster::{Rank, Wire};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId, Timeout};
 
+use crate::detector::glo_health_chk_graced;
 use crate::layout::WorldLayout;
 use crate::plan::RecoveryPlan;
 
@@ -115,6 +118,25 @@ fn put_each(
     flush(proc, queue, timeout)
 }
 
+/// Say a word with `say` to `targets`, and again to a rank it missed (alive
+/// but without a control segment yet) until it lands; a missed rank that
+/// does not answer a ping within `ping_timeout` is dead and dropped.
+pub fn until_reached(
+    proc: &GaspiProc,
+    targets: &[Rank],
+    ping_timeout: Timeout,
+    say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>,
+) -> GaspiResult<()> {
+    let mut unreached = say(targets)?;
+    while !unreached.is_empty() {
+        let dead = glo_health_chk_graced(proc, &unreached, ping_timeout, Duration::ZERO);
+        unreached.retain(|r| !dead.contains(r));
+        std::thread::sleep(Duration::from_millis(1));
+        unreached = say(&unreached)?;
+    }
+    Ok(())
+}
+
 /// Wait for `queue`; the ranks a write broke on are returned, not an error
 /// of *this* rank.
 fn flush(proc: &GaspiProc, queue: u16, timeout: Timeout) -> GaspiResult<Vec<Rank>> {
@@ -170,15 +192,15 @@ pub fn drain_suspects(proc: &GaspiProc, total: u32) -> GaspiResult<Vec<Rank>> {
     Ok(reported)
 }
 
-/// Worker side: tell the FD the application is done. The FD answers every
-/// rank with its end plan ([`RecoveryPlan::after_done`]) and leaves.
+/// Worker side: tell the FD the application is done ([`until_reached`]). The
+/// FD answers every rank with its end plan ([`RecoveryPlan::after_done`]) and leaves.
 pub fn signal_done(
     proc: &GaspiProc,
     fd_rank: Rank,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    put_each(proc, &[fd_rank], 0, DONE_NOTIF, 1, queue, timeout).map(drop)
+    signal(proc, fd_rank, 1, queue, timeout)
 }
 
 /// Worker side: this rank ended in error — have the FD stop every rank.
@@ -188,7 +210,13 @@ pub fn signal_abort(
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    put_each(proc, &[fd_rank], 0, DONE_NOTIF, DONE_ABORTED, queue, timeout).map(drop)
+    signal(proc, fd_rank, DONE_ABORTED, queue, timeout)
+}
+
+fn signal(proc: &GaspiProc, fd: Rank, value: u32, queue: u16, timeout: Timeout) -> GaspiResult<()> {
+    until_reached(proc, &[fd], timeout, &|to| {
+        put_each(proc, to, 0, DONE_NOTIF, value, queue, timeout)
+    })
 }
 
 #[cfg(test)]

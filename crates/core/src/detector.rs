@@ -155,14 +155,7 @@ pub fn run_detector_from(
     // nothing else would release it — and again to a live rank it missed.
     let others: Vec<Rank> = (0..layout.total()).filter(|&r| r != me).collect();
     let last_word = |say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>| -> FtResult<()> {
-        let mut unreached = say(&others)?;
-        while !unreached.is_empty() {
-            let dead = glo_health_chk_graced(proc, &unreached, cfg.ping_timeout, Duration::ZERO);
-            unreached.retain(|r| !dead.contains(r));
-            std::thread::sleep(Duration::from_millis(1));
-            unreached = say(&unreached)?;
-        }
-        Ok(())
+        Ok(ack::until_reached(proc, &others, cfg.ping_timeout, say)?)
     };
     let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
     let ended = |plan: &RecoveryPlan| -> FtResult<bool> {

@@ -9,11 +9,13 @@ use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Wire};
 use ft_cluster::{FaultAction, FaultSchedule, Injection};
-use ft_core::ack::FIRST_APP_SEG;
+use ft_core::ack::{self, FIRST_APP_SEG};
 use ft_core::ckpt::adopt_latest;
+use ft_core::detector::run_detector;
 use ft_core::{
-    run_ft_job, EventKind, EventLog, FtApp, FtConfig, FtCtx, FtError, FtResult, FtSignal,
-    ProcJobReport, ProcOutcome, ProcResult, RecoveryPlan, Role, StrategyKind, WorldLayout,
+    run_ft_job, DetectorConfig, EventKind, EventLog, FtApp, FtConfig, FtCtx, FtError, FtResult,
+    FtSignal, ProcJobReport, ProcOutcome, ProcResult, RecoveryPlan, Role, StrategyKind,
+    WorldLayout,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
 
@@ -605,4 +607,28 @@ fn first_error_names_the_cause_not_the_shutdown_it_caused() {
     assert_eq!(report.first_error(), Some("exit code 1: rank failed: no segment"));
     report.outcomes.push(result("Unsupported(\"late\")", false, 20));
     assert_eq!(report.first_error(), Some("Unsupported(\"late\")"));
+}
+
+/// Regression: a worker fast enough to finish before the detector created
+/// its control segment said done into nothing. The write failed, the word
+/// was dropped, and the detector scanned forever. Now the word is re-sent
+/// to a live detector until it lands.
+#[test]
+fn a_done_word_sent_before_the_detector_listens_still_ends_the_job() {
+    let layout = WorldLayout::new(1, 1); // worker 0, FD 1
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let (worker, fd) = (world.proc_handle(0), world.proc_handle(1));
+    ack::create_ctrl_segment(&worker, &layout).unwrap();
+    let cfg = DetectorConfig::default();
+    let t = cfg.ack_timeout;
+    let done = std::thread::spawn(move || ack::signal_done(&worker, 1, ack::ACK_QUEUE, t));
+    std::thread::sleep(Duration::from_millis(50));
+    ack::create_ctrl_segment(&fd, &layout).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run_detector(&fd, &layout, &cfg, &EventLog::new()));
+    });
+    let ended = rx.recv_timeout(Duration::from_secs(2));
+    assert_eq!(ended, Ok(Ok(None)), "the detector never heard the done word");
+    done.join().unwrap().unwrap();
 }

@@ -95,6 +95,7 @@ pub struct FtLanczos {
     comm: Option<SpmvComm>,
     state: Option<LanczosState>,
     halo: Vec<f64>,
+    w: Vec<f64>,
     last_low_eig: Option<f64>,
 }
 
@@ -121,6 +122,7 @@ impl FtLanczos {
             comm: None,
             state: None,
             halo: Vec::new(),
+            w: Vec::new(),
             last_low_eig: None,
         }
     }
@@ -193,7 +195,7 @@ impl FtApp for FtLanczos {
         let comm = self.comm.as_ref().expect("step before setup");
         let state = self.state.as_mut().expect("step before setup");
         debug_assert_eq!(state.iter, iter, "driver and Lanczos state out of sync");
-        state.step(ctx, dm, comm, &mut self.halo)?;
+        state.step(ctx, dm, comm, &mut self.halo, &mut self.w)?;
         // Convergence: eigenvalues of T_j via the QL method, identical on
         // every rank (α/β are bit-identical), so the decision agrees.
         if self.cfg.conv_check_every > 0 && state.iter.is_multiple_of(self.cfg.conv_check_every) {

@@ -54,7 +54,9 @@ impl LanczosState {
 
     /// One Lanczos step: `w = A·v_j`, `α_j = w·v_j`,
     /// `w ← w − α_j v_j − β_j v_{j−1}`, `β_{j+1} = ‖w‖`,
-    /// `v_{j+1} = w / β_{j+1}` (collective).
+    /// `v_{j+1} = w / β_{j+1}` (collective), with `w` the caller's scratch
+    /// like `halo`: the product, then the dot, the update fused with its
+    /// norm, and the scaling.
     ///
     /// The halo exchange is split-phase: `a_loc·v` runs while the halo
     /// values are in flight, and only the remote part waits for them. The
@@ -67,24 +69,28 @@ impl LanczosState {
         dm: &DistMatrix,
         comm: &SpmvComm,
         halo: &mut Vec<f64>,
+        w: &mut Vec<f64>,
     ) -> FtResult<()> {
         let tag = SpmvComm::tag_for_iter(self.iter);
         let pending = comm.post(ctx, &dm.plan, &self.v, tag)?;
-        let mut w = vec![0.0; self.v.len()];
-        dm.spmv_local(&self.v, &mut w);
+        w.resize(self.v.len(), 0.0);
+        dm.spmv_local(&self.v, w);
         comm.wait(ctx, &dm.plan, pending, halo)?;
-        dm.spmv_remote_add(halo, &mut w);
-        let alpha = det_allreduce_sum(ctx, dot(&w, &self.v))?;
+        dm.spmv_remote_add(halo, w);
+        let alpha = det_allreduce_sum(ctx, dot(w, &self.v))?;
         let beta_prev = self.betas.last().copied().unwrap_or(0.0);
-        for (i, wi) in w.iter_mut().enumerate() {
-            *wi -= alpha * self.v[i] + beta_prev * self.v_prev[i];
+        // ‖w‖² starts at −0.0, as `Iterator::sum` in `SeqLanczos` does.
+        let mut norm2 = -0.0;
+        for ((wi, v), v_prev) in w.iter_mut().zip(&self.v).zip(&self.v_prev) {
+            *wi -= alpha * v + beta_prev * v_prev;
+            norm2 += *wi * *wi;
         }
-        let beta = det_allreduce_sum(ctx, dot(&w, &w))?.sqrt();
+        let beta = det_allreduce_sum(ctx, norm2)?.sqrt();
         self.alphas.push(alpha);
         self.betas.push(beta);
         std::mem::swap(&mut self.v_prev, &mut self.v);
         if beta > 0.0 {
-            for (vi, wi) in self.v.iter_mut().zip(&w) {
+            for (vi, wi) in self.v.iter_mut().zip(w.iter()) {
                 *vi = wi / beta;
             }
         } else {

@@ -62,6 +62,23 @@ fn distributed_matches_sequential_reference() {
     }
 }
 
+/// With one worker the step adds the same terms in the same order as the
+/// sequential reference — the product row by row, the dot, the update and
+/// its norm — so α/β agree bit for bit. Any reordering of the kernel or
+/// the vector passes fails here.
+#[test]
+fn one_worker_is_the_sequential_reference_bit_for_bit() {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (lx, ly, iters) in [(8, 6, 40), (48, 32, 30)] {
+        let gen = Graphene::new(lx, ly).with_nnn(-0.15);
+        let seq = SeqLanczos::run(&gen, iters, 0x1A5C_205E);
+        let report = run_job(Arc::new(gen), 1, 1, iters, 10, false, FaultSchedule::none());
+        let s = &summaries(&report, 1)[0];
+        assert_eq!(bits(&s.alphas), bits(&seq.alphas), "{lx}x{ly}: alpha");
+        assert_eq!(bits(&s.betas), bits(&seq.betas), "{lx}x{ly}: beta");
+    }
+}
+
 #[test]
 fn eigenvalues_match_known_spectrum() {
     // Full Krylov space on a diagonal matrix: extremes are exact.

@@ -1,10 +1,11 @@
 //! Compressed sparse row storage and the one local SpMV kernel.
 //!
-//! [`Csr::spmv`] / [`Csr::spmv_add`] walk the rows in order and add each
-//! row's terms in ascending column order into a private accumulator, so a
-//! product is bitwise reproducible run to run. There is no threaded,
-//! blocked, vectorized or SELL-C-σ variant: none beat this loop on any
-//! shape the benchmark runs (ARCHITECTURE.md §8 has the table).
+//! [`Csr::row_dots`] walks the rows in order, each a zipped `cols`/`vals`
+//! slice pair (one index check per entry), and adds a row's terms in
+//! ascending column order from `+0.0`, so a product is bitwise
+//! reproducible run to run. There is no threaded, blocked, vectorized or
+//! SELL-C-σ variant: none beat this loop on any shape the benchmark runs
+//! (ARCHITECTURE.md §8 has the table).
 
 /// CSR matrix over a local index space. Column indices address either the
 /// local vector chunk or the halo buffer, depending on which of the two
@@ -41,6 +42,14 @@ impl Csr {
     pub fn push(&mut self, col: u32, val: f64) {
         self.cols.push(col);
         self.vals.push(val);
+    }
+
+    /// Add an entry to the row being built in column order (insertion).
+    pub fn insert(&mut self, col: u32, val: f64) {
+        let start = self.row_ptr[self.row_ptr.len() - 1];
+        let at = start + self.cols[start..].partition_point(|&c| c < col);
+        self.cols.insert(at, col);
+        self.vals.insert(at, val);
     }
 
     /// Close the row being built.
@@ -98,25 +107,19 @@ impl Csr {
         }
     }
 
-    /// `y += A·x` over this matrix's column space.
-    pub fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
+    /// Each row's product with `x`, in row order: the one kernel.
+    pub fn row_dots<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         debug_assert!(x.len() >= self.ncols);
-        debug_assert_eq!(y.len(), self.nrows());
-        for (i, yi) in y[..self.nrows()].iter_mut().enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.vals[k] * x[self.cols[k] as usize];
-            }
-            *yi += acc;
-        }
+        self.row_ptr.windows(2).map(move |r| {
+            let (cols, vals) = (&self.cols[r[0]..r[1]], &self.vals[r[0]..r[1]]);
+            cols.iter().zip(vals).fold(0.0, |acc, (&c, &v)| acc + v * x[c as usize])
+        })
     }
 
     /// `y = A·x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        self.spmv_add(x, y);
+        debug_assert_eq!(y.len(), self.nrows());
+        y.iter_mut().zip(self.row_dots(x)).for_each(|(yi, d)| *yi = d);
     }
 }
 
@@ -146,8 +149,6 @@ mod tests {
         let mut y = vec![0.0; 2];
         m.spmv(&x, &mut y);
         assert_eq!(y, vec![6.0, -3.0]);
-        m.spmv_add(&x, &mut y);
-        assert_eq!(y, vec![12.0, -6.0]);
     }
 
     #[test]

@@ -31,7 +31,8 @@ impl KernelPolicy {
 /// the part whose columns are locally owned (`a_loc`, columns index the
 /// local vector chunk) and the part whose columns live elsewhere
 /// (`a_rem`, columns index the halo buffer) — the structure the paper's
-/// spMVM library uses (§V).
+/// spMVM library uses (§V). The remote part keeps only the rows that have
+/// a remote entry, so it stays as small as the halo.
 #[derive(Debug, Clone)]
 pub struct DistMatrix {
     /// The global partition.
@@ -40,8 +41,11 @@ pub struct DistMatrix {
     pub me: u32,
     /// Local part: columns in `0..local_len`.
     pub a_loc: Csr,
-    /// Remote part: columns in `0..plan.halo_len`.
+    /// Remote part: columns in `0..plan.halo_len`, one row per entry of
+    /// `rem_rows`.
     pub a_rem: Csr,
+    /// The local row of each `a_rem` row, ascending.
+    pub rem_rows: Vec<u32>,
     /// The communication plan (receive side describes the halo layout).
     pub plan: CommPlan,
 }
@@ -78,9 +82,9 @@ impl DistMatrix {
     /// regenerates the matrix chunk on the fly.
     ///
     /// One pass writes each generated row straight into the two CSR
-    /// parts. Their arrays are reserved up front and the two row buffers
-    /// are reused across rows, so the allocation count does not grow with
-    /// the chunk.
+    /// parts. Their arrays and the remote row list are reserved up front
+    /// and the row buffer is reused across rows, so the allocation count
+    /// does not grow with the chunk.
     pub fn assemble<G: RowGen + ?Sized>(
         gen: &G,
         part: RowPartition,
@@ -93,16 +97,15 @@ impl DistMatrix {
         let max = gen.max_row_entries();
         let mut a_loc = Csr::with_capacity(local_len, local_len, local_len * max);
         // The true halo length — a halo-free rank gets an honest
-        // zero-column remote part (a fake 1-column space used to trip the
-        // kernels' `x.len() >= ncols` assertion on an empty halo buffer).
-        // The matrix is symmetric, so a halo column sits in at most `max`
-        // of the chunk's rows.
-        let mut a_rem = Csr::with_capacity(local_len, plan.halo_len, plan.halo_len * max);
+        // zero-column remote part. The matrix is symmetric, so a halo
+        // column sits in at most `max` of the chunk's rows.
+        let rem_nnz = plan.halo_len * max;
+        let mut a_rem = Csr::with_capacity(local_len.min(rem_nnz), plan.halo_len, rem_nnz);
+        let mut rem_rows = Vec::with_capacity(local_len.min(rem_nnz));
         let mut buf = Vec::with_capacity(max);
-        let mut rem: Vec<(u32, f64)> = Vec::with_capacity(max);
         for row in my_rows.clone() {
             gen.row(row, &mut buf);
-            rem.clear();
+            let rem_before = a_rem.nnz();
             for e in &buf {
                 if my_rows.contains(&e.col) {
                     a_loc.push((e.col - start) as u32, e.val);
@@ -110,17 +113,18 @@ impl DistMatrix {
                     let slot = plan
                         .halo_slot(e.col)
                         .expect("plan must cover every remote column of the chunk");
-                    rem.push((slot as u32, e.val));
+                    // Halo slots are not globally ordered within a row;
+                    // CSR wants ascending columns.
+                    a_rem.insert(slot as u32, e.val);
                 }
             }
             a_loc.end_row();
-            // Halo slots are not globally ordered within a row; CSR wants
-            // ascending columns.
-            rem.sort_by_key(|&(c, _)| c);
-            rem.iter().for_each(|&(c, v)| a_rem.push(c, v));
-            a_rem.end_row();
+            if a_rem.nnz() > rem_before {
+                a_rem.end_row();
+                rem_rows.push((row - start) as u32);
+            }
         }
-        Self { part, me, a_loc, a_rem, plan }
+        Self { part, me, a_loc, a_rem, rem_rows, plan }
     }
 
     /// Rows owned locally.
@@ -135,30 +139,18 @@ impl DistMatrix {
         2 * (self.a_loc.nnz() as u64 + self.a_rem.nnz() as u64)
     }
 
-    /// `y = A·x` for this chunk, given the local vector chunk and the
-    /// freshly exchanged halo values.
-    ///
-    /// Defined as exactly [`DistMatrix::spmv_local`] followed by
-    /// [`DistMatrix::spmv_remote_add`], so a split-phase solver loop
-    /// (`post → spmv_local → wait → spmv_remote_add`) produces bitwise
-    /// the same result as the synchronous one.
-    pub fn spmv(&self, x_local: &[f64], halo: &[f64], y: &mut [f64]) {
-        self.spmv_local(x_local, y);
-        self.spmv_remote_add(halo, y);
-    }
-
     /// The local half of the product: `y = a_loc·x_local`. Needs no halo
     /// data, so it runs while the halo exchange is in flight.
     pub fn spmv_local(&self, x_local: &[f64], y: &mut [f64]) {
         self.a_loc.spmv(x_local, y);
     }
 
-    /// The remote half: `y += a_rem·halo`, run after the halo arrived.
+    /// The remote half, run after the halo arrived: `y += a_rem·halo` over
+    /// just the rows that have a remote entry.
     pub fn spmv_remote_add(&self, halo: &[f64], y: &mut [f64]) {
-        if self.a_rem.nnz() == 0 {
-            return;
+        for (&i, d) in self.rem_rows.iter().zip(self.a_rem.row_dots(halo)) {
+            y[i as usize] += d;
         }
-        self.a_rem.spmv_add(halo, y);
     }
 }
 
@@ -240,7 +232,8 @@ mod tests {
                 }
             }
             let mut y = vec![0.0; dm.local_len()];
-            dm.spmv(&x_local, &halo, &mut y);
+            dm.spmv_local(&x_local, &mut y);
+            dm.spmv_remote_add(&halo, &mut y);
             for (k, row) in r.enumerate() {
                 assert!(
                     (y[k] - y_ref[row as usize]).abs() < 1e-12,

@@ -4,7 +4,9 @@
 //! * **Equivalence.** The chunk is the one the row-by-row algorithm built
 //!   (one vector pair per row, copied through `Csr::from_rows`, kept below
 //!   as [`reference`]): same `row_ptr`, `cols` and `ncols`, and `vals`
-//!   equal bit for bit, for every generator, part count and part.
+//!   equal bit for bit, for every generator, part count and part. The
+//!   remote part holds just the reference's rows that have an entry, and
+//!   `rem_rows` names them.
 //! * **Allocations.** A counting allocator, per thread so tests running in
 //!   parallel do not pollute the count, shows that a row generated into a
 //!   warmed buffer allocates nothing and that a chunk's allocations do not
@@ -70,10 +72,16 @@ fn plan<G: RowGen>(gen: &G, part: &RowPartition, me: u32) -> CommPlan {
 }
 
 /// The row-by-row assembly: a fresh vector pair per row, the remote one
-/// sorted by halo slot, both copied through `Csr::from_rows`.
-fn reference<G: RowGen>(gen: &G, part: RowPartition, me: u32, plan: &CommPlan) -> (Csr, Csr) {
+/// sorted by halo slot and kept, with its local row, when it is not empty;
+/// both copied through `Csr::from_rows`.
+fn reference<G: RowGen>(
+    gen: &G,
+    part: RowPartition,
+    me: u32,
+    plan: &CommPlan,
+) -> (Csr, Csr, Vec<u32>) {
     let mine = part.range(me);
-    let (mut loc, mut rem) = (Vec::new(), Vec::new());
+    let (mut loc, mut rem, mut rem_rows) = (Vec::new(), Vec::new(), Vec::new());
     for row in mine.clone() {
         let (mut rl, mut rr) = (Vec::new(), Vec::new());
         for e in gen.row_vec(row) {
@@ -85,9 +93,12 @@ fn reference<G: RowGen>(gen: &G, part: RowPartition, me: u32, plan: &CommPlan) -
         }
         rr.sort_by_key(|&(c, _)| c);
         loc.push(rl);
-        rem.push(rr);
+        if !rr.is_empty() {
+            rem.push(rr);
+            rem_rows.push((row - mine.start) as u32);
+        }
     }
-    (Csr::from_rows(&loc, part.len(me)), Csr::from_rows(&rem, plan.halo_len))
+    (Csr::from_rows(&loc, part.len(me)), Csr::from_rows(&rem, plan.halo_len), rem_rows)
 }
 
 fn assert_same(got: &Csr, want: &Csr, what: &str) {
@@ -105,11 +116,12 @@ fn check_equivalence<G: RowGen>(name: &str, gen: &G) {
         let part = RowPartition::new(gen.dim(), parts);
         for me in 0..parts {
             let plan = plan(gen, &part, me);
-            let (loc, rem) = reference(gen, part, me, &plan);
+            let (loc, rem, rem_rows) = reference(gen, part, me, &plan);
             let dm = DistMatrix::assemble(gen, part, me, plan);
             let what = format!("{name}, {parts} parts, part {me}");
             assert_same(&dm.a_loc, &loc, &format!("{what}, a_loc"));
             assert_same(&dm.a_rem, &rem, &format!("{what}, a_rem"));
+            assert_eq!(dm.rem_rows, rem_rows, "{what}: rem_rows");
             if parts == 1 {
                 assert_eq!((dm.a_rem.ncols, dm.a_rem.nnz()), (0, 0), "{what}: halo-free");
             }
@@ -151,7 +163,8 @@ fn a_row_into_a_warmed_buffer_does_not_allocate() {
 }
 
 /// The most allocations one `assemble` makes, whatever its rows: three
-/// arrays for each of the two CSR parts and the two reused row buffers.
+/// arrays for each of the two CSR parts, the remote row list and the
+/// reused row buffer.
 /// The row-by-row assembly made about four per row.
 const ASSEMBLE_ALLOCS: usize = 8;
 

@@ -1,7 +1,7 @@
 //! Kernel-conformance suite for the one spMVM kernel: [`Csr::spmv`]
 //! against a dense reference over proptest-generated matrices (varying
-//! size, random structure, empty rows, empty matrices), `spmv` against
-//! `spmv_add` on a zeroed `y`, and the degenerate shapes as named tests.
+//! size, random structure, empty rows, empty matrices), and the degenerate
+//! shapes as named tests.
 
 use proptest::prelude::*;
 
@@ -59,24 +59,6 @@ proptest! {
         prop_assert_eq!(bits(&y), bits(&y_ref));
     }
 
-    /// The accumulating entry point on a fresh vector is the same product.
-    #[test]
-    fn spmv_add_on_zeroed_y_matches_spmv(
-        nrows in 0usize..40,
-        ncols in 1usize..40,
-        raw_rows in proptest::collection::vec(
-            proptest::collection::vec((0u32..1024, -2.0f64..2.0), 0..10), 0..40),
-        xs in proptest::collection::vec(-2.0f64..2.0, 40),
-    ) {
-        let raw_rows = &raw_rows[..nrows.min(raw_rows.len())];
-        let a = build(raw_rows, ncols);
-        let x = &xs[..ncols];
-        let mut y = vec![f64::NAN; a.nrows()];
-        a.spmv(x, &mut y);
-        let mut y_add = vec![0.0; a.nrows()];
-        a.spmv_add(x, &mut y_add);
-        prop_assert_eq!(bits(&y), bits(&y_add));
-    }
 }
 
 /// The degenerate shapes, pinned as named tests so a regression is
@@ -122,7 +104,8 @@ mod degenerate {
         let dm = DistMatrix::assemble(&gen, part, 0, plan);
         assert_eq!((dm.plan.halo_len, dm.a_rem.ncols), (0, 0));
         let mut y = vec![f64::NAN; 6];
-        dm.spmv(&[1.0; 6], &[], &mut y);
+        dm.spmv_local(&[1.0; 6], &mut y);
+        dm.spmv_remote_add(&[], &mut y);
         assert_eq!(y, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 }

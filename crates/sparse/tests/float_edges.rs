@@ -141,8 +141,10 @@ fn poisoned_halo_reaches_only_border_rows() {
     let nan_halo = vec![f64::NAN; dm.plan.halo_len];
     let mut y_clean = vec![0.0; dm.local_len()];
     let mut y_dirty = vec![0.0; dm.local_len()];
-    dm.spmv(&x_local, &clean_halo, &mut y_clean);
-    dm.spmv(&x_local, &nan_halo, &mut y_dirty);
+    for (halo, y) in [(&clean_halo, &mut y_clean), (&nan_halo, &mut y_dirty)] {
+        dm.spmv_local(&x_local, y);
+        dm.spmv_remote_add(halo, y);
+    }
     let last = dm.local_len() - 1;
     for i in 0..dm.local_len() {
         if i == 0 || i == last {

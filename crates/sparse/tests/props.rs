@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
+use ft_matgen::graphene::Graphene;
 use ft_matgen::random::RandomSym;
+use ft_matgen::spectra::ToeplitzTridiag;
 use ft_matgen::RowGen;
 use ft_sparse::{CommPlan, DistMatrix, RowPartition};
 
@@ -88,7 +90,8 @@ proptest! {
                 }
             }
             let mut y = vec![0.0; dm.local_len()];
-            dm.spmv(&x_local, &halo, &mut y);
+            dm.spmv_local(&x_local, &mut y);
+            dm.spmv_remote_add(&halo, &mut y);
             for (k, row) in r.enumerate() {
                 prop_assert!((y[k] - y_ref[row as usize]).abs() < 1e-10);
             }
@@ -96,57 +99,99 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The split-phase composition (`spmv_local` + `spmv_remote_add`, as
-    /// the overlapped solver loops run it) produces bitwise the same
-    /// result as the synchronous [`DistMatrix::spmv`], across chunk
-    /// sizes, empty-halo ranks (parts == 1), and zero-nnz rows; and that
-    /// shared result matches the dense reference to tolerance (the halo
-    /// summation order legitimately differs from the global order, so
-    /// "bitwise" is across the two paths, not against the reference).
-    #[test]
-    fn split_phase_spmv_is_bitwise_the_synchronous_product(
-        n in 1u64..100,
-        parts in 1u32..5,
-        bw in 0u64..8,
-        density in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(n >= u64::from(parts));
-        let gen = RandomSym::new(n, bw, density, seed);
-        let part = RowPartition::new(n, parts);
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
-        let mut y_ref = vec![0.0; n as usize];
-        for i in 0..n {
-            for e in gen.row_vec(i) {
-                y_ref[i as usize] += e.val * x[e.col as usize];
-            }
-        }
-        for me in 0..parts {
-            let needed = DistMatrix::needed_columns(&gen, &part, me);
+/// Multiply every chunk of `gen` over `parts` parts split-phase
+/// (`spmv_local`, then `spmv_remote_add`) and compare it bit for bit with
+/// an independent row-by-row product in the same order: a row's local
+/// terms summed in generator order, then its remote terms summed in halo
+/// slot order and added once. Returns each part's count of rows with a
+/// remote entry, so callers can check what a case covered.
+fn check_split_product<G: RowGen>(gen: &G, parts: u32) -> Vec<usize> {
+    let n = gen.dim();
+    let part = RowPartition::new(n, parts);
+    let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
+    (0..parts)
+        .map(|me| {
+            let needed = DistMatrix::needed_columns(gen, &part, me);
             let plan = CommPlan::receives_from_needs(me, parts, &needed);
-            let dm = DistMatrix::assemble(&gen, part, me, plan);
-            let r = part.range(me);
-            let x_local: Vec<f64> = r.clone().map(|i| x[i as usize]).collect();
+            let mine = part.range(me);
+            let (mut want, mut remote_rows) = (Vec::new(), 0);
+            for row in mine.clone() {
+                let (mut loc, mut rem) = (0.0, Vec::new());
+                for e in gen.row_vec(row) {
+                    if mine.contains(&e.col) {
+                        loc += e.val * x[e.col as usize];
+                    } else {
+                        rem.push((plan.halo_slot(e.col).unwrap(), e.val * x[e.col as usize]));
+                    }
+                }
+                rem.sort_by_key(|&(slot, _)| slot);
+                if !rem.is_empty() {
+                    remote_rows += 1;
+                    loc += rem.iter().fold(0.0, |acc, &(_, t)| acc + t);
+                }
+                want.push(loc.to_bits());
+            }
+            let dm = DistMatrix::assemble(gen, part, me, plan);
+            let x_local = &x[mine.start as usize..mine.end as usize];
             let mut halo = vec![0.0; dm.plan.halo_len];
             for recv in &dm.plan.recvs {
                 for (k, &col) in recv.cols.iter().enumerate() {
                     halo[recv.halo_offset + k] = x[col as usize];
                 }
             }
-            let nloc = dm.local_len();
-            let mut y_sync = vec![0.0; nloc];
-            dm.spmv(&x_local, &halo, &mut y_sync);
-            for (k, row) in r.enumerate() {
-                prop_assert!((y_sync[k] - y_ref[row as usize]).abs() < 1e-10);
-            }
-            let mut y_split = vec![0.0; nloc];
-            dm.spmv_local(&x_local, &mut y_split);
-            dm.spmv_remote_add(&halo, &mut y_split);
-            let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            prop_assert_eq!(bits(&y_split), bits(&y_sync));
-        }
+            let mut y = vec![f64::NAN; dm.local_len()];
+            dm.spmv_local(x_local, &mut y);
+            dm.spmv_remote_add(&halo, &mut y);
+            let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{parts} parts, part {me}");
+            assert_eq!(dm.rem_rows.len(), remote_rows, "{parts} parts, part {me}: remote rows");
+            remote_rows
+        })
+        .collect()
+}
+
+proptest! {
+    /// Graphene chunks (open or periodic, with next-nearest neighbours)
+    /// over any partition.
+    #[test]
+    fn split_phase_graphene_is_the_row_by_row_product(
+        lx in 1u64..7,
+        ly in 1u64..7,
+        periodic in any::<bool>(),
+        parts in 1u32..9,
+        seed in any::<u64>(),
+    ) {
+        let gen =
+            Graphene::new(lx, ly).with_nnn(-0.2).with_disorder(0.5, seed).with_periodic(periodic);
+        prop_assume!(gen.dim() >= u64::from(parts));
+        check_split_product(&gen, parts);
     }
+
+    /// Toeplitz and random symmetric chunks, empty rows included.
+    #[test]
+    fn split_phase_banded_is_the_row_by_row_product(
+        n in 1u64..100,
+        parts in 1u32..12,
+        bw in 0u64..8,
+        density in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(n >= u64::from(parts));
+        check_split_product(&ToeplitzTridiag::new(n, 2.0, -1.0), parts);
+        check_split_product(&RandomSym::new(n, bw, density, seed), parts);
+    }
+}
+
+/// The two ends of the remote part: a halo-free rank has no remote row,
+/// and a partition of one row per part gives every row a remote entry.
+#[test]
+fn split_phase_covers_halo_free_and_all_remote_chunks() {
+    let gen = ToeplitzTridiag::new(12, 2.0, -1.0);
+    assert_eq!(check_split_product(&gen, 1), vec![0]);
+    assert_eq!(check_split_product(&gen, 12), vec![1; 12]);
+    let gen = Graphene::new(4, 3).with_nnn(-0.1);
+    assert_eq!(check_split_product(&gen, 1), vec![0]);
+    assert_eq!(check_split_product(&gen, 24), vec![1; 24]);
 }
 
 /// Promoted from `props.proptest-regressions` (the shimmed proptest runner
