@@ -494,6 +494,11 @@ impl FaultSchedule {
         &self.at_iteration
     }
 
+    /// Wall-clock-triggered actions, for inspection.
+    pub fn timed_actions(&self) -> &[(Duration, FaultAction)] {
+        &self.timed
+    }
+
     /// Arm the step-indexed injections on `plane`, then spawn the timer
     /// thread applying the timed actions (if any) to it — the one
     /// interpreter of a schedule on both backends. The returned guard

@@ -12,12 +12,10 @@
 //! communication, which is why the paper measures *no overhead* for the
 //! health check in failure-free runs.
 
-use std::time::Duration;
-
 use ft_cluster::{Rank, Wire};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId, Timeout};
 
-use crate::detector::glo_health_chk_graced;
+use crate::detector::{until_reached, DetectorConfig};
 use crate::layout::WorldLayout;
 use crate::plan::RecoveryPlan;
 
@@ -35,11 +33,11 @@ pub const ACK_QUEUE: u16 = 0;
 /// detector takeover, or the end plan ([`RecoveryPlan::after_done`]).
 pub const EPOCH_NOTIF: u32 = 0;
 /// Notification slot of the FD's control segment that app rank 0 sets
-/// when the application is done ([`signal_done`], value 1), or that a rank
-/// ended in error sets to stop the job ([`signal_abort`], value
-/// [`DONE_ABORTED`]). Unused on every other control segment.
+/// when the application is done ([`signal`], value 1), or that a rank
+/// ended in error sets to stop the job (value [`DONE_ABORTED`]). Unused on
+/// every other control segment.
 pub const DONE_NOTIF: u32 = 1;
-/// [`DONE_NOTIF`] value of [`signal_abort`].
+/// [`DONE_NOTIF`] value of an aborted job.
 pub const DONE_ABORTED: u32 = 2;
 /// Notification slot carrying the stop word ([`broadcast_shutdown`]): the
 /// job aborted or ran out of spares. A normal end is a plan.
@@ -118,25 +116,6 @@ fn put_each(
     flush(proc, queue, timeout)
 }
 
-/// Say a word with `say` to `targets`, and again to a rank it missed (alive
-/// but without a control segment yet) until it lands; a missed rank that
-/// does not answer a ping within `ping_timeout` is dead and dropped.
-pub fn until_reached(
-    proc: &GaspiProc,
-    targets: &[Rank],
-    ping_timeout: Timeout,
-    say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>,
-) -> GaspiResult<()> {
-    let mut unreached = say(targets)?;
-    while !unreached.is_empty() {
-        let dead = glo_health_chk_graced(proc, &unreached, ping_timeout, Duration::ZERO);
-        unreached.retain(|r| !dead.contains(r));
-        std::thread::sleep(Duration::from_millis(1));
-        unreached = say(&unreached)?;
-    }
-    Ok(())
-}
-
 /// Wait for `queue`; the ranks a write broke on are returned, not an error
 /// of *this* rank.
 fn flush(proc: &GaspiProc, queue: u16, timeout: Timeout) -> GaspiResult<Vec<Rank>> {
@@ -192,30 +171,26 @@ pub fn drain_suspects(proc: &GaspiProc, total: u32) -> GaspiResult<Vec<Rank>> {
     Ok(reported)
 }
 
-/// Worker side: tell the FD the application is done ([`until_reached`]). The
-/// FD answers every rank with its end plan ([`RecoveryPlan::after_done`]) and leaves.
+/// Worker side: tell the FD the application is done, as [`signal`] does
+/// with `timeout` for both the write and the liveness ping. The FD answers
+/// every rank with its end plan ([`RecoveryPlan::after_done`]) and leaves.
 pub fn signal_done(
     proc: &GaspiProc,
     fd_rank: Rank,
     queue: u16,
     timeout: Timeout,
 ) -> GaspiResult<()> {
-    signal(proc, fd_rank, 1, queue, timeout)
+    until_reached(proc, &[fd_rank], timeout, &|to| {
+        put_each(proc, to, 0, DONE_NOTIF, 1, queue, timeout)
+    })
 }
 
-/// Worker side: this rank ended in error — have the FD stop every rank.
-pub fn signal_abort(
-    proc: &GaspiProc,
-    fd_rank: Rank,
-    queue: u16,
-    timeout: Timeout,
-) -> GaspiResult<()> {
-    signal(proc, fd_rank, DONE_ABORTED, queue, timeout)
-}
-
-fn signal(proc: &GaspiProc, fd: Rank, value: u32, queue: u16, timeout: Timeout) -> GaspiResult<()> {
-    until_reached(proc, &[fd], timeout, &|to| {
-        put_each(proc, to, 0, DONE_NOTIF, value, queue, timeout)
+/// Worker side: set the FD's [`DONE_NOTIF`] to `value`, re-sent to a live
+/// FD until it lands ([`until_reached`]); each write waits up to the
+/// detector's `ack_timeout`, each liveness ping up to its `ping_timeout`.
+pub fn signal(proc: &GaspiProc, fd: Rank, value: u32, d: &DetectorConfig) -> GaspiResult<()> {
+    until_reached(proc, &[fd], d.ping_timeout, &|to| {
+        put_each(proc, to, 0, DONE_NOTIF, value, ACK_QUEUE, d.ack_timeout)
     })
 }
 
@@ -270,7 +245,7 @@ mod tests {
         signal_done(&w0, layout.fd_rank(), 0, Timeout::Ms(2000)).unwrap();
         fd.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, Timeout::Ms(2000)).unwrap();
         assert_eq!(fd.notify_reset(CTRL_SEG, DONE_NOTIF).unwrap(), 1);
-        signal_abort(&w0, layout.fd_rank(), 0, Timeout::Ms(2000)).unwrap();
+        signal(&w0, layout.fd_rank(), DONE_ABORTED, &DetectorConfig::default()).unwrap();
         fd.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, Timeout::Ms(2000)).unwrap();
         assert_eq!(fd.notify_peek(CTRL_SEG, DONE_NOTIF).unwrap(), DONE_ABORTED);
         broadcast_shutdown(&fd, &[1], 0, Timeout::Ms(2000)).unwrap();

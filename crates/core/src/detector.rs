@@ -93,6 +93,25 @@ pub fn glo_health_chk_graced(
     proc.proc_ping_many(&suspects, ping_timeout).unwrap_or(suspects)
 }
 
+/// Say a word with `say` to `targets`, and again to a rank it missed (alive
+/// but without a control segment yet) until it lands; a missed rank that
+/// does not answer a ping within `ping_timeout` is dead and dropped.
+pub fn until_reached(
+    proc: &GaspiProc,
+    targets: &[Rank],
+    ping_timeout: Timeout,
+    say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>,
+) -> GaspiResult<()> {
+    let mut unreached = say(targets)?;
+    while !unreached.is_empty() {
+        let dead = glo_health_chk_graced(proc, &unreached, ping_timeout, Duration::ZERO);
+        unreached.retain(|r| !dead.contains(r));
+        std::thread::sleep(Duration::from_millis(1));
+        unreached = say(&unreached)?;
+    }
+    Ok(())
+}
+
 /// Run the dedicated FD until the application signals completion, the
 /// spare pool forces a promotion, or capacity is exhausted. The control
 /// segment must already exist.
@@ -154,8 +173,8 @@ pub fn run_detector_from(
     // condemned ones included — one condemned by mistake is alive, and
     // nothing else would release it — and again to a live rank it missed.
     let others: Vec<Rank> = (0..layout.total()).filter(|&r| r != me).collect();
-    let last_word = |say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>| -> FtResult<()> {
-        Ok(ack::until_reached(proc, &others, cfg.ping_timeout, say)?)
+    let last_word = |say: &dyn Fn(&[Rank]) -> GaspiResult<Vec<Rank>>| {
+        until_reached(proc, &others, cfg.ping_timeout, say)
     };
     let done = || proc.notify_peek(CTRL_SEG, DONE_NOTIF);
     let ended = |plan: &RecoveryPlan| -> FtResult<bool> {

@@ -636,7 +636,7 @@ fn abort_job(ctx: &FtCtx) {
     let plan = ctx.plan();
     if plan.fd_alive {
         let fd = plan.current_fd(&ctx.layout);
-        let _ = ack::signal_abort(&ctx.proc, fd, ack::ACK_QUEUE, ctx.cfg.detector.ack_timeout);
+        let _ = ack::signal(&ctx.proc, fd, ack::DONE_ABORTED, &ctx.cfg.detector);
     }
 }
 
@@ -779,8 +779,7 @@ fn worker_run<A: FtApp>(
         let fd = plan.current_fd(&ctx.layout);
         let shadow = ctx.cfg.shadow_rank().filter(|s| *s != fd && !plan.failed.contains(s));
         for target in std::iter::once(fd).chain(shadow) {
-            let _ =
-                ack::signal_done(&ctx.proc, target, ack::ACK_QUEUE, ctx.cfg.detector.ack_timeout);
+            let _ = ack::signal(&ctx.proc, target, 1, &ctx.cfg.detector);
         }
     }
     slot.as_mut().expect("attached above").finalize(ctx)

@@ -46,9 +46,7 @@ impl LanczosState {
     pub fn normalize(&mut self, ctx: &FtCtx) -> FtResult<()> {
         let local: f64 = self.v.iter().map(|x| x * x).sum();
         let norm = det_allreduce_sum(ctx, local)?.sqrt();
-        for x in &mut self.v {
-            *x /= norm;
-        }
+        self.v.iter_mut().for_each(|x| *x /= norm);
         Ok(())
     }
 
@@ -71,8 +69,7 @@ impl LanczosState {
         halo: &mut Vec<f64>,
         w: &mut Vec<f64>,
     ) -> FtResult<()> {
-        let tag = SpmvComm::tag_for_iter(self.iter);
-        let pending = comm.post(ctx, &dm.plan, &self.v, tag)?;
+        let pending = comm.post(ctx, &dm.plan, &self.v, SpmvComm::tag_for_iter(self.iter))?;
         w.resize(self.v.len(), 0.0);
         dm.spmv_local(&self.v, w);
         comm.wait(ctx, &dm.plan, pending, halo)?;
@@ -89,14 +86,10 @@ impl LanczosState {
         self.alphas.push(alpha);
         self.betas.push(beta);
         std::mem::swap(&mut self.v_prev, &mut self.v);
-        if beta > 0.0 {
-            for (vi, wi) in self.v.iter_mut().zip(w.iter()) {
-                *vi = wi / beta;
-            }
-        } else {
-            // Invariant subspace reached (exact breakdown): keep a zero
-            // vector; eigenvalues of T_j are already exact.
-            self.v.iter_mut().for_each(|x| *x = 0.0);
+        // β = 0: invariant subspace reached (exact breakdown); keep a zero
+        // vector, the eigenvalues of T_j are already exact.
+        for (vi, wi) in self.v.iter_mut().zip(w.iter()) {
+            *vi = if beta > 0.0 { wi / beta } else { 0.0 };
         }
         self.iter += 1;
         Ok(())

@@ -1,6 +1,6 @@
 //! Compressed sparse row storage and the one local SpMV kernel.
 //!
-//! [`Csr::row_dots`] walks the rows in order, each a zipped `cols`/`vals`
+//! [`Csr::spmv`] walks the rows in order, each a zipped `cols`/`vals`
 //! slice pair (one index check per entry), and adds a row's terms in
 //! ascending column order from `+0.0`, so a product is bitwise
 //! reproducible run to run. There is no threaded, blocked, vectorized or
@@ -45,7 +45,7 @@ impl Csr {
     }
 
     /// Add an entry to the row being built in column order (insertion).
-    pub fn insert(&mut self, col: u32, val: f64) {
+    pub(crate) fn insert(&mut self, col: u32, val: f64) {
         let start = self.row_ptr[self.row_ptr.len() - 1];
         let at = start + self.cols[start..].partition_point(|&c| c < col);
         self.cols.insert(at, col);
@@ -80,9 +80,8 @@ impl Csr {
 
     /// The `(col, val)` entries of one row.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        self.cols[lo..hi].iter().copied().zip(self.vals[lo..hi].iter().copied())
+        let r = self.row_ptr[i]..self.row_ptr[i + 1];
+        self.cols[r.clone()].iter().copied().zip(self.vals[r].iter().copied())
     }
 
     /// Check structural invariants; panics with a description on
@@ -92,23 +91,19 @@ impl Csr {
         assert_eq!(self.row_ptr[0], 0, "row_ptr must start at 0");
         assert_eq!(*self.row_ptr.last().unwrap(), self.cols.len(), "row_ptr end");
         assert_eq!(self.cols.len(), self.vals.len(), "cols/vals length");
-        for w in self.row_ptr.windows(2) {
-            assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
-        }
-        for i in 0..self.nrows() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for w in self.cols[lo..hi].windows(2) {
-                assert!(w[0] < w[1], "row {i}: columns must be strictly ascending");
-            }
-            for &c in &self.cols[lo..hi] {
-                assert!((c as usize) < self.ncols, "row {i}: column {c} out of bounds");
+        for (i, r) in self.row_ptr.windows(2).enumerate() {
+            assert!(r[0] <= r[1], "row_ptr must be non-decreasing");
+            let cols = &self.cols[r[0]..r[1]];
+            let ascending = cols.windows(2).all(|w| w[0] < w[1]);
+            assert!(ascending, "row {i}: columns must be strictly ascending");
+            if let Some(c) = cols.iter().find(|&&c| c as usize >= self.ncols) {
+                panic!("row {i}: column {c} out of bounds");
             }
         }
     }
 
     /// Each row's product with `x`, in row order: the one kernel.
-    pub fn row_dots<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    pub(crate) fn row_dots<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         debug_assert!(x.len() >= self.ncols);
         self.row_ptr.windows(2).map(move |r| {
             let (cols, vals) = (&self.cols[r[0]..r[1]], &self.vals[r[0]..r[1]]);

@@ -63,10 +63,8 @@ impl DistMatrix {
         let mut buf = Vec::with_capacity(gen.max_row_entries());
         for row in my_rows.clone() {
             gen.row(row, &mut buf);
-            for e in &buf {
-                if !my_rows.contains(&e.col) {
-                    needed.entry(part.owner(e.col)).or_default().push(e.col);
-                }
+            for e in buf.iter().filter(|e| !my_rows.contains(&e.col)) {
+                needed.entry(part.owner(e.col)).or_default().push(e.col);
             }
         }
         for cols in needed.values_mut() {
@@ -110,11 +108,8 @@ impl DistMatrix {
                 if my_rows.contains(&e.col) {
                     a_loc.push((e.col - start) as u32, e.val);
                 } else {
-                    let slot = plan
-                        .halo_slot(e.col)
-                        .expect("plan must cover every remote column of the chunk");
-                    // Halo slots are not globally ordered within a row;
-                    // CSR wants ascending columns.
+                    let slot = plan.halo_slot(e.col).expect("plan covers every halo column");
+                    // Halo slots are unordered within a row; `insert` sorts.
                     a_rem.insert(slot as u32, e.val);
                 }
             }
