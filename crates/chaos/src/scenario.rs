@@ -249,7 +249,7 @@ pub fn process_scenarios() -> Vec<Scenario> {
         },
         // An *asymmetric* partition (the paper's link-fault path): rank 1's
         // 1000th allreduce breaks — on rank 1's plane only — its link to
-        // rank 0, its binomial-tree partner in every iteration. The FD
+        // rank 0, the root of its allreduce star in every iteration. The FD
         // still reaches rank 0, so only a worker's suspect report can
         // surface the fault; recovery then *enforces* the suspect's death
         // (`proc_kill`, the paper's §IV-A-a false-positive handling) and a

@@ -70,11 +70,6 @@ impl NeighborMap {
         self.topo.next_live_node(node, |n| self.node_dead(n))
     }
 
-    /// Neighbor node for a *rank*'s checkpoints.
-    pub fn neighbor_of_rank(&self, rank: Rank) -> Option<NodeId> {
-        self.neighbor_of(self.topo.node_of(rank))
-    }
-
     /// Whom to address on `node`: its lowest rank not known to have failed.
     pub fn endpoint_on(&self, node: NodeId) -> Option<Rank> {
         self.topo.ranks_on(node).find(|r| !self.failed.contains(r))

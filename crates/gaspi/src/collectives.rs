@@ -1,18 +1,19 @@
 //! Collective operations: barrier, allreduce and all-to-all over committed
 //! groups.
 //!
-//! Barrier and allreduce run as binomial/dissemination token exchanges
-//! through the transport, so their cost scales as `O(log n)` network steps;
-//! the personalised all-to-all posts `n − 1` tokens and is done after one.
+//! Barrier and allreduce are one star: every member posts its token to
+//! member 0, which folds them and posts the result back — two network
+//! hops and `2(n − 1)` tokens at any group size. The personalised
+//! all-to-all posts `n − 1` tokens per member and is done after one hop.
 //! All of them fail exactly like the paper describes: if a member died, tokens stop
 //! arriving and the collective returns `GASPI_TIMEOUT` (or an error when
 //! the transport has already reported the connection broken) — which is
 //! the state the workers sit in until the fault detector's
 //! acknowledgment arrives.
 //!
-//! Reductions combine contributions in a *fixed tree order*, so a
-//! recovered run reproduces the failure-free run's floating-point results
-//! bit for bit — asserted by the integration tests.
+//! An allreduce folds the contributions in *member order*, starting from
+//! member 0's, so a recovered run reproduces the failure-free run's
+//! floating-point results bit for bit — asserted by the integration tests.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,12 +30,10 @@ use crate::ReduceOp;
 
 /// Phase tag for group-commit tokens.
 pub(crate) const COMMIT_PHASE: u32 = u32::MAX;
-/// Phase base for barrier rounds.
-const BARRIER_PHASE: u32 = 0x1000_0000;
-/// Phase base for reduce rounds.
-const REDUCE_PHASE: u32 = 0x2000_0000;
-/// Phase base for broadcast rounds.
-const BCAST_PHASE: u32 = 0x3000_0000;
+/// Phase tag of a member's token to member 0.
+const GATHER_PHASE: u32 = 0x1000_0000;
+/// Phase tag of member 0's result to every other member.
+const RELEASE_PHASE: u32 = 0x2000_0000;
 /// Phase tag for all-to-all tokens.
 const ALLTOALL_PHASE: u32 = 0x4000_0000;
 
@@ -118,11 +117,6 @@ impl ErrFlag {
     fn delivered(&self) -> usize {
         self.delivered.load(Ordering::Acquire)
     }
-}
-
-fn ceil_log2(n: usize) -> u32 {
-    debug_assert!(n > 0);
-    usize::BITS - (n - 1).leading_zeros()
 }
 
 impl GaspiProc {
@@ -250,8 +244,9 @@ impl GaspiProc {
         Ok(got)
     }
 
-    /// Synchronize all members of `group` (`gaspi_barrier`). Dissemination
-    /// pattern: ⌈log₂ n⌉ rounds of token exchange.
+    /// Synchronize all members of `group` (`gaspi_barrier`): the
+    /// allreduce's star with empty tokens, so no member returns before
+    /// every member has entered.
     ///
     /// Resumable, as the GASPI specification requires: a call that
     /// returned `GASPI_TIMEOUT` is completed by calling it again — the
@@ -259,41 +254,14 @@ impl GaspiProc {
     pub fn barrier(&self, group: crate::Group, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.barrier");
-        let (members, seq) =
-            self.shared().groups.collective_ticket(group.0, crate::group::CollKind::Barrier)?;
-        self.shared().coll.purge_group_below(group.0, seq);
-        let n = members.len();
-        let i = members
-            .binary_search(&self.rank())
-            .map_err(|_| GaspiError::Group { what: "barrier on group not containing self" })?;
-        let finish = |r: GaspiResult<()>| {
-            if r.is_ok() {
-                self.shared().groups.finish_collective(group.0, seq);
-            }
-            r
-        };
-        if n == 1 {
-            return finish(Ok(()));
-        }
-        let deadline = timeout.deadline();
-        let err = ErrFlag::default();
-        for k in 0..ceil_log2(n) {
-            let step = 1usize << k;
-            let to = members[(i + step) % n];
-            let from = members[(i + n - step) % n];
-            let send_key =
-                CollKey { group: group.0, seq, phase: BARRIER_PHASE + k, from: self.rank() };
-            self.send_coll_token(to, send_key, Vec::new(), &err);
-            let recv_key = CollKey { group: group.0, seq, phase: BARRIER_PHASE + k, from };
-            self.peek_token(recv_key, &err, deadline)?;
-        }
-        finish(Ok(()))
+        self.star(group, crate::group::CollKind::Barrier, Vec::new(), |_, _| Ok(()), timeout)?;
+        Ok(())
     }
 
     /// Element-wise allreduce over `f64` buffers (`gaspi_allreduce`).
     /// All members must pass equal-length buffers (≤
     /// [`ALLREDUCE_MAX_ELEMS`]); every member receives the same result,
-    /// combined in a fixed (deterministic) tree order.
+    /// member 0's input combined with each other member's in member order.
     pub fn allreduce_f64(
         &self,
         group: crate::Group,
@@ -357,86 +325,72 @@ impl GaspiProc {
         if input.len() > ALLREDUCE_MAX_ELEMS {
             return Err(GaspiError::InvalidArg("allreduce buffer exceeds 255 elements"));
         }
+        let mismatch = GaspiError::InvalidArg("allreduce buffer length mismatch");
+        let dec = |c: &[u8]| dec(c.try_into().expect("an 8-byte chunk"));
+        let fold = |acc: &mut [u8], theirs: &[u8]| {
+            if theirs.len() != acc.len() {
+                return Err(mismatch.clone());
+            }
+            for (a, t) in acc.chunks_exact_mut(8).zip(theirs.chunks_exact(8)) {
+                a.copy_from_slice(&enc(combine(dec(a), dec(t))));
+            }
+            Ok(())
+        };
+        let mine = input.iter().flat_map(|v| enc(*v)).collect();
+        let out = self.star(group, kind, mine, fold, timeout)?;
+        if out.len() != input.len() * 8 {
+            return Err(mismatch);
+        }
+        Ok(out.chunks_exact(8).map(dec).collect())
+    }
+
+    /// The star behind [`GaspiProc::barrier`] and the allreduces: every
+    /// member posts `mine` to member 0; member 0 peeks the tokens in
+    /// member order, `fold`s each into its own and posts the result to
+    /// every other member, which returns it. Two hops and `2(n − 1)`
+    /// tokens. Member 0 returns once every member has entered, every
+    /// other member once member 0 has folded. Tokens are only peeked and
+    /// a re-post under the same `(group, seq, phase)` overwrites one with
+    /// the same bytes, so a call cut short by a timeout is completed by
+    /// repeating it.
+    fn star(
+        &self,
+        group: crate::Group,
+        kind: crate::group::CollKind,
+        mine: Vec<u8>,
+        fold: impl Fn(&mut [u8], &[u8]) -> GaspiResult<()>,
+        timeout: Timeout,
+    ) -> GaspiResult<Vec<u8>> {
         let (members, seq) = self.shared().groups.collective_ticket(group.0, kind)?;
         self.shared().coll.purge_group_below(group.0, seq);
-        let n = members.len();
-        let i = members
-            .binary_search(&self.rank())
-            .map_err(|_| GaspiError::Group { what: "allreduce on group not containing self" })?;
+        if members.binary_search(&self.rank()).is_err() {
+            return Err(GaspiError::Group { what: "collective on group not containing self" });
+        }
         let deadline = timeout.deadline();
         let err = ErrFlag::default();
-        let pack = |vs: &[T]| -> Vec<u8> { vs.iter().flat_map(|v| enc(*v)).collect() };
-        let unpack = |bs: &[u8]| -> GaspiResult<Vec<T>> {
-            if bs.len() != input.len() * 8 {
-                return Err(GaspiError::InvalidArg("allreduce buffer length mismatch"));
+        let key = |phase, from| CollKey { group: group.0, seq, phase, from };
+        let (root, others) = (members[0], &members[1..]);
+        let out = if self.rank() == root {
+            let mut acc = mine;
+            for &m in others {
+                fold(&mut acc, &self.peek_token(key(GATHER_PHASE, m), &err, deadline)?)?;
             }
-            Ok(bs.chunks_exact(8).map(|c| dec(c.try_into().unwrap())).collect())
+            for &m in others {
+                self.send_coll_token(m, key(RELEASE_PHASE, root), acc.clone(), &err);
+            }
+            acc
+        } else {
+            self.send_coll_token(root, key(GATHER_PHASE, self.rank()), mine, &err);
+            self.peek_token(key(RELEASE_PHASE, root), &err, deadline)?
         };
-
-        let mut acc: Vec<T> = input.to_vec();
-        // Reduce phase: binomial tree toward member index 0, combining in
-        // ascending round order (deterministic).
-        let rounds = ceil_log2(n);
-        let mut sent_at_round = None;
-        for k in 0..rounds {
-            let step = 1usize << k;
-            if i % (2 * step) == step {
-                let parent = members[i - step];
-                let key =
-                    CollKey { group: group.0, seq, phase: REDUCE_PHASE + k, from: self.rank() };
-                self.send_coll_token(parent, key, pack(&acc), &err);
-                sent_at_round = Some(k);
-                break;
-            }
-            if i % (2 * step) == 0 && i + step < n {
-                let child = members[i + step];
-                let key = CollKey { group: group.0, seq, phase: REDUCE_PHASE + k, from: child };
-                let data = self.peek_token(key, &err, deadline)?;
-                let theirs = unpack(&data)?;
-                for (a, t) in acc.iter_mut().zip(theirs) {
-                    *a = combine(*a, t);
-                }
-            }
-        }
-        // Broadcast phase: the root's result flows back down the same tree.
-        let my_height = match sent_at_round {
-            Some(k) => {
-                let parent = members[i - (1usize << k)];
-                let key = CollKey { group: group.0, seq, phase: BCAST_PHASE + k, from: parent };
-                let data = self.peek_token(key, &err, deadline)?;
-                acc = unpack(&data)?;
-                k
-            }
-            None => rounds, // root (index 0)
-        };
-        for k in (0..my_height).rev() {
-            let step = 1usize << k;
-            if i + step < n {
-                let child = members[i + step];
-                let key =
-                    CollKey { group: group.0, seq, phase: BCAST_PHASE + k, from: self.rank() };
-                self.send_coll_token(child, key, pack(&acc), &err);
-            }
-        }
         self.shared().groups.finish_collective(group.0, seq);
-        Ok(acc)
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ceil_log2_values() {
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(4), 2);
-        assert_eq!(ceil_log2(5), 3);
-        assert_eq!(ceil_log2(8), 3);
-        assert_eq!(ceil_log2(9), 4);
-    }
 
     #[test]
     fn board_take_and_peek() {

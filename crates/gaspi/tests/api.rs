@@ -81,6 +81,62 @@ fn allreduce_sum_min_max_deterministic() {
 }
 
 #[test]
+fn a_plain_allreduce_folds_in_member_order_with_the_same_bits_everywhere() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let outs = world
+        .launch(|p| {
+            let g = setup_world(&p, 8)?;
+            let x = [1e16, 1.0, -1e16, 1.0][p.rank() as usize];
+            p.allreduce_f64(g, &[x], ReduceOp::Sum, Timeout::Ms(5000))
+        })
+        .join();
+    // ((1e16 + 1) − 1e16) + 1 = 1: member 1's 1.0 is rounded away, member
+    // 3's is not. Pairwise, (1e16 + 1) + (−1e16 + 1) would give 0.
+    for sum in join_ok(outs) {
+        assert_eq!(sum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), [1f64.to_bits()]);
+    }
+}
+
+#[test]
+fn a_late_member_holds_every_other_member_until_it_enters() {
+    for late in [0u32, 3] {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+        let outs = world
+            .launch(move |p| {
+                let g = setup_world(&p, 8)?;
+                let t = Timeout::Ms(5000);
+                // Per collective: when the late member entered, or when
+                // this member returned.
+                let mut at = Vec::new();
+                let mut timed = |call: &dyn Fn() -> GaspiResult<()>| {
+                    if p.rank() == late {
+                        std::thread::sleep(Duration::from_millis(50));
+                        at.push(Instant::now());
+                        call()
+                    } else {
+                        call()?;
+                        at.push(Instant::now());
+                        Ok(())
+                    }
+                };
+                timed(&|| p.allreduce_f64(g, &[1.0], ReduceOp::Sum, t).map(drop))?;
+                timed(&|| p.barrier(g, t))?;
+                Ok(at)
+            })
+            .join();
+        let at = join_ok(outs);
+        let entered = &at[late as usize];
+        for (r, returned) in at.iter().enumerate().filter(|&(r, _)| r != late as usize) {
+            for (op, (ret, entered)) in
+                ["allreduce", "barrier"].iter().zip(returned.iter().zip(entered))
+            {
+                assert!(ret >= entered, "rank {r} left the {op} before late rank {late} entered");
+            }
+        }
+    }
+}
+
+#[test]
 fn allreduce_rejects_oversized_buffers() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(2));
     let outs = world

@@ -75,13 +75,6 @@ pub fn tridiag_eigenvalues(alpha: &[f64], beta: &[f64]) -> Vec<f64> {
     d
 }
 
-/// The `k` smallest eigenvalues.
-pub fn lowest_eigenvalues(alpha: &[f64], beta: &[f64], k: usize) -> Vec<f64> {
-    let mut all = tridiag_eigenvalues(alpha, beta);
-    all.truncate(k);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +133,6 @@ mod tests {
         assert!((trace - sum).abs() < 1e-10);
         // And the spectrum is sorted.
         assert!(eig.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn lowest_k() {
-        let alpha = vec![2.0; 10];
-        let beta = vec![-1.0; 9];
-        let low = lowest_eigenvalues(&alpha, &beta, 3);
-        assert_eq!(low.len(), 3);
-        let all = tridiag_eigenvalues(&alpha, &beta);
-        assert_eq!(low, all[..3]);
     }
 
     #[test]

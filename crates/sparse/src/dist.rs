@@ -153,11 +153,11 @@ impl DistMatrix {
 /// over one value per application rank.
 ///
 /// Each rank contributes its value in its own slot of a `nparts`-wide
-/// buffer; the tree reduction only ever adds exact zeros to it, so the
-/// slots arrive exactly; the final summation then runs in application-rank
+/// buffer; the allreduce only ever adds exact zeros to it, so the slots
+/// arrive exactly; the final summation then runs in application-rank
 /// order on every rank. A recovered run therefore reproduces the
 /// failure-free run's floating-point results *bit for bit*, even though
-/// the rebuilt group reduces in a different tree shape.
+/// the rebuilt group folds its members in a different order.
 ///
 /// Falls back to a plain (order-dependent) allreduce when `nparts`
 /// exceeds the GASPI 255-element buffer limit.
