@@ -7,14 +7,11 @@
 //! signals (paper Fig. 2). Optionally, every k-th checkpoint also goes to
 //! a (slow, simulated) PFS tier for a higher degree of reliability.
 //!
-//! On top of the paper's tiering, commits are **incremental and
-//! chunk-deduplicated** (module [`chunk`]): payloads are split into
-//! fixed-size content-hashed chunks, [`Checkpointer::commit`] writes only
-//! the chunks that changed since the previous commit plus a compact
-//! manifest, and the neighbor copy ships only those dirty chunks.
-//! Periodic full commits bound the delta chain; every restore reassembles
-//! a full image from manifest + chunks and verifies a whole-payload
-//! checksum, falling back to the previous consistent version on any gap.
+//! Each version is one self-verifying image (module [`image`]): the
+//! payload plus a trailer `(magic, version, len, checksum)`, written by
+//! one put that is the commit's atomic point. The neighbor and the PFS
+//! keep the same image, and every restore verifies it, falling back to
+//! the previous version when it does not.
 //!
 //! Because node-local storage dies with the node, a failed rank's state is
 //! recovered from the *neighbor's* replica — and since failures change who
@@ -23,8 +20,7 @@
 //! cumulative failed-process list the fault detector distributes, exactly
 //! as the paper describes ("the C/R library refreshes its list of
 //! neighboring processes based on the failed processes list provided by
-//! the application thread"), and additionally forces the next commit to be
-//! full so a new replica holder gets a self-contained base image.
+//! the application thread").
 //!
 //! The store's surface is [`Checkpointer::commit`], [`Checkpointer::probe`]
 //! (newest restorable version over all tiers) and [`Checkpointer::pull`]
@@ -35,17 +31,14 @@
 //! re-initialization cost (the paper's OHF3); [`RestoreOutcome`] says *why*
 //! a restore missed (not found / timeout / checksum mismatch).
 
-pub mod chunk;
+pub mod image;
 pub mod neighbor;
 pub mod pfs;
 pub mod service;
 pub mod stats;
 pub mod writer;
 
-pub use chunk::{
-    chunk_hashes, chunk_range, chunk_tag, Manifest, CHUNK_TAG_BIT, DEFAULT_CHUNK_SIZE,
-};
-pub use ft_cluster::codec::{content_hash64, CodecError, Dec, Enc, Wire};
+pub use ft_cluster::codec::{CodecError, Dec, Enc, Wire};
 pub use neighbor::NeighborMap;
 pub use pfs::{Pfs, PfsConfig};
 pub use stats::CkptStats;

@@ -18,39 +18,22 @@ use ft_cluster::{NodeId, Rank, Topology};
 pub struct NeighborMap {
     topo: Topology,
     failed: HashSet<Rank>,
-    generation: u64,
 }
 
 impl NeighborMap {
     /// A ring with no failures.
     pub fn new(topo: Topology) -> Self {
-        Self { topo, failed: HashSet::new(), generation: 0 }
+        Self { topo, failed: HashSet::new() }
     }
 
     /// A ring derived from a cumulative failed list.
     pub fn from_failed(topo: Topology, failed: impl IntoIterator<Item = Rank>) -> Self {
-        let failed: HashSet<Rank> = failed.into_iter().collect();
-        let generation = u64::from(!failed.is_empty());
-        Self { topo, failed, generation }
+        Self { topo, failed: failed.into_iter().collect() }
     }
 
     /// Record additional failures (the paper's refresh after recovery).
     pub fn mark_failed(&mut self, ranks: &[Rank]) {
-        let before = self.failed.len();
         self.failed.extend(ranks.iter().copied());
-        if self.failed.len() != before {
-            self.generation += 1;
-        }
-    }
-
-    /// Monotone counter bumped whenever the failed set (and hence,
-    /// possibly, the ring) changes. The incremental checkpoint writer
-    /// compares this across commits: after a ring change, the next
-    /// commit is forced *full* so a new replica holder receives a
-    /// self-contained base image rather than a dirty-chunk delta against
-    /// state it never had.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The cumulative failed set.
@@ -119,18 +102,6 @@ mod tests {
         let mut m = NeighborMap::new(Topology::one_per_node(2));
         m.mark_failed(&[1]);
         assert_eq!(m.neighbor_of(NodeId(0)), None);
-    }
-
-    #[test]
-    fn generation_tracks_ring_changes_only() {
-        let mut m = NeighborMap::new(Topology::one_per_node(4));
-        assert_eq!(m.generation(), 0);
-        m.mark_failed(&[1]);
-        assert_eq!(m.generation(), 1);
-        m.mark_failed(&[1]); // already failed: no change
-        assert_eq!(m.generation(), 1);
-        m.mark_failed(&[2, 3]);
-        assert_eq!(m.generation(), 2);
     }
 
     #[test]

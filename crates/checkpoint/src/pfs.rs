@@ -62,22 +62,26 @@ impl Pfs {
         Arc::new(Self { cfg, store: Mutex::new(HashMap::new()) })
     }
 
-    /// Write a checkpoint blob; blocks for the modeled cost.
+    /// Write a checkpoint image; blocks for the modeled cost.
     pub fn write(&self, rank: Rank, tag: u32, version: u64, data: Arc<Vec<u8>>) {
         std::thread::sleep(self.cfg.cost(data.len()));
         self.store.lock().insert(PfsKey { rank, tag, version }, data);
     }
 
-    /// Read a checkpoint blob; blocks for the modeled cost.
+    /// Read a checkpoint image; blocks for the modeled cost.
     pub fn read(&self, rank: Rank, tag: u32, version: u64) -> Option<Arc<Vec<u8>>> {
         let data = self.store.lock().get(&PfsKey { rank, tag, version }).cloned()?;
         std::thread::sleep(self.cfg.cost(data.len()));
         Some(data)
     }
 
-    /// Latest version stored for `(rank, tag)`.
-    pub fn latest_version(&self, rank: Rank, tag: u32) -> Option<u64> {
-        self.store.lock().keys().filter(|k| k.rank == rank && k.tag == tag).map(|k| k.version).max()
+    /// Versions stored for `(rank, tag)`, newest first; naming them is free.
+    pub fn versions_of(&self, rank: Rank, tag: u32) -> Vec<u64> {
+        let store = self.store.lock();
+        let mut vs: Vec<u64> =
+            store.keys().filter(|k| k.rank == rank && k.tag == tag).map(|k| k.version).collect();
+        vs.sort_unstable_by(|a, b| b.cmp(a));
+        vs
     }
 
     /// Number of blobs resident.
@@ -96,8 +100,8 @@ mod tests {
         pfs.write(3, 1, 10, Arc::new(vec![1, 2, 3]));
         pfs.write(3, 1, 20, Arc::new(vec![4]));
         pfs.write(4, 1, 99, Arc::new(vec![5]));
-        assert_eq!(pfs.latest_version(3, 1), Some(20));
-        assert_eq!(pfs.latest_version(3, 2), None);
+        assert_eq!(pfs.versions_of(3, 1), [20, 10]);
+        assert!(pfs.versions_of(3, 2).is_empty());
         assert_eq!(pfs.read(3, 1, 10).as_deref(), Some(&vec![1, 2, 3]));
         assert!(pfs.read(9, 1, 1).is_none());
         assert_eq!(pfs.blobs(), 3);

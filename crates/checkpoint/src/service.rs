@@ -6,21 +6,21 @@
 //! handler without decoding it; this module defines that handler and the
 //! two requests it services:
 //!
-//! * **copy** — a committing rank pushes its dirty chunks + manifest; the
-//!   replica holder writes them into *its* node store and applies the
-//!   same pruning/GC, keeping the two stores in lockstep.
+//! * **copy** — a committing rank pushes one version's sealed image; the
+//!   replica holder stores it in *its* node store and applies the same
+//!   pruning, keeping the two stores in lockstep.
 //! * **fetch** — one [`Request`]: "the newest version you can serve" or
 //!   "exactly version v", with or without the payload. The replica holder
-//!   reassembles (and so verifies) from its manifest + chunk replica and
-//!   answers one [`Reply`].
+//!   answers one [`Reply`] through `answer`, the read path every tier
+//!   shares.
 //!
 //! Under the in-memory backend the handler runs on the scheduler thread
 //! against the shared [`NodeStorage`]; under the process backend it runs
 //! inside the replica holder's OS process against storage only that
-//! process can see — which is exactly why the assembly logic lives here,
-//! on the serving side, and the requester gets only bytes. Miss details
-//! (gap and checksum-mismatch counts) ride back in the reply so the
-//! requester's counters see what the holder saw.
+//! process can see — which is why verification happens here, on the
+//! serving side, and the requester gets only bytes. A version that failed
+//! verification rides back in the reply so the requester's counters see
+//! what the holder saw.
 //!
 //! Every byte arriving here was written by a peer: a request is decoded
 //! completely before it touches the store, and a request that does not
@@ -28,11 +28,12 @@
 
 use std::sync::Arc;
 
-use ft_cluster::{BlobKey, CodecError, Dec, Enc, NodeStorage, QueueId, Rank, Topology, Wire};
+use ft_cluster::{
+    BlobKey, CodecError, Dec, Enc, NodeId, NodeStorage, QueueId, Rank, Topology, Wire,
+};
 use ft_gaspi::{CkptHandler, GaspiProc};
 
-use crate::chunk::chunk_tag;
-use crate::writer::probe_node;
+use crate::image::verify;
 
 /// Queue for fetch request-reply traffic.
 pub const FETCH_QUEUE: QueueId = u16::MAX;
@@ -50,7 +51,7 @@ pub struct Request {
     pub rank: Rank,
     /// Which stream.
     pub tag: u32,
-    /// Exactly this version, or (`None`) the newest that reassembles.
+    /// Exactly this version, or (`None`) the newest that verifies.
     pub version: Option<u64>,
     /// Ship the materialized image, or only name the version.
     pub payload: bool,
@@ -76,36 +77,29 @@ impl Wire for Request {
     }
 }
 
-/// What one node's store answered (the default is "miss, nothing to
-/// count").
+/// What one store answered (the default is "miss, nothing to count").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Reply {
-    /// Newest requested version that reassembled and verified, with its
-    /// image (empty when the request asked for the version only).
+    /// Newest requested version that verified, with its payload (empty
+    /// when the request asked for the version only).
     pub found: Option<(u64, Vec<u8>)>,
-    /// Newest version rejected by the whole-payload checksum, if any.
+    /// Newest version whose image failed [`crate::image::verify`], if any.
     pub mismatch: Option<u64>,
-    /// Versions skipped because the manifest was unreadable or a
-    /// referenced chunk was missing.
-    pub gaps: u64,
 }
 
 impl Wire for Reply {
     fn encode(&self, e: &mut Enc) {
         self.found.encode(e);
         self.mismatch.encode(e);
-        e.u64(self.gaps);
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Self { found: Wire::decode(d)?, mismatch: Wire::decode(d)?, gaps: d.u64()? })
+        Ok(Self { found: Wire::decode(d)?, mismatch: Wire::decode(d)? })
     }
 }
 
-/// The replication push, the whole copy message: `rank`'s commit
-/// `version` as dirty chunks (`(content hash, bytes)`), the encoded
-/// manifest, and the chunk hashes the commit released. `keep` is the
-/// sender's `keep_versions`.
+/// The replication push, the whole copy message: `rank`'s sealed image of
+/// `version`. `keep` is the sender's `keep_versions`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Push {
     /// Whose checkpoint.
@@ -116,20 +110,14 @@ pub struct Push {
     pub version: u64,
     /// The sender's `keep_versions`.
     pub keep: u64,
-    /// The commit's dirty chunks, by content hash.
-    pub blobs: Vec<(u64, Arc<Vec<u8>>)>,
-    /// The encoded manifest of `version`.
-    pub manifest: Arc<Vec<u8>>,
-    /// Chunk hashes no retained manifest references any more.
-    pub release: Vec<u64>,
+    /// The version's image, as the sender stored it.
+    pub image: Arc<Vec<u8>>,
 }
 
 impl Wire for Push {
     fn encode(&self, e: &mut Enc) {
         e.u8(SVC_COPY).u32(self.rank).u32(self.tag).u64(self.version).u64(self.keep);
-        self.blobs.encode(e);
-        self.manifest.encode(e);
-        self.release.encode(e);
+        self.image.encode(e);
     }
 
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
@@ -139,18 +127,15 @@ impl Wire for Push {
                 tag: d.u32()?,
                 version: d.u64()?,
                 keep: d.u64()?,
-                blobs: Wire::decode(d)?,
-                manifest: Wire::decode(d)?,
-                release: Wire::decode(d)?,
+                image: Wire::decode(d)?,
             }),
             t => Err(CodecError::BadTag(t)),
         }
     }
 
-    /// Sized up front: a push carries whole chunks.
+    /// Sized up front: a push carries a whole image.
     fn to_bytes(&self) -> Vec<u8> {
-        let chunks: usize = self.blobs.iter().map(|(_, b)| 16 + b.len()).sum();
-        let mut e = Enc::with_capacity(64 + chunks + self.manifest.len() + 8 * self.release.len());
+        let mut e = Enc::with_capacity(64 + self.image.len());
         self.encode(&mut e);
         e.finish()
     }
@@ -159,6 +144,37 @@ impl Wire for Push {
 /// Whether the service accepted a push.
 pub(crate) fn copy_reply_ok(reply: &[u8]) -> bool {
     bool::from_bytes(reply) == Ok(true)
+}
+
+/// Answer `req` from one store — the local node, the replica holder and
+/// the PFS all run this. Walks the requested versions (`[v]`, or
+/// `versions()`, newest first); the first whose image verifies wins, and
+/// one that does not is recorded and skipped (the fall-back-to-older
+/// behavior).
+pub(crate) fn answer(
+    req: &Request,
+    versions: impl FnOnce() -> Vec<u64>,
+    get: impl Fn(u64) -> Option<Arc<Vec<u8>>>,
+) -> Reply {
+    let versions = req.version.map_or_else(versions, |v| vec![v]);
+    let mut reply = Reply::default();
+    for v in versions {
+        let Some(image) = get(v) else { continue };
+        match verify(&image, v) {
+            Some(data) => {
+                reply.found = Some((v, if req.payload { data.to_vec() } else { Vec::new() }));
+                break;
+            }
+            None => reply.mismatch = reply.mismatch.or(Some(v)),
+        }
+    }
+    reply
+}
+
+/// [`answer`] from `node`'s share of `storage`.
+pub(crate) fn answer_node(storage: &NodeStorage, node: NodeId, req: &Request) -> Reply {
+    let key = |version| BlobKey { rank: req.rank, tag: req.tag, version };
+    answer(req, || storage.versions_of(node, req.rank, req.tag), |v| storage.get(node, key(v)))
 }
 
 /// Build the service handler over a node store and placement. `to` is the
@@ -188,27 +204,19 @@ fn serve(
     // Anything but a push is a fetch to `Request`'s decoder, which
     // refuses an unknown tag.
     if msg.first() != Some(&SVC_COPY) {
-        return Ok(probe_node(storage, node, &Request::from_bytes(msg)?).to_bytes());
+        return Ok(answer_node(storage, node, &Request::from_bytes(msg)?).to_bytes());
     }
-    let Push { rank, tag, version, keep, blobs, manifest, release } = Push::from_bytes(msg)?;
-    // Same order as a local commit: chunks, then the manifest that makes
-    // them visible, then pruning and chunk GC.
-    let ctag = chunk_tag(tag);
-    for (h, blob) in blobs {
-        storage.put(node, BlobKey { rank, tag: ctag, version: h }, blob);
-    }
-    storage.put(node, BlobKey { rank, tag, version }, manifest);
+    // Same order as a local commit: the one put, then pruning.
+    let Push { rank, tag, version, keep, image } = Push::from_bytes(msg)?;
+    storage.put(node, BlobKey { rank, tag, version }, image);
     storage.prune(node, rank, tag, version.saturating_add(1).saturating_sub(keep));
-    for h in release {
-        storage.remove(node, BlobKey { rank, tag: ctag, version: h });
-    }
     Ok(true.to_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::Manifest;
+    use crate::image::seal;
 
     fn fetch(h: &CkptHandler, version: Option<u64>, payload: bool) -> Reply {
         let req = Request { rank: 0, tag: 7, version, payload };
@@ -220,22 +228,8 @@ mod tests {
         let topo = Topology::one_per_node(2);
         let h = handler(NodeStorage::new(topo.clone()), topo);
         let payload = b"replica".to_vec();
-        let m = Manifest::describe(4, &payload, 4, true);
-        let blobs: Vec<_> = m
-            .chunks
-            .iter()
-            .zip(payload.chunks(4))
-            .map(|(&h, c)| (h, Arc::new(c.to_vec())))
-            .collect();
-        let push = Push {
-            rank: 0,
-            tag: 7,
-            version: 4,
-            keep: 2,
-            blobs,
-            manifest: Arc::new(m.to_bytes()),
-            release: vec![],
-        };
+        let image = Arc::new(seal(4, payload.clone()));
+        let push = Push { rank: 0, tag: 7, version: 4, keep: 2, image };
         assert!(copy_reply_ok(&h(1, 0, COPY_QUEUE, &push.to_bytes())));
         assert_eq!(fetch(&h, None, true).found, Some((4, payload.clone())));
         assert_eq!(fetch(&h, Some(4), true).found, Some((4, payload)));

@@ -1,21 +1,28 @@
-//! Property tests: the neighbor ring, and the replica service against
-//! mangled peer bytes.
+//! Property tests: the neighbor ring, and every tier against mangled
+//! peer bytes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
+use ft_checkpoint::image::{seal, TRAILER_LEN};
 use ft_checkpoint::service::{handler, Push, Reply, Request, COPY_QUEUE, FETCH_QUEUE};
-use ft_checkpoint::{Manifest, NeighborMap, Wire};
+use ft_checkpoint::{
+    Checkpointer, CheckpointerConfig, NeighborMap, Pfs, PfsConfig, Provenance, RestoreOutcome,
+    Restored, Wire,
+};
 use ft_cluster::codec::mutants;
-use ft_cluster::{NodeId, NodeStorage, Topology};
-use ft_gaspi::CkptHandler;
+use ft_cluster::{BlobKey, NodeId, NodeStorage, Topology};
+use ft_gaspi::{CkptHandler, GaspiConfig, GaspiWorld};
 
 /// The service's whole reply to a request it rejected.
 const REJECTED: [u8; 1] = [0];
 const ACCEPTED: [u8; 1] = [1];
 /// Rank 1 serves node 1's store; rank 0 is the peer.
 const HOLDER: NodeId = NodeId(1);
+const TAG: u32 = 7;
+const T: Duration = Duration::from_secs(5);
 
 fn holder() -> (Arc<NodeStorage>, CkptHandler) {
     let topo = Topology::one_per_node(2);
@@ -23,43 +30,104 @@ fn holder() -> (Arc<NodeStorage>, CkptHandler) {
     (Arc::clone(&storage), handler(storage, topo))
 }
 
-/// A push of `version` of rank 0 with `blobs` and `manifest`.
-fn push(version: u64, blobs: Vec<(u64, Arc<Vec<u8>>)>, manifest: &[u8]) -> Vec<u8> {
-    let manifest = Arc::new(manifest.to_vec());
-    Push { rank: 0, tag: 7, version, keep: 2, blobs, manifest, release: vec![] }.to_bytes()
-}
-
-/// A well-formed push of `payload` as a full commit `version` of rank 0.
-fn full_commit(version: u64, payload: &[u8], chunk: usize) -> Vec<u8> {
-    let m = Manifest::describe(version, payload, chunk, true);
-    let blobs = m.chunks.iter().zip(payload.chunks(chunk));
-    push(version, blobs.map(|(&h, c)| (h, Arc::new(c.to_vec()))).collect(), &m.to_bytes())
+/// A push of `image` as version `version` of rank 0.
+fn push(version: u64, image: Vec<u8>) -> Vec<u8> {
+    Push { rank: 0, tag: TAG, version, keep: 2, image: Arc::new(image) }.to_bytes()
 }
 
 fn newest(h: &CkptHandler) -> Result<Reply, ft_checkpoint::CodecError> {
-    let req = Request { rank: 0, tag: 7, version: None, payload: true };
+    let req = Request { rank: 0, tag: TAG, version: None, payload: true };
     Reply::from_bytes(&h(1, 0, FETCH_QUEUE, &req.to_bytes()))
 }
 
-/// Regression (SIGABRT at `12b2707`): a manifest is peer bytes too. One
-/// that claims 40 000 chunks of 4 GiB − 1 passes `Manifest::from_bytes`;
-/// the fetch that meets it must answer a gap, not reserve the 160 TB it
-/// describes.
+fn good(version: u64) -> Vec<u8> {
+    seal(version, format!("state of version {version}").into_bytes())
+}
+
+/// Three damaged images of `version`: one flipped payload byte, the
+/// trailer cut short, and a trailer claiming 2^62 payload bytes.
+fn hostile(version: u64) -> [(&'static str, Vec<u8>); 3] {
+    let img = good(version);
+    let mut flipped = img.clone();
+    flipped[3] ^= 0x40;
+    let cut = img[..img.len() - 5].to_vec();
+    let mut claims = img.clone();
+    let len_at = img.len() - TRAILER_LEN + 16;
+    claims[len_at..len_at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    [("flipped", flipped), ("truncated", cut), ("over-claiming", claims)]
+}
+
+/// Each damaged kind of version 2, behind an intact version 1 and alone,
+/// on one tier: `restore(images)` puts `(version, image)`s on a fresh
+/// store of that tier and asks a checkpointer for the newest, returning
+/// the outcome and the checksum failures it counted. The damaged version
+/// is rejected — the older one served, or a checksum mismatch when it is
+/// alone — and nothing is sized from a claimed length (2^62 bytes would
+/// abort).
+fn hostile_images_on_one_tier(
+    tier: Provenance,
+    restore: impl Fn(Vec<(u64, Vec<u8>)>) -> (RestoreOutcome<Restored>, u64),
+) {
+    for (kind, bad) in hostile(2) {
+        let (out, failures) = restore(vec![(1, good(1)), (2, bad.clone())]);
+        let r = out.hit().unwrap_or_else(|| panic!("{kind}: version 1 must be served"));
+        assert_eq!((r.version, r.provenance, r.data), (1, tier, b"state of version 1".to_vec()));
+        assert_eq!(failures, 1, "{kind}: the rejection is counted");
+        let (out, _) = restore(vec![(2, bad)]);
+        assert_eq!(
+            out.map(|r| r.version),
+            RestoreOutcome::ChecksumMismatch { version: 2 },
+            "{kind}"
+        );
+    }
+}
+
 #[test]
-fn oversized_manifest_is_a_gap_not_an_allocation() {
-    let (_, h) = holder();
-    let chunks = vec![0u64; 40_000];
-    let m = Manifest {
-        version: 1,
-        total_len: chunks.len() as u64 * u64::from(u32::MAX),
-        chunk_size: u32::MAX,
-        full: true,
-        checksum: 0,
-        chunks,
-    };
-    assert_eq!(h(1, 0, COPY_QUEUE, &push(1, vec![], &m.to_bytes())), ACCEPTED);
-    let r = newest(&h).unwrap();
-    assert_eq!((r.found, r.gaps), (None, 1));
+fn hostile_images_are_rejected_on_the_local_tier() {
+    hostile_images_on_one_tier(Provenance::Local, |images| {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+        for (version, image) in images {
+            let key = BlobKey { rank: 0, tag: TAG, version };
+            world.storage().put(NodeId(0), key, Arc::new(image));
+        }
+        let ck = Checkpointer::new(&world.proc_handle(0), CheckpointerConfig::for_tag(TAG), None);
+        (ck.restore_latest(0, T), ck.stats().checksum_failures)
+    });
+}
+
+/// The rescue on rank 2 adopts rank 0 with its node and its replica
+/// holder gone, so only the PFS holds anything.
+#[test]
+fn hostile_images_are_rejected_on_the_pfs_tier() {
+    hostile_images_on_one_tier(Provenance::Pfs, |images| {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+        let pfs = Pfs::new(PfsConfig::instant());
+        for (version, image) in images {
+            pfs.write(0, TAG, version, Arc::new(image));
+        }
+        let cfg = CheckpointerConfig::for_tag(TAG);
+        let ck = Checkpointer::new(&world.proc_handle(2), cfg, Some(pfs));
+        ck.refresh_failed(&[0, 1]);
+        (ck.restore_latest(0, T), ck.stats().checksum_failures)
+    });
+}
+
+/// The replica tier, through the service handler a requester reaches:
+/// the damaged version comes back as a mismatch, never as a payload.
+#[test]
+fn hostile_images_are_rejected_on_the_replica_tier() {
+    for (kind, bad) in hostile(2) {
+        let (_, h) = holder();
+        assert_eq!(h(1, 0, COPY_QUEUE, &push(1, good(1))), ACCEPTED);
+        assert_eq!(h(1, 0, COPY_QUEUE, &push(2, bad.clone())), ACCEPTED);
+        let r = newest(&h).unwrap();
+        assert_eq!(r.found, Some((1, b"state of version 1".to_vec())), "{kind}");
+        assert_eq!(r.mismatch, Some(2), "{kind}");
+
+        let (_, h) = holder();
+        assert_eq!(h(1, 0, COPY_QUEUE, &push(2, bad)), ACCEPTED);
+        assert_eq!(newest(&h).unwrap(), Reply { found: None, mismatch: Some(2) }, "{kind}");
+    }
 }
 
 proptest! {
@@ -73,15 +141,14 @@ proptest! {
     #[test]
     fn a_rejected_request_changes_no_blob(
         payload in proptest::collection::vec(any::<u8>(), 1..40),
-        chunk in 4usize..17,
         version in 1u64..1000,
     ) {
         let (storage, h) = holder();
-        let good = full_commit(version, &payload, chunk);
+        let good = push(version, seal(version, payload.clone()));
         prop_assert_eq!(h(1, 0, COPY_QUEUE, &good), ACCEPTED);
         prop_assert_eq!(newest(&h).unwrap().found, Some((version, payload.clone())));
 
-        let fetch = Request { rank: 0, tag: 7, version: None, payload: true }.to_bytes();
+        let fetch = Request { rank: 0, tag: TAG, version: None, payload: true }.to_bytes();
         for (queue, msg) in [(COPY_QUEUE, good), (FETCH_QUEUE, fetch)] {
             for bad in mutants(&msg) {
                 let before = (storage.blobs_on(HOLDER), storage.bytes_on(HOLDER));

@@ -1,11 +1,11 @@
-//! Torn-commit tests: a rank killed *mid-commit* (between chunk writes,
-//! or between the chunks and the manifest) must leave the half-written
+//! Torn-commit tests: a rank killed *mid-commit* (before its image is
+//! sealed, or between sealing and the put) must leave the unfinished
 //! version invisible — every tier falls back to the previous consistent
-//! version, because the manifest put is the atomic commit point.
+//! version, because the one image put is the atomic commit point.
 //!
 //! Kills are step-indexed injections at the writer's own fault sites
-//! (`ckpt.chunk.write` / `ckpt.manifest.write`), the same sites the chaos
-//! sweep enumerates.
+//! (`ckpt.chunk.write` / `ckpt.manifest.write`, each crossed once per
+//! commit), the same sites the chaos sweep enumerates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -18,16 +18,10 @@ use ft_cluster::{FaultAction, Injection, NodeId, RankKilled};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 
 const T: Duration = Duration::from_secs(5);
-const CHUNK: usize = 16;
 
-/// 64 bytes = 4 distinct chunks (so every dirty chunk is a unique write
-/// and the site-occurrence arithmetic below is exact).
+/// 64 bytes that differ per generation.
 fn payload(gen: u8) -> Vec<u8> {
     (0..64u8).map(|i| i.wrapping_add(gen.wrapping_mul(101))).collect()
-}
-
-fn small_cfg(tag: u32) -> CheckpointerConfig {
-    CheckpointerConfig { chunk_size: CHUNK, ..CheckpointerConfig::for_tag(tag) }
 }
 
 /// Run `f`, asserting it unwinds with the simulator's `RankKilled` panic.
@@ -40,19 +34,18 @@ fn expect_killed(f: impl FnOnce()) {
 fn kill_mid_chunk_write_falls_back_to_neighbor_replica() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let p1 = world.proc_handle(1);
-    let ck1 = Checkpointer::new(&p1, small_cfg(7), None);
+    let ck1 = Checkpointer::new(&p1, CheckpointerConfig::for_tag(7), None);
     let v1 = payload(1);
     ck1.commit(1, v1.clone(), CopyPolicy::Replicate);
     assert!(ck1.drain(T), "v1 replica must land before the torn commit");
 
-    // Crossing counters start at arming, so v2's dirty-chunk writes are
-    // occurrences 1–4. Kill rank 1's node while it writes the *second*
-    // one: chunk 1 of v2 is on disk, the rest — and the manifest — never
-    // happen.
+    // Crossing counters start at arming, so v2's commit is occurrence 1.
+    // Kill rank 1's node before the image is sealed: nothing of v2 is
+    // ever stored.
     world.fault().arm_injections([Injection::at(
         "ckpt.chunk.write",
         1,
-        2,
+        1,
         FaultAction::KillNode(NodeId(1)),
     )]);
     expect_killed(|| ck1.commit(2, payload(2), CopyPolicy::Replicate));
@@ -60,7 +53,7 @@ fn kill_mid_chunk_write_falls_back_to_neighbor_replica() {
     // A rescue on rank 3 adopts rank 1: the neighbor replica still serves
     // the previous consistent version, bit-exact.
     let p3 = world.proc_handle(3);
-    let ck3 = Checkpointer::new(&p3, small_cfg(7), None);
+    let ck3 = Checkpointer::new(&p3, CheckpointerConfig::for_tag(7), None);
     ck3.refresh_failed(&[1]);
     let r = ck3.restore_latest(1, T).hit().expect("neighbor fallback");
     assert_eq!(r.version, 1);
@@ -72,14 +65,13 @@ fn kill_mid_chunk_write_falls_back_to_neighbor_replica() {
 fn kill_mid_manifest_write_falls_back_to_neighbor_replica() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let p1 = world.proc_handle(1);
-    let ck1 = Checkpointer::new(&p1, small_cfg(9), None);
+    let ck1 = Checkpointer::new(&p1, CheckpointerConfig::for_tag(9), None);
     let v1 = payload(3);
     ck1.commit(1, v1.clone(), CopyPolicy::Replicate);
     assert!(ck1.drain(T));
 
-    // All of v2's chunks land, but the manifest write (the first crossing
-    // after arming) kills the node: without a manifest the version is
-    // invisible.
+    // v2 is sealed, but the node dies at the first crossing after arming,
+    // right before the put: the version is never stored.
     world.fault().arm_injections([Injection::at(
         "ckpt.manifest.write",
         1,
@@ -89,7 +81,7 @@ fn kill_mid_manifest_write_falls_back_to_neighbor_replica() {
     expect_killed(|| ck1.commit(2, payload(4), CopyPolicy::Replicate));
 
     let p3 = world.proc_handle(3);
-    let ck3 = Checkpointer::new(&p3, small_cfg(9), None);
+    let ck3 = Checkpointer::new(&p3, CheckpointerConfig::for_tag(9), None);
     ck3.refresh_failed(&[1]);
     let r = ck3.restore_latest(1, T).hit().expect("neighbor fallback");
     assert_eq!((r.version, r.data), (1, v1));
@@ -97,42 +89,39 @@ fn kill_mid_manifest_write_falls_back_to_neighbor_replica() {
 }
 
 /// Torn commit where the *storage survives* (only the rank dies, on a
-/// two-rank node): the local tier itself must skip the orphaned chunks
-/// of the unfinished version and serve the previous manifest.
+/// two-rank node): the local tier itself serves the previous version.
 #[test]
-fn orphaned_chunks_without_manifest_fall_back_locally() {
+fn torn_commit_on_a_surviving_node_falls_back_locally() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4).with_ranks_per_node(2));
     let p0 = world.proc_handle(0);
-    let ck0 = Checkpointer::new(&p0, small_cfg(3), None);
+    let ck0 = Checkpointer::new(&p0, CheckpointerConfig::for_tag(3), None);
     let v1 = payload(5);
     ck0.commit(1, v1.clone(), CopyPolicy::Replicate);
     assert!(ck0.drain(T));
 
-    // Kill only rank 0 right before the v2 manifest put: node 0's shelf
-    // keeps v2's orphan chunks but no v2 manifest.
+    // Kill only rank 0 right before the v2 put: node 0's shelf keeps v1
+    // and nothing of v2.
     world.fault().arm_injections([Injection::kill("ckpt.manifest.write", 0, 1)]);
     expect_killed(|| ck0.commit(2, payload(6), CopyPolicy::Replicate));
 
     // Rank 1 lives on the same node and restores rank 0 from the local
-    // shelf: version walking sees manifests only, so the orphans are
-    // simply never considered.
+    // shelf.
     let p1 = world.proc_handle(1);
-    let ck1 = Checkpointer::new(&p1, small_cfg(3), None);
+    let ck1 = Checkpointer::new(&p1, CheckpointerConfig::for_tag(3), None);
     ck1.refresh_failed(&[0]);
     let r = ck1.restore_latest(0, T).hit().expect("local fallback");
     assert_eq!((r.version, r.data), (1, v1));
     assert_eq!(r.provenance, Provenance::Local);
-    assert_eq!(ck1.stats().restore_gaps, 0, "no gap: the torn version has no manifest at all");
+    assert_eq!(ck1.stats().checksum_failures, 0, "the torn version left no image to reject");
 }
 
 /// Both the home node (torn mid-commit) and the replica holder die: the
-/// PFS tier — which stores reconstituted full images — serves the last
-/// spilled consistent version.
+/// PFS tier serves the last spilled consistent version.
 #[test]
 fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let pfs = Pfs::new(PfsConfig::instant());
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..small_cfg(5) };
+    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(5) };
     let p1 = world.proc_handle(1);
     let ck1 = Checkpointer::new(&p1, cfg.clone(), Some(Arc::clone(&pfs)));
     let v1 = payload(7);
@@ -142,7 +131,7 @@ fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     world.fault().arm_injections([Injection::at(
         "ckpt.chunk.write",
         1,
-        2,
+        1,
         FaultAction::KillNode(NodeId(1)),
     )]);
     expect_killed(|| ck1.commit(2, payload(8), CopyPolicy::Replicate));

@@ -209,8 +209,8 @@ mod tests {
     fn deterministic_site_classification() {
         assert!(site_is_deterministic("gaspi.allreduce"));
         assert!(site_is_deterministic("recover.group.create"));
-        // The chunked-commit sites are crossed by the committing rank's
-        // own thread, so they stay in the determinism-asserted set.
+        // The commit sites are crossed by the committing rank's own
+        // thread, so they stay in the determinism-asserted set.
         assert!(site_is_deterministic("ckpt.chunk.write"));
         assert!(site_is_deterministic("ckpt.manifest.write"));
         assert!(!site_is_deterministic("transport.post"));

@@ -70,24 +70,9 @@ impl NodeStorage {
         self.shelf(node).lock().get(&key).cloned()
     }
 
-    /// Remove a blob; returns whether it existed.
-    pub fn remove(&self, node: NodeId, key: BlobKey) -> bool {
-        self.shelf(node).lock().remove(&key).is_some()
-    }
-
-    /// Latest version stored on `node` for `(rank, tag)`.
-    pub fn latest_version(&self, node: NodeId, rank: Rank, tag: u32) -> Option<u64> {
-        self.shelf(node)
-            .lock()
-            .keys()
-            .filter(|k| k.rank == rank && k.tag == tag)
-            .map(|k| k.version)
-            .max()
-    }
-
     /// All versions stored on `node` for `(rank, tag)`, newest first.
     /// The checkpoint writer walks this when restoring: try the newest
-    /// manifest, fall back to older ones on a gap.
+    /// image, fall back to older ones when it does not verify.
     pub fn versions_of(&self, node: NodeId, rank: Rank, tag: u32) -> Vec<u64> {
         let mut vs: Vec<u64> = self
             .shelf(node)
@@ -140,27 +125,23 @@ mod tests {
     }
 
     #[test]
-    fn put_get_remove() {
+    fn put_get() {
         let s = NodeStorage::new(Topology::new(4, 2));
         let data = Arc::new(vec![1u8, 2, 3]);
         s.put(NodeId(0), key(0, 1), Arc::clone(&data));
         assert_eq!(s.get(NodeId(0), key(0, 1)).as_deref(), Some(&vec![1, 2, 3]));
         assert_eq!(s.bytes_on(NodeId(0)), 3);
-        assert!(s.remove(NodeId(0), key(0, 1)));
-        assert!(!s.remove(NodeId(0), key(0, 1)));
-        assert_eq!(s.get(NodeId(0), key(0, 1)), None);
+        assert_eq!(s.get(NodeId(0), key(0, 2)), None);
     }
 
     #[test]
-    fn latest_version_and_prune() {
+    fn prune_keeps_the_newest() {
         let s = NodeStorage::new(Topology::new(2, 1));
         for v in 1..=5 {
             s.put(NodeId(0), key(0, v), Arc::new(vec![0u8; 8]));
         }
-        assert_eq!(s.latest_version(NodeId(0), 0, 7), Some(5));
         assert_eq!(s.prune(NodeId(0), 0, 7, 4), 3);
-        assert_eq!(s.blobs_on(NodeId(0)), 2);
-        assert_eq!(s.latest_version(NodeId(0), 0, 7), Some(5));
+        assert_eq!(s.versions_of(NodeId(0), 0, 7), [5, 4]);
         // Other tags untouched by prune.
         s.put(NodeId(0), BlobKey { rank: 0, tag: 9, version: 1 }, Arc::new(vec![]));
         assert_eq!(s.prune(NodeId(0), 0, 7, 100), 2);

@@ -130,11 +130,11 @@ pub type FanoutCompletion = Arc<dyn Fn(Rank, Outcome, Vec<u8>) + Send + Sync>;
 /// messages from the one shard thread owning that rank's node group; the
 /// TCP backend holds its process-wide dispatch lock). A handler's
 /// multi-step update therefore never interleaves with another message to
-/// the same rank: the checkpoint service applies a replica copy's chunks →
-/// manifest → prune → GC sequence whole before it serves the next fetch
-/// or copy, and a write-notify's data and notification are both in place
-/// before the next message to that rank is handled. It must never block
-/// on transport completions and must never unwind.
+/// the same rank: the checkpoint service applies a replica copy's put →
+/// prune sequence whole before it serves the next fetch or copy, and a
+/// write-notify's data and notification are both in place before the
+/// next message to that rank is handled. It must never block on
+/// transport completions and must never unwind.
 pub trait Endpoint: Send + Sync {
     /// Service one incoming message from `src` on `queue`.
     fn handle(&self, src: Rank, queue: QueueId, msg: &[u8]) -> Vec<u8>;

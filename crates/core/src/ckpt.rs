@@ -115,8 +115,8 @@ pub fn adopt_latest(ctx: &FtCtx, ck: &Checkpointer, fetch_timeout: Duration) -> 
 
 /// A rescue re-homes what it adopts: state restored from a predecessor's
 /// stream is committed again under the rescue's own rank, so the next
-/// recovery resolves it locally. The commit is full (fresh chunk table),
-/// so the rescue's replica holder gets a self-contained base image.
+/// recovery resolves it locally, and the rescue's replica holder gets a
+/// copy of it.
 fn rehome(ctx: &FtCtx, ck: &Checkpointer, restored: Restored) -> Restored {
     if ctx.restore_source() != ctx.proc.rank() {
         ck.commit(restored.version, restored.data.clone(), CopyPolicy::Replicate);

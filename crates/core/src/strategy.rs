@@ -152,7 +152,7 @@ impl<A: FtApp> RecoveryStrategy<A> for CheckpointRestart {
             let blob = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
             let (ck, _) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
             // The *checkpoint counter* is the version: the stream prunes
-            // and deduplicates over consecutive versions.
+            // over consecutive versions.
             ck.commit(iter / every, blob, CopyPolicy::Replicate);
             ctx.proc.injection_site("driver.checkpoint.commit");
         }
@@ -329,9 +329,8 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
 // Replication
 // ---------------------------------------------------------------------
 
-/// Checkpoint-stream tag of the replication mirror. Distinct from any
-/// application tag; the high bit stays clear (it is reserved by the
-/// chunk-store wire format).
+/// Checkpoint-stream tag of the replication mirror, distinct from any
+/// application tag.
 pub const REPLICA_TAG: u32 = 0x7F00_0000;
 
 /// Generations the mirror keeps per tier. The replica push is not a

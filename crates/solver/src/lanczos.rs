@@ -5,7 +5,8 @@
 //! sequences are **bit-for-bit reproducible** across runs and across
 //! recoveries — the property the integration tests assert.
 
-use ft_checkpoint::{CodecError, Dec, Enc, Wire, DEFAULT_CHUNK_SIZE};
+use ft_checkpoint::image::TRAILER_LEN;
+use ft_checkpoint::{CodecError, Dec, Enc, Wire};
 use ft_core::{FtCtx, FtResult};
 use ft_sparse::{det_allreduce_sum, DistMatrix, SpmvComm};
 
@@ -110,78 +111,30 @@ impl LanczosState {
     }
 }
 
-/// Checkpoint payload: iteration, α, β, and the two Lanczos vectors.
-///
-/// The layout is **chunk-aligned** for the incremental checkpoint
-/// pipeline: each section starts on a [`DEFAULT_CHUNK_SIZE`] boundary
-/// (zero padding in between), and the append-only α/β history is
-/// *interleaved* `(α_i, β_i)` at the very end. Between adjacent
-/// checkpoints the vectors change wholesale but the α/β prefix is
-/// immutable — only its trailing chunk (plus the newly appended pairs and
-/// the small header) is dirty, which is what keeps the dirty-chunk
-/// fraction of a commit low as the history grows. The bytes may be a
-/// peer's replica: no count may claim more values than there are bytes
-/// left.
+/// Checkpoint payload: the iteration, then `v_{j-1}`, `v_j`, α and β as
+/// four length-prefixed `f64` sections, each copied in bulk. The bytes
+/// may be a peer's replica: no count may claim more values than there
+/// are bytes left.
 impl Wire for LanczosState {
     fn encode(&self, e: &mut Enc) {
-        const A: usize = DEFAULT_CHUNK_SIZE;
-        e.u64(self.iter)
-            .u64(self.v_prev.len() as u64)
-            .u64(self.v.len() as u64)
-            .u64(self.alphas.len() as u64)
-            .u64(self.betas.len() as u64)
-            .pad_to(A);
-        for &x in &self.v_prev {
-            e.f64(x);
-        }
-        e.pad_to(A);
-        for &x in &self.v {
-            e.f64(x);
-        }
-        e.pad_to(A);
-        let paired = self.alphas.len().min(self.betas.len());
-        for i in 0..paired {
-            e.f64(self.alphas[i]).f64(self.betas[i]);
-        }
-        for &a in &self.alphas[paired..] {
-            e.f64(a);
-        }
-        for &b in &self.betas[paired..] {
-            e.f64(b);
-        }
+        e.u64(self.iter).f64s(&self.v_prev).f64s(&self.v).f64s(&self.alphas).f64s(&self.betas);
     }
 
     fn decode(d: &mut Dec) -> Result<Self, CodecError> {
-        const A: usize = DEFAULT_CHUNK_SIZE;
-        let iter = d.u64()?;
-        let n_prev = d.len_prefix(8)?;
-        let n_v = d.len_prefix(8)?;
-        let n_alphas = d.len_prefix(8)?;
-        let n_betas = d.len_prefix(8)?;
-        d.align_to(A)?;
-        let v_prev = (0..n_prev).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
-        d.align_to(A)?;
-        let v = (0..n_v).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
-        d.align_to(A)?;
-        let paired = n_alphas.min(n_betas);
-        let mut alphas = Vec::with_capacity(n_alphas);
-        let mut betas = Vec::with_capacity(n_betas);
-        for _ in 0..paired {
-            alphas.push(d.f64()?);
-            betas.push(d.f64()?);
-        }
-        for _ in paired..n_alphas {
-            alphas.push(d.f64()?);
-        }
-        for _ in paired..n_betas {
-            betas.push(d.f64()?);
-        }
-        Ok(Self { v_prev, v, alphas, betas, iter })
+        Ok(Self {
+            iter: d.u64()?,
+            v_prev: d.f64s()?,
+            v: d.f64s()?,
+            alphas: d.f64s()?,
+            betas: d.f64s()?,
+        })
     }
 
+    /// Sized with room for the image trailer a checkpoint commit appends,
+    /// so sealing does not reallocate (and copy) the image.
     fn to_bytes(&self) -> Vec<u8> {
         let values = self.alphas.len() + self.betas.len() + self.v_prev.len() + self.v.len();
-        let mut e = Enc::with_capacity(4 * DEFAULT_CHUNK_SIZE + 8 * values);
+        let mut e = Enc::with_capacity(40 + 8 * values + TRAILER_LEN);
         Wire::encode(self, &mut e);
         e.finish()
     }
@@ -213,34 +166,32 @@ mod tests {
         assert_eq!(&whole.v[4..], &right.v[..]);
     }
 
-    #[test]
-    fn encode_is_chunk_aligned_and_append_stable() {
-        const A: usize = DEFAULT_CHUNK_SIZE;
-        let sec = |len: usize| len.div_ceil(A) * A;
-        let n = 700usize; // deliberately not a multiple of the chunk size
-        let mut s = LanczosState::init(0, n, 3);
+    fn midway_state() -> LanczosState {
+        let mut s = LanczosState::init(0, 700, 3);
+        s.v_prev = s.v.iter().map(|x| x * 0.5).collect();
         s.alphas = (0..600).map(|i| i as f64).collect();
         s.betas = (0..600).map(|i| 0.5 + i as f64).collect();
         s.iter = 600;
-        let before = s.encode();
-        // One more "step": vectors change wholesale, history appends.
-        let mut t = s.clone();
-        t.v.iter_mut().for_each(|x| *x += 1.0);
-        t.alphas.push(7.0);
-        t.betas.push(8.0);
-        t.iter = 601;
-        let after = t.encode();
-        // The α/β prefix lives at a stable chunk-aligned offset and its
-        // bytes are untouched by the append — the incremental pipeline
-        // sees clean chunks there.
-        let tail_start = sec(40) + 2 * sec(n * 8);
-        let prefix = 600 * 16;
-        assert_eq!(before.len(), tail_start + prefix);
-        assert_eq!(before[tail_start..], after[tail_start..tail_start + prefix]);
-        // The v section did change (and starts on its own chunk).
-        let v_start = sec(40) + sec(n * 8);
-        assert_ne!(before[v_start..v_start + 64], after[v_start..v_start + 64]);
-        assert_eq!(LanczosState::from_bytes(&after).unwrap(), t);
+        s
+    }
+
+    #[test]
+    fn encode_round_trips_at_its_exact_size() {
+        let s = midway_state();
+        let bytes = s.encode();
+        assert_eq!(bytes.len(), 8 + 4 * 8 + 8 * (700 + 700 + 600 + 600));
+        assert_eq!(LanczosState::from_bytes(&bytes).unwrap(), s);
+        let empty =
+            LanczosState { v_prev: vec![], v: vec![], alphas: vec![], betas: vec![], iter: 0 };
+        assert_eq!(LanczosState::from_bytes(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn a_truncated_image_does_not_decode() {
+        let bytes = midway_state().encode();
+        for n in [0, 7, 8, 16, 40, bytes.len() / 2, bytes.len() - 8, bytes.len() - 1] {
+            assert!(LanczosState::from_bytes(&bytes[..n]).is_err(), "{n}-byte prefix decoded");
+        }
     }
 
     #[test]

@@ -28,9 +28,7 @@ fn main() {
     println!("rank 1 writes checkpoints; its neighbor ring partner is {:?}", ck1.neighbor_node());
 
     for version in 1..=4u64 {
-        // 64 KiB of state, of which only the last KiB changes per version:
-        // the incremental pipeline rewrites (and replicates) only the
-        // dirty chunks plus a manifest.
+        // 64 KiB of state, sealed and stored whole, then replicated.
         let mut payload = vec![0xABu8; 1 << 16];
         payload[(1 << 16) - 1024..].fill(version as u8);
         let t0 = std::time::Instant::now();
@@ -47,15 +45,6 @@ fn main() {
         st.neighbor_copies,
         st.copy_failures,
         pfs.blobs()
-    );
-    println!(
-        "  incremental pipeline: {} full + {} incremental commits, {} chunk bytes \
-for {} logical bytes (dedup ratio {:.3})",
-        st.full_commits,
-        st.incremental_commits,
-        st.chunk_bytes,
-        st.bytes_local,
-        st.dedup_ratio()
     );
 
     // Node 1 dies — its local checkpoints are gone.

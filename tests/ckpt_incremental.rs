@@ -1,23 +1,25 @@
-//! Incremental (chunk-deduplicated) checkpointing of an evolving Lanczos
-//! state, through the `gaspi_ft` facade.
+//! Whole-image checkpointing of an evolving Lanczos state, through the
+//! `gaspi_ft` facade.
 //!
 //! A sequential Lanczos recurrence on a 1-D Laplacian grows the exact
 //! state the paper checkpoints — two dense vectors that change wholesale
 //! every iteration plus an append-only α/β history — and commits it once
-//! per epoch to a `full_every(8)` and a `full_every(1)` checkpointer. The
-//! dirty ratio is taken on the *last incremental* commit because that is
-//! when the clean, append-only history is largest relative to the vectors:
-//! the steady state the dedup is for, not the warm-up where almost
-//! everything is dirty.
+//! per epoch. The newest image must come back bit-exact from each of the
+//! three tiers in turn (local node, neighbor replica, PFS), and a commit
+//! torn by a node kill must stay invisible on all of them.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
-use gaspi_ft::checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
+use gaspi_ft::checkpoint::{
+    Checkpointer, CheckpointerConfig, CopyPolicy, Pfs, PfsConfig, Provenance, RestoreOutcome, Wire,
+};
+use gaspi_ft::cluster::{FaultAction, Injection, NodeId, RankKilled};
 use gaspi_ft::gaspi::{GaspiConfig, GaspiWorld};
 use gaspi_ft::solver::LanczosState;
 
 const DIM: usize = 256;
-const CHUNK: usize = 1024;
 const EPOCHS: u64 = 8;
 const ITERS_PER_EPOCH: u64 = 200;
 const T: Duration = Duration::from_secs(30);
@@ -53,54 +55,51 @@ fn step(s: &mut LanczosState) {
 }
 
 #[test]
-fn last_incremental_commit_writes_at_most_40_percent_and_both_pipelines_restore_bit_exactly() {
-    // Two simulated nodes: rank 0 writes, the other node holds the replicas.
-    let world = GaspiWorld::new(GaspiConfig::deterministic(2));
-    let p0 = world.proc_handle(0);
-    let checkpointer = |tag, full_every| {
-        let cfg = CheckpointerConfig {
-            chunk_size: CHUNK,
-            full_every,
-            ..CheckpointerConfig::for_tag(tag)
-        };
-        Checkpointer::new(&p0, cfg, None)
-    };
-    let ck_inc = checkpointer(11, 8);
-    let ck_full = checkpointer(12, 1);
+fn whole_image_round_trips_three_tiers_and_torn_commit_is_invisible() {
+    // Four nodes: rank 1 writes, node 2 holds its replicas, rank 3 rescues.
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let pfs = Pfs::new(PfsConfig::instant());
+    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(11) };
+    let ck1 = Checkpointer::new(&world.proc_handle(1), cfg.clone(), Some(Arc::clone(&pfs)));
 
     let mut state = LanczosState::init(0, DIM, 42);
     let norm = state.v.iter().map(|x| x * x).sum::<f64>().sqrt();
     state.v.iter_mut().for_each(|x| *x /= norm);
-
-    let mut last = ck_inc.stats();
-    let mut last_payload = Vec::new();
-    let mut last_incremental = None;
     for version in 1..=EPOCHS {
         for _ in 0..ITERS_PER_EPOCH {
             step(&mut state);
         }
-        let payload = state.encode();
-        ck_inc.commit(version, payload.clone(), CopyPolicy::Replicate);
-        ck_full.commit(version, payload.clone(), CopyPolicy::Replicate);
-        let now = ck_inc.stats();
-        if now.full_commits == last.full_commits {
-            let written =
-                (now.chunk_bytes + now.manifest_bytes) - (last.chunk_bytes + last.manifest_bytes);
-            last_incremental = Some((version, written as f64 / payload.len() as f64));
-        }
-        last = now;
-        last_payload = payload;
+        ck1.commit(version, state.encode(), CopyPolicy::Replicate);
     }
-    assert!(ck_inc.drain(T) && ck_full.drain(T), "replication must drain");
+    assert!(ck1.drain(T), "replication must drain");
+    let (want, image) = (state.clone(), state.encode());
+    let restored_from = |ck: &Checkpointer, provenance| {
+        let r = ck.restore_latest(1, T).hit().expect("restore");
+        assert_eq!((r.version, r.provenance), (EPOCHS, provenance));
+        assert_eq!(r.data, image, "{provenance:?}: restored image must be bit-exact");
+        assert_eq!(LanczosState::from_bytes(&r.data).unwrap(), want);
+    };
+    restored_from(&ck1, Provenance::Local);
 
-    let (version, ratio) = last_incremental.expect("full_every(8) commits incrementally");
-    assert!(
-        ratio <= 0.40,
-        "v{version}: incremental commit wrote {ratio:.3} of the payload, bound is 0.40"
-    );
-    for (name, ck) in [("incremental", &ck_inc), ("full", &ck_full)] {
-        let r = ck.restore_latest(0, T).hit().unwrap_or_else(|| panic!("{name} restore"));
-        assert_eq!(r.version, EPOCHS, "{name}: latest version");
-        assert_eq!(r.data, last_payload, "{name}: restored image must be bit-exact");
-    }
+    // The next commit is torn right before its one put, killing node 1.
+    step(&mut state);
+    world.fault().arm_injections([Injection::at(
+        "ckpt.manifest.write",
+        1,
+        1,
+        FaultAction::KillNode(NodeId(1)),
+    )]);
+    let torn = catch_unwind(AssertUnwindSafe(|| {
+        ck1.commit(EPOCHS + 1, state.encode(), CopyPolicy::Replicate);
+    }));
+    assert!(torn.expect_err("commit must be killed").downcast_ref::<RankKilled>().is_some());
+
+    let ck3 = Checkpointer::new(&world.proc_handle(3), cfg, Some(pfs));
+    ck3.refresh_failed(&[1]);
+    restored_from(&ck3, Provenance::Neighbor(NodeId(2)));
+    world.fault().kill_node(NodeId(2));
+    ck3.refresh_failed(&[1, 2]);
+    restored_from(&ck3, Provenance::Pfs);
+    assert_eq!(ck3.probe(1, T), RestoreOutcome::Hit(EPOCHS), "the torn version is invisible");
+    assert!(matches!(ck3.pull(1, EPOCHS + 1, T), RestoreOutcome::NotFound));
 }

@@ -12,8 +12,9 @@ use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Duration;
 
+use gaspi_ft::checkpoint::image::{seal, Trailer};
 use gaspi_ft::checkpoint::service::{Push, Reply, Request};
-use gaspi_ft::checkpoint::{Manifest, MissReason};
+use gaspi_ft::checkpoint::MissReason;
 use gaspi_ft::cluster::codec::check_wire;
 use gaspi_ft::cluster::{FaultAction, FaultSchedule, Injection, NodeId, Wire};
 use gaspi_ft::core::events::MissStage;
@@ -185,8 +186,7 @@ fn comm_plan() -> CommPlan {
     }
 }
 
-/// A state of three 4 KiB sections and a short α/β tail: every section
-/// boundary and its padding.
+/// A state with every section non-empty, and α one longer than β.
 fn lanczos_state() -> LanczosState {
     let mut s = LanczosState::init(3, 7, 9);
     s.alphas = vec![0.25, -1.5, 3.0];
@@ -201,29 +201,20 @@ fn every_public_wire_type_meets_the_property() {
     check::<Injection>(&[Injection::kill("gaspi.write", 1, 3)]);
     check::<FaultSchedule>(&[schedule(), FaultSchedule::none()]);
 
-    let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-    check::<Manifest>(&[
-        Manifest::describe(7, &payload, 256, false),
-        Manifest::describe(1, &[], 64, true),
+    check::<Trailer>(&[
+        Trailer { version: 7, len: 1000, checksum: 0x1105_069b_6d94_dd77 },
+        Trailer { version: 0, len: 0, checksum: 0 },
     ]);
     check::<Request>(&[
         Request { rank: 0, tag: 7, version: None, payload: true },
         Request { rank: 3, tag: 9, version: Some(12), payload: false },
     ]);
     check::<Reply>(&[
-        Reply { found: Some((4, b"replica".to_vec())), mismatch: Some(5), gaps: 2 },
+        Reply { found: Some((4, b"replica".to_vec())), mismatch: Some(5) },
         Reply::default(),
     ]);
-    let manifest = Arc::new(Manifest::describe(4, b"replica", 4, true).to_bytes());
-    check::<Push>(&[Push {
-        rank: 0,
-        tag: 7,
-        version: 4,
-        keep: 2,
-        blobs: vec![(11, Arc::new(b"repl".to_vec())), (12, Arc::new(b"ica".to_vec()))],
-        manifest,
-        release: vec![9],
-    }]);
+    let image = Arc::new(seal(4, b"replica".to_vec()));
+    check::<Push>(&[Push { rank: 0, tag: 7, version: 4, keep: 2, image }]);
 
     check::<RecoveryPlan>(&[
         RecoveryPlan::initial(),
