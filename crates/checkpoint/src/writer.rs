@@ -301,7 +301,7 @@ impl Checkpointer {
 
     /// Block until all signaled copies have been replicated (or failed).
     /// Checkpoint/restart calls this only at finalize, never on the fast
-    /// path; `ft-core`'s `Replicated` strategy calls it after every
+    /// path; `ft-core`'s replicated preset calls it after every
     /// per-iteration commit (a synchronous push), so there the replica
     /// round trip is on the critical path.
     pub fn drain(&self, timeout: Duration) -> bool {

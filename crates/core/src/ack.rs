@@ -59,9 +59,14 @@ pub fn ctrl_seg_size(layout: &WorldLayout) -> usize {
     128 + 16 * layout.total() as usize
 }
 
-/// Create the control segment — the first thing every rank does.
+/// Create the control segment — the first thing every rank does. It has
+/// one suspect slot per rank of `layout`, however wide.
 pub fn create_ctrl_segment(proc: &GaspiProc, layout: &WorldLayout) -> GaspiResult<()> {
-    proc.segment_create(CTRL_SEG, ctrl_seg_size(layout))
+    proc.segment_create_with_slots(
+        CTRL_SEG,
+        ctrl_seg_size(layout),
+        SUSPECT_NOTIF_BASE + layout.total(),
+    )
 }
 
 /// FD side: broadcast `plan` into the control segment of every rank in
@@ -251,5 +256,20 @@ mod tests {
         broadcast_shutdown(&fd, &[1], 0, Timeout::Ms(2000)).unwrap();
         idle.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, Timeout::Ms(2000)).unwrap();
         assert_eq!(idle.notify_peek(CTRL_SEG, SHUTDOWN_NOTIF).unwrap(), 1);
+    }
+
+    #[test]
+    fn suspects_past_the_default_slot_count_reach_the_fd() {
+        // A control segment for 1 025 ranks: suspect slots run past 1 024.
+        let layout = WorldLayout::new(1008, 17);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+        let (w, fd) = (world.proc_handle(0), world.proc_handle(1));
+        create_ctrl_segment(&w, &layout).unwrap();
+        create_ctrl_segment(&fd, &layout).unwrap();
+        let last = layout.total() - 1;
+        for suspect in [1020, 1023, last] {
+            report_suspect(&w, 1, suspect, 0, Timeout::Ms(2000)).unwrap();
+        }
+        assert_eq!(drain_suspects(&fd, layout.total()).unwrap(), vec![1020, 1023, last]);
     }
 }

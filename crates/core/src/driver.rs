@@ -31,7 +31,7 @@ use crate::health::{CommPolicy, HealthWatch};
 use crate::layout::{RankMap, WorldLayout};
 use crate::plan::RecoveryPlan;
 use crate::recovery::execute_recovery;
-use crate::strategy::{RecoveryStrategy, StrategyKind};
+use crate::strategy::{Checkpointed, StrategyKind};
 
 /// Driver configuration.
 #[derive(Debug, Clone)]
@@ -329,16 +329,16 @@ pub trait FtApp {
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch
-    /// timeout for restores — what
-    /// [`CheckpointRestart`](crate::strategy::CheckpointRestart) commits
-    /// `export_state` into and votes over after a failure. `None` (the
-    /// default) suits only a job that never runs under that strategy.
+    /// timeout for restores — what the
+    /// [`CheckpointRestart`](crate::strategy::StrategyKind::CheckpointRestart)
+    /// preset commits `export_state` into and votes over after a failure.
+    /// `None` (the default) suits only a job that never runs under it.
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
         None
     }
 
     /// Encode the full solver state after `iter` completed iterations as
-    /// one self-describing blob. Every strategy's `prepare` starts here;
+    /// one self-describing blob. Every preset's `prepare` starts here;
     /// `None` (the default) opts out of all three.
     fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
         let _ = (ctx, iter);
@@ -659,7 +659,7 @@ fn recover<A: FtApp>(
     ctx: &FtCtx,
     app: &mut Option<A>,
     make_app: &impl Fn(&FtCtx) -> A,
-    strat: &mut dyn RecoveryStrategy<A>,
+    strat: &mut Checkpointed,
     mut plan: RecoveryPlan,
 ) -> FtResult<u64> {
     let rank = ctx.proc.rank();
@@ -686,8 +686,7 @@ fn recover<A: FtApp>(
             strat.restore(ctx, app)
         });
         match restored {
-            Ok(decision) => {
-                let iter = decision.resume_iter();
+            Ok(iter) => {
                 ctx.events.record(rank, EventKind::Restored { epoch: ctx.plan().epoch, iter });
                 // A rescue's state is re-homed: from now on it restores
                 // as itself.
@@ -714,10 +713,10 @@ fn worker_run<A: FtApp>(
     if activation.is_none() {
         ctx.install(recover_once(ctx, &RecoveryPlan::initial())?);
     }
-    let mut strat = ctx.cfg.strategy.build::<A>(ctx);
+    let mut strat = Checkpointed::new(ctx.cfg.strategy, ctx);
     let mut slot = None;
     let mut iter = match activation {
-        Some(plan) => recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?,
+        Some(plan) => recover(ctx, &mut slot, make_app, &mut strat, plan)?,
         None => {
             slot.insert(make_app(ctx)).setup(ctx)?;
             0
@@ -748,9 +747,8 @@ fn worker_run<A: FtApp>(
                     ctx.events.record(rank, EventKind::Finished { iter });
                     break;
                 }
-                // The strategy's steady-state work: interval checkpoints
-                // for C/R, parity encoding for ABFT, replica pushes for
-                // replication.
+                // The strategy's steady-state work: a neighbor copy or a
+                // parity round, every `every` iterations.
                 strat.prepare(ctx, app, iter)
             }
             Err(e) => Err(e),
@@ -758,8 +756,8 @@ fn worker_run<A: FtApp>(
         match stepped {
             Ok(()) => {}
             Err(FtError::Signal(FtSignal::Recover(plan))) => {
-                iter = recover(ctx, &mut slot, make_app, strat.as_mut(), plan)?;
-                // A resume at the failure frontier (ABFT reconstruction,
+                iter = recover(ctx, &mut slot, make_app, &mut strat, plan)?;
+                // A resume at the failure frontier (parity decoding,
                 // replication takeover) loses no work: record a redo
                 // interval only when there is one.
                 if iter < max_iter {

@@ -21,8 +21,8 @@
 //! [`driver::run_ft_job`]: provide `setup` / `step` / `rewire` and the
 //! state hooks (`export_state` / `load_state` / `reset_state`), and the
 //! driver runs the full Fig. 3 flow — worker group, dedicated FD, idle
-//! rescues, non-shrinking recovery under the configured
-//! [`strategy`] — over a simulated cluster with injected failures.
+//! rescues, non-shrinking recovery through the configured preset of
+//! [`Checkpointed`] — over a simulated cluster with injected failures.
 
 pub mod ack;
 pub mod ckpt;
@@ -52,6 +52,4 @@ pub use process::{
     child_env, run_child, run_supervisor, ChildEnv, ProcJobReport, ProcOutcome, ProcResult,
     SupervisorConfig,
 };
-pub use strategy::{
-    Abft, CheckpointRestart, RecoveryStrategy, Replicated, RestoreDecision, StrategyKind,
-};
+pub use strategy::{Checkpointed, StrategyKind};

@@ -1,5 +1,5 @@
 //! RAID-5-style striped XOR parity over application ranks: the pure half
-//! of [`crate::strategy::Abft`].
+//! of [`crate::strategy::Checkpointed`]'s parity code.
 //!
 //! With `n` application ranks, rank `i` cuts its state block into `n − 1`
 //! equal stripes (the last ones shorter or empty) and sends stripe

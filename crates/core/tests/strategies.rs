@@ -1,5 +1,5 @@
-//! Conformance tests for the pluggable recovery strategies: one shared
-//! kill schedule replayed under checkpoint/restart, ABFT and
+//! Conformance tests for the three recovery presets: one shared kill
+//! schedule replayed under checkpoint/restart, striped parity and
 //! replication, with the same exactness contract for all three.
 //!
 //! The deterministic accumulator makes every check bitwise: a run is
@@ -226,14 +226,31 @@ fn shared_kill() -> FaultSchedule {
 
 #[test]
 fn one_kill_schedule_is_exact_under_every_strategy() {
-    for strategy in [StrategyKind::CheckpointRestart, StrategyKind::Abft, StrategyKind::Replicated]
-    {
-        let report = job(strategy, shared_kill());
-        assert_eq!(report.killed(), vec![1], "[{}] the kill must fire", strategy.name());
-        assert_exact(&report, strategy.name());
-        let restored =
-            report.events.snapshot().iter().any(|e| matches!(e.kind, EventKind::Restored { .. }));
-        assert!(restored, "[{}] a real recovery must have happened", strategy.name());
+    // Rank 1 exits before step `i`, so `i` iterations are done: C/R rolls
+    // back to its last commit (every 4, none before 4), the other two
+    // presets copy every step and resume at the frontier. C/R drains its
+    // commits asynchronously, so a kill right after one may find its
+    // neighbor copy still in flight and roll back one interval further.
+    for i in 1..ITERS {
+        for strategy in
+            [StrategyKind::CheckpointRestart, StrategyKind::Abft, StrategyKind::Replicated]
+        {
+            let label = format!("{} kill at {i}", strategy.name());
+            let report = job(strategy, FaultSchedule::none().kill_rank_at_iteration(1, i));
+            assert_eq!(report.killed(), vec![1], "[{label}] the kill must fire");
+            assert_exact(&report, &label);
+            let resume = match strategy {
+                StrategyKind::CheckpointRestart if i % 4 == 0 => vec![i - 4, i],
+                StrategyKind::CheckpointRestart => vec![i / 4 * 4],
+                StrategyKind::Abft | StrategyKind::Replicated => vec![i],
+            };
+            let restores = restored_iters(&report);
+            assert!(!restores.is_empty(), "[{label}] a real recovery must have happened");
+            assert!(
+                resume.contains(&restores[0]) && restores.iter().all(|&r| r == restores[0]),
+                "[{label}] resumed at {restores:?}, want one of {resume:?}"
+            );
+        }
     }
 }
 

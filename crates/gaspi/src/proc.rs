@@ -200,9 +200,20 @@ impl GaspiProc {
     /// Create (and implicitly register) a segment of `size` bytes
     /// (`gaspi_segment_create`). Remote ranks can access it immediately.
     pub fn segment_create(&self, seg: SegId, size: usize) -> GaspiResult<()> {
+        self.segment_create_with_slots(seg, size, crate::config::NOTIFICATION_SLOTS)
+    }
+
+    /// [`segment_create`](Self::segment_create) with `slots` notification
+    /// slots instead of the default 1 024.
+    pub fn segment_create_with_slots(
+        &self,
+        seg: SegId,
+        size: usize,
+        slots: u32,
+    ) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.segment.create");
-        self.shared().segments.create(seg, size, crate::config::NOTIFICATION_SLOTS)
+        self.shared().segments.create(seg, size, slots)
     }
 
     /// Size of a local segment in bytes.
