@@ -11,11 +11,12 @@
 //! re-homes it under its own rank, so subsequent recoveries resolve
 //! uniformly.
 
+use std::ops::Range;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CopyPolicy, MissReason, Restored};
+use ft_checkpoint::{Checkpointer, CopyPolicy, MissReason, RestoreOutcome, Restored};
 use ft_cluster::Rank;
-use ft_gaspi::{GaspiError, ReduceOp};
+use ft_gaspi::{GaspiError, ReduceOp, ALLREDUCE_MAX_ELEMS};
 
 use crate::driver::FtCtx;
 use crate::error::{FtError, FtResult};
@@ -42,13 +43,66 @@ pub fn restore_source(plan: &RecoveryPlan, me: Rank) -> Rank {
         .unwrap_or(me)
 }
 
-/// Agree on and restore the newest group-consistent checkpoint.
+/// Where a member stands when the group votes on the replay frontier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Standing {
+    /// A rescue that has not restored yet. It holds no log and abstains,
+    /// unless a sender of its halo is such a rescue too: nobody can then
+    /// hand it that halo, and it votes for the global redo.
+    Rescue {
+        /// Whether a sender of its halo is a rescue that has not restored.
+        fed_by_rescue: bool,
+    },
+    /// A survivor whose log holds the sealed steps of the range, or none
+    /// it can replay from (no log kept, or a step that communicated
+    /// outside the seams).
+    Survivor(Option<Range<u64>>),
+}
+
+/// One member's vote on the replay frontier for commit iteration `c`: the
+/// end of its log if the log reaches back to `c`, `c` (global redo) if it
+/// does not, `u64::MAX` to abstain.
+pub fn frontier_vote(c: u64, standing: &Standing) -> u64 {
+    match standing {
+        Standing::Rescue { fed_by_rescue: false } => u64::MAX,
+        Standing::Survivor(Some(log)) if log.start <= c && c <= log.end => log.end,
+        _ => c,
+    }
+}
+
+/// The replay frontier `f` the votes agree on: the smallest log end, so
+/// every survivor's log covers `c..f`. It is `c` itself — the global
+/// redo — if any member voted so or only rescues voted.
+pub fn replay_frontier(c: u64, votes: impl IntoIterator<Item = u64>) -> u64 {
+    match votes.into_iter().min() {
+        Some(f) if f != u64::MAX => f,
+        _ => c,
+    }
+}
+
+/// What [`consistent_restore`] agreed on.
+#[derive(Debug)]
+pub struct Agreed {
+    /// The version every member installs.
+    pub restored: Restored,
+    /// The iteration it holds.
+    pub commit: u64,
+    /// How far the replay logs carry the group past it (`commit` for the
+    /// global redo).
+    pub frontier: u64,
+    /// The app ranks whose carrier is a rescue that has not restored yet.
+    pub rescues: Vec<u32>,
+}
+
+/// Agree on and restore the newest group-consistent checkpoint, and on
+/// the replay frontier past it.
 ///
 /// Two collective rounds:
 ///
 /// 1. **Vote**: allreduce-min over each member's newest restorable
 ///    version. A member with nothing drags the vote to "restart from
-///    scratch".
+///    scratch". The vote goes out in one slot per app rank, which also
+///    tells every member which app ranks a rescue carries.
 /// 2. **Confirm**: every member attempts to fetch the voted version and
 ///    the group allreduce-mins the success flags. This round is what
 ///    makes the protocol robust to *asymmetric availability*: a process
@@ -59,7 +113,9 @@ pub fn restore_source(plan: &RecoveryPlan, me: Rank) -> Rank {
 ///    If anyone misses, the whole group restarts from scratch together
 ///    (divergence would be worse than redone work; and since the
 ///    applications are reduction-order deterministic, the redone prefix
-///    rewrites bit-identical checkpoints).
+///    rewrites bit-identical checkpoints). The same round carries each
+///    member's [`frontier_vote`] for the agreed commit, the version times
+///    `iters_per_version`.
 ///
 /// Every strategy that keeps its state in a checkpoint stream restores
 /// through here (the application's stream under checkpoint/restart, the
@@ -71,34 +127,54 @@ pub fn consistent_restore(
     ctx: &FtCtx,
     ck: &Checkpointer,
     fetch_timeout: Duration,
-) -> FtResult<Option<Restored>> {
+    iters_per_version: u64,
+) -> FtResult<Option<Agreed>> {
     let me = ctx.proc.rank();
-    let source = ctx.restore_source();
-    let probed = ck.probe(source, fetch_timeout);
+    let rescue = ctx.restore_source() != me;
+    let (source, probed) = lookup(ctx, |r| ck.probe(r, fetch_timeout));
     // Not-found is the normal fresh-start vote; a timeout or a checksum
     // mismatch means state existed but was unusable — worth an event,
     // since it degrades the whole group's vote.
     if let Some(reason) = probed.miss_reason().filter(|r| *r != MissReason::NotFound) {
         ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Vote, reason });
     }
-    let mine = encode_version(probed.hit());
-    let agreed = ctx.allreduce_u64_ft(&[mine], ReduceOp::Min)?[0];
+    // Low bit clear: a rescue that has not restored yet.
+    let votes = per_app_rank(ctx, encode_version(probed.hit()) << 1 | u64::from(!rescue))?;
+    let agreed = votes.iter().map(|v| v >> 1).min().unwrap_or(0);
     if agreed == 0 {
         // At least one member has nothing at all: fresh start. (No
         // confirmation round needed — nothing to confirm.)
         return Ok(None);
     }
+    let rescues: Vec<u32> =
+        (0..).zip(&votes).filter(|(_, v)| *v & 1 == 0).map(|(a, _)| a).collect();
     let version = agreed - 1;
+    let commit = version * iters_per_version;
     let fetched = ck.pull(source, version, fetch_timeout);
     if let Some(reason) = fetched.miss_reason() {
         ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Fetch, reason });
     }
-    let ok = u64::from(fetched.is_hit());
-    let all_ok = ctx.allreduce_u64_ft(&[ok], ReduceOp::Min)?[0] == 1;
-    if !all_ok {
+    let standing = ctx.standing(rescue, &rescues);
+    let mine = [u64::from(fetched.is_hit()), frontier_vote(commit, &standing)];
+    let confirmed = ctx.allreduce_u64_ft(&mine, ReduceOp::Min)?;
+    if confirmed[0] != 1 {
         return Ok(None);
     }
-    Ok(Some(rehome(ctx, ck, fetched.hit().expect("confirmed fetch"))))
+    let restored = rehome(ctx, ck, fetched.hit().expect("confirmed fetch"));
+    let frontier = replay_frontier(commit, [confirmed[1]]);
+    Ok(Some(Agreed { restored, commit, frontier, rescues }))
+}
+
+/// Min-allreduce one `u64` per app rank: slot `a` of the result is what
+/// the carrier of app rank `a` put in.
+fn per_app_rank(ctx: &FtCtx, mine: u64) -> FtResult<Vec<u64>> {
+    let mut slots = vec![u64::MAX; ctx.num_app_ranks() as usize];
+    slots[ctx.app_rank() as usize] = mine;
+    let mut out = Vec::with_capacity(slots.len());
+    for chunk in slots.chunks(ALLREDUCE_MAX_ELEMS) {
+        out.extend(ctx.allreduce_u64_ft(chunk, ReduceOp::Min)?);
+    }
+    Ok(out)
 }
 
 /// A rescue's one-time streams (the communication plan): restore whatever
@@ -106,11 +182,24 @@ pub fn consistent_restore(
 /// re-home it. No vote — the stream is written once, in `setup`, so every
 /// tier that has it has the same version.
 pub fn adopt_latest(ctx: &FtCtx, ck: &Checkpointer, fetch_timeout: Duration) -> FtResult<Restored> {
-    let restored = ck
-        .restore_latest(ctx.restore_source(), fetch_timeout)
-        .hit()
-        .ok_or(FtError::Gaspi(GaspiError::Timeout))?;
-    Ok(rehome(ctx, ck, restored))
+    let (_, found) = lookup(ctx, |r| ck.restore_latest(r, fetch_timeout));
+    Ok(rehome(ctx, ck, found.hit().ok_or(FtError::Gaspi(GaspiError::Timeout))?))
+}
+
+/// Look up the stream of [`FtCtx::restore_source`] with `look` and, on a
+/// miss, those of the carriers it adopted from in turn: a rescue that died
+/// before what it re-homed reached its neighbor leaves only theirs. Returns
+/// the rank that hit, or the source and its miss.
+fn lookup<T>(ctx: &FtCtx, look: impl Fn(Rank) -> RestoreOutcome<T>) -> (Rank, RestoreOutcome<T>) {
+    let (plan, source) = (ctx.plan(), ctx.restore_source());
+    let first = look(source);
+    if first.is_hit() {
+        return (source, first);
+    }
+    let older = |&r: &Rank| Some(restore_source(&plan, r)).filter(|&p| p != r);
+    let hit =
+        std::iter::successors(older(&source), older).map(|r| (r, look(r))).find(|h| h.1.is_hit());
+    hit.unwrap_or((source, first))
 }
 
 /// A rescue re-homes what it adopts: state restored from a predecessor's

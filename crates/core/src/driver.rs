@@ -31,6 +31,7 @@ use crate::health::{CommPolicy, HealthWatch};
 use crate::layout::{RankMap, WorldLayout};
 use crate::plan::RecoveryPlan;
 use crate::recovery::execute_recovery;
+use crate::replay::ReplayLog;
 use crate::strategy::{Checkpointed, StrategyKind};
 
 /// Driver configuration.
@@ -207,6 +208,9 @@ pub struct FtCtx {
     /// Driver configuration.
     pub cfg: FtConfig,
     state: RefCell<CtxState>,
+    /// The replay log of the checkpoint/restart preset (see
+    /// [`crate::replay`]); kept empty under every other preset.
+    pub(crate) log: RefCell<ReplayLog>,
 }
 
 impl FtCtx {
@@ -214,7 +218,15 @@ impl FtCtx {
         let layout = cfg.layout;
         let watch = HealthWatch::new(proc.clone(), cfg.policy.clone(), layout);
         let state = RefCell::new(CtxState { group: None, app_rank: None, adopted_from: None });
-        Self { proc, layout, watch, events, cfg, state }
+        // A job that never commits has nothing to replay from.
+        let every = match cfg.strategy {
+            StrategyKind::CheckpointRestart if cfg.checkpoint_every < cfg.max_iters => {
+                cfg.checkpoint_every
+            }
+            _ => 0,
+        };
+        let log = RefCell::new(ReplayLog::new(every));
+        Self { proc, layout, watch, events, cfg, state, log }
     }
 
     fn install(&self, group: Group) {
@@ -271,18 +283,21 @@ impl FtCtx {
 
     /// Fault-tolerant barrier on the current worker group.
     pub fn barrier_ft(&self) -> FtResult<()> {
+        self.outside_seams()?;
         let (group, t) = (self.group(), self.cfg.policy.attempt);
         self.watch.retry(|| self.proc.barrier(group, t))
     }
 
     /// Fault-tolerant allreduce on the current worker group.
     pub fn allreduce_f64_ft(&self, input: &[f64], op: ReduceOp) -> FtResult<Vec<f64>> {
+        self.outside_seams()?;
         let (group, t) = (self.group(), self.cfg.policy.attempt);
         self.watch.retry(|| self.proc.allreduce_f64(group, input, op, t))
     }
 
     /// Fault-tolerant `u64` allreduce on the current worker group.
     pub fn allreduce_u64_ft(&self, input: &[u64], op: ReduceOp) -> FtResult<Vec<u64>> {
+        self.outside_seams()?;
         let (group, t) = (self.group(), self.cfg.policy.attempt);
         self.watch.retry(|| self.proc.allreduce_u64(group, input, op, t))
     }
@@ -290,12 +305,14 @@ impl FtCtx {
     /// Fault-tolerant personalised all-to-all on the current worker group
     /// (`out` indexed by group member, see [`GaspiProc::alltoall`]).
     pub fn alltoall_ft(&self, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
+        self.outside_seams()?;
         let (group, t) = (self.group(), self.cfg.policy.attempt);
         self.watch.retry(|| self.proc.alltoall(group, out, t))
     }
 
     /// Fault-tolerant queue wait.
     pub fn wait_ft(&self, queue: u16) -> FtResult<()> {
+        self.outside_seams()?;
         self.watch.retry(|| self.proc.wait(queue, self.cfg.policy.attempt))
     }
 
@@ -306,6 +323,7 @@ impl FtCtx {
         begin: NotificationId,
         count: u32,
     ) -> FtResult<NotificationId> {
+        self.outside_seams()?;
         self.watch.retry(|| self.proc.notify_waitsome(seg, begin, count, self.cfg.policy.attempt))
     }
 }
@@ -664,6 +682,9 @@ fn recover<A: FtApp>(
 ) -> FtResult<u64> {
     let rank = ctx.proc.rank();
     let activating = app.is_none();
+    // A rescue attaches once: a retry after a later failure interrupted
+    // this recovery must not set the app up twice.
+    let mut joined = !activating;
     loop {
         if activating {
             let app_rank =
@@ -677,8 +698,9 @@ fn recover<A: FtApp>(
         let restored = recover_once(ctx, &plan).and_then(|group| {
             ctx.install(group);
             let app = app.get_or_insert_with(|| make_app(ctx));
-            if activating {
+            if !joined {
                 app.join_as_rescue(ctx)?;
+                joined = true;
             }
             // The plan in force: `plan`, or a successor the watch absorbed
             // since (same group, more ranks buried).
@@ -733,7 +755,8 @@ fn worker_run<A: FtApp>(
         }
         // The paper's pre-communication health check, once per iteration
         // at minimum (the *_ft wrappers also check inside each call).
-        let stepped = match ctx.watch.check().and_then(|()| app.step(ctx, iter)) {
+        let step = || ctx.watch.check().and_then(|()| app.step(ctx, iter));
+        let stepped = match ctx.logged_step(iter, step) {
             Ok(done) => {
                 iter += 1;
                 if let Some((epoch, target)) = redo {

@@ -70,6 +70,17 @@ pub enum EventKind {
         /// Iteration resumed from.
         iter: u64,
     },
+    /// The rank re-ran steps `from..to` from the replay logs, with no
+    /// communication per step (checkpoint/restart: the agreed commit, then
+    /// the agreed frontier; see `ft_core::ckpt::replay_frontier`).
+    Replayed {
+        /// Epoch recovered to.
+        epoch: u64,
+        /// The commit iteration replayed from.
+        from: u64,
+        /// The frontier replayed to, where live steps resume.
+        to: u64,
+    },
     /// The worker re-reached its pre-failure iteration (end of redo).
     RedoComplete {
         /// Epoch.
@@ -141,6 +152,7 @@ impl Wire for Event {
             LinkFault { peer, broken } => e.u8(11).u32(*peer).u8(u8::from(*broken)),
             CapacityExhausted => e.u8(12),
             Finished { iter } => e.u8(13).u64(*iter),
+            Replayed { epoch, from, to } => e.u8(14).u64(*epoch).u64(*from).u64(*to),
         };
     }
 
@@ -175,6 +187,7 @@ impl Wire for Event {
             11 => LinkFault { peer: d.u32()?, broken: d.bool()? },
             12 => CapacityExhausted,
             13 => Finished { iter: d.u64()? },
+            14 => Replayed { epoch: d.u64()?, from: d.u64()?, to: d.u64()? },
             t => return Err(CodecError::BadTag(t)),
         };
         Ok(Event { t, rank, kind })

@@ -35,6 +35,7 @@ pub mod layout;
 pub mod plan;
 pub mod process;
 pub mod recovery;
+pub mod replay;
 pub mod strategy;
 pub mod stripe;
 

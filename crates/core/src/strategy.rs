@@ -18,7 +18,7 @@
 //!
 //! | preset | code | every | window | drain | resume point |
 //! |---|---|---|---|---|---|
-//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | last landed commit, then redo |
+//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | frontier agreed by the vote, replayed from the last landed commit |
 //! | `Replicated` | neighbor copy, its own mirror | 1 | 4 | sync | failure frontier |
 //! | `Abft` | striped parity | 1 | 2 | collective | failure frontier |
 //!
@@ -42,6 +42,7 @@ use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Wire};
 use crate::ckpt::consistent_restore;
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
+use crate::replay::replay;
 use crate::stripe;
 
 /// Strategy selection, carried by [`FtConfig`](crate::driver::FtConfig):
@@ -156,6 +157,7 @@ impl Checkpointed {
                 // The *checkpoint counter* is the version: the stream
                 // prunes over consecutive versions.
                 ck.commit(iter / self.every, block, CopyPolicy::Replicate);
+                ctx.log.borrow_mut().restart(iter);
                 ctx.proc.injection_site("driver.checkpoint.commit");
             }
             Code::NeighborCopy { mirror: Some((ck, timeout)) } => {
@@ -185,16 +187,18 @@ impl Checkpointed {
     /// (survivors and freshly adopted rescues) to one consistent state —
     /// exactly one `load_state` or `reset_state` on each — and return the
     /// iteration the group resumes from (0 after a collective fresh start).
+    /// Under checkpoint/restart every member then replays from its log to
+    /// the frontier the vote agreed on ([`crate::replay`]).
     pub fn restore<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<u64> {
         let restored = match &mut self.code {
             Code::NeighborCopy { mirror: None } => {
                 let (ck, timeout) =
                     app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-                consistent_restore(ctx, ck, timeout)?
+                consistent_restore(ctx, ck, timeout, self.every)?
             }
             Code::NeighborCopy { mirror: Some((ck, timeout)) } => {
                 ck.refresh_failed(&ctx.plan().failed);
-                let restored = consistent_restore(ctx, ck, *timeout)?;
+                let restored = consistent_restore(ctx, ck, *timeout, 1)?;
                 // A rescue just re-homed the adopted generation: like every
                 // push, it must reach the new standby before the next step
                 // can fail. (Nothing is pending on a survivor.)
@@ -203,11 +207,17 @@ impl Checkpointed {
             }
             Code::StripedParity { history } => return decode(ctx, app, history),
         };
-        // Install what the vote agreed on, or the initial state on the
-        // collective fresh-start decision.
+        // Install what the vote agreed on and replay to its frontier, or
+        // the initial state on the collective fresh-start decision.
         match restored {
-            Some(r) => app.load_state(ctx, &r.data),
-            None => app.reset_state(ctx).map(|()| 0),
+            Some(agreed) => {
+                let loaded = app.load_state(ctx, &agreed.restored.data)?;
+                replay(ctx, app, loaded, &agreed)
+            }
+            None => {
+                ctx.log.borrow_mut().restart(0);
+                app.reset_state(ctx).map(|()| 0)
+            }
         }
     }
 }
@@ -217,7 +227,7 @@ impl Checkpointed {
 /// is what that rank sent here. The stripe geometry is keyed this way
 /// because a rescue's GASPI rank sorts elsewhere in the group than the
 /// rank it replaces.
-fn exchange(ctx: &FtCtx, out: Vec<Vec<u8>>) -> FtResult<Vec<Vec<u8>>> {
+pub(crate) fn exchange(ctx: &FtCtx, out: Vec<Vec<u8>>) -> FtResult<Vec<Vec<u8>>> {
     let members = ctx.proc.group_members(ctx.group())?;
     // member_of[a]: where app rank `a`'s carrier sits in the group.
     let member_of = (0..ctx.num_app_ranks())

@@ -2,8 +2,8 @@
 //! transitions (failures → plan, takeover → plan, done → plan), the views derived from
 //! a plan (rank map, worker set, group id) and the one classification
 //! (does a newer plan change the worker group) — plus the ABFT stripe code
-//! as a pure function, and how the supervisor reads a rank process's
-//! protocol lines.
+//! as a pure function, the replay frontier rule, and how the supervisor
+//! reads a rank process's protocol lines.
 
 use std::time::Duration;
 
@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use ft_cluster::codec::to_hex;
 use ft_cluster::{Rank, Wire};
+use ft_core::ckpt::{frontier_vote, replay_frontier, Standing};
 use ft_core::plan::NO_RESCUE;
 use ft_core::process::{child_outcome, ChildEnd};
 use ft_core::stripe;
@@ -241,6 +242,95 @@ proptest! {
         // A piece of another generation never assembles.
         prop_assert_eq!(stripe::assemble(lost, n, iter.wrapping_add(1), &pieces), None);
     }
+
+    /// The replay frontier over small layouts: 2–4 workers whose halos
+    /// flow along random links, 1–2 victims in one interval, survivors
+    /// whose logs start at the voted commit `c` or at a later commit the
+    /// vote could not pick, and survivors straddling the failed step (done
+    /// with it, or not). Every member folds the same votes, so all replay to
+    /// one `f`; it lies in every survivor's log; and it is `c` — the global
+    /// redo — exactly when a victim feeds a victim, a log does not reach
+    /// back to `c`, or a log is broken.
+    #[test]
+    fn every_member_replays_to_one_frontier_inside_every_log(
+        workers in 2u32..5,
+        links in any::<u8>(),
+        victims in proptest::collection::vec(0u32..4, 1..3),
+        commit in 0u64..3,
+        kill in 0u64..11,
+        picks in proptest::collection::vec(0u8..8, 4),
+    ) {
+        let (every, c) = (10, 10 * commit);
+        // Pair (a, b) exchanges halos when its bit is set; the chain
+        // a ↔ a + 1 always does.
+        let linked = |a: u32, b: u32| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            hi == lo + 1 || links & (1 << ((lo * 4 + hi) % 8)) != 0
+        };
+        let mut victims: Vec<u32> = victims.into_iter().map(|v| v % workers).collect();
+        victims.sort_unstable();
+        victims.dedup();
+        let frontier = c + kill;
+        let mut ends = Vec::new();
+        let mut late_log = false;
+        let mut broken = false;
+        let standings: Vec<Standing> = (0..workers)
+            .map(|a| {
+                if victims.contains(&a) {
+                    let fed_by_rescue = victims.iter().any(|&v| v != a && linked(v, a));
+                    return Standing::Rescue { fed_by_rescue };
+                }
+                let pick = picks[a as usize];
+                // Straddle: a survivor may not have finished the step
+                // before the failed one.
+                let end = if pick & 1 == 1 && frontier > c { frontier - 1 } else { frontier };
+                // A survivor done with the interval committed again, and the
+                // vote did not pick that commit: its log restarted there.
+                let start = if pick & 2 == 2 && end == c + every { end } else { c };
+                late_log |= start > c;
+                ends.push(end);
+                if pick & 4 == 4 && pick & 3 == 0 {
+                    broken = true;
+                    return Standing::Survivor(None);
+                }
+                Standing::Survivor(Some(start..end))
+            })
+            .collect();
+        let votes: Vec<u64> = standings.iter().map(|s| frontier_vote(c, s)).collect();
+        let f = replay_frontier(c, votes.iter().copied());
+        // Each member sees the folded vote, whatever order the fold took.
+        for r in 0..votes.len() {
+            let rotated = votes[r..].iter().chain(&votes[..r]).copied();
+            prop_assert_eq!(replay_frontier(c, [replay_frontier(c, rotated)]), f);
+        }
+        prop_assert!(f >= c);
+        for &end in &ends {
+            prop_assert!(f <= end, "f {} past a survivor's sealed frontier {}", f, end);
+        }
+        let fed = victims.iter().any(|&a| victims.iter().any(|&v| v != a && linked(v, a)));
+        if fed || late_log || broken || ends.is_empty() {
+            prop_assert_eq!(f, c, "global redo");
+        } else {
+            prop_assert_eq!(f, *ends.iter().min().unwrap());
+        }
+    }
+}
+
+/// The fallbacks of the frontier rule, one by one.
+#[test]
+fn the_frontier_rule_falls_back_to_the_commit() {
+    let c = 100;
+    let survivor = |r: std::ops::Range<u64>| Standing::Survivor(Some(r));
+    let f = |s: &[Standing]| replay_frontier(c, s.iter().map(|s| frontier_vote(c, s)));
+    let alone = Standing::Rescue { fed_by_rescue: false };
+    let fed = Standing::Rescue { fed_by_rescue: true };
+    assert_eq!(f(&[survivor(100..160), alone.clone(), survivor(100..159)]), 159, "straddle");
+    assert_eq!(f(&[survivor(100..160), fed]), c, "a rescue feeds a rescue");
+    assert_eq!(f(&[survivor(100..160), survivor(200..200)]), c, "a log past the commit");
+    assert_eq!(f(&[survivor(100..160), Standing::Survivor(None)]), c, "a broken log");
+    assert_eq!(f(&[survivor(40..99)]), c, "a log that ends before the commit");
+    assert_eq!(f(&[alone.clone(), alone]), c, "nobody but rescues voted");
+    assert_eq!(f(&[survivor(60..130)]), 130, "a log from before the commit still covers it");
 }
 
 /// A protocol line that does not decode is never dropped and never a

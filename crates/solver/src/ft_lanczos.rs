@@ -242,7 +242,7 @@ impl FtApp for FtLanczos {
             // records; partner *ranks* need no update — the plan stores
             // application ranks and the rank map already points at the
             // rescues.
-            comm.rewire(&ctx.proc, &dm.plan)?;
+            comm.rewire(ctx, &dm.plan)?;
         }
         Ok(())
     }

@@ -221,7 +221,7 @@ impl FtApp for FtHeat {
         self.state_ck.refresh_failed(&plan.failed);
         self.plan_ck.refresh_failed(&plan.failed);
         if let (Some(comm), Some(dm)) = (&self.comm, &self.dm) {
-            comm.rewire(&ctx.proc, &dm.plan)?;
+            comm.rewire(ctx, &dm.plan)?;
         }
         Ok(())
     }

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use ft_checkpoint::{Pfs, PfsConfig};
-use ft_cluster::{FaultAction, FaultSchedule};
-use ft_core::{run_ft_job, EventKind, FtConfig, JobReport, WorldLayout};
+use ft_cluster::{FaultAction, FaultSchedule, Injection, Rank};
+use ft_core::{run_ft_job, EventKind, FtConfig, JobReport, RecoveryPlan, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
 use ft_matgen::spectra::{Diagonal, ToeplitzTridiag};
@@ -186,4 +186,134 @@ fn convergence_check_stops_early_and_agrees() {
     // All ranks stopped at the same iteration, before the cap.
     assert!(s.iter().all(|x| x.iters == s[0].iters));
     assert!(s[0].iters < 64, "convergence should stop early, got {}", s[0].iters);
+}
+
+/// Every rank's `(from, to)` replay records and resume points, in job order.
+fn replays_and_resumes(report: &JobReport<LanczosSummary>) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let ev = report.events.snapshot();
+    let replays = ev
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Replayed { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect();
+    let resumes = ev
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Restored { iter, .. } => Some(iter),
+            _ => None,
+        })
+        .collect();
+    (replays, resumes)
+}
+
+fn assert_bitwise(clean: &[LanczosSummary], faulty: &[LanczosSummary], what: &str) {
+    assert_eq!(faulty.len(), clean.len(), "{what}: all app ranks must finish");
+    for (app, s) in faulty.iter().enumerate() {
+        assert_eq!(s.alphas, clean[0].alphas, "{what}, app rank {app}: alpha");
+        assert_eq!(s.betas, clean[0].betas, "{what}, app rank {app}: beta");
+    }
+}
+
+/// The benchmark's `cr-latency` shape: 4 workers, a commit every 100
+/// steps, a kill at 160. Every rank reloads commit 100 and replays from the
+/// logs to the frontier the survivors sealed (160, or 159 for a survivor
+/// the failure caught before its last release), and the live steps resume
+/// there — none below it on any rank.
+#[test]
+fn a_checkpoint_restart_failure_replays_to_the_frontier() {
+    let gen = Graphene::new(48, 32).with_nnn(-0.1);
+    let iters = 200;
+    let clean = run_job(Arc::new(gen.clone()), 4, 4, iters, 100, false, FaultSchedule::none());
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 160);
+    let faulty = run_job(Arc::new(gen), 4, 4, iters, 100, false, schedule);
+    assert_eq!(faulty.killed(), vec![1]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "replayed");
+    let (replays, resumes) = replays_and_resumes(&faulty);
+    assert_eq!(replays.len(), 4, "every member replays once: {replays:?}");
+    let (c, f) = replays[0];
+    assert!(c == 100 && (f == 159 || f == 160), "replayed {c}..{f}");
+    assert!(replays.iter().all(|&r| r == (c, f)), "one span for all: {replays:?}");
+    assert_eq!(resumes, vec![f; 4], "live steps resume at the frontier on every rank");
+}
+
+/// A kill inside the replay — on the rescue while it replays, or on a
+/// survivor while it does — leaves the next recovery exact, even when the
+/// dead rescue's re-homed plan and state had not yet reached its neighbor.
+#[test]
+fn a_kill_inside_the_replay_is_recovered_exactly() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let (workers, spares, iters, every) = (4, 4, 60, 10);
+    let clean =
+        run_job(Arc::new(gen.clone()), workers, spares, iters, every, false, FaultSchedule::none());
+    let clean_s = summaries(&clean, workers);
+    let layout = WorldLayout::new(workers, spares);
+    let rescue: Rank = RecoveryPlan::initial().after_failures(&layout, &[1], None).rescues[0];
+    for (victim, who) in [(rescue, "the rescue"), (0, "a survivor")] {
+        let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 39).inject(Injection::kill(
+            "strategy.replay.step",
+            victim,
+            3,
+        ));
+        let faulty = run_job(Arc::new(gen.clone()), workers, spares, iters, every, false, schedule);
+        let mut killed = faulty.killed();
+        killed.sort_unstable();
+        assert_eq!(killed, vec![victim.min(1), victim.max(1)], "{who}: both kills fired");
+        assert_bitwise(&clean_s, &summaries(&faulty, workers), who);
+    }
+}
+
+/// Two adjacent app ranks lost in one interval: each rescue's halo comes
+/// partly from the other, which has nothing to hand over, so the group
+/// takes the global redo from the commit (30, or 20 if a copy of 30 was
+/// still in flight) — exactly. Two ranks share a node, so both victims'
+/// checkpoints outlive them on their nodes.
+#[test]
+fn adjacent_victims_in_one_interval_take_the_global_redo() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let run = |schedule| {
+        let layout = WorldLayout::new(4, 4);
+        let gaspi = GaspiConfig::deterministic(layout.total()).with_ranks_per_node(2);
+        let cfg = FtConfig::builder(layout)
+            .checkpoint_every(10)
+            .max_iters(60)
+            .abandon(std::time::Duration::from_secs(30))
+            .build()
+            .unwrap();
+        let app_cfg = Arc::new(FtLanczosConfig {
+            pfs: Some(Pfs::new(PfsConfig::instant())),
+            ..FtLanczosConfig::fixed_iters(Arc::new(gen.clone()))
+        });
+        let world = GaspiWorld::new(gaspi);
+        run_ft_job(&world, cfg, schedule, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)))
+    };
+    let clean = run(FaultSchedule::none());
+    let faulty =
+        run(FaultSchedule::none().kill_rank_at_iteration(1, 37).kill_rank_at_iteration(2, 37));
+    assert_eq!(faulty.killed(), vec![1, 2]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "adjacent");
+    let (replays, resumes) = replays_and_resumes(&faulty);
+    assert!(replays.is_empty(), "no replay: {replays:?}");
+    let commit = |r: &u64| (20..=30).contains(r) && r.is_multiple_of(10);
+    assert!(resumes.iter().all(|r| commit(r) && *r == resumes[0]), "global redo: {resumes:?}");
+}
+
+/// A kill right after a commit, while the victim's neighbor copy is still
+/// in flight: the vote picks the previous version, which no survivor's log
+/// reaches back to (each restarted at the newer commit), so the group takes
+/// the global redo from it — exactly. If the copy did land, the commit is
+/// the frontier and there is nothing to redo.
+#[test]
+fn a_kill_at_a_commit_whose_copy_is_in_flight_takes_the_global_redo() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let (workers, iters, every) = (4, 60, 10);
+    let clean =
+        run_job(Arc::new(gen.clone()), workers, 4, iters, every, false, FaultSchedule::none());
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 40);
+    let faulty = run_job(Arc::new(gen), workers, 4, iters, every, false, schedule);
+    assert_bitwise(&summaries(&clean, workers), &summaries(&faulty, workers), "commit kill");
+    let (replays, resumes) = replays_and_resumes(&faulty);
+    assert!(replays.is_empty(), "no replay: {replays:?}");
+    assert!(resumes.iter().all(|&r| r.is_multiple_of(10) && r <= 40), "resumed at {resumes:?}");
 }

@@ -175,7 +175,7 @@ impl FtApp for OverlapProbe {
     fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
         self.ck.refresh_failed(&plan.failed);
         if let (Some(comm), Some(dm)) = (&self.comm, &self.dm) {
-            comm.rewire(&ctx.proc, &dm.plan)?;
+            comm.rewire(ctx, &dm.plan)?;
         }
         Ok(())
     }

@@ -1,0 +1,317 @@
+//! The replay log's footprint and the apps' replay path.
+//!
+//! Under checkpoint/restart each rank logs the halo and the sums of every
+//! step since its last commit. Once the first interval has sized the log,
+//! a step appends to it without allocating — a counting allocator holds
+//! this thread's allocation count across the steps of the next intervals.
+//! No other preset, and no job that never commits, keeps a log. The heat
+//! solver replays like Lanczos: its step talks to other ranks only through
+//! the halo exchange and `det_allreduce_sums`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
+
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, Pfs, PfsConfig, Wire};
+use ft_cluster::FaultSchedule;
+use ft_core::{
+    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, StrategyKind,
+    WorldLayout,
+};
+use ft_gaspi::{GaspiConfig, GaspiWorld};
+use ft_matgen::graphene::Graphene;
+use ft_solver::heat::{FtHeat, HeatConfig};
+use ft_solver::{FtLanczos, FtLanczosConfig};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's allocations.
+struct Meter;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// const-initialised thread-local without a destructor.
+unsafe impl GlobalAlloc for Meter {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+    }
+}
+
+#[global_allocator]
+static METER: Meter = Meter;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const EVERY: u64 = 10;
+const HALO: usize = 96;
+
+/// A step that receives a 96-value halo and two sums through the replay
+/// seams and computes them locally, so the only allocation a step could
+/// make is the log's own. The state is the iteration count.
+struct SeamsOnly {
+    ck: Checkpointer,
+    halo: Vec<f64>,
+    iter: u64,
+    /// Allocations from the entry of one step to the entry of the next,
+    /// over the steps past the first interval that are not followed by a
+    /// commit.
+    late_allocs: u64,
+    /// The log's size after every step.
+    bytes: Vec<usize>,
+    entered: Option<(u64, u64)>,
+}
+
+impl SeamsOnly {
+    fn new(ctx: &FtCtx) -> Self {
+        let ck = Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(7), None);
+        let bytes = Vec::with_capacity(64);
+        Self { ck, halo: Vec::with_capacity(HALO), iter: 0, late_allocs: 0, bytes, entered: None }
+    }
+}
+
+impl FtApp for SeamsOnly {
+    type Summary = (u64, Vec<usize>);
+
+    fn setup(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        let now = allocs();
+        if let Some((prev, at)) = self.entered {
+            if prev > EVERY && !(prev + 1).is_multiple_of(EVERY) {
+                self.late_allocs += now - at;
+            }
+        }
+        ctx.logged_halo(&mut self.halo, HALO, |h| {
+            h.fill(iter as f64);
+            Ok(())
+        })?;
+        let mut sums = [iter as f64, 1.0];
+        ctx.logged_sums(&mut sums, |s| {
+            s[1] = s[0] * 2.0;
+            Ok(())
+        })?;
+        self.iter = iter + 1;
+        self.bytes.push(ctx.replay_log_bytes());
+        self.entered = Some((iter, allocs()));
+        Ok(false)
+    }
+
+    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
+        Some((&self.ck, Duration::from_secs(5)))
+    }
+
+    fn export_state(&self, _ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+        Ok(Some(iter.to_bytes()))
+    }
+
+    fn load_state(&mut self, _ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+        self.iter = u64::from_bytes(data)?;
+        Ok(self.iter)
+    }
+
+    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        self.iter = 0;
+        Ok(())
+    }
+
+    fn rewire(&mut self, _ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.ck.refresh_failed(&plan.failed);
+        Ok(())
+    }
+
+    fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<(u64, Vec<usize>)> {
+        Ok((self.late_allocs, std::mem::take(&mut self.bytes)))
+    }
+}
+
+fn config(strategy: StrategyKind, every: u64, iters: u64) -> FtConfig {
+    FtConfig::builder(WorldLayout::new(2, 2))
+        .strategy(strategy)
+        .checkpoint_every(every)
+        .max_iters(iters)
+        .abandon(Duration::from_secs(30))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn after_the_first_interval_a_step_logs_without_allocating() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+    let cfg = config(StrategyKind::CheckpointRestart, EVERY, 5 * EVERY);
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), SeamsOnly::new);
+    let s = report.worker_summaries();
+    assert_eq!(s.len(), 2);
+    for (app, (late_allocs, bytes)) in s {
+        assert_eq!(*late_allocs, 0, "app rank {app}: the log allocated after its first interval");
+        // One interval of halos, sums and step marks, sized by the first
+        // step (its mark is pushed once it returned) and never grown.
+        let interval = EVERY as usize * (8 * HALO + 8 * 2 + 16);
+        assert_eq!(bytes[1], interval, "app rank {app}");
+        assert!(
+            bytes[1..].iter().all(|&b| b == interval),
+            "app rank {app}: the log grew: {bytes:?}"
+        );
+    }
+}
+
+#[test]
+fn no_log_without_checkpoint_restart_commits() {
+    for (strategy, every) in [
+        (StrategyKind::CheckpointRestart, 0),
+        (StrategyKind::CheckpointRestart, 3 * EVERY),
+        (StrategyKind::Abft, EVERY),
+        (StrategyKind::Replicated, EVERY),
+    ] {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(4));
+        let report = run_ft_job(
+            &world,
+            config(strategy, every, 3 * EVERY),
+            FaultSchedule::none(),
+            SeamsOnly::new,
+        );
+        let s = report.worker_summaries();
+        assert_eq!(s.len(), 2, "{strategy:?}: {:?}", report.first_error());
+        for (app, (_, bytes)) in s {
+            assert!(
+                bytes.iter().all(|&b| b == 0),
+                "{strategy:?} every {every}, app rank {app}: {bytes:?}"
+            );
+        }
+    }
+}
+
+/// The benchmark's `noft` variant: Lanczos with `checkpoint_every(0)`
+/// keeps no log; with commits, the log stops growing after the first
+/// interval.
+#[test]
+fn lanczos_logs_one_interval_and_nothing_without_commits() {
+    for (every, logged) in [(0, false), (EVERY, true)] {
+        let layout = WorldLayout::new(4, 1);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let cfg =
+            FtConfig::builder(layout).checkpoint_every(every).max_iters(4 * EVERY).build().unwrap();
+        let gen = Arc::new(Graphene::new(12, 8).with_nnn(-0.1));
+        let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(gen));
+        let sizes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&sizes);
+        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
+            Sized(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&seen))
+        });
+        assert_eq!(report.worker_summaries().len(), 4);
+        let sizes = sizes.lock().unwrap();
+        if logged {
+            let first = sizes.iter().find(|(i, _)| *i == EVERY).map(|&(_, b)| b).unwrap();
+            assert!(first > 0);
+            assert!(
+                sizes.iter().filter(|(i, _)| *i >= EVERY).all(|&(_, b)| b == first),
+                "{sizes:?}"
+            );
+        } else {
+            assert!(sizes.iter().all(|&(_, b)| b == 0), "{sizes:?}");
+        }
+    }
+}
+
+/// An app wrapped to record `(iteration, log bytes)` after each step (app
+/// rank 0 only).
+struct Sized<A>(A, Arc<std::sync::Mutex<Vec<(u64, usize)>>>);
+
+impl<A: FtApp> FtApp for Sized<A> {
+    type Summary = A::Summary;
+
+    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.setup(ctx)
+    }
+
+    fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.join_as_rescue(ctx)
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        let done = self.0.step(ctx, iter)?;
+        if ctx.app_rank() == 0 {
+            self.1.lock().unwrap().push((iter + 1, ctx.replay_log_bytes()));
+        }
+        Ok(done)
+    }
+
+    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
+        self.0.state_stream()
+    }
+
+    fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+        self.0.export_state(ctx, iter)
+    }
+
+    fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+        self.0.load_state(ctx, data)
+    }
+
+    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.reset_state(ctx)
+    }
+
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.0.rewire(ctx, plan)
+    }
+
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<A::Summary> {
+        self.0.finalize(ctx)
+    }
+}
+
+/// Heat replays: a kill 25 steps past a commit costs a replay of those 25
+/// steps on every rank, and the field lands where the failure-free run's
+/// does, bit for bit.
+#[test]
+fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
+    let run = |schedule: FaultSchedule| {
+        let layout = WorldLayout::new(4, 2);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let cfg = FtConfig::builder(layout)
+            .checkpoint_every(50)
+            .max_iters(120)
+            .abandon(Duration::from_secs(30))
+            .build()
+            .unwrap();
+        let app_cfg = Arc::new(HeatConfig {
+            pfs: Some(Pfs::new(PfsConfig::instant())),
+            ..HeatConfig::new(16, 16)
+        });
+        run_ft_job(&world, cfg, schedule, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)))
+    };
+    let clean = run(FaultSchedule::none());
+    let faulty = run(FaultSchedule::none().kill_rank_at_iteration(1, 75));
+    assert_eq!(faulty.killed(), vec![1]);
+    let (c, f) = (clean.worker_summaries(), faulty.worker_summaries());
+    assert_eq!(f.len(), 4, "{:?}", faulty.first_error());
+    for ((_, a), (_, b)) in c.iter().zip(&f) {
+        assert_eq!((a.iters, a.solution_norm.to_bits()), (b.iters, b.solution_norm.to_bits()));
+    }
+    let replays: Vec<(u64, u64)> = faulty
+        .events
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Replayed { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replays.len(), 4, "every member replays: {replays:?}");
+    assert!(replays.iter().all(|&(from, to)| from == 50 && (to == 74 || to == 75)), "{replays:?}");
+}

@@ -169,20 +169,30 @@ pub fn det_allreduce_sum(ctx: &FtCtx, value: f64) -> FtResult<f64> {
 /// `det_allreduce_sum` of its value alone would give, deterministic up to
 /// the same 255 parts. The `nparts · K` buffer goes out in collectives of
 /// at most 255 elements — one while `nparts · K` fits.
+///
+/// This is the reduction seam of local replay: the sums go through
+/// [`FtCtx::logged_sums`], logged, or in a replay read from the log.
 pub fn det_allreduce_sums<const K: usize>(ctx: &FtCtx, values: [f64; K]) -> FtResult<[f64; K]> {
-    let nparts = ctx.num_app_ranks() as usize;
-    if nparts > ft_gaspi::ALLREDUCE_MAX_ELEMS {
-        let s = ctx.allreduce_f64_ft(&values, ReduceOp::Sum)?;
-        return Ok(std::array::from_fn(|j| s[j]));
-    }
-    let mut buf = vec![0.0f64; nparts * K];
-    let me = ctx.app_rank() as usize;
-    buf[me * K..(me + 1) * K].copy_from_slice(&values);
-    let mut out = Vec::with_capacity(buf.len());
-    for chunk in buf.chunks(ft_gaspi::ALLREDUCE_MAX_ELEMS) {
-        out.extend(ctx.allreduce_f64_ft(chunk, ReduceOp::Sum)?);
-    }
-    Ok(std::array::from_fn(|j| out.iter().skip(j).step_by(K).sum()))
+    let mut sums = values;
+    ctx.logged_sums(&mut sums, |sums| {
+        let nparts = ctx.num_app_ranks() as usize;
+        if nparts > ft_gaspi::ALLREDUCE_MAX_ELEMS {
+            sums.copy_from_slice(&ctx.allreduce_f64_ft(sums, ReduceOp::Sum)?);
+            return Ok(());
+        }
+        let mut buf = vec![0.0f64; nparts * K];
+        let me = ctx.app_rank() as usize;
+        buf[me * K..(me + 1) * K].copy_from_slice(sums);
+        let mut out = Vec::with_capacity(buf.len());
+        for chunk in buf.chunks(ft_gaspi::ALLREDUCE_MAX_ELEMS) {
+            out.extend(ctx.allreduce_f64_ft(chunk, ReduceOp::Sum)?);
+        }
+        for (j, s) in sums.iter_mut().enumerate() {
+            *s = out.iter().skip(j).step_by(K).sum();
+        }
+        Ok(())
+    })?;
+    Ok(sums)
 }
 
 #[cfg(test)]

@@ -54,13 +54,6 @@ pub struct PendingExchange {
     tag: u32,
 }
 
-impl PendingExchange {
-    /// The iteration tag this exchange was posted with.
-    pub fn tag(&self) -> u32 {
-        self.tag
-    }
-}
-
 /// The communication state of one rank's spMVM: two segments and the
 /// staging layout.
 #[derive(Debug)]
@@ -107,6 +100,8 @@ impl SpmvComm {
     ///
     /// `x_local` is this rank's vector chunk; `tag` must be
     /// [`SpmvComm::tag_for_iter`] of the current iteration on every rank.
+    /// In a replay nothing is written; the blocks go to
+    /// [`FtCtx::keep_post`].
     pub fn post(
         &self,
         ctx: &FtCtx,
@@ -114,6 +109,12 @@ impl SpmvComm {
         x_local: &[f64],
         tag: u32,
     ) -> FtResult<PendingExchange> {
+        if ctx.replaying() {
+            for send in &plan.sends {
+                ctx.keep_post(send.to, send.local_rows.iter().map(|&li| x_local[li as usize]));
+            }
+            return Ok(PendingExchange { tag });
+        }
         let proc = &ctx.proc;
         for (send, &off) in plan.sends.iter().zip(&self.stage_offsets) {
             proc.with_segment_mut(self.seg_stage, |b| {
@@ -139,7 +140,9 @@ impl SpmvComm {
 
     /// Phase two: await one tagged notification per incoming block
     /// (dropping stale tags left over from pre-recovery traffic), read
-    /// the halo into `halo_out`, and flush our own writes.
+    /// the halo into `halo_out`, and flush our own writes. The halo goes
+    /// through [`FtCtx::logged_halo`]: logged, or in a replay read from
+    /// the log.
     pub fn wait(
         &self,
         ctx: &FtCtx,
@@ -148,33 +151,25 @@ impl SpmvComm {
         halo_out: &mut Vec<f64>,
     ) -> FtResult<()> {
         let proc = &ctx.proc;
-        for recv in &plan.recvs {
-            loop {
-                ctx.notify_waitsome_ft(self.seg_halo, recv.from, 1)?;
-                let v = proc.notify_reset(self.seg_halo, recv.from)?;
-                if v == pending.tag {
-                    break;
+        ctx.logged_halo(halo_out, plan.halo_len, |halo_out| {
+            for recv in &plan.recvs {
+                loop {
+                    ctx.notify_waitsome_ft(self.seg_halo, recv.from, 1)?;
+                    let v = proc.notify_reset(self.seg_halo, recv.from)?;
+                    if v == pending.tag {
+                        break;
+                    }
                 }
             }
-        }
-        // Read the full halo.
-        halo_out.resize(plan.halo_len, 0.0);
-        proc.with_segment(self.seg_halo, |b| {
-            for (i, h) in halo_out.iter_mut().enumerate() {
-                *h = bytes::get_f64(b, 8 * i);
-            }
-        })?;
-        // Flush our writes before the iteration's collectives.
-        ctx.wait_ft(self.queue)
-    }
-
-    /// Clear all halo notifications — part of post-recovery rewiring, so
-    /// no pre-failure notification can satisfy a post-restore wait.
-    pub fn reset_notifications(&self, proc: &GaspiProc, plan: &CommPlan) -> GaspiResult<()> {
-        for from in 0..plan.nparts {
-            let _ = proc.notify_reset(self.seg_halo, from)?;
-        }
-        Ok(())
+            // Read the full halo.
+            proc.with_segment(self.seg_halo, |b| {
+                for (i, h) in halo_out.iter_mut().enumerate() {
+                    *h = bytes::get_f64(b, 8 * i);
+                }
+            })?;
+            // Flush our writes before the iteration's collectives.
+            ctx.wait_ft(self.queue)
+        })
     }
 
     /// Full post-recovery rewire: drop stale notifications *and* the halo
@@ -182,10 +177,17 @@ impl SpmvComm {
     /// completed as broken; that failure has been acknowledged and must
     /// not poison the next `wait`). Any exchange posted before the
     /// failure is implicitly abandoned — its [`PendingExchange`] was
-    /// dropped with the unwound iteration.
-    pub fn rewire(&self, proc: &GaspiProc, plan: &CommPlan) -> GaspiResult<()> {
-        self.reset_notifications(proc, plan)?;
-        proc.queue_purge(self.queue, ft_gaspi::Timeout::Ms(200))
+    /// dropped with the unwound iteration. It also tells the context
+    /// where the halo comes from ([`FtCtx::halo_senders`]): a rescue
+    /// rebuilds its replay log from its senders.
+    pub fn rewire(&self, ctx: &FtCtx, plan: &CommPlan) -> GaspiResult<()> {
+        ctx.halo_senders(
+            plan.recvs.iter().map(|r| (r.from, r.halo_offset..r.halo_offset + r.cols.len())),
+        );
+        for from in 0..plan.nparts {
+            let _ = ctx.proc.notify_reset(self.seg_halo, from)?;
+        }
+        ctx.proc.queue_purge(self.queue, ft_gaspi::Timeout::Ms(200))
     }
 }
 

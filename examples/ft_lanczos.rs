@@ -94,6 +94,9 @@ fn demo(strategy: StrategyKind) {
             EventKind::Restored { epoch, iter } if e.rank == 0 => {
                 println!("    {:>9.3?}  state restored to iteration {iter} (epoch {epoch})", e.t)
             }
+            EventKind::Replayed { from, to, .. } if e.rank == 0 => {
+                println!("    {:>9.3?}  steps {from}..{to} replayed from the logs", e.t)
+            }
             EventKind::RedoComplete { iter, .. } if e.rank == 0 => {
                 println!("    {:>9.3?}  redo complete, back at iteration {iter}", e.t)
             }

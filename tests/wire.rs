@@ -119,6 +119,7 @@ fn one_of_every_kind() -> Vec<Event> {
         RestoreMiss { stage: MissStage::Fetch, reason: MissReason::NotFound },
         Restored { epoch: 3, iter: 400 },
         RedoComplete { epoch: 3, iter: 460 },
+        Replayed { epoch: 3, from: 400, to: 460 },
         Activated { app_rank: 2 },
         FdPromoted,
         FdTakeover { dead_fd: 5 },
@@ -144,9 +145,10 @@ fn one_of_every_kind() -> Vec<Event> {
             LinkFault { .. } => 11,
             CapacityExhausted => 12,
             Finished { .. } => 13,
+            Replayed { .. } => 14,
         });
     }
-    assert_eq!(seen.len(), 14, "every kind must be listed");
+    assert_eq!(seen.len(), 15, "every kind must be listed");
     let event =
         |(i, kind)| Event { t: Duration::from_nanos(1_000_003 * i as u64), rank: i as u32, kind };
     kinds.into_iter().enumerate().map(event).collect()
