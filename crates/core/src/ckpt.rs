@@ -23,13 +23,6 @@ use crate::error::{FtError, FtResult};
 use crate::events::{EventKind, MissStage};
 use crate::plan::RecoveryPlan;
 
-/// Versions are shifted by one on the wire so that 0 means "nothing
-/// restorable" — a member with no checkpoint then correctly drags the
-/// group minimum to "restart from scratch" instead of being ignored.
-fn encode_version(v: Option<u64>) -> u64 {
-    v.map_or(0, |v| v + 1)
-}
-
 /// The rank whose checkpoints `me` must restore: its failed predecessor if
 /// `me` is a rescue in `plan` (the *last* adoption wins for chained
 /// failures), otherwise `me` itself.
@@ -80,11 +73,42 @@ pub fn replay_frontier(c: u64, votes: impl IntoIterator<Item = u64>) -> u64 {
     }
 }
 
-/// What [`consistent_restore`] agreed on.
+/// What the first round of a restore says, one slot per app rank.
+#[derive(Debug)]
+pub(crate) struct Votes {
+    /// Per app rank, the newest version its carrier can restore (+1, so 0
+    /// means nothing).
+    pub offers: Vec<u64>,
+    /// The app ranks whose carrier is a rescue that has not restored yet.
+    pub rescues: Vec<u32>,
+}
+
+/// The vote both codes open their restore with: a min-allreduce of one slot
+/// per app rank, in which each member offers its `newest` restorable
+/// version and says whether it is a rescue that has not restored yet.
+pub(crate) fn vote(ctx: &FtCtx, newest: Option<u64>) -> FtResult<Votes> {
+    let rescue = ctx.restore_source() != ctx.proc.rank();
+    let mut slots = vec![u64::MAX; ctx.num_app_ranks() as usize];
+    // Versions shift by one so that a member with nothing (0) drags the
+    // minimum to the fresh start instead of being ignored. Low bit clear:
+    // a rescue that has not restored yet.
+    slots[ctx.app_rank() as usize] = newest.map_or(0, |v| v + 1) << 1 | u64::from(!rescue);
+    let mut offers = Vec::with_capacity(slots.len());
+    for chunk in slots.chunks(ALLREDUCE_MAX_ELEMS) {
+        offers.extend(ctx.allreduce_u64_ft(chunk, ReduceOp::Min)?);
+    }
+    let rescues = (0..).zip(&offers).filter(|(_, v)| *v & 1 == 0).map(|(a, _)| a).collect();
+    offers.iter_mut().for_each(|v| *v >>= 1);
+    Ok(Votes { offers, rescues })
+}
+
+/// What a restore agreed on, installed by
+/// [`Checkpointed::restore`](crate::strategy::Checkpointed::restore).
 #[derive(Debug)]
 pub struct Agreed {
-    /// The version every member installs.
-    pub restored: Restored,
+    /// The state every member installs; `None` for the initial state, at
+    /// commit 0 (the fresh start).
+    pub image: Option<Vec<u8>>,
     /// The iteration it holds.
     pub commit: u64,
     /// How far the replay logs carry the group past it (`commit` for the
@@ -99,10 +123,9 @@ pub struct Agreed {
 ///
 /// Two collective rounds:
 ///
-/// 1. **Vote**: allreduce-min over each member's newest restorable
-///    version. A member with nothing drags the vote to "restart from
-///    scratch". The vote goes out in one slot per app rank, which also
-///    tells every member which app ranks a rescue carries.
+/// 1. **Vote** (`vote`): allreduce-min over each member's newest
+///    restorable version. A member with nothing drags the vote to the
+///    fresh start, commit 0.
 /// 2. **Confirm**: every member attempts to fetch the voted version and
 ///    the group allreduce-mins the success flags. This round is what
 ///    makes the protocol robust to *asymmetric availability*: a process
@@ -115,12 +138,12 @@ pub struct Agreed {
 ///    applications are reduction-order deterministic, the redone prefix
 ///    rewrites bit-identical checkpoints). The same round carries each
 ///    member's [`frontier_vote`] for the agreed commit, the version times
-///    `iters_per_version`.
+///    `iters_per_version`, so a failure before the first commit replays
+///    from 0 too.
 ///
 /// Every strategy that keeps its state in a checkpoint stream restores
 /// through here (the application's stream under checkpoint/restart, the
-/// mirror under replication). Returns `Ok(None)` for the collective
-/// restart-from-scratch decision. A rank that restored its predecessor's
+/// mirror under replication). A rank that restored its predecessor's
 /// checkpoint ([`FtCtx::restore_source`]) re-homes it under its own rank
 /// before returning.
 pub fn consistent_restore(
@@ -128,9 +151,8 @@ pub fn consistent_restore(
     ck: &Checkpointer,
     fetch_timeout: Duration,
     iters_per_version: u64,
-) -> FtResult<Option<Agreed>> {
+) -> FtResult<Agreed> {
     let me = ctx.proc.rank();
-    let rescue = ctx.restore_source() != me;
     let (source, probed) = lookup(ctx, |r| ck.probe(r, fetch_timeout));
     // Not-found is the normal fresh-start vote; a timeout or a checksum
     // mismatch means state existed but was unusable — worth an event,
@@ -138,43 +160,24 @@ pub fn consistent_restore(
     if let Some(reason) = probed.miss_reason().filter(|r| *r != MissReason::NotFound) {
         ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Vote, reason });
     }
-    // Low bit clear: a rescue that has not restored yet.
-    let votes = per_app_rank(ctx, encode_version(probed.hit()) << 1 | u64::from(!rescue))?;
-    let agreed = votes.iter().map(|v| v >> 1).min().unwrap_or(0);
-    if agreed == 0 {
-        // At least one member has nothing at all: fresh start. (No
-        // confirmation round needed — nothing to confirm.)
-        return Ok(None);
-    }
-    let rescues: Vec<u32> =
-        (0..).zip(&votes).filter(|(_, v)| *v & 1 == 0).map(|(a, _)| a).collect();
-    let version = agreed - 1;
-    let commit = version * iters_per_version;
-    let fetched = ck.pull(source, version, fetch_timeout);
-    if let Some(reason) = fetched.miss_reason() {
+    let Votes { offers, rescues } = vote(ctx, probed.hit())?;
+    // Nothing to fetch at commit 0.
+    let version = offers.iter().min().and_then(|v| v.checked_sub(1));
+    let fetched = version.map(|v| ck.pull(source, v, fetch_timeout));
+    if let Some(reason) = fetched.as_ref().and_then(|f| f.miss_reason()) {
         ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Fetch, reason });
     }
-    let standing = ctx.standing(rescue, &rescues);
-    let mine = [u64::from(fetched.is_hit()), frontier_vote(commit, &standing)];
-    let confirmed = ctx.allreduce_u64_ft(&mine, ReduceOp::Min)?;
+    let commit = version.map_or(0, |v| v * iters_per_version);
+    let standing = ctx.standing(&rescues);
+    let hit = fetched.as_ref().is_none_or(|f| f.is_hit());
+    let confirmed =
+        ctx.allreduce_u64_ft(&[u64::from(hit), frontier_vote(commit, &standing)], ReduceOp::Min)?;
     if confirmed[0] != 1 {
-        return Ok(None);
+        return Ok(Agreed { image: None, commit: 0, frontier: 0, rescues });
     }
-    let restored = rehome(ctx, ck, fetched.hit().expect("confirmed fetch"));
+    let image = fetched.map(|f| rehome(ctx, ck, f.hit().expect("confirmed fetch")).data);
     let frontier = replay_frontier(commit, [confirmed[1]]);
-    Ok(Some(Agreed { restored, commit, frontier, rescues }))
-}
-
-/// Min-allreduce one `u64` per app rank: slot `a` of the result is what
-/// the carrier of app rank `a` put in.
-fn per_app_rank(ctx: &FtCtx, mine: u64) -> FtResult<Vec<u64>> {
-    let mut slots = vec![u64::MAX; ctx.num_app_ranks() as usize];
-    slots[ctx.app_rank() as usize] = mine;
-    let mut out = Vec::with_capacity(slots.len());
-    for chunk in slots.chunks(ALLREDUCE_MAX_ELEMS) {
-        out.extend(ctx.allreduce_u64_ft(chunk, ReduceOp::Min)?);
-    }
-    Ok(out)
+    Ok(Agreed { image, commit, frontier, rescues })
 }
 
 /// A rescue's one-time streams (the communication plan): restore whatever

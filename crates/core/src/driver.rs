@@ -208,8 +208,8 @@ pub struct FtCtx {
     /// Driver configuration.
     pub cfg: FtConfig,
     state: RefCell<CtxState>,
-    /// The replay log of the checkpoint/restart preset (see
-    /// [`crate::replay`]); kept empty under every other preset.
+    /// The replay log (see [`crate::replay`]): sized by [`Checkpointed::new`]
+    /// under checkpoint/restart, kept empty under every other preset.
     pub(crate) log: RefCell<ReplayLog>,
 }
 
@@ -218,14 +218,7 @@ impl FtCtx {
         let layout = cfg.layout;
         let watch = HealthWatch::new(proc.clone(), cfg.policy.clone(), layout);
         let state = RefCell::new(CtxState { group: None, app_rank: None, adopted_from: None });
-        // A job that never commits has nothing to replay from.
-        let every = match cfg.strategy {
-            StrategyKind::CheckpointRestart if cfg.checkpoint_every < cfg.max_iters => {
-                cfg.checkpoint_every
-            }
-            _ => 0,
-        };
-        let log = RefCell::new(ReplayLog::new(every));
+        let log = RefCell::new(ReplayLog::new(0));
         Self { proc, layout, watch, events, cfg, state, log }
     }
 

@@ -256,11 +256,11 @@ impl FtCtx {
         log.senders.extend(senders);
     }
 
-    /// Where this member stands in the frontier vote, `rescue` if it has
-    /// not restored yet; `rescues` are the app ranks such rescues carry.
-    pub(crate) fn standing(&self, rescue: bool, rescues: &[u32]) -> Standing {
+    /// Where this member stands in the frontier vote; `rescues` are the app
+    /// ranks that rescues which have not restored yet carry.
+    pub(crate) fn standing(&self, rescues: &[u32]) -> Standing {
         let log = self.log.borrow();
-        if rescue {
+        if rescues.contains(&self.app_rank()) {
             let fed_by_rescue = log.senders.iter().any(|(a, _)| rescues.contains(a));
             Standing::Rescue { fed_by_rescue }
         } else {
@@ -303,12 +303,12 @@ impl FtCtx {
     }
 }
 
-/// Bring the group from the installed commit (`loaded`, the iteration
-/// `load_state` returned) to the agreed frontier and return it. Survivors
-/// replay first, from their own logs, keeping what they post to each
-/// rescue; one exchange hands that (and one survivor's sums) over; then each
-/// rescue rebuilds its log from it and replays. Afterwards every member's
-/// log holds exactly `commit..frontier`, ready for the next failure.
+/// Bring the group from the installed commit (`loaded`: what `load_state`
+/// returned, 0 after `reset_state`) to the agreed frontier and return it.
+/// Survivors replay first, from their own logs, keeping what they post to
+/// each rescue; one exchange hands that (and one survivor's sums) over;
+/// then each rescue rebuilds its log from it and replays. Afterwards every
+/// member's log holds exactly `commit..frontier`, ready for the next failure.
 pub(crate) fn replay<A: FtApp>(
     ctx: &FtCtx,
     app: &mut A,

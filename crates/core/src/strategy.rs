@@ -6,8 +6,8 @@
 //! mechanism, and its redundancy is one of two codes:
 //!
 //! - a **neighbor copy**: the state is committed into a checkpoint stream,
-//!   which copies it to the neighbor node, and the group votes on a version
-//!   with [`consistent_restore`];
+//!   which copies it to the neighbor node, and restored with
+//!   [`consistent_restore`];
 //! - **striped XOR parity** ([`crate::stripe`]): each rank deals one stripe
 //!   of its state to every peer and XORs the stripes it is dealt into the
 //!   parity stripe it owns, `B/(n−1)` bytes for a `B`-byte state; one lost
@@ -30,19 +30,22 @@
 //! rank is the one its mirror copies went to.
 //!
 //! The driver calls [`Checkpointed::prepare`] after every iteration and
-//! [`Checkpointed::restore`] after a rebuild. The application only exports
-//! and installs state, through the [`FtApp`] hooks `export_state` /
-//! `load_state` / `reset_state` (plus `state_stream` for C/R).
+//! [`Checkpointed::restore`] after a rebuild. Recovery is one protocol for
+//! both codes: one vote of a slot per app rank, one [`Agreed`] state
+//! (the initial state at commit 0 is the fresh start), one install, one
+//! replay to the agreed frontier. The application only exports and installs
+//! state, through the [`FtApp`] hooks `export_state` / `load_state` /
+//! `reset_state` (plus `state_stream` for C/R).
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Wire};
+use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
 
-use crate::ckpt::consistent_restore;
+use crate::ckpt::{consistent_restore, vote, Agreed, Votes};
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
-use crate::replay::replay;
+use crate::replay::{replay, ReplayLog};
 use crate::stripe;
 
 /// Strategy selection, carried by [`FtConfig`](crate::driver::FtConfig):
@@ -125,11 +128,17 @@ pub struct Checkpointed {
 const UNDECODABLE: FtError = FtError::Unsupported("abft reconstruction");
 
 impl Checkpointed {
-    /// The per-rank instance of the `kind` preset.
+    /// The per-rank instance of the `kind` preset. Under checkpoint/restart
+    /// it also sizes the replay log, before `setup` or a rescue's recovery
+    /// can log a step; a job that never commits has nothing to replay from.
     pub fn new(kind: StrategyKind, ctx: &FtCtx) -> Self {
         let (code, every) = match kind {
             StrategyKind::CheckpointRestart => {
-                (Code::NeighborCopy { mirror: None }, ctx.cfg.checkpoint_every)
+                let every = ctx.cfg.checkpoint_every;
+                if every < ctx.cfg.max_iters {
+                    *ctx.log.borrow_mut() = ReplayLog::new(every);
+                }
+                (Code::NeighborCopy { mirror: None }, every)
             }
             StrategyKind::Replicated => {
                 let cfg = CheckpointerConfig {
@@ -184,13 +193,12 @@ impl Checkpointed {
 
     /// Called once the recovery plan is installed ([`FtCtx::plan`]), the
     /// worker group rebuilt and the app rewired: bring every member
-    /// (survivors and freshly adopted rescues) to one consistent state —
-    /// exactly one `load_state` or `reset_state` on each — and return the
-    /// iteration the group resumes from (0 after a collective fresh start).
-    /// Under checkpoint/restart every member then replays from its log to
-    /// the frontier the vote agreed on ([`crate::replay`]).
+    /// (survivors and freshly adopted rescues) to the [`Agreed`] state of
+    /// either code — exactly one `load_state`, or `reset_state` at commit 0
+    /// — then replay to the agreed frontier ([`crate::replay`]) and return
+    /// it, the iteration the group resumes from.
     pub fn restore<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<u64> {
-        let restored = match &mut self.code {
+        let agreed = match &mut self.code {
             Code::NeighborCopy { mirror: None } => {
                 let (ck, timeout) =
                     app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
@@ -198,27 +206,20 @@ impl Checkpointed {
             }
             Code::NeighborCopy { mirror: Some((ck, timeout)) } => {
                 ck.refresh_failed(&ctx.plan().failed);
-                let restored = consistent_restore(ctx, ck, *timeout, 1)?;
+                let agreed = consistent_restore(ctx, ck, *timeout, 1)?;
                 // A rescue just re-homed the adopted generation: like every
                 // push, it must reach the new standby before the next step
                 // can fail. (Nothing is pending on a survivor.)
                 ck.drain(*timeout);
-                restored
+                agreed
             }
-            Code::StripedParity { history } => return decode(ctx, app, history),
+            Code::StripedParity { history } => decode(ctx, history)?,
         };
-        // Install what the vote agreed on and replay to its frontier, or
-        // the initial state on the collective fresh-start decision.
-        match restored {
-            Some(agreed) => {
-                let loaded = app.load_state(ctx, &agreed.restored.data)?;
-                replay(ctx, app, loaded, &agreed)
-            }
-            None => {
-                ctx.log.borrow_mut().restart(0);
-                app.reset_state(ctx).map(|()| 0)
-            }
-        }
+        let loaded = match &agreed.image {
+            Some(image) => app.load_state(ctx, image)?,
+            None => app.reset_state(ctx).map(|()| 0)?,
+        };
+        replay(ctx, app, loaded, &agreed)
     }
 }
 
@@ -247,80 +248,57 @@ fn except<'a>(msgs: &'a [Vec<u8>], skip: &'a [usize]) -> impl Iterator<Item = &'
     msgs.iter().enumerate().filter(|(i, _)| !skip.contains(i)).map(|(_, m)| m.as_slice())
 }
 
-/// The parity code's restore. Its vote is one exchange of its own rather
-/// than [`consistent_restore`]'s: besides the newest generation it must
-/// carry who is erased, which the plan cannot tell.
-fn decode<A: FtApp>(ctx: &FtCtx, app: &mut A, history: &mut VecDeque<Generation>) -> FtResult<u64> {
+/// The parity code's restore: the shared [`vote`], with the minimum taken
+/// over the survivors' slots; each rescue that has not restored is an
+/// erasure.
+fn decode(ctx: &FtCtx, history: &mut VecDeque<Generation>) -> FtResult<Agreed> {
     let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
-    let adopted = ctx.restore_source() != ctx.proc.rank();
-    // The vote, one hop: survivors offer their newest encoded generation
-    // (+1 so 0 means "nothing"), adopted rescues abstain with MAX — which
-    // also tells everyone who needs reconstruction.
-    let vote = match (adopted, history.back()) {
-        (true, _) => u64::MAX,
-        (false, Some(g)) => g.iter + 1,
-        (false, None) => 0,
-    };
-    let votes = exchange(ctx, vec![vote.to_bytes(); n])?
-        .iter()
-        .enumerate()
-        .map(|(a, v)| {
-            if a == me {
-                return Ok(vote);
-            }
-            u64::from_bytes(v).map_err(|_| UNDECODABLE)
-        })
-        .collect::<FtResult<Vec<u64>>>()?;
-    let erased: Vec<usize> = (0..n).filter(|&a| votes[a] == u64::MAX).collect();
-    let agreed = votes.iter().copied().filter(|&v| v != u64::MAX).min().unwrap_or(0);
+    let Votes { offers, rescues } = vote(ctx, history.back().map(|g| g.iter))?;
+    let agreed = (0..).zip(&offers).filter(|(a, _)| !rescues.contains(a)).map(|(_, v)| *v).min();
     // More than one erasure exceeds the parity code; a survivor with
     // nothing encoded (or no survivor at all) leaves nothing to decode
     // from. Everyone sees the same votes, so everyone decides alike.
-    if erased.len() > 1 || agreed == 0 {
+    let Some(gen) = agreed.and_then(|v| v.checked_sub(1)).filter(|_| rescues.len() <= 1) else {
         history.clear();
-        app.reset_state(ctx)?;
-        return Ok(0);
-    }
-    let gen = agreed - 1;
+        return Ok(Agreed { image: None, commit: 0, frontier: 0, rescues });
+    };
     // The generation-spread argument (`PARITY_HISTORY`): every survivor
     // that voted holds the agreed generation.
     let own = history.iter().find(|g| g.iter == gen);
-    match (erased.first(), own) {
+    let image = match (rescues.first().map(|&a| a as usize), own) {
         // The rescue posts empties: the first hop hands it the parity
         // stripe its slot owns, the second the pieces of its block.
-        (Some(&lost), _) if lost == me => {
+        (Some(lost), _) if lost == me => {
             let dealt = exchange(ctx, vec![Vec::new(); n])?;
             let parity = stripe::parity(gen, except(&dealt, &[me])).ok_or(UNDECODABLE)?;
             let pieces = exchange(ctx, vec![Vec::new(); n])?;
             let block = stripe::assemble(me, n, gen, &pieces).ok_or(UNDECODABLE)?;
-            app.load_state(ctx, &block)?;
-            *history = VecDeque::from([Generation { iter: gen, block, parity }]);
+            *history = VecDeque::from([Generation { iter: gen, block: block.clone(), parity }]);
+            block
         }
         // No erasure to decode (the failure was replaced without
         // adoption, e.g. a rescue that had already restored): survivors
         // just re-align to the agreed generation.
-        (None, Some(g)) => {
-            app.load_state(ctx, &g.block)?;
-        }
+        (None, Some(g)) => g.block.clone(),
         // Survivor, two hops. First everyone deals its stripes of the
         // agreed generation again: an owner XORs its parity with what the
         // other survivors dealt it, which leaves the lost rank's stripe.
         // Then it forwards that one stripe to the rescue.
-        (Some(&lost), Some(g)) => {
+        (Some(lost), Some(g)) => {
             let dealt = exchange(ctx, stripe::encode(me, n, gen, &g.block))?;
             let piece = stripe::lost_piece(&g.parity, gen, except(&dealt, &[me, lost]))
                 .ok_or(UNDECODABLE)?;
             let mut forward = vec![Vec::new(); n];
             forward[lost] = piece;
             exchange(ctx, forward)?;
-            app.load_state(ctx, &g.block)?;
+            g.block.clone()
         }
         (_, None) => return Err(FtError::Unsupported("abft generation")),
-    }
+    };
     // Drop generations newer than the agreed one: they are stale relative
     // to the rolled-to state.
     history.retain(|g| g.iter <= gen);
-    Ok(gen)
+    Ok(Agreed { image: Some(image), commit: gen, frontier: gen, rescues })
 }
 
 #[cfg(test)]

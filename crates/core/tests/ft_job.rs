@@ -28,6 +28,9 @@ struct ToyApp {
     acc: f64,
     state_ck: Checkpointer,
     plan_ck: Checkpointer,
+    /// A rank the last step waits to see buried by a plan, so the job
+    /// cannot end before the detector has judged it.
+    ends_after_burial: Option<ft_cluster::Rank>,
 }
 
 impl ToyApp {
@@ -48,6 +51,7 @@ impl ToyApp {
                 },
                 Some(std::sync::Arc::clone(pfs)),
             ),
+            ends_after_burial: None,
         }
     }
 }
@@ -84,6 +88,13 @@ impl FtApp for ToyApp {
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        while let Some(r) = self.ends_after_burial {
+            if iter + 1 < ctx.cfg.max_iters || ctx.plan().failed.contains(&r) {
+                break;
+            }
+            ctx.watch.check()?;
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // A kill must find the last checkpoint's copies landed, or where
         // the job rolls back to would depend on the library thread. (A rank
         // killed from outside fails the drain too: the collective unwinds
@@ -472,7 +483,12 @@ fn false_positive_network_failure_is_enforced_dead() {
     let cut = Injection::at("gaspi.allreduce", 0, 50, FaultAction::BreakLink(fd, 1));
     let schedule = FaultSchedule::none().inject(cut);
     let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp::new(ctx, &pfs));
+    // The job ends only once a plan buries rank 1 (or is abandoned), so the
+    // verdict does not depend on how fast the detector runs under load.
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp {
+        ends_after_burial: Some(1),
+        ..ToyApp::new(ctx, &pfs)
+    });
     assert_workers_correct(&report, 3, 400);
     assert!(!fault.is_alive(1), "false positive must be enforced dead");
     // Rank 1 was alive when killed: it appears as Killed (fail-stop), and

@@ -317,3 +317,24 @@ fn a_kill_at_a_commit_whose_copy_is_in_flight_takes_the_global_redo() {
     assert!(replays.is_empty(), "no replay: {replays:?}");
     assert!(resumes.iter().all(|&r| r.is_multiple_of(10) && r <= 40), "resumed at {resumes:?}");
 }
+
+/// A kill before the job's first commit: the fresh start is commit 0, and
+/// every survivor's log reaches back to it, so every member resets to the
+/// initial state and replays `0..kill` (or `0..kill − 1` for a survivor the
+/// failure caught before its last release) instead of redoing it globally.
+#[test]
+fn a_failure_before_the_first_commit_replays_from_zero() {
+    let gen = Graphene::new(48, 32).with_nnn(-0.1);
+    let (iters, kill) = (120, 60);
+    let clean = run_job(Arc::new(gen.clone()), 4, 4, iters, 100, false, FaultSchedule::none());
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, kill);
+    let faulty = run_job(Arc::new(gen), 4, 4, iters, 100, false, schedule);
+    assert_eq!(faulty.killed(), vec![1]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "fresh start");
+    let (replays, resumes) = replays_and_resumes(&faulty);
+    assert_eq!(replays.len(), 4, "every member replays once: {replays:?}");
+    let (c, f) = replays[0];
+    assert!(c == 0 && (f == kill - 1 || f == kill), "replayed {c}..{f}");
+    assert!(replays.iter().all(|&r| r == (c, f)), "one span for all: {replays:?}");
+    assert_eq!(resumes, vec![f; 4], "live steps resume at the frontier on every rank");
+}

@@ -21,7 +21,7 @@ use ft_core::{
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
-use ft_solver::heat::{FtHeat, HeatConfig};
+use ft_solver::heat::{FtHeat, HeatConfig, HeatSummary};
 use ft_solver::{FtLanczos, FtLanczosConfig};
 
 thread_local! {
@@ -276,8 +276,9 @@ impl<A: FtApp> FtApp for Sized<A> {
 }
 
 /// Heat replays: a kill 25 steps past a commit costs a replay of those 25
-/// steps on every rank, and the field lands where the failure-free run's
-/// does, bit for bit.
+/// steps on every rank, and a kill before the first commit a replay from
+/// the initial state (the fresh start is commit 0); either way the field
+/// lands where the failure-free run's does, bit for bit.
 #[test]
 fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
     let run = |schedule: FaultSchedule| {
@@ -296,22 +297,26 @@ fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
         run_ft_job(&world, cfg, schedule, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)))
     };
     let clean = run(FaultSchedule::none());
-    let faulty = run(FaultSchedule::none().kill_rank_at_iteration(1, 75));
-    assert_eq!(faulty.killed(), vec![1]);
-    let (c, f) = (clean.worker_summaries(), faulty.worker_summaries());
-    assert_eq!(f.len(), 4, "{:?}", faulty.first_error());
-    for ((_, a), (_, b)) in c.iter().zip(&f) {
-        assert_eq!((a.iters, a.solution_norm.to_bits()), (b.iters, b.solution_norm.to_bits()));
+    for (kill, commit) in [(75, 50), (30, 0)] {
+        let faulty = run(FaultSchedule::none().kill_rank_at_iteration(1, kill));
+        assert_eq!(faulty.killed(), vec![1]);
+        let (c, f) = (clean.worker_summaries(), faulty.worker_summaries());
+        assert_eq!(f.len(), 4, "kill at {kill}: {:?}", faulty.first_error());
+        for ((_, a), (_, b)) in c.iter().zip(&f) {
+            let bits = |s: &HeatSummary| (s.iters, s.solution_norm.to_bits());
+            assert_eq!(bits(a), bits(b), "kill at {kill}");
+        }
+        let replays: Vec<(u64, u64)> = faulty
+            .events
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Replayed { from, to, .. } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replays.len(), 4, "kill at {kill}: every member replays: {replays:?}");
+        let spans = |&(from, to): &(u64, u64)| from == commit && (to == kill - 1 || to == kill);
+        assert!(replays.iter().all(spans), "kill at {kill}: {replays:?}");
     }
-    let replays: Vec<(u64, u64)> = faulty
-        .events
-        .snapshot()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Replayed { from, to, .. } => Some((from, to)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(replays.len(), 4, "every member replays: {replays:?}");
-    assert!(replays.iter().all(|&(from, to)| from == 50 && (to == 74 || to == 75)), "{replays:?}");
 }
