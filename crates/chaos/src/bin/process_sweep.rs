@@ -7,9 +7,9 @@
 //! exits non-zero on any contract violation or unmet expectation:
 //!
 //! * `smoke [KILLS [PARTITIONS]]` (default) — enumerate kill points in
-//!   memory and replay a coverage-spread subset (default 6 kill and 2
-//!   partition triples) as real-process jobs, the fault shipped in the
-//!   serialized schedule (an armed child exits mid-protocol).
+//!   memory and replay a coverage-spread subset (default 6 kills, each at
+//!   its own site, and 2 partitions) as real-process jobs, the fault shipped
+//!   in the serialized schedule (an armed child exits mid-protocol).
 //! * `e2e` — every row of `ft_chaos::process_scenarios` (the rows'
 //!   comments say what each must show); a row's label alone (`storm`,
 //!   `fdkill`, `partition`, `asym`, `heal`) runs that row.
@@ -174,8 +174,10 @@ fn smoke(cfg: &SweepConfig, max_kills: usize, max_partitions: usize) -> ExitCode
         t0.elapsed(),
         kills.len(),
     );
-    if violations > 0 || kills.is_empty() || partitions.is_empty() {
-        eprintln!("process sweep found contract violations (or replayed nothing)");
+    let sites: std::collections::BTreeSet<&str> =
+        kills.iter().map(|r| r.armed.site.as_str()).collect();
+    if violations > 0 || sites.len() < max_kills.max(1) || partitions.is_empty() {
+        eprintln!("process sweep found contract violations (or kills on too few sites: {sites:?})");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -14,9 +14,9 @@
 //! deterministic sites, and a coverage-spread subset is replayed as real
 //! processes — one supervisor job per triple, in smoke-test budget.
 
-use ft_cluster::{
-    site_is_deterministic, FaultAction, FaultSchedule, Injection, Rank, SiteRecord, Wire,
-};
+use std::collections::BTreeMap;
+
+use ft_cluster::{site_is_deterministic, FaultAction, FaultSchedule, Injection, SiteRecord, Wire};
 use ft_core::{child_env, run_child};
 
 use crate::app::SweepApp;
@@ -38,9 +38,9 @@ pub fn maybe_run_child(cfg: &SweepConfig) -> Option<i32> {
 /// silent skip at replay time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExcludeReason {
-    /// Another occurrence of the same `(site, rank)` kill point is
-    /// already selected; replaying a second occurrence of the same point
-    /// adds no coverage in smoke budget.
+    /// A later occurrence of a `(site, rank)` kill point, which its first
+    /// crossing stands for; replaying a second occurrence of the same
+    /// point adds no coverage in smoke budget.
     DuplicateKillPoint,
     /// The site's occurrence index is interleaving-dependent
     /// (`site_is_deterministic` = false), so a process replay could not
@@ -63,7 +63,7 @@ impl ExcludeReason {
 /// budget.
 #[derive(Debug, Default)]
 pub struct TripleSelection {
-    /// Triples to replay, in log order.
+    /// Triples to replay, in pick order (see [`select_triples`]).
     pub picked: Vec<SiteRecord>,
     /// Excluded triples with their reason codes.
     pub excluded: Vec<(SiteRecord, ExcludeReason)>,
@@ -72,29 +72,28 @@ pub struct TripleSelection {
 }
 
 /// Pick at most `max` replay triples from an in-memory site log:
-/// deterministic sites only, spread for `(site, rank)` coverage (first
-/// occurrence of each kill point, breadth before depth). Everything not
-/// picked is accounted for — by reason code or as over-budget.
+/// deterministic sites only, the first crossing of each `(site, rank)`
+/// kill point, ordered by `(site, rank)`, one per site before any site
+/// repeats, whatever the log's order. Everything not picked is accounted
+/// for — by reason code or as over-budget.
 pub fn select_triples(log: &[SiteRecord], max: usize) -> TripleSelection {
-    let mut seen: Vec<(&str, Rank)> = Vec::new();
     let mut sel = TripleSelection::default();
+    let mut by_site: BTreeMap<&str, Vec<&SiteRecord>> = BTreeMap::new();
     for rec in log {
         if !site_is_deterministic(&rec.site) {
             sel.excluded.push((rec.clone(), ExcludeReason::NondeterministicSite));
-            continue;
-        }
-        let key = (rec.site.as_str(), rec.rank);
-        if seen.contains(&key) {
+        } else if rec.occurrence > 1 {
             sel.excluded.push((rec.clone(), ExcludeReason::DuplicateKillPoint));
-            continue;
+        } else {
+            by_site.entry(&rec.site).or_default().push(rec);
         }
-        if sel.picked.len() >= max {
-            sel.over_budget += 1;
-            continue;
-        }
-        seen.push(key);
-        sel.picked.push(rec.clone());
     }
+    by_site.values_mut().for_each(|ranks| ranks.sort_by_key(|r| r.rank));
+    // Round r takes every site's r-th rank.
+    let rounds = by_site.values().map(Vec::len).max().unwrap_or(0);
+    let mut order = (0..rounds).flat_map(|r| by_site.values().filter_map(move |v| v.get(r)));
+    sel.picked = order.by_ref().take(max).map(|&rec| rec.clone()).collect();
+    sel.over_budget = order.count();
     sel
 }
 
@@ -164,7 +163,7 @@ mod tests {
 
     #[test]
     fn triple_selection_dedups_and_filters_with_reason_codes() {
-        let rec = |site: &str, rank: Rank, occ: u64| SiteRecord {
+        let rec = |site: &str, rank: u32, occ: u64| SiteRecord {
             site: site.to_string(),
             rank,
             occurrence: occ,
@@ -173,14 +172,17 @@ mod tests {
             rec("gaspi.allreduce", 0, 1),
             rec("gaspi.allreduce", 0, 2), // same kill point: excluded as duplicate
             rec("transport.post", 1, 1),  // interleaving-dependent: excluded
-            rec("gaspi.allreduce", 1, 1),
-            rec("recover.begin", 0, 1), // eligible but beyond the budget
+            rec("gaspi.allreduce", 1, 1), // a site's second rank: beyond the budget
+            rec("recover.begin", 0, 1),
         ];
         let sel = select_triples(&log, 2);
         assert_eq!(sel.picked.len(), 2);
         assert_eq!(sel.picked[0].site, "gaspi.allreduce");
         assert_eq!(sel.picked[0].rank, 0);
-        assert_eq!(sel.picked[1].rank, 1);
+        // One per site before a site repeats, whatever the log's order.
+        assert_eq!((sel.picked[1].site.as_str(), sel.picked[1].rank), ("recover.begin", 0));
+        let shuffled: Vec<_> = [4, 1, 3, 0, 2].map(|i| log[i].clone()).into();
+        assert_eq!(select_triples(&shuffled, 2).picked, sel.picked);
         // Every non-picked triple is accounted for, with a stable code.
         assert_eq!(sel.over_budget, 1);
         assert_eq!(sel.excluded.len(), 2);

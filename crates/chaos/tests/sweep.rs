@@ -91,12 +91,12 @@ fn deterministic_triples_replay_to_the_same_outcome() {
 fn sweep_covers_abft_and_replication_sites_without_violations() {
     // The same exhaustive explorer, pointed at the other two recovery
     // models: each strategy's own steady-state sites appear in the
-    // enumeration (the parity-encode point for ABFT, the replica-push
-    // point for replication) and every kill placed there — and at every
-    // other site — still satisfies the chaos contract.
+    // enumeration (the parity-encode point for ABFT, the state-stream
+    // commit point for replication) and every kill placed there — and at
+    // every other site — still satisfies the chaos contract.
     for (strategy, site) in [
         (ft_core::StrategyKind::Abft, "strategy.abft.encode"),
-        (ft_core::StrategyKind::Replicated, "strategy.replica.push"),
+        (ft_core::StrategyKind::Replicated, "driver.checkpoint.commit"),
     ] {
         let cfg = SweepConfig { strategy, ..SweepConfig::ci() };
         let report = exhaustive_sweep(&cfg, None);

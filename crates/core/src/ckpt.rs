@@ -141,11 +141,11 @@ pub struct Agreed {
 ///    `iters_per_version`, so a failure before the first commit replays
 ///    from 0 too.
 ///
-/// Every strategy that keeps its state in a checkpoint stream restores
-/// through here (the application's stream under checkpoint/restart, the
-/// mirror under replication). A rank that restored its predecessor's
-/// checkpoint ([`FtCtx::restore_source`]) re-homes it under its own rank
-/// before returning.
+/// Both neighbor-copy presets restore through here, from the application's
+/// own state stream (checkpoint/restart at its interval, replication every
+/// step). A rank that restored its predecessor's checkpoint
+/// ([`FtCtx::restore_source`]) re-homes it under its own rank before
+/// returning.
 pub fn consistent_restore(
     ctx: &FtCtx,
     ck: &Checkpointer,

@@ -43,7 +43,7 @@ pub struct FtConfig {
     pub detector: DetectorConfig,
     /// Retry policy for fault-tolerant communication.
     pub policy: CommPolicy,
-    /// Checkpoint every N iterations (0 = never; the paper uses 500).
+    /// Checkpoint every N iterations (0 = never; the paper uses 500); C/R only.
     pub checkpoint_every: u64,
     /// Stop after this many iterations (the paper fixes 3500); `step` may
     /// also end the run early by returning `true`.
@@ -135,7 +135,7 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Checkpoint every `n` iterations (0 = never).
+    /// Checkpoint every `n` iterations (0 = never) under C/R.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.cfg.checkpoint_every = n;
         self
@@ -340,10 +340,11 @@ pub trait FtApp {
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch
-    /// timeout for restores — what the
+    /// timeout for restores — what both neighbor-copy presets,
     /// [`CheckpointRestart`](crate::strategy::StrategyKind::CheckpointRestart)
-    /// preset commits `export_state` into and votes over after a failure.
-    /// `None` (the default) suits only a job that never runs under it.
+    /// and [`Replicated`](crate::strategy::StrategyKind::Replicated), commit
+    /// `export_state` into and vote over after a failure. `None` (the
+    /// default) suits only a job that runs under the parity preset.
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
         None
     }

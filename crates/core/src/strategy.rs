@@ -19,15 +19,15 @@
 //! | preset | code | every | window | drain | resume point |
 //! |---|---|---|---|---|---|
 //! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | frontier agreed by the vote, replayed from the last landed commit |
-//! | `Replicated` | neighbor copy, its own mirror | 1 | 4 | sync | failure frontier |
+//! | `Replicated` | neighbor copy, the app's `state_stream` | 1 | the stream's | sync | failure frontier |
 //! | `Abft` | striped parity | 1 | 2 | collective | failure frontier |
 //!
 //! The parity preset is diskless checkpointing with a parity code, not
 //! algorithm-based fault tolerance in Bosilca et al.'s sense
 //! (arXiv:0806.3121), where checksums are carried through the algorithm's
 //! own operations. `Replicated` approximates FTHP-MPI's hot standby
-//! (arXiv:2504.09989): the designated shadow spare that adopts a failed
-//! rank is the one its mirror copies went to.
+//! (arXiv:2504.09989): one landed copy per step, and a failed rank is
+//! adopted by its designated shadow spare.
 //!
 //! The driver calls [`Checkpointed::prepare`] after every iteration and
 //! [`Checkpointed::restore`] after a rebuild. Recovery is one protocol for
@@ -35,12 +35,11 @@
 //! (the initial state at commit 0 is the fresh start), one install, one
 //! replay to the agreed frontier. The application only exports and installs
 //! state, through the [`FtApp`] hooks `export_state` / `load_state` /
-//! `reset_state` (plus `state_stream` for C/R).
+//! `reset_state` (plus `state_stream` for both neighbor-copy presets).
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
+use ft_checkpoint::CopyPolicy;
 
 use crate::ckpt::{consistent_restore, vote, Agreed, Votes};
 use crate::driver::{FtApp, FtCtx};
@@ -74,14 +73,6 @@ impl StrategyKind {
     }
 }
 
-/// Stream tag of the replication mirror, distinct from any application tag.
-const REPLICA_TAG: u32 = 0x7F00_0000;
-
-/// Generations the mirror keeps per tier. Its push is not a collective, so
-/// survivors can straddle more than two generations; the group minimum
-/// must still be in everyone's local window.
-const REPLICA_HISTORY: u64 = 4;
-
 /// Generations the parity code keeps: a rank leaves the exchange inside
 /// `prepare` only after every peer has entered it, so survivors straddle
 /// at most two adjacent generations and the group minimum is always in
@@ -99,11 +90,11 @@ struct Generation {
 
 /// Where the redundant copy of the state goes.
 enum Code {
-    /// A checkpoint stream copies each version to the neighbor node: the
-    /// app's `state_stream` (drained asynchronously by its library thread),
-    /// or `mirror`, a stream of the strategy's own that is drained before
-    /// the next step, with its fetch timeout.
-    NeighborCopy { mirror: Option<(Checkpointer, Duration)> },
+    /// The app's `state_stream` copies each version to the neighbor node,
+    /// drained by its library thread in the background, or, if `sync`,
+    /// before the next step (bounded by the stream's fetch timeout), so a
+    /// takeover never regresses past the failure frontier.
+    NeighborCopy { sync: bool },
     /// Striped XOR parity over the worker group, the newest
     /// [`PARITY_HISTORY`] generations. A single lost rank's state is
     /// decoded with no rollback and no redo, and the rescue leaves
@@ -138,16 +129,9 @@ impl Checkpointed {
                 if every < ctx.cfg.max_iters {
                     *ctx.log.borrow_mut() = ReplayLog::new(every);
                 }
-                (Code::NeighborCopy { mirror: None }, every)
+                (Code::NeighborCopy { sync: false }, every)
             }
-            StrategyKind::Replicated => {
-                let cfg = CheckpointerConfig {
-                    keep_versions: REPLICA_HISTORY,
-                    ..CheckpointerConfig::for_tag(REPLICA_TAG)
-                };
-                let mirror = Checkpointer::new(&ctx.proc, cfg, None);
-                (Code::NeighborCopy { mirror: Some((mirror, Duration::from_secs(5))) }, 1)
-            }
+            StrategyKind::Replicated => (Code::NeighborCopy { sync: true }, 1),
             StrategyKind::Abft => (Code::StripedParity { history: VecDeque::new() }, 1),
         };
         Self { code, every }
@@ -161,21 +145,17 @@ impl Checkpointed {
         }
         let block = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
         match &mut self.code {
-            Code::NeighborCopy { mirror: None } => {
-                let (ck, _) = app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
+            Code::NeighborCopy { sync } => {
+                let (ck, timeout) =
+                    app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
                 // The *checkpoint counter* is the version: the stream
                 // prunes over consecutive versions.
                 ck.commit(iter / self.every, block, CopyPolicy::Replicate);
                 ctx.log.borrow_mut().restart(iter);
                 ctx.proc.injection_site("driver.checkpoint.commit");
-            }
-            Code::NeighborCopy { mirror: Some((ck, timeout)) } => {
-                ctx.proc.injection_site("strategy.replica.push");
-                ck.commit(iter, block, CopyPolicy::Replicate);
-                // Synchronous push: the standby must hold this generation
-                // before the next step can fail, or takeover would
-                // silently regress.
-                ck.drain(*timeout);
+                if *sync {
+                    ck.drain(timeout);
+                }
             }
             Code::StripedParity { history } => {
                 let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
@@ -199,18 +179,15 @@ impl Checkpointed {
     /// it, the iteration the group resumes from.
     pub fn restore<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<u64> {
         let agreed = match &mut self.code {
-            Code::NeighborCopy { mirror: None } => {
+            Code::NeighborCopy { sync } => {
                 let (ck, timeout) =
                     app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-                consistent_restore(ctx, ck, timeout, self.every)?
-            }
-            Code::NeighborCopy { mirror: Some((ck, timeout)) } => {
-                ck.refresh_failed(&ctx.plan().failed);
-                let agreed = consistent_restore(ctx, ck, *timeout, 1)?;
-                // A rescue just re-homed the adopted generation: like every
-                // push, it must reach the new standby before the next step
-                // can fail. (Nothing is pending on a survivor.)
-                ck.drain(*timeout);
+                let agreed = consistent_restore(ctx, ck, timeout, self.every)?;
+                // A rescue just re-homed the adopted version; a synchronous
+                // copy must reach the new standby before the next step.
+                if *sync {
+                    ck.drain(timeout);
+                }
                 agreed
             }
             Code::StripedParity { history } => decode(ctx, history)?,

@@ -157,6 +157,15 @@ impl FtApp for Acc {
         let app = ctx.app_rank();
         let want: Vec<u8> = (0..ctx.cfg.max_iters).flat_map(|i| Self::trail_step(app, i)).collect();
         assert_eq!(self.trail, want, "app rank {app}: trail bytes");
+        // Both copy presets commit into this stream; the driver's last
+        // `prepare` comes with ITERS − 1 iterations done.
+        let every = match ctx.cfg.strategy {
+            StrategyKind::CheckpointRestart => ctx.cfg.checkpoint_every,
+            StrategyKind::Replicated => 1,
+            StrategyKind::Abft => return Ok((self.acc, self.local)),
+        };
+        let newest = self.ck.probe(ctx.proc.rank(), FETCH).hit();
+        assert_eq!(newest, Some((ctx.cfg.max_iters - 1) / every), "app rank {app}: last commit");
         Ok((self.acc, self.local))
     }
 }
@@ -377,9 +386,9 @@ fn abft_double_failure_exceeds_the_parity_code_but_stays_exact() {
 #[test]
 fn replication_promotes_the_designated_shadow() {
     // The detector assigns each app rank its designated shadow spare while
-    // it is free: app rank 1's standby is gaspi rank WORKERS + 1, the spare
-    // the replicated strategy mirrors into, and that exact spare must adopt
-    // it.
+    // it is free: app rank 1's standby is gaspi rank WORKERS + 1, and that
+    // exact spare must adopt it, from the copies of app rank 1's state
+    // stream.
     let report = job(StrategyKind::Replicated, shared_kill());
     assert_exact(&report, "replicated");
     let ev = report.events.snapshot();
