@@ -46,31 +46,34 @@ pub enum Standing {
         /// Whether a sender of its halo is a rescue that has not restored.
         fed_by_rescue: bool,
     },
-    /// A survivor whose log holds the sealed steps of the range, or none
-    /// it can replay from (no log kept, or a step that communicated
-    /// outside the seams).
+    /// A survivor whose log holds the sealed steps of the range (its live
+    /// state stands at the range's end), or none it can feed a rescue from
+    /// (no log kept, or a step that communicated outside the seams).
     Survivor(Option<Range<u64>>),
 }
 
-/// One member's vote on the replay frontier for commit iteration `c`: the
-/// end of its log if the log reaches back to `c`, `c` (global redo) if it
-/// does not, `u64::MAX` to abstain.
-pub fn frontier_vote(c: u64, standing: &Standing) -> u64 {
+/// One member's vote on the replay frontier for commit iteration `c`, two
+/// slots that fold by a minimum each: a survivor whose log reaches back to
+/// `c` offers the end of its log, where its live state stands, as
+/// `[end, !end]`, so the fold holds the smallest and the largest end; a
+/// rescue abstains; anyone else votes for the global redo.
+pub fn frontier_vote(c: u64, standing: &Standing) -> [u64; 2] {
     match standing {
-        Standing::Rescue { fed_by_rescue: false } => u64::MAX,
-        Standing::Survivor(Some(log)) if log.start <= c && c <= log.end => log.end,
-        _ => c,
+        Standing::Rescue { fed_by_rescue: false } => [u64::MAX; 2],
+        Standing::Survivor(Some(log)) if log.start <= c && c <= log.end => [log.end, !log.end],
+        _ => [c, 0],
     }
 }
 
-/// The replay frontier `f` the votes agree on: the smallest log end, so
-/// every survivor's log covers `c..f`. It is `c` itself — the global
-/// redo — if any member voted so or only rescues voted.
-pub fn replay_frontier(c: u64, votes: impl IntoIterator<Item = u64>) -> u64 {
-    match votes.into_iter().min() {
-        Some(f) if f != u64::MAX => f,
-        _ => c,
-    }
+/// The keep-or-redo rule over the folded votes: `f` if every survivor
+/// stands at one sealed step `f` past `c` and every log reaches back to `c`
+/// (the survivors keep their live state, each rescue replays `c..f` fed by
+/// its senders' logs); otherwise `c`, the global redo — a straddle, a log
+/// that starts after `c` or is broken, a rescue fed by a rescue.
+pub fn replay_frontier(c: u64, votes: impl IntoIterator<Item = [u64; 2]>) -> u64 {
+    let [low, high] =
+        votes.into_iter().fold([u64::MAX; 2], |a, v| [a[0].min(v[0]), a[1].min(v[1])]);
+    Some(low).filter(|&f| f != u64::MAX && f == !high).unwrap_or(c)
 }
 
 /// What the first round of a restore says, one slot per app rank.
@@ -111,8 +114,8 @@ pub struct Agreed {
     pub image: Option<Vec<u8>>,
     /// The iteration it holds.
     pub commit: u64,
-    /// How far the replay logs carry the group past it (`commit` for the
-    /// global redo).
+    /// Where the survivors stand and the rescues replay to; `commit` for
+    /// the global redo, in which every member installs `image`.
     pub frontier: u64,
     /// The app ranks whose carrier is a rescue that has not restored yet.
     pub rescues: Vec<u32>,
@@ -138,8 +141,8 @@ pub struct Agreed {
 ///    applications are reduction-order deterministic, the redone prefix
 ///    rewrites bit-identical checkpoints). The same round carries each
 ///    member's [`frontier_vote`] for the agreed commit, the version times
-///    `iters_per_version`, so a failure before the first commit replays
-///    from 0 too.
+///    `iters_per_version` (0 before the first commit), and with it the
+///    smallest and the largest end of the survivors' logs.
 ///
 /// Both neighbor-copy presets restore through here, from the application's
 /// own state stream (checkpoint/restart at its interval, replication every
@@ -168,15 +171,14 @@ pub fn consistent_restore(
         ctx.events.record(me, EventKind::RestoreMiss { stage: MissStage::Fetch, reason });
     }
     let commit = version.map_or(0, |v| v * iters_per_version);
-    let standing = ctx.standing(&rescues);
+    let [low, high] = frontier_vote(commit, &ctx.standing(&rescues));
     let hit = fetched.as_ref().is_none_or(|f| f.is_hit());
-    let confirmed =
-        ctx.allreduce_u64_ft(&[u64::from(hit), frontier_vote(commit, &standing)], ReduceOp::Min)?;
+    let confirmed = ctx.allreduce_u64_ft(&[u64::from(hit), low, high], ReduceOp::Min)?;
     if confirmed[0] != 1 {
         return Ok(Agreed { image: None, commit: 0, frontier: 0, rescues });
     }
     let image = fetched.map(|f| rehome(ctx, ck, f.hit().expect("confirmed fetch")).data);
-    let frontier = replay_frontier(commit, [confirmed[1]]);
+    let frontier = replay_frontier(commit, [[confirmed[1], confirmed[2]]]);
     Ok(Agreed { image, commit, frontier, rescues })
 }
 

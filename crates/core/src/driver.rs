@@ -337,6 +337,9 @@ pub trait FtApp {
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()>;
 
     /// One iteration. Return `Ok(true)` when converged.
+    ///
+    /// Failure-atomic: a step that returns `Err` leaves the state
+    /// (`export_state`) unchanged, so a survivor stands where it failed.
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch
@@ -365,7 +368,8 @@ pub trait FtApp {
     }
 
     /// Reset to the initial (iteration-0) state, for collective
-    /// fresh-start decisions.
+    /// fresh-start decisions. The sums it takes through the replay seams
+    /// count as step 0's, so a rescue can rebuild this state alone.
     fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
         let _ = ctx;
         Err(FtError::Unsupported("reset_state"))

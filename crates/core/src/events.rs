@@ -70,9 +70,9 @@ pub enum EventKind {
         /// Iteration resumed from.
         iter: u64,
     },
-    /// The rank re-ran steps `from..to` from the replay logs, with no
-    /// communication per step (checkpoint/restart: the agreed commit, then
-    /// the agreed frontier; see `ft_core::ckpt::replay_frontier`).
+    /// A rescue re-ran steps `from..to` from its senders' post logs, with no communication
+    /// per step, while the survivors kept their live state at `to` (checkpoint/restart; see
+    /// `ft_core::ckpt::replay_frontier`). Only rescues record it.
     Replayed {
         /// Epoch recovered to.
         epoch: u64,

@@ -18,7 +18,7 @@
 //!
 //! | preset | code | every | window | drain | resume point |
 //! |---|---|---|---|---|---|
-//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | frontier agreed by the vote, replayed from the last landed commit |
+//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | the survivors' common frontier, which only the rescue replays to from the last landed commit; the commit itself after a straddle or a log gap |
 //! | `Replicated` | neighbor copy, the app's `state_stream` | 1 | the stream's | sync | failure frontier |
 //! | `Abft` | striped parity | 1 | 2 | collective | failure frontier |
 //!
@@ -32,10 +32,11 @@
 //! The driver calls [`Checkpointed::prepare`] after every iteration and
 //! [`Checkpointed::restore`] after a rebuild. Recovery is one protocol for
 //! both codes: one vote of a slot per app rank, one [`Agreed`] state
-//! (the initial state at commit 0 is the fresh start), one install, one
-//! replay to the agreed frontier. The application only exports and installs
-//! state, through the [`FtApp`] hooks `export_state` / `load_state` /
-//! `reset_state` (plus `state_stream` for both neighbor-copy presets).
+//! (commit 0, the initial state, is the fresh start), one install on every
+//! member or, past it, on the rescues alone, who replay to the survivors'
+//! frontier. The application only exports and installs state, through the
+//! [`FtApp`] hooks `export_state` / `load_state` / `reset_state` (plus
+//! `state_stream` for both neighbor-copy presets).
 
 use std::collections::VecDeque;
 
@@ -44,7 +45,7 @@ use ft_checkpoint::CopyPolicy;
 use crate::ckpt::{consistent_restore, vote, Agreed, Votes};
 use crate::driver::{FtApp, FtCtx};
 use crate::error::{FtError, FtResult};
-use crate::replay::{replay, ReplayLog};
+use crate::replay::{resume, ReplayLog};
 use crate::stripe;
 
 /// Strategy selection, carried by [`FtConfig`](crate::driver::FtConfig):
@@ -174,9 +175,10 @@ impl Checkpointed {
     /// Called once the recovery plan is installed ([`FtCtx::plan`]), the
     /// worker group rebuilt and the app rewired: bring every member
     /// (survivors and freshly adopted rescues) to the [`Agreed`] state of
-    /// either code — exactly one `load_state`, or `reset_state` at commit 0
-    /// — then replay to the agreed frontier ([`crate::replay`]) and return
-    /// it, the iteration the group resumes from.
+    /// either code and return the iteration the group resumes from. A
+    /// frontier past the commit leaves the survivors' live state alone and
+    /// the rescues replay to it ([`crate::replay`]); otherwise every member
+    /// makes exactly one `load_state`, or `reset_state` at commit 0.
     pub fn restore<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<u64> {
         let agreed = match &mut self.code {
             Code::NeighborCopy { sync } => {
@@ -192,11 +194,7 @@ impl Checkpointed {
             }
             Code::StripedParity { history } => decode(ctx, history)?,
         };
-        let loaded = match &agreed.image {
-            Some(image) => app.load_state(ctx, image)?,
-            None => app.reset_state(ctx).map(|()| 0)?,
-        };
-        replay(ctx, app, loaded, &agreed)
+        resume(ctx, app, &agreed)
     }
 }
 

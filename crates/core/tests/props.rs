@@ -2,7 +2,7 @@
 //! transitions (failures → plan, takeover → plan, done → plan), the views derived from
 //! a plan (rank map, worker set, group id) and the one classification
 //! (does a newer plan change the worker group) — plus the ABFT stripe code
-//! as a pure function, the replay frontier rule, and how the supervisor
+//! as a pure function, the keep-or-redo rule of a restore, and how the supervisor
 //! reads a rank process's protocol lines.
 
 use std::time::Duration;
@@ -243,16 +243,16 @@ proptest! {
         prop_assert_eq!(stripe::assemble(lost, n, iter.wrapping_add(1), &pieces), None);
     }
 
-    /// The replay frontier over small layouts: 2–4 workers whose halos
+    /// The keep-or-redo rule over small layouts: 2–4 workers whose halos
     /// flow along random links, 1–2 victims in one interval, survivors
     /// whose logs start at the voted commit `c` or at a later commit the
-    /// vote could not pick, and survivors straddling the failed step (done
-    /// with it, or not). Every member folds the same votes, so all replay to
-    /// one `f`; it lies in every survivor's log; and it is `c` — the global
-    /// redo — exactly when a victim feeds a victim, a log does not reach
-    /// back to `c`, or a log is broken.
+    /// vote could not pick, broken logs, and survivors straddling the
+    /// failed step (done with it, or not). Every member folds the same
+    /// votes, in any order, to one `f`. A keep (`f > c`) means every
+    /// survivor stands at `f` and each rescue's senders hold `c..f`;
+    /// anything else gives `f = c`, the global redo.
     #[test]
-    fn every_member_replays_to_one_frontier_inside_every_log(
+    fn a_keep_needs_every_survivor_at_the_frontier_and_every_sender_covering_it(
         workers in 2u32..5,
         links in any::<u8>(),
         victims in proptest::collection::vec(0u32..4, 1..3),
@@ -296,27 +296,40 @@ proptest! {
                 Standing::Survivor(Some(start..end))
             })
             .collect();
-        let votes: Vec<u64> = standings.iter().map(|s| frontier_vote(c, s)).collect();
+        let votes: Vec<[u64; 2]> = standings.iter().map(|s| frontier_vote(c, s)).collect();
         let f = replay_frontier(c, votes.iter().copied());
         // Each member sees the folded vote, whatever order the fold took.
         for r in 0..votes.len() {
-            let rotated = votes[r..].iter().chain(&votes[..r]).copied();
-            prop_assert_eq!(replay_frontier(c, [replay_frontier(c, rotated)]), f);
+            let rotated = votes[r..].iter().chain(&votes[..r]);
+            let folded = rotated.fold([u64::MAX; 2], |a, v| [a[0].min(v[0]), a[1].min(v[1])]);
+            prop_assert_eq!(replay_frontier(c, [folded]), f);
         }
         prop_assert!(f >= c);
-        for &end in &ends {
-            prop_assert!(f <= end, "f {} past a survivor's sealed frontier {}", f, end);
+        if f > c {
+            let covers = |a: u32| {
+                matches!(&standings[a as usize],
+                    Standing::Survivor(Some(log)) if log.start <= c && log.end == f)
+            };
+            for a in (0..workers).filter(|a| !victims.contains(a)) {
+                prop_assert!(covers(a), "app rank {} does not stand at {}", a, f);
+            }
+            for &v in &victims {
+                for a in (0..workers).filter(|&a| a != v && linked(a, v)) {
+                    prop_assert!(covers(a), "rescue {}'s sender {} lacks {}..{}", v, a, c, f);
+                }
+            }
         }
         let fed = victims.iter().any(|&a| victims.iter().any(|&v| v != a && linked(v, a)));
-        if fed || late_log || broken || ends.is_empty() {
+        let straddle = ends.iter().any(|e| Some(e) != ends.first());
+        if fed || late_log || broken || straddle || ends.is_empty() {
             prop_assert_eq!(f, c, "global redo");
         } else {
-            prop_assert_eq!(f, *ends.iter().min().unwrap());
+            prop_assert_eq!(f, ends[0]);
         }
     }
 }
 
-/// The fallbacks of the frontier rule, one by one.
+/// The keep-or-redo rule's keep and its fallbacks, one by one.
 #[test]
 fn the_frontier_rule_falls_back_to_the_commit() {
     let c = 100;
@@ -324,7 +337,8 @@ fn the_frontier_rule_falls_back_to_the_commit() {
     let f = |s: &[Standing]| replay_frontier(c, s.iter().map(|s| frontier_vote(c, s)));
     let alone = Standing::Rescue { fed_by_rescue: false };
     let fed = Standing::Rescue { fed_by_rescue: true };
-    assert_eq!(f(&[survivor(100..160), alone.clone(), survivor(100..159)]), 159, "straddle");
+    assert_eq!(f(&[survivor(100..160), alone.clone(), survivor(100..160)]), 160, "a keep");
+    assert_eq!(f(&[survivor(100..160), alone.clone(), survivor(100..159)]), c, "a straddle");
     assert_eq!(f(&[survivor(100..160), fed]), c, "a rescue feeds a rescue");
     assert_eq!(f(&[survivor(100..160), survivor(200..200)]), c, "a log past the commit");
     assert_eq!(f(&[survivor(100..160), Standing::Survivor(None)]), c, "a broken log");

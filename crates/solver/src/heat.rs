@@ -68,6 +68,8 @@ pub struct FtHeat {
     dm: Option<DistMatrix>,
     comm: Option<SpmvComm>,
     u: Vec<f64>,
+    /// Scratch for the next field, swapped into `u` once a step succeeded.
+    next: Vec<f64>,
     b: Vec<f64>,
     halo: Vec<f64>,
     iter: u64,
@@ -99,6 +101,7 @@ impl FtHeat {
             dm: None,
             comm: None,
             u: Vec::new(),
+            next: Vec::new(),
             b: Vec::new(),
             halo: Vec::new(),
             iter: 0,
@@ -174,22 +177,23 @@ impl FtApp for FtHeat {
         // flight; the residual allreduce below is the inter-iteration
         // barrier that keeps the halo buffers race-free.
         let pending = comm.post(ctx, &dm.plan, &self.u, tag)?;
-        let mut au = vec![0.0; self.u.len()];
-        dm.spmv_local(&self.u, &mut au);
+        self.next.resize(self.u.len(), 0.0);
+        dm.spmv_local(&self.u, &mut self.next);
         comm.wait(ctx, &dm.plan, pending, &mut self.halo)?;
-        dm.spmv_remote_add(&self.halo, &mut au);
-        // Damped Jacobi update u += ω (b − A·u) / diag, with the residual
-        // reduction as the global step synchronization. The updated
-        // field's norm rides along, so `finalize` stays rank-local.
+        dm.spmv_remote_add(&self.halo, &mut self.next);
+        // Damped Jacobi update u + ω (b − A·u) / diag into `next`, with the
+        // residual reduction as the global step synchronization. The
+        // updated field's norm rides along, so `finalize` stays rank-local.
         let (mut local_r2, mut local_u2) = (0.0, 0.0);
         let diag = 4.0; // 5-point Laplacian diagonal
-        for (i, u) in self.u.iter_mut().enumerate() {
-            let r = self.b[i] - au[i];
+        for ((next, u), b) in self.next.iter_mut().zip(&self.u).zip(&self.b) {
+            let r = b - *next;
             local_r2 += r * r;
-            *u += self.cfg.omega * r / diag;
-            local_u2 += *u * *u;
+            *next = u + self.cfg.omega * r / diag;
+            local_u2 += *next * *next;
         }
         let [r2, u2] = det_allreduce_sums(ctx, [local_r2, local_u2])?;
+        std::mem::swap(&mut self.u, &mut self.next);
         self.last_residual = r2.sqrt();
         self.last_norm = u2.sqrt();
         self.iter = iter + 1;

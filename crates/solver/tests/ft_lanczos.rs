@@ -217,10 +217,9 @@ fn assert_bitwise(clean: &[LanczosSummary], faulty: &[LanczosSummary], what: &st
 }
 
 /// The benchmark's `cr-latency` shape: 4 workers, a commit every 100
-/// steps, a kill at 160. Every rank reloads commit 100 and replays from the
-/// logs to the frontier the survivors sealed (160, or 159 for a survivor
-/// the failure caught before its last release), and the live steps resume
-/// there — none below it on any rank.
+/// steps, a kill at 160. The survivors keep their live state at 160; the
+/// rescue alone reloads commit 100 and replays to 160 from its senders'
+/// post logs, and the live steps resume there on every rank.
 #[test]
 fn a_checkpoint_restart_failure_replays_to_the_frontier() {
     let gen = Graphene::new(48, 32).with_nnn(-0.1);
@@ -231,16 +230,14 @@ fn a_checkpoint_restart_failure_replays_to_the_frontier() {
     assert_eq!(faulty.killed(), vec![1]);
     assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "replayed");
     let (replays, resumes) = replays_and_resumes(&faulty);
-    assert_eq!(replays.len(), 4, "every member replays once: {replays:?}");
-    let (c, f) = replays[0];
-    assert!(c == 100 && (f == 159 || f == 160), "replayed {c}..{f}");
-    assert!(replays.iter().all(|&r| r == (c, f)), "one span for all: {replays:?}");
-    assert_eq!(resumes, vec![f; 4], "live steps resume at the frontier on every rank");
+    assert_eq!(replays, vec![(100, 160)], "the rescue alone replays");
+    assert_eq!(resumes, vec![160; 4], "live steps resume at the frontier on every rank");
 }
 
-/// A kill inside the replay — on the rescue while it replays, or on a
-/// survivor while it does — leaves the next recovery exact, even when the
-/// dead rescue's re-homed plan and state had not yet reached its neighbor.
+/// A kill inside the recovery — on the rescue while it replays, or on a
+/// survivor in the hand-over that feeds it — leaves the next recovery
+/// exact, even when the dead rescue's re-homed plan and state had not yet
+/// reached its neighbor.
 #[test]
 fn a_kill_inside_the_replay_is_recovered_exactly() {
     let gen = Graphene::new(6, 5).with_nnn(-0.1);
@@ -250,11 +247,13 @@ fn a_kill_inside_the_replay_is_recovered_exactly() {
     let clean_s = summaries(&clean, workers);
     let layout = WorldLayout::new(workers, spares);
     let rescue: Rank = RecoveryPlan::initial().after_failures(&layout, &[1], None).rescues[0];
-    for (victim, who) in [(rescue, "the rescue"), (0, "a survivor")] {
+    for (victim, site, who) in
+        [(rescue, "strategy.replay.step", "the rescue"), (0, "gaspi.alltoall", "a survivor")]
+    {
         let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 39).inject(Injection::kill(
-            "strategy.replay.step",
+            site,
             victim,
-            3,
+            if victim == 0 { 1 } else { 3 },
         ));
         let faulty = run_job(Arc::new(gen.clone()), workers, spares, iters, every, false, schedule);
         let mut killed = faulty.killed();
@@ -262,6 +261,22 @@ fn a_kill_inside_the_replay_is_recovered_exactly() {
         assert_eq!(killed, vec![victim.min(1), victim.max(1)], "{who}: both kills fired");
         assert_bitwise(&clean_s, &summaries(&faulty, workers), who);
     }
+}
+
+/// A second failure in the same interval: the first rescue replayed
+/// `30..33` and logged what it posted as it went, so it feeds the second
+/// rescue's replay of `30..37` like any survivor — exactly.
+#[test]
+fn a_second_failure_in_one_interval_is_fed_from_the_first_rescues_replay() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let clean = run_job(Arc::new(gen.clone()), 4, 4, 60, 10, false, FaultSchedule::none());
+    let schedule =
+        FaultSchedule::none().kill_rank_at_iteration(1, 33).kill_rank_at_iteration(2, 37);
+    let faulty = run_job(Arc::new(gen), 4, 4, 60, 10, false, schedule);
+    assert_eq!(faulty.killed(), vec![1, 2]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "second failure");
+    let (replays, _) = replays_and_resumes(&faulty);
+    assert_eq!(replays, vec![(30, 33), (30, 37)], "one replay per rescue");
 }
 
 /// Two adjacent app ranks lost in one interval: each rescue's halo comes
@@ -319,9 +334,9 @@ fn a_kill_at_a_commit_whose_copy_is_in_flight_takes_the_global_redo() {
 }
 
 /// A kill before the job's first commit: the fresh start is commit 0, and
-/// every survivor's log reaches back to it, so every member resets to the
-/// initial state and replays `0..kill` (or `0..kill − 1` for a survivor the
-/// failure caught before its last release) instead of redoing it globally.
+/// every survivor's log reaches back to it, so the survivors keep their
+/// live state and the rescue alone resets to the initial state and replays
+/// `0..kill` instead of the group redoing it globally.
 #[test]
 fn a_failure_before_the_first_commit_replays_from_zero() {
     let gen = Graphene::new(48, 32).with_nnn(-0.1);
@@ -332,9 +347,6 @@ fn a_failure_before_the_first_commit_replays_from_zero() {
     assert_eq!(faulty.killed(), vec![1]);
     assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "fresh start");
     let (replays, resumes) = replays_and_resumes(&faulty);
-    assert_eq!(replays.len(), 4, "every member replays once: {replays:?}");
-    let (c, f) = replays[0];
-    assert!(c == 0 && (f == kill - 1 || f == kill), "replayed {c}..{f}");
-    assert!(replays.iter().all(|&r| r == (c, f)), "one span for all: {replays:?}");
-    assert_eq!(resumes, vec![f; 4], "live steps resume at the frontier on every rank");
+    assert_eq!(replays, vec![(0, kill)], "the rescue alone replays");
+    assert_eq!(resumes, vec![kill; 4], "live steps resume at the frontier on every rank");
 }

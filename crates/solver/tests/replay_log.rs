@@ -1,16 +1,19 @@
-//! The replay log's footprint and the apps' replay path.
+//! The replay log's footprint, the apps' replay path and their
+//! failure-atomic steps.
 //!
-//! Under checkpoint/restart each rank logs the halo and the sums of every
-//! step since its last commit. Once the first interval has sized the log,
-//! a step appends to it without allocating — a counting allocator holds
-//! this thread's allocation count across the steps of the next intervals.
-//! No other preset, and no job that never commits, keeps a log. The heat
-//! solver replays like Lanczos: its step talks to other ranks only through
-//! the halo exchange and `det_allreduce_sums`.
+//! Under checkpoint/restart each rank logs the blocks it posts and the sums
+//! of every step since its last commit. Once the first interval has sized
+//! the log, a step appends to it without allocating — a counting allocator
+//! holds this thread's allocation count across the steps of the next
+//! intervals. No other preset, and no job that never commits, keeps a log.
+//! The heat solver replays like Lanczos: its step talks to other ranks only
+//! through the halo exchange and `det_allreduce_sums`. Both apps' steps are
+//! failure-atomic: a step cut short by a failure leaves the exported state
+//! as it was, which is what lets survivors keep their live state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Pfs, PfsConfig, Wire};
@@ -54,9 +57,10 @@ fn allocs() -> u64 {
 const EVERY: u64 = 10;
 const HALO: usize = 96;
 
-/// A step that receives a 96-value halo and two sums through the replay
-/// seams and computes them locally, so the only allocation a step could
-/// make is the log's own. The state is the iteration count.
+/// A step that posts a 96-value block, receives a 96-value halo and two
+/// sums through the replay seams and computes them locally, so the only
+/// allocation a step could make is the log's own. The state is the
+/// iteration count.
 struct SeamsOnly {
     ck: Checkpointer,
     halo: Vec<f64>,
@@ -96,7 +100,8 @@ impl FtApp for SeamsOnly {
                 self.late_allocs += now - at;
             }
         }
-        ctx.logged_halo(&mut self.halo, HALO, |h| {
+        ctx.logged_post((0..HALO).map(|k| (iter + k as u64) as f64));
+        ctx.received_halo(&mut self.halo, HALO, |h| {
             h.fill(iter as f64);
             Ok(())
         })?;
@@ -158,8 +163,8 @@ fn after_the_first_interval_a_step_logs_without_allocating() {
     assert_eq!(s.len(), 2);
     for (app, (late_allocs, bytes)) in s {
         assert_eq!(*late_allocs, 0, "app rank {app}: the log allocated after its first interval");
-        // One interval of halos, sums and step marks, sized by the first
-        // step (its mark is pushed once it returned) and never grown.
+        // One interval of posted blocks, sums and step marks, sized by the
+        // first step once it returned and never grown.
         let interval = EVERY as usize * (8 * HALO + 8 * 2 + 16);
         assert_eq!(bytes[1], interval, "app rank {app}");
         assert!(
@@ -207,7 +212,7 @@ fn lanczos_logs_one_interval_and_nothing_without_commits() {
             FtConfig::builder(layout).checkpoint_every(every).max_iters(4 * EVERY).build().unwrap();
         let gen = Arc::new(Graphene::new(12, 8).with_nnn(-0.1));
         let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(gen));
-        let sizes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sizes = Arc::new(Mutex::new(Vec::new()));
         let seen = Arc::clone(&sizes);
         let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
             Sized(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&seen))
@@ -229,7 +234,7 @@ fn lanczos_logs_one_interval_and_nothing_without_commits() {
 
 /// An app wrapped to record `(iteration, log bytes)` after each step (app
 /// rank 0 only).
-struct Sized<A>(A, Arc<std::sync::Mutex<Vec<(u64, usize)>>>);
+struct Sized<A>(A, Arc<Mutex<Vec<(u64, usize)>>>);
 
 impl<A: FtApp> FtApp for Sized<A> {
     type Summary = A::Summary;
@@ -275,30 +280,17 @@ impl<A: FtApp> FtApp for Sized<A> {
     }
 }
 
-/// Heat replays: a kill 25 steps past a commit costs a replay of those 25
-/// steps on every rank, and a kill before the first commit a replay from
-/// the initial state (the fresh start is commit 0); either way the field
-/// lands where the failure-free run's does, bit for bit.
+/// Heat replays: a kill 25 steps past a commit costs the rescue alone a
+/// replay of those 25 steps, and a kill before the first commit a replay
+/// from the initial state (the fresh start is commit 0); the survivors keep
+/// their live state. Either way the field lands where the failure-free
+/// run's does, bit for bit.
 #[test]
 fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
-    let run = |schedule: FaultSchedule| {
-        let layout = WorldLayout::new(4, 2);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let cfg = FtConfig::builder(layout)
-            .checkpoint_every(50)
-            .max_iters(120)
-            .abandon(Duration::from_secs(30))
-            .build()
-            .unwrap();
-        let app_cfg = Arc::new(HeatConfig {
-            pfs: Some(Pfs::new(PfsConfig::instant())),
-            ..HeatConfig::new(16, 16)
-        });
-        run_ft_job(&world, cfg, schedule, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)))
-    };
-    let clean = run(FaultSchedule::none());
+    let clean = heat_job(FaultSchedule::none(), FtHeat::new);
     for (kill, commit) in [(75, 50), (30, 0)] {
-        let faulty = run(FaultSchedule::none().kill_rank_at_iteration(1, kill));
+        let schedule = FaultSchedule::none().kill_rank_at_iteration(1, kill);
+        let faulty = heat_job(schedule, FtHeat::new);
         assert_eq!(faulty.killed(), vec![1]);
         let (c, f) = (clean.worker_summaries(), faulty.worker_summaries());
         assert_eq!(f.len(), 4, "kill at {kill}: {:?}", faulty.first_error());
@@ -315,8 +307,122 @@ fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
                 _ => None,
             })
             .collect();
-        assert_eq!(replays.len(), 4, "kill at {kill}: every member replays: {replays:?}");
-        let spans = |&(from, to): &(u64, u64)| from == commit && (to == kill - 1 || to == kill);
-        assert!(replays.iter().all(spans), "kill at {kill}: {replays:?}");
+        assert_eq!(replays, vec![(commit, kill)], "kill at {kill}: the rescue alone replays");
     }
+}
+
+/// The heat job of the replay tests: 4 workers on a 16 × 16 grid, a commit
+/// every 50 steps, 120 steps.
+fn heat_job<A: FtApp>(
+    schedule: FaultSchedule,
+    app: impl Fn(&FtCtx, Arc<HeatConfig>) -> A + Send + Sync + 'static,
+) -> ft_core::JobReport<A::Summary> {
+    let layout = WorldLayout::new(4, 2);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(50)
+        .max_iters(120)
+        .abandon(Duration::from_secs(30))
+        .build()
+        .unwrap();
+    let app_cfg = Arc::new(HeatConfig {
+        pfs: Some(Pfs::new(PfsConfig::instant())),
+        ..HeatConfig::new(16, 16)
+    });
+    run_ft_job(&world, cfg, schedule, move |ctx| app(ctx, Arc::clone(&app_cfg)))
+}
+
+/// Each step that returned `Err`: the app rank, the iteration, and whether
+/// `export_state` came out of it unchanged.
+type Failed = Arc<Mutex<Vec<(u32, u64, bool)>>>;
+
+/// An app wrapped to record, for every step that fails, whether it left
+/// the exported state as it was.
+struct Atomic<A>(A, Failed);
+
+impl<A: FtApp> FtApp for Atomic<A> {
+    type Summary = A::Summary;
+
+    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.setup(ctx)
+    }
+
+    fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.join_as_rescue(ctx)
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        let before = self.0.export_state(ctx, iter)?;
+        let r = self.0.step(ctx, iter);
+        if r.is_err() {
+            let same = self.0.export_state(ctx, iter)? == before;
+            self.1.lock().unwrap().push((ctx.app_rank(), iter, same));
+        }
+        r
+    }
+
+    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
+        self.0.state_stream()
+    }
+
+    fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+        self.0.export_state(ctx, iter)
+    }
+
+    fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+        self.0.load_state(ctx, data)
+    }
+
+    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.0.reset_state(ctx)
+    }
+
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.0.rewire(ctx, plan)
+    }
+
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<A::Summary> {
+        self.0.finalize(ctx)
+    }
+}
+
+/// A partner killed mid-step: every survivor's step fails, in its halo
+/// wait or, with its halo in (app rank 3 gets its own from app rank 2
+/// alone), in the step's reduction, and leaves the exported state
+/// byte-identical.
+#[test]
+fn a_heat_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
+    let failed = Failed::default();
+    let seen = Arc::clone(&failed);
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 75);
+    let report =
+        heat_job(schedule, move |ctx, cfg| Atomic(FtHeat::new(ctx, cfg), Arc::clone(&seen)));
+    assert_eq!(report.worker_summaries().len(), 4, "{:?}", report.first_error());
+    let failed = failed.lock().unwrap();
+    assert!(failed.iter().any(|&(a, _, _)| a == 3), "app rank 3's step failed too: {failed:?}");
+    assert!(failed.iter().all(|&(_, i, same)| same && i == 75), "{failed:?}");
+}
+
+/// The same for Lanczos, whose state changes only after its last reduction.
+#[test]
+fn a_lanczos_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
+    let layout = WorldLayout::new(4, 2);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(EVERY)
+        .max_iters(4 * EVERY)
+        .abandon(Duration::from_secs(30))
+        .build()
+        .unwrap();
+    let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(Arc::new(Graphene::new(12, 8))));
+    let failed = Failed::default();
+    let seen = Arc::clone(&failed);
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 25);
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
+        Atomic(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&seen))
+    });
+    assert_eq!(report.worker_summaries().len(), 4, "{:?}", report.first_error());
+    let failed = failed.lock().unwrap();
+    assert!(failed.len() >= 3, "every survivor's step 25 failed: {failed:?}");
+    assert!(failed.iter().all(|&(_, i, same)| same && i == 25), "{failed:?}");
 }

@@ -171,7 +171,7 @@ pub fn det_allreduce_sum(ctx: &FtCtx, value: f64) -> FtResult<f64> {
 /// at most 255 elements — one while `nparts · K` fits.
 ///
 /// This is the reduction seam of local replay: the sums go through
-/// [`FtCtx::logged_sums`], logged, or in a replay read from the log.
+/// [`FtCtx::logged_sums`], logged, and in a replay read from the feed.
 pub fn det_allreduce_sums<const K: usize>(ctx: &FtCtx, values: [f64; K]) -> FtResult<[f64; K]> {
     let mut sums = values;
     ctx.logged_sums(&mut sums, |sums| {

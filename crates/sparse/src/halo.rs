@@ -33,7 +33,8 @@
 //! survivor from re-posting before all partners finished rewiring. A
 //! straggler notification that still lands after the reset carries a
 //! pre-rollback iteration tag and is discarded by the next `wait`'s
-//! stale-tag loop.
+//! stale-tag loop, or, where the survivors kept their (failure-atomic)
+//! state, the tag and values of the step they resume at.
 
 use ft_core::{FtCtx, FtResult};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId};
@@ -100,8 +101,8 @@ impl SpmvComm {
     ///
     /// `x_local` is this rank's vector chunk; `tag` must be
     /// [`SpmvComm::tag_for_iter`] of the current iteration on every rank.
-    /// In a replay nothing is written; the blocks go to
-    /// [`FtCtx::keep_post`].
+    /// Every block goes to [`FtCtx::logged_post`]; in a replay nothing is
+    /// written.
     pub fn post(
         &self,
         ctx: &FtCtx,
@@ -109,18 +110,15 @@ impl SpmvComm {
         x_local: &[f64],
         tag: u32,
     ) -> FtResult<PendingExchange> {
-        if ctx.replaying() {
-            for send in &plan.sends {
-                ctx.keep_post(send.to, send.local_rows.iter().map(|&li| x_local[li as usize]));
-            }
-            return Ok(PendingExchange { tag });
-        }
-        let proc = &ctx.proc;
+        let (proc, live) = (&ctx.proc, !ctx.replaying());
         for (send, &off) in plan.sends.iter().zip(&self.stage_offsets) {
+            let block = send.local_rows.iter().map(|&li| x_local[li as usize]);
+            ctx.logged_post(block.clone());
+            if !live {
+                continue;
+            }
             proc.with_segment_mut(self.seg_stage, |b| {
-                for (k, &li) in send.local_rows.iter().enumerate() {
-                    bytes::put_f64(b, 8 * (off + k), x_local[li as usize]);
-                }
+                block.enumerate().for_each(|(k, v)| bytes::put_f64(b, 8 * (off + k), v));
             })?;
             let dst = ctx.gaspi_of(send.to);
             proc.write_notify(
@@ -141,8 +139,8 @@ impl SpmvComm {
     /// Phase two: await one tagged notification per incoming block
     /// (dropping stale tags left over from pre-recovery traffic), read
     /// the halo into `halo_out`, and flush our own writes. The halo goes
-    /// through [`FtCtx::logged_halo`]: logged, or in a replay read from
-    /// the log.
+    /// through [`FtCtx::received_halo`]: in a replay it is read from what
+    /// the senders logged.
     pub fn wait(
         &self,
         ctx: &FtCtx,
@@ -151,7 +149,7 @@ impl SpmvComm {
         halo_out: &mut Vec<f64>,
     ) -> FtResult<()> {
         let proc = &ctx.proc;
-        ctx.logged_halo(halo_out, plan.halo_len, |halo_out| {
+        ctx.received_halo(halo_out, plan.halo_len, |halo_out| {
             for recv in &plan.recvs {
                 loop {
                     ctx.notify_waitsome_ft(self.seg_halo, recv.from, 1)?;
@@ -178,11 +176,13 @@ impl SpmvComm {
     /// not poison the next `wait`). Any exchange posted before the
     /// failure is implicitly abandoned — its [`PendingExchange`] was
     /// dropped with the unwound iteration. It also tells the context
-    /// where the halo comes from ([`FtCtx::halo_senders`]): a rescue
-    /// rebuilds its replay log from its senders.
+    /// where the halo comes from and where the posts go
+    /// ([`FtCtx::halo_links`]): survivors feed a rescue from their post logs.
     pub fn rewire(&self, ctx: &FtCtx, plan: &CommPlan) -> GaspiResult<()> {
-        ctx.halo_senders(
+        let posts = plan.sends.iter().zip(&self.stage_offsets);
+        ctx.halo_links(
             plan.recvs.iter().map(|r| (r.from, r.halo_offset..r.halo_offset + r.cols.len())),
+            posts.map(|(s, &o)| (s.to, o..o + s.local_rows.len())),
         );
         for from in 0..plan.nparts {
             let _ = ctx.proc.notify_reset(self.seg_halo, from)?;
