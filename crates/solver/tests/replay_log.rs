@@ -19,7 +19,7 @@ use std::time::Duration;
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, Pfs, PfsConfig, Wire};
 use ft_cluster::FaultSchedule;
 use ft_core::{
-    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, StrategyKind,
+    run_ft_job, EventKind, FtApp, FtConfig, FtCtx, FtResult, JobReport, RecoveryPlan, StrategyKind,
     WorldLayout,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld};
@@ -212,13 +212,13 @@ fn lanczos_logs_one_interval_and_nothing_without_commits() {
             FtConfig::builder(layout).checkpoint_every(every).max_iters(4 * EVERY).build().unwrap();
         let gen = Arc::new(Graphene::new(12, 8).with_nnn(-0.1));
         let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(gen));
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&sizes);
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let sink = Arc::clone(&seen);
         let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
-            Sized(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&seen))
+            Watched(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
         });
         assert_eq!(report.worker_summaries().len(), 4);
-        let sizes = sizes.lock().unwrap();
+        let sizes = &seen.lock().unwrap().sizes;
         if logged {
             let first = sizes.iter().find(|(i, _)| *i == EVERY).map(|&(_, b)| b).unwrap();
             assert!(first > 0);
@@ -232,11 +232,19 @@ fn lanczos_logs_one_interval_and_nothing_without_commits() {
     }
 }
 
-/// An app wrapped to record `(iteration, log bytes)` after each step (app
-/// rank 0 only).
-struct Sized<A>(A, Arc<Mutex<Vec<(u64, usize)>>>);
+/// What a [`Watched`] app saw: `(iteration, log bytes)` after each step of
+/// app rank 0, and, for each step that returned `Err`, the app rank, the
+/// iteration and whether `export_state` came out of it unchanged.
+#[derive(Default)]
+struct Seen {
+    sizes: Vec<(u64, usize)>,
+    failed: Vec<(u32, u64, bool)>,
+}
 
-impl<A: FtApp> FtApp for Sized<A> {
+/// An app wrapped to record what [`Seen`] holds.
+struct Watched<A>(A, Arc<Mutex<Seen>>);
+
+impl<A: FtApp> FtApp for Watched<A> {
     type Summary = A::Summary;
 
     fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
@@ -248,11 +256,18 @@ impl<A: FtApp> FtApp for Sized<A> {
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let done = self.0.step(ctx, iter)?;
-        if ctx.app_rank() == 0 {
-            self.1.lock().unwrap().push((iter + 1, ctx.replay_log_bytes()));
+        let before = self.0.export_state(ctx, iter)?;
+        let r = self.0.step(ctx, iter);
+        let mut seen = self.1.lock().unwrap();
+        match r {
+            Ok(_) if ctx.app_rank() == 0 => seen.sizes.push((iter + 1, ctx.replay_log_bytes())),
+            Ok(_) => {}
+            Err(_) => {
+                let same = self.0.export_state(ctx, iter)? == before;
+                seen.failed.push((ctx.app_rank(), iter, same));
+            }
         }
-        Ok(done)
+        r
     }
 
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
@@ -284,13 +299,15 @@ impl<A: FtApp> FtApp for Sized<A> {
 /// replay of those 25 steps, and a kill before the first commit a replay
 /// from the initial state (the fresh start is commit 0); the survivors keep
 /// their live state. Either way the field lands where the failure-free
-/// run's does, bit for bit.
+/// run's does, bit for bit. Every survivor's step cut short by the kill —
+/// in its halo wait or, with its halo in (app rank 3 gets its own from app
+/// rank 2 alone), in the step's reduction — left the exported state
+/// byte-identical.
 #[test]
 fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
-    let clean = heat_job(FaultSchedule::none(), FtHeat::new);
+    let (clean, _) = heat_job(FaultSchedule::none());
     for (kill, commit) in [(75, 50), (30, 0)] {
-        let schedule = FaultSchedule::none().kill_rank_at_iteration(1, kill);
-        let faulty = heat_job(schedule, FtHeat::new);
+        let (faulty, seen) = heat_job(FaultSchedule::none().kill_rank_at_iteration(1, kill));
         assert_eq!(faulty.killed(), vec![1]);
         let (c, f) = (clean.worker_summaries(), faulty.worker_summaries());
         assert_eq!(f.len(), 4, "kill at {kill}: {:?}", faulty.first_error());
@@ -308,15 +325,15 @@ fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
             })
             .collect();
         assert_eq!(replays, vec![(commit, kill)], "kill at {kill}: the rescue alone replays");
+        let failed = seen.failed;
+        assert!(failed.iter().any(|&(a, _, _)| a == 3), "kill at {kill}: {failed:?}");
+        assert!(failed.iter().all(|&(_, i, same)| same && i == kill), "{failed:?}");
     }
 }
 
 /// The heat job of the replay tests: 4 workers on a 16 × 16 grid, a commit
 /// every 50 steps, 120 steps.
-fn heat_job<A: FtApp>(
-    schedule: FaultSchedule,
-    app: impl Fn(&FtCtx, Arc<HeatConfig>) -> A + Send + Sync + 'static,
-) -> ft_core::JobReport<A::Summary> {
+fn heat_job(schedule: FaultSchedule) -> (JobReport<HeatSummary>, Seen) {
     let layout = WorldLayout::new(4, 2);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
@@ -329,81 +346,17 @@ fn heat_job<A: FtApp>(
         pfs: Some(Pfs::new(PfsConfig::instant())),
         ..HeatConfig::new(16, 16)
     });
-    run_ft_job(&world, cfg, schedule, move |ctx| app(ctx, Arc::clone(&app_cfg)))
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    let sink = Arc::clone(&seen);
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
+        Watched(FtHeat::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
+    });
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    (report, seen)
 }
 
-/// Each step that returned `Err`: the app rank, the iteration, and whether
-/// `export_state` came out of it unchanged.
-type Failed = Arc<Mutex<Vec<(u32, u64, bool)>>>;
-
-/// An app wrapped to record, for every step that fails, whether it left
-/// the exported state as it was.
-struct Atomic<A>(A, Failed);
-
-impl<A: FtApp> FtApp for Atomic<A> {
-    type Summary = A::Summary;
-
-    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.0.setup(ctx)
-    }
-
-    fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.0.join_as_rescue(ctx)
-    }
-
-    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let before = self.0.export_state(ctx, iter)?;
-        let r = self.0.step(ctx, iter);
-        if r.is_err() {
-            let same = self.0.export_state(ctx, iter)? == before;
-            self.1.lock().unwrap().push((ctx.app_rank(), iter, same));
-        }
-        r
-    }
-
-    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        self.0.state_stream()
-    }
-
-    fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
-        self.0.export_state(ctx, iter)
-    }
-
-    fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
-        self.0.load_state(ctx, data)
-    }
-
-    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.0.reset_state(ctx)
-    }
-
-    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.0.rewire(ctx, plan)
-    }
-
-    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<A::Summary> {
-        self.0.finalize(ctx)
-    }
-}
-
-/// A partner killed mid-step: every survivor's step fails, in its halo
-/// wait or, with its halo in (app rank 3 gets its own from app rank 2
-/// alone), in the step's reduction, and leaves the exported state
-/// byte-identical.
-#[test]
-fn a_heat_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
-    let failed = Failed::default();
-    let seen = Arc::clone(&failed);
-    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 75);
-    let report =
-        heat_job(schedule, move |ctx, cfg| Atomic(FtHeat::new(ctx, cfg), Arc::clone(&seen)));
-    assert_eq!(report.worker_summaries().len(), 4, "{:?}", report.first_error());
-    let failed = failed.lock().unwrap();
-    assert!(failed.iter().any(|&(a, _, _)| a == 3), "app rank 3's step failed too: {failed:?}");
-    assert!(failed.iter().all(|&(_, i, same)| same && i == 75), "{failed:?}");
-}
-
-/// The same for Lanczos, whose state changes only after its last reduction.
+/// Lanczos's step changes its state only after its last reduction: a
+/// partner killed mid-step leaves every survivor's exported state as it was.
 #[test]
 fn a_lanczos_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
     let layout = WorldLayout::new(4, 2);
@@ -415,14 +368,14 @@ fn a_lanczos_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
         .build()
         .unwrap();
     let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(Arc::new(Graphene::new(12, 8))));
-    let failed = Failed::default();
-    let seen = Arc::clone(&failed);
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    let sink = Arc::clone(&seen);
     let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 25);
     let report = run_ft_job(&world, cfg, schedule, move |ctx| {
-        Atomic(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&seen))
+        Watched(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
     });
     assert_eq!(report.worker_summaries().len(), 4, "{:?}", report.first_error());
-    let failed = failed.lock().unwrap();
+    let failed = &seen.lock().unwrap().failed;
     assert!(failed.len() >= 3, "every survivor's step 25 failed: {failed:?}");
     assert!(failed.iter().all(|&(_, i, same)| same && i == 25), "{failed:?}");
 }
