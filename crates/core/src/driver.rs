@@ -338,8 +338,10 @@ pub trait FtApp {
 
     /// One iteration. Return `Ok(true)` when converged.
     ///
-    /// Failure-atomic: a step that returns `Err` leaves the state
-    /// (`export_state`) unchanged, so a survivor stands where it failed.
+    /// Failure-atomic: a step that returns `Err` leaves the state unchanged.
+    /// The state is all a later step reads, and `export_state` holds all of
+    /// it, so a survivor that keeps its live state and a rescue that
+    /// replays take the same steps.
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch

@@ -27,6 +27,7 @@ use ft_matgen::RowGen;
 use ft_sparse::{CommPlan, DistMatrix, RowPartition, SpmvComm};
 
 use crate::lanczos::LanczosState;
+use crate::tridiag::tridiag_eigenvalues;
 
 /// Checkpoint stream tags.
 const STATE_TAG: u32 = 0x10;
@@ -96,7 +97,6 @@ pub struct FtLanczos {
     state: Option<LanczosState>,
     halo: Vec<f64>,
     w: Vec<f64>,
-    last_low_eig: Option<f64>,
 }
 
 impl FtLanczos {
@@ -123,7 +123,6 @@ impl FtLanczos {
             state: None,
             halo: Vec::new(),
             w: Vec::new(),
-            last_low_eig: None,
         }
     }
 
@@ -196,16 +195,15 @@ impl FtApp for FtLanczos {
         let state = self.state.as_mut().expect("step before setup");
         debug_assert_eq!(state.iter, iter, "driver and Lanczos state out of sync");
         state.step(ctx, dm, comm, &mut self.halo, &mut self.w)?;
-        // Convergence: eigenvalues of T_j via the QL method, identical on
-        // every rank (α/β are bit-identical), so the decision agrees.
-        if self.cfg.conv_check_every > 0 && state.iter.is_multiple_of(self.cfg.conv_check_every) {
-            let eig = state.eigenvalues();
-            if let (Some(prev), Some(&low)) = (self.last_low_eig, eig.first()) {
-                if (low - prev).abs() <= self.cfg.conv_tol * low.abs().max(1.0) {
-                    return Ok(true);
-                }
-            }
-            self.last_low_eig = eig.first().copied();
+        // Convergence: the lowest eigenvalue of T_j against that of T_{j−k}
+        // at the previous check, both by the QL method from α/β. They are
+        // bit-identical on every rank and exported, so a survivor that kept
+        // its live state and a rescue that replayed decide alike.
+        let k = self.cfg.conv_check_every;
+        if k > 0 && state.iter.is_multiple_of(k) && state.iter >= 2 * k {
+            let low = |j: usize| tridiag_eigenvalues(&state.alphas[..j], &state.betas[..j - 1])[0];
+            let (now, prev) = (low(state.alphas.len()), low(state.alphas.len() - k as usize));
+            return Ok((now - prev).abs() <= self.cfg.conv_tol * now.abs().max(1.0));
         }
         Ok(false)
     }
@@ -222,7 +220,6 @@ impl FtApp for FtLanczos {
         let st = LanczosState::from_bytes(data)?;
         let iter = st.iter;
         self.state = Some(st);
-        self.last_low_eig = None;
         Ok(iter)
     }
 
@@ -230,7 +227,6 @@ impl FtApp for FtLanczos {
         // No consistent state anywhere: restart the Krylov process from
         // the deterministic start vector.
         self.state = Some(self.fresh_state(ctx)?);
-        self.last_low_eig = None;
         Ok(())
     }
 

@@ -168,24 +168,39 @@ fn two_failures_still_bitwise_identical() {
     }
 }
 
+/// A check every 5 steps, a commit at each. A kill 3 steps before the
+/// stopping check: the survivors keep their live state, the rescue replays
+/// the 2 steps past the commit, and every rank still stops at the check
+/// the failure-free run stopped at, with the same α/β.
 #[test]
 fn convergence_check_stops_early_and_agrees() {
-    let gen = Diagonal::new((0..64).map(f64::from).collect());
-    let layout = WorldLayout::new(4, 1);
-    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-    let cfg = FtConfig::builder(layout).checkpoint_every(10).max_iters(64).build().unwrap();
-    let app_cfg = Arc::new(FtLanczosConfig {
-        conv_check_every: 5,
-        conv_tol: 1e-9,
-        ..FtLanczosConfig::fixed_iters(Arc::new(gen))
-    });
-    let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
-        FtLanczos::new(ctx, Arc::clone(&app_cfg))
-    });
-    let s = summaries(&report, 4);
-    // All ranks stopped at the same iteration, before the cap.
-    assert!(s.iter().all(|x| x.iters == s[0].iters));
-    assert!(s[0].iters < 64, "convergence should stop early, got {}", s[0].iters);
+    let run = |schedule| {
+        let gen = Diagonal::new((0..64).map(f64::from).collect());
+        let layout = WorldLayout::new(4, 1);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let cfg = FtConfig::builder(layout)
+            .checkpoint_every(5)
+            .max_iters(64)
+            .abandon(std::time::Duration::from_secs(30))
+            .build()
+            .unwrap();
+        let app_cfg = Arc::new(FtLanczosConfig {
+            conv_check_every: 5,
+            conv_tol: 1e-9,
+            ..FtLanczosConfig::fixed_iters(Arc::new(gen))
+        });
+        let report =
+            run_ft_job(&world, cfg, schedule, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)));
+        summaries(&report, 4)
+    };
+    let clean = run(FaultSchedule::none());
+    let stop = clean[0].iters;
+    assert!(clean.iter().all(|x| x.iters == stop));
+    assert!(stop < 64, "convergence should stop early, got {stop}");
+    let faulty = run(FaultSchedule::none().kill_rank_at_iteration(1, stop - 3));
+    let iters: Vec<u64> = faulty.iter().map(|x| x.iters).collect();
+    assert_eq!(iters, vec![stop; 4], "a kill at {}", stop - 3);
+    assert_bitwise(&clean, &faulty, "a kill between two checks");
 }
 
 /// Every rank's `(from, to)` replay records and resume points, in job order.

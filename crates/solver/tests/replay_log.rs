@@ -25,7 +25,7 @@ use ft_core::{
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
 use ft_solver::heat::{FtHeat, HeatConfig, HeatSummary};
-use ft_solver::{FtLanczos, FtLanczosConfig};
+use ft_solver::{FtLanczos, FtLanczosConfig, LanczosSummary};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -206,19 +206,9 @@ fn no_log_without_checkpoint_restart_commits() {
 #[test]
 fn lanczos_logs_one_interval_and_nothing_without_commits() {
     for (every, logged) in [(0, false), (EVERY, true)] {
-        let layout = WorldLayout::new(4, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let cfg =
-            FtConfig::builder(layout).checkpoint_every(every).max_iters(4 * EVERY).build().unwrap();
-        let gen = Arc::new(Graphene::new(12, 8).with_nnn(-0.1));
-        let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(gen));
-        let seen = Arc::new(Mutex::new(Seen::default()));
-        let sink = Arc::clone(&seen);
-        let report = run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| {
-            Watched(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
-        });
+        let (report, seen) = lanczos_job(FaultSchedule::none(), every);
         assert_eq!(report.worker_summaries().len(), 4);
-        let sizes = &seen.lock().unwrap().sizes;
+        let sizes = &seen.sizes;
         if logged {
             let first = sizes.iter().find(|(i, _)| *i == EVERY).map(|&(_, b)| b).unwrap();
             assert!(first > 0);
@@ -331,51 +321,54 @@ fn heat_replays_to_the_frontier_and_lands_on_the_same_field() {
     }
 }
 
-/// The heat job of the replay tests: 4 workers on a 16 × 16 grid, a commit
-/// every 50 steps, 120 steps.
-fn heat_job(schedule: FaultSchedule) -> (JobReport<HeatSummary>, Seen) {
+/// A job of 4 workers and 2 spares, each app [`Watched`], that runs `iters`
+/// steps with a commit every `every`.
+fn watched_job<A: FtApp + 'static>(
+    schedule: FaultSchedule,
+    every: u64,
+    iters: u64,
+    make: impl Fn(&FtCtx) -> A + Send + Sync + 'static,
+) -> (JobReport<A::Summary>, Seen) {
     let layout = WorldLayout::new(4, 2);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
     let cfg = FtConfig::builder(layout)
-        .checkpoint_every(50)
-        .max_iters(120)
+        .checkpoint_every(every)
+        .max_iters(iters)
         .abandon(Duration::from_secs(30))
         .build()
         .unwrap();
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    let sink = Arc::clone(&seen);
+    let report =
+        run_ft_job(&world, cfg, schedule, move |ctx| Watched(make(ctx), Arc::clone(&sink)));
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    (report, seen)
+}
+
+/// The heat job of the replay tests: a 16 × 16 grid, a commit every 50
+/// steps, 120 steps.
+fn heat_job(schedule: FaultSchedule) -> (JobReport<HeatSummary>, Seen) {
     let app_cfg = Arc::new(HeatConfig {
         pfs: Some(Pfs::new(PfsConfig::instant())),
         ..HeatConfig::new(16, 16)
     });
-    let seen = Arc::new(Mutex::new(Seen::default()));
-    let sink = Arc::clone(&seen);
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
-        Watched(FtHeat::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
-    });
-    let seen = std::mem::take(&mut *seen.lock().unwrap());
-    (report, seen)
+    watched_job(schedule, 50, 120, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)))
+}
+
+/// Lanczos on a 12 × 8 graphene sheet, `4 * EVERY` steps.
+fn lanczos_job(schedule: FaultSchedule, every: u64) -> (JobReport<LanczosSummary>, Seen) {
+    let gen = Arc::new(Graphene::new(12, 8).with_nnn(-0.1));
+    let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(gen));
+    watched_job(schedule, every, 4 * EVERY, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)))
 }
 
 /// Lanczos's step changes its state only after its last reduction: a
 /// partner killed mid-step leaves every survivor's exported state as it was.
 #[test]
 fn a_lanczos_step_cut_short_by_a_failure_leaves_the_state_unchanged() {
-    let layout = WorldLayout::new(4, 2);
-    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-    let cfg = FtConfig::builder(layout)
-        .checkpoint_every(EVERY)
-        .max_iters(4 * EVERY)
-        .abandon(Duration::from_secs(30))
-        .build()
-        .unwrap();
-    let app_cfg = Arc::new(FtLanczosConfig::fixed_iters(Arc::new(Graphene::new(12, 8))));
-    let seen = Arc::new(Mutex::new(Seen::default()));
-    let sink = Arc::clone(&seen);
-    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 25);
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| {
-        Watched(FtLanczos::new(ctx, Arc::clone(&app_cfg)), Arc::clone(&sink))
-    });
+    let (report, seen) = lanczos_job(FaultSchedule::none().kill_rank_at_iteration(1, 25), EVERY);
     assert_eq!(report.worker_summaries().len(), 4, "{:?}", report.first_error());
-    let failed = &seen.lock().unwrap().failed;
+    let failed = seen.failed;
     assert!(failed.len() >= 3, "every survivor's step 25 failed: {failed:?}");
     assert!(failed.iter().all(|&(_, i, same)| same && i == 25), "{failed:?}");
 }
