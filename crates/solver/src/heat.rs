@@ -11,19 +11,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Enc, Pfs, Wire};
-use ft_core::ckpt::adopt_latest;
-use ft_core::{FtApp, FtCtx, FtError, FtResult, RecoveryPlan};
-use ft_gaspi::{GaspiError, SegId, Timeout};
+use ft_checkpoint::{Checkpointer, Enc, Pfs, Wire};
+use ft_core::{FtApp, FtCtx, FtResult, RecoveryPlan};
 use ft_matgen::stencil::Laplace2d;
-use ft_matgen::RowGen;
-use ft_sparse::{det_allreduce_sums, CommPlan, DistMatrix, RowPartition, SpmvComm};
+use ft_sparse::{det_allreduce_sums, SpmvComm};
 
-const STATE_TAG: u32 = 0x20;
-const PLAN_TAG: u32 = 0x21;
-const SEG_HALO: SegId = 3;
-const SEG_STAGE: SegId = 4;
-const HALO_QUEUE: u16 = 2;
+use crate::spmv_rank::SpmvRank;
 
 /// Configuration of the fault-tolerant heat solve.
 pub struct HeatConfig {
@@ -63,10 +56,7 @@ pub struct HeatSummary {
 pub struct FtHeat {
     cfg: Arc<HeatConfig>,
     gen: Laplace2d,
-    state_ck: Checkpointer,
-    plan_ck: Checkpointer,
-    dm: Option<DistMatrix>,
-    comm: Option<SpmvComm>,
+    rank: SpmvRank,
     u: Vec<f64>,
     /// Scratch for the next field, swapped into `u` once a step succeeded.
     next: Vec<f64>,
@@ -81,25 +71,10 @@ pub struct FtHeat {
 impl FtHeat {
     /// Build the application object for one rank.
     pub fn new(ctx: &FtCtx, cfg: Arc<HeatConfig>) -> Self {
-        let gen = Laplace2d::new(cfg.nx, cfg.ny);
-        let state_ck =
-            Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), cfg.pfs.clone());
-        let plan_ck = Checkpointer::new(
-            &ctx.proc,
-            CheckpointerConfig {
-                keep_versions: 1,
-                pfs_every: cfg.pfs.as_ref().map(|_| 1),
-                ..CheckpointerConfig::for_tag(PLAN_TAG)
-            },
-            cfg.pfs.clone(),
-        );
         Self {
+            gen: Laplace2d::new(cfg.nx, cfg.ny),
+            rank: SpmvRank::new(ctx, cfg.pfs.clone(), cfg.fetch_timeout),
             cfg,
-            gen,
-            state_ck,
-            plan_ck,
-            dm: None,
-            comm: None,
             u: Vec::new(),
             next: Vec::new(),
             b: Vec::new(),
@@ -108,28 +83,6 @@ impl FtHeat {
             last_residual: f64::INFINITY,
             last_norm: 0.0,
         }
-    }
-
-    fn partition(&self, ctx: &FtCtx) -> RowPartition {
-        RowPartition::new(self.gen.dim(), ctx.num_app_ranks())
-    }
-
-    /// Right-hand side: a unit point source at the grid center, derived
-    /// from global indices (regenerable by any rescue).
-    fn source(&self, part: &RowPartition, me: u32) -> Vec<f64> {
-        let center = (self.cfg.ny / 2) * self.cfg.nx + self.cfg.nx / 2;
-        part.range(me).map(|i| if i == center { 1.0 } else { 0.0 }).collect()
-    }
-
-    fn install_plan(&mut self, ctx: &FtCtx, plan: CommPlan) -> FtResult<()> {
-        let part = self.partition(ctx);
-        let me = ctx.app_rank();
-        let dm = DistMatrix::assemble(&self.gen, part, me, plan);
-        let comm = SpmvComm::new(&ctx.proc, &dm.plan, SEG_HALO, SEG_STAGE, HALO_QUEUE)?;
-        self.b = self.source(&part, me);
-        self.dm = Some(dm);
-        self.comm = Some(comm);
-        Ok(())
     }
 
     /// The state as a `(u64, Vec<f64>)`, written without copying the field.
@@ -144,34 +97,18 @@ impl FtApp for FtHeat {
     type Summary = HeatSummary;
 
     fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        let part = self.partition(ctx);
-        let me = ctx.app_rank();
-        let needed = DistMatrix::needed_columns(&self.gen, &part, me);
-        let plan = CommPlan::receives_from_needs(me, part.parts(), &needed).negotiate(
-            &ctx.proc,
-            &|a| ctx.gaspi_of(a),
-            part.range(me).start,
-            Timeout::Ms(30_000),
-        )?;
-        self.plan_ck.commit(0, plan.to_bytes(), CopyPolicy::Replicate);
-        self.install_plan(ctx, plan)?;
-        self.u = vec![0.0; part.len(me)];
-        ctx.barrier_ft()?;
-        Ok(())
+        self.rank.setup(ctx, &self.gen)?;
+        self.reset_state(ctx)?;
+        ctx.barrier_ft()
     }
 
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        let blob = adopt_latest(ctx, &self.plan_ck, self.cfg.fetch_timeout)?;
-        let plan = CommPlan::from_bytes(&blob.data)
-            .map_err(|_| FtError::Gaspi(GaspiError::InvalidArg("corrupt plan checkpoint")))?;
-        self.install_plan(ctx, plan)?;
-        self.u = vec![0.0; self.partition(ctx).len(ctx.app_rank())];
-        Ok(())
+        self.rank.join(ctx, &self.gen)?;
+        self.reset_state(ctx)
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
-        let dm = self.dm.as_ref().expect("step before setup");
-        let comm = self.comm.as_ref().expect("step before setup");
+        let (dm, comm) = self.rank.spmv();
         let tag = SpmvComm::tag_for_iter(iter);
         // Split-phase: the local product runs while the halo is in
         // flight; the residual allreduce below is the inter-iteration
@@ -201,7 +138,7 @@ impl FtApp for FtHeat {
     }
 
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.state_ck, self.cfg.fetch_timeout))
+        self.rank.state_stream()
     }
 
     fn export_state(&self, _ctx: &FtCtx, _iter: u64) -> FtResult<Option<Vec<u8>>> {
@@ -215,19 +152,19 @@ impl FtApp for FtHeat {
         Ok(iter)
     }
 
-    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.u = vec![0.0; self.partition(ctx).len(ctx.app_rank())];
+    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        // A zero field; the right-hand side, a unit point source at the
+        // grid center, is derived from global indices alongside it.
+        let dm = self.rank.spmv().0;
+        let center = (self.cfg.ny / 2) * self.cfg.nx + self.cfg.nx / 2;
+        self.b = dm.part.range(dm.me).map(|i| if i == center { 1.0 } else { 0.0 }).collect();
+        self.u = vec![0.0; self.b.len()];
         self.iter = 0;
         Ok(())
     }
 
     fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
-        self.state_ck.refresh_failed(&plan.failed);
-        self.plan_ck.refresh_failed(&plan.failed);
-        if let (Some(comm), Some(dm)) = (&self.comm, &self.dm) {
-            comm.rewire(ctx, &dm.plan)?;
-        }
-        Ok(())
+        self.rank.rewire(ctx, plan)
     }
 
     fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<HeatSummary> {

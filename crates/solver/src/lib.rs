@@ -25,6 +25,7 @@ pub mod ft_lanczos;
 pub mod heat;
 pub mod lanczos;
 pub mod seq;
+mod spmv_rank;
 pub mod tridiag;
 
 pub use ft_lanczos::{FtLanczos, FtLanczosConfig, LanczosSummary};

@@ -7,11 +7,16 @@ use std::time::Duration;
 
 use gaspi_ft::checkpoint::{Pfs, PfsConfig};
 use gaspi_ft::cluster::{FaultAction, FaultSchedule, NodeId};
-use gaspi_ft::core::{run_ft_job, FtConfig, Role, WorldLayout};
+use gaspi_ft::core::{run_ft_job, FtConfig, JobReport, Role, WorldLayout};
 use gaspi_ft::gaspi::{GaspiConfig, GaspiWorld, ReduceOp, Timeout};
 use gaspi_ft::matgen::graphene::Graphene;
 use gaspi_ft::solver::ft_lanczos::{FtLanczos, FtLanczosConfig};
 use gaspi_ft::solver::heat::{FtHeat, HeatConfig};
+
+/// Why a job-level assert failed: the ranks that died and the first error.
+fn why<S: std::fmt::Debug>(report: &JobReport<S>) -> String {
+    format!("killed {:?}, first error {:?}", report.killed(), report.first_error())
+}
 
 #[test]
 fn facade_quickstart_flow() {
@@ -56,9 +61,9 @@ fn lanczos_survives_node_failure_with_colocated_ranks() {
         run_ft_job(&world, cfg, schedule, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)));
     let mut killed = report.killed();
     killed.sort_unstable();
-    assert_eq!(killed, vec![2, 3]);
+    assert_eq!(killed, vec![2, 3], "{}", why(&report));
     let s = report.worker_summaries();
-    assert_eq!(s.len(), 6);
+    assert_eq!(s.len(), 6, "{}", why(&report));
     for (_, x) in &s {
         assert_eq!(x.alphas, s[0].1.alphas, "all workers must agree bitwise");
         assert_eq!(x.iters, 400);
@@ -86,9 +91,9 @@ fn heat_app_converges_through_failure() {
     let schedule = FaultSchedule::none().timed(Duration::from_millis(80), FaultAction::KillRank(1));
     let report =
         run_ft_job(&world, cfg, schedule, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)));
-    assert_eq!(report.killed(), vec![1]);
+    assert_eq!(report.killed(), vec![1], "{}", why(&report));
     let s = report.worker_summaries();
-    assert_eq!(s.len(), 4);
+    assert_eq!(s.len(), 4, "{}", why(&report));
     assert!(s[0].1.residual < 1e-5, "must converge, got {}", s[0].1.residual);
     for (_, x) in &s {
         assert_eq!(x.solution_norm, s[0].1.solution_norm);
@@ -116,7 +121,7 @@ fn failure_free_and_failed_heat_agree_on_the_physics() {
         let report =
             run_ft_job(&world, cfg, schedule, move |ctx| FtHeat::new(ctx, Arc::clone(&app_cfg)));
         let s = report.worker_summaries();
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.len(), 3, "{}", why(&report));
         (s[0].1.iters, s[0].1.solution_norm)
     };
     let (clean_iters, clean_norm) = run(FaultSchedule::none());
