@@ -300,10 +300,9 @@ impl Checkpointer {
     }
 
     /// Block until all signaled copies have been replicated (or failed).
-    /// Checkpoint/restart calls this only at finalize, never on the fast
-    /// path; `ft-core`'s replicated preset calls it after every
-    /// per-iteration commit (a synchronous push), so there the replica
-    /// round trip is on the critical path.
+    /// `ft-core`'s checkpoint/restart calls it one step before each commit,
+    /// so only at interval 1 is the replica round trip on the critical
+    /// path.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut c = self.shared.pending.lock();

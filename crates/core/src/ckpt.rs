@@ -135,20 +135,20 @@ pub struct Agreed {
 ///    that died before its library thread finished replicating leaves its
 ///    rescue with an *older* version than the survivors still hold — the
 ///    survivors may have pruned that older version locally, so a version
-///    someone voted for is not necessarily available to everyone else.
-///    If anyone misses, the whole group restarts from scratch together
-///    (divergence would be worse than redone work; and since the
-///    applications are reduction-order deterministic, the redone prefix
-///    rewrites bit-identical checkpoints). The same round carries each
-///    member's [`frontier_vote`] for the agreed commit, the version times
-///    `iters_per_version` (0 before the first commit), and with it the
-///    smallest and the largest end of the survivors' logs.
+///    someone voted for is not necessarily available to everyone else
+///    (with the drain rule of [`crate::strategy`], only behind a copy slower
+///    than the fetch timeout). If anyone misses, the whole group restarts
+///    from scratch together (divergence would be worse than redone work;
+///    and since the applications are reduction-order deterministic, the
+///    redone prefix rewrites bit-identical checkpoints). The same round
+///    carries each member's [`frontier_vote`] for the agreed commit, the
+///    version times `iters_per_version` (0 before the first commit), and
+///    with it the smallest and the largest end of the survivors' logs.
 ///
-/// Both neighbor-copy presets restore through here, from the application's
-/// own state stream (checkpoint/restart at its interval, replication every
-/// step). A rank that restored its predecessor's checkpoint
-/// ([`FtCtx::restore_source`]) re-homes it under its own rank before
-/// returning.
+/// Checkpoint/restart at any interval restores through here, from the
+/// application's own state stream. A rank that restored its predecessor's
+/// checkpoint ([`FtCtx::restore_source`]) re-homes it under its own rank
+/// before returning, without waiting for the copy (see `lookup`).
 pub fn consistent_restore(
     ctx: &FtCtx,
     ck: &Checkpointer,
@@ -193,8 +193,9 @@ pub fn adopt_latest(ctx: &FtCtx, ck: &Checkpointer, fetch_timeout: Duration) -> 
 
 /// Look up the stream of [`FtCtx::restore_source`] with `look` and, on a
 /// miss, those of the carriers it adopted from in turn: a rescue that died
-/// before what it re-homed reached its neighbor leaves only theirs. Returns
-/// the rank that hit, or the source and its miss.
+/// before what it re-homed reached its neighbor leaves only theirs, which
+/// nobody prunes any more; one that lived to commit again drained that
+/// copy first. Returns the rank that hit, or the source and its miss.
 fn lookup<T>(ctx: &FtCtx, look: impl Fn(Rank) -> RestoreOutcome<T>) -> (Rank, RestoreOutcome<T>) {
     let (plan, source) = (ctx.plan(), ctx.restore_source());
     let first = look(source);
@@ -228,15 +229,15 @@ mod tests {
         let layout = WorldLayout::new(4, 4); // idles 4-6, FD 7
         let p1 = RecoveryPlan::initial().after_failures(&layout, &[2], None);
         assert_eq!(restore_source(&p1, 0), 0, "survivors restore as themselves");
-        assert_eq!(restore_source(&p1, 6), 2);
-        // Chained: rank2 → rescue6, app rank 2's designated shadow (epoch
-        // 1); rank6 → rescue4, the pool's first (epoch 2).
-        let p2 = p1.after_failures(&layout, &[6], None);
-        assert_eq!(restore_source(&p2, 4), 6);
-        // 6 is dead; if asked (it isn't), it would still resolve to 2.
-        assert_eq!(restore_source(&p2, 6), 2);
+        assert_eq!(restore_source(&p1, 4), 2);
+        // Chained: rank2 → rescue4 (epoch 1); rank4 → rescue5, the pool's
+        // next (epoch 2).
+        let p2 = p1.after_failures(&layout, &[4], None);
+        assert_eq!(restore_source(&p2, 5), 4);
+        // 4 is dead; if asked (it isn't), it would still resolve to 2.
+        assert_eq!(restore_source(&p2, 4), 2);
         // A dead idle adopts nobody and is adopted by nobody.
-        let p3 = p2.after_failures(&layout, &[5], None);
+        let p3 = p2.after_failures(&layout, &[6], None);
         assert_eq!(restore_source(&p3, 3), 3);
     }
 }

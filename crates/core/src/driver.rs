@@ -43,7 +43,8 @@ pub struct FtConfig {
     pub detector: DetectorConfig,
     /// Retry policy for fault-tolerant communication.
     pub policy: CommPolicy,
-    /// Checkpoint every N iterations (0 = never; the paper uses 500); C/R only.
+    /// Checkpoint every N iterations (0 = never; the paper uses 500); C/R only
+    /// (`Replicated` is C/R at 1).
     pub checkpoint_every: u64,
     /// Stop after this many iterations (the paper fixes 3500); `step` may
     /// also end the run early by returning `true`.
@@ -94,9 +95,6 @@ pub enum FtConfigError {
         /// Spares the layout actually has.
         have: u32,
     },
-    /// The replication strategy needs at least one rescue slot to host a
-    /// designated shadow.
-    ReplicationNeedsSpares,
 }
 
 impl fmt::Display for FtConfigError {
@@ -105,9 +103,6 @@ impl fmt::Display for FtConfigError {
             FtConfigError::ZeroIters => write!(f, "max_iters must be > 0"),
             FtConfigError::ShadowNeedsSpares { have } => {
                 write!(f, "redundant_fd requires >= 2 spares, layout has {have}")
-            }
-            FtConfigError::ReplicationNeedsSpares => {
-                write!(f, "the replicated strategy requires >= 1 rescue slot")
             }
         }
     }
@@ -135,7 +130,8 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Checkpoint every `n` iterations (0 = never) under C/R.
+    /// Checkpoint every `n` iterations (0 = never) under C/R;
+    /// `Replicated` is C/R at 1.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.cfg.checkpoint_every = n;
         self
@@ -173,9 +169,6 @@ impl FtConfigBuilder {
         }
         if self.cfg.redundant_fd && self.cfg.layout.num_spares < 2 {
             return Err(FtConfigError::ShadowNeedsSpares { have: self.cfg.layout.num_spares });
-        }
-        if self.cfg.strategy == StrategyKind::Replicated && self.cfg.layout.rescue_capacity() < 1 {
-            return Err(FtConfigError::ReplicationNeedsSpares);
         }
         Ok(self.cfg)
     }
@@ -345,11 +338,11 @@ pub trait FtApp {
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool>;
 
     /// The checkpoint stream carrying this app's state, plus the fetch
-    /// timeout for restores — what both neighbor-copy presets,
-    /// [`CheckpointRestart`](crate::strategy::StrategyKind::CheckpointRestart)
-    /// and [`Replicated`](crate::strategy::StrategyKind::Replicated), commit
-    /// `export_state` into and vote over after a failure. `None` (the
-    /// default) suits only a job that runs under the parity preset.
+    /// timeout for restores and for the drain before each commit — what
+    /// [`CheckpointRestart`](crate::strategy::StrategyKind::CheckpointRestart),
+    /// at any interval, commits `export_state` into and votes over after a
+    /// failure. `None` (the default) suits only a job that runs under the
+    /// parity preset.
     fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
         None
     }
@@ -780,9 +773,9 @@ fn worker_run<A: FtApp>(
             Ok(()) => {}
             Err(FtError::Signal(FtSignal::Recover(plan))) => {
                 iter = recover(ctx, &mut slot, make_app, &mut strat, plan)?;
-                // A resume at the failure frontier (parity decoding,
-                // replication takeover) loses no work: record a redo
-                // interval only when there is one.
+                // A resume at the failure frontier (parity decoding, a
+                // commit every step) loses no work: record a redo interval
+                // only when there is one.
                 if iter < max_iter {
                     redo = Some((ctx.plan().epoch, max_iter));
                 }

@@ -55,15 +55,6 @@ impl WorldLayout {
     pub fn rescue_capacity(&self) -> u32 {
         self.num_spares - 1
     }
-
-    /// The spare designated as `app_rank`'s hot standby under the
-    /// replication strategy: the pool is aligned with the workers, so app
-    /// rank `a`'s shadow is spare `num_workers + a` (when that rank is in
-    /// the idle pool at all — small pools wrap onto the ordinary
-    /// activation order).
-    pub fn designated_shadow(&self, app_rank: u32) -> Rank {
-        self.num_workers + app_rank
-    }
 }
 
 /// Application rank → GASPI rank translation.

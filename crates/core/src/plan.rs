@@ -121,12 +121,10 @@ impl RecoveryPlan {
 
     /// The plan the current detector broadcasts after a scan found `newly`
     /// failed (ascending, none of them failed before): one epoch later,
-    /// each failed carrier of an application rank adopted by a spare. The
-    /// spare is the app rank's designated shadow
-    /// ([`WorldLayout::designated_shadow`]) while it is free, else the next
-    /// of the pool, else the detector itself ("the FD process itself joins
-    /// the worker group if no idle process is further available", §IV-D —
-    /// the plan then has `fd_alive == false`), else nobody
+    /// each failed carrier of an application rank adopted by a spare: the
+    /// next of the pool, in layout order, else the detector itself ("the FD
+    /// process itself joins the worker group if no idle process is further
+    /// available", §IV-D — the plan then has `fd_alive == false`), else nobody
     /// ([`Self::exhausted`]). A rescue named in this very round may itself
     /// be in `newly` further on, and is then rescued in turn.
     pub fn after_failures(
@@ -143,20 +141,14 @@ impl RecoveryPlan {
             let rescue = match map.app_of(f) {
                 // A failed idle consumes no rescue.
                 None => NO_RESCUE,
-                Some(app) => {
-                    let designated = layout.designated_shadow(app);
-                    if pool.contains(&designated) {
-                        pool.retain(|&x| x != designated);
-                        designated
-                    } else if let Some(r) = pool.pop_front() {
-                        r
-                    } else if next.fd_alive {
+                Some(_) => match pool.pop_front() {
+                    Some(r) => r,
+                    None if next.fd_alive => {
                         next.fd_alive = false;
                         self.current_fd(layout)
-                    } else {
-                        NO_RESCUE
                     }
-                }
+                    None => NO_RESCUE,
+                },
             };
             if rescue != NO_RESCUE {
                 map.transfer(f, rescue);
@@ -288,14 +280,5 @@ mod tests {
             (q.worker_set(&l), q.fd_alive, q.exhausted(&l)),
             (vec![2, 3, 4, 6], false, false)
         );
-    }
-
-    #[test]
-    fn designated_shadow_is_preferred_while_free() {
-        let l = WorldLayout::new(3, 4); // idles 3-5 shadow app ranks 0-2, FD 6
-        let p = RecoveryPlan::initial().after_failures(&l, &[1, 2], None);
-        assert_eq!(p.rescues, vec![4, 5]);
-        // 5 is taken: app rank 2's next carrier falls back to pool order.
-        assert_eq!(p.after_failures(&l, &[5], None).rescues, vec![4, 5, 3]);
     }
 }

@@ -377,7 +377,30 @@ fn run<A: FtApp>(ctx: &FtCtx, app: &mut A, span: &Range<u64>) -> FtResult<()> {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local!(static ALLOCS: Cell<u64> = const { Cell::new(0) });
+
+    /// The system allocator, counting this thread's allocations.
+    struct Meter;
+
+    // SAFETY: every call is forwarded to `System` unchanged; the counter is a
+    // const-initialised thread-local without a destructor.
+    unsafe impl GlobalAlloc for Meter {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+            System.dealloc(p, layout);
+        }
+    }
+
+    #[global_allocator]
+    static METER: Meter = Meter;
 
     /// A step that posts one value to app rank 1 and two to app rank 2.
     fn step(log: &mut ReplayLog, iter: u64, ok: bool) {
@@ -416,5 +439,25 @@ mod tests {
         log.whole = false;
         assert_eq!(log.span(), None, "broken until the next restart");
         assert_eq!(ReplayLog::new(0).span(), None, "no log without commits");
+    }
+
+    /// Once the first interval has sized the log, sealed steps, failed ones
+    /// and commits' restarts append to it without allocating.
+    #[test]
+    fn after_the_first_interval_the_log_appends_without_allocating() {
+        let mut log = ReplayLog::new(4);
+        (0..4).for_each(|i| step(&mut log, i, true));
+        let bytes = log.bytes();
+        let mut counts = Vec::new();
+        for commit in [4, 8, 16] {
+            let before = ALLOCS.with(Cell::get);
+            log.restart(commit);
+            (commit..commit + 3).for_each(|i| step(&mut log, i, true));
+            step(&mut log, commit + 3, false);
+            step(&mut log, commit + 3, true);
+            counts.push(ALLOCS.with(Cell::get) - before);
+        }
+        assert_eq!(counts, [0; 3], "allocations per interval");
+        assert_eq!(log.bytes(), bytes, "the log grew");
     }
 }

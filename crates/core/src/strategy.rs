@@ -16,18 +16,20 @@
 //!
 //! The three [`StrategyKind`]s are presets of it:
 //!
-//! | preset | code | every | window | drain | resume point |
-//! |---|---|---|---|---|---|
-//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | async | the survivors' common frontier, which only the rescue replays to from the last landed commit; the commit itself after a straddle or a log gap |
-//! | `Replicated` | neighbor copy, the app's `state_stream` | 1 | the stream's | sync | failure frontier |
-//! | `Abft` | striped parity | 1 | 2 | collective | failure frontier |
+//! | preset | code | every | window | resume point |
+//! |---|---|---|---|---|
+//! | `CheckpointRestart` | neighbor copy, the app's `state_stream` | `checkpoint_every` | the stream's | the survivors' common frontier, which only the rescue replays to from the last landed commit; the commit itself after a straddle or a log gap |
+//! | `Replicated` | `CheckpointRestart` at interval 1 | 1 | the stream's | the last commit, the failure frontier |
+//! | `Abft` | striped parity | 1 | 2 | failure frontier |
 //!
-//! The parity preset is diskless checkpointing with a parity code, not
-//! algorithm-based fault tolerance in Bosilca et al.'s sense
-//! (arXiv:0806.3121), where checksums are carried through the algorithm's
-//! own operations. `Replicated` approximates FTHP-MPI's hot standby
-//! (arXiv:2504.09989): one landed copy per step, and a failed rank is
-//! adopted by its designated shadow spare.
+//! **The drain rule**: a copy job drains its stream one step before each
+//! commit (at interval 1, right after it), so every member's newest copy
+//! has landed before the step that lets the group commit the next version;
+//! with a two-version window, a survivor one commit ahead has then pruned
+//! nothing that a rescue can offer. The parity preset is diskless
+//! checkpointing with a parity code, not algorithm-based fault tolerance
+//! in Bosilca et al.'s sense (arXiv:0806.3121), where checksums are carried
+//! through the algorithm's own operations.
 //!
 //! The driver calls [`Checkpointed::prepare`] after every iteration and
 //! [`Checkpointed::restore`] after a rebuild. Recovery is one protocol for
@@ -36,7 +38,7 @@
 //! member or, past it, on the rescues alone, who replay to the survivors'
 //! frontier. The application only exports and installs state, through the
 //! [`FtApp`] hooks `export_state` / `load_state` / `reset_state` (plus
-//! `state_stream` for both neighbor-copy presets).
+//! `state_stream` for the neighbor copy).
 
 use std::collections::VecDeque;
 
@@ -59,7 +61,8 @@ pub enum StrategyKind {
     /// Diskless checkpointing with a striped XOR-parity code every step;
     /// reconstruction instead of rollback.
     Abft,
-    /// Hot-standby replication onto designated shadow spares.
+    /// Checkpoint/restart at interval 1: a neighbor copy of every step,
+    /// landed before the next one.
     Replicated,
 }
 
@@ -91,11 +94,8 @@ struct Generation {
 
 /// Where the redundant copy of the state goes.
 enum Code {
-    /// The app's `state_stream` copies each version to the neighbor node,
-    /// drained by its library thread in the background, or, if `sync`,
-    /// before the next step (bounded by the stream's fetch timeout), so a
-    /// takeover never regresses past the failure frontier.
-    NeighborCopy { sync: bool },
+    /// The app's `state_stream` copies each version to the neighbor node.
+    NeighborCopy,
     /// Striped XOR parity over the worker group, the newest
     /// [`PARITY_HISTORY`] generations. A single lost rank's state is
     /// decoded with no rollback and no redo, and the rescue leaves
@@ -120,45 +120,46 @@ pub struct Checkpointed {
 const UNDECODABLE: FtError = FtError::Unsupported("abft reconstruction");
 
 impl Checkpointed {
-    /// The per-rank instance of the `kind` preset. Under checkpoint/restart
-    /// it also sizes the replay log, before `setup` or a rescue's recovery
-    /// can log a step; a job that never commits has nothing to replay from.
+    /// The per-rank instance of the `kind` preset. A copy job at an interval
+    /// past 1 (every commit restarts the log) that commits before the job
+    /// ends also sizes the replay log, before `setup` or a rescue can log.
     pub fn new(kind: StrategyKind, ctx: &FtCtx) -> Self {
         let (code, every) = match kind {
-            StrategyKind::CheckpointRestart => {
-                let every = ctx.cfg.checkpoint_every;
-                if every < ctx.cfg.max_iters {
-                    *ctx.log.borrow_mut() = ReplayLog::new(every);
-                }
-                (Code::NeighborCopy { sync: false }, every)
-            }
-            StrategyKind::Replicated => (Code::NeighborCopy { sync: true }, 1),
+            StrategyKind::CheckpointRestart => (Code::NeighborCopy, ctx.cfg.checkpoint_every),
+            StrategyKind::Replicated => (Code::NeighborCopy, 1),
             StrategyKind::Abft => (Code::StripedParity { history: VecDeque::new() }, 1),
         };
+        if matches!(code, Code::NeighborCopy) && 1 < every && every < ctx.cfg.max_iters {
+            *ctx.log.borrow_mut() = ReplayLog::new(every);
+        }
         Self { code, every }
     }
 
     /// Called after every completed iteration (`iter` iterations done),
-    /// before the failure-free path continues: the steady-state cost.
+    /// before the failure-free path continues: the steady-state cost. The
+    /// copy drains one step before each commit (the drain rule, module doc).
     pub fn prepare<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
-        if self.every == 0 || !iter.is_multiple_of(self.every) {
-            return Ok(());
-        }
-        let block = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
+        // `iter` ≥ 1, and only 0 is a multiple of 0: interval 0 never commits.
+        let at = |i: u64| i.is_multiple_of(self.every);
+        let (commit, drain) = (at(iter), at(iter + 1));
+        let export = || app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"));
         match &mut self.code {
-            Code::NeighborCopy { sync } => {
+            Code::NeighborCopy if commit || drain => {
                 let (ck, timeout) =
                     app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-                // The *checkpoint counter* is the version: the stream
-                // prunes over consecutive versions.
-                ck.commit(iter / self.every, block, CopyPolicy::Replicate);
-                ctx.log.borrow_mut().restart(iter);
-                ctx.proc.injection_site("driver.checkpoint.commit");
-                if *sync {
+                if commit {
+                    // The *checkpoint counter* is the version: the stream
+                    // prunes over consecutive versions.
+                    ck.commit(iter / self.every, export()?, CopyPolicy::Replicate);
+                    ctx.log.borrow_mut().restart(iter);
+                    ctx.proc.injection_site("driver.checkpoint.commit");
+                }
+                if drain {
                     ck.drain(timeout);
                 }
             }
-            Code::StripedParity { history } => {
+            Code::StripedParity { history } if commit => {
+                let block = export()?;
                 let (me, n) = (ctx.app_rank() as usize, ctx.num_app_ranks() as usize);
                 let dealt = exchange(ctx, stripe::encode(me, n, iter, &block))?;
                 let parity = stripe::parity(iter, except(&dealt, &[me])).ok_or(UNDECODABLE)?;
@@ -168,6 +169,7 @@ impl Checkpointed {
                     history.pop_front();
                 }
             }
+            _ => {}
         }
         Ok(())
     }
@@ -181,16 +183,10 @@ impl Checkpointed {
     /// makes exactly one `load_state`, or `reset_state` at commit 0.
     pub fn restore<A: FtApp>(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<u64> {
         let agreed = match &mut self.code {
-            Code::NeighborCopy { sync } => {
+            Code::NeighborCopy => {
                 let (ck, timeout) =
                     app.state_stream().ok_or(FtError::Unsupported("state_stream"))?;
-                let agreed = consistent_restore(ctx, ck, timeout, self.every)?;
-                // A rescue just re-homed the adopted version; a synchronous
-                // copy must reach the new standby before the next step.
-                if *sync {
-                    ck.drain(timeout);
-                }
-                agreed
+                consistent_restore(ctx, ck, timeout, self.every)?
             }
             Code::StripedParity { history } => decode(ctx, history)?,
         };

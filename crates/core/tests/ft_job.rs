@@ -383,11 +383,11 @@ fn two_sequential_failures() {
 
 #[test]
 fn rescue_failure_is_rescued_again() {
-    // Rank 1 dies; app rank 1's designated shadow (idle rank 4) adopts it,
-    // then is itself killed mid-compute. The pool's first idle (rank 3)
-    // must adopt the same app rank transitively.
+    // Rank 1 dies; the pool's first idle (rank 3) adopts it, then is
+    // itself killed mid-compute. The pool's next idle (rank 4) must adopt
+    // the same app rank transitively.
     let schedule =
-        FaultSchedule::none().kill_rank_at_iteration(1, 15).kill_rank_at_iteration(4, 35); // fires once rank 4 computes as a worker
+        FaultSchedule::none().kill_rank_at_iteration(1, 15).kill_rank_at_iteration(3, 35); // fires once rank 3 computes as a worker
     let report = job(3, 4, 50, 10, schedule);
     assert_workers_correct(&report, 3, 50);
     let rescue = report
@@ -395,7 +395,7 @@ fn rescue_failure_is_rescued_again() {
         .into_iter()
         .find(|r| r.role == Role::Rescue && r.summary.is_some())
         .expect("final rescue");
-    assert_eq!(rescue.rank, 3);
+    assert_eq!(rescue.rank, 4);
     assert_eq!(rescue.app_rank, Some(1));
 }
 

@@ -49,11 +49,8 @@ fn check_step(h: &History, prev: &RecoveryPlan, next: &RecoveryPlan, f: Rank) {
         assert_eq!(prev.fd_alive, next.fd_alive);
         return;
     };
-    let shadow = l.designated_shadow(app);
-    if free.contains(&shadow) {
-        assert_eq!(rescue, shadow, "a free designated shadow is preferred");
-    } else if let Some(&first) = free.first() {
-        assert_eq!(rescue, first, "otherwise the pool, in layout order");
+    if let Some(&first) = free.first() {
+        assert_eq!(rescue, first, "the pool, in layout order");
     } else if prev.fd_alive {
         assert_eq!((rescue, next.fd_alive), (prev.current_fd(l), false), "promotion");
     } else {

@@ -384,31 +384,6 @@ fn abft_double_failure_exceeds_the_parity_code_but_stays_exact() {
 }
 
 #[test]
-fn replication_promotes_the_designated_shadow() {
-    // The detector assigns each app rank its designated shadow spare while
-    // it is free: app rank 1's standby is gaspi rank WORKERS + 1, and that
-    // exact spare must adopt it, from the copies of app rank 1's state
-    // stream.
-    let report = job(StrategyKind::Replicated, shared_kill());
-    assert_exact(&report, "replicated");
-    let ev = report.events.snapshot();
-    let activated = ev
-        .iter()
-        .find(|e| matches!(e.kind, EventKind::Activated { app_rank: 1 }))
-        .expect("a rescue must adopt app rank 1");
-    assert_eq!(
-        activated.rank,
-        WORKERS + 1,
-        "the designated shadow (not pool order) must take over"
-    );
-    // Takeover resumes at the frontier generation: no redo either.
-    assert!(
-        !ev.iter().any(|e| matches!(e.kind, EventKind::RedoComplete { .. })),
-        "replication takeover must not redo work"
-    );
-}
-
-#[test]
 fn every_strategy_installs_state_once_per_recovery() {
     // The contract the driver's one recovery path gives every strategy's
     // `restore`: each member of a recovered group — survivor or rescue —
@@ -461,18 +436,20 @@ fn every_strategy_installs_state_once_per_recovery() {
 
 #[test]
 fn replication_replaces_a_rescue_lost_right_after_its_takeover() {
-    // GASPI rank 1 dies at iteration 6 and its designated shadow (rank
-    // WORKERS + 1) takes over at generation 6; the shadow then exits at the
-    // end of its first step — before its first own `prepare`. Its restore
-    // re-homed generation 6 under its own rank *and drained*, so the
-    // standby already holds it: the second rescue resumes there as well.
-    // All that is recomputed is the one step the shadow never pushed.
-    let shadow = WORKERS + 1;
+    // GASPI rank 1 dies at iteration 6 and the pool's first spare (rank
+    // WORKERS) takes over at generation 6; the rescue then exits at the end
+    // of its first step — before its first own `prepare`. Its restore
+    // re-homed generation 6 under its own rank without waiting for the
+    // copy; where that copy had not landed, the second rescue finds
+    // generation 6 in rank 1's stream, which rank 1 drained before it died:
+    // the second rescue resumes there as well. All that is recomputed is
+    // the one step the first rescue never pushed.
+    let rescue = WORKERS;
     let report =
-        job_on(WORKERS, SPARES, StrategyKind::Replicated, shared_kill(), Some(shadow), None);
+        job_on(WORKERS, SPARES, StrategyKind::Replicated, shared_kill(), Some(rescue), None);
     let mut killed = report.killed();
     killed.sort_unstable();
-    assert_eq!(killed, vec![1, shadow]);
+    assert_eq!(killed, vec![1, rescue]);
     assert_exact(&report, "replicated-second");
     let restores = restored_iters(&report);
     assert_eq!(restores.len(), 2 * WORKERS as usize, "two recoveries, every member: {restores:?}");
@@ -507,13 +484,4 @@ fn builder_rejects_invalid_configs() {
         FtConfig::builder(layout).max_iters(10).redundant_fd(true).build(),
         Err(FtConfigError::ShadowNeedsSpares { have: 1 })
     ));
-    // One spare is the FD alone: replication has no standby to promote.
-    let layout = WorldLayout::new(4, 1);
-    let err = FtConfig::builder(layout)
-        .max_iters(10)
-        .strategy(StrategyKind::Replicated)
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, FtConfigError::ReplicationNeedsSpares));
-    assert!(!err.to_string().is_empty());
 }

@@ -365,3 +365,66 @@ fn a_failure_before_the_first_commit_replays_from_zero() {
     assert_eq!(replays, vec![(0, kill)], "the rescue alone replays");
     assert_eq!(resumes, vec![kill; 4], "live steps resume at the frontier on every rank");
 }
+
+/// The drain rule: a copy job drains its state stream one step before each
+/// commit (at interval 1, right after it), so a kill finds the victim's
+/// newest copy landed up to the commit before the last drain. Here the
+/// victim's first state copy after iteration 20 stalls 200 ms on its way to
+/// the neighbor, and the kill comes two commits later. Without the drain
+/// both newer copies queue behind the stalled one, the rescue can offer
+/// only a version the survivors have pruned, and the group starts over from
+/// 0; with it, the group resumes no earlier than the rule allows.
+#[test]
+fn a_kill_behind_a_stalled_copy_resumes_where_the_drain_rule_allows() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let (workers, iters, stall_at, victim) = (4, 40, 20, 1);
+    for every in [1, 2] {
+        let clean =
+            run_job(Arc::new(gen.clone()), workers, 4, iters, every, false, FaultSchedule::none());
+        // The victim's first copy is its plan's, in `setup`; the n-th
+        // commit's is its (1 + n)-th.
+        let stall = FaultAction::Delay(std::time::Duration::from_millis(200));
+        let kill = stall_at + 2 * every;
+        let schedule = FaultSchedule::none()
+            .inject(Injection::at("ckpt.neighbor.copy", victim, 1 + stall_at / every, stall))
+            .kill_rank_at_iteration(victim, kill);
+        let faulty = run_job(Arc::new(gen.clone()), workers, 4, iters, every, false, schedule);
+        assert_eq!(faulty.killed(), vec![victim]);
+        let what = format!("interval {every}");
+        assert_bitwise(&summaries(&clean, workers), &summaries(&faulty, workers), &what);
+        // The newest commit whose drain came before the kill.
+        let floor = (kill + 1 - every) / every * every;
+        let (_, resumes) = replays_and_resumes(&faulty);
+        assert!(
+            !resumes.is_empty() && resumes.iter().all(|&r| r >= floor),
+            "{what}: resumed at {resumes:?}, the drain rule allows {floor} and later"
+        );
+    }
+}
+
+/// At interval 1, a rescue lost right after its takeover, before the copy
+/// of what it re-homed left its node: the next rescue finds that version in
+/// the stream of the rank the first one replaced, which nobody prunes any
+/// more, and both recoveries resume at the kill, not at 0.
+#[test]
+fn a_rescue_lost_before_its_rehomed_copy_lands_resumes_from_its_predecessor() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let (workers, iters, kill) = (4, 40, 20);
+    let clean = run_job(Arc::new(gen.clone()), workers, 4, iters, 1, false, FaultSchedule::none());
+    let layout = WorldLayout::new(workers, 4);
+    let rescue: Rank = RecoveryPlan::initial().after_failures(&layout, &[1], None).rescues[0];
+    // The rescue's first two copies are its re-homed plan and state.
+    let stall = FaultAction::Delay(std::time::Duration::from_millis(200));
+    let schedule = FaultSchedule::none()
+        .kill_rank_at_iteration(1, kill)
+        .kill_rank_at_iteration(rescue, kill)
+        .inject(Injection::at("ckpt.neighbor.copy", rescue, 1, stall))
+        .inject(Injection::at("ckpt.neighbor.copy", rescue, 2, stall));
+    let faulty = run_job(Arc::new(gen), workers, 4, iters, 1, false, schedule);
+    let mut killed = faulty.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, rescue]);
+    assert_bitwise(&summaries(&clean, workers), &summaries(&faulty, workers), "second rescue");
+    let (_, resumes) = replays_and_resumes(&faulty);
+    assert_eq!(resumes, vec![kill; 2 * workers as usize], "two recoveries, both at the kill");
+}

@@ -158,17 +158,14 @@ impl DistMatrix {
 /// order on every rank. A recovered run therefore reproduces the
 /// failure-free run's floating-point results *bit for bit*, even though
 /// the rebuilt group folds its members in a different order.
-///
-/// Falls back to a plain (order-dependent) allreduce when `nparts`
-/// exceeds the GASPI 255-element buffer limit.
 pub fn det_allreduce_sum(ctx: &FtCtx, value: f64) -> FtResult<f64> {
     Ok(det_allreduce_sums(ctx, [value])?[0])
 }
 
 /// [`det_allreduce_sum`] of `K` values: each sum is the one
-/// `det_allreduce_sum` of its value alone would give, deterministic up to
-/// the same 255 parts. The `nparts · K` buffer goes out in collectives of
-/// at most 255 elements — one while `nparts · K` fits.
+/// `det_allreduce_sum` of its value alone would give. The `nparts · K`
+/// buffer goes out in collectives of at most 255 elements — one while
+/// `nparts · K` fits.
 ///
 /// This is the reduction seam of local replay: the sums go through
 /// [`FtCtx::logged_sums`], logged, and in a replay read from the feed.
@@ -176,10 +173,6 @@ pub fn det_allreduce_sums<const K: usize>(ctx: &FtCtx, values: [f64; K]) -> FtRe
     let mut sums = values;
     ctx.logged_sums(&mut sums, |sums| {
         let nparts = ctx.num_app_ranks() as usize;
-        if nparts > ft_gaspi::ALLREDUCE_MAX_ELEMS {
-            sums.copy_from_slice(&ctx.allreduce_f64_ft(sums, ReduceOp::Sum)?);
-            return Ok(());
-        }
         let mut buf = vec![0.0f64; nparts * K];
         let me = ctx.app_rank() as usize;
         buf[me * K..(me + 1) * K].copy_from_slice(sums);
