@@ -4,8 +4,8 @@
 //! parallel file system is expensive, so this library checkpoints to the
 //! **local node** first and then asynchronously replicates each checkpoint
 //! to the **neighbor node**, from a library thread the application merely
-//! signals (paper Fig. 2). Optionally, every k-th checkpoint also goes to
-//! a (slow, simulated) PFS tier for a higher degree of reliability.
+//! signals (paper Fig. 2). A stream given a PFS also spills every checkpoint
+//! to that (slow, simulated) tier for a higher degree of reliability.
 //!
 //! Each version is one self-verifying image (module [`image`]): the
 //! payload plus a trailer `(magic, version, len, checksum)`, written by

@@ -5,7 +5,7 @@
 //! thread that waits for a signal from the application; at a checkpoint
 //! iteration the application commits the checkpoint on its local node and
 //! signals the thread, which then replicates it to the neighbor node
-//! (and, optionally, every k-th version to the PFS). The application never
+//! (and, when it was given one, to the PFS). The application never
 //! blocks on the replication — which is why the paper measures ≈0.01 %
 //! checkpoint overhead in failure-free runs.
 //!
@@ -57,8 +57,8 @@ pub struct Restored {
 /// What happens to a commit after the local write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyPolicy {
-    /// Signal the library thread: asynchronous neighbor copy plus the
-    /// every-k-th PFS spill — the paper's checkpoint path.
+    /// Signal the library thread: asynchronous neighbor copy plus, on a
+    /// stream built with a PFS, the PFS spill — the paper's checkpoint path.
     Replicate,
 }
 
@@ -137,15 +137,12 @@ impl<T> RestoreOutcome<T> {
 pub enum ConfigError {
     /// `keep_versions` must be ≥ 1.
     ZeroKeepVersions,
-    /// `pfs_every = Some(0)` is meaningless — use `None` to disable.
-    ZeroPfsEvery,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroKeepVersions => write!(f, "keep_versions must be >= 1"),
-            ConfigError::ZeroPfsEvery => write!(f, "pfs_every must be None or >= 1"),
         }
     }
 }
@@ -162,24 +159,19 @@ pub struct CheckpointerConfig {
     /// How many recent versions to keep on each tier (≥1; 2 tolerates a
     /// failure *during* checkpointing).
     pub keep_versions: u64,
-    /// Also spill every k-th version to the PFS (None = never).
-    pub pfs_every: Option<u64>,
 }
 
 impl CheckpointerConfig {
     /// Defaults matching the paper's setup: neighbor copies on, keep two
-    /// versions, no PFS.
+    /// versions.
     pub fn for_tag(tag: u32) -> Self {
-        Self { tag, keep_versions: 2, pfs_every: None }
+        Self { tag, keep_versions: 2 }
     }
 
     /// Check the invariants the writer relies on.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.keep_versions == 0 {
             return Err(ConfigError::ZeroKeepVersions);
-        }
-        if self.pfs_every == Some(0) {
-            return Err(ConfigError::ZeroPfsEvery);
         }
         Ok(())
     }
@@ -218,6 +210,7 @@ enum Tier {
 
 impl Checkpointer {
     /// `init`: bind to a rank and spawn the library thread (paper Fig. 2).
+    /// With a `pfs`, every version also goes to it, the same image.
     ///
     /// Panics on an invalid config — call
     /// [`CheckpointerConfig::validate`] to check ahead of time.
@@ -526,7 +519,7 @@ impl Shared {
         );
     }
 
-    /// Spill to the PFS when due and build the push for the replica
+    /// Spill to the PFS, if any, and build the push for the replica
     /// holder: the stored image, and the same pruning, so the two stores
     /// stay in lockstep. Returns `(endpoint, bytes charged, message)`;
     /// `None` when there is nothing to send or nobody to send it to.
@@ -545,12 +538,10 @@ impl Shared {
         }
         // PFS tier first (blocking, costed — deliberately on this thread, not
         // the application's): the same image.
-        if let (Some(p), Some(k)) = (self.pfs.as_deref(), self.cfg.pfs_every) {
-            if version.is_multiple_of(k) {
-                fault.site_passive(self.rank, "ckpt.pfs.write");
-                p.write(self.rank, self.cfg.tag, version, Arc::clone(&image));
-                self.stats.lock().pfs_spills += 1;
-            }
+        if let Some(p) = self.pfs.as_deref() {
+            fault.site_passive(self.rank, "ckpt.pfs.write");
+            p.write(self.rank, self.cfg.tag, version, Arc::clone(&image));
+            self.stats.lock().pfs_spills += 1;
         }
         // The replica holder resolves its own node from the addressed rank,
         // so only the representative rank matters here.

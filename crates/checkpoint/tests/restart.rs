@@ -92,7 +92,7 @@ fn pfs_fallback_when_both_nodes_dead() {
     let fault = world.fault();
     let pfs = Pfs::new(PfsConfig::instant());
     let p0 = world.proc_handle(0);
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(3) };
+    let cfg = CheckpointerConfig::for_tag(3);
     let ck0 = Checkpointer::new(&p0, cfg, Some(Arc::clone(&pfs)));
     ck0.commit(4, b"pfs-me".to_vec(), CopyPolicy::Replicate);
     assert!(ck0.drain(T));
@@ -100,11 +100,7 @@ fn pfs_fallback_when_both_nodes_dead() {
     fault.kill_node(NodeId(0));
     fault.kill_node(NodeId(1));
     let p2 = world.proc_handle(2);
-    let ck2 = Checkpointer::new(
-        &p2,
-        CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(3) },
-        Some(pfs),
-    );
+    let ck2 = Checkpointer::new(&p2, CheckpointerConfig::for_tag(3), Some(pfs));
     ck2.refresh_failed(&[0, 1]);
     let r = ck2.restore_latest(0, T).hit().expect("PFS restore");
     assert_eq!(r.provenance, Provenance::Pfs);
@@ -123,7 +119,7 @@ fn vote_path_pull_falls_back_to_pfs() {
     let fault = world.fault();
     let pfs = Pfs::new(PfsConfig::instant());
     let p0 = world.proc_handle(0);
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(5) };
+    let cfg = CheckpointerConfig::for_tag(5);
     let ck0 = Checkpointer::new(&p0, cfg, Some(Arc::clone(&pfs)));
     ck0.commit(1, b"v1".to_vec(), CopyPolicy::Replicate);
     ck0.commit(2, b"v2".to_vec(), CopyPolicy::Replicate);
@@ -134,11 +130,7 @@ fn vote_path_pull_falls_back_to_pfs() {
     fault.kill_node(NodeId(1));
 
     let p2 = world.proc_handle(2);
-    let ck2 = Checkpointer::new(
-        &p2,
-        CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(5) },
-        Some(pfs),
-    );
+    let ck2 = Checkpointer::new(&p2, CheckpointerConfig::for_tag(5), Some(pfs));
     ck2.refresh_failed(&[0, 1]);
     // The vote must still see version 2 (via PFS)…
     assert_eq!(ck2.probe(0, T), RestoreOutcome::Hit(2));
@@ -163,7 +155,7 @@ fn entry_points_when_the_pfs_is_ahead_of_the_replica() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let fault = world.fault();
     let pfs = Pfs::new(PfsConfig::instant());
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(6) };
+    let cfg = CheckpointerConfig::for_tag(6);
     let p0 = world.proc_handle(0);
     let ck0 = Checkpointer::new(&p0, cfg.clone(), Some(Arc::clone(&pfs)));
     ck0.commit(1, b"v1".to_vec(), CopyPolicy::Replicate);

@@ -121,7 +121,7 @@ fn torn_commit_on_a_surviving_node_falls_back_locally() {
 fn torn_commit_with_dead_replica_falls_back_to_pfs() {
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let pfs = Pfs::new(PfsConfig::instant());
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(5) };
+    let cfg = CheckpointerConfig::for_tag(5);
     let p1 = world.proc_handle(1);
     let ck1 = Checkpointer::new(&p1, cfg.clone(), Some(Arc::clone(&pfs)));
     let v1 = payload(7);

@@ -131,6 +131,27 @@ mod tests {
         assert!(!fault.is_alive(1));
     }
 
+    /// A job's first group forms at scale: 128 workers commit it under
+    /// the default policy, the idle spare and the FD sitting out.
+    #[test]
+    fn the_first_group_of_128_workers_forms() {
+        let layout = WorldLayout::new(128, 2);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let outs = world
+            .launch(move |p| {
+                if p.rank() >= layout.num_workers {
+                    return Ok(true);
+                }
+                create_ctrl_segment(&p, &layout).unwrap();
+                let watch = HealthWatch::new(p, CommPolicy::default(), layout);
+                let plan = RecoveryPlan::initial();
+                Ok(execute_recovery(&watch, &layout, &plan, None, &EventLog::new()).is_ok())
+            })
+            .join();
+        let formed = outs.iter().filter(|o| matches!(o, RankOutcome::Completed(true))).count();
+        assert_eq!(formed, outs.len(), "{formed} of {} ranks committed or sat out", outs.len());
+    }
+
     /// A second failure during a rebuild escalates as its plan lands, not
     /// after a commit attempt (`STEP_TIMEOUT`) runs out.
     #[test]

@@ -44,11 +44,7 @@ impl ToyApp {
             state_ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
             plan_ck: Checkpointer::new(
                 &ctx.proc,
-                CheckpointerConfig {
-                    keep_versions: 1,
-                    pfs_every: Some(1),
-                    ..CheckpointerConfig::for_tag(PLAN_TAG)
-                },
+                CheckpointerConfig { keep_versions: 1, ..CheckpointerConfig::for_tag(PLAN_TAG) },
                 Some(std::sync::Arc::clone(pfs)),
             ),
             ends_after_burial: None,

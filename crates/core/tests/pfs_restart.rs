@@ -39,8 +39,7 @@ fn two_node_loss_restores_from_pfs_tier() {
     let report = run_ft_job(&world, cfg, schedule, move |ctx| {
         // Every version spills to the PFS, and every tier is durable
         // before the step the injected node kills fire in.
-        let cfg =
-            CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(STATE_TAG) };
+        let cfg = CheckpointerConfig::for_tag(STATE_TAG);
         Acc::draining(Checkpointer::new(&ctx.proc, cfg, Some(pfs.clone())))
     });
 

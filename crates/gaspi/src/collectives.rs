@@ -1,10 +1,11 @@
-//! Collective operations: barrier, allreduce and all-to-all over committed
-//! groups.
+//! Collective operations: group commit, barrier, allreduce and all-to-all.
 //!
-//! Barrier and allreduce are one star: every member posts its token to
-//! member 0, which folds them and posts the result back — two network
-//! hops and `2(n − 1)` tokens at any group size. The personalised
-//! all-to-all posts `n − 1` tokens per member and is done after one hop.
+//! Commit, barrier and allreduce are one star: every member posts its
+//! token to member 0, which folds them and posts the result back — two
+//! network hops and `2(n − 1)` tokens at any group size. The commit runs
+//! it at sequence 0 of the uncommitted group, the others at the sequence
+//! numbers their tickets hand out. The personalised all-to-all posts
+//! `n − 1` tokens per member and is done after one hop.
 //! All of them fail exactly like the paper describes: if a member died, tokens stop
 //! arriving and the collective returns `GASPI_TIMEOUT` (or an error when
 //! the transport has already reported the connection broken) — which is
@@ -28,12 +29,10 @@ use crate::error::{GaspiError, GaspiResult, Timeout};
 use crate::proc::GaspiProc;
 use crate::ReduceOp;
 
-/// Phase tag for group-commit tokens.
-pub(crate) const COMMIT_PHASE: u32 = u32::MAX;
 /// Phase tag of a member's token to member 0.
-const GATHER_PHASE: u32 = 0x1000_0000;
+pub(crate) const GATHER_PHASE: u32 = 0x1000_0000;
 /// Phase tag of member 0's result to every other member.
-const RELEASE_PHASE: u32 = 0x2000_0000;
+pub(crate) const RELEASE_PHASE: u32 = 0x2000_0000;
 /// Phase tag for all-to-all tokens.
 const ALLTOALL_PHASE: u32 = 0x4000_0000;
 
@@ -170,44 +169,6 @@ impl GaspiProc {
         self.poll_coll(err, deadline, || self.shared().coll.peek(&key))
     }
 
-    /// The one-hop full exchange behind [`GaspiProc::group_commit`] and
-    /// [`GaspiProc::alltoall`]: post `token(i)` to every other
-    /// `members[i]` under `key`, collect the token each of them posted
-    /// under the same `(group, seq, phase)`, and leave only once the own
-    /// tokens have been delivered too — a message in flight dies with its
-    /// sender, so a member that returned (and may fail the next moment)
-    /// has provably handed every peer its token. Slot `i` of the result is
-    /// what `members[i]` sent; the caller's own slot is empty. Tokens are
-    /// only peeked and re-posting one overwrites it with the same bytes, so
-    /// a call cut short by a timeout is completed by repeating it.
-    pub(crate) fn exchange_all(
-        &self,
-        key: CollKey,
-        members: &[Rank],
-        token: impl Fn(usize) -> Vec<u8>,
-        deadline: Option<std::time::Instant>,
-    ) -> GaspiResult<Vec<Vec<u8>>> {
-        let err = ErrFlag::default();
-        let mut posted = 0;
-        for (i, &m) in members.iter().enumerate() {
-            if m != self.rank() {
-                self.send_coll_token(m, key, token(i), &err);
-                posted += 1;
-            }
-        }
-        let got = members
-            .iter()
-            .map(|&m| {
-                if m == self.rank() {
-                    return Ok(Vec::new());
-                }
-                self.peek_token(CollKey { from: m, ..key }, &err, deadline)
-            })
-            .collect::<GaspiResult<Vec<_>>>()?;
-        self.poll_coll(&err, deadline, || (err.delivered() == posted).then_some(()))?;
-        Ok(got)
-    }
-
     /// Personalised all-to-all: `out[i]` is delivered to member `i` of
     /// `group` (members in ascending rank order, as
     /// [`GaspiProc::group_members`] lists them; the caller's own slot is
@@ -238,8 +199,22 @@ impl GaspiProc {
         if out.len() != members.len() {
             return Err(GaspiError::InvalidArg("alltoall needs one payload per group member"));
         }
-        let key = CollKey { group: group.0, seq, phase: ALLTOALL_PHASE, from: self.rank() };
-        let got = self.exchange_all(key, &members, |i| out[i].clone(), timeout.deadline())?;
+        let deadline = timeout.deadline();
+        let err = ErrFlag::default();
+        let key = |from| CollKey { group: group.0, seq, phase: ALLTOALL_PHASE, from };
+        let others = || members.iter().enumerate().filter(|&(_, &m)| m != self.rank());
+        for (i, &m) in others() {
+            self.send_coll_token(m, key(self.rank()), out[i].clone(), &err);
+        }
+        let mut got = vec![Vec::new(); members.len()];
+        for (i, &m) in others() {
+            got[i] = self.peek_token(key(m), &err, deadline)?;
+        }
+        // A message in flight dies with its sender: leaving only once the
+        // own tokens are delivered means a member that returns (and may
+        // fail the next moment) has handed every peer its payload.
+        let posted = members.len() - 1;
+        self.poll_coll(&err, deadline, || (err.delivered() == posted).then_some(()))?;
         self.shared().groups.finish_collective(group.0, seq);
         Ok(got)
     }
@@ -344,15 +319,9 @@ impl GaspiProc {
         Ok(out.chunks_exact(8).map(dec).collect())
     }
 
-    /// The star behind [`GaspiProc::barrier`] and the allreduces: every
-    /// member posts `mine` to member 0; member 0 peeks the tokens in
-    /// member order, `fold`s each into its own and posts the result to
-    /// every other member, which returns it. Two hops and `2(n − 1)`
-    /// tokens. Member 0 returns once every member has entered, every
-    /// other member once member 0 has folded. Tokens are only peeked and
-    /// a re-post under the same `(group, seq, phase)` overwrites one with
-    /// the same bytes, so a call cut short by a timeout is completed by
-    /// repeating it.
+    /// The ticketed star behind [`GaspiProc::barrier`] and the
+    /// allreduces: [`GaspiProc::star_at`] at the sequence number the
+    /// group's ticket hands out, resumed under that number after a timeout.
     fn star(
         &self,
         group: crate::Group,
@@ -363,14 +332,36 @@ impl GaspiProc {
     ) -> GaspiResult<Vec<u8>> {
         let (members, seq) = self.shared().groups.collective_ticket(group.0, kind)?;
         self.shared().coll.purge_group_below(group.0, seq);
+        let out = self.star_at(group, &members, seq, mine, fold, timeout.deadline())?;
+        self.shared().groups.finish_collective(group.0, seq);
+        Ok(out)
+    }
+
+    /// The star behind every collective but the all-to-all: every member
+    /// posts `mine` to member 0 of `members`; member 0 peeks the tokens in
+    /// member order, `fold`s each into its own and posts the result to
+    /// every other member, which returns it. Two hops and `2(n − 1)`
+    /// tokens. Member 0 returns once every member has entered, every
+    /// other member once member 0 has folded. Tokens are only peeked and
+    /// a re-post under the same `(group, seq, phase)` overwrites one with
+    /// the same bytes, so a call cut short by a timeout is completed by
+    /// repeating it.
+    pub(crate) fn star_at(
+        &self,
+        group: crate::Group,
+        members: &[Rank],
+        seq: u64,
+        mine: Vec<u8>,
+        fold: impl Fn(&mut [u8], &[u8]) -> GaspiResult<()>,
+        deadline: Option<std::time::Instant>,
+    ) -> GaspiResult<Vec<u8>> {
         if members.binary_search(&self.rank()).is_err() {
             return Err(GaspiError::Group { what: "collective on group not containing self" });
         }
-        let deadline = timeout.deadline();
         let err = ErrFlag::default();
         let key = |phase, from| CollKey { group: group.0, seq, phase, from };
         let (root, others) = (members[0], &members[1..]);
-        let out = if self.rank() == root {
+        if self.rank() == root {
             let mut acc = mine;
             for &m in others {
                 fold(&mut acc, &self.peek_token(key(GATHER_PHASE, m), &err, deadline)?)?;
@@ -378,13 +369,11 @@ impl GaspiProc {
             for &m in others {
                 self.send_coll_token(m, key(RELEASE_PHASE, root), acc.clone(), &err);
             }
-            acc
+            Ok(acc)
         } else {
             self.send_coll_token(root, key(GATHER_PHASE, self.rank()), mine, &err);
-            self.peek_token(key(RELEASE_PHASE, root), &err, deadline)?
-        };
-        self.shared().groups.finish_collective(group.0, seq);
-        Ok(out)
+            self.peek_token(key(RELEASE_PHASE, root), &err, deadline)
+        }
     }
 }
 

@@ -4,7 +4,9 @@
 //! the paper's recovery rebuilds after a failure (Listing 2): the old
 //! `COMM_MAIN` is deleted, a new group is created, the surviving workers
 //! and rescue processes are added, and `gaspi_group_commit` — a blocking
-//! collective — establishes it.
+//! collective — establishes it. The commit is the same star as barrier and
+//! allreduce (module `collectives`), run at sequence 0 of the
+//! uncommitted group, so it costs `2(n − 1)` tokens.
 //!
 //! Group *handles* are process-local. Members agree on a group by naming
 //! the same numeric id in [`crate::GaspiProc::group_create_with_id`]; the
@@ -16,7 +18,6 @@ use std::collections::HashMap;
 
 use ft_cluster::{Rank, Wire};
 
-use crate::collectives::{CollKey, COMMIT_PHASE};
 use crate::error::{GaspiError, GaspiResult, Timeout};
 use crate::proc::GaspiProc;
 
@@ -185,37 +186,31 @@ impl GaspiProc {
 
     /// Establish the group collectively (`gaspi_group_commit`).
     ///
-    /// Every member sends a token (carrying a fingerprint of its member
-    /// list) to every other member and blocks until tokens from all of
-    /// them arrive — the blocking cost the paper calls out as the dominant
-    /// part of the *rebuilding of work group* overhead (OHF2). Commit
-    /// tokens are idempotent: they stay on the board until `group_delete`,
-    /// so a commit that timed out can be retried.
+    /// The collectives' star at sequence 0 of the uncommitted group: every
+    /// member posts a fingerprint of its member list to member 0, which
+    /// checks each against its own and releases its own, and every other
+    /// member checks that release. A member blocks until member 0 has
+    /// heard from all of them — the blocking cost the paper calls out as
+    /// the dominant part of the *rebuilding of work group* overhead
+    /// (OHF2). Commit tokens stay on the board until the group's first
+    /// collective or `group_delete`, so a commit that timed out can be
+    /// retried.
     pub fn group_commit(&self, group: Group, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.group.commit");
         let members = self.shared().groups.members(group.0)?;
-        if !members.contains(&self.rank()) {
-            return Err(GaspiError::Group { what: "commit on group not containing self" });
-        }
         let fp = members_fingerprint(&members);
-        let tokens = self.exchange_all(
-            CollKey { group: group.0, seq: 0, phase: COMMIT_PHASE, from: self.rank() },
-            &members,
-            |_| fp.to_bytes(),
-            timeout.deadline(),
-        )?;
-        for (&m, token) in members.iter().zip(&tokens) {
-            if m == self.rank() {
-                continue;
+        // Tokens are bytes a peer sent: decode them, never index them.
+        let check = |token: &[u8]| match u64::from_bytes(token) {
+            Err(_) => Err(GaspiError::Group { what: "malformed commit token" }),
+            Ok(theirs) if theirs != fp => {
+                Err(GaspiError::Group { what: "member set mismatch at commit" })
             }
-            // The token is bytes a peer sent: decode it, never index it.
-            let their_fp = u64::from_bytes(token)
-                .map_err(|_| GaspiError::Group { what: "malformed commit token" })?;
-            if their_fp != fp {
-                return Err(GaspiError::Group { what: "member set mismatch at commit" });
-            }
-        }
+            Ok(_) => Ok(()),
+        };
+        let released =
+            self.star_at(group, &members, 0, fp.to_bytes(), |_, t| check(t), timeout.deadline())?;
+        check(&released)?;
         self.injection_site("gaspi.group.commit.done");
         self.shared().groups.mark_committed(group.0)?;
         Ok(())
@@ -225,27 +220,33 @@ impl GaspiProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::{CollKey, GATHER_PHASE, RELEASE_PHASE};
     use crate::{GaspiConfig, GaspiWorld};
 
     #[test]
     fn short_commit_token_is_an_error_not_a_panic() {
         let world = GaspiWorld::new(GaspiConfig::deterministic(2));
-        let p = world.proc_handle(0);
-        let g = p.group_create_with_id(1 << 32).unwrap();
-        p.group_add(g, 0).unwrap();
-        p.group_add(g, 1).unwrap();
-        // What a corrupt frame from rank 1 would leave on the board.
-        let key = CollKey { group: g.0, seq: 0, phase: COMMIT_PHASE, from: 1 };
-        p.shared().coll.insert(key, vec![1, 2, 3]);
-        assert_eq!(
-            p.group_commit(g, Timeout::Ms(1000)),
-            Err(GaspiError::Group { what: "malformed commit token" })
-        );
-        // A well-formed token of the wrong member set is still told apart.
-        p.shared().coll.insert(key, 7u64.to_le_bytes().to_vec());
-        assert_eq!(
-            p.group_commit(g, Timeout::Ms(1000)),
-            Err(GaspiError::Group { what: "member set mismatch at commit" })
-        );
+        for (me, phase, peer) in [(0, GATHER_PHASE, 1), (1, RELEASE_PHASE, 0)] {
+            let p = world.proc_handle(me);
+            let g = p.group_create_with_id(1 << 32).unwrap();
+            p.group_add(g, 0).unwrap();
+            p.group_add(g, 1).unwrap();
+            // What a corrupt frame from the peer would leave on the board:
+            // member 1's token to member 0, or member 0's release to 1.
+            let key = CollKey { group: g.0, seq: 0, phase, from: peer };
+            p.shared().coll.insert(key, vec![1, 2, 3]);
+            assert_eq!(
+                p.group_commit(g, Timeout::Ms(1000)),
+                Err(GaspiError::Group { what: "malformed commit token" }),
+                "rank {me}"
+            );
+            // A well-formed token of the wrong member set is still told apart.
+            p.shared().coll.insert(key, 7u64.to_le_bytes().to_vec());
+            assert_eq!(
+                p.group_commit(g, Timeout::Ms(1000)),
+                Err(GaspiError::Group { what: "member set mismatch at commit" }),
+                "rank {me}"
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The collectives' traffic as formulas in n, the group size. Counted at
 //! the transport seam: every collective token is one `send`.
 //!
-//! * an allreduce and a barrier are each one star: n − 1 tokens from
-//!   member 0 and one from every other member, 2(n − 1) in all;
+//! * a group commit, an allreduce and a barrier are each one star: n − 1
+//!   tokens from member 0 and one from every other member, 2(n − 1) in all;
 //! * an all-to-all is n − 1 tokens from every member, n(n − 1) in all.
 
 use std::sync::{Arc, Mutex};
@@ -101,6 +101,13 @@ fn tokens_of(n: u32, op: fn(&GaspiProc, Group) -> GaspiResult<()>) -> Vec<usize>
 /// n − 1 tokens from member 0, one from every other member.
 fn star(n: u32) -> Vec<usize> {
     (0..n).map(|r| if r == 0 { n as usize - 1 } else { 1 }).collect()
+}
+
+#[test]
+fn a_group_commit_is_the_same_star() {
+    for n in SIZES {
+        assert_eq!(sent_by(n, |_, _| Ok(())), star(n), "group commit over n = {n}");
+    }
 }
 
 #[test]

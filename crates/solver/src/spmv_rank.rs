@@ -36,15 +36,11 @@ pub(crate) struct SpmvRank {
 impl SpmvRank {
     /// The two streams; `pfs` also holds every plan checkpoint.
     pub(crate) fn new(ctx: &FtCtx, pfs: Option<Arc<Pfs>>, fetch_timeout: Duration) -> Self {
-        let plan_cfg = CheckpointerConfig {
-            keep_versions: 1,
-            pfs_every: pfs.as_ref().map(|_| 1),
-            ..CheckpointerConfig::for_tag(PLAN_TAG)
-        };
-        let stream = |cfg| Checkpointer::new(&ctx.proc, cfg, pfs.clone());
+        let plan_cfg =
+            CheckpointerConfig { keep_versions: 1, ..CheckpointerConfig::for_tag(PLAN_TAG) };
         Self {
-            state_ck: stream(CheckpointerConfig::for_tag(STATE_TAG)),
-            plan_ck: stream(plan_cfg),
+            state_ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
+            plan_ck: Checkpointer::new(&ctx.proc, plan_cfg, pfs),
             fetch_timeout,
             spmv: None,
         }

@@ -16,11 +16,10 @@ fn main() {
     let fault = world.fault();
     let pfs = Pfs::new(PfsConfig::default());
 
-    // Rank 1 checkpoints every "iteration"; every 2nd version also goes to
-    // the (slow) PFS tier.
+    // Rank 1 checkpoints every "iteration"; every version also goes to the
+    // (slow) PFS tier.
     let p1 = world.proc_handle(1);
     let cfg = CheckpointerConfig {
-        pfs_every: Some(2),
         keep_versions: 4, // keep all four so the async copies can't race pruning
         ..CheckpointerConfig::for_tag(7)
     };
@@ -64,15 +63,15 @@ fn main() {
     );
     assert_eq!(r.version, 4);
 
-    // Now kill the replica holder too: only the PFS can serve — and only
-    // the versions that were copied there (every 2nd).
+    // Now kill the replica holder too: only the PFS can serve, and it
+    // holds every version.
     fault.kill_node(NodeId(2));
     ck3.refresh_failed(&[1, 2]);
     let r = ck3.restore_latest(1, Duration::from_secs(5)).hit().expect("PFS restore");
     println!(
-        "after the replica node died as well: restored v{} from {:?} (every-2nd-version tier)",
+        "after the replica node died as well: restored v{} from {:?} (every version is there)",
         r.version, r.provenance
     );
-    assert_eq!(r.version, 4); // v4 was a PFS version (4 % 2 == 0)
+    assert_eq!(r.version, 4);
     println!("\nthree-tier resolution works: local → neighbor → PFS, exactly as in paper §IV-C");
 }

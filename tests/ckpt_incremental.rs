@@ -59,7 +59,7 @@ fn whole_image_round_trips_three_tiers_and_torn_commit_is_invisible() {
     // Four nodes: rank 1 writes, node 2 holds its replicas, rank 3 rescues.
     let world = GaspiWorld::new(GaspiConfig::deterministic(4));
     let pfs = Pfs::new(PfsConfig::instant());
-    let cfg = CheckpointerConfig { pfs_every: Some(1), ..CheckpointerConfig::for_tag(11) };
+    let cfg = CheckpointerConfig::for_tag(11);
     let ck1 = Checkpointer::new(&world.proc_handle(1), cfg.clone(), Some(Arc::clone(&pfs)));
 
     let mut state = LanczosState::init(0, DIM, 42);
