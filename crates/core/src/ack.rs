@@ -47,10 +47,11 @@ pub const SHUTDOWN_NOTIF: u32 = 2;
 /// suspected by some worker. This is the paper's link-fault path — a
 /// worker whose one-sided op came back broken may sit on a severed link
 /// the FD's own pings do not cross, so detection cannot rely on the FD's
-/// vantage point alone. The FD drains these slots every scan and treats
-/// reported ranks as failed without re-pinging them (its own ping *would*
-/// succeed across an intact FD link; recovery then enforces the suspect's
-/// death via `gaspi_proc_kill`, the §IV-A-a false-positive handling).
+/// vantage point alone. A report wakes the FD's next scan at once; the scan
+/// drains these slots and treats reported ranks as failed without
+/// re-pinging them (its own ping *would* succeed across an intact FD link;
+/// recovery then enforces the suspect's death via `gaspi_proc_kill`, the
+/// §IV-A-a false-positive handling).
 pub const SUSPECT_NOTIF_BASE: u32 = 3;
 
 /// Bytes of a control segment for a given layout (plan payload is

@@ -18,7 +18,7 @@ use std::time::Duration;
 use ft_cluster::Rank;
 use ft_gaspi::{GaspiProc, GaspiResult, Timeout};
 
-use crate::ack::{self, CTRL_SEG, DONE_NOTIF};
+use crate::ack::{self, CTRL_SEG, DONE_NOTIF, SUSPECT_NOTIF_BASE};
 use crate::error::{FtError, FtResult};
 use crate::events::{EventKind, EventLog};
 use crate::layout::WorldLayout;
@@ -235,9 +235,12 @@ pub fn run_detector_from(
             }
         }
 
-        // Wait out the scan interval; the done signal cuts it short.
+        // Wait out the scan interval; the done signal or a worker's suspect
+        // report cuts it short (not the shutdown slot, which may be set).
         let interval = Timeout::Ms(cfg.scan_interval.as_millis() as u64);
-        let _ = proc.notify_waitsome(CTRL_SEG, DONE_NOTIF, 1, interval);
+        let _ = proc.wake_on(CTRL_SEG, &[(DONE_NOTIF, 0)], || {
+            proc.notify_waitsome(CTRL_SEG, SUSPECT_NOTIF_BASE, layout.total(), interval)
+        });
     }
 }
 

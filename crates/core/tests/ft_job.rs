@@ -23,6 +23,10 @@ const STATE_TAG: u32 = 1;
 const PLAN_TAG: u32 = 2;
 const PLAN_MAGIC: u64 = 0xC0FF_EE00_DEAD_BEEF;
 const FETCH: Duration = Duration::from_secs(5);
+/// Queue of [`ToyApp`]'s ring writes.
+const RING_QUEUE: u16 = 1;
+/// Crossed by a ringed [`ToyApp`] before each step's write.
+const RING_SITE: &str = "test.ring.write";
 
 struct ToyApp {
     acc: f64,
@@ -31,6 +35,9 @@ struct ToyApp {
     /// A rank the last step waits to see buried by a plan, so the job
     /// cannot end before the detector has judged it.
     ends_after_burial: Option<ft_cluster::Rank>,
+    /// Give every worker a halo link: each step writes to the next app
+    /// rank and flushes before the allreduce, as the halo exchange does.
+    ring: bool,
 }
 
 impl ToyApp {
@@ -48,6 +55,7 @@ impl ToyApp {
                 Some(std::sync::Arc::clone(pfs)),
             ),
             ends_after_burial: None,
+            ring: false,
         }
     }
 }
@@ -96,6 +104,12 @@ impl FtApp for ToyApp {
         // killed from outside fails the drain too: the collective unwinds
         // it before the assert can speak for it.)
         let landed = self.state_ck.drain(FETCH);
+        if self.ring {
+            let next = ctx.gaspi_of((ctx.app_rank() + 1) % ctx.num_app_ranks());
+            ctx.proc.injection_site(RING_SITE);
+            ctx.proc.write_notify(FIRST_APP_SEG, 0, next, FIRST_APP_SEG, 8, 8, 0, 1, RING_QUEUE)?;
+            ctx.wait_ft(RING_QUEUE)?;
+        }
         let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
         let sum = ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
         assert!(landed, "replication must land");
@@ -125,8 +139,8 @@ impl FtApp for ToyApp {
     fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
         self.state_ck.refresh_failed(&plan.failed);
         self.plan_ck.refresh_failed(&plan.failed);
-        let _ = ctx;
-        Ok(())
+        // A write to the dead neighbour completed as broken.
+        Ok(ctx.proc.queue_purge(RING_QUEUE, ft_gaspi::Timeout::Ms(200))?)
     }
 
     fn finalize(&mut self, _ctx: &FtCtx) -> FtResult<f64> {
@@ -393,6 +407,38 @@ fn rescue_failure_is_rescued_again() {
         .expect("final rescue");
     assert_eq!(rescue.rank, 4);
     assert_eq!(rescue.app_rank, Some(1));
+}
+
+/// Detection does not wait for the next scan: a worker's flush to its dead
+/// ring neighbour comes back broken, the worker reports the neighbour, and
+/// the report wakes the detector out of a 2 s scan interval. The writer
+/// stalls 20 ms before the write, so the write finds its target dead.
+#[test]
+fn a_dead_ring_neighbour_is_detected_between_scans() {
+    let layout = WorldLayout::new(4, 2);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(60)
+        .abandon(Duration::from_secs(20))
+        .detector(DetectorConfig { scan_interval: Duration::from_secs(2), ..Default::default() })
+        .build()
+        .unwrap();
+    let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
+    let stall = FaultAction::Delay(Duration::from_millis(20));
+    let schedule = FaultSchedule::none()
+        .kill_rank_at_iteration(2, 25)
+        .inject(Injection::at(RING_SITE, 1, 26, stall));
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp {
+        ring: true,
+        ..ToyApp::new(ctx, &pfs)
+    });
+    assert_workers_correct(&report, 4, 60);
+    let at = |f: fn(&EventKind) -> bool| report.events.first_where(|e| f(&e.kind)).map(|e| e.t);
+    let killed = at(|k| matches!(k, EventKind::KillFired { .. })).expect("the kill fired");
+    let detected = at(|k| matches!(k, EventKind::FdDetect { .. })).expect("the kill was detected");
+    let took = detected.saturating_sub(killed);
+    assert!(took < Duration::from_millis(200), "detected {took:?} after the kill");
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! The distributed Lanczos iteration (the paper's Algorithm 1).
 //!
-//! Each step is one halo exchange + spMVM and two global reductions. All
-//! reductions go through [`ft_sparse::det_allreduce_sum`], so α/β
+//! Each step is one halo exchange + spMVM and one global reduction of six
+//! inner products, over which `β² = ‖w − αv_j − β_j v_{j−1}‖²` is expanded.
+//! It goes through [`ft_sparse::det_allreduce_sums`], so α/β
 //! sequences are **bit-for-bit reproducible** across runs and across
 //! recoveries — the property the integration tests assert.
 
 use ft_checkpoint::image::TRAILER_LEN;
 use ft_checkpoint::{CodecError, Dec, Enc, Wire};
 use ft_core::{FtCtx, FtResult};
-use ft_sparse::{det_allreduce_sum, DistMatrix, SpmvComm};
+use ft_sparse::{det_allreduce_sum, det_allreduce_sums, DistMatrix, SpmvComm};
 
 use crate::tridiag::tridiag_eigenvalues;
 
@@ -52,16 +53,16 @@ impl LanczosState {
     }
 
     /// One Lanczos step: `w = A·v_j`, `α_j = w·v_j`,
-    /// `w ← w − α_j v_j − β_j v_{j−1}`, `β_{j+1} = ‖w‖`,
-    /// `v_{j+1} = w / β_{j+1}` (collective), with `w` the caller's scratch
-    /// like `halo`: the product, then the dot, the update fused with its
-    /// norm, and the scaling.
+    /// `β_{j+1} = ‖w − α_j v_j − β_j v_{j−1}‖`, `v_{j+1} = (w − α_j v_j −
+    /// β_j v_{j−1}) / β_{j+1}` (collective), with `w` the caller's scratch
+    /// like `halo`: the product, one pass for the six inner products and
+    /// their one reduction, then the update pass and the scaling pass.
     ///
     /// The halo exchange is split-phase: `a_loc·v` runs while the halo
     /// values are in flight, and only the remote part waits for them. The
-    /// two allreduces below double as the inter-iteration barrier that
-    /// keeps a partner's `post(k+1)` from overwriting our halo before the
-    /// `wait(k)` here consumed it.
+    /// allreduce below doubles as the inter-iteration barrier that keeps a
+    /// partner's `post(k+1)` from overwriting our halo before the `wait(k)`
+    /// here consumed it.
     pub fn step(
         &mut self,
         ctx: &FtCtx,
@@ -75,16 +76,29 @@ impl LanczosState {
         dm.spmv_local(&self.v, w);
         comm.wait(ctx, &dm.plan, pending, halo)?;
         dm.spmv_remote_add(halo, w);
-        let alpha = det_allreduce_sum(ctx, dot(w, &self.v))?;
-        let beta_prev = self.betas.last().copied().unwrap_or(0.0);
-        // ‖w‖² starts at −0.0, as `Iterator::sum` in `SeqLanczos` does.
-        let mut norm2 = -0.0;
-        for ((wi, v), v_prev) in w.iter_mut().zip(&self.v).zip(&self.v_prev) {
-            *wi -= alpha * v + beta_prev * v_prev;
-            norm2 += *wi * *wi;
+        let sums = det_allreduce_sums(ctx, products(w, &self.v, &self.v_prev))?;
+        self.advance(w, sums, |norm2| det_allreduce_sum(ctx, norm2))
+    }
+
+    /// The step past `w = A·v_j`, from the global [`products`]: α is
+    /// `⟨w,v⟩`, β² their expansion of `‖w − αv − β_prev·v_prev‖²`. Below
+    /// 1 % of `‖w‖²` (near a breakdown) that expansion has lost two or more
+    /// digits to cancellation, so `reduce` sums the updated `w`'s squares
+    /// instead. The state changes only once `reduce` succeeded.
+    pub(crate) fn advance<F>(&mut self, w: &mut [f64], sums: [f64; 6], reduce: F) -> FtResult<()>
+    where
+        F: FnOnce(f64) -> FtResult<f64>,
+    {
+        let ([a, ww, wp, vv, pp, vp], b) = (sums, self.betas.last().copied().unwrap_or(0.0));
+        let mut beta2 = ww - 2.0 * (a * a + b * wp) + a * a * vv + b * b * pp + 2.0 * a * b * vp;
+        for ((wi, &v), &p) in w.iter_mut().zip(&self.v).zip(&self.v_prev) {
+            *wi -= a * v + b * p;
         }
-        let beta = det_allreduce_sum(ctx, norm2)?.sqrt();
-        self.alphas.push(alpha);
+        if beta2 < 1e-2 * ww {
+            beta2 = reduce(w.iter().map(|x| x * x).sum())?;
+        }
+        let beta = beta2.sqrt();
+        self.alphas.push(a);
         self.betas.push(beta);
         std::mem::swap(&mut self.v_prev, &mut self.v);
         // β = 0: invariant subspace reached (exact breakdown); keep a zero
@@ -140,8 +154,16 @@ impl Wire for LanczosState {
     }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The local `⟨w,v⟩`, `⟨w,w⟩`, `⟨w,v_prev⟩`, `⟨v,v⟩`, `⟨v_prev,v_prev⟩` and
+/// `⟨v,v_prev⟩` in one pass, each summed from −0.0 in index order.
+pub(crate) fn products(w: &[f64], v: &[f64], v_prev: &[f64]) -> [f64; 6] {
+    let mut s = [-0.0; 6];
+    for ((&w, &v), &p) in w.iter().zip(v).zip(v_prev) {
+        for (s, x) in s.iter_mut().zip([w * v, w * w, w * p, v * v, p * p, v * p]) {
+            *s += x;
+        }
+    }
+    s
 }
 
 fn splitmix_u01(mut z: u64) -> f64 {

@@ -2,8 +2,8 @@
 //!
 //! The paper's demonstration application (§V): the Lanczos algorithm, an
 //! iterative scheme for finding the low-lying eigenvalues of a sparse
-//! symmetric matrix. Each iteration is a distributed spMVM plus two
-//! global reductions; every few iterations the eigenvalues of the small
+//! symmetric matrix. Each iteration is a distributed spMVM plus one
+//! global reduction; every few iterations the eigenvalues of the small
 //! Lanczos tridiagonal matrix are extracted with the **QL method** and
 //! checked against a convergence criterion.
 //!

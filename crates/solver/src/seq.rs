@@ -3,6 +3,7 @@
 
 use ft_matgen::RowGen;
 
+use crate::lanczos::{products, LanczosState};
 use crate::tridiag::tridiag_eigenvalues;
 
 /// Result of a sequential Lanczos run.
@@ -16,61 +17,29 @@ pub struct SeqLanczos {
 
 impl SeqLanczos {
     /// Run `iters` Lanczos steps on the full matrix from `gen`, starting
-    /// from the same deterministic vector the distributed solver uses.
+    /// from the same vector, by the same steps as the distributed solver:
+    /// one worker matches it bit for bit.
     pub fn run<G: RowGen>(gen: &G, iters: u64, seed: u64) -> Self {
         let n = gen.dim() as usize;
-        let mut v: Vec<f64> = (0..n as u64)
-            .map(|k| splitmix_u01(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)) - 0.5)
-            .collect();
-        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        v.iter_mut().for_each(|x| *x /= norm);
-        let mut v_prev = vec![0.0; n];
-        let mut alphas = Vec::new();
-        let mut betas: Vec<f64> = Vec::new();
-        let mut row = Vec::with_capacity(gen.max_row_entries());
+        let mut st = LanczosState::init(0, n, seed);
+        let norm = st.v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        st.v.iter_mut().for_each(|x| *x /= norm);
+        let (mut w, mut row) = (vec![0.0; n], Vec::with_capacity(gen.max_row_entries()));
         for _ in 0..iters {
-            // w = A v
-            let mut w = vec![0.0; n];
             for (i, wi) in w.iter_mut().enumerate() {
                 gen.row(i as u64, &mut row);
-                let mut acc = 0.0;
-                for e in &row {
-                    acc += e.val * v[e.col as usize];
-                }
-                *wi = acc;
+                *wi = row.iter().fold(0.0, |acc, e| acc + e.val * st.v[e.col as usize]);
             }
-            let alpha: f64 = w.iter().zip(&v).map(|(a, b)| a * b).sum();
-            let beta_prev = betas.last().copied().unwrap_or(0.0);
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi -= alpha * v[i] + beta_prev * v_prev[i];
-            }
-            let beta = w.iter().map(|x| x * x).sum::<f64>().sqrt();
-            alphas.push(alpha);
-            betas.push(beta);
-            std::mem::swap(&mut v_prev, &mut v);
-            if beta > 0.0 {
-                for (vi, wi) in v.iter_mut().zip(&w) {
-                    *vi = wi / beta;
-                }
-            } else {
-                v.iter_mut().for_each(|x| *x = 0.0);
-            }
+            let sums = products(&w, &st.v, &st.v_prev);
+            st.advance(&mut w, sums, Ok).expect("a local sum does not fail");
         }
-        Self { alphas, betas }
+        Self { alphas: st.alphas, betas: st.betas }
     }
 
     /// Eigenvalue estimates (ascending) of the Lanczos tridiagonal.
     pub fn eigenvalues(&self) -> Vec<f64> {
         tridiag_eigenvalues(&self.alphas, &self.betas[..self.alphas.len() - 1])
     }
-}
-
-fn splitmix_u01(mut z: u64) -> f64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -127,8 +127,9 @@ fn fd_takeover_is_invisible_to_the_numerics() {
     // fails. The takeover plan lands wherever each worker happens to be —
     // mid-halo, mid-allreduce, mid-commit — so the run is repeated: every
     // time, α/β on every rank must equal the clean run's, bit for bit.
+    // The run is long enough that the 60 ms kill lands mid-run.
     let gen = Graphene::new(6, 5).with_nnn(-0.1);
-    let iters = 400;
+    let iters = 1000;
     let clean = run_job(Arc::new(gen.clone()), 4, 3, iters, 50, true, FaultSchedule::none());
     let clean_s = summaries(&clean, 4);
     for run in 0..10 {

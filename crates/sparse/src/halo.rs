@@ -21,8 +21,8 @@
 //! block for iteration `k+1` after the receiver has consumed iteration
 //! `k`. Split-phase does not weaken this: `post(k+1)` happens after the
 //! iteration-`k` collectives, which happen after every rank's `wait(k)`.
-//! In the Lanczos loop the two allreduces that follow every spMVM provide
-//! the collective for free; applications without a natural per-iteration
+//! In the Lanczos loop the allreduce that follows every spMVM provides the
+//! collective for free; applications without a natural per-iteration
 //! collective must add one (see the heat example's residual allreduce).
 //!
 //! Recovery interacts with the split phase in one place: a failure
@@ -136,11 +136,11 @@ impl SpmvComm {
         Ok(PendingExchange { tag })
     }
 
-    /// Phase two: await one tagged notification per incoming block
-    /// (dropping stale tags left over from pre-recovery traffic), read
-    /// the halo into `halo_out`, and flush our own writes. The halo goes
-    /// through [`FtCtx::received_halo`]: in a replay it is read from what
-    /// the senders logged.
+    /// Phase two: flush our own writes, await one tagged notification per
+    /// incoming block (dropping stale tags left over from pre-recovery
+    /// traffic) and read the halo into `halo_out`. The halo goes through
+    /// [`FtCtx::received_halo`]: in a replay it is read from what the
+    /// senders logged.
     pub fn wait(
         &self,
         ctx: &FtCtx,
@@ -150,6 +150,10 @@ impl SpmvComm {
     ) -> FtResult<()> {
         let proc = &ctx.proc;
         ctx.received_halo(halo_out, plan.halo_len, |halo_out| {
+            // Flush first: a write to a dead partner comes back broken, and
+            // the report wakes the detector. Behind the dead partner's block
+            // the flush would never run.
+            ctx.wait_ft(self.queue)?;
             for recv in &plan.recvs {
                 loop {
                     ctx.notify_waitsome_ft(self.seg_halo, recv.from, 1)?;
@@ -160,13 +164,11 @@ impl SpmvComm {
                 }
             }
             // Read the full halo.
-            proc.with_segment(self.seg_halo, |b| {
+            Ok(proc.with_segment(self.seg_halo, |b| {
                 for (i, h) in halo_out.iter_mut().enumerate() {
                     *h = bytes::get_f64(b, 8 * i);
                 }
-            })?;
-            // Flush our writes before the iteration's collectives.
-            ctx.wait_ft(self.queue)
+            })?)
         })
     }
 
