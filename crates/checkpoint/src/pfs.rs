@@ -38,8 +38,9 @@ impl PfsConfig {
         Self { latency: Duration::ZERO, bandwidth: f64::INFINITY }
     }
 
-    fn cost(&self, bytes: usize) -> Duration {
-        self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth)
+    /// Block for the modeled cost of moving `bytes`.
+    fn charge(&self, bytes: usize) {
+        std::thread::sleep(self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth));
     }
 }
 
@@ -64,14 +65,14 @@ impl Pfs {
 
     /// Write a checkpoint image; blocks for the modeled cost.
     pub fn write(&self, rank: Rank, tag: u32, version: u64, data: Arc<Vec<u8>>) {
-        std::thread::sleep(self.cfg.cost(data.len()));
+        self.cfg.charge(data.len());
         self.store.lock().insert(PfsKey { rank, tag, version }, data);
     }
 
     /// Read a checkpoint image; blocks for the modeled cost.
     pub fn read(&self, rank: Rank, tag: u32, version: u64) -> Option<Arc<Vec<u8>>> {
         let data = self.store.lock().get(&PfsKey { rank, tag, version }).cloned()?;
-        std::thread::sleep(self.cfg.cost(data.len()));
+        self.cfg.charge(data.len());
         Some(data)
     }
 

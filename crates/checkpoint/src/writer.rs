@@ -20,9 +20,9 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use ft_cluster::{BlobKey, NodeId, NodeStorage, Outcome, Rank, Topology, Transport, Wire};
+use ft_cluster::{BlobKey, Monitor, NodeId, NodeStorage, Outcome, Rank, Topology, Transport, Wire};
 use ft_gaspi::GaspiProc;
 
 use crate::image::seal;
@@ -188,8 +188,7 @@ struct Shared {
     pfs: Option<Arc<Pfs>>,
     ring: Mutex<NeighborMap>,
     /// Signaled copies the library thread has not finished yet.
-    pending: Mutex<u64>,
-    drained: Condvar,
+    pending: Monitor<u64>,
     stats: Mutex<CkptStats>,
 }
 
@@ -230,8 +229,7 @@ impl Checkpointer {
             storage: proc.cluster_storage(),
             transport: proc.cluster_transport(),
             pfs,
-            pending: Mutex::new(0),
-            drained: Condvar::new(),
+            pending: Monitor::new(0),
             stats: Mutex::new(CkptStats::default()),
         });
         let (tx, rx) = mpsc::channel::<Option<u64>>();
@@ -297,14 +295,7 @@ impl Checkpointer {
     /// so only at interval 1 is the replica round trip on the critical
     /// path.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut c = self.shared.pending.lock();
-        while *c != 0 {
-            if self.shared.drained.wait_until(&mut c, deadline).timed_out() {
-                return *c == 0;
-            }
-        }
-        true
+        self.shared.pending.wait_for(|&c| c == 0, Some(Instant::now() + timeout))
     }
 
     /// Fault-aware refresh: fold the cumulative failed list into the
@@ -576,7 +567,6 @@ impl Shared {
                 None => st.copy_failures += 1,
             }
         }
-        *self.pending.lock() -= 1;
-        self.drained.notify_all();
+        self.pending.update(|c| *c -= 1);
     }
 }

@@ -33,6 +33,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{CodecError, Dec, Enc, Wire};
 use crate::inject::{InjectState, Injection, SiteName, SiteRecord};
+use crate::monitor::Monitor;
 use crate::topology::{NodeId, Rank, Topology};
 
 /// Panic payload raised by a killed rank's next communication call.
@@ -502,19 +503,12 @@ impl FaultSchedule {
         plane.arm_injections(self.injections.iter().cloned());
         let mut timed = self.timed.clone();
         timed.sort_by_key(|(d, _)| *d);
-        let cancel = Arc::new(AtomicBool::new(false));
+        let cancel = Arc::new(Monitor::new(false));
         let c2 = Arc::clone(&cancel);
         let run = move || {
             let start = std::time::Instant::now();
             for (after, action) in timed {
-                // Short laps, so a cancel retires the thread at once.
-                while let Some(left) = after.checked_sub(start.elapsed()) {
-                    if c2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(left.min(Duration::from_millis(1)));
-                }
-                if c2.load(Ordering::Acquire) {
+                if c2.wait_for(|&cancelled| cancelled, Some(start + after)) {
                     return;
                 }
                 action.apply(&plane);
@@ -552,7 +546,7 @@ impl Wire for FaultSchedule {
 
 /// Guard for the schedule timer thread; cancels pending actions on drop.
 pub struct ScheduleTimer {
-    cancel: Arc<AtomicBool>,
+    cancel: Arc<Monitor<bool>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -570,7 +564,7 @@ impl ScheduleTimer {
 
 impl Drop for ScheduleTimer {
     fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Release);
+        self.cancel.update(|c| *c = true);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

@@ -28,12 +28,15 @@
 //! * [`storage`] — node-local in-memory storage that is destroyed when its
 //!   node is killed; the neighbor-level checkpoint library builds on it.
 //! * [`time`] — the latency model.
+//! * [`monitor`] — the one blocking primitive every in-memory wait parks
+//!   on.
 
 #![warn(missing_docs)]
 
 pub mod codec;
 pub mod fault;
 pub mod inject;
+pub mod monitor;
 pub mod storage;
 pub mod tcp;
 pub mod time;
@@ -45,6 +48,7 @@ pub use fault::{
     FaultAction, FaultPlane, FaultSchedule, RankKilled, ScheduleTimer, KILLED_EXIT_CODE,
 };
 pub use inject::{site_is_deterministic, Injection, SiteName, SiteRecord};
+pub use monitor::{Monitor, Signal};
 pub use storage::{BlobKey, NodeStorage};
 pub use tcp::TcpTransport;
 pub use time::LatencyModel;

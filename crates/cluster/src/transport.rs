@@ -55,8 +55,8 @@
 //! ## Sharding and determinism
 //!
 //! The wheel is split into [`default_shards`] shards, each with its own
-//! binary heap, lock, condvar, and scheduler thread. A message belongs to
-//! the shard of its *destination's node group*
+//! binary heap in a [`Monitor`] and its own scheduler thread. A message
+//! belongs to the shard of its *destination's node group*
 //! (`node_of(dst) % shards`), so:
 //!
 //! * every `(src, queue, dst)` stream lives entirely inside one shard and
@@ -83,10 +83,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::codec::splitmix64;
 use crate::fault::FaultPlane;
+use crate::monitor::Monitor;
 use crate::time::LatencyModel;
 use crate::topology::Rank;
 
@@ -331,22 +332,15 @@ struct ShardState {
     seq: u64,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    cv: Condvar,
-}
+/// One shard of the wheel; its scheduler thread is the one waiter.
+type Shard = Monitor<ShardState>;
 
-impl Shard {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(ShardState {
-                heap: BinaryHeap::with_capacity(64),
-                streams: HashMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
-                seq: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
+fn new_shard() -> Shard {
+    Monitor::new(ShardState {
+        heap: BinaryHeap::with_capacity(64),
+        streams: HashMap::with_capacity_and_hasher(64, BuildHasherDefault::default()),
+        seq: 0,
+    })
 }
 
 struct Inner {
@@ -362,12 +356,11 @@ struct Inner {
 }
 
 impl Inner {
+    /// The shard of `dst`'s *node group*: co-located ranks (and therefore
+    /// every stream toward them) share a scheduler thread.
     #[inline]
-    fn shard_of(&self, dst: Rank) -> &Shard {
-        // Shard by the destination's *node group* so co-located ranks (and
-        // therefore every stream toward them) share a scheduler thread.
-        let node = self.fault.topology().node_of(dst).0 as usize;
-        &self.shards[node % self.shards.len()]
+    fn shard_index(&self, dst: Rank) -> usize {
+        self.fault.topology().node_of(dst).0 as usize % self.shards.len()
     }
 }
 
@@ -442,7 +435,7 @@ impl SimTransport {
         let inner = Arc::new(Inner {
             model,
             fault,
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards).map(|_| new_shard()).collect(),
             seed,
             shutdown: AtomicBool::new(false),
             endpoints: RwLock::new(vec![None; num_ranks]),
@@ -493,28 +486,28 @@ impl SimTransport {
         // Passive: posting also happens on shard threads (nested response
         // posts), which must never unwind with `RankKilled`.
         self.inner.fault.site_passive(env.src, "transport.post");
-        let shard = self.inner.shard_of(env.dst);
-        let doomed = {
-            let mut st = shard.state.lock();
-            schedule_locked(&self.inner, &mut st, env, delay, Instant::now());
-            // Re-check under the lock: if shutdown won the race the shard
-            // thread may already have drained and exited — reclaim and
-            // cancel everything ourselves (each record is drained by
-            // exactly one side because both drain under this lock).
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                Some(std::mem::take(&mut st.heap))
-            } else {
-                None
+        self.enqueue(self.inner.shard_index(env.dst), [env], delay, Instant::now());
+    }
+
+    /// Schedule `envs` on shard `i` under one lock and wake its scheduler
+    /// once. Re-checks shutdown under the lock: if shutdown won the race
+    /// the shard thread may already have drained and exited — reclaim and
+    /// cancel everything ourselves (each record is drained by exactly one
+    /// side because both drain under this lock).
+    fn enqueue(
+        &self,
+        i: usize,
+        envs: impl IntoIterator<Item = Env>,
+        delay: Option<Duration>,
+        now: Instant,
+    ) {
+        let doomed = self.inner.shards[i].update(|st| {
+            for env in envs {
+                schedule_locked(&self.inner, st, env, delay, now);
             }
-        };
-        match doomed {
-            Some(heap) => {
-                for s in heap {
-                    fire(s.env.work, Outcome::Cancelled);
-                }
-            }
-            None => shard.cv.notify_one(),
-        }
+            self.inner.shutdown.load(Ordering::Acquire).then(|| std::mem::take(&mut st.heap))
+        });
+        cancel_all(doomed.into_iter().flatten());
     }
 
     /// Post a whole batch of same-source records in one pass: shard locks
@@ -534,34 +527,14 @@ impl SimTransport {
         let nshards = self.inner.shards.len();
         let mut by_shard: Vec<Vec<Env>> = (0..nshards).map(|_| Vec::new()).collect();
         for env in envs {
-            let node = self.inner.fault.topology().node_of(env.dst).0 as usize;
-            by_shard[node % nshards].push(env);
+            by_shard[self.inner.shard_index(env.dst)].push(env);
         }
         let now = Instant::now();
         for (i, group) in by_shard.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let shard = &self.inner.shards[i];
-            let doomed = {
-                let mut st = shard.state.lock();
-                for env in group {
-                    schedule_locked(&self.inner, &mut st, env, delay, now);
-                }
-                if self.inner.shutdown.load(Ordering::Acquire) {
-                    Some(std::mem::take(&mut st.heap))
-                } else {
-                    None
-                }
-            };
-            match doomed {
-                Some(heap) => {
-                    for s in heap {
-                        fire(s.env.work, Outcome::Cancelled);
-                    }
-                }
-                None => shard.cv.notify_one(),
-            }
+            self.enqueue(i, group, delay, now);
         }
     }
 
@@ -571,30 +544,18 @@ impl SimTransport {
         let shard = &self.inner.shards[shard_idx];
         loop {
             let next = {
-                let mut st = shard.state.lock();
+                let mut st = shard.lock();
                 loop {
                     if self.inner.shutdown.load(Ordering::Acquire) {
-                        // Drain: cancel everything still queued in this
-                        // shard (outside the lock — cancelled completions
-                        // may send follow-ups, which cancel inline).
                         let heap = std::mem::take(&mut st.heap);
                         drop(st);
-                        for s in heap {
-                            fire(s.env.work, Outcome::Cancelled);
-                        }
-                        return;
+                        return cancel_all(heap);
                     }
-                    let now = Instant::now();
-                    match st.heap.peek() {
-                        Some(s) if s.due <= now => break st.heap.pop().unwrap(),
-                        Some(s) => {
-                            let due = s.due;
-                            shard.cv.wait_until(&mut st, due);
-                        }
-                        None => {
-                            shard.cv.wait_for(&mut st, Duration::from_millis(5));
-                        }
+                    let due = st.heap.peek().map(|s| s.due);
+                    if due.is_some_and(|d| d <= Instant::now()) {
+                        break st.heap.pop().unwrap();
                     }
+                    shard.wait_until(&mut st, due);
                 }
             };
             self.deliver(next.env);
@@ -697,11 +658,9 @@ impl SimTransport {
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         for shard in &self.inner.shards {
-            // Notify under the shard lock: a scheduler between its flag
-            // check and its wait would otherwise sleep through the wake-up
-            // until its next due time.
-            let _st = shard.state.lock();
-            shard.cv.notify_all();
+            // Take the shard lock before the wake-up: a scheduler between
+            // its flag check and its wait would otherwise sleep through it.
+            shard.update(|_| ());
         }
     }
 }
@@ -743,7 +702,7 @@ fn slack_for(model: &LatencyModel) -> Duration {
 }
 
 /// Set the calling thread's timer slack. Linux may end a timed futex wait
-/// (the shard's `wait_until`) up to the slack late — 50 µs by default,
+/// (the shard's [`Monitor::wait_until`]) up to the slack late — 50 µs by default,
 /// more than twice the default model's 20 µs hop. Best effort: a failed
 /// call keeps the default.
 #[cfg(target_os = "linux")]
@@ -764,6 +723,12 @@ fn set_timer_slack(slack: Duration) {
 /// Other platforms keep their default timer behaviour.
 #[cfg(not(target_os = "linux"))]
 fn set_timer_slack(_: Duration) {}
+
+/// Cancel every record of a drained shard, outside its lock: a cancelled
+/// completion may send a follow-up, which cancels inline.
+fn cancel_all(heap: impl IntoIterator<Item = Scheduled>) {
+    heap.into_iter().for_each(|s| fire(s.env.work, Outcome::Cancelled));
+}
 
 /// Terminate a record's work with a non-delivered outcome (or a fan-out
 /// reply that made it home). Never touches an endpoint.

@@ -21,6 +21,7 @@ use ft_checkpoint::Checkpointer;
 use ft_cluster::{FaultSchedule, Rank};
 use ft_gaspi::{
     GaspiProc, GaspiResult, GaspiWorld, Group, NotificationId, RankOutcome, ReduceOp, SegId,
+    Timeout,
 };
 
 use crate::ack::{self, create_ctrl_segment};
@@ -580,7 +581,8 @@ fn run_rank<A: FtApp>(
 /// naming this rank a rescue activates it; one with no detector standing
 /// (the end plan, or the detector joined the workers) ends it; being the
 /// plan's detector runs [`run_detector_from`] (the primary from the start,
-/// the shadow once it takes over). Otherwise, once per look period, the FD's
+/// the shadow once it takes over). Between reads the rank is parked on its
+/// control segment ([`HealthWatch::park`]). Once per look period, the FD's
 /// own two-look scan ([`glo_health_chk_graced`]) says whether the detector
 /// is gone, judged after the control segment is read again (a detector that
 /// left at the job's end fails the look too, but its end plan landed
@@ -596,8 +598,9 @@ pub(crate) fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
     };
     let mut last_look = Instant::now();
     let mut gone = Vec::new(); // what the last look found dead
+    let mut park = Timeout::Test; // the first read of the control segment
     let plan = loop {
-        match ctx.watch.check() {
+        match ctx.watch.park(park) {
             Ok(()) => {}
             Err(FtError::Signal(FtSignal::Shutdown)) => return Ok(None),
             // A new worker group: mine to join if the plan names me. (The
@@ -627,6 +630,7 @@ pub(crate) fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
             }
         }
         gone.clear();
+        park = Timeout::Test;
         if last_look.elapsed() >= look_every {
             last_look = Instant::now();
             let targets: Vec<Rank> =
@@ -634,7 +638,8 @@ pub(crate) fn spare_run(ctx: &FtCtx) -> FtResult<Option<RecoveryPlan>> {
             gone = glo_health_chk_graced(proc, &targets, cfg.ping_timeout, cfg.suspect_grace);
             continue;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        // Rounded up, so the park never ends short of the next look.
+        park = Timeout::Ms(look_every.saturating_sub(last_look.elapsed()).as_millis() as u64 + 1);
     };
     run_detector_from(proc, layout, cfg, &ctx.events, shadow, plan)
 }

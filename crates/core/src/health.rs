@@ -182,6 +182,22 @@ impl HealthWatch {
         Ok(self.proc.wake_on(CTRL_SEG, &[(EPOCH_NOTIF, seen), (SHUTDOWN_NOTIF, 0)], call))
     }
 
+    /// Hold position: an [`Self::attempt`] parked on the shutdown slot
+    /// until a newer plan or the shutdown word lands, or `timeout` passes.
+    /// A plan its check put in force ends the park at once: the caller may
+    /// have to act on it even if the group stays (an idle on the end plan).
+    pub(crate) fn park(&self, timeout: Timeout) -> FtResult<()> {
+        let held = self.held.borrow().plan.epoch;
+        let wait = || match self.held.borrow().plan.epoch == held {
+            true => self.proc.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, timeout),
+            false => Err(GaspiError::Timeout),
+        };
+        match self.attempt(wait)? {
+            Ok(_) | Err(GaspiError::Timeout) => Ok(()),
+            Err(e) => Err(FtError::Gaspi(e)),
+        }
+    }
+
     /// Run `call` (a GASPI call with the policy's per-attempt timeout)
     /// until it succeeds or the watch raises a signal. Each try is one
     /// `attempt`, so the acknowledgment ends a blocked call the moment it
@@ -195,15 +211,9 @@ impl HealthWatch {
     pub fn retry<T>(&self, mut call: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
         let deadline = Instant::now() + self.policy.abandon;
         let mut broken = false;
-        // Holding position: a wait on the shutdown slot, which the wake
-        // also ends when a newer plan lands.
-        let park = || self.proc.notify_waitsome(CTRL_SEG, SHUTDOWN_NOTIF, 1, self.policy.attempt);
         loop {
             if broken {
-                match self.attempt(park)? {
-                    Ok(_) | Err(GaspiError::Timeout) => {}
-                    Err(e) => return Err(FtError::Gaspi(e)),
-                }
+                self.park(self.policy.attempt)?;
             } else {
                 match self.attempt(&mut call)? {
                     Ok(v) => return Ok(v),

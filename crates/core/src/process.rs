@@ -55,12 +55,12 @@ use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use ft_cluster::codec::{from_hex, to_hex, CodecError, Dec, Enc, Wire};
 use ft_cluster::{
-    FaultAction, FaultPlane, FaultSchedule, Injection, Rank, TcpTransport, Topology, Transport,
-    KILLED_EXIT_CODE,
+    FaultAction, FaultPlane, FaultSchedule, Injection, Monitor, Rank, TcpTransport, Topology,
+    Transport, KILLED_EXIT_CODE,
 };
 use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
 
@@ -266,19 +266,17 @@ struct ProcessHost {
     /// Ranks that printed `RESULT` (or closed their output): their run is
     /// over, and a wall-clock kill no longer changes how it ended (as on
     /// the in-memory backend).
-    ended: Mutex<HashSet<Rank>>,
-    one_ended: Condvar,
+    ended: Monitor<HashSet<Rank>>,
 }
 
 impl ProcessHost {
     fn new(children: Vec<Child>) -> Arc<Self> {
         let children = Mutex::new(children.into_iter().map(Some).collect());
-        Arc::new(Self { children, ended: Mutex::default(), one_ended: Condvar::new() })
+        Arc::new(Self { children, ended: Monitor::default() })
     }
 
     fn end(&self, rank: Rank) {
-        self.ended.lock().insert(rank);
-        self.one_ended.notify_all();
+        self.ended.update(|e| e.insert(rank));
     }
 
     fn has_ended(&self, rank: Rank) -> bool {
@@ -295,9 +293,8 @@ impl ProcessHost {
         deadline: Instant,
     ) -> Vec<Option<ExitStatus>> {
         let n = stdins.len();
-        let mut ended = self.ended.lock();
-        while ended.len() < n && !self.one_ended.wait_until(&mut ended, deadline).timed_out() {}
-        drop((ended, stdins));
+        self.ended.wait_for(|e| e.len() >= n, Some(deadline));
+        drop(stdins);
         let grace = deadline.max(Instant::now() + Duration::from_secs(2));
         let reap_by = |r| if self.has_ended(r) { grace } else { deadline };
         let mut statuses: Vec<_> = (0..n as Rank).map(|r| self.wait_rank(r, reap_by(r))).collect();

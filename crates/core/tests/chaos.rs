@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use common::{expected_acc, Acc};
 use ft_cluster::{FaultAction, FaultSchedule};
-use ft_core::{run_ft_job, FtConfig, WorldLayout};
+use ft_core::{run_ft_job, Event, EventKind, FtConfig, JobReport, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 
 fn splitmix(z: &mut u64) -> u64 {
@@ -120,8 +120,8 @@ storm_matrix! {
 /// 506 workers, so this exercises shard contention, the stream tables,
 /// and recovery re-wiring at two orders of magnitude above the seed
 /// tests. Iteration count is kept small — the point is width, not depth.
-#[test]
-fn chaos_storm_512_ranks() {
+/// Returns the report and the victims.
+fn storm_512() -> (JobReport<(f64, u64)>, Vec<u32>) {
     let workers = 506u32;
     let layout = WorldLayout::new(workers, 6);
     let total = layout.total();
@@ -147,8 +147,13 @@ fn chaos_storm_512_ranks() {
         .abandon(Duration::from_secs(60))
         .build()
         .unwrap();
-    let report = run_ft_job(&world, cfg, schedule, Acc::new);
+    (run_ft_job(&world, cfg, schedule, Acc::new), victims)
+}
 
+#[test]
+fn chaos_storm_512_ranks() {
+    let (report, victims) = storm_512();
+    let workers = 506;
     let summaries = report.worker_summaries();
     let expected = expected_acc(workers, 10);
     if summaries.len() == workers as usize {
@@ -172,6 +177,27 @@ fn chaos_storm_512_ranks() {
             );
         }
     }
+}
+
+/// The storm's first group forms before its kills take anyone else down:
+/// every worker that was not killed records `GroupRebuilt { epoch: 0 }`.
+/// Not required yet: it races the launch of 512 rank threads against the
+/// first kill at 47 ms (see ROADMAP item 21). Run it with
+/// `cargo test --release -p ft-core --test chaos -- --ignored`.
+#[test]
+#[ignore = "races thread launch against the first timed kill; ROADMAP item 21"]
+fn chaos_storm_512_ranks_forms_its_first_group() {
+    let (report, victims) = storm_512();
+    let killed = report.killed();
+    let formed = |r| {
+        let first = |e: &Event| e.rank == r && e.kind == EventKind::GroupRebuilt { epoch: 0 };
+        report.events.first_where(first).is_some()
+    };
+    let missing: Vec<u32> = (0..506).filter(|r| !killed.contains(r) && !formed(*r)).collect();
+    assert!(
+        missing.is_empty(),
+        "workers {missing:?} never formed the first group (victims {victims:?})"
+    );
 }
 
 /// CI sweep hook: `FT_CHAOS_SEEDS="100..120"` or `FT_CHAOS_SEEDS="17,42,99"`

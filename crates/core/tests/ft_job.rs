@@ -261,6 +261,35 @@ fn idle_spares_end_a_clean_job_without_error() {
     }
 }
 
+/// Regression: an idle spare parks on its control segment between its
+/// looks at the detector, and a plan that leaves the workers alone — the
+/// end plan — is put in force on the way into that park. The park used to
+/// go on waiting for a newer plan, so with a one-hour scan interval (an
+/// idle looks every four) the job never ended.
+#[test]
+fn idle_spares_end_with_the_job_however_long_their_look_period() {
+    let layout = WorldLayout::new(2, 3);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .max_iters(20)
+        .detector(ft_core::DetectorConfig {
+            scan_interval: Duration::from_secs(3600),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let report =
+            run_ft_job(&world, cfg, FaultSchedule::none(), move |ctx| ToyApp::new(ctx, &pfs));
+        let _ = tx.send(report);
+    });
+    let report = rx.recv_timeout(Duration::from_secs(30)).expect("the job must end");
+    assert_workers_correct(&report, 2, 20);
+    assert_eq!(report.completed().iter().filter(|r| r.role == Role::Idle).count(), 2);
+}
+
 /// Regression: an idle spare judged the detector by one ping, so a link
 /// that was down for a moment made it give up on a live detector with
 /// `RemoteBroken`. It now takes the detector's own two looks, the second

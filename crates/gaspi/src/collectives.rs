@@ -153,7 +153,7 @@ impl GaspiProc {
         deadline: Option<std::time::Instant>,
         ready: impl Fn() -> Option<T>,
     ) -> GaspiResult<T> {
-        let out = self.poll_deadline(deadline, || err.get().map(Err).or_else(|| ready().map(Ok)));
+        let out = self.poll(deadline, || err.get().map(Err).or_else(|| ready().map(Ok)));
         if let Err(GaspiError::RemoteBroken { rank }) = &out {
             self.mark_corrupt(*rank);
         }

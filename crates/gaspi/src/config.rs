@@ -1,7 +1,5 @@
 //! World configuration.
 
-use std::time::Duration;
-
 use ft_cluster::{LatencyModel, Topology};
 
 /// Configuration for a [`crate::GaspiWorld`].
@@ -23,10 +21,6 @@ pub struct GaspiConfig {
 pub const APP_QUEUES: u16 = 8;
 /// Notification slots per segment.
 pub(crate) const NOTIFICATION_SLOTS: u32 = 1024;
-/// Granularity of blocking-wait poll laps. Blocked calls re-check their
-/// condition at least this often, which also bounds how long a killed
-/// rank keeps blocking before it observes its own death.
-pub(crate) const POLL_LAP: Duration = Duration::from_micros(200);
 /// First internal queue id (service traffic).
 pub(crate) const SERVICE_QUEUE: u16 = APP_QUEUES;
 /// Internal queue for collective tokens.

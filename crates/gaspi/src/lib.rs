@@ -47,7 +47,6 @@ mod collectives;
 mod endpoint;
 mod group;
 mod queue;
-mod signal;
 
 pub use collectives::ALLREDUCE_MAX_ELEMS;
 pub use config::{GaspiConfig, APP_QUEUES};

@@ -160,14 +160,17 @@ impl GaspiProc {
 
     /// Poll `f` until it yields, the deadline passes, the calling thread's
     /// wake condition fires (see [`GaspiProc::wake_on`]), or this rank dies.
-    pub(crate) fn poll_deadline<T>(
+    /// Between polls the thread sleeps on the rank's signal until a bump or
+    /// the deadline. Whatever can change the answer bumps it: a notified
+    /// put, a collective token or a passive message landing here, a
+    /// completion of this rank's own posts, and any kill.
+    pub(crate) fn poll<T>(
         &self,
         deadline: Option<Instant>,
         mut f: impl FnMut() -> Option<GaspiResult<T>>,
     ) -> GaspiResult<T> {
         let sig = &self.shared().signal;
         let mut seen = sig.generation();
-        let lap = crate::config::POLL_LAP;
         loop {
             self.check_self();
             if let Some(r) = f() {
@@ -181,16 +184,8 @@ impl GaspiProc {
                     return Err(GaspiError::Timeout);
                 }
             }
-            sig.wait_lap(&mut seen, lap, deadline);
+            sig.wait_past(&mut seen, deadline);
         }
-    }
-
-    pub(crate) fn poll<T>(
-        &self,
-        timeout: Timeout,
-        f: impl FnMut() -> Option<GaspiResult<T>>,
-    ) -> GaspiResult<T> {
-        self.poll_deadline(timeout.deadline(), f)
     }
 
     // ------------------------------------------------------------------
@@ -437,7 +432,7 @@ impl GaspiProc {
         let q = &self.shared().queues[queue as usize];
         let target = q.posted();
         if !q.drained_to(target) {
-            self.poll(timeout, || q.drained_to(target).then_some(Ok(())))?;
+            self.poll(timeout.deadline(), || q.drained_to(target).then_some(Ok(())))?;
         }
         let failures = q.take_failures();
         if failures.is_empty() {
@@ -464,7 +459,7 @@ impl GaspiProc {
         self.validate_queue(queue)?;
         let q = &self.shared().queues[queue as usize];
         let target = q.posted();
-        let _ = self.poll(timeout, || q.drained_to(target).then_some(Ok(())));
+        let _ = self.poll(timeout.deadline(), || q.drained_to(target).then_some(Ok(())));
         let _ = q.take_failures();
         Ok(())
     }
@@ -481,7 +476,7 @@ impl GaspiProc {
     ) -> GaspiResult<NotificationId> {
         self.check_self();
         let segment = self.shared().segments.require(seg)?;
-        self.poll(timeout, || segment.notify_scan(begin, count).map(Ok))
+        self.poll(timeout.deadline(), || segment.notify_scan(begin, count).map(Ok))
     }
 
     /// Atomically read-and-clear a local notification
@@ -521,7 +516,7 @@ impl GaspiProc {
             c1.store(verdict(out, &reply), Ordering::Release);
             me.signal.bump();
         }));
-        let res = self.poll(timeout, || match cell.load(Ordering::Acquire) {
+        let res = self.poll(timeout.deadline(), || match cell.load(Ordering::Acquire) {
             PENDING => None,
             DONE => Some(Ok(())),
             BROKEN => Some(Err(GaspiError::RemoteBroken { rank: dst })),
@@ -592,7 +587,9 @@ impl GaspiProc {
                 landed.land();
             }),
         );
-        match self.poll(timeout, || (batch.left.load(Ordering::Acquire) == 0).then_some(Ok(()))) {
+        match self.poll(timeout.deadline(), || {
+            (batch.left.load(Ordering::Acquire) == 0).then_some(Ok(()))
+        }) {
             Ok(()) | Err(GaspiError::Timeout) => {}
             Err(e) => return Err(e),
         }
@@ -663,7 +660,7 @@ impl GaspiProc {
     /// (`gaspi_passive_receive`), returning `(sender, payload)`.
     pub fn passive_receive(&self, timeout: Timeout) -> GaspiResult<(Rank, Vec<u8>)> {
         self.check_self();
-        self.poll(timeout, || self.shared().passive_inbox.lock().pop_front().map(Ok))
+        self.poll(timeout.deadline(), || self.shared().passive_inbox.lock().pop_front().map(Ok))
     }
 }
 

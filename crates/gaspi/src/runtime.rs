@@ -8,7 +8,7 @@ use std::sync::{Arc, Once, Weak};
 use parking_lot::Mutex;
 
 use ft_cluster::{
-    FaultPlane, NodeStorage, QueueId, Rank, RankKilled, SimTransport, Topology, Transport,
+    FaultPlane, NodeStorage, QueueId, Rank, RankKilled, Signal, SimTransport, Topology, Transport,
     TransportOwner,
 };
 
@@ -20,7 +20,6 @@ use crate::group::GroupRegistry;
 use crate::proc::GaspiProc;
 use crate::queue::Queue;
 use crate::segment::SegmentTable;
-use crate::signal::Signal;
 
 /// Service handler for checkpoint traffic (queues at the top of the
 /// `u16` range): `(to, from, queue, msg) -> reply`. Installed by the

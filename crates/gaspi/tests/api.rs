@@ -720,3 +720,40 @@ fn an_unwound_wake_on_leaves_the_next_wait_alone() {
     assert_eq!(r, Err(GaspiError::Timeout));
     assert!(took >= Duration::from_millis(100), "a leaked condition woke the wait after {took:?}");
 }
+
+/// A blocked wait has no poll lap: it sleeps until something that can end
+/// it happens. Its own rank's death is one: the kill ends a
+/// `Timeout::Block` wait at once.
+#[test]
+fn a_blocked_wait_ends_within_100ms_of_its_ranks_kill() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+    let p = world.proc_handle(0);
+    p.segment_create(SEG, 8).unwrap();
+    let h = std::thread::spawn(move || p.notify_waitsome(SEG, 0, 1, Timeout::Block));
+    std::thread::sleep(Duration::from_millis(50)); // let it park
+    let t0 = Instant::now();
+    world.fault().kill_rank(0);
+    let ended = h.join();
+    let took = t0.elapsed();
+    let payload = ended.expect_err("the killed rank's wait must unwind");
+    assert!(payload.downcast_ref::<ft_cluster::RankKilled>().is_some());
+    assert!(took < Duration::from_millis(100), "the kill ended the wait after {took:?}");
+}
+
+/// ... and a notified put landing on the awaited slot is another.
+#[test]
+fn a_blocked_wait_wakes_within_100ms_of_a_notified_put() {
+    let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+    let (p0, p1) = (world.proc_handle(0), world.proc_handle(1));
+    p0.segment_create(SEG, 8).unwrap();
+    let h =
+        std::thread::spawn(move || (p0.notify_waitsome(SEG, 0, 1, Timeout::Block), Instant::now()));
+    std::thread::sleep(Duration::from_millis(50)); // let it park
+    let t0 = Instant::now();
+    p1.notify(0, SEG, 0, 1, Q).unwrap();
+    let (r, woke) = h.join().unwrap();
+    assert_eq!(r, Ok(0));
+    let took = woke - t0;
+    assert!(took < Duration::from_millis(100), "the put woke the wait after {took:?}");
+    p1.wait(Q, Timeout::Ms(5000)).unwrap();
+}
