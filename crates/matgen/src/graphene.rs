@@ -7,9 +7,12 @@
 //! brings the row population close to the paper's ≈12 nonzeros/row), and
 //! optional on-site Anderson disorder. Rows are generated on the fly from
 //! the geometry — no global matrix is ever materialized, and a rescue
-//! process can regenerate a failed process's chunk locally.
+//! process can regenerate a failed process's chunk locally. A row comes
+//! out of one neighbor table that is already in column order; only
+//! periodic wrap, which can reorder sites and merge them, sorts and merges
+//! it afterwards.
 
-use crate::{RowEntry, RowGen};
+use crate::{seeded_u01, RowEntry, RowGen};
 
 /// Honeycomb tight-binding Hamiltonian generator.
 #[derive(Debug, Clone)]
@@ -61,33 +64,20 @@ impl Graphene {
     }
 
     fn site(&self, x: i64, y: i64, sub: u64) -> Option<u64> {
-        let (lx, ly) = (self.lx as i64, self.ly as i64);
-        let (x, y) = if self.periodic {
-            (x.rem_euclid(lx), y.rem_euclid(ly))
-        } else {
-            if x < 0 || x >= lx || y < 0 || y >= ly {
-                return None;
-            }
-            (x, y)
+        let (x, y) = match self.periodic {
+            true => (x.rem_euclid(self.lx as i64) as u64, y.rem_euclid(self.ly as i64) as u64),
+            // A site off the low edge wraps to a huge unsigned coordinate.
+            false => (x as u64, y as u64),
         };
-        Some(((y as u64) * self.lx + x as u64) * 2 + sub)
+        (x < self.lx && y < self.ly).then(|| (y * self.lx + x) * 2 + sub)
     }
 
     fn onsite(&self, site: u64) -> f64 {
         if self.disorder == 0.0 {
             return 0.0;
         }
-        self.disorder * (splitmix_u01(self.seed ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15)) - 0.5)
+        self.disorder * (seeded_u01(self.seed, site) - 0.5)
     }
-}
-
-/// SplitMix64 → uniform in [0, 1).
-fn splitmix_u01(mut z: u64) -> f64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl RowGen for Graphene {
@@ -101,50 +91,64 @@ impl RowGen for Graphene {
 
     fn row(&self, row: u64, out: &mut Vec<RowEntry>) {
         out.clear();
-        let sub = row & 1;
-        let cell = row >> 1;
-        let x = (cell % self.lx) as i64;
-        let y = (cell / self.lx) as i64;
-        let mut push = |col: Option<u64>, val: f64| {
-            if let Some(c) = col {
-                out.push(RowEntry { col: c, val });
-            }
-        };
-        // Diagonal (on-site energy; always emitted so the sparsity pattern
-        // is disorder-independent).
-        push(Some(row), self.onsite(row));
-        // Nearest neighbors: A(x,y) ↔ B(x,y), B(x−1,y), B(x,y−1).
-        if sub == 0 {
-            push(self.site(x, y, 1), self.t1);
-            push(self.site(x - 1, y, 1), self.t1);
-            push(self.site(x, y - 1, 1), self.t1);
-        } else {
-            push(self.site(x, y, 0), self.t1);
-            push(self.site(x + 1, y, 0), self.t1);
-            push(self.site(x, y + 1, 0), self.t1);
-        }
-        // Next-nearest: the six same-sublattice sites of the triangular
-        // Bravais lattice.
-        if self.t2 != 0.0 {
-            for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)] {
-                push(self.site(x + dx, y + dy, sub), self.t2);
+        let (x, y) = (((row >> 1) % self.lx) as i64, ((row >> 1) / self.lx) as i64);
+        for &(dx, dy, sub, hop) in &NEIGHBORS[(row & 1) as usize] {
+            let val = match hop {
+                // Always emitted, so the sparsity pattern is
+                // disorder-independent.
+                Hop::OnSite => self.onsite(row),
+                Hop::Nn => self.t1,
+                Hop::Nnn if self.t2 != 0.0 => self.t2,
+                Hop::Nnn => continue,
+            };
+            if let Some(col) = self.site(x + dx, y + dy, sub) {
+                out.push(RowEntry { col, val });
             }
         }
-        // Periodic wrap on tiny lattices can map several displacements to
-        // the same site (including the diagonal): stable-sort, then add
-        // each duplicate into the entry kept before it, in place, so a
-        // warmed `out` never reallocates.
-        out.sort_by_key(|e| e.col);
-        out.dedup_by(|e, kept| {
-            let same = e.col == kept.col;
-            if same {
-                kept.val += e.val;
-            }
-            same
-        });
+        // Periodic wrap can reorder sites and, on tiny lattices, map
+        // several displacements to one (the diagonal included):
+        // stable-sort, then add each duplicate into the entry kept before
+        // it, in place, so a warmed `out` never reallocates.
+        if self.periodic {
+            out.sort_by_key(|e| e.col);
+            out.dedup_by(|e, kept| {
+                let same = e.col == kept.col;
+                if same {
+                    kept.val += e.val;
+                }
+                same
+            });
+        }
     }
 }
 
+/// Which amplitude a neighbor carries.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    OnSite,
+    Nn,
+    Nnn,
+}
+
+/// The row of an A (`[0]`) or a B (`[1]`) site at `(x, y)`: each entry is
+/// the site at `(x + dx, y + dy)` on sublattice `sub`, as `(dx, dy, sub,
+/// hop)`. Nearest neighbors are A(x,y) ↔ B(x,y), B(x−1,y), B(x,y−1);
+/// next-nearest are the six same-sublattice sites of the triangular
+/// Bravais lattice. A column is `2·(y·Lx + x) + sub`, so ordering by `dy`,
+/// then `dx`, then `sub` is column order: on open boundaries a row is
+/// this table with the sites that fall off skipped, already sorted.
+#[rustfmt::skip]
+const NEIGHBORS: [[(i64, i64, u64, Hop); 10]; 2] = {
+    use Hop::*;
+    [
+        [(0, -1, 0, Nnn), (0, -1, 1, Nn), (1, -1, 0, Nnn),
+         (-1, 0, 0, Nnn), (-1, 0, 1, Nn), (0, 0, 0, OnSite), (0, 0, 1, Nn), (1, 0, 0, Nnn),
+         (-1, 1, 0, Nnn), (0, 1, 0, Nnn)],
+        [(0, -1, 1, Nnn), (1, -1, 1, Nnn),
+         (-1, 0, 1, Nnn), (0, 0, 0, Nn), (0, 0, 1, OnSite), (1, 0, 0, Nn), (1, 0, 1, Nnn),
+         (-1, 1, 1, Nnn), (0, 1, 0, Nn), (0, 1, 1, Nnn)],
+    ]
+};
 #[cfg(test)]
 mod tests {
     use super::*;

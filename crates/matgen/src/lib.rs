@@ -57,6 +57,17 @@ pub trait RowGen: Send + Sync {
     fn max_row_entries(&self) -> usize;
 }
 
+/// Entry `i` of the seeded uniform sequence in [0, 1): SplitMix64 of
+/// `seed ^ i·φ`, a function of `(seed, i)` alone, so any partition of the
+/// indices draws the same values (graphene's disorder, Lanczos' start
+/// vector).
+pub fn seeded_u01(seed: u64, i: u64) -> f64 {
+    let mut z = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Verify generator invariants over a row range: sorted columns, in-range
 /// indices, no duplicates, and symmetry (`A[i][j] == A[j][i]`) when
 /// `check_symmetry` — used by the property tests of every generator.

@@ -4,100 +4,59 @@
 
 use crate::{RowEntry, RowGen};
 
-/// 5-point 2D Laplacian on an `nx × ny` grid (Dirichlet boundaries).
+/// The `2·D + 1`-point Laplacian on a grid of interior points (Dirichlet
+/// boundaries): `2·D` on the diagonal, −1 towards each grid neighbor. A
+/// row is numbered with its x coordinate fastest.
 #[derive(Debug, Clone)]
-pub struct Laplace2d {
-    nx: u64,
-    ny: u64,
+pub struct Laplace<const D: usize> {
+    n: [u64; D],
 }
 
-impl Laplace2d {
+/// 5-point 2D Laplacian on an `nx × ny` grid.
+pub type Laplace2d = Laplace<2>;
+/// 7-point 3D Laplacian on an `nx × ny × nz` grid.
+pub type Laplace3d = Laplace<3>;
+
+impl Laplace<2> {
     /// Grid of `nx × ny` interior points.
     pub fn new(nx: u64, ny: u64) -> Self {
         assert!(nx >= 1 && ny >= 1);
-        Self { nx, ny }
+        Self { n: [nx, ny] }
     }
 }
 
-impl RowGen for Laplace2d {
-    fn dim(&self) -> u64 {
-        self.nx * self.ny
-    }
-
-    fn max_row_entries(&self) -> usize {
-        5
-    }
-
-    fn row(&self, row: u64, out: &mut Vec<RowEntry>) {
-        out.clear();
-        let x = row % self.nx;
-        let y = row / self.nx;
-        if y > 0 {
-            out.push(RowEntry { col: row - self.nx, val: -1.0 });
-        }
-        if x > 0 {
-            out.push(RowEntry { col: row - 1, val: -1.0 });
-        }
-        out.push(RowEntry { col: row, val: 4.0 });
-        if x + 1 < self.nx {
-            out.push(RowEntry { col: row + 1, val: -1.0 });
-        }
-        if y + 1 < self.ny {
-            out.push(RowEntry { col: row + self.nx, val: -1.0 });
-        }
-    }
-}
-
-/// 7-point 3D Laplacian on an `nx × ny × nz` grid (Dirichlet boundaries).
-#[derive(Debug, Clone)]
-pub struct Laplace3d {
-    nx: u64,
-    ny: u64,
-    nz: u64,
-}
-
-impl Laplace3d {
+impl Laplace<3> {
     /// Grid of `nx × ny × nz` interior points.
     pub fn new(nx: u64, ny: u64, nz: u64) -> Self {
         assert!(nx >= 1 && ny >= 1 && nz >= 1);
-        Self { nx, ny, nz }
+        Self { n: [nx, ny, nz] }
     }
 }
 
-impl RowGen for Laplace3d {
+impl<const D: usize> RowGen for Laplace<D> {
     fn dim(&self) -> u64 {
-        self.nx * self.ny * self.nz
+        self.n.iter().product()
     }
 
     fn max_row_entries(&self) -> usize {
-        7
+        2 * D + 1
     }
 
     fn row(&self, row: u64, out: &mut Vec<RowEntry>) {
         out.clear();
-        let plane = self.nx * self.ny;
-        let z = row / plane;
-        let rem = row % plane;
-        let y = rem / self.nx;
-        let x = rem % self.nx;
-        if z > 0 {
-            out.push(RowEntry { col: row - plane, val: -1.0 });
+        let mut stride = [1; D];
+        for k in 1..D {
+            stride[k] = stride[k - 1] * self.n[k - 1];
         }
-        if y > 0 {
-            out.push(RowEntry { col: row - self.nx, val: -1.0 });
+        let at = |k: usize| row / stride[k] % self.n[k];
+        // Lower neighbors from the slowest axis, the diagonal, then upper
+        // neighbors from the fastest: ascending columns.
+        for k in (0..D).rev().filter(|&k| at(k) > 0) {
+            out.push(RowEntry { col: row - stride[k], val: -1.0 });
         }
-        if x > 0 {
-            out.push(RowEntry { col: row - 1, val: -1.0 });
-        }
-        out.push(RowEntry { col: row, val: 6.0 });
-        if x + 1 < self.nx {
-            out.push(RowEntry { col: row + 1, val: -1.0 });
-        }
-        if y + 1 < self.ny {
-            out.push(RowEntry { col: row + self.nx, val: -1.0 });
-        }
-        if z + 1 < self.nz {
-            out.push(RowEntry { col: row + plane, val: -1.0 });
+        out.push(RowEntry { col: row, val: 2.0 * D as f64 });
+        for k in (0..D).filter(|&k| at(k) + 1 < self.n[k]) {
+            out.push(RowEntry { col: row + stride[k], val: -1.0 });
         }
     }
 }

@@ -80,7 +80,7 @@ impl FtLanczos {
     /// Build the application object for one rank (pass this to
     /// [`ft_core::run_ft_job`] via a closure).
     pub fn new(ctx: &FtCtx, cfg: Arc<FtLanczosConfig>) -> Self {
-        let rank = SpmvRank::new(ctx, cfg.pfs.clone(), cfg.fetch_timeout);
+        let rank = SpmvRank::new(ctx, Arc::clone(&cfg.gen), cfg.pfs.clone(), cfg.fetch_timeout);
         Self { cfg, rank, state: None, halo: Vec::new(), w: Vec::new() }
     }
 }
@@ -89,13 +89,13 @@ impl FtApp for FtLanczos {
     type Summary = LanczosSummary;
 
     fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.rank.setup(ctx, self.cfg.gen.as_ref())?;
+        self.rank.setup(ctx)?;
         self.reset_state(ctx)?;
         ctx.barrier_ft()
     }
 
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.rank.join(ctx, self.cfg.gen.as_ref())
+        self.rank.join(ctx)
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
@@ -134,9 +134,9 @@ impl FtApp for FtLanczos {
     fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
         // The deterministic start vector: where setup starts, and where a
         // job with no consistent state anywhere restarts.
-        let dm = self.rank.spmv().0;
+        let rows = self.rank.rows(ctx);
         let mut st =
-            LanczosState::init(dm.part.range(dm.me).start, dm.part.len(dm.me), self.cfg.seed);
+            LanczosState::init(rows.start, (rows.end - rows.start) as usize, self.cfg.seed);
         st.normalize(ctx)?;
         self.state = Some(st);
         Ok(())

@@ -55,7 +55,6 @@ pub struct HeatSummary {
 /// The fault-tolerant Jacobi heat solver.
 pub struct FtHeat {
     cfg: Arc<HeatConfig>,
-    gen: Laplace2d,
     rank: SpmvRank,
     u: Vec<f64>,
     /// Scratch for the next field, swapped into `u` once a step succeeded.
@@ -71,9 +70,9 @@ pub struct FtHeat {
 impl FtHeat {
     /// Build the application object for one rank.
     pub fn new(ctx: &FtCtx, cfg: Arc<HeatConfig>) -> Self {
+        let gen = Arc::new(Laplace2d::new(cfg.nx, cfg.ny));
         Self {
-            gen: Laplace2d::new(cfg.nx, cfg.ny),
-            rank: SpmvRank::new(ctx, cfg.pfs.clone(), cfg.fetch_timeout),
+            rank: SpmvRank::new(ctx, gen, cfg.pfs.clone(), cfg.fetch_timeout),
             cfg,
             u: Vec::new(),
             next: Vec::new(),
@@ -97,13 +96,13 @@ impl FtApp for FtHeat {
     type Summary = HeatSummary;
 
     fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.rank.setup(ctx, &self.gen)?;
+        self.rank.setup(ctx)?;
         self.reset_state(ctx)?;
         ctx.barrier_ft()
     }
 
     fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        self.rank.join(ctx, &self.gen)?;
+        self.rank.join(ctx)?;
         self.reset_state(ctx)
     }
 
@@ -152,12 +151,11 @@ impl FtApp for FtHeat {
         Ok(iter)
     }
 
-    fn reset_state(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
         // A zero field; the right-hand side, a unit point source at the
         // grid center, is derived from global indices alongside it.
-        let dm = self.rank.spmv().0;
         let center = (self.cfg.ny / 2) * self.cfg.nx + self.cfg.nx / 2;
-        self.b = dm.part.range(dm.me).map(|i| if i == center { 1.0 } else { 0.0 }).collect();
+        self.b = self.rank.rows(ctx).map(|i| if i == center { 1.0 } else { 0.0 }).collect();
         self.u = vec![0.0; self.b.len()];
         self.iter = 0;
         Ok(())

@@ -9,6 +9,7 @@
 use ft_checkpoint::image::TRAILER_LEN;
 use ft_checkpoint::{CodecError, Dec, Enc, Wire};
 use ft_core::{FtCtx, FtResult};
+use ft_matgen::seeded_u01;
 use ft_sparse::{det_allreduce_sum, det_allreduce_sums, DistMatrix, SpmvComm};
 
 use crate::tridiag::tridiag_eigenvalues;
@@ -36,11 +37,8 @@ impl LanczosState {
     /// only on `(seed, i)`. Normalized globally by the caller via
     /// [`LanczosState::normalize`].
     pub fn init(local_start: u64, local_len: usize, seed: u64) -> Self {
-        let v: Vec<f64> = (0..local_len as u64)
-            .map(|k| {
-                splitmix_u01(seed ^ (local_start + k).wrapping_mul(0x9E37_79B9_7F4A_7C15)) - 0.5
-            })
-            .collect();
+        let v: Vec<f64> =
+            (0..local_len as u64).map(|k| seeded_u01(seed, local_start + k) - 0.5).collect();
         Self { v_prev: vec![0.0; local_len], v, alphas: Vec::new(), betas: Vec::new(), iter: 0 }
     }
 
@@ -164,14 +162,6 @@ pub(crate) fn products(w: &[f64], v: &[f64], v_prev: &[f64]) -> [f64; 6] {
         }
     }
     s
-}
-
-fn splitmix_u01(mut z: u64) -> f64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

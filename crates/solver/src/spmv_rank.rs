@@ -4,9 +4,14 @@
 //! rescue "reads the checkpoint of the failed process" instead of redoing
 //! it: [`SpmvRank::setup`] commits the negotiated plan once,
 //! [`SpmvRank::join`] adopts it, and both regenerate the matrix chunk
-//! locally from the generator.
+//! locally from the generator. A rescue's chunk assembles on a helper
+//! thread while it restores, which is all communication; the chunk's first
+//! use, the first replayed or live step, waits for it.
 
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Pfs, Wire};
@@ -30,27 +35,42 @@ pub(crate) struct SpmvRank {
     state_ck: Checkpointer,
     plan_ck: Checkpointer,
     fetch_timeout: Duration,
-    spmv: Option<(DistMatrix, SpmvComm)>,
+    gen: Arc<dyn RowGen>,
+    /// The halo exchange and the plan it runs, once set up or joined.
+    comm: Option<(SpmvComm, CommPlan)>,
+    chunk: Option<DistMatrix>,
+    /// A rescue's chunk, assembling until its first use. If the rescue dies
+    /// first the helper is left detached: it touches neither the context
+    /// nor GASPI, and its chunk is dropped.
+    helper: Option<JoinHandle<DistMatrix>>,
 }
 
 impl SpmvRank {
     /// The two streams; `pfs` also holds every plan checkpoint.
-    pub(crate) fn new(ctx: &FtCtx, pfs: Option<Arc<Pfs>>, fetch_timeout: Duration) -> Self {
+    pub(crate) fn new(
+        ctx: &FtCtx,
+        gen: Arc<dyn RowGen>,
+        pfs: Option<Arc<Pfs>>,
+        fetch_timeout: Duration,
+    ) -> Self {
         let plan_cfg =
             CheckpointerConfig { keep_versions: 1, ..CheckpointerConfig::for_tag(PLAN_TAG) };
         Self {
             state_ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
             plan_ck: Checkpointer::new(&ctx.proc, plan_cfg, pfs),
             fetch_timeout,
-            spmv: None,
+            gen,
+            comm: None,
+            chunk: None,
+            helper: None,
         }
     }
 
     /// Pre-processing: exchange the needed column indices, commit the
     /// one-time plan checkpoint and assemble the chunk.
-    pub(crate) fn setup(&mut self, ctx: &FtCtx, gen: &dyn RowGen) -> FtResult<()> {
-        let (part, me) = (RowPartition::new(gen.dim(), ctx.num_app_ranks()), ctx.app_rank());
-        let needed = DistMatrix::needed_columns(gen, &part, me);
+    pub(crate) fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        let (part, me) = (self.partition(ctx), ctx.app_rank());
+        let needed = DistMatrix::needed_columns(self.gen.as_ref(), &part, me);
         let plan = CommPlan::receives_from_needs(me, part.parts(), &needed).negotiate(
             &ctx.proc,
             &|a| ctx.gaspi_of(a),
@@ -58,22 +78,35 @@ impl SpmvRank {
             Timeout::Ms(30_000),
         )?;
         self.plan_ck.commit(0, plan.to_bytes(), CopyPolicy::Replicate);
-        self.assemble(ctx, gen, plan)
+        self.chunk = Some(self.assembly(ctx, plan)?());
+        Ok(())
     }
 
     /// A rescue's attach: adopt the failed rank's plan checkpoint
-    /// (re-homed under our own rank) and assemble the chunk from it.
-    pub(crate) fn join(&mut self, ctx: &FtCtx, gen: &dyn RowGen) -> FtResult<()> {
+    /// (re-homed under our own rank) and hand the chunk's assembly from it
+    /// to a helper thread.
+    pub(crate) fn join(&mut self, ctx: &FtCtx) -> FtResult<()> {
         let blob = adopt_latest(ctx, &self.plan_ck, self.fetch_timeout)?;
-        self.assemble(ctx, gen, decode_plan(&blob.data, ctx.app_rank())?)
+        let plan = decode_plan(&blob.data, ctx.app_rank())?;
+        self.helper = Some(thread::spawn(self.assembly(ctx, plan)?));
+        Ok(())
     }
 
-    fn assemble(&mut self, ctx: &FtCtx, gen: &dyn RowGen, plan: CommPlan) -> FtResult<()> {
-        let part = RowPartition::new(gen.dim(), ctx.num_app_ranks());
-        let dm = DistMatrix::assemble(gen, part, plan.me, plan);
-        let comm = SpmvComm::new(&ctx.proc, &dm.plan, SEG_HALO, SEG_STAGE, HALO_QUEUE)?;
-        self.spmv = Some((dm, comm));
-        Ok(())
+    /// Create and keep the halo segments for `plan`; return the chunk's
+    /// assembly, which owns what it reads.
+    fn assembly(
+        &mut self,
+        ctx: &FtCtx,
+        plan: CommPlan,
+    ) -> FtResult<impl FnOnce() -> DistMatrix + Send + 'static> {
+        let comm = SpmvComm::new(&ctx.proc, &plan, SEG_HALO, SEG_STAGE, HALO_QUEUE)?;
+        self.comm = Some((comm, plan.clone()));
+        let (gen, part) = (Arc::clone(&self.gen), self.partition(ctx));
+        Ok(move || DistMatrix::assemble(gen.as_ref(), part, plan.me, plan))
+    }
+
+    fn partition(&self, ctx: &FtCtx) -> RowPartition {
+        RowPartition::new(self.gen.dim(), ctx.num_app_ranks())
     }
 
     /// After a recovery: refresh both streams' neighbor lists, drop
@@ -83,8 +116,8 @@ impl SpmvRank {
     pub(crate) fn rewire(&self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
         self.state_ck.refresh_failed(&plan.failed);
         self.plan_ck.refresh_failed(&plan.failed);
-        if let Some((dm, comm)) = &self.spmv {
-            comm.rewire(ctx, &dm.plan)?;
+        if let Some((comm, plan)) = &self.comm {
+            comm.rewire(ctx, plan)?;
         }
         Ok(())
     }
@@ -94,9 +127,20 @@ impl SpmvRank {
         Some((&self.state_ck, self.fetch_timeout))
     }
 
-    /// The matrix chunk and its halo exchange.
-    pub(crate) fn spmv(&self) -> (&DistMatrix, &SpmvComm) {
-        self.spmv.as_ref().map(|(dm, comm)| (dm, comm)).expect("step before setup")
+    /// This rank's rows: all a fresh state needs, so it does not wait for
+    /// the chunk.
+    pub(crate) fn rows(&self, ctx: &FtCtx) -> Range<u64> {
+        self.partition(ctx).range(ctx.app_rank())
+    }
+
+    /// The matrix chunk and its halo exchange; after a join, the first call
+    /// waits for the helper.
+    pub(crate) fn spmv(&mut self) -> (&DistMatrix, &SpmvComm) {
+        if let Some(helper) = self.helper.take() {
+            self.chunk = Some(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        let (comm, _) = self.comm.as_ref().expect("step before setup");
+        (self.chunk.as_ref().expect("step before setup"), comm)
     }
 }
 

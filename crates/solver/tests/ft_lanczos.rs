@@ -1,14 +1,16 @@
 //! End-to-end tests of the fault-tolerant Lanczos application.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use ft_checkpoint::{Pfs, PfsConfig};
-use ft_cluster::{FaultAction, FaultSchedule, Injection, Rank};
+use ft_cluster::{FaultAction, FaultPlane, FaultSchedule, Injection, Rank};
 use ft_core::{run_ft_job, EventKind, FtConfig, JobReport, RecoveryPlan, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
 use ft_matgen::spectra::{Diagonal, ToeplitzTridiag};
-use ft_matgen::RowGen;
+use ft_matgen::{RowEntry, RowGen};
 use ft_solver::ft_lanczos::{FtLanczos, FtLanczosConfig, LanczosSummary};
 use ft_solver::seq::SeqLanczos;
 
@@ -281,13 +283,18 @@ fn a_kill_inside_the_replay_is_recovered_exactly() {
 
 /// A second failure in the same interval: the first rescue replayed
 /// `30..33` and logged what it posted as it went, so it feeds the second
-/// rescue's replay of `30..37` like any survivor — exactly.
+/// rescue's replay of `30..37` like any survivor — exactly. At a kill at 33
+/// the drain rule guarantees only commit 20's copies, so app rank 1 holds
+/// 200 ms right after its commit at 30 for every copy of it to land.
 #[test]
 fn a_second_failure_in_one_interval_is_fed_from_the_first_rescues_replay() {
     let gen = Graphene::new(6, 5).with_nnn(-0.1);
     let clean = run_job(Arc::new(gen.clone()), 4, 4, 60, 10, false, FaultSchedule::none());
-    let schedule =
-        FaultSchedule::none().kill_rank_at_iteration(1, 33).kill_rank_at_iteration(2, 37);
+    let hold = FaultAction::Delay(Duration::from_millis(200));
+    let schedule = FaultSchedule::none()
+        .inject(Injection::at("driver.checkpoint.commit", 1, 3, hold))
+        .kill_rank_at_iteration(1, 33)
+        .kill_rank_at_iteration(2, 37);
     let faulty = run_job(Arc::new(gen), 4, 4, 60, 10, false, schedule);
     assert_eq!(faulty.killed(), vec![1, 2]);
     assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "second failure");
@@ -428,4 +435,114 @@ fn a_rescue_lost_before_its_rehomed_copy_lands_resumes_from_its_predecessor() {
     assert_bitwise(&summaries(&clean, workers), &summaries(&faulty, workers), "second rescue");
     let (_, resumes) = replays_and_resumes(&faulty);
     assert_eq!(resumes, vec![kill; 2 * workers as usize], "two recoveries, both at the kill");
+}
+
+/// Graphene whose third generation of `row` holds until `until_dead` has
+/// died. With `row` the last of a victim's chunk, that is its first
+/// rescue's assembly (setup generated the row for the victim's needed
+/// columns and for its chunk), held to its end: the chunk is still
+/// assembling when `until_dead` dies.
+struct HeldRow {
+    inner: Graphene,
+    row: u64,
+    calls: AtomicU64,
+    fault: Arc<FaultPlane>,
+    until_dead: Rank,
+    /// Set when the held generation returns: whether `until_dead` had died.
+    released: OnceLock<bool>,
+}
+
+impl RowGen for HeldRow {
+    fn dim(&self) -> u64 {
+        self.inner.dim()
+    }
+
+    fn max_row_entries(&self) -> usize {
+        self.inner.max_row_entries()
+    }
+
+    fn row(&self, row: u64, out: &mut Vec<RowEntry>) {
+        if row == self.row && self.calls.fetch_add(1, Ordering::SeqCst) == 2 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.fault.is_alive(self.until_dead) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = self.released.set(!self.fault.is_alive(self.until_dead));
+        }
+        self.inner.row(row, out);
+    }
+}
+
+/// The rescue of app rank 1 in [`run_held`]'s layout.
+fn first_rescue() -> Rank {
+    RecoveryPlan::initial().after_failures(&WorldLayout::new(4, 4), &[1], None).rescues[0]
+}
+
+/// The `ft_lanczos` job of [`run_job`] (4 workers, 4 spares, a commit
+/// every 10 of 60 steps) on a 6 × 5 sheet whose app rank 1 is killed at
+/// step 35, with the first rescue's chunk held until `until_dead` dies.
+fn run_held(
+    until_dead: Rank,
+    schedule: FaultSchedule,
+) -> (JobReport<LanczosSummary>, Arc<HeldRow>) {
+    let layout = WorldLayout::new(4, 4);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let gen = Arc::new(HeldRow {
+        inner: Graphene::new(6, 5).with_nnn(-0.1),
+        row: 29, // the last of app rank 1's rows 15..30
+        calls: AtomicU64::new(0),
+        fault: world.fault(),
+        until_dead,
+        released: OnceLock::new(),
+    });
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(60)
+        .abandon(Duration::from_secs(30))
+        .build()
+        .unwrap();
+    let app_cfg = Arc::new(FtLanczosConfig {
+        pfs: Some(Pfs::new(PfsConfig::instant())),
+        ..FtLanczosConfig::fixed_iters(Arc::clone(&gen) as Arc<dyn RowGen>)
+    });
+    let schedule = schedule.kill_rank_at_iteration(1, 35);
+    let report =
+        run_ft_job(&world, cfg, schedule, move |ctx| FtLanczos::new(ctx, Arc::clone(&app_cfg)));
+    (report, gen)
+}
+
+/// A survivor lost while the first rescue's chunk still assembles: the
+/// rescue's first allreduce, the vote of its restore, kills app rank 3, and
+/// its helper holds the chunk until then. The next recovery restores both
+/// rescues, and the first one's replay waits for its chunk — exactly.
+#[test]
+fn a_survivor_lost_while_the_rescues_chunk_assembles_is_recovered_exactly() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let clean = run_job(Arc::new(gen), 4, 4, 60, 10, false, FaultSchedule::none());
+    let kill_3 = Injection::at("gaspi.allreduce", first_rescue(), 1, FaultAction::KillRank(3));
+    let (faulty, held) = run_held(3, FaultSchedule::none().inject(kill_3));
+    assert_eq!(faulty.killed(), vec![1, 3]);
+    assert_eq!(held.released.get(), Some(&true), "the chunk assembled past the second kill");
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "survivor lost");
+}
+
+/// The rescue itself lost in its restore vote, before anything waited for
+/// its chunk: its helper, detached, runs on past its rank's death without
+/// touching it, and the next rescue recovers the job — exactly.
+#[test]
+fn a_rescue_lost_before_its_chunk_is_used_leaves_a_harmless_helper() {
+    let gen = Graphene::new(6, 5).with_nnn(-0.1);
+    let clean = run_job(Arc::new(gen), 4, 4, 60, 10, false, FaultSchedule::none());
+    let rescue = first_rescue();
+    let kill_rescue = Injection::kill("gaspi.allreduce", rescue, 1);
+    let (faulty, held) = run_held(rescue, FaultSchedule::none().inject(kill_rescue));
+    let mut killed = faulty.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, rescue]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&faulty, 4), "rescue lost");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while held.released.get().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(held.released.get(), Some(&true), "the detached helper ran past its rank");
 }
