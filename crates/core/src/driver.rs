@@ -28,7 +28,7 @@ use crate::ack::{self, create_ctrl_segment};
 use crate::detector::{glo_health_chk_graced, run_detector_from, DetectorConfig};
 use crate::error::{FtError, FtResult, FtSignal};
 use crate::events::{EventKind, EventLog};
-use crate::health::{CommPolicy, HealthWatch};
+use crate::health::HealthWatch;
 use crate::layout::{RankMap, WorldLayout};
 use crate::plan::RecoveryPlan;
 use crate::recovery::execute_recovery;
@@ -42,8 +42,9 @@ pub struct FtConfig {
     pub layout: WorldLayout,
     /// Fault detector tuning.
     pub detector: DetectorConfig,
-    /// Retry policy for fault-tolerant communication.
-    pub policy: CommPolicy,
+    /// Give up on a fault-tolerant call after this long without success or
+    /// acknowledgment (see [`HealthWatch::retry`]).
+    pub abandon: Duration,
     /// Checkpoint every N iterations (0 = never; the paper uses 500); C/R only
     /// (`Replicated` is C/R at 1).
     pub checkpoint_every: u64,
@@ -66,7 +67,7 @@ impl FtConfig {
         Self {
             layout,
             detector: DetectorConfig::default(),
-            policy: CommPolicy::default(),
+            abandon: Duration::from_secs(10),
             checkpoint_every: 100,
             max_iters: 1000,
             redundant_fd: false,
@@ -125,12 +126,6 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Retry policy for fault-tolerant communication.
-    pub fn policy(mut self, policy: CommPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
     /// Checkpoint every `n` iterations (0 = never) under C/R;
     /// `Replicated` is C/R at 1.
     pub fn checkpoint_every(mut self, n: u64) -> Self {
@@ -144,10 +139,10 @@ impl FtConfigBuilder {
         self
     }
 
-    /// Give up on fault-tolerant communication after this long without
-    /// progress (shorthand for setting `policy.abandon`).
+    /// Give up on a fault-tolerant call after this long without success or
+    /// acknowledgment.
     pub fn abandon(mut self, t: Duration) -> Self {
-        self.cfg.policy.abandon = t;
+        self.cfg.abandon = t;
         self
     }
 
@@ -210,7 +205,7 @@ pub struct FtCtx {
 impl FtCtx {
     pub(crate) fn new(proc: GaspiProc, cfg: FtConfig, events: EventLog) -> Self {
         let layout = cfg.layout;
-        let watch = HealthWatch::new(proc.clone(), cfg.policy.clone(), layout);
+        let watch = HealthWatch::new(proc.clone(), layout, cfg.abandon, cfg.detector.ack_timeout);
         let state = RefCell::new(CtxState { group: None, app_rank: None, adopted_from: None });
         let log = RefCell::new(ReplayLog::new(0));
         Self { proc, layout, watch, events, cfg, state, log }
@@ -268,39 +263,41 @@ impl FtCtx {
         self.watch.rank_map()
     }
 
+    /// Every `*_ft` call: outside the replay seams, `call` retried under
+    /// the watch with the time left as its timeout.
+    fn retry<T>(&self, call: impl FnMut(Timeout) -> GaspiResult<T>) -> FtResult<T> {
+        self.outside_seams()?;
+        self.watch.retry(call)
+    }
+
     /// Fault-tolerant barrier on the current worker group.
     pub fn barrier_ft(&self) -> FtResult<()> {
-        self.outside_seams()?;
-        let (group, t) = (self.group(), self.cfg.policy.attempt);
-        self.watch.retry(|| self.proc.barrier(group, t))
+        let group = self.group();
+        self.retry(|t| self.proc.barrier(group, t))
     }
 
     /// Fault-tolerant allreduce on the current worker group.
     pub fn allreduce_f64_ft(&self, input: &[f64], op: ReduceOp) -> FtResult<Vec<f64>> {
-        self.outside_seams()?;
-        let (group, t) = (self.group(), self.cfg.policy.attempt);
-        self.watch.retry(|| self.proc.allreduce_f64(group, input, op, t))
+        let group = self.group();
+        self.retry(|t| self.proc.allreduce_f64(group, input, op, t))
     }
 
     /// Fault-tolerant `u64` allreduce on the current worker group.
     pub fn allreduce_u64_ft(&self, input: &[u64], op: ReduceOp) -> FtResult<Vec<u64>> {
-        self.outside_seams()?;
-        let (group, t) = (self.group(), self.cfg.policy.attempt);
-        self.watch.retry(|| self.proc.allreduce_u64(group, input, op, t))
+        let group = self.group();
+        self.retry(|t| self.proc.allreduce_u64(group, input, op, t))
     }
 
     /// Fault-tolerant personalised all-to-all on the current worker group
     /// (`out` indexed by group member, see [`GaspiProc::alltoall`]).
     pub fn alltoall_ft(&self, out: &[Vec<u8>]) -> FtResult<Vec<Vec<u8>>> {
-        self.outside_seams()?;
-        let (group, t) = (self.group(), self.cfg.policy.attempt);
-        self.watch.retry(|| self.proc.alltoall(group, out, t))
+        let group = self.group();
+        self.retry(|t| self.proc.alltoall(group, out, t))
     }
 
     /// Fault-tolerant queue wait.
     pub fn wait_ft(&self, queue: u16) -> FtResult<()> {
-        self.outside_seams()?;
-        self.watch.retry(|| self.proc.wait(queue, self.cfg.policy.attempt))
+        self.retry(|t| self.proc.wait(queue, t))
     }
 
     /// Fault-tolerant notification wait.
@@ -310,8 +307,7 @@ impl FtCtx {
         begin: NotificationId,
         count: u32,
     ) -> FtResult<NotificationId> {
-        self.outside_seams()?;
-        self.watch.retry(|| self.proc.notify_waitsome(seg, begin, count, self.cfg.policy.attempt))
+        self.retry(|t| self.proc.notify_waitsome(seg, begin, count, t))
     }
 }
 

@@ -16,8 +16,10 @@
 //! issues the underlying GASPI call under a wake on the control segment's
 //! epoch and shutdown slots ([`GaspiProc::wake_on`]), so the FD's
 //! acknowledgment itself ends a wait blocked on a dead partner, and the
-//! worker leaves the call the moment the acknowledgment lands — not at
-//! the next [`CommPolicy::attempt`] timeout.
+//! worker leaves the call the moment the acknowledgment lands. The call
+//! is given all the time left before the watch's abandon deadline, so a
+//! blocked call parks once: nothing but its event, a plan or shutdown
+//! word, a broken completion, or abandon ends it.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -31,31 +33,11 @@ use crate::error::{FtError, FtResult, FtSignal};
 use crate::layout::{RankMap, WorldLayout};
 use crate::plan::RecoveryPlan;
 
-/// Tuning knobs for the fault-tolerant communication wrappers.
-#[derive(Debug, Clone)]
-pub struct CommPolicy {
-    /// Per-attempt GASPI timeout (the paper sets 1 s; the simulation
-    /// scales it down). It does not delay detection: the acknowledgment
-    /// wakes a blocked call at once. It only bounds how often the abandon
-    /// deadline is checked.
-    pub attempt: Timeout,
-    /// Give up entirely after this long without progress or
-    /// acknowledgment. Guards against the paper's restriction 2 (no FD
-    /// left to acknowledge) turning into an infinite hang.
-    pub abandon: Duration,
-}
-
 /// Queue used for worker→FD suspect reports (the link-fault path): the
 /// highest app queue. Must differ from any queue carrying the traffic
 /// being retried: `report_suspect` waits on this queue, and waiting on
 /// the queue of the broken operation would consume its completions.
 const SUSPECT_QUEUE: u16 = ft_gaspi::APP_QUEUES - 1;
-
-impl Default for CommPolicy {
-    fn default() -> Self {
-        Self { attempt: Timeout::Ms(20), abandon: Duration::from_secs(10) }
-    }
-}
 
 /// The plan in force and the rank map it derives (cached: `gaspi_of` sits
 /// on the halo exchange's per-message path).
@@ -67,8 +49,11 @@ struct InForce {
 /// The per-rank failure-acknowledgment watch.
 pub struct HealthWatch {
     proc: GaspiProc,
-    policy: CommPolicy,
     layout: WorldLayout,
+    /// How long a [`Self::retry`] waits in all before it gives up.
+    abandon: Duration,
+    /// The flush timeout of a suspect report: the detector's `ack_timeout`.
+    ack_timeout: Timeout,
     held: RefCell<InForce>,
     /// Ranks already reported — each suspect is flagged to the FD once.
     reported: parking_lot::Mutex<HashSet<Rank>>,
@@ -76,11 +61,20 @@ pub struct HealthWatch {
 
 impl HealthWatch {
     /// Watch for acknowledgments on `proc`'s control segment, starting
-    /// from the initial plan of `layout`.
-    pub fn new(proc: GaspiProc, policy: CommPolicy, layout: WorldLayout) -> Self {
+    /// from the initial plan of `layout`. A [`Self::retry`] gives up after
+    /// `abandon` without success or acknowledgment: the guard against the
+    /// paper's restriction 2 (no FD left to acknowledge) turning into an
+    /// infinite hang. A suspect report's write waits up to `ack_timeout`.
+    pub fn new(
+        proc: GaspiProc,
+        layout: WorldLayout,
+        abandon: Duration,
+        ack_timeout: Timeout,
+    ) -> Self {
         let plan = RecoveryPlan::initial();
         let held = RefCell::new(InForce { map: plan.rank_map(&layout), plan });
-        Self { proc, policy, layout, held, reported: parking_lot::Mutex::new(HashSet::new()) }
+        let reported = parking_lot::Mutex::new(HashSet::new());
+        Self { proc, layout, abandon, ack_timeout, held, reported }
     }
 
     /// The plan in force (epoch 0 = initial world).
@@ -131,18 +125,13 @@ impl HealthWatch {
             }
             // Delivery failure is tolerable: the FD may be unreachable
             // too, and the ordinary scan-and-acknowledge path still runs.
-            let _ = ack::report_suspect(&self.proc, fd, r, SUSPECT_QUEUE, self.policy.attempt);
+            let _ = ack::report_suspect(&self.proc, fd, r, SUSPECT_QUEUE, self.ack_timeout);
         }
     }
 
     /// The underlying process handle.
     pub fn proc(&self) -> &GaspiProc {
         &self.proc
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> &CommPolicy {
-        &self.policy
     }
 
     /// The cheap pre-communication check: `Ok(())` when nothing happened
@@ -174,7 +163,7 @@ impl HealthWatch {
     /// with `GaspiError::Timeout` once the epoch slot moves past the value
     /// the check read, or the shutdown word lands. A plan that arrives
     /// between the check and the park therefore ends the park at once.
-    pub(crate) fn attempt<T>(
+    fn attempt<T>(
         &self,
         call: impl FnOnce() -> Result<T, GaspiError>,
     ) -> FtResult<Result<T, GaspiError>> {
@@ -198,24 +187,30 @@ impl HealthWatch {
         }
     }
 
-    /// Run `call` (a GASPI call with the policy's per-attempt timeout)
-    /// until it succeeds or the watch raises a signal. Each try is one
-    /// `attempt`, so the acknowledgment ends a blocked call the moment it
-    /// lands. Timeouts re-attempt. A *broken* completion (dead partner or
-    /// severed link) is final for this operation — the data did not
-    /// arrive — so the loop reports the broken partners to the FD (see
-    /// `report_broken`), then stops attempting and holds position, parked
-    /// on the control segment, until the FD's acknowledgment (or the
-    /// abandon deadline) arrives. This is the paper's "keep on returning
-    /// with GASPI_TIMEOUT unless a failure acknowledgment is received".
-    pub fn retry<T>(&self, mut call: impl FnMut() -> Result<T, GaspiError>) -> FtResult<T> {
-        let deadline = Instant::now() + self.policy.abandon;
+    /// Run `call`, a GASPI call given the time left as its timeout, until
+    /// it succeeds, the watch raises a signal, or `abandon` has passed
+    /// since the first try. Each try is one `attempt` and waits for all
+    /// the time left, so a blocked call parks once and ends on its own
+    /// event, a plan or shutdown word (a plan that leaves the group as it
+    /// is resumes the call), a broken completion, or abandon. A *broken*
+    /// completion (dead partner or severed link) is final for this
+    /// operation — the data did not arrive — so the loop reports the
+    /// broken partners to the FD (see `report_broken`), then stops
+    /// attempting and holds position, parked on the control segment, until
+    /// the FD's acknowledgment (or the abandon deadline) arrives. This is
+    /// the paper's "keep on returning with GASPI_TIMEOUT unless a failure
+    /// acknowledgment is received".
+    pub fn retry<T>(&self, mut call: impl FnMut(Timeout) -> Result<T, GaspiError>) -> FtResult<T> {
+        let deadline = Instant::now() + self.abandon;
         let mut broken = false;
         loop {
+            // Rounded up: a call that times out ends at or past `deadline`.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let left = Timeout::Ms(left.as_micros().div_ceil(1000) as u64);
             if broken {
-                self.park(self.policy.attempt)?;
+                self.park(left)?;
             } else {
-                match self.attempt(&mut call)? {
+                match self.attempt(|| call(left))? {
                     Ok(v) => return Ok(v),
                     Err(GaspiError::Timeout) => {}
                     Err(GaspiError::QueueFailure { ranks, .. }) => {
@@ -240,11 +235,17 @@ impl HealthWatch {
 mod tests {
     use super::*;
     use crate::ack::{create_ctrl_segment, FIRST_APP_SEG};
+    use crate::detector::DetectorConfig;
     use ft_gaspi::{GaspiConfig, GaspiWorld, ReduceOp};
+
+    /// A watch on `proc` that abandons after `abandon`.
+    fn watch(proc: GaspiProc, layout: WorldLayout, abandon: Duration) -> HealthWatch {
+        HealthWatch::new(proc, layout, abandon, DetectorConfig::default().ack_timeout)
+    }
 
     /// Fault-tolerant `gaspi_wait` on queue 0, as `FtCtx::wait_ft` runs it.
     fn wait_ft(watch: &HealthWatch) -> FtResult<()> {
-        watch.retry(|| watch.proc().wait(0, watch.policy().attempt))
+        watch.retry(|t| watch.proc().wait(0, t))
     }
 
     #[test]
@@ -255,7 +256,7 @@ mod tests {
         let w0 = world.proc_handle(0);
         create_ctrl_segment(&fd, &layout).unwrap();
         create_ctrl_segment(&w0, &layout).unwrap();
-        let watch = HealthWatch::new(w0, CommPolicy::default(), layout);
+        let watch = watch(w0, layout, Duration::from_secs(10));
         assert!(watch.check().is_ok());
         let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         ack::broadcast_plan(&fd, &plan, &[0], 0, Timeout::Ms(2000)).unwrap();
@@ -279,7 +280,7 @@ mod tests {
         create_ctrl_segment(&w0, &layout).unwrap();
         ack::broadcast_shutdown(&fd, &[0], 0, Timeout::Ms(2000)).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let watch = HealthWatch::new(w0, CommPolicy::default(), layout);
+        let watch = watch(w0, layout, Duration::from_secs(10));
         assert!(matches!(watch.check(), Err(FtError::Signal(FtSignal::Shutdown))));
     }
 
@@ -296,11 +297,7 @@ mod tests {
         // QueueFailure — until the FD acks.
         world.fault().kill_rank(1);
         w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
-        let watch = HealthWatch::new(
-            w0,
-            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_secs(30) },
-            layout,
-        );
+        let watch = watch(w0, layout, Duration::from_secs(30));
         let fd2 = fd.clone();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
@@ -323,10 +320,8 @@ mod tests {
         create_ctrl_segment(&fd, &layout).unwrap();
         create_ctrl_segment(&w0, &layout).unwrap();
         w0.segment_create(FIRST_APP_SEG, 64).unwrap();
-        // One attempt outlasts the test: only the acknowledgment can end it.
-        let attempt = Timeout::Ms(5_000);
-        let watch =
-            HealthWatch::new(w0, CommPolicy { attempt, abandon: Duration::from_secs(30) }, layout);
+        // The time left outlasts the test: only the acknowledgment can end it.
+        let watch = watch(w0, layout, Duration::from_secs(30));
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
@@ -334,7 +329,7 @@ mod tests {
         });
         let t0 = Instant::now();
         // A halo wait for a partner that never writes.
-        match watch.retry(|| watch.proc().notify_waitsome(FIRST_APP_SEG, 0, 1, attempt)) {
+        match watch.retry(|t| watch.proc().notify_waitsome(FIRST_APP_SEG, 0, 1, t)) {
             Err(FtError::Signal(FtSignal::Recover(p))) => assert_eq!(p.epoch, 1),
             other => panic!("expected Recover, got {other:?}"),
         }
@@ -358,12 +353,7 @@ mod tests {
             p.group_commit(g, Timeout::Ms(5_000)).unwrap();
             g
         };
-        let attempt = Timeout::Ms(5_000);
-        let watch = HealthWatch::new(
-            w0.clone(),
-            CommPolicy { attempt, abandon: Duration::from_secs(30) },
-            layout,
-        );
+        let watch = watch(w0.clone(), layout, Duration::from_secs(30));
         let takeover = RecoveryPlan::initial().after_takeover(&layout, 3);
         let (tried, tries) = std::sync::mpsc::channel();
         let t0 = Instant::now();
@@ -381,10 +371,10 @@ mod tests {
             });
             let g = workers(&w0);
             let mut attempts = 0;
-            let sum = watch.retry(|| {
+            let sum = watch.retry(|t| {
                 attempts += 1;
                 let _ = tried.send(());
-                w0.allreduce_f64(g, &[1.0], ReduceOp::Sum, attempt)
+                w0.allreduce_f64(g, &[1.0], ReduceOp::Sum, t)
             });
             assert_eq!(late.join().unwrap(), vec![3.0]);
             (sum, attempts)
@@ -404,11 +394,7 @@ mod tests {
             create_ctrl_segment(p, &layout).unwrap();
         }
         w0.segment_create(5, 64).unwrap();
-        let watch = HealthWatch::new(
-            w0.clone(),
-            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_millis(80) },
-            layout,
-        );
+        let watch = watch(w0.clone(), layout, Duration::from_millis(80));
         // Sever a w0→partner link only: the FD's own pings to the partner
         // still succeed, so only the worker's report can surface the fault.
         let break_and_trip = |partner: Rank| {
@@ -443,14 +429,32 @@ mod tests {
         w0.segment_create(5, 64).unwrap();
         world.fault().kill_rank(1);
         w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
-        let watch = HealthWatch::new(
-            w0,
-            CommPolicy { attempt: Timeout::Ms(5), abandon: Duration::from_millis(100) },
-            layout,
-        );
+        let watch = watch(w0, layout, Duration::from_millis(100));
         let t0 = Instant::now();
         assert!(matches!(wait_ft(&watch), Err(FtError::Gaspi(GaspiError::Timeout))));
         assert!(t0.elapsed() >= Duration::from_millis(100));
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_wait_nobody_answers_is_one_call_that_ends_at_abandon() {
+        let layout = WorldLayout::new(2, 1);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let w0 = world.proc_handle(0);
+        create_ctrl_segment(&w0, &layout).unwrap();
+        w0.segment_create(FIRST_APP_SEG, 64).unwrap();
+        let abandon = Duration::from_millis(300);
+        let watch = watch(w0, layout, abandon);
+        let (mut calls, t0) = (0, Instant::now());
+        // A halo wait for a partner that never writes, and no detector.
+        let out = watch.retry(|t| {
+            calls += 1;
+            watch.proc().notify_waitsome(FIRST_APP_SEG, 0, 1, t)
+        });
+        let took = t0.elapsed();
+        assert!(matches!(out, Err(FtError::Gaspi(GaspiError::Timeout))), "{out:?}");
+        assert_eq!(calls, 1, "the call parks once, for all the time left");
+        assert!(took >= abandon, "gave up after {took:?}, before abandon");
+        assert!(took < abandon + Duration::from_millis(100), "gave up after {took:?}");
     }
 }

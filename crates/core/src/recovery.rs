@@ -11,27 +11,27 @@
 //!    plan's adoption history, add the members of its worker set, and
 //! 4. `gaspi_group_commit` — the blocking step whose cost dominates OHF2.
 //!
-//! If a *further* failure interrupts the commit, its plan ends the commit
-//! attempt as it lands (the watch's wake), the health watch surfaces it,
-//! and the caller restarts recovery with it.
+//! The commit is one [`HealthWatch::retry`], as every `*_ft` call is: if a
+//! *further* failure interrupts it, its plan ends the commit as it lands
+//! (the watch's wake), the health watch surfaces it, and the caller
+//! restarts recovery with it.
 
-use std::time::Instant;
+use ft_gaspi::{Group, Timeout};
 
-use ft_gaspi::{GaspiError, Group, Timeout};
-
-use crate::error::{FtError, FtResult};
+use crate::error::FtResult;
 use crate::events::{EventKind, EventLog};
 use crate::health::HealthWatch;
 use crate::layout::WorldLayout;
 use crate::plan::RecoveryPlan;
 
-/// Per-attempt timeout of the recovery steps (kill, commit).
+/// Timeout of each `gaspi_proc_kill`.
 const STEP_TIMEOUT: Timeout = Timeout::Ms(500);
 
 /// Rebuild the worker group per `plan`. Returns the committed group.
 ///
 /// Callers must be members of `plan.worker_set(layout)`. On
-/// [`FtError::Signal`] the caller should restart with the newer plan.
+/// [`FtError::Signal`](crate::error::FtError::Signal) the caller should
+/// restart with the newer plan.
 pub fn execute_recovery(
     watch: &HealthWatch,
     layout: &WorldLayout,
@@ -67,20 +67,9 @@ pub fn execute_recovery(
     for &m in &members {
         proc.group_add(group, m)?;
     }
-    // 4. Blocking commit, each attempt under the watch's wake so a failure
-    //    *during* recovery escalates to the newer epoch as its plan lands.
-    let deadline = Instant::now() + watch.policy().abandon;
-    loop {
-        match watch.attempt(|| proc.group_commit(group, STEP_TIMEOUT))? {
-            Ok(()) => break,
-            Err(GaspiError::Timeout) | Err(GaspiError::RemoteBroken { .. }) => {
-                if Instant::now() >= deadline {
-                    return Err(FtError::Gaspi(GaspiError::Timeout));
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
+    // 4. Blocking commit under the watch, so a failure *during* recovery
+    //    escalates to the newer epoch as its plan lands.
+    watch.retry(|t| proc.group_commit(group, t))?;
     proc.injection_site("recover.committed");
     events.record(proc.rank(), EventKind::GroupRebuilt { epoch: plan.epoch });
     Ok(group)
@@ -90,9 +79,16 @@ pub fn execute_recovery(
 mod tests {
     use super::*;
     use crate::ack::{self, create_ctrl_segment};
-    use crate::health::CommPolicy;
-    use ft_gaspi::{GaspiConfig, GaspiWorld, RankOutcome};
-    use std::time::Duration;
+    use crate::detector::DetectorConfig;
+    use crate::error::FtError;
+    use ft_gaspi::{GaspiConfig, GaspiProc, GaspiWorld, RankOutcome};
+    use std::time::{Duration, Instant};
+
+    /// A watch on `proc` that abandons after 10 s.
+    fn watch(proc: GaspiProc, layout: WorldLayout) -> HealthWatch {
+        let ack = DetectorConfig::default().ack_timeout;
+        HealthWatch::new(proc, layout, Duration::from_secs(10), ack)
+    }
 
     /// Survivors + rescue rebuild a group after a kill, concurrently.
     #[test]
@@ -111,11 +107,7 @@ mod tests {
                 }
                 create_ctrl_segment(&p, &layout2).unwrap();
                 let events = EventLog::new();
-                let watch = HealthWatch::new(
-                    p,
-                    CommPolicy { attempt: Timeout::Ms(100), abandon: Duration::from_secs(10) },
-                    layout2,
-                );
+                let watch = watch(p, layout2);
                 let g = execute_recovery(&watch, &layout2, &plan, None, &events).expect("recovery");
                 // The rebuilt group is immediately usable.
                 watch.proc().barrier(g, Timeout::Ms(5000)).unwrap();
@@ -131,8 +123,8 @@ mod tests {
         assert!(!fault.is_alive(1));
     }
 
-    /// A job's first group forms at scale: 128 workers commit it under
-    /// the default policy, the idle spare and the FD sitting out.
+    /// A job's first group forms at scale: 128 workers commit it, the idle
+    /// spare and the FD sitting out.
     #[test]
     fn the_first_group_of_128_workers_forms() {
         let layout = WorldLayout::new(128, 2);
@@ -143,7 +135,7 @@ mod tests {
                     return Ok(true);
                 }
                 create_ctrl_segment(&p, &layout).unwrap();
-                let watch = HealthWatch::new(p, CommPolicy::default(), layout);
+                let watch = watch(p, layout);
                 let plan = RecoveryPlan::initial();
                 Ok(execute_recovery(&watch, &layout, &plan, None, &EventLog::new()).is_ok())
             })
@@ -153,7 +145,7 @@ mod tests {
     }
 
     /// A second failure during a rebuild escalates as its plan lands, not
-    /// after a commit attempt (`STEP_TIMEOUT`) runs out.
+    /// at abandon.
     #[test]
     fn a_newer_plan_ends_a_blocked_group_commit() {
         let layout = WorldLayout::new(3, 2); // workers 0-2, idle 3, FD 4
@@ -164,11 +156,7 @@ mod tests {
         create_ctrl_segment(&w0, &layout).unwrap();
         let first = RecoveryPlan::initial().after_failures(&layout, &[1], None);
         let second = first.after_failures(&layout, &[2], None);
-        let watch = HealthWatch::new(
-            w0,
-            CommPolicy { attempt: Timeout::Ms(100), abandon: Duration::from_secs(10) },
-            layout,
-        );
+        let watch = watch(w0, layout);
         watch.adopt(first.clone());
         let plan = second.clone();
         let h = std::thread::spawn(move || {

@@ -18,7 +18,6 @@ use ft_cluster::{
 };
 use ft_core::ack::{self, ACK_QUEUE};
 use ft_core::detector::glo_health_chk_graced;
-use ft_core::health::CommPolicy;
 use ft_core::{HealthWatch, RecoveryPlan, WorldLayout};
 use ft_gaspi::{GaspiConfig, GaspiProc, GaspiWorld, Timeout};
 
@@ -162,7 +161,7 @@ fn an_acknowledgment_is_one_put_per_live_rank_and_a_check_sends_nothing() {
             let want = Counts { fanouts: 1, fanned: live.len(), ..Counts::default() };
             assert_eq!(w.t.counts(), want, "acknowledgment of n = {n} with k = {k} dead");
 
-            let watch = HealthWatch::new(w.rank0.clone(), CommPolicy::default(), layout);
+            let watch = HealthWatch::new(w.rank0.clone(), layout, Duration::from_secs(10), TIMEOUT);
             let _ = watch.check();
             assert_eq!(w.t.counts(), want, "HealthWatch::check moved traffic (n = {n})");
             if live.contains(&0) {

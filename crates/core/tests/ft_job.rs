@@ -210,8 +210,8 @@ fn failure_free_run() {
 
 /// Regression: app rank 0 leaves the last collective first and tells the
 /// FD the job is done; the FD's answer used to be a shutdown broadcast to
-/// *every* rank, which a leaf still polling in that collective's down-phase
-/// (6 ms links, 1 ms attempts) read as `Signal(Shutdown)` and aborted on.
+/// *every* rank, which a leaf still waiting in that collective's down-phase
+/// (6 ms links) read as `Signal(Shutdown)` and aborted on.
 /// A normal end must leave the workers alone.
 #[test]
 fn job_end_shutdown_does_not_abort_a_worker_in_its_last_collective() {
@@ -224,10 +224,6 @@ fn job_end_shutdown_does_not_abort_a_worker_in_its_last_collective() {
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(0)
         .max_iters(5)
-        .policy(ft_core::health::CommPolicy {
-            attempt: ft_gaspi::Timeout::Ms(1),
-            ..Default::default()
-        })
         .detector(ft_core::DetectorConfig {
             scan_interval: Duration::from_millis(1),
             ping_timeout: ft_gaspi::Timeout::Ms(2000),
@@ -350,7 +346,7 @@ fn late_spare_still_hears_of_the_plan_that_makes_it_a_rescue() {
         .strategy(StrategyKind::Abft)
         .build()
         .unwrap();
-    let abandon = cfg.policy.abandon;
+    let abandon = cfg.abandon;
     let stall = FaultAction::Delay(Duration::from_millis(300));
     let stall = Injection::at("gaspi.segment.create", 1, 1, stall);
     let schedule = FaultSchedule::none().kill_rank_at_iteration(0, 6).inject(stall);

@@ -254,7 +254,7 @@ fn primary_death_at_job_end_does_not_strand_the_shadow() {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    let abandon = cfg.policy.abandon;
+    let abandon = cfg.abandon;
     let fault = world.fault();
     // One allreduce per step: the last step's is rank 0's ITERS-th.
     let kill = Injection::at("gaspi.allreduce", 0, ITERS, FaultAction::KillRank(layout.fd_rank()));

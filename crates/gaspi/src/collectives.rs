@@ -341,8 +341,10 @@ impl GaspiProc {
     /// posts `mine` to member 0 of `members`; member 0 peeks the tokens in
     /// member order, `fold`s each into its own and posts the result to
     /// every other member, which returns it. Two hops and `2(n − 1)`
-    /// tokens. Member 0 returns once every member has entered, every
-    /// other member once member 0 has folded. Tokens are only peeked and
+    /// tokens. Member 0 returns once every member has entered and its
+    /// releases have landed (so a release lost to a broken link is this
+    /// call's error, not a member's silent hang), every other member once
+    /// member 0 has folded. Tokens are only peeked and
     /// a re-post under the same `(group, seq, phase)` overwrites one with
     /// the same bytes, so a call cut short by a timeout is completed by
     /// repeating it.
@@ -369,6 +371,7 @@ impl GaspiProc {
             for &m in others {
                 self.send_coll_token(m, key(RELEASE_PHASE, root), acc.clone(), &err);
             }
+            self.poll_coll(&err, deadline, || (err.delivered() == others.len()).then_some(()))?;
             Ok(acc)
         } else {
             self.send_coll_token(root, key(GATHER_PHASE, self.rank()), mine, &err);

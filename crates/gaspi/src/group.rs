@@ -249,4 +249,18 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn a_release_lost_to_a_broken_link_is_the_roots_error() {
+        let world = GaspiWorld::new(GaspiConfig::deterministic(2));
+        let p = world.proc_handle(0);
+        let g = p.group_create_with_id(1 << 32).unwrap();
+        p.group_add(g, 0).unwrap();
+        p.group_add(g, 1).unwrap();
+        // Member 1's token has landed; then the link breaks under the release.
+        let key = CollKey { group: g.0, seq: 0, phase: GATHER_PHASE, from: 1 };
+        p.shared().coll.insert(key, members_fingerprint(&[0, 1]).to_bytes());
+        world.fault().break_link(0, 1);
+        assert_eq!(p.group_commit(g, Timeout::Ms(1000)), Err(GaspiError::RemoteBroken { rank: 1 }));
+    }
 }

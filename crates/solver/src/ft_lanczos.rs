@@ -36,21 +36,12 @@ pub struct FtLanczosConfig {
     /// tiny, written once, and make rescues robust to adjacent-node
     /// loss).
     pub pfs: Option<Arc<Pfs>>,
-    /// Timeout for checkpoint fetches during restore.
-    pub fetch_timeout: Duration,
 }
 
 impl FtLanczosConfig {
     /// Fixed-iteration configuration (the paper's benchmark mode).
     pub fn fixed_iters(gen: Arc<dyn RowGen>) -> Self {
-        Self {
-            gen,
-            seed: 0x1A5C_205E,
-            conv_check_every: 0,
-            conv_tol: 1e-10,
-            pfs: None,
-            fetch_timeout: Duration::from_secs(5),
-        }
+        Self { gen, seed: 0x1A5C_205E, conv_check_every: 0, conv_tol: 1e-10, pfs: None }
     }
 }
 
@@ -80,7 +71,7 @@ impl FtLanczos {
     /// Build the application object for one rank (pass this to
     /// [`ft_core::run_ft_job`] via a closure).
     pub fn new(ctx: &FtCtx, cfg: Arc<FtLanczosConfig>) -> Self {
-        let rank = SpmvRank::new(ctx, Arc::clone(&cfg.gen), cfg.pfs.clone(), cfg.fetch_timeout);
+        let rank = SpmvRank::new(ctx, Arc::clone(&cfg.gen), cfg.pfs.clone());
         Self { cfg, rank, state: None, halo: Vec::new(), w: Vec::new() }
     }
 }

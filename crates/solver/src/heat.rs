@@ -30,14 +30,12 @@ pub struct HeatConfig {
     pub tol: f64,
     /// Optional PFS tier for the plan checkpoint.
     pub pfs: Option<Arc<Pfs>>,
-    /// Checkpoint fetch timeout.
-    pub fetch_timeout: Duration,
 }
 
 impl HeatConfig {
     /// Default solve on an `nx × ny` grid.
     pub fn new(nx: u64, ny: u64) -> Self {
-        Self { nx, ny, omega: 0.8, tol: 1e-8, pfs: None, fetch_timeout: Duration::from_secs(5) }
+        Self { nx, ny, omega: 0.8, tol: 1e-8, pfs: None }
     }
 }
 
@@ -72,7 +70,7 @@ impl FtHeat {
     pub fn new(ctx: &FtCtx, cfg: Arc<HeatConfig>) -> Self {
         let gen = Arc::new(Laplace2d::new(cfg.nx, cfg.ny));
         Self {
-            rank: SpmvRank::new(ctx, gen, cfg.pfs.clone(), cfg.fetch_timeout),
+            rank: SpmvRank::new(ctx, gen, cfg.pfs.clone()),
             cfg,
             u: Vec::new(),
             next: Vec::new(),

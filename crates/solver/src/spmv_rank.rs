@@ -29,12 +29,14 @@ const SEG_HALO: SegId = 1;
 const SEG_STAGE: SegId = 2;
 /// Queue for halo traffic: queues are per-rank, any app queue works.
 const HALO_QUEUE: u16 = 1;
+/// Timeout of each checkpoint fetch: the restores, the plan adoption and
+/// the drain before each commit.
+const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One rank's checkpoint streams and, once set up or joined, its spMVM.
 pub(crate) struct SpmvRank {
     state_ck: Checkpointer,
     plan_ck: Checkpointer,
-    fetch_timeout: Duration,
     gen: Arc<dyn RowGen>,
     /// The halo exchange and the plan it runs, once set up or joined.
     comm: Option<(SpmvComm, CommPlan)>,
@@ -47,18 +49,12 @@ pub(crate) struct SpmvRank {
 
 impl SpmvRank {
     /// The two streams; `pfs` also holds every plan checkpoint.
-    pub(crate) fn new(
-        ctx: &FtCtx,
-        gen: Arc<dyn RowGen>,
-        pfs: Option<Arc<Pfs>>,
-        fetch_timeout: Duration,
-    ) -> Self {
+    pub(crate) fn new(ctx: &FtCtx, gen: Arc<dyn RowGen>, pfs: Option<Arc<Pfs>>) -> Self {
         let plan_cfg =
             CheckpointerConfig { keep_versions: 1, ..CheckpointerConfig::for_tag(PLAN_TAG) };
         Self {
             state_ck: Checkpointer::new(&ctx.proc, CheckpointerConfig::for_tag(STATE_TAG), None),
             plan_ck: Checkpointer::new(&ctx.proc, plan_cfg, pfs),
-            fetch_timeout,
             gen,
             comm: None,
             chunk: None,
@@ -86,7 +82,7 @@ impl SpmvRank {
     /// (re-homed under our own rank) and hand the chunk's assembly from it
     /// to a helper thread.
     pub(crate) fn join(&mut self, ctx: &FtCtx) -> FtResult<()> {
-        let blob = adopt_latest(ctx, &self.plan_ck, self.fetch_timeout)?;
+        let blob = adopt_latest(ctx, &self.plan_ck, FETCH_TIMEOUT)?;
         let plan = decode_plan(&blob.data, ctx.app_rank())?;
         self.helper = Some(thread::spawn(self.assembly(ctx, plan)?));
         Ok(())
@@ -124,7 +120,7 @@ impl SpmvRank {
 
     /// The stream the driver commits the app's state into.
     pub(crate) fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
-        Some((&self.state_ck, self.fetch_timeout))
+        Some((&self.state_ck, FETCH_TIMEOUT))
     }
 
     /// This rank's rows: all a fresh state needs, so it does not wait for
