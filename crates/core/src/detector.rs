@@ -238,7 +238,7 @@ pub fn run_detector_from(
         // Wait out the scan interval; the done signal or a worker's suspect
         // report cuts it short (not the shutdown slot, which may be set).
         let interval = Timeout::Ms(cfg.scan_interval.as_millis() as u64);
-        let _ = proc.wake_on(CTRL_SEG, &[(DONE_NOTIF, 0)], || {
+        let _ = proc.wake_on(CTRL_SEG, &[(DONE_NOTIF, 0)], None, || {
             proc.notify_waitsome(CTRL_SEG, SUSPECT_NOTIF_BASE, layout.total(), interval)
         });
     }

@@ -19,14 +19,14 @@
 //! worker leaves the call the moment the acknowledgment lands. The call
 //! is given all the time left before the watch's abandon deadline, so a
 //! blocked call parks once: nothing but its event, a plan or shutdown
-//! word, a broken completion, or abandon ends it.
+//! word, a broken completion (of this call or any other), or abandon
+//! ends it.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use ft_cluster::Rank;
-use ft_gaspi::{GaspiError, GaspiProc, Timeout};
+use ft_gaspi::{GaspiError, GaspiProc, ProcState, Timeout};
 
 use crate::ack::{self, CTRL_SEG, EPOCH_NOTIF, SHUTDOWN_NOTIF};
 use crate::error::{FtError, FtResult, FtSignal};
@@ -55,8 +55,8 @@ pub struct HealthWatch {
     /// The flush timeout of a suspect report: the detector's `ack_timeout`.
     ack_timeout: Timeout,
     held: RefCell<InForce>,
-    /// Ranks already reported — each suspect is flagged to the FD once.
-    reported: parking_lot::Mutex<HashSet<Rank>>,
+    /// CORRUPT ranks at the last look: each is reported once, on showing.
+    seen: RefCell<Vec<Rank>>,
 }
 
 impl HealthWatch {
@@ -73,8 +73,7 @@ impl HealthWatch {
     ) -> Self {
         let plan = RecoveryPlan::initial();
         let held = RefCell::new(InForce { map: plan.rank_map(&layout), plan });
-        let reported = parking_lot::Mutex::new(HashSet::new());
-        Self { proc, layout, abandon, ack_timeout, held, reported }
+        Self { proc, layout, abandon, ack_timeout, held, seen: RefCell::default() }
     }
 
     /// The plan in force (epoch 0 = initial world).
@@ -106,27 +105,31 @@ impl HealthWatch {
         regroups
     }
 
-    /// Best-effort once-only suspect reports to the detector of the plan
-    /// in force (the paper's link-fault path: the FD's own pings may not
-    /// cross a severed worker↔worker link). Skips silently when no
-    /// detector is left (it joined the workers under restriction 2), when
-    /// *we* are the FD, or when the suspect *is* the FD (the FD-liveness
-    /// watchdog owns that case).
-    fn report_broken(&self, ranks: &[Rank]) {
+    /// Whether ranks turned CORRUPT since the last look (a broken
+    /// completion of any call) that the plan in force counts alive, other
+    /// than its detector: reported once each, best effort, to the detector
+    /// in force (the paper's link-fault path: its own pings may not cross a
+    /// severed worker↔worker link), if there is one and it is not us.
+    fn report_broken(&self) -> bool {
+        let states = (0..).zip(self.proc.state_vec_get());
+        let corrupt: Vec<Rank> =
+            states.filter_map(|(r, s)| (s == ProcState::Corrupt).then_some(r)).collect();
+        if corrupt.len() == self.seen.borrow().len() {
+            return false;
+        }
+        let seen = self.seen.replace(corrupt.clone());
         let held = self.held.borrow();
-        let fd = held.plan.current_fd(&self.layout);
-        if !held.plan.fd_alive || fd == self.proc.rank() {
-            return;
-        }
-        let mut reported = self.reported.lock();
-        for &r in ranks {
-            if r == fd || r == self.proc.rank() || !reported.insert(r) {
-                continue;
+        let (fd, me) = (held.plan.current_fd(&self.layout), self.proc.rank());
+        let alive = |r: &Rank| *r != fd && *r != me && !held.plan.failed.contains(r);
+        let suspects: Vec<Rank> = corrupt.into_iter().filter(alive).collect();
+        if held.plan.fd_alive && fd != me {
+            for &r in suspects.iter().filter(|r| !seen.contains(r)) {
+                // Delivery failure is tolerable: the FD may be unreachable
+                // too, and the ordinary scan-and-acknowledge path still runs.
+                let _ = ack::report_suspect(&self.proc, fd, r, SUSPECT_QUEUE, self.ack_timeout);
             }
-            // Delivery failure is tolerable: the FD may be unreachable
-            // too, and the ordinary scan-and-acknowledge path still runs.
-            let _ = ack::report_suspect(&self.proc, fd, r, SUSPECT_QUEUE, self.ack_timeout);
         }
+        !suspects.is_empty()
     }
 
     /// The underlying process handle.
@@ -161,14 +164,16 @@ impl HealthWatch {
     /// One attempt of a blocking GASPI call: [`Self::check`], then `call`
     /// under a wake ([`GaspiProc::wake_on`]) that ends any wait inside it
     /// with `GaspiError::Timeout` once the epoch slot moves past the value
-    /// the check read, or the shutdown word lands. A plan that arrives
-    /// between the check and the park therefore ends the park at once.
+    /// the check read, the shutdown word lands, or a completion fails that
+    /// the watch has not looked at. A plan that arrives between the check
+    /// and the park therefore ends the park at once.
     fn attempt<T>(
         &self,
         call: impl FnOnce() -> Result<T, GaspiError>,
     ) -> FtResult<Result<T, GaspiError>> {
         let seen = self.look()?;
-        Ok(self.proc.wake_on(CTRL_SEG, &[(EPOCH_NOTIF, seen), (SHUTDOWN_NOTIF, 0)], call))
+        let slots = [(EPOCH_NOTIF, seen), (SHUTDOWN_NOTIF, 0)];
+        Ok(self.proc.wake_on(CTRL_SEG, &slots, Some(self.seen.borrow().len()), call))
     }
 
     /// Hold position: an [`Self::attempt`] parked on the shutdown slot
@@ -213,17 +218,13 @@ impl HealthWatch {
                 match self.attempt(|| call(left))? {
                     Ok(v) => return Ok(v),
                     Err(GaspiError::Timeout) => {}
-                    Err(GaspiError::QueueFailure { ranks, .. }) => {
-                        self.report_broken(&ranks);
-                        broken = true
-                    }
-                    Err(GaspiError::RemoteBroken { rank }) => {
-                        self.report_broken(&[rank]);
+                    Err(GaspiError::QueueFailure { .. } | GaspiError::RemoteBroken { .. }) => {
                         broken = true
                     }
                     Err(e) => return Err(FtError::Gaspi(e)),
                 }
             }
+            broken |= self.report_broken();
             if Instant::now() >= deadline {
                 return Err(FtError::Gaspi(GaspiError::Timeout));
             }
@@ -243,6 +244,19 @@ mod tests {
         HealthWatch::new(proc, layout, abandon, DetectorConfig::default().ack_timeout)
     }
 
+    /// A world, and the handles of `ranks`, each with its control segment.
+    fn world<const N: usize>(
+        workers: u32,
+        spares: u32,
+        ranks: [Rank; N],
+    ) -> (WorldLayout, GaspiWorld, [GaspiProc; N]) {
+        let layout = WorldLayout::new(workers, spares);
+        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+        let procs = ranks.map(|r| world.proc_handle(r));
+        procs.iter().for_each(|p| create_ctrl_segment(p, &layout).unwrap());
+        (layout, world, procs)
+    }
+
     /// Fault-tolerant `gaspi_wait` on queue 0, as `FtCtx::wait_ft` runs it.
     fn wait_ft(watch: &HealthWatch) -> FtResult<()> {
         watch.retry(|t| watch.proc().wait(0, t))
@@ -250,12 +264,7 @@ mod tests {
 
     #[test]
     fn check_is_quiet_then_signals_once() {
-        let layout = WorldLayout::new(2, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let fd = world.proc_handle(layout.fd_rank());
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&fd, &layout).unwrap();
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, _world, [fd, w0]) = world(2, 1, [2, 0]);
         let watch = watch(w0, layout, Duration::from_secs(10));
         assert!(watch.check().is_ok());
         let plan = RecoveryPlan::initial().after_failures(&layout, &[1], None);
@@ -272,12 +281,7 @@ mod tests {
 
     #[test]
     fn shutdown_signal_wins() {
-        let layout = WorldLayout::new(1, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let fd = world.proc_handle(layout.fd_rank());
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&fd, &layout).unwrap();
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, _world, [fd, w0]) = world(1, 1, [1, 0]);
         ack::broadcast_shutdown(&fd, &[0], 0, Timeout::Ms(2000)).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let watch = watch(w0, layout, Duration::from_secs(10));
@@ -286,12 +290,7 @@ mod tests {
 
     #[test]
     fn retry_surfaces_ack_during_blocked_wait() {
-        let layout = WorldLayout::new(2, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let fd = world.proc_handle(layout.fd_rank());
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&fd, &layout).unwrap();
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, world, [fd, w0]) = world(2, 1, [2, 0]);
         w0.segment_create(5, 64).unwrap();
         // Kill rank 1 and post a write to it: wait_ft would loop forever on
         // QueueFailure — until the FD acks.
@@ -313,12 +312,7 @@ mod tests {
 
     #[test]
     fn retry_wakes_on_the_acknowledgment() {
-        let layout = WorldLayout::new(2, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let fd = world.proc_handle(layout.fd_rank());
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&fd, &layout).unwrap();
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, _world, [fd, w0]) = world(2, 1, [2, 0]);
         w0.segment_create(FIRST_APP_SEG, 64).unwrap();
         // The time left outlasts the test: only the acknowledgment can end it.
         let watch = watch(w0, layout, Duration::from_secs(30));
@@ -339,12 +333,7 @@ mod tests {
 
     #[test]
     fn a_takeover_mid_allreduce_is_absorbed_and_the_allreduce_resumes() {
-        let layout = WorldLayout::new(2, 3); // idle 2, shadow 3, FD 4
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let [w0, w1, shadow] = [0, 1, 3].map(|r| world.proc_handle(r));
-        for p in [&w0, &w1, &shadow] {
-            create_ctrl_segment(p, &layout).unwrap();
-        }
+        let (layout, _world, [w0, w1, shadow]) = world(2, 3, [0, 1, 3]); // idle 2, FD 4
         let workers = |p: &GaspiProc| {
             let g = p.group_create_with_id(1 << 32).unwrap();
             for r in 0..2 {
@@ -387,12 +376,7 @@ mod tests {
 
     #[test]
     fn broken_partner_is_reported_once_to_the_detector_in_force() {
-        let layout = WorldLayout::new(3, 3); // idle 3, shadow 4, FD 5
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let [w0, shadow, fd] = [0, 4, 5].map(|r| world.proc_handle(r));
-        for p in [&w0, &shadow, &fd] {
-            create_ctrl_segment(p, &layout).unwrap();
-        }
+        let (layout, world, [w0, shadow, fd]) = world(3, 3, [0, 4, 5]); // idle 3
         w0.segment_create(5, 64).unwrap();
         let watch = watch(w0.clone(), layout, Duration::from_millis(80));
         // Sever a w0→partner link only: the FD's own pings to the partner
@@ -422,10 +406,7 @@ mod tests {
 
     #[test]
     fn retry_abandons_without_fd() {
-        let layout = WorldLayout::new(2, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, world, [w0]) = world(2, 1, [0]);
         w0.segment_create(5, 64).unwrap();
         world.fault().kill_rank(1);
         w0.write(5, 0, 1, 5, 0, 8, 0).unwrap();
@@ -438,10 +419,7 @@ mod tests {
 
     #[test]
     fn a_wait_nobody_answers_is_one_call_that_ends_at_abandon() {
-        let layout = WorldLayout::new(2, 1);
-        let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
-        let w0 = world.proc_handle(0);
-        create_ctrl_segment(&w0, &layout).unwrap();
+        let (layout, _world, [w0]) = world(2, 1, [0]);
         w0.segment_create(FIRST_APP_SEG, 64).unwrap();
         let abandon = Duration::from_millis(300);
         let watch = watch(w0, layout, abandon);

@@ -137,7 +137,10 @@ impl GaspiProc {
                     Outcome::Delivered => {
                         err.delivered.fetch_add(1, Ordering::Release);
                     }
-                    Outcome::Broken => err.set(GaspiError::RemoteBroken { rank: dst }),
+                    Outcome::Broken => {
+                        me.mark_corrupt(dst);
+                        err.set(GaspiError::RemoteBroken { rank: dst })
+                    }
                     Outcome::Cancelled => err.set(GaspiError::Shutdown),
                 }
                 me.signal.bump();
@@ -153,11 +156,7 @@ impl GaspiProc {
         deadline: Option<std::time::Instant>,
         ready: impl Fn() -> Option<T>,
     ) -> GaspiResult<T> {
-        let out = self.poll(deadline, || err.get().map(Err).or_else(|| ready().map(Ok)));
-        if let Err(GaspiError::RemoteBroken { rank }) = &out {
-            self.mark_corrupt(*rank);
-        }
-        out
+        self.poll(deadline, || err.get().map(Err).or_else(|| ready().map(Ok)))
     }
 
     fn peek_token(

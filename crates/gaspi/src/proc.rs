@@ -107,11 +107,6 @@ impl GaspiProc {
         RankKilled { rank: self.rank }.raise()
     }
 
-    /// Mark `rank` CORRUPT in the local error state vector.
-    pub(crate) fn mark_corrupt(&self, rank: Rank) {
-        self.shared().state_vec[rank as usize].store(1, Ordering::Release);
-    }
-
     /// Snapshot of the error state vector (`gaspi_state_vec_get`). Set
     /// after every erroneous non-local operation; used by applications to
     /// identify the broken partner after a timeout (§III).
@@ -137,23 +132,28 @@ impl GaspiProc {
     /// Run `call` with a wake condition on the calling thread: while it
     /// runs, every blocking wait it makes returns [`GaspiError::Timeout`]
     /// once one of `slots` — `(notification, value seen)` pairs of local
-    /// segment `seg` — holds a value other than the one seen. A slot that
-    /// already differs ends the first wait at once. A wait whose own
-    /// condition holds still completes. Waits on other threads are not
-    /// affected. Without segment `seg` the call runs unconditioned. The
-    /// previous condition is restored when `call` returns or unwinds.
+    /// segment `seg` — holds a value other than the one seen, or once the
+    /// count of CORRUPT ranks in the state vector differs from `corrupt`.
+    /// A condition that already holds ends the first wait at once. A wait
+    /// whose own condition holds still completes. Waits on other threads
+    /// are not affected. Without segment `seg` the call runs unconditioned.
+    /// The previous condition is restored when `call` returns or unwinds.
     ///
     /// This is how a worker's blocked call learns of the fault detector's
-    /// acknowledgment: the write that lands it already wakes every parked
-    /// wait of the rank, and the condition makes the wait give up.
+    /// acknowledgment or a broken write: what lands either already wakes
+    /// every parked wait of the rank, and the condition makes it give up.
     pub fn wake_on<R>(
         &self,
         seg: SegId,
         slots: &[(NotificationId, u32)],
+        corrupt: Option<usize>,
         call: impl FnOnce() -> R,
     ) -> R {
-        let wake =
-            self.shared().segments.get(seg).map(|segment| Wake { segment, slots: slots.to_vec() });
+        let wake = self.shared().segments.get(seg).map(|segment| Wake {
+            segment,
+            slots: slots.to_vec(),
+            corrupt: corrupt.map(|seen| (self.shared_arc(), seen)),
+        });
         let _restore = RestoreWake(WAKE.with(|w| w.replace(wake)));
         call()
     }
@@ -271,13 +271,7 @@ impl GaspiProc {
         len: usize,
         queue: u16,
     ) -> GaspiResult<()> {
-        self.check_self();
-        self.injection_site("gaspi.write");
-        self.validate_queue(queue)?;
-        self.validate_rank(dst)?;
-        let data = self.shared().segments.require(lseg)?.read_at(loff, len)?;
-        self.post_put(dst, rseg, roff, data, None, queue);
-        Ok(())
+        self.put("gaspi.write", Some((lseg, loff, len)), dst, (rseg, roff), None, queue)
     }
 
     /// Remote notification (`gaspi_notify`): set notification `nid` of
@@ -290,15 +284,7 @@ impl GaspiProc {
         value: u32,
         queue: u16,
     ) -> GaspiResult<()> {
-        self.check_self();
-        self.injection_site("gaspi.notify");
-        self.validate_queue(queue)?;
-        self.validate_rank(dst)?;
-        if value == 0 {
-            return Err(GaspiError::InvalidArg("notification value must be non-zero"));
-        }
-        self.post_put(dst, rseg, 0, Vec::new(), Some((nid, value)), queue);
-        Ok(())
+        self.put("gaspi.notify", None, dst, (rseg, 0), Some((nid, value)), queue)
     }
 
     /// Put followed by a notification visible only after the data
@@ -318,31 +304,31 @@ impl GaspiProc {
         value: u32,
         queue: u16,
     ) -> GaspiResult<()> {
-        self.check_self();
-        self.injection_site("gaspi.write_notify");
-        self.validate_queue(queue)?;
-        self.validate_rank(dst)?;
-        if value == 0 {
-            return Err(GaspiError::InvalidArg("notification value must be non-zero"));
-        }
-        let data = self.shared().segments.require(lseg)?.read_at(loff, len)?;
-        self.post_put(dst, rseg, roff, data, Some((nid, value)), queue);
-        Ok(())
+        let (local, notif) = (Some((lseg, loff, len)), Some((nid, value)));
+        self.put("gaspi.write_notify", local, dst, (rseg, roff), notif, queue)
     }
 
-    /// Shared implementation of write/notify/write_notify. The remote
-    /// write (and notification flip) happens in the target's endpoint;
-    /// here we only account the queue slot and interpret the status
-    /// reply.
-    fn post_put(
+    /// The three puts' shared body; the target's endpoint does the write.
+    fn put(
         &self,
+        site: &'static str,
+        local: Option<(SegId, usize, usize)>,
         dst: Rank,
-        rseg: SegId,
-        roff: usize,
-        data: Vec<u8>,
+        (rseg, roff): (SegId, usize),
         notif: Option<(NotificationId, u32)>,
         queue: u16,
-    ) {
+    ) -> GaspiResult<()> {
+        self.check_self();
+        self.injection_site(site);
+        self.validate_queue(queue)?;
+        self.validate_rank(dst)?;
+        if notif.is_some_and(|(_, value)| value == 0) {
+            return Err(GaspiError::InvalidArg("notification value must be non-zero"));
+        }
+        let data = match local {
+            Some((lseg, loff, len)) => self.shared().segments.require(lseg)?.read_at(loff, len)?,
+            None => Vec::new(),
+        };
         let me = self.shared_arc();
         let qidx = queue as usize;
         me.queues[qidx].post();
@@ -358,11 +344,13 @@ impl GaspiProc {
                 if out == Outcome::Delivered && endpoint::reply_ok(&reply) {
                     me.queues[qidx].complete_ok();
                 } else {
+                    me.mark_corrupt(dst);
                     me.queues[qidx].complete_failed(dst);
                 }
                 me.signal.bump();
             }),
         );
+        Ok(())
     }
 
     /// [`GaspiProc::write_notify`] of one local range to every rank of
@@ -412,6 +400,7 @@ impl GaspiProc {
                 if out == Outcome::Delivered && endpoint::reply_ok(&reply) {
                     q.complete_ok();
                 } else {
+                    batch.owner.mark_corrupt(dst);
                     q.complete_failed(dst);
                 }
                 batch.land();
@@ -423,8 +412,8 @@ impl GaspiProc {
     /// Block until every request posted to `queue` so far has completed
     /// (`gaspi_wait`). Returns `GASPI_ERROR` (as
     /// [`GaspiError::QueueFailure`]) if any completed with a broken
-    /// connection; the broken ranks are marked CORRUPT in the state
-    /// vector.
+    /// connection; the broken completion marked its rank CORRUPT in the
+    /// state vector.
     pub fn wait(&self, queue: u16, timeout: Timeout) -> GaspiResult<()> {
         self.check_self();
         self.injection_site("gaspi.queue.wait");
@@ -434,16 +423,12 @@ impl GaspiProc {
         if !q.drained_to(target) {
             self.poll(timeout.deadline(), || q.drained_to(target).then_some(Ok(())))?;
         }
-        let failures = q.take_failures();
-        if failures.is_empty() {
+        let mut ranks = q.take_failures();
+        if ranks.is_empty() {
             return Ok(());
         }
-        let mut ranks = failures;
         ranks.sort_unstable();
         ranks.dedup();
-        for &r in &ranks {
-            self.mark_corrupt(r);
-        }
         Err(GaspiError::QueueFailure { queue, ranks })
     }
 
@@ -513,19 +498,19 @@ impl GaspiProc {
         let me = self.shared_arc();
         let c1 = Arc::clone(&cell);
         post(Box::new(move |out, reply| {
-            c1.store(verdict(out, &reply), Ordering::Release);
+            let state = verdict(out, &reply);
+            if state == BROKEN {
+                me.mark_corrupt(dst);
+            }
+            c1.store(state, Ordering::Release);
             me.signal.bump();
         }));
-        let res = self.poll(timeout.deadline(), || match cell.load(Ordering::Acquire) {
+        self.poll(timeout.deadline(), || match cell.load(Ordering::Acquire) {
             PENDING => None,
             DONE => Some(Ok(())),
             BROKEN => Some(Err(GaspiError::RemoteBroken { rank: dst })),
             _ => Some(Err(GaspiError::Shutdown)),
-        });
-        if res == Err(GaspiError::RemoteBroken { rank: dst }) {
-            self.mark_corrupt(dst);
-        }
-        res
+        })
     }
 
     /// Test the availability of a rank (`gaspi_proc_ping`, the GPI-2
@@ -584,6 +569,10 @@ impl GaspiProc {
                 if let Ok(i) = ranks.binary_search(&rank) {
                     st[i].store(outcome_state(out), Ordering::Release);
                 }
+                // Only a *broken* round trip proves the remote corrupt.
+                if out == Outcome::Broken {
+                    landed.owner.mark_corrupt(rank);
+                }
                 landed.land();
             }),
         );
@@ -593,19 +582,9 @@ impl GaspiProc {
             Ok(()) | Err(GaspiError::Timeout) => {}
             Err(e) => return Err(e),
         }
-        let mut failed = Vec::new();
-        for (i, &d) in uniq.iter().enumerate() {
-            // Pending at the timeout and cancelled both mean "no answer".
-            let state = states[i].load(Ordering::Acquire);
-            if state != DONE {
-                failed.push(d);
-                // Only a *broken* round trip proves the remote corrupt.
-                if state == BROKEN {
-                    self.mark_corrupt(d);
-                }
-            }
-        }
-        Ok(failed)
+        // Pending at the timeout and cancelled both mean "no answer".
+        let answered = |i: usize| states[i].load(Ordering::Acquire) == DONE;
+        Ok((0..uniq.len()).filter(|&i| !answered(i)).map(|i| uniq[i]).collect())
     }
 
     /// Enforce the death of a rank (`gaspi_proc_kill`, the second
@@ -675,6 +654,8 @@ thread_local! {
 struct Wake {
     segment: Arc<Segment>,
     slots: Vec<(NotificationId, u32)>,
+    /// The rank and the number of CORRUPT ranks seen.
+    corrupt: Option<(Arc<RankShared>, usize)>,
 }
 
 /// Whether the calling thread's wake condition is set and has fired.
@@ -682,6 +663,9 @@ fn woken() -> bool {
     WAKE.with(|w| {
         w.borrow().as_ref().is_some_and(|w| {
             w.slots.iter().any(|&(nid, seen)| w.segment.notify_peek(nid).is_ok_and(|v| v != seen))
+                || w.corrupt.as_ref().is_some_and(|(me, seen)| {
+                    me.state_vec.iter().filter(|s| s.load(Ordering::Acquire) != 0).count() != *seen
+                })
         })
     })
 }

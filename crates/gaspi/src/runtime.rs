@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::AtomicU8;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Once, Weak};
 
 use parking_lot::Mutex;
@@ -43,6 +43,12 @@ pub(crate) struct RankShared {
 }
 
 impl RankShared {
+    /// Mark `rank` CORRUPT in the local error state vector, as every
+    /// broken completion does when it lands.
+    pub fn mark_corrupt(&self, rank: Rank) {
+        self.state_vec[rank as usize].store(1, Ordering::Release);
+    }
+
     fn new(cfg: &GaspiConfig) -> Self {
         // App queues plus service/collective/passive internal queues.
         let nqueues = crate::config::PASSIVE_QUEUE as usize + 1;

@@ -646,15 +646,18 @@ fn park(p: &GaspiProc, t: u64) -> (GaspiResult<u32>, Duration) {
 fn wake_on_ends_a_wait_at_once_when_a_listed_slot_already_moved() {
     let (_world, p) = wake_world();
     // Seen 0, holds 7: the condition fired before the wait began.
-    let (r, took) = p.wake_on(SEG, &[(2, 0), (3, 0)], || park(&p, 5_000));
+    let (r, took) = p.wake_on(SEG, &[(2, 0), (3, 0)], None, || park(&p, 5_000));
     assert_eq!(r, Err(GaspiError::Timeout));
     assert!(took < Duration::from_secs(1), "took {took:?}");
     // Seen 7, holds 7: the wait runs its course.
-    let (r, took) = p.wake_on(SEG, &[(3, 7)], || park(&p, 100));
+    let (r, took) = p.wake_on(SEG, &[(3, 7)], None, || park(&p, 100));
     assert_eq!(r, Err(GaspiError::Timeout));
     assert!(took >= Duration::from_millis(100));
     // A wait whose own condition holds still completes.
-    assert_eq!(p.wake_on(SEG, &[(3, 0)], || p.notify_waitsome(SEG, 3, 1, Timeout::Ms(100))), Ok(3));
+    assert_eq!(
+        p.wake_on(SEG, &[(3, 0)], None, || p.notify_waitsome(SEG, 3, 1, Timeout::Ms(100))),
+        Ok(3)
+    );
 }
 
 #[test]
@@ -671,7 +674,7 @@ fn a_write_to_a_listed_slot_ends_the_wait_and_to_another_slot_does_not() {
                 q.notify(0, SEG, slot, 1, Q).unwrap();
                 q.wait(Q, Timeout::Ms(5000)).unwrap();
             });
-            p.wake_on(SEG, &[(5, 0)], || {
+            p.wake_on(SEG, &[(5, 0)], None, || {
                 go.send(()).unwrap();
                 park(&p, t)
             })
@@ -695,7 +698,7 @@ fn wake_on_binds_only_the_calling_thread() {
     std::thread::scope(|s| {
         let q = p.clone();
         s.spawn(move || {
-            q.wake_on(SEG, &[(3, 0)], || {
+            q.wake_on(SEG, &[(3, 0)], None, || {
                 entered.send(()).unwrap();
                 may_leave.recv().unwrap();
             })
@@ -713,7 +716,7 @@ fn wake_on_binds_only_the_calling_thread() {
 fn an_unwound_wake_on_leaves_the_next_wait_alone() {
     let (_world, p) = wake_world();
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        p.wake_on(SEG, &[(3, 0)], || panic!("the call unwinds"))
+        p.wake_on(SEG, &[(3, 0)], None, || panic!("the call unwinds"))
     }));
     assert!(unwound.is_err());
     let (r, took) = park(&p, 100);

@@ -5,9 +5,9 @@
 //! checkpoint a rescue resumes from "without having to perform the
 //! pre-processing step again", and the rewire after a recovery are the
 //! shared `spmv_rank` module's. What is left here is the state — two
-//! consecutive Lanczos vectors plus α/β, which the driver commits,
-//! restores and replays — and the step: one Lanczos iteration, with the QL
-//! convergence check every `conv_check_every` iterations.
+//! consecutive Lanczos vectors, their halos and α/β, which the driver
+//! commits, restores and replays — and the step: one Lanczos iteration,
+//! with the QL convergence check every `conv_check_every` iterations.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,8 +63,8 @@ pub struct FtLanczos {
     cfg: Arc<FtLanczosConfig>,
     rank: SpmvRank,
     state: Option<LanczosState>,
-    halo: Vec<f64>,
     w: Vec<f64>,
+    w_halo: Vec<f64>,
 }
 
 impl FtLanczos {
@@ -72,7 +72,7 @@ impl FtLanczos {
     /// [`ft_core::run_ft_job`] via a closure).
     pub fn new(ctx: &FtCtx, cfg: Arc<FtLanczosConfig>) -> Self {
         let rank = SpmvRank::new(ctx, Arc::clone(&cfg.gen), cfg.pfs.clone());
-        Self { cfg, rank, state: None, halo: Vec::new(), w: Vec::new() }
+        Self { cfg, rank, state: None, w: Vec::new(), w_halo: Vec::new() }
     }
 }
 
@@ -93,7 +93,7 @@ impl FtApp for FtLanczos {
         let (dm, comm) = self.rank.spmv();
         let state = self.state.as_mut().expect("step before setup");
         debug_assert_eq!(state.iter, iter, "driver and Lanczos state out of sync");
-        state.step(ctx, dm, comm, &mut self.halo, &mut self.w)?;
+        state.step(ctx, dm, comm, &mut self.w, &mut self.w_halo)?;
         // Convergence: the lowest eigenvalue of T_j against that of T_{j−k}
         // at the previous check, both by the QL method from α/β. They are
         // bit-identical on every rank and exported, so a survivor that kept
@@ -125,10 +125,9 @@ impl FtApp for FtLanczos {
     fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
         // The deterministic start vector: where setup starts, and where a
         // job with no consistent state anywhere restarts.
-        let rows = self.rank.rows(ctx);
-        let mut st =
-            LanczosState::init(rows.start, (rows.end - rows.start) as usize, self.cfg.seed);
-        st.normalize(ctx)?;
+        let (rows, seed) = (self.rank.rows(ctx), self.cfg.seed);
+        let mut st = LanczosState::init(rows.start, (rows.end - rows.start) as usize, seed);
+        st.normalize(ctx, seed, &self.rank.halo_cols())?;
         self.state = Some(st);
         Ok(())
     }

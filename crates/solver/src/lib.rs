@@ -14,8 +14,8 @@
 //! * [`seq`] — a single-process reference implementation used to validate
 //!   the distributed one.
 //! * [`ft_lanczos`] — the fault-tolerant application: an
-//!   [`ft_core::FtApp`] checkpointing two consecutive Lanczos vectors
-//!   plus the α/β arrays (§V), with the one-time communication-plan
+//!   [`ft_core::FtApp`] checkpointing two consecutive Lanczos vectors,
+//!   their halos and the α/β arrays (§V), with the one-time communication-plan
 //!   checkpoint that lets a rescue skip pre-processing.
 //! * [`heat`] — a second fault-tolerant application (2D Jacobi heat
 //!   solver) demonstrating that "the concept can be applied to other

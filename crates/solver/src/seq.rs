@@ -31,7 +31,7 @@ impl SeqLanczos {
                 *wi = row.iter().fold(0.0, |acc, e| acc + e.val * st.v[e.col as usize]);
             }
             let sums = products(&w, &st.v, &st.v_prev);
-            st.advance(&mut w, sums, Ok).expect("a local sum does not fail");
+            st.advance((&mut w, &[]), sums, Ok).expect("a local sum does not fail");
         }
         Self { alphas: st.alphas, betas: st.betas }
     }

@@ -129,6 +129,12 @@ impl SpmvRank {
         self.partition(ctx).range(ctx.app_rank())
     }
 
+    /// The global columns of the halo, in halo order.
+    pub(crate) fn halo_cols(&self) -> Vec<u64> {
+        let (_, plan) = self.comm.as_ref().expect("state before setup");
+        plan.recvs.iter().flat_map(|r| r.cols.iter().copied()).collect()
+    }
+
     /// The matrix chunk and its halo exchange; after a join, the first call
     /// waits for the helper.
     pub(crate) fn spmv(&mut self) -> (&DistMatrix, &SpmvComm) {

@@ -4,9 +4,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use ft_checkpoint::{Pfs, PfsConfig};
+use ft_checkpoint::{Checkpointer, Pfs, PfsConfig};
 use ft_cluster::{FaultAction, FaultPlane, FaultSchedule, Injection, Rank};
-use ft_core::{run_ft_job, EventKind, FtConfig, JobReport, RecoveryPlan, WorldLayout};
+use ft_core::{
+    run_ft_job, DetectorConfig, EventKind, FtApp, FtConfig, FtCtx, FtResult, JobReport,
+    RecoveryPlan, WorldLayout,
+};
 use ft_gaspi::{GaspiConfig, GaspiWorld};
 use ft_matgen::graphene::Graphene;
 use ft_matgen::spectra::{Diagonal, ToeplitzTridiag};
@@ -545,4 +548,91 @@ fn a_rescue_lost_before_its_chunk_is_used_leaves_a_harmless_helper() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(held.released.get(), Some(&true), "the detached helper ran past its rank");
+}
+
+/// [`FtLanczos`] with one rank stalled for 20 ms at the top of one step.
+struct Stalled {
+    inner: FtLanczos,
+    rank: Rank,
+    iter: u64,
+}
+
+impl FtApp for Stalled {
+    type Summary = LanczosSummary;
+
+    fn setup(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.inner.setup(ctx)
+    }
+
+    fn join_as_rescue(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.inner.join_as_rescue(ctx)
+    }
+
+    fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        if (ctx.proc.rank(), iter) == (self.rank, self.iter) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        self.inner.step(ctx, iter)
+    }
+
+    fn state_stream(&self) -> Option<(&Checkpointer, Duration)> {
+        self.inner.state_stream()
+    }
+
+    fn export_state(&self, ctx: &FtCtx, iter: u64) -> FtResult<Option<Vec<u8>>> {
+        self.inner.export_state(ctx, iter)
+    }
+
+    fn load_state(&mut self, ctx: &FtCtx, data: &[u8]) -> FtResult<u64> {
+        self.inner.load_state(ctx, data)
+    }
+
+    fn reset_state(&mut self, ctx: &FtCtx) -> FtResult<()> {
+        self.inner.reset_state(ctx)
+    }
+
+    fn rewire(&mut self, ctx: &FtCtx, plan: &RecoveryPlan) -> FtResult<()> {
+        self.inner.rewire(ctx, plan)
+    }
+
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<LanczosSummary> {
+        self.inner.finalize(ctx)
+    }
+}
+
+/// Detection does not wait for the next scan when the victim dies at the
+/// top of a step: its partners post their share of `A·v` to it and park
+/// in the step's allreduce, and the broken write, on the halo queue, ends
+/// that park and reports the victim. App rank 1 stalls 20 ms before its
+/// post, so that post finds app rank 2 dead.
+#[test]
+fn a_dead_partner_is_detected_from_inside_the_allreduce() {
+    let gen: Arc<dyn RowGen> = Arc::new(Graphene::new(6, 5).with_nnn(-0.1));
+    let clean = run_job(Arc::clone(&gen), 4, 3, 60, 10, false, FaultSchedule::none());
+    let layout = WorldLayout::new(4, 3);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg = FtConfig::builder(layout)
+        .checkpoint_every(10)
+        .max_iters(60)
+        .abandon(Duration::from_secs(20))
+        .detector(DetectorConfig { scan_interval: Duration::from_secs(2), ..Default::default() })
+        .build()
+        .unwrap();
+    let app_cfg = Arc::new(FtLanczosConfig {
+        pfs: Some(Pfs::new(PfsConfig::instant())),
+        ..FtLanczosConfig::fixed_iters(gen)
+    });
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(2, 25);
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| Stalled {
+        inner: FtLanczos::new(ctx, Arc::clone(&app_cfg)),
+        rank: 1,
+        iter: 25,
+    });
+    assert_eq!(report.killed(), vec![2]);
+    assert_bitwise(&summaries(&clean, 4), &summaries(&report, 4), "partner detected");
+    let at = |f: fn(&EventKind) -> bool| report.events.first_where(|e| f(&e.kind)).map(|e| e.t);
+    let killed = at(|k| matches!(k, EventKind::KillFired { .. })).expect("the kill fired");
+    let detected = at(|k| matches!(k, EventKind::FdDetect { .. })).expect("the kill was detected");
+    let took = detected.saturating_sub(killed);
+    assert!(took < Duration::from_millis(200), "detected {took:?} after the kill");
 }

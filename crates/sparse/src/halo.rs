@@ -1,53 +1,43 @@
 //! The per-iteration halo exchange over one-sided `write_notify`, as a
-//! split-phase (post/wait) pair so halo flight hides behind local compute.
+//! split-phase (post/wait) pair so halo flight hides behind other work.
 //!
-//! Senders *push*: each rank gathers the RHS values its partners need
-//! into a staging segment and `write_notify`s them into the partners'
-//! halo segments, tagging the notification with the iteration number —
-//! that is [`SpmvComm::post`]. Receivers then run the local half of the
-//! spMVM (`a_loc·x`, which needs no halo data) before [`SpmvComm::wait`]
-//! blocks for one notification per incoming block, checks the tag (stale
-//! tags from before a recovery are discarded), and reads the halo. The
-//! solver loop is therefore
+//! Senders *push*: [`SpmvComm::post`] gathers the values each partner
+//! needs into a staging segment and `write_notify`s them into its halo
+//! segment, tagged with the iteration number. [`SpmvComm::wait`] blocks
+//! for one notification per incoming block, drops stale tags (traffic
+//! from before a recovery) and reads the halo. Heat overlaps the local
+//! half of its spMVM, `post → spmv_local → wait → spmv_remote_add →
+//! allreduce`; Lanczos its reduction, `spmv → post → allreduce → wait`.
 //!
-//! ```text
-//! post(k) → spmv_local → wait(k) → spmv_remote_add → collectives(k)
-//! ```
-//!
-//! and the exchange only stalls for however much of the flight time the
-//! local product did not cover.
-//!
-//! Synchronization note: a sender may only overwrite a receiver's halo
-//! block for iteration `k+1` after the receiver has consumed iteration
-//! `k`. Split-phase does not weaken this: `post(k+1)` happens after the
-//! iteration-`k` collectives, which happen after every rank's `wait(k)`.
-//! In the Lanczos loop the allreduce that follows every spMVM provides the
-//! collective for free; applications without a natural per-iteration
-//! collective must add one (see the heat example's residual allreduce).
+//! Synchronization: the halo segment and its notification slots are
+//! double-buffered by tag parity, so a partner's `post(k+1)` may come
+//! before `wait(k)` without touching what it reads. A partner's
+//! `post(k+2)` reuses `k`'s buffer: each loop orders it after every
+//! rank's `wait(k)` by a collective per iteration, as an application
+//! without a natural one must too (ARCHITECTURE.md §4).
 //!
 //! Recovery interacts with the split phase in one place: a failure
 //! signalled between `post` and `wait` abandons the pending exchange
 //! (dropping the [`PendingExchange`] token is fine — it holds no
-//! resources), the rewire resets all halo notifications and purges the
-//! queue's failure records, and the collective restore barrier keeps any
-//! survivor from re-posting before all partners finished rewiring. A
+//! resources), the rewire resets both parities' notifications and purges
+//! the queue's failure records, and the collective restore barrier keeps
+//! any survivor from re-posting before all partners finished rewiring. A
 //! straggler notification that still lands after the reset carries a
 //! pre-rollback iteration tag and is discarded by the next `wait`'s
 //! stale-tag loop, or, where the survivors kept their (failure-atomic)
 //! state, the tag and values of the step they resume at.
 
+use std::mem::replace;
+
 use ft_core::{FtCtx, FtResult};
 use ft_gaspi::{bytes, GaspiProc, GaspiResult, SegId};
 
-use crate::plan::CommPlan;
+use crate::plan::{CommPlan, SendSpec};
 
 /// Token for a posted-but-not-yet-awaited halo exchange, returned by
-/// [`SpmvComm::post`] and consumed by [`SpmvComm::wait`].
-///
-/// Holds no GASPI resources: dropping it (e.g. when a failure signal
-/// unwinds the iteration between post and wait) abandons the exchange,
-/// and the recovery rewire cleans up whatever the abandoned writes left
-/// behind.
+/// [`SpmvComm::post`] and consumed by [`SpmvComm::wait`]. It holds no
+/// GASPI resources: dropping it (a failure between post and wait)
+/// abandons the exchange, and the recovery rewire cleans up after it.
 #[must_use = "a posted exchange must be awaited with SpmvComm::wait (or deliberately abandoned on recovery)"]
 #[derive(Debug)]
 pub struct PendingExchange {
@@ -70,7 +60,8 @@ pub struct SpmvComm {
 }
 
 impl SpmvComm {
-    /// Create the halo and staging segments for `plan`.
+    /// Create the halo and staging segments for `plan`. The halo segment
+    /// holds every incoming block twice, once per tag parity.
     pub fn new(
         proc: &GaspiProc,
         plan: &CommPlan,
@@ -78,14 +69,10 @@ impl SpmvComm {
         seg_stage: SegId,
         queue: u16,
     ) -> GaspiResult<Self> {
-        let mut stage_offsets = Vec::with_capacity(plan.sends.len());
-        let mut off = 0usize;
-        for s in &plan.sends {
-            stage_offsets.push(off);
-            off += s.local_rows.len();
-        }
-        proc.segment_create(seg_halo, 8 * plan.halo_len.max(1))?;
-        proc.segment_create(seg_stage, 8 * off.max(1))?;
+        let stage = |off: &mut usize, s: &SendSpec| Some(replace(off, *off + s.local_rows.len()));
+        let stage_offsets = plan.sends.iter().scan(0, stage).collect();
+        proc.segment_create(seg_halo, 16 * plan.halo_len.max(1))?;
+        proc.segment_create(seg_stage, 8 * plan.send_volume().max(1))?;
         Ok(Self { seg_halo, seg_stage, queue, stage_offsets })
     }
 
@@ -95,9 +82,9 @@ impl SpmvComm {
     }
 
     /// Phase one: gather our partners' values into the staging segment
-    /// and `write_notify` every outgoing block. Returns immediately with
-    /// a [`PendingExchange`] token; the caller should now run the local
-    /// half of the spMVM before handing the token to [`SpmvComm::wait`].
+    /// and `write_notify` every outgoing block into the tag's parity.
+    /// Returns immediately with a [`PendingExchange`] token; the caller
+    /// runs its overlapped work before handing it to [`SpmvComm::wait`].
     ///
     /// `x_local` is this rank's vector chunk; `tag` must be
     /// [`SpmvComm::tag_for_iter`] of the current iteration on every rank.
@@ -120,15 +107,15 @@ impl SpmvComm {
             proc.with_segment_mut(self.seg_stage, |b| {
                 block.enumerate().for_each(|(k, v)| bytes::put_f64(b, 8 * (off + k), v));
             })?;
-            let dst = ctx.gaspi_of(send.to);
+            let (dst, len) = (ctx.gaspi_of(send.to), send.local_rows.len());
             proc.write_notify(
                 self.seg_stage,
                 8 * off,
                 dst,
                 self.seg_halo,
-                8 * send.dest_offset,
-                8 * send.local_rows.len(),
-                plan.me, // receiver keys the notification by *sender* app rank
+                8 * parity_slot(send.dest_offset, len, tag),
+                8 * len,
+                parity_slot(plan.me as usize, 1, tag) as u32, // keyed by *sender* app rank
                 tag,
                 self.queue,
             )?;
@@ -137,10 +124,10 @@ impl SpmvComm {
     }
 
     /// Phase two: flush our own writes, await one tagged notification per
-    /// incoming block (dropping stale tags left over from pre-recovery
-    /// traffic) and read the halo into `halo_out`. The halo goes through
-    /// [`FtCtx::received_halo`]: in a replay it is read from what the
-    /// senders logged.
+    /// incoming block in the tag's parity (dropping stale tags left over
+    /// from pre-recovery traffic) and read that parity's halo into
+    /// `halo_out`, through [`FtCtx::received_halo`]: in a replay it is
+    /// read from what the senders logged.
     pub fn wait(
         &self,
         ctx: &FtCtx,
@@ -150,35 +137,34 @@ impl SpmvComm {
     ) -> FtResult<()> {
         let proc = &ctx.proc;
         ctx.received_halo(halo_out, plan.halo_len, |halo_out| {
-            // Flush first: a write to a dead partner comes back broken, and
-            // the report wakes the detector. Behind the dead partner's block
-            // the flush would never run.
+            // Flush our writes: a broken one names a dead partner.
             ctx.wait_ft(self.queue)?;
+            let PendingExchange { tag } = pending;
             for recv in &plan.recvs {
+                let nid = parity_slot(recv.from as usize, 1, tag) as u32;
                 loop {
-                    ctx.notify_waitsome_ft(self.seg_halo, recv.from, 1)?;
-                    let v = proc.notify_reset(self.seg_halo, recv.from)?;
-                    if v == pending.tag {
+                    ctx.notify_waitsome_ft(self.seg_halo, nid, 1)?;
+                    if proc.notify_reset(self.seg_halo, nid)? == tag {
                         break;
                     }
                 }
             }
-            // Read the full halo.
             Ok(proc.with_segment(self.seg_halo, |b| {
-                for (i, h) in halo_out.iter_mut().enumerate() {
-                    *h = bytes::get_f64(b, 8 * i);
+                for r in &plan.recvs {
+                    let at = parity_slot(r.halo_offset, r.cols.len(), tag);
+                    for (k, h) in halo_out[r.halo_offset..][..r.cols.len()].iter_mut().enumerate() {
+                        *h = bytes::get_f64(b, 8 * (at + k));
+                    }
                 }
             })?)
         })
     }
 
     /// Full post-recovery rewire: drop stale notifications *and* the halo
-    /// queue's failure records (writes posted to the now-dead partner
-    /// completed as broken; that failure has been acknowledged and must
-    /// not poison the next `wait`). Any exchange posted before the
-    /// failure is implicitly abandoned — its [`PendingExchange`] was
-    /// dropped with the unwound iteration. It also tells the context
-    /// where the halo comes from and where the posts go
+    /// queue's failure records (an acknowledged failure must not poison
+    /// the next `wait`); an exchange posted before the failure is
+    /// abandoned with its dropped [`PendingExchange`]. It also tells the
+    /// context where the halo comes from and where the posts go
     /// ([`FtCtx::halo_links`]): survivors feed a rescue from their post logs.
     pub fn rewire(&self, ctx: &FtCtx, plan: &CommPlan) -> GaspiResult<()> {
         let posts = plan.sends.iter().zip(&self.stage_offsets);
@@ -186,11 +172,19 @@ impl SpmvComm {
             plan.recvs.iter().map(|r| (r.from, r.halo_offset..r.halo_offset + r.cols.len())),
             posts.map(|(s, &o)| (s.to, o..o + s.local_rows.len())),
         );
-        for from in 0..plan.nparts {
-            let _ = ctx.proc.notify_reset(self.seg_halo, from)?;
+        for nid in 0..2 * plan.nparts {
+            let _ = ctx.proc.notify_reset(self.seg_halo, nid)?;
         }
         ctx.proc.queue_purge(self.queue, ft_gaspi::Timeout::Ms(200))
     }
+}
+
+/// Where a block of `len` slots at `offset` lives for `tag`'s parity: each
+/// block's two copies sit side by side, so a sender needs no more of the
+/// receiver's layout than the block's offset. Notification ids follow the
+/// same rule with `len` 1.
+fn parity_slot(offset: usize, len: usize, tag: u32) -> usize {
+    2 * offset + (tag % 2) as usize * len
 }
 
 #[cfg(test)]

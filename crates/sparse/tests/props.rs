@@ -1,12 +1,17 @@
 //! Property tests: partition, halo slots, and distributed SpMV equality.
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 
+use ft_cluster::FaultSchedule;
+use ft_core::{run_ft_job, FtApp, FtConfig, FtCtx, FtResult, RecoveryPlan, WorldLayout};
+use ft_gaspi::{GaspiConfig, GaspiWorld, Timeout};
 use ft_matgen::graphene::Graphene;
 use ft_matgen::random::RandomSym;
 use ft_matgen::spectra::ToeplitzTridiag;
 use ft_matgen::RowGen;
-use ft_sparse::{CommPlan, DistMatrix, RowPartition};
+use ft_sparse::{CommPlan, DistMatrix, RowPartition, SpmvComm};
 
 proptest! {
     /// Ranges tile, owner agrees, sizes differ by at most one.
@@ -209,4 +214,85 @@ fn regression_duplicate_column_across_owners_claims_one_slot() {
     assert_eq!(plan.halo_slot(846), Some(0));
     assert_eq!(plan.recvs.len(), 1, "empty claims must not produce a recv spec");
     assert_eq!(plan.recvs[0].from, 1);
+}
+
+/// Each rank's halo for iteration `iter`: its global columns' values.
+fn posted_value(col: u64, iter: u64) -> f64 {
+    col as f64 + 100.0 * iter as f64
+}
+
+/// Posts iterations 0 and 1 on every rank, flushes both, and only then
+/// waits for 0 and for 1: the halos each wait read.
+struct PostTwiceThenWait(Vec<Vec<f64>>);
+
+impl FtApp for PostTwiceThenWait {
+    type Summary = (Vec<u64>, Vec<Vec<f64>>);
+
+    fn setup(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn join_as_rescue(&mut self, _ctx: &FtCtx) -> FtResult<()> {
+        unreachable!("no failure is scheduled")
+    }
+
+    fn step(&mut self, ctx: &FtCtx, _iter: u64) -> FtResult<bool> {
+        let gen = ToeplitzTridiag::new(8, 2.0, -1.0);
+        let (part, me) = (RowPartition::new(8, ctx.num_app_ranks()), ctx.app_rank());
+        let needed = DistMatrix::needed_columns(&gen, &part, me);
+        let start = part.range(me).start;
+        let plan = CommPlan::receives_from_needs(me, part.parts(), &needed).negotiate(
+            &ctx.proc,
+            &|a| ctx.gaspi_of(a),
+            start,
+            Timeout::Ms(10_000),
+        )?;
+        let comm = SpmvComm::new(&ctx.proc, &plan, 1, 2, 1)?;
+        ctx.barrier_ft()?; // every halo segment exists
+        let x = |iter| part.range(me).map(|i| posted_value(i, iter)).collect::<Vec<_>>();
+        let first = comm.post(ctx, &plan, &x(0), SpmvComm::tag_for_iter(0))?;
+        let second = comm.post(ctx, &plan, &x(1), SpmvComm::tag_for_iter(1))?;
+        // Both posts have landed everywhere before anyone waits.
+        ctx.wait_ft(1)?;
+        ctx.barrier_ft()?;
+        for pending in [first, second] {
+            let mut halo = Vec::new();
+            comm.wait(ctx, &plan, pending, &mut halo)?;
+            self.0.push(halo);
+        }
+        ctx.barrier_ft()?;
+        Ok(true)
+    }
+
+    fn rewire(&mut self, _ctx: &FtCtx, _plan: &RecoveryPlan) -> FtResult<()> {
+        Ok(())
+    }
+
+    fn finalize(&mut self, ctx: &FtCtx) -> FtResult<Self::Summary> {
+        let gen = ToeplitzTridiag::new(8, 2.0, -1.0);
+        let part = RowPartition::new(8, ctx.num_app_ranks());
+        let needed = DistMatrix::needed_columns(&gen, &part, ctx.app_rank());
+        Ok((needed.into_values().flatten().collect(), std::mem::take(&mut self.0)))
+    }
+}
+
+/// A partner may post iteration `j + 1` before this rank waits for `j`
+/// (Lanczos posts before its reduction and waits after it): the two land
+/// in the two parities' buffers, and each wait reads its own iteration.
+#[test]
+fn a_partner_two_posts_ahead_leaves_each_wait_its_own_halo() {
+    let layout = WorldLayout::new(3, 1);
+    let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()));
+    let cfg =
+        FtConfig::builder(layout).max_iters(1).abandon(Duration::from_secs(5)).build().unwrap();
+    let report = run_ft_job(&world, cfg, FaultSchedule::none(), |_| PostTwiceThenWait(Vec::new()));
+    let summaries = report.worker_summaries();
+    assert_eq!(summaries.len(), 3, "every rank finishes: {:?}", report.first_error());
+    for (app, (cols, halos)) in summaries {
+        assert!(!cols.is_empty());
+        for (iter, halo) in halos.iter().enumerate() {
+            let want: Vec<f64> = cols.iter().map(|&c| posted_value(c, iter as u64)).collect();
+            assert_eq!(halo, &want, "app rank {app}, iteration {iter}");
+        }
+    }
 }

@@ -191,6 +191,8 @@ fn comm_plan() -> CommPlan {
 /// A state with every section non-empty, and α one longer than β.
 fn lanczos_state() -> LanczosState {
     let mut s = LanczosState::init(3, 7, 9);
+    s.halo = vec![0.5, -0.25];
+    s.halo_prev = vec![1.5, 0.0];
     s.alphas = vec![0.25, -1.5, 3.0];
     s.betas = vec![0.75, 2.0];
     s.iter = 3;
